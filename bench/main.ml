@@ -15,10 +15,10 @@
    micro-benchmark used by CI to track the perf trajectory across PRs:
    parse / elaborate / simulate throughput over several testbed designs
    plus synthetic low-activity and sequential-heavy designs, for all
-   four simulator kernels, with hard same-run gates demanding the
-   lowered kernel never lose to the brute-force sweep it replaces and
-   the dirty lowered kernel never lose to the plain one (and beat the
-   event kernel on the idle design it was built for). *)
+   three simulator kernels, with hard same-run gates demanding the
+   default (lowered-dirty) kernel never lose to the brute-force sweep
+   it replaces, and beat the event kernel on the idle design its dirty
+   worklist was built for. *)
 
 module Report = Fpga_report.Report
 module Bug = Fpga_testbed.Bug
@@ -238,31 +238,13 @@ type bench_result = {
   br_elaborate_per_sec : float;
   br_event_cps : float;
   br_brute_cps : float;
-  br_lowered_cps : float;
   br_ldirty_cps : float;
-  br_dirty_ratio : float;  (* dirty/lowered best-batch throughput ratio *)
   br_auto_kernel : string;  (* kernel [Simulator.create] picks unforced *)
 }
 
 let bench_one (d : bench_design) =
   let design = Fpga_hdl.Parser.parse_design d.bd_src in
   let flat = Fpga_sim.Elaborate.elaborate design ~top:d.bd_top in
-  (* The lowered pair feeds a hard same-run gate, so both sides use the
-     best-batch ceiling estimator, with the two kernels' measurement
-     windows interleaved so any long-lived host slowdown lands on both
-     sides of the ratio equally. *)
-  let lowered_cps = ref 0.0 and ldirty_cps = ref 0.0 in
-  for _ = 1 to 3 do
-    lowered_cps :=
-      Float.max !lowered_cps
-        (sim_best_batch_cps ~min_elapsed:0.15 ~kernel:Simulator.Lowered flat
-           d.bd_stim);
-    ldirty_cps :=
-      Float.max !ldirty_cps
-        (sim_best_batch_cps ~min_elapsed:0.15
-           ~kernel:Simulator.Lowered_dirty flat d.bd_stim)
-  done;
-  let dirty_ratio = !ldirty_cps /. !lowered_cps in
   {
     br_id = d.bd_id;
     br_top = d.bd_top;
@@ -275,13 +257,16 @@ let bench_one (d : bench_design) =
       sim_cycles_per_sec ~kernel:Simulator.Event_driven flat d.bd_stim;
     br_brute_cps =
       sim_cycles_per_sec ~kernel:Simulator.Brute_force flat d.bd_stim;
-    br_lowered_cps = !lowered_cps;
-    br_ldirty_cps = !ldirty_cps;
-    br_dirty_ratio = dirty_ratio;
+    (* best-batch ceiling (see [sim_best_batch_cps]): the gates below
+       compare this number within the run, so host noise must not be
+       able to push it under the reference kernels' aggregates *)
+    br_ldirty_cps =
+      sim_best_batch_cps ~min_elapsed:0.45 ~kernel:Simulator.Lowered_dirty
+        flat d.bd_stim;
     br_auto_kernel = Simulator.kernel_name (Simulator.kernel (Simulator.create flat));
   }
 
-(* Throughput of whichever kernel auto-selection actually picked for
+(* Throughput of whichever kernel [Simulator.create] actually picked for
    this design: the honest numerator for the headline "speedup" column
    (previous schemas quietly reported event-vs-brute even when the
    simulator would have run a lowered kernel). *)
@@ -289,7 +274,6 @@ let auto_cps r =
   match r.br_auto_kernel with
   | "event" -> r.br_event_cps
   | "brute" -> r.br_brute_cps
-  | "lowered" -> r.br_lowered_cps
   | _ -> r.br_ldirty_cps
 
 (* Lowering-pass statics per bench design: how long one lowered
@@ -305,7 +289,6 @@ type lowering_bench = {
   lo_imm : int;
   lo_boxed : int;
   lo_seq : int;
-  lo_dirty : bool;
 }
 
 let lowering_bench_one (d : bench_design) =
@@ -326,7 +309,6 @@ let lowering_bench_one (d : bench_design) =
     lo_imm = st.Fpga_sim.Lowered.lw_imm;
     lo_boxed = st.Fpga_sim.Lowered.lw_boxed;
     lo_seq = st.Fpga_sim.Lowered.lw_seq;
-    lo_dirty = st.Fpga_sim.Lowered.lw_dirty;
   }
 
 (* Kernel-telemetry readout: one instrumented 2000-cycle run per bench
@@ -469,7 +451,7 @@ let campaign_benches () =
 
 let json_of_results results lowerings bits lookup telem overheads campaigns =
   let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n  \"schema\": \"fpga-debug-bench/7\",\n";
+  Buffer.add_string buf "{\n  \"schema\": \"fpga-debug-bench/8\",\n";
   Buffer.add_string buf "  \"designs\": [\n";
   (* "speedup" is auto-kernel throughput over brute — what a user who
      never passes --kernel actually gets, not the event kernel's ratio *)
@@ -480,11 +462,10 @@ let json_of_results results lowerings bits lookup telem overheads campaigns =
            "    {\"id\": %S, \"top\": %S, \"parse_per_sec\": %.1f, \
             \"elaborate_per_sec\": %.1f, \"sim_cycles_per_sec_event\": \
             %.1f, \"sim_cycles_per_sec_brute\": %.1f, \
-            \"sim_cycles_per_sec_lowered\": %.1f, \
             \"sim_cycles_per_sec_lowered_dirty\": %.1f, \
             \"auto_kernel\": %S, \"speedup\": %.2f}%s\n"
            r.br_id r.br_top r.br_parse_per_sec r.br_elaborate_per_sec
-           r.br_event_cps r.br_brute_cps r.br_lowered_cps r.br_ldirty_cps
+           r.br_event_cps r.br_brute_cps r.br_ldirty_cps
            r.br_auto_kernel
            (auto_cps r /. r.br_brute_cps)
            (if i = List.length results - 1 then "" else ",")))
@@ -498,17 +479,13 @@ let json_of_results results lowerings bits lookup telem overheads campaigns =
       Buffer.add_string buf
         (Printf.sprintf
            "    {\"design\": %S, \"event_cps\": %.1f, \"brute_cps\": %.1f, \
-            \"lowered_cps\": %.1f, \"lowered_dirty_cps\": %.1f, \
-            \"auto_kernel\": %S, \"event_speedup_vs_brute\": %.2f, \
-            \"lowered_speedup_vs_brute\": %.2f, \
-            \"lowered_dirty_speedup_vs_brute\": %.2f, \
-            \"dirty_vs_lowered_ratio\": %.3f}%s\n"
-           r.br_id r.br_event_cps r.br_brute_cps r.br_lowered_cps
-           r.br_ldirty_cps r.br_auto_kernel
+            \"lowered_dirty_cps\": %.1f, \"auto_kernel\": %S, \
+            \"event_speedup_vs_brute\": %.2f, \
+            \"lowered_dirty_speedup_vs_brute\": %.2f}%s\n"
+           r.br_id r.br_event_cps r.br_brute_cps r.br_ldirty_cps
+           r.br_auto_kernel
            (r.br_event_cps /. r.br_brute_cps)
-           (r.br_lowered_cps /. r.br_brute_cps)
            (r.br_ldirty_cps /. r.br_brute_cps)
-           r.br_dirty_ratio
            (if i = List.length results - 1 then "" else ",")))
     results;
   Buffer.add_string buf "  ],\n  \"lowering\": [\n";
@@ -518,9 +495,9 @@ let json_of_results results lowerings bits lookup telem overheads campaigns =
         (Printf.sprintf
            "    {\"design\": %S, \"compile_ms\": %.3f, \"nodes\": %d, \
             \"closures\": %d, \"fused\": %d, \"imm_signals\": %d, \
-            \"boxed_signals\": %d, \"seq_blocks\": %d, \"dirty\": %b}%s\n"
+            \"boxed_signals\": %d, \"seq_blocks\": %d}%s\n"
            l.lo_design l.lo_compile_ms l.lo_nodes l.lo_closures l.lo_fused
-           l.lo_imm l.lo_boxed l.lo_seq l.lo_dirty
+           l.lo_imm l.lo_boxed l.lo_seq
            (if i = List.length lowerings - 1 then "" else ",")))
     lowerings;
   Buffer.add_string buf "  ],\n  \"bits_ops\": [\n";
@@ -633,11 +610,6 @@ let labelled_metrics_of_file path =
        | Some id, Some v -> entries := (id, v) :: !entries
        | _ -> ());
        (match
-          (field_string line "id", field_float line "sim_cycles_per_sec_lowered")
-        with
-       | Some id, Some v -> entries := (id ^ "@lowered", v) :: !entries
-       | _ -> ());
-       (match
           ( field_string line "id",
             field_float line "sim_cycles_per_sec_lowered_dirty" )
         with
@@ -688,69 +660,37 @@ let compare_to_baseline ~current ~baseline_path =
         baseline_path
   end
 
-(* The lowered kernel is a pure optimization of the full sweep: it must
-   never lose to the brute-force reference it replaces, on the same
-   machine, in the same run. Unlike the warn-only baseline comparison
-   (cross-machine, cross-run), this same-run relative gate is immune to
-   host speed, so bench-smoke fails hard on it. *)
-let lowered_gate results =
-  let slower =
-    List.filter (fun r -> r.br_lowered_cps < r.br_brute_cps) results
-  in
-  List.iter
-    (fun r ->
-      Printf.printf
-        "KERNEL GATE FAILURE: %s slower under lowered than brute \
-         (%.1f vs %.1f cycles/s)\n"
-        r.br_id r.br_lowered_cps r.br_brute_cps)
-    slower;
-  if slower = [] then
-    Printf.printf
-      "kernel gate: lowered >= brute-force on all %d designs\n"
-      (List.length results);
-  slower = []
-
-(* The dirty variant must be a pure win over the plain lowered kernel.
-   On designs where it cannot help (SEQ64's single closure runs every
-   settle) the two kernels do identical work and the comparison is all
-   timer noise, so the gate compares the two kernels' best-batch
-   ceilings (see [sim_best_batch_cps]) with a small tolerance for the
-   residual jitter. The IDLE64 event-kernel bar is strict — that is
-   the design the dirty worklist exists for, and its expected margin
-   is large. *)
-let dirty_tolerance = 0.95
-
-let dirty_gate results =
-  let slower =
-    List.filter (fun r -> r.br_dirty_ratio < dirty_tolerance) results
-  in
-  List.iter
-    (fun r ->
-      Printf.printf
-        "KERNEL GATE FAILURE: %s slower under lowered-dirty than plain \
-         lowered (window ratio %.3f, tolerance %.2f)\n"
-        r.br_id r.br_dirty_ratio dirty_tolerance)
-    slower;
-  let idle_ok =
-    List.for_all
-      (fun r -> r.br_id <> "IDLE64" || r.br_ldirty_cps >= r.br_event_cps)
+(* The default kernel is a pure optimization of the full sweep: it
+   must never lose to the brute-force reference it replaces, on the
+   same machine, in the same run. Nor may it lose to the event kernel
+   on IDLE64 — the design its dirty worklist exists for, where the
+   expected margin is large. Unlike the warn-only baseline comparison
+   (cross-machine, cross-run), these same-run relative gates are immune
+   to host speed, so bench-smoke fails hard on them. *)
+let kernel_gate results =
+  let failures =
+    List.filter_map
+      (fun r ->
+        if r.br_ldirty_cps < r.br_brute_cps then
+          Some
+            (Printf.sprintf "%s slower under lowered-dirty than brute \
+                             (%.1f vs %.1f cycles/s)"
+               r.br_id r.br_ldirty_cps r.br_brute_cps)
+        else if r.br_id = "IDLE64" && r.br_ldirty_cps < r.br_event_cps then
+          Some
+            (Printf.sprintf "IDLE64 slower under lowered-dirty than \
+                             event-driven (%.1f vs %.1f cycles/s)"
+               r.br_ldirty_cps r.br_event_cps)
+        else None)
       results
   in
-  if not idle_ok then
-    List.iter
-      (fun r ->
-        if r.br_id = "IDLE64" then
-          Printf.printf
-            "KERNEL GATE FAILURE: IDLE64 slower under lowered-dirty than \
-             event-driven (%.1f vs %.1f cycles/s)\n"
-            r.br_ldirty_cps r.br_event_cps)
-      results;
-  if slower = [] && idle_ok then
+  List.iter (Printf.printf "KERNEL GATE FAILURE: %s\n") failures;
+  if failures = [] then
     Printf.printf
-      "kernel gate: lowered-dirty >= lowered on all %d designs, >= event \
-       on IDLE64\n"
+      "kernel gate: lowered-dirty >= brute-force on all %d designs, >= \
+       event on IDLE64\n"
       (List.length results);
-  slower = [] && idle_ok
+  failures = []
 
 let run_json_bench path baseline =
   let results = List.map bench_one (bench_designs ()) in
@@ -766,26 +706,23 @@ let run_json_bench path baseline =
   let oc = open_out path in
   output_string oc json;
   close_out oc;
-  Printf.printf "%-8s %-10s %12s %14s %14s %14s %14s %8s %8s %-13s\n" "design"
-    "top" "parse/s" "event cyc/s" "brute cyc/s" "lowered cyc/s"
-    "ldirty cyc/s" "lo/bf" "ld/bf" "auto";
+  Printf.printf "%-8s %-10s %12s %14s %14s %14s %8s %-13s\n" "design" "top"
+    "parse/s" "event cyc/s" "brute cyc/s" "ldirty cyc/s" "ld/bf" "auto";
   List.iter
     (fun r ->
-      Printf.printf
-        "%-8s %-10s %12.1f %14.1f %14.1f %14.1f %14.1f %7.2fx %7.2fx %-13s\n"
+      Printf.printf "%-8s %-10s %12.1f %14.1f %14.1f %14.1f %7.2fx %-13s\n"
         r.br_id r.br_top r.br_parse_per_sec r.br_event_cps r.br_brute_cps
-        r.br_lowered_cps r.br_ldirty_cps
-        (r.br_lowered_cps /. r.br_brute_cps)
+        r.br_ldirty_cps
         (r.br_ldirty_cps /. r.br_brute_cps)
         r.br_auto_kernel)
     results;
-  Printf.printf "\n%-8s %12s %8s %10s %8s %8s %8s %8s %6s\n" "design"
-    "compile ms" "nodes" "closures" "fused" "imm" "boxed" "seq" "dirty";
+  Printf.printf "\n%-8s %12s %8s %10s %8s %8s %8s %8s\n" "design"
+    "compile ms" "nodes" "closures" "fused" "imm" "boxed" "seq";
   List.iter
     (fun l ->
-      Printf.printf "%-8s %12.3f %8d %10d %8d %8d %8d %8d %6b\n" l.lo_design
+      Printf.printf "%-8s %12.3f %8d %10d %8d %8d %8d %8d\n" l.lo_design
         l.lo_compile_ms l.lo_nodes l.lo_closures l.lo_fused l.lo_imm
-        l.lo_boxed l.lo_seq l.lo_dirty)
+        l.lo_boxed l.lo_seq)
     lowerings;
   Printf.printf "\n%-14s %8s %16s\n" "bits op" "width" "ops/s";
   List.iter
@@ -827,7 +764,6 @@ let run_json_bench path baseline =
   | Some baseline_path ->
       let current =
         List.map (fun r -> (r.br_id, r.br_event_cps)) results
-        @ List.map (fun r -> (r.br_id ^ "@lowered", r.br_lowered_cps)) results
         @ List.map
             (fun r -> (r.br_id ^ "@lowered-dirty", r.br_ldirty_cps))
             results
@@ -837,9 +773,7 @@ let run_json_bench path baseline =
         @ [ ("signal_lookup_array", lookup.lb_array_per_sec) ]
       in
       compare_to_baseline ~current ~baseline_path);
-  let gate_ok = lowered_gate results in
-  let dirty_ok = dirty_gate results in
-  if not (gate_ok && dirty_ok) then exit 1
+  if not (kernel_gate results) then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks                                           *)

@@ -83,19 +83,18 @@ let traced ~trace ~clock ?(jobs_of = fun _ -> []) run =
       Printf.printf "wrote %s\n" path;
       v
 
-(* Shared settle-kernel selector: [None] keeps [Simulator.create]'s
-   automatic plan-shape selection. *)
+(* Shared settle-kernel selector: [None] keeps the caller's default
+   ([Simulator.create] builds lowered-dirty). *)
 let kernel_arg =
   Arg.(value
        & opt (enum [ ("auto", None);
                      ("event", Some Fpga_sim.Simulator.Event_driven);
                      ("brute", Some Fpga_sim.Simulator.Brute_force);
-                     ("lowered", Some Fpga_sim.Simulator.Lowered);
                      ("lowered-dirty", Some Fpga_sim.Simulator.Lowered_dirty) ])
            None
        & info [ "kernel" ] ~docv:"KERNEL"
-           ~doc:"Settle kernel: auto|event|brute|lowered|lowered-dirty \
-                 (auto selects from the compiled plan's shape)")
+           ~doc:"Settle kernel: auto|event|brute|lowered-dirty (auto \
+                 keeps the command's default)")
 
 (* --- list ----------------------------------------------------------- *)
 

@@ -8,7 +8,7 @@
    ones and `fpga-debug fuzz --seed N` a replay command.
 
    Classification compares four runs of the same harness (the primary
-   kernel defaults to event-driven; `--kernel lowered` swaps it):
+   kernel defaults to event-driven; `--kernel lowered-dirty` swaps it):
 
      primary kernel  vs  brute-force kernel      (scheduling differential)
      primary kernel  vs  primary + telemetry on  (observer differential)
@@ -148,26 +148,29 @@ let mismatch_of ?(kernel = Simulator.Event_driven) bug d : string option =
       | Some why -> Some ("telemetry-off vs telemetry-on: " ^ why)
       | None -> None)
 
+(* The symptom differential, once the kernels agree: the valid mutant
+   against the unmutated base, both under the primary kernel. *)
+let symptom_outcome ~kernel bug ~base valid =
+  let mutant_run = run_kernel ~kernel bug valid in
+  let base_run = run_kernel ~kernel bug base in
+  match diff_runs mutant_run base_run with
+  | None -> Equivalent
+  | Some why ->
+      let symptoms =
+        match (mutant_run, base_run) with
+        | Ok m, Ok b ->
+            Bug.symptoms_of ~buggy:m ~fixed:b |> List.map Taxonomy.symptom_name
+        | Error _, _ | _, Error _ -> [ "crash" ]
+      in
+      Symptom_divergent (if symptoms = [] then [ why ] else symptoms)
+
 let classify ?(kernel = Simulator.Event_driven) bug ~base d =
   match Mutate.validate ~top:bug.Bug.top ~baseline:base d with
   | Error reason -> Invalid reason
   | Ok valid -> (
       match mismatch_of ~kernel bug valid with
       | Some why -> Kernel_mismatch why
-      | None -> (
-          let mutant_run = run_kernel ~kernel bug valid in
-          let base_run = run_kernel ~kernel bug base in
-          match diff_runs mutant_run base_run with
-          | None -> Equivalent
-          | Some why ->
-              let symptoms =
-                match (mutant_run, base_run) with
-                | Ok m, Ok b ->
-                    Bug.symptoms_of ~buggy:m ~fixed:b
-                    |> List.map Taxonomy.symptom_name
-                | Error _, _ | _, Error _ -> [ "crash" ]
-              in
-              Symptom_divergent (if symptoms = [] then [ why ] else symptoms)))
+      | None -> symptom_outcome ~kernel bug ~base valid)
 
 let classify_identity ?kernel bug =
   let base = Bug.design_of bug ~buggy:false in
@@ -265,19 +268,4 @@ let run_one ?(kernel = Simulator.Event_driven) ~seed ~index () =
               ~mutations:min_muts min_design
           in
           mk (Kernel_mismatch min_why) min_muts (Some repro)
-      | None -> (
-          let mutant_run = run_kernel ~kernel bug valid in
-          let base_run = run_kernel ~kernel bug base in
-          match diff_runs mutant_run base_run with
-          | None -> mk Equivalent muts None
-          | Some why ->
-              let symptoms =
-                match (mutant_run, base_run) with
-                | Ok m, Ok b ->
-                    Bug.symptoms_of ~buggy:m ~fixed:b
-                    |> List.map Taxonomy.symptom_name
-                | Error _, _ | _, Error _ -> [ "crash" ]
-              in
-              mk
-                (Symptom_divergent (if symptoms = [] then [ why ] else symptoms))
-                muts None))
+      | None -> mk (symptom_outcome ~kernel bug ~base valid) muts None)

@@ -6,7 +6,7 @@ module Simulator = Fpga_sim.Simulator
 module Telemetry = Fpga_telemetry.Telemetry
 
 (* Lowered-kernel profile: static lowering shape + runtime skip/commit
-   behaviour, present only when the run used a lowered variant. *)
+   behaviour, present only when the run used the lowered kernel. *)
 type lowered_profile = {
   lp_stats : Fpga_sim.Lowered.stats;
   lp_runs : Fpga_sim.Lowered.run_stats;
@@ -108,7 +108,7 @@ let to_json (p : t) : string =
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let st = p.p_stats in
   let hist = st.Simulator.st_settle_hist in
-  add "{\n  \"schema\": \"fpga-debug-profile/2\",\n";
+  add "{\n  \"schema\": \"fpga-debug-profile/3\",\n";
   add "  \"bug\": %S, \"top\": %S, \"kernel\": %S,\n" p.p_bug_id p.p_top
     p.p_kernel;
   add "  \"cycles_requested\": %d, \"cycles_run\": %d, \"finished\": %b,\n"
@@ -135,8 +135,8 @@ let to_json (p : t) : string =
     st.Simulator.st_nba_commits st.Simulator.st_prim_steps
     st.Simulator.st_displays;
   add "  },\n";
-  (* schema /2: per-kernel efficiency of the lowered variants — closure
-     skip rate and commit-buffer occupancy; absent for event/brute *)
+  (* the lowered kernel's closure skip rate and commit-buffer
+     occupancy; absent for event/brute *)
   (match p.p_lowered with
   | None -> ()
   | Some { lp_stats = lw; lp_runs = r } ->
@@ -153,8 +153,8 @@ let to_json (p : t) : string =
           /. float_of_int r.L.rs_edges
       in
       add "  \"lowered\": {\n";
-      add "    \"dirty\": %b, \"closures\": %d, \"fused\": %d,\n" lw.L.lw_dirty
-        lw.L.lw_closures lw.L.lw_fused;
+      add "    \"closures\": %d, \"fused\": %d,\n" lw.L.lw_closures
+        lw.L.lw_fused;
       add "    \"imm_signals\": %d, \"boxed_signals\": %d, \"seq_blocks\": %d,\n"
         lw.L.lw_imm lw.L.lw_boxed lw.L.lw_seq;
       add "    \"settles\": %d, \"closures_run\": %d, \"closures_skipped\": %d,\n"
@@ -233,8 +233,7 @@ let print (p : t) =
   | None -> ()
   | Some { lp_stats = lw; lp_runs = r } ->
       let module L = Fpga_sim.Lowered in
-      Printf.printf "\nlowered kernel%s:\n"
-        (if lw.L.lw_dirty then " (dirty-set)" else "");
+      Printf.printf "\nlowered kernel (dirty-set):\n";
       Printf.printf "  plan closures      %8d  (%d fused)\n" lw.L.lw_closures
         lw.L.lw_fused;
       Printf.printf "  seq blocks         %8d\n" lw.L.lw_seq;

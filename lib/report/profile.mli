@@ -6,8 +6,8 @@
     occupancy back from the FPGA after a run. *)
 
 (** Lowered-kernel profile: static lowering shape plus runtime
-    skip/commit counters; present only when the run used a lowered
-    variant. *)
+    skip/commit counters; present only when the run used
+    {!Fpga_sim.Simulator.Lowered_dirty}. *)
 type lowered_profile = {
   lp_stats : Fpga_sim.Lowered.stats;
   lp_runs : Fpga_sim.Lowered.run_stats;
@@ -17,14 +17,14 @@ type t = {
   p_bug_id : string;
   p_top : string;
   p_kernel : string;
-      (** ["event"], ["brute"], ["lowered"], or ["lowered-dirty"] *)
+      (** ["event"], ["brute"], or ["lowered-dirty"] *)
   p_cycles_requested : int;
   p_cycles_run : int;
   p_finished : bool;
   p_stats : Fpga_sim.Simulator.stats;
   p_efficiency : float;
       (** evaluated / rounds — 1.0 means nothing was skipped (for
-          lowered kernels both counts are in fused closures) *)
+          the lowered kernel both counts are in fused closures) *)
   p_lowered : lowered_profile option;
   p_hottest : (string * int) list;  (** top-K signals by toggle count *)
   p_spans : (string * int * float) list;  (** (phase, calls, seconds) *)
@@ -47,14 +47,13 @@ val run :
     [buffer] (default 8192) entries. Telemetry is enabled and reset for
     the run; the previous enabled/disabled state is restored on exit
     (the bus keeps the run's contents so callers can inspect it).
-    Omitting [kernel] keeps {!Fpga_sim.Simulator.create}'s automatic
-    kernel selection; [p_kernel] records the kernel actually used. *)
+    Omitting [kernel] keeps {!Fpga_sim.Simulator.create}'s default
+    kernel; [p_kernel] records the kernel actually used. *)
 
 val to_json : t -> string
-(** Schema ["fpga-debug-profile/2"], stable for CI consumption. All
-    schema-1 fields are retained; schema 2 adds the ["lowered"] object
-    (closure skip rates, commit-buffer occupancy) when the run used a
-    lowered kernel. *)
+(** Schema ["fpga-debug-profile/3"], stable for CI consumption. The
+    ["lowered"] object (closure skip rates, commit-buffer occupancy) is
+    present when the run used the lowered kernel. *)
 
 val print : t -> unit
 (** Human-readable tables on stdout. *)

@@ -11,14 +11,14 @@
    reads and writes an id-indexed [value array]: no string hashing, no
    width lookups, no re-resolution on the hot path.
 
-   Semantics are identical to [Eval] (same Verilog width rules, the
-   same out-of-range access semantics from the bug study section 3.2.1,
-   the same error messages); name-resolution errors simply surface at
-   compile (simulator construction) time instead of mid-simulation.
-   The change-detecting writes preserve [Eval.apply_write_notify]'s
-   contract: a write that does not change the stored value neither
-   mutates the environment nor notifies, relying on the Bits phys-eq
-   no-op returns for O(1) detection. *)
+   Expression semantics are identical to [Eval.eval_ctx] (same Verilog
+   width rules, the same out-of-range access semantics from the bug
+   study section 3.2.1, the same error messages); name-resolution
+   errors simply surface at compile (simulator construction) time
+   instead of mid-simulation. Writes are change-detecting: a write
+   that does not change the stored value neither mutates the
+   environment nor notifies, relying on the Bits phys-eq no-op returns
+   for O(1) detection. *)
 
 module Ast = Fpga_hdl.Ast
 module Bits = Fpga_bits.Bits

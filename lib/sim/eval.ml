@@ -1,9 +1,12 @@
-(* Expression evaluation and lvalue resolution over a flat environment.
+(* Reference expression evaluator over a name-keyed environment: a
+   tree-walking oracle the simulator's compiled and lowered evaluators
+   are tested against, plus the value type and index semantics they
+   share.
 
    Width rules follow the Verilog synthesizable subset: binary operands
    are zero-extended to the wider of the two widths, comparisons and
-   logical operators produce 1-bit results, shifts keep the left
-   operand's width, and assignment resizes to the target's width.
+   logical operators produce 1-bit results, and shifts keep the left
+   operand's width.
 
    Out-of-range accesses implement the semantics documented in the bug
    study (section 3.2.1): when the buffer size is a power of two the
@@ -30,11 +33,6 @@ let get_vec env name =
   match get env name with
   | Vec b -> b
   | Mem _ -> err "memory %s used without an index" name
-
-let get_mem env name =
-  match get env name with
-  | Mem a -> a
-  | Vec _ -> err "%s is not a memory" name
 
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
 
@@ -137,121 +135,3 @@ and eval_binop env ~ctx op a b =
       | Ast.Band -> Bits.logand va vb
       | Ast.Bor -> Bits.logor va vb
       | _ -> Bits.logxor va vb)
-
-let eval env e = eval_ctx env ~ctx:0 e
-
-(* A write with indices already resolved against the current cycle's
-   values, so it can be deferred (non-blocking) and applied later. *)
-type resolved_write =
-  | Wfull of string * Bits.t
-  | Wbit of string * int * bool
-  | Wrange of string * int * int * Bits.t
-  | Wmem of string * int * Bits.t
-  | Wdropped of string  (* out-of-range access on a non-power-of-two size *)
-
-let rec resolve_write env (l : Ast.lvalue) (value : Bits.t) :
-    resolved_write list =
-  match l with
-  | Ast.Lident n ->
-      let w =
-        match get env n with
-        | Vec b -> Bits.width b
-        | Mem _ -> err "cannot assign whole memory %s" n
-      in
-      [ Wfull (n, Bits.resize value w) ]
-  | Ast.Lindex (n, i) -> (
-      let idx = Bits.to_int_trunc (eval env i) in
-      match get env n with
-      | Mem a -> (
-          match resolve_index ~size:(Array.length a) idx with
-          | Some k -> [ Wmem (n, k, Bits.resize value (Bits.width a.(0))) ]
-          | None -> [ Wdropped n ])
-      | Vec b -> (
-          match resolve_index ~size:(Bits.width b) idx with
-          | Some k -> [ Wbit (n, k, Bits.bit (Bits.resize value 1) 0) ]
-          | None -> [ Wdropped n ]))
-  | Ast.Lrange (n, hi, lo) ->
-      let b = get_vec env n in
-      if hi >= Bits.width b then
-        err "part select write %s[%d:%d] exceeds width %d" n hi lo
-          (Bits.width b)
-      else [ Wrange (n, hi, lo, Bits.resize value (hi - lo + 1)) ]
-  | Ast.Lconcat ls ->
-      (* MSB-first: split [value] into per-target chunks. The write list
-         is accumulated in reverse and flipped once at the end — the
-         seed's [acc @ ...] rebuilt the accumulator per element,
-         quadratic in the number of concatenated targets. *)
-      let widths = List.map (lvalue_width env) ls in
-      let total = List.fold_left ( + ) 0 widths in
-      let value = Bits.resize value total in
-      let _, rev_writes =
-        List.fold_left2
-          (fun (hi, acc) lv w ->
-            let chunk = Bits.slice value ~hi ~lo:(hi - w + 1) in
-            (hi - w, List.rev_append (resolve_write env lv chunk) acc))
-          (total - 1, []) ls widths
-      in
-      List.rev rev_writes
-
-and lvalue_width env = function
-  | Ast.Lident n -> (
-      match get env n with
-      | Vec b -> Bits.width b
-      | Mem _ -> err "memory in concatenated lvalue")
-  | Ast.Lindex (n, _) -> (
-      match get env n with Vec _ -> 1 | Mem a -> Bits.width a.(0))
-  | Ast.Lrange (_, hi, lo) -> hi - lo + 1
-  | Ast.Lconcat ls -> List.fold_left (fun acc l -> acc + lvalue_width env l) 0 ls
-
-(* Evaluate the right-hand side of an assignment with the target width
-   as Verilog context width. *)
-let eval_assign env l e = eval_ctx env ~ctx:(lvalue_width env l) e
-
-let apply_write env = function
-  | Wfull (n, v) -> Hashtbl.replace env n (Vec v)
-  | Wbit (n, i, b) ->
-      let v = get_vec env n in
-      Hashtbl.replace env n (Vec (Bits.set_bit v i b))
-  | Wrange (n, hi, lo, v) ->
-      let old = get_vec env n in
-      Hashtbl.replace env n (Vec (Bits.set_slice old ~hi ~lo v))
-  | Wmem (n, i, v) ->
-      let a = get_mem env n in
-      a.(i) <- v
-  | Wdropped _ -> ()
-
-let write env l value = List.iter (apply_write env) (resolve_write env l value)
-
-(* Change-detecting variants: apply a write only when it changes the
-   stored value and report the base signal name through [notify] when it
-   does. The event-driven simulator kernel seeds its dirty set from
-   these notifications; [Bits.equal]'s physical-equality fast path and
-   the no-op-returning functional updates keep the unchanged case
-   allocation-free. *)
-let apply_write_notify env ~notify = function
-  | Wfull (n, v) ->
-      let old = get_vec env n in
-      if not (Bits.equal old v) then (
-        Hashtbl.replace env n (Vec v);
-        notify n)
-  | Wbit (n, i, b) ->
-      let old = get_vec env n in
-      let v = Bits.set_bit old i b in
-      if not (v == old) then (
-        Hashtbl.replace env n (Vec v);
-        notify n)
-  | Wrange (n, hi, lo, v) ->
-      let old = get_vec env n in
-      let v = Bits.set_slice old ~hi ~lo v in
-      if not (Bits.equal v old) then (
-        Hashtbl.replace env n (Vec v);
-        notify n)
-  | Wmem (n, i, v) ->
-      let a = get_mem env n in
-      if not (Bits.equal a.(i) v) then (
-        a.(i) <- v;
-        notify n)
-  | Wdropped _ -> ()
-
-let write_notify env ~notify l value =
-  List.iter (apply_write_notify env ~notify) (resolve_write env l value)

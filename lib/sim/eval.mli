@@ -1,4 +1,9 @@
-(** Expression evaluation and lvalue resolution over a flat environment.
+(** Reference expression evaluation over a name-keyed environment.
+
+    The simulator runs compiled ({!Compiled}) and lowered ({!Lowered})
+    evaluators; this tree-walking one is kept as their independent
+    oracle, together with the value type and index semantics they all
+    share.
 
     Width rules follow the Verilog synthesizable subset: binary operands
     are zero-extended to the wider of the two widths, comparisons and
@@ -20,57 +25,13 @@ type value =
 
 type env = (string, value) Hashtbl.t
 
-val get : env -> string -> value
-val get_vec : env -> string -> Fpga_bits.Bits.t
-val get_mem : env -> string -> Fpga_bits.Bits.t array
-
-val is_power_of_two : int -> bool
-
 val resolve_index : size:int -> int -> int option
 (** [resolve_index ~size idx] applies the overflow semantics above:
     in-range indices are themselves, out-of-range indices wrap when
     [size] is a power of two and are dropped ([None]) otherwise. *)
 
-val eval : env -> Fpga_hdl.Ast.expr -> Fpga_bits.Bits.t
-(** Self-determined evaluation (context width 0). *)
-
 val eval_ctx : env -> ctx:int -> Fpga_hdl.Ast.expr -> Fpga_bits.Bits.t
 (** [eval_ctx env ~ctx e] evaluates [e] with a Verilog context width of
-    [ctx] bits flowing into arithmetic and bitwise operands. *)
-
-val eval_assign : env -> Fpga_hdl.Ast.lvalue -> Fpga_hdl.Ast.expr -> Fpga_bits.Bits.t
-(** Evaluate the right-hand side of an assignment with the target's
-    width as context. *)
-
-(** A write whose indices were resolved against the current cycle, so
-    it can be deferred (non-blocking) and applied at commit time. *)
-type resolved_write =
-  | Wfull of string * Fpga_bits.Bits.t
-  | Wbit of string * int * bool
-  | Wrange of string * int * int * Fpga_bits.Bits.t
-  | Wmem of string * int * Fpga_bits.Bits.t
-  | Wdropped of string
-      (** an out-of-range access on a non-power-of-two structure *)
-
-val resolve_write :
-  env -> Fpga_hdl.Ast.lvalue -> Fpga_bits.Bits.t -> resolved_write list
-
-val lvalue_width : env -> Fpga_hdl.Ast.lvalue -> int
-val apply_write : env -> resolved_write -> unit
-
-val write : env -> Fpga_hdl.Ast.lvalue -> Fpga_bits.Bits.t -> unit
-(** Immediate (blocking) write. *)
-
-(** {1 Change-detecting writes}
-
-    Variants that apply a write only when it changes the stored value,
-    calling [notify] with the base signal name when it does. The
-    event-driven simulator kernel seeds its dirty set from these
-    notifications; unchanged writes are detected in O(1) through
-    {!Fpga_bits.Bits.equal}'s physical-equality fast path. *)
-
-val apply_write_notify : env -> notify:(string -> unit) -> resolved_write -> unit
-
-val write_notify :
-  env -> notify:(string -> unit) -> Fpga_hdl.Ast.lvalue -> Fpga_bits.Bits.t -> unit
-(** Immediate (blocking) write with change notification. *)
+    [ctx] bits flowing into arithmetic and bitwise operands. Raises
+    {!Eval_error} on unbound signals, a memory used without an index,
+    or an out-of-range part select. *)

@@ -12,6 +12,11 @@
    limb-based [Bits] path remains for wide vectors and memories, and as
    the fallback on mixed-width operations.
 
+   A settle runs only the closures whose inputs changed: per-closure
+   dirty bits are fed from a closure-level sensitivity index, with the
+   event kernel's adaptive sparse/dense hysteresis so fully-active plans
+   sweep without flag traffic.
+
    Semantics are bit-identical to [Compiled.eval_ctx] /
    [Simulator.exec_stmt]: the same Verilog context-width rules, the
    same out-of-range index semantics ([Eval.resolve_index]), the same
@@ -39,12 +44,11 @@ type stats = {
   lw_imm : int;  (* signals in the immediate int bank *)
   lw_boxed : int;  (* signals kept in limb form (wide vecs + mems) *)
   lw_seq : int;  (* sequential always-blocks lowered to closures *)
-  lw_dirty : bool;  (* dirty-set (worklist) scheduling enabled *)
 }
 
 (* Run counters, maintained unconditionally (a handful of int stores
    per settle/commit, never per node): the skip-rate and commit-buffer
-   numbers profile and trace report for the lowered kernels. *)
+   numbers profile and trace report for the lowered kernel. *)
 type run_stats = {
   mutable rs_settles : int;
   mutable rs_closures_run : int;
@@ -64,7 +68,7 @@ type pend =
 
 (* Dirty-set execution mode, mirroring the event kernel's adaptive
    machinery: [Lsparse] walks only dirty closures, [Ldense] is the
-   plain full sweep (no flag traffic) while nearly every closure fires
+   full sweep (no flag traffic) while nearly every closure fires
    anyway, with change counting to detect when activity drops. *)
 type lmode = Lsparse | Ldense
 
@@ -74,7 +78,6 @@ type t = {
   imm : bool array;  (* which ids live in the immediate bank *)
   widths : int array;
   finished : bool ref;  (* shared with the simulator's $finish flag *)
-  dirty_on : bool;  (* Lowered_dirty: closure-level worklist scheduling *)
   mutable notify : int -> unit;  (* composed: dirty marking + external *)
   mutable ext_notify : int -> unit;  (* simulator's callback (toggles) *)
   (* flat NBA commit buffer: (id, insert mask, pre-shifted pattern)
@@ -88,7 +91,7 @@ type t = {
   mutable plan : (unit -> unit) array;  (* fused comb closures, topo order *)
   mutable seq_pos : (unit -> unit) array;  (* posedge blocks, source order *)
   mutable seq_neg : (unit -> unit) array;  (* negedge blocks, source order *)
-  (* dirty-set state (allocated only when [dirty_on]) *)
+  (* dirty-set state, sized once the plan is fused *)
   mutable csens : int list array;  (* signal id -> reading closure indices *)
   mutable cdirty : bool array;  (* per-closure pending flag *)
   mutable ncdirty : int;
@@ -735,10 +738,6 @@ let lower_node st = function
   | Lblock ss -> lseq st ~in_comb:true ss
 
 (* ------------------------------------------------------------------ *)
-(* Construction                                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* ------------------------------------------------------------------ *)
 (* Dirty-set scheduling                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -773,8 +772,7 @@ let mark_all_flags st =
    skip, so writes bypass the marking wrapper entirely — sequential-only
    designs must not pay for machinery that cannot help them. *)
 let rewire st =
-  if (not st.dirty_on) || Array.length st.plan = 0 then
-    st.notify <- st.ext_notify
+  if Array.length st.plan = 0 then st.notify <- st.ext_notify
   else
     let ext = st.ext_notify in
     match st.lmode with
@@ -788,7 +786,7 @@ let rewire st =
            exit test's reset wipes anything counted between settles),
            so keep the bare external notify installed and let [settle]
            swap [dense_mark] in just around the sweep — sequential
-           commits then cost exactly what the plain kernel pays *)
+           commits pay nothing for the mode machinery *)
         st.dense_mark <-
           (fun i ->
             ext i;
@@ -802,13 +800,12 @@ let set_notify st f =
 (* Full scheduling reset (checkpoint restore): drop back to the sparse
    worklist with everything pending, exactly as [Simulator.restore]
    does for the event kernel, so a restored run re-derives the mode
-   trajectory from activity alone. No-op for the plain kernel. *)
+   trajectory from activity alone. *)
 let mark_all st =
-  if st.dirty_on then (
-    st.lmode <- Lsparse;
-    st.lmode_streak <- 0;
-    rewire st;
-    mark_all_flags st)
+  st.lmode <- Lsparse;
+  st.lmode_streak <- 0;
+  rewire st;
+  mark_all_flags st
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                         *)
@@ -816,7 +813,7 @@ let mark_all st =
 
 let create ~(tab : Compiled.tab) ~(env : Compiled.env) ~(finished : bool ref)
     ~(nodes : node array) ~(fuse : bool array) ~(sens : int list array)
-    ~(display_ranks : int list) ~(dirty : bool)
+    ~(display_ranks : int list)
     ~(seq : (Elaborate.clock_edge * Compiled.cstmt list) list) : t =
   let n = Compiled.n_signals tab in
   let ints = Array.make n 0 in
@@ -835,7 +832,6 @@ let create ~(tab : Compiled.tab) ~(env : Compiled.env) ~(finished : bool ref)
       imm;
       widths;
       finished;
-      dirty_on = dirty;
       notify = ignore;
       ext_notify = ignore;
       pb = [||];
@@ -862,7 +858,6 @@ let create ~(tab : Compiled.tab) ~(env : Compiled.env) ~(finished : bool ref)
           lw_imm = n_imm;
           lw_boxed = n - n_imm;
           lw_seq = List.length seq;
-          lw_dirty = dirty;
         };
       runs =
         {
@@ -907,17 +902,15 @@ let create ~(tab : Compiled.tab) ~(env : Compiled.env) ~(finished : bool ref)
   in
   st.seq_pos <- lower_edge Elaborate.Pos;
   st.seq_neg <- lower_edge Elaborate.Neg;
-  if dirty then (
-    let nclosures = Array.length st.plan in
-    st.cdirty <- Array.make (max nclosures 1) true;
-    st.ncdirty <- nclosures;
-    st.csens <-
-      Array.map
-        (fun ranks ->
-          List.sort_uniq compare (List.map (fun r -> cidx.(r)) ranks))
-        sens;
-    st.disp_closures <-
-      List.sort_uniq compare (List.map (fun r -> cidx.(r)) display_ranks));
+  let nclosures = Array.length st.plan in
+  st.cdirty <- Array.make (max nclosures 1) true;
+  st.ncdirty <- nclosures;
+  st.csens <-
+    Array.map
+      (fun ranks -> List.sort_uniq compare (List.map (fun r -> cidx.(r)) ranks))
+      sens;
+  st.disp_closures <-
+    List.sort_uniq compare (List.map (fun r -> cidx.(r)) display_ranks);
   rewire st;
   st.stats <-
     { st.stats with lw_closures = Array.length st.plan; lw_fused = !nfused };
@@ -937,68 +930,62 @@ let sweep st =
   n
 
 (* One settle pass. Returns the number of closures evaluated (the whole
-   plan for the plain kernel and for dense-mode sweeps). Dirty flags
-   set during the pass (by writes this settle performs) stay pending
-   for the next settle — same monotone-convergence argument as the
-   event kernel's sparse loop: the simulator keeps settling until a
-   pass reports no work. *)
+   plan for dense-mode sweeps). Dirty flags set during the pass (by
+   writes this settle performs) stay pending for the next settle — same
+   monotone-convergence argument as the event kernel's sparse loop: the
+   simulator keeps settling until a pass reports no work. *)
 let settle st ~displays =
   st.displays <- displays;
   let r = st.runs in
   r.rs_settles <- r.rs_settles + 1;
-  if not st.dirty_on then (
-    let n = sweep st in
-    r.rs_closures_run <- r.rs_closures_run + n;
-    n)
-  else
-    match st.lmode with
-    | Ldense ->
-        st.lchanges <- 0;
-        st.notify <- st.dense_mark;
-        let n = sweep st in
-        st.notify <- st.ext_notify;
-        r.rs_closures_run <- r.rs_closures_run + n;
-        if dense_exit_den * st.lchanges <= dense_exit_num * n then (
-          st.lmode_streak <- st.lmode_streak + 1;
-          if st.lmode_streak >= mode_streak_len then
-            (* activity dropped: back to sparse; flags are stale after
-               dense sweeps, so re-mark everything once *)
-            mark_all st)
-        else st.lmode_streak <- 0;
-        n
-    | Lsparse ->
-        (* $display side effects must fire even when inputs are stable,
-           exactly like the event kernel's display-rank forcing *)
-        if displays then mark_closures st st.disp_closures;
-        let plan = st.plan in
-        let n = Array.length plan in
-        let evaluated = ref 0 in
-        if st.ncdirty > 0 then (
-          let cdirty = st.cdirty in
-          for c = 0 to n - 1 do
-            if cdirty.(c) then (
-              cdirty.(c) <- false;
-              st.ncdirty <- st.ncdirty - 1;
-              incr evaluated;
-              plan.(c) ())
-          done);
-        let ev = !evaluated in
-        r.rs_closures_run <- r.rs_closures_run + ev;
-        r.rs_closures_skipped <- r.rs_closures_skipped + (n - ev);
-        (* an empty settle is sparse operating at zero cost — it says
-           nothing about how dense the actual work is, so it leaves the
-           streak alone; only a busy-but-not-dense settle resets it.
-           Without this, designs whose activity arrives every other
-           settle (pure sequential commits marking a handful of
-           closures) could never accumulate a streak. *)
-        if n > 0 && dense_enter_den * ev >= dense_enter_num * n then (
-          st.lmode_streak <- st.lmode_streak + 1;
-          if st.lmode_streak >= mode_streak_len then (
-            st.lmode <- Ldense;
-            st.lmode_streak <- 0;
-            rewire st))
-        else if ev > 0 then st.lmode_streak <- 0;
-        ev
+  match st.lmode with
+  | Ldense ->
+      st.lchanges <- 0;
+      st.notify <- st.dense_mark;
+      let n = sweep st in
+      st.notify <- st.ext_notify;
+      r.rs_closures_run <- r.rs_closures_run + n;
+      if dense_exit_den * st.lchanges <= dense_exit_num * n then (
+        st.lmode_streak <- st.lmode_streak + 1;
+        if st.lmode_streak >= mode_streak_len then
+          (* activity dropped: back to sparse; flags are stale after
+             dense sweeps, so re-mark everything once *)
+          mark_all st)
+      else st.lmode_streak <- 0;
+      n
+  | Lsparse ->
+      (* $display side effects must fire even when inputs are stable,
+         exactly like the event kernel's display-rank forcing *)
+      if displays then mark_closures st st.disp_closures;
+      let plan = st.plan in
+      let n = Array.length plan in
+      let evaluated = ref 0 in
+      if st.ncdirty > 0 then (
+        let cdirty = st.cdirty in
+        for c = 0 to n - 1 do
+          if cdirty.(c) then (
+            cdirty.(c) <- false;
+            st.ncdirty <- st.ncdirty - 1;
+            incr evaluated;
+            plan.(c) ())
+        done);
+      let ev = !evaluated in
+      r.rs_closures_run <- r.rs_closures_run + ev;
+      r.rs_closures_skipped <- r.rs_closures_skipped + (n - ev);
+      (* an empty settle is sparse operating at zero cost — it says
+         nothing about how dense the actual work is, so it leaves the
+         streak alone; only a busy-but-not-dense settle resets it.
+         Without this, designs whose activity arrives every other
+         settle (pure sequential commits marking a handful of
+         closures) could never accumulate a streak. *)
+      if n > 0 && dense_enter_den * ev >= dense_enter_num * n then (
+        st.lmode_streak <- st.lmode_streak + 1;
+        if st.lmode_streak >= mode_streak_len then (
+          st.lmode <- Ldense;
+          st.lmode_streak <- 0;
+          rewire st))
+      else if ev > 0 then st.lmode_streak <- 0;
+      ev
 
 let run_edge st edge =
   let arr = match edge with Elaborate.Pos -> st.seq_pos | Elaborate.Neg -> st.seq_neg in
@@ -1073,9 +1060,8 @@ let run_stats st = st.runs
 let plan_size st = Array.length st.plan
 
 (* Closures currently pending: the sparse worklist size, or the whole
-   plan when not skipping (dense sweeps and the plain kernel evaluate
-   everything). *)
+   plan in dense mode (every sweep evaluates everything). *)
 let dirty_count st =
-  if st.dirty_on && st.lmode = Lsparse then st.ncdirty else Array.length st.plan
+  if st.lmode = Lsparse then st.ncdirty else Array.length st.plan
 
-let dense st = st.dirty_on && st.lmode = Ldense
+let dense st = st.lmode = Ldense

@@ -11,12 +11,11 @@
     with non-blocking writes deferred into a flat int-triple commit
     buffer (boxed/memory targets overflow into a side list).
 
-    With [dirty = true] the kernel additionally schedules closures by
-    a per-closure dirty worklist fed from a closure-level sensitivity
-    index (the event kernel's change-driven skipping composed with
-    closure-array dispatch), with the same adaptive sparse/dense
-    hysteresis as the event kernel so fully-active plans pay no flag
-    traffic.
+    Closures are scheduled by a per-closure dirty worklist fed from a
+    closure-level sensitivity index (the event kernel's change-driven
+    skipping composed with closure-array dispatch), with the same
+    adaptive sparse/dense hysteresis as the event kernel so
+    fully-active plans pay no flag traffic.
 
     Semantics are bit-identical to the reference executor: same width
     rules, same out-of-range index handling, same non-blocking commit
@@ -32,7 +31,6 @@ type stats = {
   lw_imm : int;  (** signals held in the immediate int bank *)
   lw_boxed : int;  (** signals kept in limb form (wide vecs + mems) *)
   lw_seq : int;  (** sequential always-blocks lowered to closures *)
-  lw_dirty : bool;  (** dirty-set (worklist) scheduling enabled *)
 }
 
 (** Runtime counters, maintained unconditionally (a handful of int
@@ -61,7 +59,6 @@ val create :
   fuse:bool array ->
   sens:int list array ->
   display_ranks:int list ->
-  dirty:bool ->
   seq:(Elaborate.clock_edge * Compiled.cstmt list) list ->
   t
 (** [fuse.(r)] marks a node to be folded into its predecessor's closure
@@ -70,8 +67,7 @@ val create :
     checked before every lowered statement. Immediate-bank values are
     seeded from [env]. [sens] maps signal id to the ranks of reading
     nodes and [display_ranks] lists ranks of comb blocks containing
-    [$display]; both are lifted to the closure level when [dirty] is
-    set (and ignored otherwise). *)
+    [$display]; both are lifted to the closure level. *)
 
 (** {1 Execution} *)
 
@@ -79,9 +75,9 @@ val settle : t -> displays:bool -> int
 (** One settle pass over the fused plan in topological order; returns
     the number of closures evaluated (the whole plan unless dirty-set
     scheduling skipped some). [displays] gates combinational
-    [$display]s, as in the reference settle; under dirty scheduling,
-    display closures are forced onto the worklist for display-enabled
-    settles so logs stay identical. *)
+    [$display]s, as in the reference settle; display closures are
+    forced onto the worklist for display-enabled settles so logs stay
+    identical. *)
 
 val run_edge : t -> Elaborate.clock_edge -> unit
 (** Run the sequential blocks for one clock edge; non-blocking writes
@@ -101,15 +97,15 @@ val commit : t -> unit
 
 val mark_all : t -> unit
 (** Reset the dirty scheduler: back to the sparse worklist with every
-    closure pending (checkpoint restore). No-op unless [dirty]. *)
+    closure pending (checkpoint restore). *)
 
 val dirty_count : t -> int
 (** Closures currently pending: the sparse worklist size, or the whole
-    plan when not skipping (dense mode and the plain kernel). *)
+    plan in dense mode. *)
 
 val dense : t -> bool
 (** Whether dirty scheduling is currently in the dense full-sweep
-    mode. Always [false] for the plain kernel. *)
+    mode. *)
 
 val plan_size : t -> int
 (** Number of closures in the fused settle plan. *)

@@ -19,15 +19,18 @@
    performs no string hashing or name resolution. The sensitivity map
    and the dirty-set notify path run on ids too.
 
-   Settling is event-driven by default: a sensitivity map (signal id ->
-   reading nodes) is built at construction, every write is
-   change-detected, and a settle only re-evaluates nodes whose inputs
-   actually changed since they last ran, in topological rank order.
-   Because node evaluation is a pure function of the environment, the
-   event-driven schedule produces exactly the state the brute-force
-   full-plan sweep would; nodes containing $display are forced onto the
-   dirty set during display-enabled settles so logs stay identical too.
-   The [Brute_force] kernel keeps the seed full-sweep behavior as a
+   Three settle kernels share this plan. [Lowered_dirty], the default,
+   hands it to [Lowered]: fused closures over an unboxed value bank,
+   scheduled by per-closure dirty bits. [Event_driven] interprets the
+   compiled nodes with the same dirty-set idea at node level: a
+   sensitivity map (signal id -> reading nodes) is built at
+   construction, every write is change-detected, and a settle only
+   re-evaluates nodes whose inputs changed, in topological rank order.
+   Because node evaluation is a pure function of the environment, both
+   schedules produce exactly the state the full-plan sweep would; nodes
+   containing $display are forced onto the dirty set during
+   display-enabled settles so logs stay identical too. The
+   [Brute_force] kernel keeps the seed full-sweep behavior as a
    differential-testing reference. *)
 
 module Ast = Fpga_hdl.Ast
@@ -37,31 +40,18 @@ open Elaborate
 
 exception Combinational_cycle of string list
 
-type kernel = Event_driven | Brute_force | Lowered | Lowered_dirty
+type kernel = Event_driven | Brute_force | Lowered_dirty
 
 let kernel_name = function
   | Event_driven -> "event"
   | Brute_force -> "brute"
-  | Lowered -> "lowered"
   | Lowered_dirty -> "lowered-dirty"
 
 let kernel_of_string = function
   | "event" -> Some Event_driven
   | "brute" | "brute-force" -> Some Brute_force
-  | "lowered" -> Some Lowered
   | "lowered-dirty" | "lowered_dirty" -> Some Lowered_dirty
   | _ -> None
-
-(* Auto-selection threshold, kept as a guard against pathological plan
-   sizes where construction-time lowering cost (one closure tree per
-   node) could outweigh its benefit. Within the bound the dirty lowered
-   kernel dominates: it has the lowered kernel's closure dispatch and
-   the event kernel's change-driven skipping, and its adaptive dense
-   mode degenerates to the plain sweep on fully-active plans. *)
-let auto_lowered_max_nodes = 4096
-
-let auto_kernel ~comb_nodes =
-  if comb_nodes <= auto_lowered_max_nodes then Lowered_dirty else Event_driven
 
 (* The event-driven kernel's adaptive execution mode. [Sparse] is the
    dirty-set schedule. On designs where nearly every node fires every
@@ -160,7 +150,7 @@ type t = {
   mutable notify : int -> unit;  (* change callback wired to [mark_signal] *)
   seq : (Elaborate.clock_edge * Compiled.cstmt list) list;
   prims : prim_state list;
-  low : Lowered.t option;  (* present iff [kernel] is a lowered variant *)
+  low : Lowered.t option;  (* present iff [kernel] is [Lowered_dirty] *)
   mutable cycle : int;
   finished : bool ref;  (* shared with the lowered kernel's $finish *)
   mutable log : (int * string) list;  (* newest first *)
@@ -203,8 +193,8 @@ let mark_all sim =
    counts value changes for the mode-exit test. *)
 let wire_notify sim =
   (match (sim.kernel, sim.mode, sim.stats) with
-  | (Brute_force | Lowered | Lowered_dirty), _, None -> sim.notify <- ignore
-  | (Brute_force | Lowered | Lowered_dirty), _, Some st ->
+  | (Brute_force | Lowered_dirty), _, None -> sim.notify <- ignore
+  | (Brute_force | Lowered_dirty), _, Some st ->
       sim.notify <- (fun i -> st.s_toggles.(i) <- st.s_toggles.(i) + 1)
   (* no combinational plan, nothing to mark: purely sequential designs
      (D4, D8) must not pay any event-kernel change-tracking at all *)
@@ -493,7 +483,7 @@ let compile_node tab = function
       Cassign (cl, Compiled.compile_expr tab e, Compiled.clvalue_width cl)
   | Ablock stmts -> Cblock (List.map (Compiled.compile_stmt tab) stmts)
 
-let create ?kernel (flat : flat) : t =
+let create ?(kernel = Lowered_dirty) (flat : flat) : t =
   Telemetry.span "compile" @@ fun () ->
   let tab = Compiled.of_flat flat in
   let env = Compiled.fresh_env flat in
@@ -504,9 +494,6 @@ let create ?kernel (flat : flat) : t =
   let ast_nodes = Array.of_list (topo_sort node_list) in
   let nodes = Array.map (compile_node tab) ast_nodes in
   let n = Array.length nodes in
-  let kernel =
-    match kernel with Some k -> k | None -> auto_kernel ~comb_nodes:n
-  in
   (* sensitivity map on ids: every signal a node reads wakes that node *)
   let sens = Array.make (Array.length flat.f_signal_order) [] in
   Array.iteri
@@ -535,8 +522,7 @@ let create ?kernel (flat : flat) : t =
   in
   let finished = ref false in
   let low =
-    let lowered = match kernel with Lowered | Lowered_dirty -> true | _ -> false in
-    if not lowered then None
+    if kernel <> Lowered_dirty then None
     else begin
       (* single-reader assign chains fuse into one closure: when node
          r-1 is a plain assign whose sole written signal feeds exactly
@@ -564,7 +550,7 @@ let create ?kernel (flat : flat) : t =
       in
       Some
         (Lowered.create ~tab ~env ~finished ~nodes:lnodes ~fuse ~sens
-           ~display_ranks:display_nodes ~dirty:(kernel = Lowered_dirty) ~seq)
+           ~display_ranks:display_nodes ~seq)
     end
   in
   let input_closure ce =
@@ -653,13 +639,13 @@ let full_sweep_stats sim =
 
 let settle ?(displays = false) (sim : t) =
   match sim.kernel with
-  | Lowered | Lowered_dirty -> (
+  | Lowered_dirty -> (
       match sim.low with
       | Some low -> (
           match sim.stats with
           | None -> ignore (Lowered.settle low ~displays)
           | Some st ->
-              (* lowered kernels count in fused closures, not nodes:
+              (* the lowered kernel counts in fused closures, not nodes:
                  that is the unit the plan actually iterates, so
                  evaluated/rounds is an honest skip rate. Dirty size is
                  read at settle entry (display forcing happens inside). *)
@@ -845,6 +831,10 @@ let edge_phase (sim : t) (edge : Elaborate.clock_edge) ~with_prims =
         (List.rev ctx.pending);
       if with_prims then List.iter (drive_prim_outputs sim) sim.prims
 
+let dense_mode sim =
+  (sim.kernel = Event_driven && sim.mode = Dense)
+  || match sim.low with Some low -> Lowered.dense low | None -> false
+
 let has_negedge (sim : t) =
   List.exists (fun (e, _, _) -> e = Elaborate.Neg) sim.flat.f_seq
 
@@ -895,12 +885,7 @@ let step (sim : t) =
               | Some low -> Lowered.dirty_count low
               | None -> sim.ndirty);
             Telemetry.Trace.counter "sim.evaluated" delta;
-            Telemetry.Trace.counter "sim.dense"
-              (if
-                 (sim.kernel = Event_driven && sim.mode = Dense)
-                 || match sim.low with Some low -> Lowered.dense low | None -> false
-               then 1
-               else 0);
+            Telemetry.Trace.counter "sim.dense" (if dense_mode sim then 1 else 0);
             Telemetry.Trace.counter "bus.published"
               (Telemetry.Bus.published b - st.s_bus_pub0);
             Telemetry.Trace.counter "bus.dropped"
@@ -969,10 +954,6 @@ let stats sim =
         st_settle_hist = Telemetry.Histogram.snapshot st.s_settle_hist;
       })
     sim.stats
-
-let dense_mode sim =
-  (sim.kernel = Event_driven && sim.mode = Dense)
-  || match sim.low with Some low -> Lowered.dense low | None -> false
 
 let lowered_run_stats sim = Option.map Lowered.run_stats sim.low
 

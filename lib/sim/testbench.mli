@@ -30,7 +30,7 @@ val run :
 val of_design :
   ?kernel:Simulator.kernel -> ?top:string -> Fpga_hdl.Ast.design -> Simulator.t
 (** Elaborate (default top ["top"]) and build a simulator. [kernel]
-    defaults to the event-driven one (see {!Simulator.create}). *)
+    defaults to {!Simulator.Lowered_dirty} (see {!Simulator.create}). *)
 
 val of_source : ?kernel:Simulator.kernel -> ?top:string -> string -> Simulator.t
 (** Parse Verilog source, elaborate, and build a simulator. *)

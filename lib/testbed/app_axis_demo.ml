@@ -72,13 +72,17 @@ let stimulus cycle =
   else if cycle = 1 then set "start" Bug.hi base
   else base
 
-(* Stability checker with per-run state, reset at the start of a run. *)
+(* Stability checker with per-run state, reset at the start of a run.
+   The state is domain-local: one [Bug.t] value is shared by every
+   worker of a campaign or fuzz pool, and concurrent runs must not see
+   each other's offered beat. *)
 let make_ext_monitor () =
   (* the beat offered during cycle t is the registered value observed
      after step t-1; it may only change across the edge of cycle t if
      tready was high during t (the transfer completed) *)
-  let offered = ref None in
+  let key = Domain.DLS.new_key (fun () -> ref None) in
   fun sim ->
+    let offered = Domain.DLS.get key in
     if Simulator.cycle sim <= 1 then offered := None;
     let tvalid = Simulator.read_int sim "tvalid" in
     let tdata = Simulator.read_int sim "tdata" in

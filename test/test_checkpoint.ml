@@ -169,7 +169,6 @@ let prop_replay_deterministic =
            [
              Simulator.Event_driven;
              Simulator.Brute_force;
-             Simulator.Lowered;
              Simulator.Lowered_dirty;
            ])
         (int_range 5 60))
@@ -186,7 +185,6 @@ let test_replay_d2_both_kernels () =
     [
       Simulator.Event_driven;
       Simulator.Brute_force;
-      Simulator.Lowered;
       Simulator.Lowered_dirty;
     ]
 
@@ -221,21 +219,20 @@ let test_checkpoint_crosses_kernels () =
           && straight.Bug.finished = replayed.Bug.finished
           && straight.Bug.cycles = replayed.Bug.cycles)
   in
+  let kernels =
+    [ Simulator.Event_driven; Simulator.Brute_force; Simulator.Lowered_dirty ]
+  in
   List.iter
     (fun id ->
       let b = bug id in
-      cross ~record_kernel:Simulator.Lowered
-        ~replay_kernel:Simulator.Event_driven b;
-      cross ~record_kernel:Simulator.Event_driven
-        ~replay_kernel:Simulator.Lowered b;
-      cross ~record_kernel:Simulator.Lowered
-        ~replay_kernel:Simulator.Brute_force b;
-      cross ~record_kernel:Simulator.Lowered_dirty
-        ~replay_kernel:Simulator.Event_driven b;
-      cross ~record_kernel:Simulator.Event_driven
-        ~replay_kernel:Simulator.Lowered_dirty b;
-      cross ~record_kernel:Simulator.Lowered_dirty
-        ~replay_kernel:Simulator.Lowered b)
+      List.iter
+        (fun record_kernel ->
+          List.iter
+            (fun replay_kernel ->
+              if record_kernel <> replay_kernel then
+                cross ~record_kernel ~replay_kernel b)
+            kernels)
+        kernels)
     [ "D2"; "C4" ]
 
 (* --- bisection ------------------------------------------------------- *)

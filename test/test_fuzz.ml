@@ -188,6 +188,24 @@ let test_run_one_deterministic () =
         true (a = b))
     [ (1, 0); (1, 7); (42, 3); (9000, 11) ]
 
+(* [run_one] and [classify] share the symptom differential: on every
+   mutant that is not a kernel mismatch (where [run_one] additionally
+   minimizes), they must reach the same outcome. *)
+let test_run_one_agrees_with_classify () =
+  let seed = 3 in
+  for index = 0 to 39 do
+    let r = Fuzz.run_one ~seed ~index () in
+    let bug, mutant, _ = Fuzz.generate ~seed ~index in
+    let base = Bug.design_of bug ~buggy:false in
+    match r.Fuzz.r_outcome with
+    | Fuzz.Kernel_mismatch why -> Alcotest.failf "mutant %d: kernel mismatch: %s" index why
+    | outcome ->
+        check_bool
+          (Printf.sprintf "mutant %d: run_one and classify agree" index)
+          true
+          (outcome = Fuzz.classify bug ~base mutant)
+  done
+
 (* The pool executes the same pure function: any --jobs width yields
    the same results and byte-identical JSON. *)
 let test_fuzz_campaign_across_widths () =
@@ -223,22 +241,8 @@ let test_identity_no_divergence () =
             (Fuzz.outcome_name o) (Fuzz.outcome_detail o))
     Registry.all
 
-(* Same null hypothesis with the lowered kernel as the primary side of
-   the differential: lowered vs brute-force and lowered vs
-   lowered-instrumented must also be silent on every fuzz target. *)
-let test_identity_lowered_primary () =
-  List.iter
-    (fun (bug : Bug.t) ->
-      match
-        Fuzz.classify_identity ~kernel:Fpga_sim.Simulator.Lowered bug
-      with
-      | Fuzz.Equivalent -> ()
-      | o ->
-          Alcotest.failf "%s: lowered identity classified %s (%s)" bug.Bug.id
-            (Fuzz.outcome_name o) (Fuzz.outcome_detail o))
-    Fuzz.targets
-
-(* Same again with the dirty lowered kernel — worklist scheduling plus
+(* Same null hypothesis with the dirty lowered kernel as the primary
+   side of the differential — worklist scheduling plus
    the flat NBA commit buffer must be invisible to the differential on
    every fuzz target. *)
 let test_identity_lowered_dirty_primary () =
@@ -368,8 +372,8 @@ let suite =
       test_fuzz_campaign_across_widths;
     Alcotest.test_case "identity mutants: zero divergences, full testbed"
       `Slow test_identity_no_divergence;
-    Alcotest.test_case "identity under lowered primary kernel" `Slow
-      test_identity_lowered_primary;
+    Alcotest.test_case "run_one and classify agree on 40 mutants" `Quick
+      test_run_one_agrees_with_classify;
     Alcotest.test_case "identity under lowered-dirty primary kernel" `Slow
       test_identity_lowered_dirty_primary;
     Alcotest.test_case "200-mutant fuzz smoke under lowered-dirty" `Slow

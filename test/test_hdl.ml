@@ -382,9 +382,68 @@ endmodule
   check_int "four assignments" 4
     (List.length (Fpga_analysis.Path_constraint.assignments_of_always a))
 
+(* A generated module whose items interleave declarations (single and
+   multi-name), assigns (single and chained), always blocks and
+   instances, so any reordering inside one item class shows up. *)
+let interleaved_src n =
+  let b = Buffer.create 4096 in
+  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
+  add "module sub (input [7:0] i, output [7:0] o);\n  assign o = ~i;\nendmodule\n";
+  add "module top (input clk, input [7:0] a, output reg y, output reg z);\n";
+  for k = 0 to n - 1 do
+    let prev = if k = 0 then "a" else Printf.sprintf "r%d" (k - 1) in
+    add "  reg [7:0] r%d;\n" k;
+    add "  wire [7:0] w%d;\n" k;
+    add "  assign w%d = %s + 8'd%d;\n" k prev k;
+    add "  always @(posedge clk) r%d <= w%d;\n" k k;
+    add "  wire [7:0] o%d, p%d;\n" k k;
+    add "  sub u%d (.i(w%d), .o(o%d));\n" k k k;
+    add "  assign p%d = o%d, q%d = w%d;\n" k k k k;
+    add "  wire [7:0] q%d;\n" k
+  done;
+  add "endmodule\n";
+  Buffer.contents b
+
+let test_item_order_roundtrip () =
+  let n = 40 in
+  let names fmt = List.init n (Printf.sprintf fmt) in
+  let per_k fmts =
+    List.concat (List.init n (fun k -> List.map (fun f -> Printf.sprintf f k) fmts))
+  in
+  let check_order m =
+    let lhs_name = function Ast.Lident x -> x | _ -> "?" in
+    Alcotest.(check (list string))
+      "decls in source order"
+      ([ "y"; "z" ] @ per_k [ "r%d"; "w%d"; "o%d"; "p%d"; "q%d" ])
+      (List.map (fun (d : Ast.decl) -> d.Ast.name) m.Ast.decls);
+    Alcotest.(check (list string))
+      "assigns in source order"
+      (per_k [ "w%d"; "p%d"; "q%d" ])
+      (List.map (fun (l, _) -> lhs_name l) m.Ast.assigns);
+    Alcotest.(check (list string))
+      "always blocks in source order" (names "r%d")
+      (List.map
+         (fun (a : Ast.always) ->
+           match a.Ast.stmts with
+           | [ Ast.Nonblocking (l, _) ] -> lhs_name l
+           | _ -> "?")
+         m.Ast.always_blocks);
+    Alcotest.(check (list string))
+      "instances in source order" (names "u%d")
+      (List.map (fun (i : Ast.instance) -> i.Ast.inst_name) m.Ast.instances)
+  in
+  let d = Parser.parse_design (interleaved_src n) in
+  let m1 = Option.get (Ast.find_module d "top") in
+  check_order m1;
+  let m2 = Parser.parse_module (Pp_verilog.module_to_string m1) in
+  check_order m2;
+  check_bool "pp -> parse round trip is structurally equal" true (m1 = m2)
+
 let suite =
   suite
   @ [
+      Alcotest.test_case "item order survives pp round trip" `Quick
+        test_item_order_roundtrip;
       Alcotest.test_case "error line numbers" `Quick test_error_line_numbers;
       Alcotest.test_case "comments and whitespace" `Quick
         test_comments_and_whitespace;

@@ -710,23 +710,17 @@ let test_event_kernel_matches_brute_force () =
       let flat = Elaborate.elaborate design ~top:bug.Fpga_testbed.Bug.top in
       let ev = Simulator.create ~kernel:Simulator.Event_driven flat in
       let bf = Simulator.create ~kernel:Simulator.Brute_force flat in
-      let lw = Simulator.create ~kernel:Simulator.Lowered flat in
       let ld = Simulator.create ~kernel:Simulator.Lowered_dirty flat in
       for i = 0 to 199 do
         let ins = bug.Fpga_testbed.Bug.stimulus i in
         List.iter (fun (n, v) -> Simulator.set_input ev n v) ins;
         List.iter (fun (n, v) -> Simulator.set_input bf n v) ins;
-        List.iter (fun (n, v) -> Simulator.set_input lw n v) ins;
         List.iter (fun (n, v) -> Simulator.set_input ld n v) ins;
         Simulator.step ev;
         Simulator.step bf;
-        Simulator.step lw;
         Simulator.step ld;
         if signal_state flat ev <> signal_state flat bf then
           Alcotest.failf "%s: event/brute signal state diverges at cycle %d"
-            id i;
-        if signal_state flat lw <> signal_state flat bf then
-          Alcotest.failf "%s: lowered/brute signal state diverges at cycle %d"
             id i;
         if signal_state flat ld <> signal_state flat bf then
           Alcotest.failf
@@ -736,23 +730,18 @@ let test_event_kernel_matches_brute_force () =
         (Printf.sprintf "%s: finished flags agree" id)
         (Simulator.finished bf) (Simulator.finished ev);
       check_bool
-        (Printf.sprintf "%s: lowered finished flag agrees" id)
-        (Simulator.finished bf) (Simulator.finished lw);
-      check_bool
         (Printf.sprintf "%s: lowered-dirty finished flag agrees" id)
         (Simulator.finished bf) (Simulator.finished ld);
       if Simulator.log ev <> Simulator.log bf then
         Alcotest.failf "%s: $display log diverges" id;
-      if Simulator.log lw <> Simulator.log bf then
-        Alcotest.failf "%s: lowered $display log diverges" id;
       if Simulator.log ld <> Simulator.log bf then
         Alcotest.failf "%s: lowered-dirty $display log diverges" id)
     [ "D2"; "D4"; "D8"; "C4" ]
 
-(* Full-testbed four-way differential through the harness: every bug,
-   both design variants, identical reports — rows, log, flags, cycle
-   counts, and the complete VCD waveform — under all four kernels. *)
-let test_four_kernels_full_testbed () =
+(* Full-testbed differential through the harness: every bug, both
+   design variants, identical reports — rows, log, flags, cycle counts,
+   and the complete VCD waveform — under all three kernels. *)
+let test_kernels_full_testbed () =
   List.iter
     (fun (bug : Fpga_testbed.Bug.t) ->
       List.iter
@@ -780,7 +769,7 @@ let test_four_kernels_full_testbed () =
                 (r.Fpga_testbed.Bug.stuck = bf.Fpga_testbed.Bug.stuck
                 && r.Fpga_testbed.Bug.finished = bf.Fpga_testbed.Bug.finished
                 && r.Fpga_testbed.Bug.cycles = bf.Fpga_testbed.Bug.cycles))
-            [ Simulator.Event_driven; Simulator.Lowered; Simulator.Lowered_dirty ])
+            [ Simulator.Event_driven; Simulator.Lowered_dirty ])
         [ true; false ])
     Fpga_testbed.Registry.all
 
@@ -805,10 +794,9 @@ endmodule
     Simulator.log sim
   in
   let ev = run Simulator.Event_driven and bf = run Simulator.Brute_force in
-  let lw = run Simulator.Lowered and ld = run Simulator.Lowered_dirty in
+  let ld = run Simulator.Lowered_dirty in
   check_int "one entry per cycle" 5 (List.length ev);
   check_bool "logs identical across kernels" true (ev = bf);
-  check_bool "lowered log identical" true (lw = bf);
   check_bool "lowered-dirty log identical" true (ld = bf)
 
 let test_event_kernel_idle_design () =
@@ -948,14 +936,7 @@ endmodule
   done;
   let rs = Option.get (Simulator.lowered_run_stats ld) in
   check_bool "idle settles skip closures" true
-    (rs.Fpga_sim.Lowered.rs_closures_skipped > rs.Fpga_sim.Lowered.rs_closures_run);
-  (* the plain lowered kernel never skips *)
-  let lw = Testbench.of_source ~kernel:Simulator.Lowered ~top:"top" src in
-  Simulator.set_input lw "d" (b 8 0x2A);
-  Simulator.run lw 100;
-  let rsp = Option.get (Simulator.lowered_run_stats lw) in
-  check_int "plain lowered skips nothing" 0
-    rsp.Fpga_sim.Lowered.rs_closures_skipped
+    (rs.Fpga_sim.Lowered.rs_closures_skipped > rs.Fpga_sim.Lowered.rs_closures_run)
 
 let test_dirty_kernel_dense_roundtrip () =
   (* churn drives the dirty lowered kernel into its dense full-sweep
@@ -986,13 +967,78 @@ let test_dirty_kernel_dense_roundtrip () =
   done;
   check_bool "idle drops back to sparse" false (Simulator.dense_mode ld)
 
+(* Plans far larger than any testbed design: the default kernel stays
+   lowered-dirty at any size and must match the full sweep. [shape]
+   picks the wiring of the [n] comb nodes: a single-reader assign chain
+   (fuses into one closure) or a mesh where every wire feeds two later
+   nodes (nothing fuses). A register closes the loop so every
+   cycle brings fresh activity, and a $display pins the log. *)
+let large_src ~shape n =
+  let buf = Buffer.create (64 * n) in
+  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  add "module top (input clk, input [7:0] a, output [7:0] q, output [7:0] q2);\n";
+  add "  reg [7:0] r;\n";
+  for k = 0 to n - 1 do
+    add "  wire [7:0] w%d;\n" k
+  done;
+  add "  assign w0 = a + r;\n";
+  add "  assign w1 = w0 ^ 8'd1;\n";
+  for k = 2 to n - 1 do
+    match shape with
+    | `Chain -> add "  assign w%d = w%d + 8'd%d;\n" k (k - 1) (k land 0xff)
+    | `Mesh -> add "  assign w%d = w%d + w%d;\n" k (k - 1) (k - 2)
+  done;
+  (match shape with
+  | `Chain -> add "  assign q = w%d;\n" (n - 1)
+  | `Mesh ->
+      add "  assign q = w%d + w%d;\n" (n - 1) (n - 2);
+      add "  assign q2 = ~w%d;\n" (n - 1));
+  add "  always @(posedge clk) begin\n";
+  add "    r <= q;\n";
+  add "    $display(\"q=%%d r=%%d\", q, r);\n";
+  add "  end\nendmodule\n";
+  Buffer.contents buf
+
+let test_large_plans_default_kernel () =
+  List.iter
+    (fun (shape, name) ->
+      let flat =
+        Elaborate.elaborate (Parser.parse_design (large_src ~shape 5000)) ~top:"top"
+      in
+      let ld = Simulator.create flat in
+      let bf = Simulator.create ~kernel:Simulator.Brute_force flat in
+      check_bool (name ^ ": default kernel is lowered-dirty") true
+        (Simulator.kernel ld = Simulator.Lowered_dirty);
+      let lw = Option.get (Simulator.lowering_stats ld) in
+      check_bool (name ^ ": fusion matches the shape") true
+        (match shape with
+        | `Chain -> lw.Fpga_sim.Lowered.lw_nodes = 5001 && lw.Fpga_sim.Lowered.lw_closures = 1
+        | `Mesh -> lw.Fpga_sim.Lowered.lw_nodes = 5002 && lw.Fpga_sim.Lowered.lw_fused = 0);
+      for i = 0 to 49 do
+        let a = b 8 (((i * 37) + 1) land 0xff) in
+        Simulator.set_input ld "a" a;
+        Simulator.set_input bf "a" a;
+        Simulator.step ld;
+        Simulator.step bf;
+        check_int
+          (Printf.sprintf "%s: q agrees at cycle %d" name i)
+          (Simulator.read_int bf "q") (Simulator.read_int ld "q")
+      done;
+      check_bool (name ^ ": signal state agrees") true
+        (signal_state flat ld = signal_state flat bf);
+      check_bool (name ^ ": log agrees") true
+        (Simulator.log ld = Simulator.log bf && List.length (Simulator.log bf) = 50))
+    [ (`Chain, "chain"); (`Mesh, "mesh") ]
+
 let suite =
   suite
   @ [
+      Alcotest.test_case "large plans stay lowered-dirty and match brute"
+        `Quick test_large_plans_default_kernel;
       Alcotest.test_case "event kernel == brute force (testbed, 200 cycles)"
         `Quick test_event_kernel_matches_brute_force;
-      Alcotest.test_case "four kernels identical over the full testbed"
-        `Slow test_four_kernels_full_testbed;
+      Alcotest.test_case "three kernels identical over the full testbed"
+        `Slow test_kernels_full_testbed;
       Alcotest.test_case "comb $display fires every cycle" `Quick
         test_comb_display_fires_every_cycle;
       Alcotest.test_case "dirty lowered kernel skips on idle design" `Quick

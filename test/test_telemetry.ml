@@ -371,7 +371,7 @@ let test_profile_json () =
   List.iter
     (fun key -> check_bool key true (contains json key))
     [
-      "\"schema\": \"fpga-debug-profile/2\"";
+      "\"schema\": \"fpga-debug-profile/3\"";
       "\"kernel_stats\"";
       "\"kernel_efficiency\"";
       "\"nodes_skipped\"";
@@ -380,8 +380,7 @@ let test_profile_json () =
       "\"phases\"";
       "\"bus\"";
       "\"dropped\"";
-      (* schema /2: lowered section (auto kernel is a lowered variant
-         on every testbed design) *)
+      (* lowered section: the default kernel is the lowered one *)
       "\"lowered\"";
       "\"closures_run\"";
       "\"skip_rate\"";

@@ -486,3 +486,52 @@ let extended_dep_tests =
     Registry.extended
 
 let suite = suite @ extended_dep_tests
+
+(* --- external monitors under concurrent runs ----------------------------- *)
+
+(* One [Bug.t] is shared by every worker of a campaign or fuzz pool, so
+   a stateful external monitor must keep its state per domain. Two
+   domains step S2's buggy design in strict lockstep (a mutex and
+   condition pass the turn after every cycle); each must get exactly
+   the per-cycle verdicts of a run alone. *)
+let test_s2_monitor_per_domain () =
+  let bug = Option.get (Registry.find "S2") in
+  let monitor = Option.get bug.Bug.ext_monitor in
+  let flat =
+    Fpga_sim.Elaborate.elaborate (Bug.design_of bug ~buggy:true) ~top:bug.Bug.top
+  in
+  let cycles = bug.Bug.max_cycles in
+  let run ~turn =
+    let sim = Simulator.create flat in
+    List.init cycles (fun i ->
+        turn (fun () ->
+            List.iter (fun (n, v) -> Simulator.set_input sim n v) (bug.Bug.stimulus i);
+            Simulator.step sim;
+            monitor sim))
+  in
+  let serial = run ~turn:(fun f -> f ()) in
+  check_bool "a run alone flags the violation" true (List.mem true serial);
+  let m = Mutex.create () and c = Condition.create () and next = ref 0 in
+  let lockstep who f =
+    Mutex.lock m;
+    while !next <> who do
+      Condition.wait c m
+    done;
+    let v = f () in
+    next := 1 - who;
+    Condition.broadcast c;
+    Mutex.unlock m;
+    v
+  in
+  let d0 = Domain.spawn (fun () -> run ~turn:(lockstep 0)) in
+  let d1 = Domain.spawn (fun () -> run ~turn:(lockstep 1)) in
+  let v0 = Domain.join d0 and v1 = Domain.join d1 in
+  Alcotest.(check (list bool)) "first domain gets the serial verdicts" serial v0;
+  Alcotest.(check (list bool)) "second domain gets the serial verdicts" serial v1
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "S2 monitor state is per domain" `Quick
+        test_s2_monitor_per_domain;
+    ]
