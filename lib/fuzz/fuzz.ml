@@ -7,7 +7,7 @@
    property that makes parallel fuzz runs byte-identical to serial
    ones and `fpga-debug fuzz --seed N` a replay command.
 
-   Classification compares four runs of the same harness (the primary
+   Classification compares runs of the same harness (the primary
    kernel defaults to event-driven; `--kernel lowered-dirty` swaps it):
 
      primary kernel  vs  brute-force kernel      (scheduling differential)
@@ -17,7 +17,13 @@
    The first two disagreeing is a kernel/tool bug (the finding); the
    third is just the injected bug's symptom. Crashes are part of the
    observable behavior: one kernel raising while the other completes,
-   or both raising differently, is a mismatch too. *)
+   or both raising differently, is a mismatch too.
+
+   A valid mutant is simulated three times: primary, brute force and
+   telemetry on. The symptom differential reuses the primary run, and
+   the unmutated base is parsed and run once per process per target and
+   kernel (see "The unmutated base" below); that memoised run never
+   appears in traces or counters. *)
 
 module Ast = Fpga_hdl.Ast
 module Pp = Fpga_hdl.Pp_verilog
@@ -62,6 +68,59 @@ let target_of_index index =
   List.nth targets (index mod List.length targets)
 
 (* ------------------------------------------------------------------ *)
+(* The unmutated base                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* A crash is data, not a failure of the fuzzer. *)
+let safe f = match f () with v -> Ok v | exception e -> Error (Printexc.to_string e)
+
+let run_kernel ?kernel bug d = safe (fun () -> Bug.run_design ?kernel bug d)
+
+(* Every mutant of a target starts from, is gated against and is
+   compared with the same unmutated design, so its parse and its run
+   under each primary kernel are computed once and shared by every
+   domain. An entry belongs to one physical [Bug.t]. A run is served
+   only for the entry's own physical design, so a caller's own base is
+   simulated afresh. Runs are computed under [Telemetry.quietly]:
+   whichever run of a campaign computes one, every run records the same
+   trace and counters. *)
+type base_entry = {
+  be_bug : Bug.t;
+  be_design : Ast.design;
+  mutable be_runs : (Simulator.kernel * (Bug.report, string) Stdlib.result) list;
+}
+
+let base_memo : base_entry list ref = ref []
+let base_lock = Mutex.create ()
+
+let find_base bug = List.find_opt (fun e -> e.be_bug == bug) !base_memo
+
+let base_design bug =
+  Mutex.protect base_lock (fun () ->
+      match find_base bug with
+      | Some e -> e.be_design
+      | None ->
+          let e =
+            { be_bug = bug; be_design = Bug.design_of bug ~buggy:false; be_runs = [] }
+          in
+          base_memo := e :: !base_memo;
+          e.be_design)
+
+let base_run ~kernel bug base =
+  match Mutex.protect base_lock (fun () -> find_base bug) with
+  | Some e when e.be_design == base ->
+      Mutex.protect base_lock (fun () ->
+          match List.assoc_opt kernel e.be_runs with
+          | Some run -> run
+          | None ->
+              let run = Telemetry.quietly (fun () -> run_kernel ~kernel bug base) in
+              e.be_runs <- (kernel, run) :: e.be_runs;
+              run)
+  | _ -> run_kernel ~kernel bug base
+
+let clear_base_memo () = Mutex.protect base_lock (fun () -> base_memo := [])
+
+(* ------------------------------------------------------------------ *)
 (* Corpus generation                                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -73,7 +132,7 @@ let target_of_index index =
 let generate ~seed ~index =
   let bug = target_of_index index in
   let r = Mutate.rng (Mutate.derive seed index) in
-  let base = Bug.design_of bug ~buggy:false in
+  let base = base_design bug in
   let want = 1 + Mutate.rng_int r 3 in
   let rec gen d acc k =
     if k = 0 then (d, List.rev acc)
@@ -88,11 +147,6 @@ let generate ~seed ~index =
 (* ------------------------------------------------------------------ *)
 (* Differential runs                                                   *)
 (* ------------------------------------------------------------------ *)
-
-(* A crash is data, not a failure of the driver. *)
-let safe f = match f () with v -> Ok v | exception e -> Error (Printexc.to_string e)
-
-let run_kernel ?kernel bug d = safe (fun () -> Bug.run_design ?kernel bug d)
 
 (* Same kernel, telemetry recording on — instrumentation must be
    observationally invisible. The worker's per-domain switch is
@@ -136,23 +190,23 @@ let diff_runs a b =
 
 (* The finding predicate: do the primary and brute-force kernels, and
    the instrumented vs uninstrumented primary kernel, tell the same
-   story about [d]? *)
-let mismatch_of ?(kernel = Simulator.Event_driven) bug d : string option =
+   story about [d]? Returns the primary run with the verdict, for the
+   symptom differential to reuse. *)
+let differential ~kernel bug d =
   let pr = run_kernel ~kernel bug d in
   let bf = run_kernel ~kernel:Simulator.Brute_force bug d in
   match diff_runs pr bf with
   | Some why ->
-      Some (Simulator.kernel_name kernel ^ " vs brute-force: " ^ why)
+      (pr, Some (Simulator.kernel_name kernel ^ " vs brute-force: " ^ why))
   | None -> (
       match diff_runs pr (run_instrumented ~kernel bug d) with
-      | Some why -> Some ("telemetry-off vs telemetry-on: " ^ why)
-      | None -> None)
+      | Some why -> (pr, Some ("telemetry-off vs telemetry-on: " ^ why))
+      | None -> (pr, None))
 
-(* The symptom differential, once the kernels agree: the valid mutant
-   against the unmutated base, both under the primary kernel. *)
-let symptom_outcome ~kernel bug ~base valid =
-  let mutant_run = run_kernel ~kernel bug valid in
-  let base_run = run_kernel ~kernel bug base in
+(* The symptom differential, once the kernels agree: the valid mutant's
+   primary run against the unmutated base's. *)
+let symptom_outcome ~kernel bug ~base mutant_run =
+  let base_run = base_run ~kernel bug base in
   match diff_runs mutant_run base_run with
   | None -> Equivalent
   | Some why ->
@@ -168,12 +222,12 @@ let classify ?(kernel = Simulator.Event_driven) bug ~base d =
   match Mutate.validate ~top:bug.Bug.top ~baseline:base d with
   | Error reason -> Invalid reason
   | Ok valid -> (
-      match mismatch_of ~kernel bug valid with
-      | Some why -> Kernel_mismatch why
-      | None -> symptom_outcome ~kernel bug ~base valid)
+      match differential ~kernel bug valid with
+      | _, Some why -> Kernel_mismatch why
+      | mutant_run, None -> symptom_outcome ~kernel bug ~base mutant_run)
 
 let classify_identity ?kernel bug =
-  let base = Bug.design_of bug ~buggy:false in
+  let base = base_design bug in
   classify ?kernel bug ~base base
 
 (* ------------------------------------------------------------------ *)
@@ -192,9 +246,9 @@ let check_subset ~kernel bug base ms =
       match Mutate.validate ~top:bug.Bug.top ~baseline:base d with
       | Error _ -> None
       | Ok valid -> (
-          match mismatch_of ~kernel bug valid with
-          | Some why -> Some (ms', valid, why)
-          | None -> None))
+          match differential ~kernel bug valid with
+          | _, Some why -> Some (ms', valid, why)
+          | _, None -> None))
 
 (* Greedy one-at-a-time reduction: drop the first mutation whose
    removal preserves the mismatch, restart; fixed order makes the
@@ -238,7 +292,7 @@ let run_one ?(kernel = Simulator.Event_driven) ~seed ~index () =
   let bug, mutant, muts =
     Telemetry.span "fuzz.generate" (fun () -> generate ~seed ~index)
   in
-  let base = Bug.design_of bug ~buggy:false in
+  let base = base_design bug in
   let mk outcome minimized repro =
     {
       r_seed = seed;
@@ -256,9 +310,9 @@ let run_one ?(kernel = Simulator.Event_driven) ~seed ~index () =
   | Ok valid -> (
       match
         Telemetry.span "fuzz.differential" (fun () ->
-            mismatch_of ~kernel bug valid)
+            differential ~kernel bug valid)
       with
-      | Some why ->
+      | _, Some why ->
           let min_muts, min_design, min_why =
             Telemetry.span "fuzz.minimize" (fun () ->
                 minimize ~kernel bug base (muts, valid, why))
@@ -268,4 +322,5 @@ let run_one ?(kernel = Simulator.Event_driven) ~seed ~index () =
               ~mutations:min_muts min_design
           in
           mk (Kernel_mismatch min_why) min_muts (Some repro)
-      | None -> mk (symptom_outcome ~kernel bug ~base valid) muts None)
+      | mutant_run, None ->
+          mk (symptom_outcome ~kernel bug ~base mutant_run) muts None)

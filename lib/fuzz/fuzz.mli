@@ -11,7 +11,16 @@
     pair names the same target bug, the same mutant, and the same
     classification on every run, machine, and pool width. The
     campaign engine (see {!Fpga_campaign.Campaign.run_fuzz}) is just a
-    parallel map of {!run_one} over indices. *)
+    parallel map of {!run_one} over indices.
+
+    A valid mutant costs three simulations: primary, brute force, and
+    primary with telemetry on. The symptom differential reuses the
+    primary run. Each target's unmutated base is parsed once per
+    process, and run once per primary kernel, in a memo shared by all
+    domains. The memoised run is computed under
+    {!Fpga_telemetry.Telemetry.quietly}, so it never appears in traces
+    or counters, and a campaign records the same trace whichever of its
+    mutants computed it. *)
 
 (** Classification lattice for one mutant. *)
 type outcome =
@@ -70,9 +79,13 @@ val classify :
   Fpga_testbed.Bug.t -> base:Fpga_hdl.Ast.design -> Fpga_hdl.Ast.design ->
   outcome
 (** Classify one (already generated) mutant: validity gate, then the
-    kernel and telemetry differentials, then comparison against the
-    [base] design's run. [kernel] is the primary kernel compared
-    against the brute-force reference (default {!Fpga_sim.Simulator.Event_driven}). *)
+    kernel and telemetry differentials (three simulations of a valid
+    mutant), then comparison of the primary run against the [base]
+    design's run. [kernel] is the primary kernel compared against the
+    brute-force reference (default {!Fpga_sim.Simulator.Event_driven}).
+    The base run comes from the memo only when [base] is physically the
+    memo's own parse of the bug's fixed design (as in
+    {!classify_identity}); any other [base] is simulated afresh. *)
 
 val classify_identity :
   ?kernel:Fpga_sim.Simulator.kernel -> Fpga_testbed.Bug.t -> outcome
@@ -84,4 +97,11 @@ val run_one :
   ?kernel:Fpga_sim.Simulator.kernel -> seed:int -> index:int -> unit -> result
 (** Generate, gate, classify, and (for kernel mismatches) minimize and
     render a reproducer. Never raises. [kernel] picks the primary
-    kernel of the differential (default event-driven). *)
+    kernel of the differential (default event-driven). A valid mutant
+    is simulated three times; the base it is compared with comes from
+    the memo. *)
+
+val clear_base_memo : unit -> unit
+(** Forget every memoised base parse and run, so the next mutant of
+    each target recomputes them. Results do not depend on the memo's
+    state; tests use this to compare cold and warm runs. *)

@@ -20,7 +20,11 @@ val keywords : string list
 
 val tokenize : string -> lexed list
 (** Tokenize a complete source text; handles [//] and [/* */] comments,
-    string escapes, and underscores in numeric literals. The result
-    always ends with {!Teof}. *)
+    string escapes ([\n], [\t], octal [\ddd], and a backslash before
+    any other character standing for that character), and underscores
+    in numeric literals. The result always ends with {!Teof}. Every
+    malformed input raises {!Lex_error} with the line it was found on,
+    including a raw newline inside a string literal, which Verilog
+    forbids. *)
 
 val token_to_string : token -> string

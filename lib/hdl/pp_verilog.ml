@@ -35,6 +35,25 @@ let binop_str = function
   | Shr -> ">>"
   | Ashr -> ">>>"
 
+(* A Verilog string literal: printable ASCII as is, newline, tab,
+   backslash and double quote as their backslash escapes, and every other
+   byte as a three-digit octal escape, so any byte string re-lexes to
+   itself. *)
+let string_literal s =
+  let b = Buffer.create (String.length s + 2) in
+  Buffer.add_char b '"';
+  String.iter
+    (function
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\t' -> Buffer.add_string b "\\t"
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '"' -> Buffer.add_string b "\\\""
+      | ' ' .. '~' as c -> Buffer.add_char b c
+      | c -> Printf.bprintf b "\\%03o" (Char.code c))
+    s;
+  Buffer.add_char b '"';
+  Buffer.contents b
+
 let const_str b =
   let w = Bits.width b in
   if w <= 32 && Bits.width b <= 62 then
@@ -106,7 +125,7 @@ let rec stmt_lines indent s =
         | [] -> ""
         | _ -> ", " ^ String.concat ", " (List.map expr_str args)
       in
-      [ Printf.sprintf "%s$display(%S%s);" pad fmt args_str ]
+      [ Printf.sprintf "%s$display(%s%s);" pad (string_literal fmt) args_str ]
   | Finish -> [ pad ^ "$finish;" ]
 
 let decl_lines d =

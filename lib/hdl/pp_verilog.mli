@@ -5,7 +5,8 @@
     average for the monitors and 522–19,462 for LossCheck, §6.3).
     Printing then re-parsing a module yields a structurally equal AST;
     the test suite checks this round trip, including on random
-    expressions. *)
+    expressions and on [$display] formats of arbitrary bytes (printed
+    with Verilog escapes: octal [\ddd] for every non-printable byte). *)
 
 val expr_str : Ast.expr -> string
 val lvalue_str : Ast.lvalue -> string

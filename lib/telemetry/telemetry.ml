@@ -159,6 +159,24 @@ let disable () =
   sk.sk_on <- false;
   sk.sk_live <- sk.sk_tr_on
 
+(* Both switches off around [f], then back to where they were: nothing
+   [f] does reaches the counters, spans, bus or trace buffer, and the
+   virtual trace clock does not advance. *)
+let quietly f =
+  let sk = sink () in
+  if not sk.sk_live then f ()
+  else
+    let on = sk.sk_on and tr_on = sk.sk_tr_on in
+    sk.sk_on <- false;
+    sk.sk_tr_on <- false;
+    sk.sk_live <- false;
+    Fun.protect
+      ~finally:(fun () ->
+        sk.sk_on <- on;
+        sk.sk_tr_on <- tr_on;
+        sk.sk_live <- on || tr_on)
+      f
+
 let step_sample () = (sink ()).sk_step_sample
 let set_step_sample n = (sink ()).sk_step_sample <- max 1 n
 

@@ -27,6 +27,14 @@ val enabled : unit -> bool
 val enable : unit -> unit
 val disable : unit -> unit
 
+val quietly : (unit -> 'a) -> 'a
+(** [quietly f] runs [f] with the current domain's telemetry and
+    structured tracing both off, then restores both switches (also on
+    an exception). Nothing [f] does is recorded: no counter, span, bus
+    event or trace event, and the virtual trace clock does not advance.
+    For work whose result is cached, so that computing it and reusing
+    it leave the same record. *)
+
 val set_clock : (unit -> float) -> unit
 (** Clock used by {!span}, in seconds. Defaults to [Sys.time] (CPU
     seconds), keeping the library dependency-free; a harness that

@@ -176,7 +176,7 @@ let prop_rng_independent_of_global_state =
       let _, d2, m2 = Fuzz.generate ~seed ~index:3 in
       Pp.design_to_string d1 = Pp.design_to_string d2 && m1 = m2)
 
-(* Full classification (4 simulations + gate) is heavier, so pin a few
+(* Full classification (3 simulations + gate) is heavier, so pin a few
    fixed coordinates instead of quantifying. *)
 let test_run_one_deterministic () =
   List.iter
@@ -358,6 +358,112 @@ let test_fuzz_json_schema () =
       check_bool ("no " ^ forbidden) false (contains json forbidden))
     [ "\"wall\""; "\"domain\""; "\"busy\""; "\"telemetry\"" ]
 
+(* ------------------------------------------------------------------ *)
+(* Three simulations per mutant and the memoised base                  *)
+(* ------------------------------------------------------------------ *)
+
+module Telemetry = Fpga_telemetry.Telemetry
+module Simulator = Fpga_sim.Simulator
+
+(* Span calls recorded in this domain while [f] runs with telemetry on. *)
+let span_calls f =
+  Telemetry.reset ();
+  Telemetry.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Telemetry.disable ();
+      Telemetry.reset ())
+    (fun () ->
+      f ();
+      let spans = (Telemetry.report ()).Telemetry.r_spans in
+      fun name ->
+        List.fold_left
+          (fun acc (n, calls, _) -> if n = name then acc + calls else acc)
+          0 spans)
+
+(* A valid mutant on which the kernels agree costs primary, brute-force
+   and telemetry-on simulations and nothing more; the validity gate's
+   cycle check constructs one simulator of its own, which is not a
+   simulation. Computing the base on a cold memo records nothing
+   either, so the count is the same cold and warm. *)
+let test_three_simulations_per_mutant () =
+  let seed = 1 in
+  let index =
+    let rec find i =
+      match (Fuzz.run_one ~seed ~index:i ()).Fuzz.r_outcome with
+      | Fuzz.Equivalent | Fuzz.Symptom_divergent _ -> i
+      | _ -> find (i + 1)
+    in
+    find 0
+  in
+  let simulations () =
+    let calls = span_calls (fun () -> ignore (Fuzz.run_one ~seed ~index ())) in
+    calls "compile" - calls "fuzz.validate.cycle_check"
+  in
+  check_int "warm memo: three simulations" 3 (simulations ());
+  Fuzz.clear_base_memo ();
+  check_int "cold memo: three recorded simulations" 3 (simulations ())
+
+let test_memo_cold_and_warm_agree () =
+  let cold =
+    List.init 200 (fun index ->
+        Fuzz.clear_base_memo ();
+        Fuzz.run_one ~seed:11 ~index ())
+  in
+  let warm = List.init 200 (fun index -> Fuzz.run_one ~seed:11 ~index ()) in
+  List.iter2
+    (fun (c : Fuzz.result) w ->
+      check_bool
+        (Printf.sprintf "mutant %d: cold and warm memo agree" c.Fuzz.r_index)
+        true (c = w))
+    cold warm
+
+(* A copy of [bug] that counts its harness samples: one per simulated
+   cycle, so the count tells how many runs a classification made. A
+   copy is a new physical [Bug.t], with its own memo entry. *)
+let counting (bug : Bug.t) =
+  let samples = ref 0 in
+  ( { bug with Bug.sample = (fun sim -> incr samples; bug.Bug.sample sim) },
+    fun f ->
+      samples := 0;
+      let o = f () in
+      check_bool "classified Equivalent" true (o = Fuzz.Equivalent);
+      !samples )
+
+let test_memo_entry_per_kernel () =
+  let bug, samples = counting (List.hd Fuzz.targets) in
+  let identity kernel () = Fuzz.classify_identity ~kernel bug in
+  let ev_cold = samples (identity Simulator.Event_driven) in
+  let ev_warm = samples (identity Simulator.Event_driven) in
+  let ld_cold = samples (identity Simulator.Lowered_dirty) in
+  let ld_warm = samples (identity Simulator.Lowered_dirty) in
+  check_bool "the base ran for some cycles" true (ev_warm > 0);
+  check_int "event: cold = four runs of three" (ev_warm / 3 * 4) ev_cold;
+  check_int "lowered-dirty has its own entry, cold too" ev_cold ld_cold;
+  check_int "lowered-dirty warm" ev_warm ld_warm
+
+let test_memo_not_served_for_own_base () =
+  let bug, samples = counting (List.hd Fuzz.targets) in
+  ignore (Fuzz.classify_identity bug);
+  let own = Bug.design_of bug ~buggy:false in
+  let per_call = samples (fun () -> Fuzz.classify bug ~base:own own) in
+  check_int "an own base is simulated every time" per_call
+    (samples (fun () -> Fuzz.classify bug ~base:own own));
+  check_int "four runs per classification"
+    (samples (fun () -> Fuzz.classify_identity bug) / 3 * 4)
+    per_call;
+  (* a symptom-divergent mutant used as its own base is Equivalent: a
+     memo hit on the target's real base would report the symptom *)
+  let rec divergent index =
+    let target, mutant, _ = Fuzz.generate ~seed:1 ~index in
+    match (Fuzz.run_one ~seed:1 ~index ()).Fuzz.r_outcome with
+    | Fuzz.Symptom_divergent _ -> (target, mutant)
+    | _ -> divergent (index + 1)
+  in
+  let target, mutant = divergent 0 in
+  check_bool "a mutant against itself is Equivalent" true
+    (Fuzz.classify target ~base:mutant mutant = Fuzz.Equivalent)
+
 let suite =
   [
     Alcotest.test_case "pinned site-0 regression per template" `Quick
@@ -386,4 +492,12 @@ let suite =
       test_target_round_robin;
     Alcotest.test_case "fuzz json schema-pinned and noise-free" `Quick
       test_fuzz_json_schema;
+    Alcotest.test_case "three simulations per valid mutant" `Quick
+      test_three_simulations_per_mutant;
+    Alcotest.test_case "200 mutants identical on cold and warm memo" `Quick
+      test_memo_cold_and_warm_agree;
+    Alcotest.test_case "event and lowered-dirty bases memoised apart" `Quick
+      test_memo_entry_per_kernel;
+    Alcotest.test_case "classify never serves a caller's own base" `Quick
+      test_memo_not_served_for_own_base;
   ]

@@ -491,3 +491,189 @@ let suite =
       QCheck_alcotest.to_alcotest prop_parser_total;
       QCheck_alcotest.to_alcotest prop_parser_total_verilogish;
     ]
+
+(* --- lexer: golden tokens, literal fast path, string escapes --------- *)
+
+let show_lexed (t : Lexer.lexed) =
+  let tok =
+    match t.tok with
+    | Lexer.Tident s -> "id " ^ s
+    | Lexer.Tnumber { width; value } ->
+        Printf.sprintf "num %s %s"
+          (match width with None -> "_" | Some w -> string_of_int w)
+          (Bits.to_string value)
+    | Lexer.Tstring s -> "str " ^ String.escaped s
+    | Lexer.Tsystem s -> "sys " ^ s
+    | Lexer.Tkeyword s -> "kw " ^ s
+    | Lexer.Tpunct s -> "p " ^ s
+    | Lexer.Teof -> "eof"
+  in
+  Printf.sprintf "%d:%s" t.line tok
+
+let lex src = List.map show_lexed (Lexer.tokenize src)
+
+let check_lex src expected =
+  Alcotest.(check (list string)) (String.escaped src) expected (lex src)
+
+let check_lex_error src msg line =
+  match Lexer.tokenize src with
+  | _ -> Alcotest.failf "%S: expected a lex error" src
+  | exception Lexer.Lex_error (m, l) ->
+      check_string (String.escaped src ^ " message") msg m;
+      check_int (String.escaped src ^ " line") line l
+
+let test_lexer_punctuation () =
+  check_lex "a>>>b<<<c===d!==e"
+    [ "1:id a"; "1:p >>>"; "1:id b"; "1:p <<<"; "1:id c"; "1:p ==="; "1:id d";
+      "1:p !=="; "1:id e"; "1:eof" ];
+  check_lex "a<=b" [ "1:id a"; "1:p <="; "1:id b"; "1:eof" ];
+  check_lex "a<<=b>>=c" [ "1:id a"; "1:p <<"; "1:p ="; "1:id b"; "1:p >>";
+                          "1:p ="; "1:id c"; "1:eof" ];
+  check_lex "x&&y||!z==w!=v" [ "1:id x"; "1:p &&"; "1:id y"; "1:p ||"; "1:p !";
+                               "1:id z"; "1:p =="; "1:id w"; "1:p !=";
+                               "1:id v"; "1:eof" ];
+  (* a longest-match candidate cut off by the end of input *)
+  List.iter
+    (fun (src, toks) -> check_lex src (toks @ [ "1:eof" ]))
+    [ (">>>", [ "1:p >>>" ]); ("<<<", [ "1:p <<<" ]); ("===", [ "1:p ===" ]);
+      ("!==", [ "1:p !==" ]); ("a <", [ "1:id a"; "1:p <" ]);
+      ("a >", [ "1:id a"; "1:p >" ]); ("<<", [ "1:p <<" ]);
+      ("==", [ "1:p ==" ]); ("!", [ "1:p !" ]); ("&", [ "1:p &" ]);
+      ("|", [ "1:p |" ]); ("/", [ "1:p /" ]) ];
+  check_lex "module m; wire w; endmodule"
+    [ "1:kw module"; "1:id m"; "1:p ;"; "1:kw wire"; "1:id w"; "1:p ;";
+      "1:kw endmodule"; "1:eof" ]
+
+let test_lexer_comments_and_lines () =
+  check_lex "x // to the end" [ "1:id x"; "1:eof" ];
+  check_lex "x //" [ "1:id x"; "1:eof" ];
+  check_lex "x //\ny" [ "1:id x"; "2:id y"; "2:eof" ];
+  check_lex "/* one\n two\n */ y" [ "3:id y"; "3:eof" ];
+  check_lex "a /**/ b /*/ still open */ c"
+    [ "1:id a"; "1:id b"; "1:id c"; "1:eof" ];
+  check_lex "\"s\"\n$display\n  \"t\"\n"
+    [ "1:str s"; "2:sys display"; "3:str t"; "4:eof" ];
+  check_lex_error "x /* never\nclosed\n" "unterminated comment" 3;
+  check_lex_error "x /*/" "unterminated comment" 1;
+  check_lex_error "\n\"abc" "unterminated string" 2;
+  (* a raw newline inside a string would shift every later line *)
+  check_lex_error "a\n\"ab\ncd\" b" "newline in string" 2;
+  check_lex_error "\"ab\\\ncd\"" "newline in string" 1;
+  check_lex_error "\"ab\\" "bad escape" 1;
+  check_lex_error "\"\\400\"" "bad octal escape" 1;
+  check_lex_error "$ x" "bad system task" 1;
+  check_lex_error "a\n\n`" "unexpected character '`'" 3
+
+let test_lexer_string_escapes () =
+  check_lex {|"a\nb\tc\\d\"e\101\7\0123\q"|}
+    [ "1:str " ^ String.escaped "a\nb\tc\\d\"eA\007\n3q"; "1:eof" ]
+
+(* Literals whose digits fit in 60 bits take [Bits.of_int]; longer ones
+   the general string conversions. Both sides of the boundary, per
+   base, must give the same value. *)
+let test_lexer_literal_boundary () =
+  let num src =
+    match Lexer.tokenize src with
+    | [ { tok = Lexer.Tnumber { width; value }; _ }; { tok = Lexer.Teof; _ } ] ->
+        (width, value)
+    | _ -> Alcotest.failf "%S: expected one number" src
+  in
+  let check_num src width value =
+    let w, v = num src in
+    Alcotest.(check (option int)) (src ^ " width") width w;
+    check_string (src ^ " value") (Bits.to_string value) (Bits.to_string v);
+    check_bool (src ^ " structurally equal") true (v = value)
+  in
+  let low_ones w k = Bits.resize (Bits.ones k) w in
+  check_num "64'hFFF_FFFF_FFFF_FFFF" (Some 64) (low_ones 64 60);
+  check_num "64'hFFFF_FFFF_FFFF_FFFF" (Some 64) (Bits.ones 64);
+  check_num "68'h1_0000_0000_0000_0000" (Some 68)
+    (Bits.shift_left (Bits.one 68) 64);
+  List.iter
+    (fun k ->
+      check_num
+        (Printf.sprintf "64'b%s" (String.make k '1'))
+        (Some 64) (low_ones 64 k))
+    [ 60; 61; 62; 63; 64 ];
+  check_num "64'b1_0000" (Some 64) (Bits.of_int ~width:64 16);
+  check_num "64'd999999999999999999" (Some 64)
+    (Bits.of_int ~width:64 999999999999999999);
+  check_num "64'd1152921504606846975" (Some 64) (low_ones 64 60);
+  check_num "64'd18446744073709551615" (Some 64) (Bits.ones 64);
+  check_num "1_000" None (Bits.of_int ~width:32 1000);
+  check_num "4294967297" None (Bits.of_int ~width:32 1);
+  check_num "18446744073709551617" None (Bits.of_int ~width:32 1);
+  check_num "'hFF" None (Bits.of_int ~width:32 255);
+  check_num "'b1_1" None (Bits.of_int ~width:32 3);
+  check_num "4'hFF" (Some 4) (Bits.of_int ~width:4 15);
+  check_num "1_6'hF_F_F_F" (Some 16) (Bits.of_int ~width:16 0xFFFF);
+  check_num "8'D2_55" (Some 8) (Bits.of_int ~width:8 255);
+  check_num "8'h_" (Some 8) (Bits.zero 8);
+  check_lex_error "8'dAF" "Bits: bad decimal digit A" 1;
+  check_lex_error "8'b102" "Bits.of_binary_string: bad digit" 1;
+  check_lex_error "8'b_" "Bits.of_binary_string: empty" 1;
+  check_lex_error "0'h1" "bad literal size 0" 1;
+  check_lex_error "4097'h1" "bad literal size 4097" 1;
+  check_lex_error "8'q1" "bad base 'q'" 1;
+  check_lex_error "8'h" "bad literal digits" 1;
+  check_lex_error "x\n8'" "bad literal" 2
+
+(* Any byte string either tokenizes or raises the located [Lex_error]. *)
+let prop_lexer_total =
+  let fragment =
+    QCheck2.Gen.oneofl
+      [ ">>>"; "<<"; "="; "!"; "/"; "*"; "//"; "/*"; "*/"; "\n"; "'"; "'h";
+        "8'b"; "64'd"; "4097'h"; "_"; "1"; "F"; "x"; "$"; "\""; "\\"; "\\7";
+        "FFFFFFFFFFFFFFFFF"; "99999999999999999999"; "module"; "`" ]
+  in
+  QCheck2.Test.make ~count:1000 ~name:"lexer fails only with Lex_error"
+    QCheck2.Gen.(
+      oneof
+        [
+          string_size ~gen:char (int_range 0 64);
+          map (String.concat "") (list_size (int_range 0 16) fragment);
+        ])
+    (fun src ->
+      match Lexer.tokenize src with
+      | _ -> true
+      | exception Lexer.Lex_error _ -> true
+      | exception _ -> false)
+
+(* Printing a $display format and lexing it back is the identity on
+   every byte string. *)
+let prop_display_roundtrip =
+  let m0 =
+    Parser.parse_module
+      "module t (input clk);\n\
+      \  always @(posedge clk) $display(\"x\");\n\
+       endmodule"
+  in
+  QCheck2.Test.make ~count:500 ~name:"$display format pp -> parse round trip"
+    QCheck2.Gen.(string_size ~gen:char (int_range 0 40))
+    (fun fmt ->
+      let m =
+        {
+          m0 with
+          Ast.always_blocks =
+            List.map
+              (fun (a : Ast.always) -> { a with Ast.stmts = [ Ast.Display (fmt, []) ] })
+              m0.Ast.always_blocks;
+        }
+      in
+      match (Parser.parse_module (Pp_verilog.module_to_string m)).Ast.always_blocks with
+      | [ { Ast.stmts = [ Ast.Display (fmt', []) ]; _ } ] -> fmt' = fmt
+      | _ -> false)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "lexer punctuation, longest match" `Quick
+        test_lexer_punctuation;
+      Alcotest.test_case "lexer comments, strings and lines" `Quick
+        test_lexer_comments_and_lines;
+      Alcotest.test_case "lexer string escapes" `Quick test_lexer_string_escapes;
+      Alcotest.test_case "lexer literal fast-path boundary" `Quick
+        test_lexer_literal_boundary;
+      QCheck_alcotest.to_alcotest prop_lexer_total;
+      QCheck_alcotest.to_alcotest prop_display_roundtrip;
+    ]

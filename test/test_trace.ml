@@ -233,6 +233,27 @@ let test_virtual_export_pool_width_identity () =
   | Ok s -> check_bool "spans recorded" true (s.Trace_export.v_spans > 0)
   | Error e -> Alcotest.fail ("campaign trace rejected: " ^ e)
 
+(* The fuzz campaign's export too. Each export starts on a cold base
+   memo, so the run that computes a target's base differs with the pool
+   width: the memo must be shared by every domain and record nothing. *)
+let export_fuzz ~domains =
+  Fpga_fuzz.Fuzz.clear_base_memo ();
+  with_trace (fun () ->
+      let fc = Campaign.run_fuzz ~domains ~seed:1 ~mutants:50 () in
+      let main = Trace.capture_all ~consume:true () in
+      Trace_export.to_json ~clock:Trace.Virtual ~main
+        ~jobs:(Campaign.fuzz_trace_segments fc) ())
+
+let test_virtual_fuzz_export_pool_width_identity () =
+  let t1 = export_fuzz ~domains:1 in
+  let t2 = export_fuzz ~domains:2 in
+  let t4 = export_fuzz ~domains:4 in
+  check_string "1 and 2 domains, identical bytes" t1 t2;
+  check_string "1 and 4 domains, identical bytes" t1 t4;
+  match Trace_export.validate t4 with
+  | Ok s -> check_bool "spans recorded" true (s.Trace_export.v_spans > 0)
+  | Error e -> Alcotest.fail ("fuzz trace rejected: " ^ e)
+
 (* --- export: golden trace and the validator ------------------------ *)
 
 let golden =
@@ -358,6 +379,8 @@ let suite =
       test_worker_tracks_and_ids;
     Alcotest.test_case "virtual export byte-identical across pool widths"
       `Quick test_virtual_export_pool_width_identity;
+    Alcotest.test_case "virtual fuzz export byte-identical across pool widths"
+      `Quick test_virtual_fuzz_export_pool_width_identity;
     Alcotest.test_case "golden trace pinned byte-for-byte" `Quick
       test_golden_trace;
     Alcotest.test_case "validator rejects malformed input" `Quick
