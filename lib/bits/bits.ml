@@ -294,6 +294,32 @@ let concat parts =
         (List.rev parts);
       normalize r
 
+(* Fields are placed into a fresh vector, so no existing (possibly
+   shared) value is ever written. An immediate pattern of at most 63
+   bits at bit offset [pos] spans at most three limbs: the third only
+   when [pos mod 32 >= 2], which keeps every shift below 63. *)
+type field = Fint of int * (unit -> int) | Fvec of int * (unit -> t)
+
+let pack w fields =
+  let r = zero w in
+  let l = r.limbs in
+  let n = Array.length l in
+  for k = 0 to Array.length fields - 1 do
+    match fields.(k) with
+    | Fint (pos, f) ->
+        let p = f () in
+        let j = pos / limb_bits and b = pos mod limb_bits in
+        l.(j) <- l.(j) lor ((p lsl b) land limb_mask);
+        if j + 1 < n then (
+          l.(j + 1) <- l.(j + 1) lor ((p lsr (limb_bits - b)) land limb_mask);
+          if b > 1 && j + 2 < n then
+            l.(j + 2) <- l.(j + 2) lor (p lsr ((2 * limb_bits) - b)))
+    | Fvec (pos, f) ->
+        let v = f () in
+        blit_bits v.limbs v.width l pos
+  done;
+  normalize r
+
 let repeat n t =
   if n < 1 then invalid_arg "Bits.repeat: count < 1";
   if n = 1 then t

@@ -69,6 +69,19 @@ val concat : t list -> t
 (** [concat [a; b; c]] places [a] in the most significant position,
     following Verilog [{a, b, c}]. *)
 
+(** A field of a vector built by {!pack}: an immediate pattern (masked,
+    at most 63 bits, see {!Imm}) or a vector, each produced by its
+    thunk and placed with its least significant bit at the given bit
+    offset. *)
+type field = Fint of int * (unit -> int) | Fvec of int * (unit -> t)
+
+val pack : int -> field array -> t
+(** [pack w fields] is a fresh [w]-bit vector holding every field at
+    its offset and zeros elsewhere: [concat] with the layout fixed in
+    advance and no intermediate vector per immediate part. The thunks
+    run once each, in array order. Fields must not overlap and must lie
+    within [w] bits. *)
+
 val repeat : int -> t -> t
 (** [repeat n v] is Verilog [{n{v}}]. *)
 

@@ -12,6 +12,15 @@
    limb-based [Bits] path remains for wide vectors and memories, and as
    the fallback on mixed-width operations.
 
+   Three shapes skip even that path's per-part vectors and per-operator
+   closures. A wide concat (total > 63 bits) builds one fresh vector
+   per evaluation with [Bits.pack], from runs of adjacent immediate
+   parts (at most 63 bits each, laid out at compile time) and blits of
+   its wide parts. A comparison between an immediate signal and an
+   immediate signal or a constant that fits 63 bits is one closure over
+   [ints]. [&&]/[||] over two width-1 immediates is one closure over
+   the raw 0/1 patterns.
+
    A settle runs only the closures whose inputs changed: per-closure
    dirty bits are fed from a closure-level sensitivity index, with the
    event kernel's adaptive sparse/dense hysteresis so fully-active plans
@@ -188,6 +197,108 @@ let resize_ex w (e : ex) : ex =
 
 let bool_ex f = Eint (1, fun () -> if f () then 1 else 0)
 
+(* Shift-or fold of the immediate parts [p0 :: rest], MSB first: the raw
+   pattern of their concatenation, whose total width must fit an
+   immediate. *)
+let pack_ints p0 rest =
+  let f0 = int_fn p0 in
+  match List.map (fun p -> (ex_width p, int_fn p)) rest with
+  | [] -> f0
+  | rest ->
+      fun () -> List.fold_left (fun acc (w, f) -> (acc lsl w) lor f ()) (f0 ()) rest
+
+(* The [Bits.pack] layout of a wide concat ([total > 63], every part at
+   least 1 bit wide): adjacent immediate parts group greedily, MSB first,
+   into runs of at most 63 bits, each one [Fint] of their shift-or fold;
+   wide parts are [Fvec]s. Fields stay in MSB-first order, so parts
+   evaluate in the order [Bits.concat] would see them. *)
+let concat_fields parts total =
+  let fields = ref [] in
+  let flush run lo =
+    match List.rev run with
+    | [] -> ()
+    | p0 :: rest -> fields := Bits.Fint (lo, pack_ints p0 rest) :: !fields
+  in
+  (* [hi]: bit offset just above the next part; [run]/[rw]: the open run
+     (reversed) and its width *)
+  let rec go hi run rw = function
+    | [] -> flush run hi
+    | p :: rest ->
+        let w = ex_width p in
+        if not (Imm.fits w) then (
+          flush run hi;
+          fields := Bits.Fvec (hi - w, bits_fn p) :: !fields;
+          go (hi - w) [] 0 rest)
+        else if rw + w <= Imm.max_width then go (hi - w) (p :: run) (rw + w) rest
+        else (
+          flush run hi;
+          go (hi - w) [ p ] w rest)
+  in
+  go total [] 0 parts;
+  Array.of_list (List.rev !fields)
+
+(* Compare operands read straight from the immediate bank or held as
+   constant patterns: the leaf shapes [leaf_compare] compiles to one
+   closure. *)
+type leaf = Lsig of int | Lconst of int
+
+let leaf_of st : Compiled.cexpr -> (leaf * int) option = function
+  | Compiled.Cvar i when st.imm.(i) -> Some (Lsig i, st.widths.(i))
+  | Compiled.Cconst b when Imm.fits (Bits.width b) ->
+      Some (Lconst (Imm.of_bits b), Bits.width b)
+  | _ -> None
+
+(* [a op b] is [b (mirror op) a]. *)
+let mirror = function
+  | Ast.Lt -> Ast.Gt
+  | Ast.Le -> Ast.Ge
+  | Ast.Gt -> Ast.Lt
+  | Ast.Ge -> Ast.Le
+  | op -> op
+
+(* Signal [i] against leaf [y] at width [w] ([op]'s last case is [Ge]).
+   Both raw patterns are already zero-extended to [w], so equality is
+   native; at w = 63 a pattern may be negative, and flipping the sign
+   bit ([fl]) maps unsigned order onto native order, as [Imm.ucompare]
+   does. *)
+let leaf_test st op w i y : ex =
+  let ints = st.ints in
+  let fl = if w < Imm.max_width then 0 else min_int in
+  let f =
+    match (op, y) with
+    | Ast.Eq, Lconst p -> fun () -> if ints.(i) = p then 1 else 0
+    | Ast.Eq, Lsig j -> fun () -> if ints.(i) = ints.(j) then 1 else 0
+    | Ast.Neq, Lconst p -> fun () -> if ints.(i) <> p then 1 else 0
+    | Ast.Neq, Lsig j -> fun () -> if ints.(i) <> ints.(j) then 1 else 0
+    | Ast.Lt, Lconst p ->
+        let p = p lxor fl in
+        fun () -> if ints.(i) lxor fl < p then 1 else 0
+    | Ast.Lt, Lsig j -> fun () -> if ints.(i) lxor fl < ints.(j) lxor fl then 1 else 0
+    | Ast.Le, Lconst p ->
+        let p = p lxor fl in
+        fun () -> if ints.(i) lxor fl <= p then 1 else 0
+    | Ast.Le, Lsig j -> fun () -> if ints.(i) lxor fl <= ints.(j) lxor fl then 1 else 0
+    | Ast.Gt, Lconst p ->
+        let p = p lxor fl in
+        fun () -> if ints.(i) lxor fl > p then 1 else 0
+    | Ast.Gt, Lsig j -> fun () -> if ints.(i) lxor fl > ints.(j) lxor fl then 1 else 0
+    | _, Lconst p ->
+        let p = p lxor fl in
+        fun () -> if ints.(i) lxor fl >= p then 1 else 0
+    | _, Lsig j -> fun () -> if ints.(i) lxor fl >= ints.(j) lxor fl then 1 else 0
+  in
+  Eint (1, f)
+
+(* A comparison with at least one immediate-signal operand and the other
+   a signal or constant that fits an immediate; [None] keeps the general
+   path (constant-only, wide or compound operands). *)
+let leaf_compare st op a b =
+  match (leaf_of st a, leaf_of st b) with
+  | Some (Lsig i, wa), Some (y, wb) -> Some (leaf_test st op (max wa wb) i y)
+  | Some ((Lconst _ as y), wa), Some (Lsig i, wb) ->
+      Some (leaf_test st (mirror op) (max wa wb) i y)
+  | _ -> None
+
 (* Mirrors [Compiled.eval_ctx] case for case: the dispatcher widens
    leaf and structural forms to [ctx]; operator results are never
    widened (operands are widened inside), comparisons and reductions
@@ -266,27 +377,25 @@ let rec lex st ~ctx (e : Compiled.cexpr) : ex =
       else
         let ft = bits_fn (resize_ex w vt) and ff = bits_fn (resize_ex w vf) in
         Ebits (w, fun () -> if cf () then ft () else ff ())
-  | Compiled.Cconcat es ->
+  | Compiled.Cconcat es -> (
       let parts = List.map (fun e -> lex st ~ctx:0 e) es in
       let total = List.fold_left (fun acc p -> acc + ex_width p) 0 parts in
-      let base =
-        match parts with
-        | [] -> Ebits (1, fun () -> Bits.concat [])  (* raises, as reference *)
-        | p0 :: rest ->
-            if Imm.fits total then
-              let f0 = int_fn p0 in
-              let rest = List.map (fun p -> (ex_width p, int_fn p)) rest in
-              Eint
-                ( total,
-                  fun () ->
-                    List.fold_left
-                      (fun acc (w, f) -> (acc lsl w) lor f ())
-                      (f0 ()) rest )
-            else
-              let fs = List.map bits_fn parts in
-              Ebits (total, fun () -> Bits.concat (List.map (fun f -> f ()) fs))
-      in
-      widen ~ctx base
+      match parts with
+      | [] ->
+          (* raises, as reference *)
+          widen ~ctx (Ebits (1, fun () -> Bits.concat []))
+      | p0 :: rest when Imm.fits total -> widen ~ctx (Eint (total, pack_ints p0 rest))
+      | _ when List.for_all (fun p -> ex_width p >= 1) parts ->
+          (* built at the context width directly: the zero-extension is
+             just the unfilled top of the fresh vector *)
+          let w = max total ctx in
+          let fields = concat_fields parts total in
+          Ebits (w, fun () -> Bits.pack w fields)
+      | _ ->
+          (* a part of width < 1 raises when evaluated, as reference *)
+          let fs = List.map bits_fn parts in
+          widen ~ctx
+            (Ebits (total, fun () -> Bits.concat (List.map (fun f -> f ()) fs))))
   | Compiled.Crepeat (n, a) ->
       let va = lex st ~ctx:0 a in
       let wa = ex_width va in
@@ -348,12 +457,19 @@ and lunop st ~ctx op a : ex =
 
 and lbinop st ~ctx op a b : ex =
   match op with
-  | Ast.Land ->
-      let fa = truthy (lex st ~ctx:0 a) and fb = truthy (lex st ~ctx:0 b) in
-      bool_ex (fun () -> fa () && fb ())
-  | Ast.Lor ->
-      let fa = truthy (lex st ~ctx:0 a) and fb = truthy (lex st ~ctx:0 b) in
-      bool_ex (fun () -> fa () || fb ())
+  | Ast.Land | Ast.Lor -> (
+      match (op, lex st ~ctx:0 a, lex st ~ctx:0 b) with
+      (* width-1 immediates: the raw 0/1 patterns are the truth values *)
+      | Ast.Land, Eint (1, fa), Eint (1, fb) ->
+          Eint (1, fun () -> if fa () = 0 then 0 else fb ())
+      | Ast.Lor, Eint (1, fa), Eint (1, fb) ->
+          Eint (1, fun () -> if fa () = 0 then fb () else 1)
+      | Ast.Land, va, vb ->
+          let fa = truthy va and fb = truthy vb in
+          bool_ex (fun () -> fa () && fb ())
+      | _, va, vb ->
+          let fa = truthy va and fb = truthy vb in
+          bool_ex (fun () -> fa () || fb ()))
   | Ast.Shl | Ast.Shr | Ast.Ashr -> (
       let va = lex st ~ctx a in
       let amtf = index_fn (lex st ~ctx:0 b) in
@@ -374,33 +490,36 @@ and lbinop st ~ctx op a b : ex =
             | _ -> Bits.arith_shift_right
           in
           Ebits (w, fun () -> op (f ()) (min (amtf ()) w)))
-  | Ast.Eq | Ast.Neq | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge ->
-      let va = lex st ~ctx:0 a and vb = lex st ~ctx:0 b in
-      let w = max (ex_width va) (ex_width vb) in
-      if Imm.fits w then
-        let fa = int_fn (resize_ex w va) and fb = int_fn (resize_ex w vb) in
-        let test =
-          match op with
-          | Ast.Eq -> fun x y -> x = y
-          | Ast.Neq -> fun x y -> x <> y
-          | Ast.Lt -> Imm.lt w
-          | Ast.Le -> Imm.le w
-          | Ast.Gt -> Imm.gt w
-          | _ -> Imm.ge w
-        in
-        bool_ex (fun () -> test (fa ()) (fb ()))
-      else
-        let fa = bits_fn (resize_ex w va) and fb = bits_fn (resize_ex w vb) in
-        let test =
-          match op with
-          | Ast.Eq -> Bits.equal
-          | Ast.Neq -> fun x y -> not (Bits.equal x y)
-          | Ast.Lt -> Bits.lt
-          | Ast.Le -> Bits.le
-          | Ast.Gt -> Bits.gt
-          | _ -> Bits.ge
-        in
-        bool_ex (fun () -> test (fa ()) (fb ()))
+  | Ast.Eq | Ast.Neq | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge -> (
+      match leaf_compare st op a b with
+      | Some e -> e
+      | None ->
+          let va = lex st ~ctx:0 a and vb = lex st ~ctx:0 b in
+          let w = max (ex_width va) (ex_width vb) in
+          if Imm.fits w then
+            let fa = int_fn (resize_ex w va) and fb = int_fn (resize_ex w vb) in
+            let test =
+              match op with
+              | Ast.Eq -> fun x y -> x = y
+              | Ast.Neq -> fun x y -> x <> y
+              | Ast.Lt -> Imm.lt w
+              | Ast.Le -> Imm.le w
+              | Ast.Gt -> Imm.gt w
+              | _ -> Imm.ge w
+            in
+            bool_ex (fun () -> test (fa ()) (fb ()))
+          else
+            let fa = bits_fn (resize_ex w va) and fb = bits_fn (resize_ex w vb) in
+            let test =
+              match op with
+              | Ast.Eq -> Bits.equal
+              | Ast.Neq -> fun x y -> not (Bits.equal x y)
+              | Ast.Lt -> Bits.lt
+              | Ast.Le -> Bits.le
+              | Ast.Gt -> Bits.gt
+              | _ -> Bits.ge
+            in
+            bool_ex (fun () -> test (fa ()) (fb ())))
   | Ast.Add | Ast.Sub | Ast.Mul | Ast.Div | Ast.Mod | Ast.Band | Ast.Bor
   | Ast.Bxor ->
       let va = lex st ~ctx a and vb = lex st ~ctx b in

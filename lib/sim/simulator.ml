@@ -149,6 +149,7 @@ type t = {
   mutable nchanges : int;  (* value-changing writes during a dense sweep *)
   mutable notify : int -> unit;  (* change callback wired to [mark_signal] *)
   seq : (Elaborate.clock_edge * Compiled.cstmt list) list;
+  has_negedge : bool;  (* any negedge block: [step] runs the falling edge *)
   prims : prim_state list;
   low : Lowered.t option;  (* present iff [kernel] is [Lowered_dirty] *)
   mutable cycle : int;
@@ -605,7 +606,10 @@ let create ?(kernel = Lowered_dirty) (flat : flat) : t =
     { flat; tab; env; kernel; nodes; sens; display_nodes;
       dirty = Array.make n true; ndirty = n;
       mode = Sparse; mode_streak = 0; nchanges = 0;
-      notify = ignore; seq; prims; low;
+      notify = ignore; seq;
+      has_negedge =
+        List.exists (fun (e, _, _) -> e = Elaborate.Neg) flat.f_seq;
+      prims; low;
       cycle = 0; finished; log = []; log_len = 0;
       log_memo = (0, []); display_hook = None; step_hooks = []; stats }
   in
@@ -835,9 +839,6 @@ let dense_mode sim =
   (sim.kernel = Event_driven && sim.mode = Dense)
   || match sim.low with Some low -> Lowered.dense low | None -> false
 
-let has_negedge (sim : t) =
-  List.exists (fun (e, _, _) -> e = Elaborate.Neg) sim.flat.f_seq
-
 let step (sim : t) =
   if not !(sim.finished) then (
     settle sim ~displays:false;
@@ -846,7 +847,7 @@ let step (sim : t) =
     edge_phase sim Elaborate.Pos ~with_prims:true;
     (* falling edge (half a cycle later): negedge blocks observe the
        post-posedge state, as in event-driven simulation *)
-    if has_negedge sim then (
+    if sim.has_negedge then (
       settle sim ~displays:false;
       edge_phase sim Elaborate.Neg ~with_prims:false);
     settle sim ~displays:true;

@@ -651,3 +651,61 @@ let suite =
       Alcotest.test_case "imm/limb mul overflow seam" `Quick
         test_imm_mul_overflow_seam;
     ]
+
+(* --- pack ------------------------------------------------------------------ *)
+
+(* [pack] against the bit-at-a-time concat: every part of at most 63
+   bits is one [Fint] field, every wider part one [Fvec], at the offsets
+   [concat] gives them; packing at a larger width zero-extends. The
+   parts come from the boundary-straddling width generator, so fields
+   start at every limb offset and 63-bit patterns are often negative. *)
+let prop_pack_is_concat =
+  diff_prop "pack equals Naive.concat, fresh and normalized"
+    QCheck2.Gen.(pair (list_size (int_range 1 8) gen_diff_bits) (int_range 0 70))
+    (fun (parts, extra) ->
+      let total = List.fold_left (fun acc p -> acc + Bits.width p) 0 parts in
+      let fields =
+        List.fold_right
+          (fun p (lo, acc) ->
+            let f =
+              if Imm.fits (Bits.width p) then
+                let v = Imm.of_bits p in
+                Bits.Fint (lo, fun () -> v)
+              else Bits.Fvec (lo, fun () -> p)
+            in
+            (lo + Bits.width p, f :: acc))
+          parts (0, [])
+        |> snd |> Array.of_list
+      in
+      let reference = Bits.Naive.concat parts in
+      let before = List.map Bits.to_hex_string parts in
+      let packed = Bits.pack total fields in
+      let wider = Bits.pack (total + extra) fields in
+      Bits.equal packed reference
+      && Bits.equal wider (Bits.resize reference (total + extra))
+      && (* a fresh vector each time: no shared limbs with the last one *)
+      packed != Bits.pack total fields
+      && (* the [Fvec] parts are read, never written *)
+      List.map Bits.to_hex_string parts = before)
+
+let test_pack_order () =
+  (* fields are produced in array order, each thunk exactly once *)
+  let seen = ref [] in
+  let note k = seen := k :: !seen in
+  let v =
+    Bits.pack 70
+      [|
+        Bits.Fint (60, fun () -> note 3; 3);
+        Bits.Fvec (20, fun () -> note 9; Bits.ones 40);
+        Bits.Fint (0, fun () -> note 1; 1);
+      |]
+  in
+  Alcotest.(check (list int)) "thunk order" [ 3; 9; 1 ] (List.rev !seen);
+  check_string "layout" "003ffffffffff00001" (Bits.to_hex_string v)
+
+let suite =
+  suite
+  @ [
+      QCheck_alcotest.to_alcotest prop_pack_is_concat;
+      Alcotest.test_case "pack runs each field once, in order" `Quick test_pack_order;
+    ]

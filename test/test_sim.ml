@@ -1157,3 +1157,244 @@ let suite =
       Alcotest.test_case "golden waveform render" `Quick
         test_waveform_render_golden;
     ]
+
+(* --- lowered-kernel specialised forms vs brute force ---------------------- *)
+
+module Telemetry = Fpga_telemetry.Telemetry
+
+(* Run [src] under lowered-dirty and brute force over [stim] (one input
+   list per cycle) and require identical signal values (memories
+   included) after every cycle, identical VCDs and identical per-signal
+   toggle counts. Telemetry is on while the simulators are built, which
+   is what enables toggle counting. *)
+let lowered_matches_brute ~name src stim =
+  let flat = Elaborate.elaborate (Parser.parse_design src) ~top:"top" in
+  let run kernel =
+    Telemetry.reset ();
+    Telemetry.enable ();
+    Fun.protect
+      ~finally:(fun () ->
+        Telemetry.disable ();
+        Telemetry.reset ())
+      (fun () ->
+        let sim = Simulator.create ~kernel flat in
+        let vcd = Vcd.create flat in
+        let states =
+          List.map
+            (fun ins ->
+              List.iter (fun (n, v) -> Simulator.set_input sim n v) ins;
+              Simulator.step sim;
+              Vcd.sample vcd sim;
+              signal_state flat sim)
+            stim
+        in
+        (states, Vcd.contents vcd, Simulator.toggle_counts sim))
+  in
+  let ls, lv, lt = run Simulator.Lowered_dirty in
+  let bs, bv, bt = run Simulator.Brute_force in
+  List.iteri
+    (fun i (l, b) ->
+      if l <> b then Alcotest.failf "%s: signal values diverge at cycle %d" name i)
+    (List.combine ls bs);
+  check_bool (name ^ ": VCD agrees") true (lv = bv);
+  check_bool (name ^ ": toggle counts agree") true (lt = bt);
+  check_bool (name ^ ": toggles were counted") true
+    (List.exists (fun (_, n) -> n > 0) bt)
+
+let hex_const v = Printf.sprintf "%d'h%s" (Bits.width v) (Bits.to_hex_string v)
+
+(* A [w]-bit value from three random ints (up to 186 random bits). *)
+let bits_of_ints w (a, b, c) =
+  let chunk = Bits.of_int ~width:62 in
+  Bits.resize (Bits.concat [ chunk a; chunk b; chunk c ]) w
+
+(* Concat parts: an input signal of the given width, or a constant. *)
+type cpart = Psig of int | Pconst of Bits.t
+
+let gen_part_width =
+  QCheck2.Gen.(
+    oneof
+      [
+        int_range 1 130;
+        (* widths that put part edges on the 31/32, 63/64 and 95/96 limb
+           and immediate boundaries *)
+        oneofl [ 1; 31; 32; 33; 62; 63; 64; 65; 95; 96; 97; 129; 130 ];
+      ])
+
+let gen_cpart =
+  QCheck2.Gen.(
+    gen_part_width >>= fun w ->
+    oneof
+      [
+        return (Psig w);
+        map (fun r -> Pconst (bits_of_ints w r)) (triple int int int);
+      ])
+
+(* Every concat holds at least one 63-bit part: a signal (driven with
+   random patterns, so bit 62 is often set) or a constant with bit 62
+   set, i.e. a negative raw immediate pattern. *)
+let gen_concat =
+  QCheck2.Gen.(
+    list_size (int_range 1 9) gen_cpart >>= fun parts ->
+    int_bound (List.length parts) >>= fun at ->
+    oneof
+      [
+        return (Psig 63);
+        map
+          (fun r ->
+            Pconst
+              (Bits.logor (bits_of_ints 63 r) (Bits.shift_left (Bits.one 63) 62)))
+          (triple int int int);
+      ]
+    >>= fun p63 ->
+    return
+      (List.filteri (fun i _ -> i < at) parts
+      @ (p63 :: List.filteri (fun i _ -> i >= at) parts)))
+
+(* Module with the concat as an NBA into a wide register, an NBA into a
+   memory word and a blocking combinational assign. Each target is
+   [total + delta] bits wide, so the concat is also zero-extended to a
+   wider context or truncated. Returns the source and the input widths. *)
+let concat_module parts (dr, dm, dc) =
+  let total =
+    List.fold_left
+      (fun acc p -> acc + match p with Psig w -> w | Pconst c -> Bits.width c)
+      0 parts
+  in
+  let tw d = max 1 (total + d) in
+  let inputs =
+    List.filter_map
+      (fun (k, p) -> match p with Psig w -> Some (k, w) | Pconst _ -> None)
+      (List.mapi (fun k p -> (k, p)) parts)
+  in
+  let cat =
+    "{"
+    ^ String.concat ", "
+        (List.mapi
+           (fun k p ->
+             match p with
+             | Psig _ -> Printf.sprintf "i%d" k
+             | Pconst c -> hex_const c)
+           parts)
+    ^ "}"
+  in
+  let src =
+    Printf.sprintf
+      "module top (input clk, input [2:0] idx%s);\n\
+      \  reg [%d:0] r;\n\
+      \  reg [%d:0] m [0:3];\n\
+      \  reg [%d:0] c;\n\
+      \  always @(posedge clk) begin\n\
+      \    r <= %s;\n\
+      \    m[idx] <= %s;\n\
+      \  end\n\
+      \  always @(*) begin\n\
+      \    c = %s;\n\
+      \  end\n\
+       endmodule\n"
+      (String.concat ""
+         (List.map
+            (fun (k, w) -> Printf.sprintf ", input [%d:0] i%d" (w - 1) k)
+            inputs))
+      (tw dr - 1) (tw dm - 1) (tw dc - 1) cat cat cat
+  in
+  (src, inputs)
+
+let prop_wide_concat_lowered =
+  QCheck2.Test.make ~count:150
+    ~name:"wide concats: lowered-dirty == brute (values, VCD, toggles)"
+    ~print:(fun (parts, deltas, _) -> fst (concat_module parts deltas))
+    QCheck2.Gen.(
+      triple gen_concat
+        (triple (int_range (-8) 40) (int_range (-8) 40) (int_range (-8) 40))
+        (list_repeat 6 (pair (int_bound 7) (list_repeat 10 (triple int int int)))))
+    (fun (parts, deltas, cycles) ->
+      let src, inputs = concat_module parts deltas in
+      let stim =
+        List.map
+          (fun (idx, rs) ->
+            ("idx", b 3 idx)
+            :: List.mapi
+                 (fun j (k, w) ->
+                   (Printf.sprintf "i%d" k, bits_of_ints w (List.nth rs j)))
+                 inputs)
+          cycles
+      in
+      lowered_matches_brute ~name:"wide concat" src stim;
+      true)
+
+(* Directed cases for the leaf-compare and width-1 logical forms, each
+   next to a shape that must keep the general path. *)
+let directed_leaf_cases =
+  let h w s = Bits.of_hex_string ~width:w s in
+  [
+    ( "wide const vs narrow signal",
+      "module top (input clk, input [3:0] s4, input [7:0] s8, output o0, output o1,\n\
+      \            output o2, output o3, output o4, output o5);\n\
+      \  assign o0 = s4 == 8'hf3;\n\
+      \  assign o1 = s4 != 8'h13;\n\
+      \  assign o2 = s4 < 8'h10;\n\
+      \  assign o3 = 8'h03 > s4;\n\
+      \  assign o4 = s4 >= s8;\n\
+      \  assign o5 = 8'h13 <= s4;\n\
+       endmodule\n",
+      List.map (fun (a, c) -> [ ("s4", b 4 a); ("s8", b 8 c) ])
+        [ (3, 3); (0xf, 0xf3); (2, 0x13); (3, 2); (0, 0); (0xf, 0x10) ] );
+    ( "const over 63 bits falls back",
+      "module top (input clk, input [7:0] s8, input [62:0] s63, output o0, output o1,\n\
+      \            output o2, output o3);\n\
+      \  assign o0 = s8 == 70'h3f_0000_0000_0000_0005;\n\
+      \  assign o1 = s8 < 70'h20_0000_0000_0000_0000;\n\
+      \  assign o2 = 70'h0_4000_0000_0000_0001 != s63;\n\
+      \  assign o3 = s63 >= 70'h0_4000_0000_0000_0000;\n\
+       endmodule\n",
+      List.map (fun (a, c) -> [ ("s8", b 8 a); ("s63", h 63 c) ])
+        [
+          (5, "4000000000000001");
+          (6, "3fffffffffffffff");
+          (5, "4000000000000000");
+          (0, "0");
+        ] );
+    ( "63-bit signal with bit 62 set",
+      "module top (input clk, input [62:0] s63, input [7:0] s8, output o0, output o1,\n\
+      \            output o2, output o3, output o4, output o5, output o6);\n\
+      \  assign o0 = s63 == 63'h4000_0000_0000_0001;\n\
+      \  assign o1 = s63 != 63'h7fff_ffff_ffff_ffff;\n\
+      \  assign o2 = s63 > 63'h1;\n\
+      \  assign o3 = s63 < 63'h4000_0000_0000_0002;\n\
+      \  assign o4 = 63'h3fff_ffff_ffff_ffff <= s63;\n\
+      \  assign o5 = s63 > s8;\n\
+      \  assign o6 = s8 >= s63;\n\
+       endmodule\n",
+      List.map (fun (c, a) -> [ ("s63", h 63 c); ("s8", b 8 a) ])
+        [
+          ("4000000000000001", 1);
+          ("7fffffffffffffff", 0xff);
+          ("4000000000000002", 2);
+          ("3fffffffffffffff", 0);
+          ("0000000000000001", 1);
+          ("0", 0);
+        ] );
+    ( "&&/|| with a wide operand fall back",
+      "module top (input clk, input [69:0] w70, input b1, input c1, output o0,\n\
+      \            output o1, output o2, output o3, output o4, output o5);\n\
+      \  assign o0 = w70 && b1;\n\
+      \  assign o1 = b1 || w70;\n\
+      \  assign o2 = !w70 || c1;\n\
+      \  assign o3 = c1 && (w70 == 70'h20_0000_0000_0000_0000);\n\
+      \  assign o4 = b1 && c1;\n\
+      \  assign o5 = (b1 == c1) || (w70 != 70'h0);\n\
+       endmodule\n",
+      List.map (fun (w, x, y) -> [ ("w70", h 70 w); ("b1", b 1 x); ("c1", b 1 y) ])
+        [ ("200000000000000000", 1, 0); ("0", 1, 1); ("200000000000000000", 0, 1);
+          ("1", 0, 0); ("0", 0, 1); ("100000000000000000", 1, 1) ] );
+  ]
+
+let suite =
+  suite
+  @ List.map
+      (fun (name, src, stim) ->
+        Alcotest.test_case ("lowered " ^ name) `Quick (fun () ->
+            lowered_matches_brute ~name src stim))
+      directed_leaf_cases
+  @ [ QCheck_alcotest.to_alcotest prop_wide_concat_lowered ]

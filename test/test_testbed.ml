@@ -281,39 +281,81 @@ let test_deadlock_cycle () =
 
 (* --- SignalCat unification across the testbed ------------------------- *)
 
+let kernels =
+  [ Simulator.Event_driven; Simulator.Brute_force; Simulator.Lowered_dirty ]
+
+let substitute (design : Fpga_hdl.Ast.design) (m : Fpga_hdl.Ast.module_def) =
+  {
+    Fpga_hdl.Ast.modules =
+      List.map
+        (fun (x : Fpga_hdl.Ast.module_def) ->
+          if x.Fpga_hdl.Ast.mod_name = m.Fpga_hdl.Ast.mod_name then m else x)
+        design.Fpga_hdl.Ast.modules;
+  }
+
+(* [Signalcat.run_and_log] with the simulator built under [kernel]: in
+   [Simulation] mode the displays print; in [On_fpga] mode the log is
+   read back from the recording buffer. *)
+let signalcat_log ~kernel ~mode (bug : Bug.t) (m : Fpga_hdl.Ast.module_def)
+    design =
+  let m', plan = Fpga_debug.Signalcat.apply ~buffer_depth:1024 mode m in
+  let sim =
+    Fpga_sim.Testbench.of_design ~kernel ~top:bug.Bug.top (substitute design m')
+  in
+  let outcome =
+    Fpga_sim.Testbench.run ~max_cycles:bug.Bug.max_cycles sim bug.Bug.stimulus
+  in
+  match mode with
+  | Fpga_debug.Signalcat.Simulation -> outcome.Fpga_sim.Testbench.log
+  | Fpga_debug.Signalcat.On_fpga -> Fpga_debug.Signalcat.reconstruct plan sim
+
+(* The Simulation-mode log equals the on-FPGA readback under every
+   kernel, and every kernel gives the same log, for each bug: with the
+   full debug recipe's monitors (every bug) and with the FSM-monitor
+   displays alone (bugs with hand-identified FSMs). *)
 let signalcat_tests =
-  (* instrument each buggy design with FSM-monitor displays and check
-     that simulation and on-FPGA logs agree *)
-  List.filter_map
+  List.map
     (fun (bug : Bug.t) ->
-      if bug.Bug.manual_fsms = [] then None
-      else
-        Some
-          (Alcotest.test_case (bug.Bug.id ^ " signalcat unification") `Quick
-             (fun () ->
-               let design = Bug.design_of bug ~buggy:true in
-               let m =
-                 Option.get (Fpga_hdl.Ast.find_module design bug.Bug.top)
-               in
-               let plan = Fpga_debug.Fsm_monitor.plan m in
-               let instrumented = Fpga_debug.Fsm_monitor.instrument plan m in
-               let design' =
-                 {
-                   Fpga_hdl.Ast.modules =
-                     List.map
-                       (fun x -> if x == m then instrumented else x)
-                       design.Fpga_hdl.Ast.modules;
-                 }
-               in
-               let log mode =
-                 Fpga_debug.Signalcat.run_and_log ~buffer_depth:1024
-                   ~max_cycles:bug.Bug.max_cycles ~mode ~top:bug.Bug.top
-                   design' bug.Bug.stimulus
-               in
-               let sim_log = log Fpga_debug.Signalcat.Simulation in
-               let fpga_log = log Fpga_debug.Signalcat.On_fpga in
-               Alcotest.(check (list (pair int string)))
-                 "simulation and on-FPGA logs agree" sim_log fpga_log)))
+      Alcotest.test_case (bug.Bug.id ^ " signalcat unification") `Quick
+        (fun () ->
+          let design = Bug.design_of bug ~buggy:true in
+          let m =
+            Option.get (Fpga_hdl.Ast.find_module design bug.Bug.top)
+          in
+          let recipe = Fpga_testbed.Recipe.apply ~buffer_depth:1024 bug in
+          let designs =
+            ("recipe", recipe.Fpga_testbed.Recipe.with_monitors)
+            ::
+            (if bug.Bug.manual_fsms = [] then []
+             else
+               [
+                 ( "fsm monitor",
+                   Fpga_debug.Fsm_monitor.instrument
+                     (Fpga_debug.Fsm_monitor.plan m) m );
+               ])
+          in
+          List.iter
+            (fun (what, m') ->
+              let reference =
+                signalcat_log ~kernel:Simulator.Brute_force
+                  ~mode:Fpga_debug.Signalcat.Simulation bug m' design
+              in
+              List.iter
+                (fun kernel ->
+                  List.iter
+                    (fun mode ->
+                      Alcotest.(check (list (pair int string)))
+                        (Printf.sprintf "%s %s: %s log under %s" bug.Bug.id
+                           what
+                           (match mode with
+                           | Fpga_debug.Signalcat.Simulation -> "simulation"
+                           | Fpga_debug.Signalcat.On_fpga -> "on-FPGA")
+                           (Simulator.kernel_name kernel))
+                        reference
+                        (signalcat_log ~kernel ~mode bug m' design))
+                    [ Fpga_debug.Signalcat.Simulation; Fpga_debug.Signalcat.On_fpga ])
+                kernels)
+            designs))
     all
 
 let suite =
@@ -534,4 +576,40 @@ let suite =
   @ [
       Alcotest.test_case "S2 monitor state is per domain" `Quick
         test_s2_monitor_per_domain;
+    ]
+
+(* --- recorder allocation ceiling ------------------------------------------ *)
+
+(* D2 under the debug recipe's on-FPGA design: SignalCat stages one
+   wide concat of every display's constraint and arguments per cycle.
+   Stepping it under lowered-dirty, stimulus included, stays under 263
+   minor words per cycle; building that concat part by part through
+   intermediate vectors costs about 520. *)
+let test_recorder_allocation () =
+  let bug = Option.get (Registry.find "D2") in
+  let r = Fpga_testbed.Recipe.apply ~buffer_depth:2048 bug in
+  let design =
+    substitute (Bug.design_of bug ~buggy:true) r.Fpga_testbed.Recipe.on_fpga
+  in
+  let sim =
+    Fpga_sim.Testbench.of_design ~kernel:Simulator.Lowered_dirty
+      ~top:bug.Bug.top design
+  in
+  let cycles = 2000 in
+  let before = Gc.minor_words () in
+  for i = 0 to cycles - 1 do
+    List.iter (fun (n, v) -> Simulator.set_input sim n v) (bug.Bug.stimulus i);
+    Simulator.step sim
+  done;
+  let per_cycle = (Gc.minor_words () -. before) /. float_of_int cycles in
+  check_int "every cycle stepped" cycles (Simulator.cycle sim);
+  check_bool
+    (Printf.sprintf "%.0f minor words per cycle <= 263" per_cycle)
+    true (per_cycle <= 263.)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "recorder allocation ceiling" `Quick
+        test_recorder_allocation;
     ]
