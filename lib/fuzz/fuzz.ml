@@ -21,11 +21,10 @@
 
    A valid mutant is simulated three times: primary, brute force and
    telemetry on. The symptom differential reuses the primary run, and
-   the unmutated base is parsed and run once per process per target and
-   kernel (see "The unmutated base" below); that memoised run never
-   appears in traces or counters. *)
+   the unmutated base is run once per process per target and kernel
+   (see "The unmutated base" below); that memoised run never appears in
+   traces or counters. *)
 
-module Ast = Fpga_hdl.Ast
 module Pp = Fpga_hdl.Pp_verilog
 module Bug = Fpga_testbed.Bug
 module Registry = Fpga_testbed.Registry
@@ -77,46 +76,41 @@ let safe f = match f () with v -> Ok v | exception e -> Error (Printexc.to_strin
 let run_kernel ?kernel bug d = safe (fun () -> Bug.run_design ?kernel bug d)
 
 (* Every mutant of a target starts from, is gated against and is
-   compared with the same unmutated design, so its parse and its run
-   under each primary kernel are computed once and shared by every
-   domain. An entry belongs to one physical [Bug.t]. A run is served
-   only for the entry's own physical design, so a caller's own base is
-   simulated afresh. Runs are computed under [Telemetry.quietly]:
-   whichever run of a campaign computes one, every run records the same
-   trace and counters. *)
+   compared with the same unmutated design: [Bug.design_of]'s shared
+   parse of the fixed source. Its run under each primary kernel is
+   computed once and shared by every domain, in an entry that belongs
+   to one physical [Bug.t]. A run is served only for that shared
+   design, so a caller's own base is simulated afresh. Runs are
+   computed under [Telemetry.quietly]: whichever run of a campaign
+   computes one, every run records the same trace and counters. *)
 type base_entry = {
   be_bug : Bug.t;
-  be_design : Ast.design;
   mutable be_runs : (Simulator.kernel * (Bug.report, string) Stdlib.result) list;
 }
 
 let base_memo : base_entry list ref = ref []
 let base_lock = Mutex.create ()
 
-let find_base bug = List.find_opt (fun e -> e.be_bug == bug) !base_memo
-
-let base_design bug =
-  Mutex.protect base_lock (fun () ->
-      match find_base bug with
-      | Some e -> e.be_design
-      | None ->
-          let e =
-            { be_bug = bug; be_design = Bug.design_of bug ~buggy:false; be_runs = [] }
-          in
-          base_memo := e :: !base_memo;
-          e.be_design)
+let base_design bug = Bug.design_of bug ~buggy:false
 
 let base_run ~kernel bug base =
-  match Mutex.protect base_lock (fun () -> find_base bug) with
-  | Some e when e.be_design == base ->
-      Mutex.protect base_lock (fun () ->
-          match List.assoc_opt kernel e.be_runs with
-          | Some run -> run
+  if base != base_design bug then run_kernel ~kernel bug base
+  else
+    Mutex.protect base_lock (fun () ->
+        let e =
+          match List.find_opt (fun e -> e.be_bug == bug) !base_memo with
+          | Some e -> e
           | None ->
-              let run = Telemetry.quietly (fun () -> run_kernel ~kernel bug base) in
-              e.be_runs <- (kernel, run) :: e.be_runs;
-              run)
-  | _ -> run_kernel ~kernel bug base
+              let e = { be_bug = bug; be_runs = [] } in
+              base_memo := e :: !base_memo;
+              e
+        in
+        match List.assoc_opt kernel e.be_runs with
+        | Some run -> run
+        | None ->
+            let run = Telemetry.quietly (fun () -> run_kernel ~kernel bug base) in
+            e.be_runs <- (kernel, run) :: e.be_runs;
+            run)
 
 let clear_base_memo () = Mutex.protect base_lock (fun () -> base_memo := [])
 

@@ -15,9 +15,10 @@
 
     A valid mutant costs three simulations: primary, brute force, and
     primary with telemetry on. The symptom differential reuses the
-    primary run. Each target's unmutated base is parsed once per
-    process, and run once per primary kernel, in a memo shared by all
-    domains. The memoised run is computed under
+    primary run. Each target's unmutated base is
+    {!Fpga_testbed.Bug.design_of}'s process-wide parse of the fixed
+    source, and it is run once per primary kernel, in a memo shared by
+    all domains. The memoised run is computed under
     {!Fpga_telemetry.Telemetry.quietly}, so it never appears in traces
     or counters, and a campaign records the same trace whichever of its
     mutants computed it. *)
@@ -83,9 +84,10 @@ val classify :
     mutant), then comparison of the primary run against the [base]
     design's run. [kernel] is the primary kernel compared against the
     brute-force reference (default {!Fpga_sim.Simulator.Event_driven}).
-    The base run comes from the memo only when [base] is physically the
-    memo's own parse of the bug's fixed design (as in
-    {!classify_identity}); any other [base] is simulated afresh. *)
+    The base run comes from the memo only when [base] is physically
+    [Bug.design_of bug ~buggy:false], the shared parse of the bug's
+    fixed design (as in {!classify_identity}); any other [base] is
+    simulated afresh. *)
 
 val classify_identity :
   ?kernel:Fpga_sim.Simulator.kernel -> Fpga_testbed.Bug.t -> outcome
@@ -102,6 +104,7 @@ val run_one :
     the memo. *)
 
 val clear_base_memo : unit -> unit
-(** Forget every memoised base parse and run, so the next mutant of
-    each target recomputes them. Results do not depend on the memo's
+(** Forget every memoised base run, so the next mutant of each target
+    recomputes it. The parse is not forgotten: it belongs to
+    {!Fpga_testbed.Bug.design_of}. Results do not depend on the memo's
     state; tests use this to compare cold and warm runs. *)

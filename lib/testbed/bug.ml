@@ -71,8 +71,32 @@ type report = {
   vcd : string option;
 }
 
+(* Every campaign job, replay, bisection and fuzz base wants the same
+   few designs, so each source is parsed once per process and the
+   immutable AST is shared by every domain. The key is the physical
+   source string: sources are module-level constants, so the memo is
+   bounded by the registry, and a [{ bug with ... }] copy shares its
+   parent's entry. Lookups are lock-free. A miss parses outside any
+   lock and publishes with [compare_and_set]; a domain that loses the
+   race returns the winner's design, so every caller sees one physical
+   AST. A source that fails to parse is not cached. *)
+let parsed : (string * Ast.design) list Atomic.t = Atomic.make []
+
 let design_of bug ~buggy =
-  Fpga_hdl.Parser.parse_design (if buggy then bug.buggy_src else bug.fixed_src)
+  let src = if buggy then bug.buggy_src else bug.fixed_src in
+  match List.assq_opt src (Atomic.get parsed) with
+  | Some design -> design
+  | None ->
+      let design = Fpga_hdl.Parser.parse_design src in
+      let rec publish () =
+        let seen = Atomic.get parsed in
+        match List.assq_opt src seen with
+        | Some winner -> winner
+        | None ->
+            if Atomic.compare_and_set parsed seen ((src, design) :: seen) then design
+            else publish ()
+      in
+      publish ()
 
 (* ------------------------------------------------------------------ *)
 (* Harness state in checkpoint metadata                                 *)
@@ -258,9 +282,8 @@ let lo = b ~width:1 0
    versions - the registers a localization tool should lead the
    developer to. *)
 let changed_signals (bug : t) : string list =
-  let assignments src =
-    let design = Fpga_hdl.Parser.parse_design src in
-    match Ast.find_module design bug.top with
+  let assignments ~buggy =
+    match Ast.find_module (design_of bug ~buggy) bug.top with
     | None -> []
     | Some m ->
         let decl_sigs =
@@ -297,7 +320,7 @@ let changed_signals (bug : t) : string list =
         in
         decl_sigs @ assign_sigs @ conn_sigs
   in
-  let buggy = assignments bug.buggy_src and fixed = assignments bug.fixed_src in
+  let buggy = assignments ~buggy:true and fixed = assignments ~buggy:false in
   let diff a b =
     List.filter_map
       (fun (name, payload) ->

@@ -61,6 +61,14 @@ type report = {
 }
 
 val design_of : t -> buggy:bool -> Fpga_hdl.Ast.design
+(** The parsed buggy or fixed source. The result is a process-wide
+    shared, immutable AST: calls with the same source string, from any
+    domain, return physically equal designs, and a [{ bug with ... }]
+    copy shares its parent's. Only the first call per source parses;
+    lookups take no lock. A source that fails to parse raises its
+    {!Fpga_hdl.Parser.Parse_error} (or {!Fpga_hdl.Lexer.Lex_error}) on
+    every call and is never cached. Callers must not rely on getting a
+    fresh design. *)
 
 val run_design :
   ?vcd:bool ->

@@ -613,3 +613,60 @@ let suite =
       Alcotest.test_case "recorder allocation ceiling" `Quick
         test_recorder_allocation;
     ]
+
+(* --- the process-wide parse memo ------------------------------------------ *)
+
+let test_design_of_shared () =
+  let bug = Option.get (Registry.find "D2") in
+  let buggy = Bug.design_of bug ~buggy:true in
+  check_bool "repeated buggy calls share one design" true
+    (Bug.design_of bug ~buggy:true == buggy);
+  check_bool "repeated fixed calls share one design" true
+    (Bug.design_of bug ~buggy:false == Bug.design_of bug ~buggy:false);
+  check_bool "buggy and fixed sources get different designs" false
+    (Bug.design_of bug ~buggy:false == buggy);
+  let copy = { bug with Bug.max_cycles = bug.Bug.max_cycles + 1 } in
+  check_bool "a record copy shares its parent's design" true
+    (Bug.design_of copy ~buggy:true == buggy)
+
+(* Two domains released together make the first call on a source no
+   call has parsed yet: both must come back with one physical design. *)
+let test_design_of_race () =
+  let bug = Option.get (Registry.find "D2") in
+  let fresh = Bytes.to_string (Bytes.of_string bug.Bug.buggy_src) in
+  let bug = { bug with Bug.buggy_src = fresh } in
+  let go = Atomic.make false in
+  let racer () =
+    Domain.spawn (fun () ->
+        while not (Atomic.get go) do
+          Domain.cpu_relax ()
+        done;
+        Bug.design_of bug ~buggy:true)
+  in
+  let d0 = racer () and d1 = racer () in
+  Atomic.set go true;
+  let v0 = Domain.join d0 and v1 = Domain.join d1 in
+  check_bool "both domains get the same physical design" true (v0 == v1);
+  check_bool "later calls get it too" true (Bug.design_of bug ~buggy:true == v0);
+  check_bool "it equals a fresh parse" true (v0 = Fpga_hdl.Parser.parse_design fresh)
+
+let test_design_of_error_not_cached () =
+  let bug = Option.get (Registry.find "D2") in
+  let broken = { bug with Bug.buggy_src = "module broken (" } in
+  let raises () =
+    match Bug.design_of broken ~buggy:true with
+    | exception Fpga_hdl.Parser.Parse_error _ -> true
+    | _ -> false
+  in
+  check_bool "first call raises Parse_error" true (raises ());
+  check_bool "second call raises Parse_error" true (raises ())
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "design_of shares one design per source" `Quick
+        test_design_of_shared;
+      Alcotest.test_case "design_of first-call race" `Quick test_design_of_race;
+      Alcotest.test_case "design_of does not cache parse errors" `Quick
+        test_design_of_error_not_cached;
+    ]
