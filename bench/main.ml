@@ -14,11 +14,10 @@
    With [--json PATH] the harness instead runs the machine-readable
    micro-benchmark used by CI to track the perf trajectory across PRs:
    parse / elaborate / simulate throughput over several testbed designs
-   plus synthetic low-activity and sequential-heavy designs, for all
-   three simulator kernels, with hard same-run gates demanding the
-   default (lowered-dirty) kernel never lose to the brute-force sweep
-   it replaces, and beat the event kernel on the idle design its dirty
-   worklist was built for. *)
+   plus synthetic low-activity and sequential-heavy designs, for both
+   simulator kernels, with a hard same-run gate demanding the default
+   (lowered-dirty) kernel never lose to the brute-force sweep it
+   replaces. *)
 
 module Report = Fpga_report.Report
 module Bug = Fpga_testbed.Bug
@@ -42,8 +41,8 @@ type bench_design = {
 }
 
 (* A deep pipeline fed a constant input: after it fills, no signal
-   changes, so the event-driven kernel's dirty set runs empty. This is
-   the low-activity design the kernel is meant to win on. *)
+   changes, so the lowered-dirty kernel's worklist runs empty. This is
+   the low-activity design its dirty scheduling is meant to win on. *)
 let idle_design_src stages =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
@@ -236,7 +235,6 @@ type bench_result = {
   br_top : string;
   br_parse_per_sec : float;
   br_elaborate_per_sec : float;
-  br_event_cps : float;
   br_brute_cps : float;
   br_ldirty_cps : float;
   br_auto_kernel : string;  (* kernel [Simulator.create] picks unforced *)
@@ -253,13 +251,11 @@ let bench_one (d : bench_design) =
     br_elaborate_per_sec =
       runs_per_sec (fun () ->
           ignore (Fpga_sim.Elaborate.elaborate design ~top:d.bd_top));
-    br_event_cps =
-      sim_cycles_per_sec ~kernel:Simulator.Event_driven flat d.bd_stim;
     br_brute_cps =
       sim_cycles_per_sec ~kernel:Simulator.Brute_force flat d.bd_stim;
-    (* best-batch ceiling (see [sim_best_batch_cps]): the gates below
-       compare this number within the run, so host noise must not be
-       able to push it under the reference kernels' aggregates *)
+    (* best-batch ceiling (see [sim_best_batch_cps]): the gate below
+       compares this number within the run, so host noise must not be
+       able to push it under the reference kernel's aggregate *)
     br_ldirty_cps =
       sim_best_batch_cps ~min_elapsed:0.45 ~kernel:Simulator.Lowered_dirty
         flat d.bd_stim;
@@ -267,14 +263,9 @@ let bench_one (d : bench_design) =
   }
 
 (* Throughput of whichever kernel [Simulator.create] actually picked for
-   this design: the honest numerator for the headline "speedup" column
-   (previous schemas quietly reported event-vs-brute even when the
-   simulator would have run a lowered kernel). *)
+   this design: the honest numerator for the headline "speedup" column. *)
 let auto_cps r =
-  match r.br_auto_kernel with
-  | "event" -> r.br_event_cps
-  | "brute" -> r.br_brute_cps
-  | _ -> r.br_ldirty_cps
+  match r.br_auto_kernel with "brute" -> r.br_brute_cps | _ -> r.br_ldirty_cps
 
 (* Lowering-pass statics per bench design: how long one lowered
    construction takes and what the closure compiler emitted. The counts
@@ -312,8 +303,9 @@ let lowering_bench_one (d : bench_design) =
   }
 
 (* Kernel-telemetry readout: one instrumented 2000-cycle run per bench
-   design, reporting how much of the full-sweep work the event-driven
-   kernel actually performed and how the global event bus filled. *)
+   design, reporting how much of the full-sweep work the default kernel
+   actually performed (in fused closures) and how the global event bus
+   filled. *)
 type telemetry_stats = {
   ts_design : string;
   ts_settles : int;
@@ -328,7 +320,7 @@ let telemetry_stats_one (d : bench_design) =
   let design = Fpga_hdl.Parser.parse_design d.bd_src in
   let flat = Fpga_sim.Elaborate.elaborate design ~top:d.bd_top in
   Telemetry.reset ();
-  let sim = Simulator.create ~kernel:Simulator.Event_driven flat in
+  let sim = Simulator.create flat in
   let n = ref 0 in
   while !n < 2000 && not (Simulator.finished sim) do
     List.iter (fun (nm, v) -> Simulator.set_input sim nm v) (d.bd_stim !n);
@@ -353,10 +345,8 @@ let telemetry_benches () =
   List.map telemetry_stats_one (bench_designs ())
 
 (* Cost of the single-branch disabled guard and of full recording: the
-   same stepping workload with telemetry off and on. The off numbers
-   must stay in line with the plain sim_cycles_per_sec_event metrics
-   (the <=5% disabled-overhead acceptance bar); the on numbers show
-   what a fully instrumented run pays. *)
+   same stepping workload, under the default kernel, with telemetry off
+   and on. The on numbers show what a fully instrumented run pays. *)
 type overhead = {
   to_design : string;
   to_cps_off : float;
@@ -371,7 +361,7 @@ type overhead = {
 let telemetry_overhead_one (d : bench_design) =
   let design = Fpga_hdl.Parser.parse_design d.bd_src in
   let flat = Fpga_sim.Elaborate.elaborate design ~top:d.bd_top in
-  let kernel = Simulator.Event_driven in
+  let kernel = Simulator.default_kernel in
   let cps_off = sim_cycles_per_sec ~kernel flat d.bd_stim in
   Telemetry.enable ();
   Telemetry.reset ();
@@ -451,21 +441,20 @@ let campaign_benches () =
 
 let json_of_results results lowerings bits lookup telem overheads campaigns =
   let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n  \"schema\": \"fpga-debug-bench/8\",\n";
+  Buffer.add_string buf "{\n  \"schema\": \"fpga-debug-bench/9\",\n";
   Buffer.add_string buf "  \"designs\": [\n";
   (* "speedup" is auto-kernel throughput over brute — what a user who
-     never passes --kernel actually gets, not the event kernel's ratio *)
+     never passes --kernel actually gets *)
   List.iteri
     (fun i r ->
       Buffer.add_string buf
         (Printf.sprintf
            "    {\"id\": %S, \"top\": %S, \"parse_per_sec\": %.1f, \
-            \"elaborate_per_sec\": %.1f, \"sim_cycles_per_sec_event\": \
-            %.1f, \"sim_cycles_per_sec_brute\": %.1f, \
-            \"sim_cycles_per_sec_lowered_dirty\": %.1f, \
+            \"elaborate_per_sec\": %.1f, \"sim_cycles_per_sec_brute\": \
+            %.1f, \"sim_cycles_per_sec_lowered_dirty\": %.1f, \
             \"auto_kernel\": %S, \"speedup\": %.2f}%s\n"
            r.br_id r.br_top r.br_parse_per_sec r.br_elaborate_per_sec
-           r.br_event_cps r.br_brute_cps r.br_ldirty_cps
+           r.br_brute_cps r.br_ldirty_cps
            r.br_auto_kernel
            (auto_cps r /. r.br_brute_cps)
            (if i = List.length results - 1 then "" else ",")))
@@ -478,13 +467,10 @@ let json_of_results results lowerings bits lookup telem overheads campaigns =
     (fun i r ->
       Buffer.add_string buf
         (Printf.sprintf
-           "    {\"design\": %S, \"event_cps\": %.1f, \"brute_cps\": %.1f, \
+           "    {\"design\": %S, \"brute_cps\": %.1f, \
             \"lowered_dirty_cps\": %.1f, \"auto_kernel\": %S, \
-            \"event_speedup_vs_brute\": %.2f, \
             \"lowered_dirty_speedup_vs_brute\": %.2f}%s\n"
-           r.br_id r.br_event_cps r.br_brute_cps r.br_ldirty_cps
-           r.br_auto_kernel
-           (r.br_event_cps /. r.br_brute_cps)
+           r.br_id r.br_brute_cps r.br_ldirty_cps r.br_auto_kernel
            (r.br_ldirty_cps /. r.br_brute_cps)
            (if i = List.length results - 1 then "" else ",")))
     results;
@@ -565,8 +551,8 @@ let json_of_results results lowerings bits lookup telem overheads campaigns =
 
 (* Minimal scanner for the bench JSON this harness writes (one entry
    per line): extracts labelled throughput numbers without a JSON
-   dependency. Labels: design id -> event cycles/sec, "op@width" ->
-   ops/sec, "signal_lookup_array" -> lookups/sec. *)
+   dependency. Labels: "id@lowered-dirty" -> lowered-dirty cycles/sec,
+   "op@width" -> ops/sec, "signal_lookup_array" -> lookups/sec. *)
 let find_sub s pat =
   let n = String.length s and m = String.length pat in
   let rec go i =
@@ -606,9 +592,6 @@ let labelled_metrics_of_file path =
   (try
      while true do
        let line = input_line ic in
-       (match (field_string line "id", field_float line "sim_cycles_per_sec_event") with
-       | Some id, Some v -> entries := (id, v) :: !entries
-       | _ -> ());
        (match
           ( field_string line "id",
             field_float line "sim_cycles_per_sec_lowered_dirty" )
@@ -662,11 +645,9 @@ let compare_to_baseline ~current ~baseline_path =
 
 (* The default kernel is a pure optimization of the full sweep: it
    must never lose to the brute-force reference it replaces, on the
-   same machine, in the same run. Nor may it lose to the event kernel
-   on IDLE64 — the design its dirty worklist exists for, where the
-   expected margin is large. Unlike the warn-only baseline comparison
-   (cross-machine, cross-run), these same-run relative gates are immune
-   to host speed, so bench-smoke fails hard on them. *)
+   same machine, in the same run. Unlike the warn-only baseline
+   comparison (cross-machine, cross-run), this same-run relative gate
+   is immune to host speed, so bench-smoke fails hard on it. *)
 let kernel_gate results =
   let failures =
     List.filter_map
@@ -676,19 +657,13 @@ let kernel_gate results =
             (Printf.sprintf "%s slower under lowered-dirty than brute \
                              (%.1f vs %.1f cycles/s)"
                r.br_id r.br_ldirty_cps r.br_brute_cps)
-        else if r.br_id = "IDLE64" && r.br_ldirty_cps < r.br_event_cps then
-          Some
-            (Printf.sprintf "IDLE64 slower under lowered-dirty than \
-                             event-driven (%.1f vs %.1f cycles/s)"
-               r.br_ldirty_cps r.br_event_cps)
         else None)
       results
   in
   List.iter (Printf.printf "KERNEL GATE FAILURE: %s\n") failures;
   if failures = [] then
     Printf.printf
-      "kernel gate: lowered-dirty >= brute-force on all %d designs, >= \
-       event on IDLE64\n"
+      "kernel gate: lowered-dirty >= brute-force on all %d designs\n"
       (List.length results);
   failures = []
 
@@ -706,13 +681,12 @@ let run_json_bench path baseline =
   let oc = open_out path in
   output_string oc json;
   close_out oc;
-  Printf.printf "%-8s %-10s %12s %14s %14s %14s %8s %-13s\n" "design" "top"
-    "parse/s" "event cyc/s" "brute cyc/s" "ldirty cyc/s" "ld/bf" "auto";
+  Printf.printf "%-8s %-10s %12s %14s %14s %8s %-13s\n" "design" "top"
+    "parse/s" "brute cyc/s" "ldirty cyc/s" "ld/bf" "auto";
   List.iter
     (fun r ->
-      Printf.printf "%-8s %-10s %12.1f %14.1f %14.1f %14.1f %7.2fx %-13s\n"
-        r.br_id r.br_top r.br_parse_per_sec r.br_event_cps r.br_brute_cps
-        r.br_ldirty_cps
+      Printf.printf "%-8s %-10s %12.1f %14.1f %14.1f %7.2fx %-13s\n"
+        r.br_id r.br_top r.br_parse_per_sec r.br_brute_cps r.br_ldirty_cps
         (r.br_ldirty_cps /. r.br_brute_cps)
         r.br_auto_kernel)
     results;
@@ -763,10 +737,7 @@ let run_json_bench path baseline =
   | None -> ()
   | Some baseline_path ->
       let current =
-        List.map (fun r -> (r.br_id, r.br_event_cps)) results
-        @ List.map
-            (fun r -> (r.br_id ^ "@lowered-dirty", r.br_ldirty_cps))
-            results
+        List.map (fun r -> (r.br_id ^ "@lowered-dirty", r.br_ldirty_cps)) results
         @ List.map
             (fun b -> (Printf.sprintf "%s@%d" b.bb_op b.bb_width, b.bb_ops_per_sec))
             bits

@@ -83,18 +83,17 @@ let traced ~trace ~clock ?(jobs_of = fun _ -> []) run =
       Printf.printf "wrote %s\n" path;
       v
 
-(* Shared settle-kernel selector: [None] keeps the caller's default
-   ([Simulator.create] builds lowered-dirty). *)
+(* Shared settle-kernel selector: [None] keeps the caller's default,
+   [Simulator.default_kernel] everywhere. *)
 let kernel_arg =
   Arg.(value
        & opt (enum [ ("auto", None);
-                     ("event", Some Fpga_sim.Simulator.Event_driven);
                      ("brute", Some Fpga_sim.Simulator.Brute_force);
                      ("lowered-dirty", Some Fpga_sim.Simulator.Lowered_dirty) ])
            None
        & info [ "kernel" ] ~docv:"KERNEL"
-           ~doc:"Settle kernel: auto|event|brute|lowered-dirty (auto \
-                 keeps the command's default)")
+           ~doc:"Settle kernel: auto|brute|lowered-dirty (auto is \
+                 lowered-dirty, the default kernel)")
 
 (* --- list ----------------------------------------------------------- *)
 
@@ -678,6 +677,49 @@ let snippets_cmd =
 
 (* --- sim (user designs) ------------------------------------------------ *)
 
+(* Each class of design error gets its own exit status, listed in
+   `sim --help`, so a script can tell a typo from an unsupported
+   design without parsing the message. *)
+let exit_syntax = 3
+let exit_elaboration = 4
+let exit_comb_cycle = 5
+let exit_eval = 6
+let exit_input = 7
+
+(* A file, stimulus line or --watch list the design cannot take; the
+   message carries the location. *)
+exception Bad_input of string
+
+let bad_input fmt = Printf.ksprintf (fun s -> raise (Bad_input s)) fmt
+
+(* A file's contents; a read error names the file (reading a directory
+   reports only "Is a directory"). *)
+let read_input path =
+  try In_channel.with_open_text path In_channel.input_all
+  with Sys_error msg ->
+    if String.starts_with ~prefix:path msg then bad_input "%s" msg
+    else bad_input "%s: %s" path msg
+
+let sim_exits =
+  Cmd.Exit.info exit_syntax
+    ~doc:"on a lexical or syntax error in $(i,FILE) (reported as \
+          FILE:LINE: message)."
+  :: Cmd.Exit.info exit_elaboration
+       ~doc:"on an elaboration error, e.g. an unknown module or a \
+             missing top (reported as FILE: message)."
+  :: Cmd.Exit.info exit_comb_cycle
+       ~doc:"when continuous assignments or combinational blocks form \
+             a dependency cycle."
+  :: Cmd.Exit.info exit_eval
+       ~doc:"on an evaluation error, e.g. a reference to an \
+             undeclared signal."
+  :: Cmd.Exit.info exit_input
+       ~doc:"when a file cannot be read or written, a stimulus line \
+             is malformed (reported as STIM:LINE: message), or a \
+             stimulus or $(b,--watch) name is not a signal of the \
+             design."
+  :: Cmd.Exit.defaults
+
 let sim_cmd =
   let doc =
     "Simulate a Verilog file. The optional stimulus file has lines of \
@@ -704,51 +746,66 @@ let sim_cmd =
   let vcd_arg =
     Arg.(value & opt (some string) None & info [ "vcd" ] ~docv:"FILE" ~doc:"Dump a VCD waveform")
   in
-  let parse_stim path =
-    In_channel.with_open_text path In_channel.input_all
+  (* every stimulus and watched name must be a vector signal: the
+     simulator's accessors reject anything else mid-run *)
+  let check_signal (flat : Fpga_sim.Elaborate.flat) ~source name =
+    match Hashtbl.find_opt flat.Fpga_sim.Elaborate.f_signals name with
+    | Some { Fpga_sim.Elaborate.fs_depth = None; _ } -> ()
+    | Some _ -> bad_input "%s: %s is a memory, not a signal" source name
+    | None -> bad_input "%s: no signal %s in the design" source name
+  in
+  let parse_stim flat path =
+    read_input path
     |> String.split_on_char '\n'
-    |> List.filter_map (fun line ->
+    |> List.mapi (fun i line -> (i + 1, line))
+    |> List.filter_map (fun (lineno, line) ->
            let line = String.trim line in
+           let source = Printf.sprintf "%s:%d" path lineno in
+           let number what s =
+             match int_of_string_opt s with
+             | Some v -> v
+             | None -> bad_input "%s: bad %s %S" source what s
+           in
            if line = "" || line.[0] = '#' then None
            else
              match String.split_on_char ' ' line with
              | at :: bindings when String.length at > 1 && at.[0] = '@' ->
-                 let cycle = int_of_string (String.sub at 1 (String.length at - 1)) in
+                 let cycle =
+                   number "cycle" (String.sub at 1 (String.length at - 1))
+                 in
                  let parsed =
                    List.filter_map
                      (fun b ->
                        match String.split_on_char '=' b with
-                       | [ k; v ] when k <> "" -> Some (k, int_of_string v)
+                       | [ k; v ] when k <> "" ->
+                           check_signal flat ~source k;
+                           Some (k, number "value" v)
                        | _ -> None)
                      bindings
                  in
                  Some (cycle, parsed)
              | _ -> None)
   in
-  let run file top cycles stim watch vcd_out trace trace_clock kernel =
+  let simulate file top cycles stim watch vcd_out trace trace_clock kernel =
     traced ~trace ~clock:trace_clock @@ fun () ->
     let module Telemetry = Fpga_telemetry.Telemetry in
     let design =
       Telemetry.span "parse" @@ fun () ->
-      Fpga_hdl.Parser.parse_design
-        (In_channel.with_open_text file In_channel.input_all)
+      Fpga_hdl.Parser.parse_design (read_input file)
     in
     let flat =
       Telemetry.span "elaborate" @@ fun () ->
       Fpga_sim.Elaborate.elaborate design ~top
     in
-    let sim =
-      match kernel with
-      | Some kernel -> Fpga_sim.Simulator.create ~kernel flat
-      | None -> Fpga_sim.Simulator.create flat
-    in
+    let sim = Fpga_sim.Simulator.create ?kernel flat in
     let vcd = Option.map (fun _ -> Fpga_sim.Vcd.create flat) vcd_out in
-    let stim_table = match stim with Some p -> parse_stim p | None -> [] in
+    let stim_table = match stim with Some p -> parse_stim flat p | None -> [] in
     let watched =
       match watch with
       | Some s -> String.split_on_char ',' s |> List.map String.trim
       | None -> List.map fst flat.Fpga_sim.Elaborate.f_outputs
     in
+    List.iter (check_signal flat ~source:"--watch") watched;
     Fpga_sim.Simulator.on_display sim (fun c t ->
         Printf.printf "[cycle %d] %s\n" c t);
     let prev = Hashtbl.create 8 in
@@ -781,7 +838,28 @@ let sim_cmd =
     | _ -> ());
     if Fpga_sim.Simulator.finished sim then print_endline "design executed $finish"
   in
-  Cmd.v (Cmd.info "sim" ~doc)
+  let run file top cycles stim watch vcd_out trace trace_clock kernel =
+    let fail code fmt =
+      Printf.ksprintf
+        (fun msg ->
+          flush stdout;
+          prerr_endline msg;
+          exit code)
+        fmt
+    in
+    try simulate file top cycles stim watch vcd_out trace trace_clock kernel with
+    | Fpga_hdl.Lexer.Lex_error (msg, line) | Fpga_hdl.Parser.Parse_error (msg, line)
+      ->
+        fail exit_syntax "%s:%d: %s" file line msg
+    | Fpga_sim.Elaborate.Elaboration_error msg ->
+        fail exit_elaboration "%s: %s" file msg
+    | Fpga_sim.Simulator.Combinational_cycle sigs ->
+        fail exit_comb_cycle "%s: combinational cycle through %s" file
+          (String.concat ", " sigs)
+    | Fpga_sim.Eval.Eval_error msg -> fail exit_eval "%s: %s" file msg
+    | Bad_input msg | Sys_error msg -> fail exit_input "%s" msg
+  in
+  Cmd.v (Cmd.info "sim" ~doc ~exits:sim_exits)
     Term.(const run $ file_arg $ top_arg $ cycles_arg $ stim_arg $ watch_arg
           $ vcd_arg $ trace_arg $ trace_clock_arg $ kernel_arg)
 
@@ -836,7 +914,7 @@ let campaign_cmd =
   let doc =
     "Run a batch simulation campaign over the testbed on a pool of \
      domains: differential reproduction of every selected bug (with \
-     waveform capture), optional event-vs-brute kernel differentials, \
+     waveform capture), optional primary-vs-brute kernel differentials, \
      and optional cycle-budget sweeps. Results are collected in job \
      order and are identical to a serial run."
   in

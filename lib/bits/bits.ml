@@ -15,7 +15,7 @@
    - phys-eq no-op returns: the functional updates ([set_bit],
      [set_slice]) return the argument physically unchanged when the
      update changes nothing, which is the O(1) change-detection fast
-     path the event-driven simulator kernel relies on. *)
+     path the change-driven simulator kernels rely on. *)
 
 let limb_bits = 32
 let limb_mask = 0xFFFFFFFF

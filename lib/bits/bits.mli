@@ -146,7 +146,7 @@ val signed_le : t -> t -> bool
 val set_bit : t -> int -> bool -> t
 (** [set_bit v i b] returns [v] itself (physically equal, no
     allocation) when bit [i] already holds [b] — the change-detection
-    fast path the event-driven simulator kernel relies on. *)
+    fast path the change-driven simulator kernels rely on. *)
 
 val set_slice : t -> hi:int -> lo:int -> t -> t
 (** [set_slice v ~hi ~lo x] replaces bits [hi..lo] of [v] with [x]

@@ -214,7 +214,7 @@ let repro_job ?kernel (bug : Bug.t) : verdict job =
 
 (* Primary settle kernel vs the brute-force reference over the buggy
    design: ok = observationally identical reports. *)
-let differential_job ?(kernel = Simulator.Event_driven) (bug : Bug.t) :
+let differential_job ?(kernel = Simulator.default_kernel) (bug : Bug.t) :
     verdict job =
   {
     label = Printf.sprintf "differential:%s" bug.Bug.id;
@@ -532,7 +532,7 @@ type fuzz_campaign = {
   f_stats : pool_stats;
 }
 
-let run_fuzz ?domains ?(kernel = Simulator.Event_driven) ~seed ~mutants () :
+let run_fuzz ?domains ?(kernel = Simulator.default_kernel) ~seed ~mutants () :
     fuzz_campaign =
   let jobs =
     Array.init mutants (fun index -> fuzz_job ~kernel ~seed ~index ())

@@ -72,9 +72,10 @@ val repro_job :
 
 val differential_job :
   ?kernel:Fpga_sim.Simulator.kernel -> Fpga_testbed.Bug.t -> verdict job
-(** Primary settle kernel ([kernel], default event-driven) vs the
-    brute-force reference over the buggy design; ok when the two
-    reports are observationally identical. *)
+(** Primary settle kernel ([kernel], default
+    {!Fpga_sim.Simulator.default_kernel}) vs the brute-force reference
+    over the buggy design; ok when the two reports are observationally
+    identical. *)
 
 val sweep_job :
   ?kernel:Fpga_sim.Simulator.kernel ->
@@ -162,8 +163,8 @@ val run_fuzz :
   ?kernel:Fpga_sim.Simulator.kernel ->
   seed:int -> mutants:int -> unit -> fuzz_campaign
 (** [kernel] is the primary kernel every mutant is classified under
-    (default event-driven); recorded in the report's ["kernel"]
-    field. *)
+    (default {!Fpga_sim.Simulator.default_kernel}); recorded in the
+    report's ["kernel"] field. *)
 
 val fuzz_ok : fuzz_campaign -> bool
 (** No kernel-mismatch classifications and no pool-level job errors —

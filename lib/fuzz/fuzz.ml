@@ -8,7 +8,8 @@
    ones and `fpga-debug fuzz --seed N` a replay command.
 
    Classification compares runs of the same harness (the primary
-   kernel defaults to event-driven; `--kernel lowered-dirty` swaps it):
+   kernel defaults to [Simulator.default_kernel], the one
+   [Simulator.create] builds; `--kernel brute` swaps it):
 
      primary kernel  vs  brute-force kernel      (scheduling differential)
      primary kernel  vs  primary + telemetry on  (observer differential)
@@ -212,7 +213,7 @@ let symptom_outcome ~kernel bug ~base mutant_run =
       in
       Symptom_divergent (if symptoms = [] then [ why ] else symptoms)
 
-let classify ?(kernel = Simulator.Event_driven) bug ~base d =
+let classify ?(kernel = Simulator.default_kernel) bug ~base d =
   match Mutate.validate ~top:bug.Bug.top ~baseline:base d with
   | Error reason -> Invalid reason
   | Ok valid -> (
@@ -281,7 +282,7 @@ let repro_text ~bug ~seed ~index ~sub_seed ~why ~mutations design =
 (* One mutant, end to end                                              *)
 (* ------------------------------------------------------------------ *)
 
-let run_one ?(kernel = Simulator.Event_driven) ~seed ~index () =
+let run_one ?(kernel = Simulator.default_kernel) ~seed ~index () =
   let sub_seed = Mutate.derive seed index in
   let bug, mutant, muts =
     Telemetry.span "fuzz.generate" (fun () -> generate ~seed ~index)

@@ -83,7 +83,8 @@ val classify :
     kernel and telemetry differentials (three simulations of a valid
     mutant), then comparison of the primary run against the [base]
     design's run. [kernel] is the primary kernel compared against the
-    brute-force reference (default {!Fpga_sim.Simulator.Event_driven}).
+    brute-force reference (default {!Fpga_sim.Simulator.default_kernel},
+    the kernel {!Fpga_sim.Simulator.create} builds).
     The base run comes from the memo only when [base] is physically
     [Bug.design_of bug ~buggy:false], the shared parse of the bug's
     fixed design (as in {!classify_identity}); any other [base] is
@@ -99,7 +100,8 @@ val run_one :
   ?kernel:Fpga_sim.Simulator.kernel -> seed:int -> index:int -> unit -> result
 (** Generate, gate, classify, and (for kernel mismatches) minimize and
     render a reproducer. Never raises. [kernel] picks the primary
-    kernel of the differential (default event-driven). A valid mutant
+    kernel of the differential (default
+    {!Fpga_sim.Simulator.default_kernel}). A valid mutant
     is simulated three times; the base it is compared with comes from
     the memo. *)
 

@@ -17,7 +17,7 @@ type t = {
   p_bug_id : string;
   p_top : string;
   p_kernel : string;
-      (** ["event"], ["brute"], or ["lowered-dirty"] *)
+      (** ["brute"] or ["lowered-dirty"] *)
   p_cycles_requested : int;
   p_cycles_run : int;
   p_finished : bool;

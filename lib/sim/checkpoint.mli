@@ -13,7 +13,7 @@
     harness uses for its own replay state (observed output rows,
     monitor flags, stimulus seeds).
 
-    The derived scheduler state of the event-driven kernel (dirty
+    The derived scheduler state of the lowered-dirty kernel (dirty
     flags, sparse/dense mode, streak counters) is deliberately {e not}
     captured: it is recomputed conservatively on restore, and mode
     trajectories never change simulation results. The non-blocking

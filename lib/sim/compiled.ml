@@ -2,7 +2,7 @@
 
    [Eval] interprets raw AST nodes over a [(string, value) Hashtbl],
    re-hashing every signal name on every expression node — measurable
-   overhead once settling is event-driven and each node evaluation is
+   overhead once settling is change-driven and each node evaluation is
    the unit of work. This module compiles, once at simulator
    construction, each expression / lvalue / statement into a resolved
    form in which every signal reference is a dense integer id (assigned

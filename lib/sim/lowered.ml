@@ -22,9 +22,9 @@
    the raw 0/1 patterns.
 
    A settle runs only the closures whose inputs changed: per-closure
-   dirty bits are fed from a closure-level sensitivity index, with the
-   event kernel's adaptive sparse/dense hysteresis so fully-active plans
-   sweep without flag traffic.
+   dirty bits are fed from a closure-level sensitivity index, with an
+   adaptive sparse/dense hysteresis so fully-active plans sweep without
+   flag traffic.
 
    Semantics are bit-identical to [Compiled.eval_ctx] /
    [Simulator.exec_stmt]: the same Verilog context-width rules, the
@@ -36,9 +36,9 @@
    short-circuit form; expression evaluation is pure, so this is
    unobservable.
 
-   The reference evaluator stays the oracle: the three-way differential
-   tests in test_sim.ml hold this kernel byte-identical to the event
-   and brute-force kernels on every testbed design. *)
+   The reference evaluator stays the oracle: the differential tests in
+   test_sim.ml hold this kernel byte-identical to the brute-force
+   kernel on every testbed design. *)
 
 module Ast = Fpga_hdl.Ast
 module Bits = Fpga_bits.Bits
@@ -75,10 +75,11 @@ type pend =
   | Pmask of int * int * int  (* id, insert mask, pre-shifted pattern *)
   | Pboxed of Compiled.cwrite
 
-(* Dirty-set execution mode, mirroring the event kernel's adaptive
-   machinery: [Lsparse] walks only dirty closures, [Ldense] is the
-   full sweep (no flag traffic) while nearly every closure fires
-   anyway, with change counting to detect when activity drops. *)
+(* Dirty-set execution mode: [Lsparse] walks only dirty closures,
+   [Ldense] is the full sweep (no flag traffic) while nearly every
+   closure fires anyway, with change counting to detect when activity
+   drops. Transitions depend only on evaluation and change counts, so
+   instrumented and uninstrumented runs take identical trajectories. *)
 type lmode = Lsparse | Ldense
 
 type t = {
@@ -860,9 +861,9 @@ let lower_node st = function
 (* Dirty-set scheduling                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Same adaptive thresholds as the event kernel: enter the dense sweep
-   once >= 3/4 of the plan ran in a settle for 8 settles in a row, drop
-   back to sparse once <= 1/4 of the plan changed value for 8 sweeps. *)
+(* Adaptive thresholds: enter the dense sweep once >= 3/4 of the plan
+   ran in a settle for 8 settles in a row, drop back to sparse once
+   <= 1/4 of the plan changed value for 8 sweeps. *)
 let dense_enter_num = 3
 let dense_enter_den = 4
 let dense_exit_num = 1
@@ -885,9 +886,7 @@ let mark_all_flags st =
   st.ncdirty <- Array.length st.cdirty
 
 (* Recompose [st.notify] from mode + external callback. Closures read
-   [st.notify] at call time, so rewiring mid-run is safe (the event
-   kernel relies on the same property in [Simulator.wire_notify]).
-   With an empty comb plan there is nothing the dirty bits could ever
+   [st.notify] at call time, so rewiring mid-run is safe. With an empty comb plan there is nothing the dirty bits could ever
    skip, so writes bypass the marking wrapper entirely — sequential-only
    designs must not pay for machinery that cannot help them. *)
 let rewire st =
@@ -917,9 +916,9 @@ let set_notify st f =
   rewire st
 
 (* Full scheduling reset (checkpoint restore): drop back to the sparse
-   worklist with everything pending, exactly as [Simulator.restore]
-   does for the event kernel, so a restored run re-derives the mode
-   trajectory from activity alone. *)
+   worklist with everything pending, so a restored run re-derives the
+   mode trajectory from activity alone. The superset is safe:
+   re-running a clean closure is a no-op. *)
 let mark_all st =
   st.lmode <- Lsparse;
   st.lmode_streak <- 0;
@@ -1050,9 +1049,11 @@ let sweep st =
 
 (* One settle pass. Returns the number of closures evaluated (the whole
    plan for dense-mode sweeps). Dirty flags set during the pass (by
-   writes this settle performs) stay pending for the next settle — same
-   monotone-convergence argument as the event kernel's sparse loop: the
-   simulator keeps settling until a pass reports no work. *)
+   writes this settle performs) stay pending for the next settle. The
+   plan is in topological order, so every producer runs before its
+   consumers; only a self-dependency the cycle check admits can mark an
+   earlier-or-equal closure, and that stays pending exactly as the
+   once-per-sweep full plan would leave it. *)
 let settle st ~displays =
   st.displays <- displays;
   let r = st.runs in
@@ -1073,8 +1074,8 @@ let settle st ~displays =
       else st.lmode_streak <- 0;
       n
   | Lsparse ->
-      (* $display side effects must fire even when inputs are stable,
-         exactly like the event kernel's display-rank forcing *)
+      (* $display side effects must fire on every display-enabled
+         settle, as in the full sweep, even when inputs are stable *)
       if displays then mark_closures st st.disp_closures;
       let plan = st.plan in
       let n = Array.length plan in

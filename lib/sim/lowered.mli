@@ -12,10 +12,9 @@
     buffer (boxed/memory targets overflow into a side list).
 
     Closures are scheduled by a per-closure dirty worklist fed from a
-    closure-level sensitivity index (the event kernel's change-driven
-    skipping composed with closure-array dispatch), with the same
-    adaptive sparse/dense hysteresis as the event kernel so
-    fully-active plans pay no flag traffic.
+    closure-level sensitivity index (change-driven skipping composed
+    with closure-array dispatch), with an adaptive sparse/dense
+    hysteresis so fully-active plans pay no flag traffic.
 
     Semantics are bit-identical to the reference executor: same width
     rules, same out-of-range index handling, same non-blocking commit

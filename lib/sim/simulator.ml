@@ -16,22 +16,18 @@
    All executable code is compiled at construction into the interned
    form of [Compiled]: signal references become dense integer ids into a
    [value array] and widths are pre-resolved, so the per-cycle hot path
-   performs no string hashing or name resolution. The sensitivity map
-   and the dirty-set notify path run on ids too.
+   performs no string hashing or name resolution.
 
-   Three settle kernels share this plan. [Lowered_dirty], the default,
+   Two settle kernels share this plan. [Lowered_dirty], the default,
    hands it to [Lowered]: fused closures over an unboxed value bank,
-   scheduled by per-closure dirty bits. [Event_driven] interprets the
-   compiled nodes with the same dirty-set idea at node level: a
-   sensitivity map (signal id -> reading nodes) is built at
-   construction, every write is change-detected, and a settle only
-   re-evaluates nodes whose inputs changed, in topological rank order.
-   Because node evaluation is a pure function of the environment, both
-   schedules produce exactly the state the full-plan sweep would; nodes
-   containing $display are forced onto the dirty set during
-   display-enabled settles so logs stay identical too. The
-   [Brute_force] kernel keeps the seed full-sweep behavior as a
-   differential-testing reference. *)
+   scheduled by per-closure dirty bits fed from a sensitivity map
+   (signal id -> reading nodes) built here. [Brute_force] interprets
+   the compiled nodes with a full topological sweep on every settle,
+   the seed behavior, kept as the independent differential-testing
+   reference. Node evaluation is a pure function of the environment, so
+   skipping clean nodes yields exactly the state the sweep computes;
+   nodes containing $display are forced onto the dirty set during
+   display-enabled settles so logs stay identical too. *)
 
 module Ast = Fpga_hdl.Ast
 module Bits = Fpga_bits.Bits
@@ -40,40 +36,18 @@ open Elaborate
 
 exception Combinational_cycle of string list
 
-type kernel = Event_driven | Brute_force | Lowered_dirty
+type kernel = Brute_force | Lowered_dirty | Event_driven
+
+let default_kernel = Lowered_dirty
 
 let kernel_name = function
-  | Event_driven -> "event"
   | Brute_force -> "brute"
-  | Lowered_dirty -> "lowered-dirty"
+  | Lowered_dirty | Event_driven -> "lowered-dirty"
 
 let kernel_of_string = function
-  | "event" -> Some Event_driven
   | "brute" | "brute-force" -> Some Brute_force
   | "lowered-dirty" | "lowered_dirty" -> Some Lowered_dirty
   | _ -> None
-
-(* The event-driven kernel's adaptive execution mode. [Sparse] is the
-   dirty-set schedule. On designs where nearly every node fires every
-   cycle (a fully-active pipeline like D8), the dirty-set bookkeeping
-   costs more than the evaluations it saves, so the kernel falls back
-   to [Dense]: a rank-ordered full scan with no flag reads or clears -
-   exactly the brute-force sweep, but it keeps counting how many writes
-   actually change a value so it can switch back when activity drops.
-   Transitions are hysteretic (a streak of consecutive settles must
-   agree) and depend only on dirty/changed counts, so instrumented and
-   uninstrumented runs take identical mode trajectories. *)
-type mode = Sparse | Dense
-
-(* enter Dense when a sparse settle ends up evaluating >= 3/4 of the
-   plan anyway (cascades included), leave when <= 1/4 of a dense
-   sweep's evaluations change anything; 8 consecutive settles either
-   way *)
-let dense_enter_num = 3
-let dense_enter_den = 4
-let dense_exit_num = 1
-let dense_exit_den = 4
-let mode_streak_len = 8
 
 (* AST-level node, used only for dependency analysis (reads/writes are
    name sets); execution uses the compiled [comb_node] form. *)
@@ -140,14 +114,7 @@ type t = {
   env : Compiled.env;  (* signal values indexed by dense id *)
   kernel : kernel;
   nodes : comb_node array;  (* topological order: writers before readers *)
-  sens : int list array;  (* signal id -> ranks of reading nodes *)
-  display_nodes : int list;  (* ranks of nodes containing $display *)
-  dirty : bool array;  (* per-rank pending-re-evaluation flag *)
-  mutable ndirty : int;
-  mutable mode : mode;  (* event-driven only; brute force ignores it *)
-  mutable mode_streak : int;  (* consecutive settles meeting the switch test *)
-  mutable nchanges : int;  (* value-changing writes during a dense sweep *)
-  mutable notify : int -> unit;  (* change callback wired to [mark_signal] *)
+  notify : int -> unit;  (* change callback: toggle counting, or [ignore] *)
   seq : (Elaborate.clock_edge * Compiled.cstmt list) list;
   has_negedge : bool;  (* any negedge block: [step] runs the falling edge *)
   prims : prim_state list;
@@ -163,64 +130,6 @@ type t = {
   mutable step_hooks : (int -> unit) list;  (* registration order *)
   stats : istats option;
 }
-
-(* ------------------------------------------------------------------ *)
-(* Dirty-set bookkeeping                                               *)
-(* ------------------------------------------------------------------ *)
-
-let mark_rank sim r =
-  if not sim.dirty.(r) then (
-    sim.dirty.(r) <- true;
-    sim.ndirty <- sim.ndirty + 1)
-
-(* top-level recursion instead of [List.iter (mark_rank sim)]: the
-   partial application would allocate a closure on every single write *)
-let rec mark_ranks sim = function
-  | [] -> ()
-  | r :: tl ->
-      mark_rank sim r;
-      mark_ranks sim tl
-
-let mark_signal sim i = mark_ranks sim sim.sens.(i)
-
-let mark_all sim =
-  Array.fill sim.dirty 0 (Array.length sim.dirty) true;
-  sim.ndirty <- Array.length sim.dirty
-
-(* The notify wiring is decided per (kernel, mode, stats) so each
-   configuration pays only for what it uses: the uninstrumented sparse
-   path runs the exact pre-telemetry change callback, the dense path
-   does no dirty marking at all (everything runs anyway) and just
-   counts value changes for the mode-exit test. *)
-let wire_notify sim =
-  (match (sim.kernel, sim.mode, sim.stats) with
-  | (Brute_force | Lowered_dirty), _, None -> sim.notify <- ignore
-  | (Brute_force | Lowered_dirty), _, Some st ->
-      sim.notify <- (fun i -> st.s_toggles.(i) <- st.s_toggles.(i) + 1)
-  (* no combinational plan, nothing to mark: purely sequential designs
-     (D4, D8) must not pay any event-kernel change-tracking at all *)
-  | Event_driven, _, None when Array.length sim.nodes = 0 ->
-      sim.notify <- ignore
-  | Event_driven, _, Some st when Array.length sim.nodes = 0 ->
-      sim.notify <- (fun i -> st.s_toggles.(i) <- st.s_toggles.(i) + 1)
-  | Event_driven, Sparse, None -> sim.notify <- mark_signal sim
-  | Event_driven, Sparse, Some st ->
-      sim.notify <-
-        (fun i ->
-          st.s_toggles.(i) <- st.s_toggles.(i) + 1;
-          mark_signal sim i)
-  | Event_driven, Dense, None ->
-      sim.notify <- (fun _ -> sim.nchanges <- sim.nchanges + 1)
-  | Event_driven, Dense, Some st ->
-      sim.notify <-
-        (fun i ->
-          st.s_toggles.(i) <- st.s_toggles.(i) + 1;
-          sim.nchanges <- sim.nchanges + 1));
-  (* the lowered kernel holds its own copy of the callback; keep it in
-     lock-step so toggle counts match the other kernels *)
-  match sim.low with
-  | Some low -> Lowered.set_notify low sim.notify
-  | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Combinational scheduling                                            *)
@@ -484,8 +393,9 @@ let compile_node tab = function
       Cassign (cl, Compiled.compile_expr tab e, Compiled.clvalue_width cl)
   | Ablock stmts -> Cblock (List.map (Compiled.compile_stmt tab) stmts)
 
-let create ?(kernel = Lowered_dirty) (flat : flat) : t =
+let create ?(kernel = default_kernel) (flat : flat) : t =
   Telemetry.span "compile" @@ fun () ->
+  let kernel = match kernel with Event_driven -> Lowered_dirty | k -> k in
   let tab = Compiled.of_flat flat in
   let env = Compiled.fresh_env flat in
   let node_list =
@@ -495,27 +405,6 @@ let create ?(kernel = Lowered_dirty) (flat : flat) : t =
   let ast_nodes = Array.of_list (topo_sort node_list) in
   let nodes = Array.map (compile_node tab) ast_nodes in
   let n = Array.length nodes in
-  (* sensitivity map on ids: every signal a node reads wakes that node *)
-  let sens = Array.make (Array.length flat.f_signal_order) [] in
-  Array.iteri
-    (fun rank node ->
-      List.iter
-        (fun s ->
-          match Hashtbl.find_opt flat.f_signal_ids s with
-          | Some i -> sens.(i) <- rank :: sens.(i)
-          | None -> ())
-        (node_reads node))
-    ast_nodes;
-  let display_nodes =
-    Array.to_list
-      (Array.mapi
-         (fun rank node ->
-           match node with
-           | Ablock stmts when List.exists stmt_has_display stmts -> Some rank
-           | _ -> None)
-         ast_nodes)
-    |> List.filter_map Fun.id
-  in
   let seq =
     List.map
       (fun (e, _clk, body) -> (e, List.map (Compiled.compile_stmt tab) body))
@@ -525,6 +414,29 @@ let create ?(kernel = Lowered_dirty) (flat : flat) : t =
   let low =
     if kernel <> Lowered_dirty then None
     else begin
+      (* sensitivity map on ids: every signal a node reads wakes that
+         node *)
+      let sens = Array.make (Array.length flat.f_signal_order) [] in
+      Array.iteri
+        (fun rank node ->
+          List.iter
+            (fun s ->
+              match Hashtbl.find_opt flat.f_signal_ids s with
+              | Some i -> sens.(i) <- rank :: sens.(i)
+              | None -> ())
+            (node_reads node))
+        ast_nodes;
+      let display_ranks =
+        Array.to_list
+          (Array.mapi
+             (fun rank node ->
+               match node with
+               | Ablock stmts when List.exists stmt_has_display stmts ->
+                   Some rank
+               | _ -> None)
+             ast_nodes)
+        |> List.filter_map Fun.id
+      in
       (* single-reader assign chains fuse into one closure: when node
          r-1 is a plain assign whose sole written signal feeds exactly
          one node and that node is r, the pair always runs back to back
@@ -551,7 +463,7 @@ let create ?(kernel = Lowered_dirty) (flat : flat) : t =
       in
       Some
         (Lowered.create ~tab ~env ~finished ~nodes:lnodes ~fuse ~sens
-           ~display_ranks:display_nodes ~seq)
+           ~display_ranks ~seq)
     end
   in
   let input_closure ce =
@@ -602,18 +514,22 @@ let create ?(kernel = Lowered_dirty) (flat : flat) : t =
         }
     else None
   in
+  (* the lowered kernel holds its own copy of the callback, so toggle
+     counts match across kernels *)
+  let notify =
+    match stats with
+    | None -> ignore
+    | Some st -> fun i -> st.s_toggles.(i) <- st.s_toggles.(i) + 1
+  in
+  Option.iter (fun lw -> Lowered.set_notify lw notify) low;
   let sim =
-    { flat; tab; env; kernel; nodes; sens; display_nodes;
-      dirty = Array.make n true; ndirty = n;
-      mode = Sparse; mode_streak = 0; nchanges = 0;
-      notify = ignore; seq;
+    { flat; tab; env; kernel; nodes; notify; seq;
       has_negedge =
         List.exists (fun (e, _, _) -> e = Elaborate.Neg) flat.f_seq;
       prims; low;
       cycle = 0; finished; log = []; log_len = 0;
       log_memo = (0, []); display_hook = None; step_hooks = []; stats }
   in
-  wire_notify sim;
   Option.iter (fun lw -> Lowered.set_emit lw (emit_text sim)) low;
   (* initial primitive outputs so the first settle sees them; every node
      starts dirty, so the first settle evaluates the full plan *)
@@ -642,121 +558,30 @@ let full_sweep_stats sim =
       Telemetry.Histogram.observe st.s_settle_hist n
 
 let settle ?(displays = false) (sim : t) =
-  match sim.kernel with
-  | Lowered_dirty -> (
-      match sim.low with
-      | Some low -> (
-          match sim.stats with
-          | None -> ignore (Lowered.settle low ~displays)
-          | Some st ->
-              (* the lowered kernel counts in fused closures, not nodes:
-                 that is the unit the plan actually iterates, so
-                 evaluated/rounds is an honest skip rate. Dirty size is
-                 read at settle entry (display forcing happens inside). *)
-              let n = Lowered.plan_size low in
-              let pre = Lowered.dirty_count low in
-              let ev = Lowered.settle low ~displays in
-              st.s_settles <- st.s_settles + 1;
-              st.s_node_rounds <- st.s_node_rounds + n;
-              st.s_nodes_evaluated <- st.s_nodes_evaluated + ev;
-              st.s_dirty_total <- st.s_dirty_total + pre;
-              if pre > st.s_dirty_peak then st.s_dirty_peak <- pre;
-              Telemetry.Histogram.observe st.s_settle_hist ev)
-      | None -> assert false)
-  | Brute_force ->
+  match sim.low with
+  | Some low -> (
+      match sim.stats with
+      | None -> ignore (Lowered.settle low ~displays)
+      | Some st ->
+          (* the lowered kernel counts in fused closures, not nodes: that
+             is the unit the plan actually iterates, so evaluated/rounds
+             is an honest skip rate. Dirty size is read at settle entry
+             (display forcing happens inside). *)
+          let n = Lowered.plan_size low in
+          let pre = Lowered.dirty_count low in
+          let ev = Lowered.settle low ~displays in
+          st.s_settles <- st.s_settles + 1;
+          st.s_node_rounds <- st.s_node_rounds + n;
+          st.s_nodes_evaluated <- st.s_nodes_evaluated + ev;
+          st.s_dirty_total <- st.s_dirty_total + pre;
+          if pre > st.s_dirty_peak then st.s_dirty_peak <- pre;
+          Telemetry.Histogram.observe st.s_settle_hist ev)
+  | None ->
       full_sweep_stats sim;
       let ctx =
         { sim; pending = []; in_comb_phase = true; displays_enabled = displays }
       in
       Array.iter (exec_node ctx) sim.nodes
-  | Event_driven -> (
-      let ctx =
-        { sim; pending = []; in_comb_phase = true; displays_enabled = displays }
-      in
-      let n = Array.length sim.nodes in
-      match sim.mode with
-      | Dense ->
-          (* rank-ordered full scan, identical to the brute-force sweep:
-             no flag reads, no clears, no display forcing (display nodes
-             are in the plan). The notify callback counts value-changing
-             writes so the exit test below can detect a quiet design. *)
-          sim.nchanges <- 0;
-          (match sim.stats with
-          | None -> ()
-          | Some st ->
-              st.s_settles <- st.s_settles + 1;
-              st.s_node_rounds <- st.s_node_rounds + n;
-              st.s_nodes_evaluated <- st.s_nodes_evaluated + n;
-              st.s_dirty_total <- st.s_dirty_total + n;
-              if n > st.s_dirty_peak then st.s_dirty_peak <- n;
-              Telemetry.Histogram.observe st.s_settle_hist n);
-          Array.iter (exec_node ctx) sim.nodes;
-          (* Dense -> Sparse test, at exit *)
-          if dense_exit_den * sim.nchanges <= dense_exit_num * n then (
-            sim.mode_streak <- sim.mode_streak + 1;
-            if sim.mode_streak >= mode_streak_len then (
-              sim.mode <- Sparse;
-              sim.mode_streak <- 0;
-              wire_notify sim;
-              (* re-enter sparse with everything dirty: the flags went
-                 stale while dense mode skipped marking. The superset is
-                 safe - re-evaluating a clean pure node is a no-op - and
-                 the next settles shrink the set through change
-                 detection as usual. *)
-              mark_all sim))
-          else sim.mode_streak <- 0
-      | Sparse -> (
-          (* a $display must fire on every display-enabled settle its
-             block is reached, exactly as in the full sweep, even when no
-             input changed - force those nodes onto the dirty set *)
-          if displays then List.iter (mark_rank sim) sim.display_nodes;
-          (* rank order = topological order, so every producer runs before
-             its consumers; a node marking an earlier-or-equal rank (a
-             self-dependency the cycle check admits) stays dirty for the
-             next settle, matching the once-per-sweep full plan *)
-          let evaluated = ref 0 in
-          (match sim.stats with
-          | None ->
-              if sim.ndirty > 0 then
-                for r = 0 to n - 1 do
-                  if sim.dirty.(r) then (
-                    sim.dirty.(r) <- false;
-                    sim.ndirty <- sim.ndirty - 1;
-                    incr evaluated;
-                    exec_node ctx sim.nodes.(r))
-                done
-          | Some st ->
-              (* instrumented copy of the loop above: the disabled path
-                 pays only the local [evaluated] increment the mode test
-                 needs, never a stats-record write *)
-              st.s_settles <- st.s_settles + 1;
-              st.s_node_rounds <- st.s_node_rounds + n;
-              st.s_dirty_total <- st.s_dirty_total + sim.ndirty;
-              if sim.ndirty > st.s_dirty_peak then
-                st.s_dirty_peak <- sim.ndirty;
-              if sim.ndirty > 0 then
-                for r = 0 to n - 1 do
-                  if sim.dirty.(r) then (
-                    sim.dirty.(r) <- false;
-                    sim.ndirty <- sim.ndirty - 1;
-                    incr evaluated;
-                    exec_node ctx sim.nodes.(r))
-                done;
-              st.s_nodes_evaluated <- st.s_nodes_evaluated + !evaluated;
-              Telemetry.Histogram.observe st.s_settle_hist !evaluated);
-          (* Sparse -> Dense test, at exit: when nearly the whole plan
-             ran anyway (cascades included), the per-node flag traffic
-             was pure overhead. The test reads only the evaluation
-             count, never [stats], so instrumented and uninstrumented
-             runs take identical mode trajectories. *)
-          if n > 0 && dense_enter_den * !evaluated >= dense_enter_num * n
-          then (
-            sim.mode_streak <- sim.mode_streak + 1;
-            if sim.mode_streak >= mode_streak_len then (
-              sim.mode <- Dense;
-              sim.mode_streak <- 0;
-              wire_notify sim))
-          else sim.mode_streak <- 0))
 
 (* Public accessors stay name-keyed: one id lookup per call, then array
    reads/writes. *)
@@ -836,8 +661,7 @@ let edge_phase (sim : t) (edge : Elaborate.clock_edge) ~with_prims =
       if with_prims then List.iter (drive_prim_outputs sim) sim.prims
 
 let dense_mode sim =
-  (sim.kernel = Event_driven && sim.mode = Dense)
-  || match sim.low with Some low -> Lowered.dense low | None -> false
+  match sim.low with Some low -> Lowered.dense low | None -> false
 
 let step (sim : t) =
   if not !(sim.finished) then (
@@ -884,7 +708,7 @@ let step (sim : t) =
             Telemetry.Trace.counter "sim.dirty"
               (match sim.low with
               | Some low -> Lowered.dirty_count low
-              | None -> sim.ndirty);
+              | None -> Array.length sim.nodes);
             Telemetry.Trace.counter "sim.evaluated" delta;
             Telemetry.Trace.counter "sim.dense" (if dense_mode sim then 1 else 0);
             Telemetry.Trace.counter "bus.published"
@@ -1082,12 +906,8 @@ let restore (sim : t) (snap : checkpoint) : unit =
   (* invalidate the memo: a restored log of the same length as the
      current one would otherwise serve the stale reversed view *)
   sim.log_memo <- (-1, []);
-  (* the whole environment may have changed: drop back to sparse with
-     everything dirty and let activity re-derive the mode *)
-  sim.mode <- Sparse;
-  sim.mode_streak <- 0;
-  wire_notify sim;
-  mark_all sim;
+  (* the whole environment may have changed: the lowered kernel drops
+     back to sparse with everything dirty and re-derives its mode *)
   Option.iter Lowered.mark_all sim.low
 
 (* ------------------------------------------------------------------ *)
@@ -1209,10 +1029,6 @@ let restore_checkpoint (sim : t) (ck : Checkpoint.t) : unit =
   sim.log <- List.rev ck.Checkpoint.ck_log;
   sim.log_len <- List.length ck.Checkpoint.ck_log;
   sim.log_memo <- (-1, []);
-  sim.mode <- Sparse;
-  sim.mode_streak <- 0;
-  wire_notify sim;
-  mark_all sim;
   Option.iter Lowered.mark_all sim.low;
   (* primitive outputs must reflect the restored contents before the
      next settle, exactly as [create] does for the initial state *)

@@ -14,42 +14,51 @@
     fires on every [step], which matches the single-clock subset the
     testbed uses (dcfifo instances have both clocks tied).
 
-    Combinational settling is {e change-driven}: a sensitivity map
-    (signal -> reading nodes) is built at construction, every write is
-    change-detected, and each settle re-evaluates only the logic whose
-    inputs actually changed, in topological order. By default this
-    runs on the {!Lowered} closure kernel ({!Lowered_dirty}). This
-    preserves the exact cycle-level semantics of the full sweep
-    (including the once-per-final-settle firing of combinational
-    [$display] statements) while skipping quiescent logic entirely.
+    Combinational settling is {e change-driven} under the default
+    kernel, {!Lowered_dirty}: each combinational node is compiled once
+    into a {!Lowered} closure, every write is change-detected, and each
+    settle re-runs only the closures whose inputs actually changed, in
+    topological order. This preserves the exact cycle-level semantics
+    of the full sweep (including the once-per-final-settle firing of
+    combinational [$display] statements) while skipping quiescent logic
+    entirely. On designs where nearly every closure fires every cycle,
+    the kernel falls back to a full sweep ({e dense mode}) while
+    activity stays high; see {!dense_mode}.
 
-    On designs where nearly every node fires every cycle, dirty-set
-    bookkeeping costs more than the evaluations it saves, so the
-    scheduler adaptively falls back to a full sweep ({e dense mode})
-    while the dirty fraction stays high and returns to sparse
-    scheduling when activity drops; see {!dense_mode}. Mode switches
-    never change simulation results. *)
+    The only other kernel, {!Brute_force}, re-evaluates the whole plan
+    on every settle. It shares no scheduling code with the default and
+    is kept as the independent reference of the differential tests.
+    Both kernels produce byte-identical traces. *)
 
 exception Combinational_cycle of string list
 (** Raised at construction when continuous assignments / combinational
     blocks form a dependency cycle; carries the signals involved. *)
 
 type kernel =
-  | Event_driven
-      (** dirty-set scheduling over the sensitivity map *)
   | Brute_force
       (** re-evaluate the full topological plan on every settle — the
-          seed behavior, kept as a differential-testing reference *)
+          seed behavior, kept as the differential-testing reference *)
   | Lowered_dirty
       (** closure-array kernel ({!Lowered}): each comb node compiled
           once into a fused [unit -> unit] closure, narrow signals
           unboxed in a dense int bank, scheduled by per-closure dirty
-          bits with the event kernel's adaptive sparse/dense
-          hysteresis, so idle plans skip and fully-active plans pay no
-          flag traffic *)
+          bits with adaptive sparse/dense hysteresis, so idle plans
+          skip and fully-active plans pay no flag traffic *)
+  | Event_driven
+      (** synonym of {!Lowered_dirty}, kept only because the workload
+          benchmark ([perfbench/]) still names it: {!create} builds
+          [Lowered_dirty] for it, {!kernel} never returns it, and
+          {!kernel_of_string} has no spelling for it. It is deleted
+          together with that benchmark's mirror of the campaign and
+          fuzz items (ROADMAP item 1, step 2). *)
+
+val default_kernel : kernel
+(** {!Lowered_dirty}: the kernel {!create} builds when none is given,
+    and the primary kernel of the fuzz and campaign differentials, so
+    those test the kernel that runs. *)
 
 val kernel_name : kernel -> string
-(** ["event"], ["brute"], or ["lowered-dirty"] — the CLI spelling. *)
+(** ["brute"] or ["lowered-dirty"] — the CLI spelling. *)
 
 val kernel_of_string : string -> kernel option
 (** Inverse of {!kernel_name} (also accepts ["brute-force"] and
@@ -60,11 +69,12 @@ type t
 val create : ?kernel:kernel -> Elaborate.flat -> t
 (** Build a simulator with all registers at their declared initial
     values (zero by default) and primitive outputs settled. [kernel]
-    defaults to {!Lowered_dirty}, whatever the plan size. All kernels
+    defaults to {!default_kernel}, whatever the plan size. Both kernels
     produce byte-identical traces. *)
 
 val kernel : t -> kernel
-(** The kernel this simulator was built with (after defaulting). *)
+(** The kernel this simulator was built with, after defaulting:
+    {!Brute_force} or {!Lowered_dirty}, never the synonym. *)
 
 val step : t -> unit
 (** Advance one clock cycle. No-op once the design executed [$finish]. *)
@@ -136,10 +146,10 @@ val stats : t -> stats option
 (** [None] when telemetry was disabled at construction. *)
 
 val dense_mode : t -> bool
-(** True while the event-driven or lowered-dirty kernel is in its dense
-    full-scan fallback (always false for {!Brute_force}). Exposed for
-    tests and profiling; mode switches never change simulation
-    results. *)
+(** True while the {!Lowered_dirty} kernel is in its dense full-sweep
+    fallback (always false for {!Brute_force}, which sweeps every
+    settle). Exposed for tests and profiling; mode switches never
+    change simulation results. *)
 
 val lowering_stats : t -> Lowered.stats option
 (** Closure/representation counts from the lowering pass; [None] unless
@@ -201,6 +211,6 @@ val restore_checkpoint : t -> Checkpoint.t -> unit
     Raises {!Checkpoint.Checkpoint_error} when the checkpoint's design
     signature, a signal's width/shape, or a primitive's geometry does
     not match — a checkpoint can never be silently restored into a
-    different design. The change-driven kernels restart in sparse mode
-    with every node dirty (a conservative superset that re-derives the
+    different design. {!Lowered_dirty} restarts in sparse mode with
+    every closure dirty (a conservative superset that re-derives the
     schedule without affecting results). *)

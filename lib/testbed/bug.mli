@@ -86,7 +86,7 @@ val run_design :
     full waveform dump into the report; [vcd_from] (default 0) starts
     waveform sampling at that cycle index, producing the windowed
     reference a replayed run is diffed against; [kernel] picks the
-    settle kernel (default event-driven); [max_cycles] overrides the
+    settle kernel (default {!Fpga_sim.Simulator.default_kernel}); [max_cycles] overrides the
     bug's budget.
 
     [checkpoint_every k] (with [on_checkpoint]) emits a serializable

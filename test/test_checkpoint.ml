@@ -165,12 +165,7 @@ let prop_replay_deterministic =
     QCheck2.Gen.(
       triple
         (oneofl property_bugs)
-        (oneofl
-           [
-             Simulator.Event_driven;
-             Simulator.Brute_force;
-             Simulator.Lowered_dirty;
-           ])
+        (oneofl [ Simulator.Brute_force; Simulator.Lowered_dirty ])
         (int_range 5 60))
     (fun (id, kernel, every) ->
       replay_matches_straight ~kernel ~every (bug id))
@@ -182,17 +177,13 @@ let test_replay_d2_both_kernels () =
     (fun kernel ->
       check_bool "D2 deterministic" true
         (replay_matches_straight ~kernel ~every:50 (bug "D2")))
-    [
-      Simulator.Event_driven;
-      Simulator.Brute_force;
-      Simulator.Lowered_dirty;
-    ]
+    [ Simulator.Brute_force; Simulator.Lowered_dirty ]
 
 (* Checkpoints are kernel-agnostic: a snapshot taken under one settle
    kernel restores into a simulator built with another, and the
    continued run is byte-identical to that kernel's straight run. This
-   is what lets a lowered-kernel campaign hand a checkpoint to an
-   event-driven debug session (and back). *)
+   is what lets a lowered-kernel campaign hand a checkpoint to a
+   brute-force reference session (and back). *)
 let test_checkpoint_crosses_kernels () =
   let cross ~record_kernel ~replay_kernel (b : Bug.t) =
     let rc = Replay.record ~kernel:record_kernel ~every:10 b in
@@ -219,9 +210,7 @@ let test_checkpoint_crosses_kernels () =
           && straight.Bug.finished = replayed.Bug.finished
           && straight.Bug.cycles = replayed.Bug.cycles)
   in
-  let kernels =
-    [ Simulator.Event_driven; Simulator.Brute_force; Simulator.Lowered_dirty ]
-  in
+  let kernels = [ Simulator.Brute_force; Simulator.Lowered_dirty ] in
   List.iter
     (fun id ->
       let b = bug id in

@@ -344,7 +344,9 @@ let test_fuzz_json_schema () =
     [
       "\"schema\": \"fpga-debug-fuzz/2\"";
       "\"seed\": 2";
-      "\"kernel\": \"event\"";
+      (* no kernel given: the report names the default, the kernel
+         that runs everywhere else *)
+      "\"kernel\": \"lowered-dirty\"";
       "\"mutants\": 4";
       "\"targets\"";
       "\"counts\"";
@@ -433,14 +435,30 @@ let counting (bug : Bug.t) =
 let test_memo_entry_per_kernel () =
   let bug, samples = counting (List.hd Fuzz.targets) in
   let identity kernel () = Fuzz.classify_identity ~kernel bug in
-  let ev_cold = samples (identity Simulator.Event_driven) in
-  let ev_warm = samples (identity Simulator.Event_driven) in
   let ld_cold = samples (identity Simulator.Lowered_dirty) in
   let ld_warm = samples (identity Simulator.Lowered_dirty) in
-  check_bool "the base ran for some cycles" true (ev_warm > 0);
-  check_int "event: cold = four runs of three" (ev_warm / 3 * 4) ev_cold;
-  check_int "lowered-dirty has its own entry, cold too" ev_cold ld_cold;
-  check_int "lowered-dirty warm" ev_warm ld_warm
+  let bf_cold = samples (identity Simulator.Brute_force) in
+  let bf_warm = samples (identity Simulator.Brute_force) in
+  check_bool "the base ran for some cycles" true (ld_warm > 0);
+  check_int "lowered-dirty: cold = four runs of three" (ld_warm / 3 * 4)
+    ld_cold;
+  check_int "brute force has its own entry, cold too" ld_cold bf_cold;
+  check_int "brute force warm" ld_warm bf_warm
+
+(* The default primary kernel is the one [Simulator.create] builds: a
+   classification with no [~kernel] fills the same memo entry as an
+   explicit lowered-dirty one, so the explicit call after a cold
+   default call runs only the three warm simulations. *)
+let test_default_kernel_shares_memo () =
+  let bug, samples = counting (List.hd Fuzz.targets) in
+  let default_cold = samples (fun () -> Fuzz.classify_identity bug) in
+  let explicit =
+    samples (fun () ->
+        Fuzz.classify_identity ~kernel:Simulator.Lowered_dirty bug)
+  in
+  check_bool "the base ran for some cycles" true (explicit > 0);
+  check_int "explicit lowered-dirty is warm after the default"
+    (explicit / 3 * 4) default_cold
 
 let test_memo_not_served_for_own_base () =
   let bug, samples = counting (List.hd Fuzz.targets) in
@@ -497,8 +515,10 @@ let suite =
       test_three_simulations_per_mutant;
     Alcotest.test_case "200 mutants identical on cold and warm memo" `Quick
       test_memo_cold_and_warm_agree;
-    Alcotest.test_case "event and lowered-dirty bases memoised apart" `Quick
+    Alcotest.test_case "lowered-dirty and brute bases memoised apart" `Quick
       test_memo_entry_per_kernel;
+    Alcotest.test_case "default kernel shares the lowered-dirty memo" `Quick
+      test_default_kernel_shares_memo;
     Alcotest.test_case "classify never serves a caller's own base" `Quick
       test_memo_not_served_for_own_base;
   ]

@@ -681,7 +681,7 @@ let suite =
       Alcotest.test_case "negedge spi shift" `Quick test_negedge_spi_shift;
     ]
 
-(* --- event-driven kernel vs brute-force reference ------------------------- *)
+(* --- lowered-dirty kernel vs brute-force reference ------------------------ *)
 
 (* The dirty-set kernel must be observationally identical to the seed
    full-sweep settle: same signal values every cycle, same $display log,
@@ -702,59 +702,48 @@ let signal_state (flat : Elaborate.flat) sim =
     flat.Elaborate.f_signals []
   |> List.sort compare
 
-let test_event_kernel_matches_brute_force () =
+let test_lowered_dirty_matches_brute_force () =
   List.iter
     (fun id ->
       let bug = Option.get (Fpga_testbed.Registry.find id) in
       let design = Fpga_testbed.Bug.design_of bug ~buggy:true in
       let flat = Elaborate.elaborate design ~top:bug.Fpga_testbed.Bug.top in
-      let ev = Simulator.create ~kernel:Simulator.Event_driven flat in
       let bf = Simulator.create ~kernel:Simulator.Brute_force flat in
       let ld = Simulator.create ~kernel:Simulator.Lowered_dirty flat in
       for i = 0 to 199 do
         let ins = bug.Fpga_testbed.Bug.stimulus i in
-        List.iter (fun (n, v) -> Simulator.set_input ev n v) ins;
         List.iter (fun (n, v) -> Simulator.set_input bf n v) ins;
         List.iter (fun (n, v) -> Simulator.set_input ld n v) ins;
-        Simulator.step ev;
         Simulator.step bf;
         Simulator.step ld;
-        if signal_state flat ev <> signal_state flat bf then
-          Alcotest.failf "%s: event/brute signal state diverges at cycle %d"
-            id i;
         if signal_state flat ld <> signal_state flat bf then
           Alcotest.failf
             "%s: lowered-dirty/brute signal state diverges at cycle %d" id i
       done;
       check_bool
         (Printf.sprintf "%s: finished flags agree" id)
-        (Simulator.finished bf) (Simulator.finished ev);
-      check_bool
-        (Printf.sprintf "%s: lowered-dirty finished flag agrees" id)
         (Simulator.finished bf) (Simulator.finished ld);
-      if Simulator.log ev <> Simulator.log bf then
-        Alcotest.failf "%s: $display log diverges" id;
       if Simulator.log ld <> Simulator.log bf then
-        Alcotest.failf "%s: lowered-dirty $display log diverges" id)
+        Alcotest.failf "%s: $display log diverges" id)
     [ "D2"; "D4"; "D8"; "C4" ]
 
 (* Full-testbed differential through the harness: every bug, both
    design variants, identical reports — rows, log, flags, cycle counts,
-   and the complete VCD waveform — under all three kernels. *)
+   and the complete VCD waveform — under brute force, an explicit
+   lowered-dirty, and the default selection. *)
 let test_kernels_full_testbed () =
   List.iter
     (fun (bug : Fpga_testbed.Bug.t) ->
       List.iter
         (fun buggy ->
           let design = Fpga_testbed.Bug.design_of bug ~buggy in
-          let run kernel =
-            Fpga_testbed.Bug.run_design ~vcd:true ~kernel bug design
+          let run ?kernel () =
+            Fpga_testbed.Bug.run_design ~vcd:true ?kernel bug design
           in
-          let bf = run Simulator.Brute_force in
+          let bf = run ~kernel:Simulator.Brute_force () in
           List.iter
-            (fun kernel ->
-              let r = run kernel in
-              let name = Simulator.kernel_name kernel in
+            (fun (name, kernel) ->
+              let r = run ?kernel () in
               let tag fmt =
                 Printf.sprintf fmt bug.Fpga_testbed.Bug.id name
                   (if buggy then "buggy" else "fixed")
@@ -769,14 +758,14 @@ let test_kernels_full_testbed () =
                 (r.Fpga_testbed.Bug.stuck = bf.Fpga_testbed.Bug.stuck
                 && r.Fpga_testbed.Bug.finished = bf.Fpga_testbed.Bug.finished
                 && r.Fpga_testbed.Bug.cycles = bf.Fpga_testbed.Bug.cycles))
-            [ Simulator.Event_driven; Simulator.Lowered_dirty ])
+            [ ("lowered-dirty", Some Simulator.Lowered_dirty); ("default", None) ])
         [ true; false ])
     Fpga_testbed.Registry.all
 
 let test_comb_display_fires_every_cycle () =
   (* a combinational $display fires once per cycle in the seed sweep
-     even when its inputs never change; the event-driven kernel forces
-     display nodes onto the dirty set to match *)
+     even when its inputs never change; the dirty lowered kernel forces
+     display closures onto its worklist to match *)
   let run kernel =
     let sim =
       Testbench.of_source ~kernel ~top:"top"
@@ -793,40 +782,9 @@ endmodule
     Simulator.run sim 5;
     Simulator.log sim
   in
-  let ev = run Simulator.Event_driven and bf = run Simulator.Brute_force in
-  let ld = run Simulator.Lowered_dirty in
-  check_int "one entry per cycle" 5 (List.length ev);
-  check_bool "logs identical across kernels" true (ev = bf);
-  check_bool "lowered-dirty log identical" true (ld = bf)
-
-let test_event_kernel_idle_design () =
-  (* constant input: after the pipeline fills, nothing changes; the
-     event kernel must still hold the settled values the sweep computes *)
-  let src =
-    {|
-module top (input clk, input [7:0] d, output [7:0] q);
-  reg [7:0] r1, r2, r3;
-  wire [7:0] w1, w2;
-  assign w1 = r3 + 8'd1;
-  assign w2 = w1 ^ r2;
-  assign q = w2;
-  always @(posedge clk) begin
-    r1 <= d;
-    r2 <= r1;
-    r3 <= r2;
-  end
-endmodule
-|}
-  in
-  let drive kernel =
-    let sim = Testbench.of_source ~kernel ~top:"top" src in
-    Simulator.set_input sim "d" (b 8 0x2A);
-    List.init 50 (fun _ ->
-        Simulator.step sim;
-        Simulator.read_int sim "q")
-  in
-  check_bool "idle design traces identical" true
-    (drive Simulator.Event_driven = drive Simulator.Brute_force)
+  let ld = run Simulator.Lowered_dirty and bf = run Simulator.Brute_force in
+  check_int "one entry per cycle" 5 (List.length ld);
+  check_bool "logs identical across kernels" true (ld = bf)
 
 (* A design whose whole combinational plan fires every cycle while the
    input churns: w1..q all depend (directly or through the cascade) on
@@ -843,65 +801,6 @@ module top (input clk, input [7:0] d, output [7:0] q);
   always @(posedge clk) r <= r + d;
 endmodule
 |}
-
-let test_dense_mode_engages_and_matches () =
-  (* sustained full-plan activity must flip the event kernel into its
-     dense full-scan mode without changing a single observable value *)
-  let ev = Testbench.of_source ~kernel:Simulator.Event_driven ~top:"top" dense_src in
-  let bf = Testbench.of_source ~kernel:Simulator.Brute_force ~top:"top" dense_src in
-  check_bool "starts sparse" false (Simulator.dense_mode ev);
-  for i = 0 to 29 do
-    let d = b 8 (((i * 37) + 1) land 0xff) in
-    Simulator.set_input ev "d" d;
-    Simulator.set_input bf "d" d;
-    Simulator.step ev;
-    Simulator.step bf;
-    check_int
-      (Printf.sprintf "q agrees at cycle %d" i)
-      (Simulator.read_int bf "q") (Simulator.read_int ev "q");
-    check_int
-      (Printf.sprintf "r agrees at cycle %d" i)
-      (Simulator.read_int bf "r") (Simulator.read_int ev "r")
-  done;
-  check_bool "sustained activity engages dense mode" true
-    (Simulator.dense_mode ev);
-  check_bool "brute force never reports dense mode" false
-    (Simulator.dense_mode bf)
-
-let test_dense_mode_exits_when_quiet () =
-  (* burst-then-idle: the kernel must leave dense mode once activity
-     drops, and the superset-dirty re-entry must not disturb values *)
-  let ev = Testbench.of_source ~kernel:Simulator.Event_driven ~top:"top" dense_src in
-  let bf = Testbench.of_source ~kernel:Simulator.Brute_force ~top:"top" dense_src in
-  let drive sim d i =
-    Simulator.set_input sim "d" (b 8 d);
-    Simulator.step sim;
-    ignore i
-  in
-  for i = 0 to 29 do
-    let d = ((i * 37) + 1) land 0xff in
-    drive ev d i;
-    drive bf d i
-  done;
-  check_bool "dense after the burst" true (Simulator.dense_mode ev);
-  for i = 0 to 29 do
-    drive ev 0 i;
-    drive bf 0 i;
-    check_int
-      (Printf.sprintf "q agrees during idle cycle %d" i)
-      (Simulator.read_int bf "q") (Simulator.read_int ev "q")
-  done;
-  check_bool "idle traffic drops back to sparse" false
-    (Simulator.dense_mode ev);
-  (* and a fresh burst after the round trip still tracks the sweep *)
-  for i = 0 to 9 do
-    let d = ((i * 53) + 5) land 0xff in
-    drive ev d i;
-    drive bf d i;
-    check_int
-      (Printf.sprintf "q agrees after re-burst cycle %d" i)
-      (Simulator.read_int bf "q") (Simulator.read_int ev "q")
-  done
 
 let test_dirty_kernel_skips_on_idle_design () =
   (* the dirty lowered kernel's whole point: once an idle pipeline
@@ -941,7 +840,7 @@ endmodule
 let test_dirty_kernel_dense_roundtrip () =
   (* churn drives the dirty lowered kernel into its dense full-sweep
      mode, idling drops it back out, and the values track the sweep
-     the whole way — same adaptive contract as the event kernel *)
+     the whole way *)
   let ld = Testbench.of_source ~kernel:Simulator.Lowered_dirty ~top:"top" dense_src in
   let bf = Testbench.of_source ~kernel:Simulator.Brute_force ~top:"top" dense_src in
   let drive sim d =
@@ -965,7 +864,18 @@ let test_dirty_kernel_dense_roundtrip () =
       (Printf.sprintf "q agrees during idle cycle %d" i)
       (Simulator.read_int bf "q") (Simulator.read_int ld "q")
   done;
-  check_bool "idle drops back to sparse" false (Simulator.dense_mode ld)
+  check_bool "idle drops back to sparse" false (Simulator.dense_mode ld);
+  (* a fresh burst after the round trip still tracks the sweep *)
+  for i = 0 to 9 do
+    let d = ((i * 53) + 5) land 0xff in
+    drive ld d;
+    drive bf d;
+    check_int
+      (Printf.sprintf "q agrees after re-burst cycle %d" i)
+      (Simulator.read_int bf "q") (Simulator.read_int ld "q")
+  done;
+  check_bool "brute force never reports dense mode" false
+    (Simulator.dense_mode bf)
 
 (* Plans far larger than any testbed design: the default kernel stays
    lowered-dirty at any size and must match the full sweep. [shape]
@@ -1030,13 +940,109 @@ let test_large_plans_default_kernel () =
         (Simulator.log ld = Simulator.log bf && List.length (Simulator.log bf) = 50))
     [ (`Chain, "chain"); (`Mesh, "mesh") ]
 
+(* [Event_driven] survives only as a spelling of the default: it builds
+   lowered-dirty, prints as lowered-dirty, and has no CLI name. *)
+let test_event_driven_is_a_synonym () =
+  let flat =
+    Elaborate.elaborate
+      (Parser.parse_design
+         {|
+module top (input clk, input [7:0] d, output [7:0] q);
+  assign q = d + 8'd1;
+endmodule
+|})
+      ~top:"top"
+  in
+  let kernel_of k = Simulator.kernel (Simulator.create ?kernel:k flat) in
+  check_bool "default kernel is lowered-dirty" true
+    (Simulator.default_kernel = Simulator.Lowered_dirty);
+  check_bool "create with no kernel builds the default" true
+    (kernel_of None = Simulator.default_kernel);
+  check_bool "Event_driven builds lowered-dirty" true
+    (kernel_of (Some Simulator.Event_driven) = Simulator.Lowered_dirty);
+  check_bool "brute force is kept" true
+    (kernel_of (Some Simulator.Brute_force) = Simulator.Brute_force);
+  Alcotest.(check string) "Event_driven prints as lowered-dirty" "lowered-dirty"
+    (Simulator.kernel_name Simulator.Event_driven);
+  check_bool "\"event\" is not a kernel name" true
+    (Simulator.kernel_of_string "event" = None)
+
+(* [kernel_of_string] inverts [kernel_name] for both real kernels and
+   knows the documented aliases; anything else, "auto" included (the
+   CLI resolves that itself), is not a kernel. *)
+let test_kernel_names_round_trip () =
+  List.iter
+    (fun k ->
+      check_bool
+        (Simulator.kernel_name k ^ " round-trips")
+        true
+        (Simulator.kernel_of_string (Simulator.kernel_name k) = Some k))
+    [ Simulator.Brute_force; Simulator.Lowered_dirty ];
+  Alcotest.(check string) "brute spelling" "brute"
+    (Simulator.kernel_name Simulator.Brute_force);
+  Alcotest.(check string) "lowered-dirty spelling" "lowered-dirty"
+    (Simulator.kernel_name Simulator.Lowered_dirty);
+  check_bool "brute-force alias" true
+    (Simulator.kernel_of_string "brute-force" = Some Simulator.Brute_force);
+  check_bool "lowered_dirty alias" true
+    (Simulator.kernel_of_string "lowered_dirty" = Some Simulator.Lowered_dirty);
+  List.iter
+    (fun s ->
+      check_bool (Printf.sprintf "%S is not a kernel" s) true
+        (Simulator.kernel_of_string s = None))
+    [ ""; "auto"; "dirty"; "Brute" ]
+
+(* Lowering and run counters exist only for the lowered kernel; brute
+   force reports none and never enters dense mode. Both kernels still
+   trace the same outputs. *)
+let test_lowered_stats_per_kernel () =
+  let flat =
+    Elaborate.elaborate
+      (Parser.parse_design
+         {|
+module top (input clk, input [7:0] d, output [7:0] q);
+  reg [7:0] r;
+  assign q = r ^ d;
+  always @(posedge clk) r <= r + 8'd1;
+endmodule
+|})
+      ~top:"top"
+  in
+  let bf = Simulator.create ~kernel:Simulator.Brute_force flat in
+  let ld = Simulator.create ~kernel:Simulator.Lowered_dirty flat in
+  for i = 0 to 9 do
+    Simulator.set_input bf "d" (b 8 (i * 3));
+    Simulator.set_input ld "d" (b 8 (i * 3));
+    Simulator.step bf;
+    Simulator.step ld;
+    check_int
+      (Printf.sprintf "q agrees at cycle %d" i)
+      (Simulator.read_int bf "q") (Simulator.read_int ld "q");
+    check_bool "brute never dense" false (Simulator.dense_mode bf)
+  done;
+  check_bool "brute has no lowering stats" true
+    (Simulator.lowering_stats bf = None);
+  check_bool "brute has no run stats" true
+    (Simulator.lowered_run_stats bf = None);
+  let lw = Option.get (Simulator.lowering_stats ld) in
+  check_int "one sequential block lowered" 1 lw.Lowered.lw_seq;
+  check_bool "closures within nodes" true
+    (lw.Lowered.lw_closures >= 1
+    && lw.Lowered.lw_closures <= lw.Lowered.lw_nodes);
+  let rs = Option.get (Simulator.lowered_run_stats ld) in
+  check_int "one edge per cycle" 10 rs.Lowered.rs_edges;
+  check_bool "settles counted" true (rs.Lowered.rs_settles >= 10)
+
 let suite =
   suite
   @ [
       Alcotest.test_case "large plans stay lowered-dirty and match brute"
         `Quick test_large_plans_default_kernel;
-      Alcotest.test_case "event kernel == brute force (testbed, 200 cycles)"
-        `Quick test_event_kernel_matches_brute_force;
+      Alcotest.test_case "Event_driven is a synonym of lowered-dirty" `Quick
+        test_event_driven_is_a_synonym;
+      Alcotest.test_case
+        "lowered-dirty == brute force (testbed, 200 cycles)" `Quick
+        test_lowered_dirty_matches_brute_force;
       Alcotest.test_case "three kernels identical over the full testbed"
         `Slow test_kernels_full_testbed;
       Alcotest.test_case "comb $display fires every cycle" `Quick
@@ -1045,12 +1051,10 @@ let suite =
         test_dirty_kernel_skips_on_idle_design;
       Alcotest.test_case "dirty lowered kernel dense round trip" `Quick
         test_dirty_kernel_dense_roundtrip;
-      Alcotest.test_case "event kernel on idle design" `Quick
-        test_event_kernel_idle_design;
-      Alcotest.test_case "dense mode engages on full-plan activity" `Quick
-        test_dense_mode_engages_and_matches;
-      Alcotest.test_case "dense mode exits when activity drops" `Quick
-        test_dense_mode_exits_when_quiet;
+      Alcotest.test_case "kernel names round trip" `Quick
+        test_kernel_names_round_trip;
+      Alcotest.test_case "lowered stats only under lowered-dirty" `Quick
+        test_lowered_stats_per_kernel;
     ]
 
 (* --- golden VCD and waveform output -------------------------------------- *)

@@ -302,8 +302,8 @@ let test_kernels_identical_with_telemetry () =
         done;
         Simulator.log sim
       in
-      check_bool "event-driven log == brute-force log, telemetry on" true
-        (run Simulator.Event_driven = run Simulator.Brute_force))
+      check_bool "lowered-dirty log == brute-force log, telemetry on" true
+        (run Simulator.Lowered_dirty = run Simulator.Brute_force))
 
 (* --- monitors publish onto the bus ---------------------------------- *)
 

@@ -281,8 +281,7 @@ let test_deadlock_cycle () =
 
 (* --- SignalCat unification across the testbed ------------------------- *)
 
-let kernels =
-  [ Simulator.Event_driven; Simulator.Brute_force; Simulator.Lowered_dirty ]
+let kernels = [ Simulator.Brute_force; Simulator.Lowered_dirty ]
 
 let substitute (design : Fpga_hdl.Ast.design) (m : Fpga_hdl.Ast.module_def) =
   {
