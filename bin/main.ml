@@ -385,6 +385,26 @@ let instrument_cmd =
   in
   Cmd.v (Cmd.info "instrument" ~doc) Term.(const run $ bug_arg $ out_arg $ buffer_arg)
 
+(* --- output files ----------------------------------------------------- *)
+
+(* A file or directory the command cannot read or write exits with this
+   status, listed in the command's --help, and a PATH: message. *)
+let exit_input = 7
+
+let io_exit ~doc = Cmd.Exit.info exit_input ~doc :: Cmd.Exit.defaults
+
+(* Report a [Sys_error] about [path] and exit; the message names the
+   path once whether or not the runtime already put it first. *)
+let io_fail path msg =
+  flush stdout;
+  if String.starts_with ~prefix:path msg then prerr_endline msg
+  else Printf.eprintf "%s: %s\n" path msg;
+  exit exit_input
+
+let write_file path text =
+  try Out_channel.with_open_text path (fun oc -> output_string oc text)
+  with Sys_error msg -> io_fail path msg
+
 (* --- vcd ------------------------------------------------------------ *)
 
 let vcd_cmd =
@@ -394,9 +414,20 @@ let vcd_cmd =
      straight-run reference that `fpga-debug replay` output is diffed \
      against."
   in
+  let cycle =
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n >= 0 -> Ok n
+      | _ -> Error (`Msg (Printf.sprintf "%S is not a cycle (an integer >= 0)" s))
+    in
+    Arg.conv ~docv:"CYCLE" (parse, Format.pp_print_int)
+  in
   let from_arg =
-    Arg.(value & opt int 0
-         & info [ "from" ] ~docv:"CYCLE" ~doc:"Start sampling at this cycle")
+    Arg.(value & opt cycle 0
+         & info [ "from" ] ~docv:"CYCLE"
+             ~doc:"Start sampling at this cycle. Past the end of the run, \
+                   the file holds only the header (with a note on \
+                   standard error).")
   in
   let run id out from =
     let bug = find_bug id in
@@ -404,12 +435,19 @@ let vcd_cmd =
       Bug.run_design ~vcd:true ~vcd_from:from bug (Bug.design_of bug ~buggy:true)
     in
     let path = Option.value out ~default:(bug.Bug.id ^ ".vcd") in
-    let oc = open_out path in
-    output_string oc (Option.value report.Bug.vcd ~default:"");
-    close_out oc;
-    Printf.printf "wrote %s (cycles %d..%d)\n" path from report.Bug.cycles
+    write_file path (Option.value report.Bug.vcd ~default:"");
+    if from >= report.Bug.cycles then (
+      Printf.eprintf
+        "vcd: --from %d is past the last simulated cycle, %d; the \
+         waveform has a header and no samples\n"
+        from (report.Bug.cycles - 1);
+      Printf.printf "wrote %s (header only)\n" path)
+    else Printf.printf "wrote %s (cycles %d..%d)\n" path from report.Bug.cycles
   in
-  Cmd.v (Cmd.info "vcd" ~doc) Term.(const run $ bug_arg $ out_arg $ from_arg)
+  Cmd.v
+    (Cmd.info "vcd" ~doc
+       ~exits:(io_exit ~doc:"when the output file cannot be written."))
+    Term.(const run $ bug_arg $ out_arg $ from_arg)
 
 (* --- checkpoint ------------------------------------------------------ *)
 
@@ -435,14 +473,16 @@ let checkpoint_cmd =
     let module Replay = Fpga_testbed.Replay in
     let module Checkpoint = Fpga_sim.Checkpoint in
     let rc = Replay.record ~every bug in
-    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+    (try if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
+     with Sys_error msg -> io_fail dir msg);
+    if not (Sys.is_directory dir) then io_fail dir "not a directory";
     List.iter
       (fun (ck : Checkpoint.t) ->
         let path =
           Filename.concat dir
             (Printf.sprintf "%s-c%d.fdc" bug.Bug.id ck.Checkpoint.ck_cycle)
         in
-        Checkpoint.save path ck;
+        (try Checkpoint.save path ck with Sys_error msg -> io_fail path msg);
         Printf.printf "wrote %s (cycle %d, %s)\n" path ck.Checkpoint.ck_cycle
           (Checkpoint.content_hash ck))
       rc.Replay.rec_checkpoints;
@@ -450,7 +490,12 @@ let checkpoint_cmd =
       (List.length rc.Replay.rec_checkpoints)
       rc.Replay.rec_report.Bug.cycles
   in
-  Cmd.v (Cmd.info "checkpoint" ~doc)
+  Cmd.v
+    (Cmd.info "checkpoint" ~doc
+       ~exits:
+         (io_exit
+            ~doc:"when the output directory or a checkpoint file in it \
+                  cannot be created or written."))
     Term.(const run $ bug_arg $ every_arg $ dir_arg)
 
 (* --- replay ---------------------------------------------------------- *)
@@ -517,9 +562,7 @@ let replay_cmd =
                   (Printf.sprintf "%s-replay-c%d.vcd" bug.Bug.id
                      ck.Checkpoint.ck_cycle)
             in
-            let oc = open_out out in
-            output_string oc (Option.value report.Bug.vcd ~default:"");
-            close_out oc;
+            write_file out (Option.value report.Bug.vcd ~default:"");
             Printf.printf "restored %s at cycle %d (tag %s)\n" path
               ck.Checkpoint.ck_cycle ck.Checkpoint.ck_tag;
             Printf.printf "replayed cycles %d..%d; wrote %s\n"
@@ -528,7 +571,9 @@ let replay_cmd =
       Printf.eprintf "checkpoint error: %s\n" msg;
       exit 1
   in
-  Cmd.v (Cmd.info "replay" ~doc)
+  Cmd.v
+    (Cmd.info "replay" ~doc
+       ~exits:(io_exit ~doc:"when the output waveform cannot be written."))
     Term.(const run $ bug_arg $ from_arg $ window_arg $ bisect_arg
           $ every_arg $ out_arg $ trace_arg $ trace_clock_arg)
 
@@ -679,12 +724,12 @@ let snippets_cmd =
 
 (* Each class of design error gets its own exit status, listed in
    `sim --help`, so a script can tell a typo from an unsupported
-   design without parsing the message. *)
+   design without parsing the message. [exit_input] is shared with the
+   commands that write files. *)
 let exit_syntax = 3
 let exit_elaboration = 4
 let exit_comb_cycle = 5
 let exit_eval = 6
-let exit_input = 7
 
 (* A file, stimulus line or --watch list the design cannot take; the
    message carries the location. *)

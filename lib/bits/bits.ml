@@ -423,7 +423,21 @@ let compare a b =
 (* Physical equality short-circuits the limb comparison: the functional
    update operations above return the argument unchanged when the update
    is a no-op, so unchanged values are usually compared in O(1). *)
-let equal a b = a == b || (a.width = b.width && a.limbs = b.limbs)
+(* A limb loop rather than polymorphic [=] on the arrays: change
+   detection and the VCD writer call this per signal per cycle. *)
+let equal a b =
+  a == b
+  || a.width = b.width
+     &&
+     let la = a.limbs and lb = b.limbs in
+     let n = Array.length la in
+     Array.length lb = n
+     &&
+     let i = ref 0 in
+     while !i < n && Array.unsafe_get la !i = Array.unsafe_get lb !i do
+       incr i
+     done;
+     !i = n
 let equal_value a b = compare a b = 0
 let lt a b = compare a b < 0
 let le a b = compare a b <= 0

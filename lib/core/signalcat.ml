@@ -322,15 +322,20 @@ let decode_entry (plan : plan) (entry : Bits.t) : (int * string) list =
     (fun s ->
       let cbit = Bits.bit entry !pos in
       incr pos;
-      let args =
-        List.map
-          (fun w ->
-            let v = Bits.slice entry ~hi:(!pos + w - 1) ~lo:!pos in
-            pos := !pos + w;
-            v)
-          s.arg_widths
-      in
-      if cbit then Some (cycle, Fpga_sim.Display.render s.fmt args) else None)
+      if not cbit then (
+        (* a disabled statement's arguments are never rendered *)
+        pos := List.fold_left ( + ) !pos s.arg_widths;
+        None)
+      else
+        let args =
+          List.map
+            (fun w ->
+              let v = Bits.slice entry ~hi:(!pos + w - 1) ~lo:!pos in
+              pos := !pos + w;
+              v)
+            s.arg_widths
+        in
+        Some (cycle, Fpga_sim.Display.render s.fmt args))
     plan.statements
 
 let reconstruct (plan : plan) (sim : Simulator.t) : (int * string) list =

@@ -129,6 +129,11 @@ type t = {
   mutable display_hook : (int -> string -> unit) option;
   mutable step_hooks : (int -> unit) list;  (* registration order *)
   stats : istats option;
+  (* by-name accessor cache: the last [name_slots] names looked up,
+     matched by physical equality, with their dense ids; see [id_of] *)
+  name_keys : string array;
+  name_ids : int array;
+  mutable name_next : int;  (* slot the next miss fills *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -393,6 +398,10 @@ let compile_node tab = function
       Cassign (cl, Compiled.compile_expr tab e, Compiled.clvalue_width cl)
   | Ablock stmts -> Cblock (List.map (Compiled.compile_stmt tab) stmts)
 
+(* Harnesses call the by-name accessors with the same string literals
+   every cycle, so a few names cover nearly all lookups. *)
+let name_slots = 8
+
 let create ?(kernel = default_kernel) (flat : flat) : t =
   Telemetry.span "compile" @@ fun () ->
   let kernel = match kernel with Event_driven -> Lowered_dirty | k -> k in
@@ -528,7 +537,12 @@ let create ?(kernel = default_kernel) (flat : flat) : t =
         List.exists (fun (e, _, _) -> e = Elaborate.Neg) flat.f_seq;
       prims; low;
       cycle = 0; finished; log = []; log_len = 0;
-      log_memo = (0, []); display_hook = None; step_hooks = []; stats }
+      log_memo = (0, []); display_hook = None; step_hooks = []; stats;
+      (* an empty slot holds id -1, so [id_of] misses on it whatever
+         its key *)
+      name_keys = Array.make name_slots "";
+      name_ids = Array.make name_slots (-1);
+      name_next = 0 }
   in
   Option.iter (fun lw -> Lowered.set_emit lw (emit_text sim)) low;
   (* initial primitive outputs so the first settle sees them; every node
@@ -584,47 +598,65 @@ let settle ?(displays = false) (sim : t) =
       Array.iter (exec_node ctx) sim.nodes
 
 (* Public accessors stay name-keyed: one id lookup per call, then array
-   reads/writes. *)
-let find_id sim name = Hashtbl.find_opt sim.flat.f_signal_ids name
+   reads/writes. [id_of] scans the name cache by physical equality
+   before hashing, so a caller that passes the same string every cycle
+   pays a few pointer compares; a hit holds the id the table gave for
+   an equal string, so it is never wrong. It returns -1 for an unknown
+   name; a hit allocates nothing. *)
+let rec scan_names keys ids name i =
+  if i = name_slots then -1
+  else if Array.unsafe_get keys i == name then Array.unsafe_get ids i
+  else scan_names keys ids name (i + 1)
+
+let id_of sim name =
+  let i = scan_names sim.name_keys sim.name_ids name 0 in
+  if i >= 0 then i
+  else
+    match Hashtbl.find_opt sim.flat.f_signal_ids name with
+    | None -> -1
+    | Some i ->
+        let slot = sim.name_next in
+        sim.name_keys.(slot) <- name;
+        sim.name_ids.(slot) <- i;
+        sim.name_next <- (slot + 1) mod name_slots;
+        i
+
+let bad_name fmt name = invalid_arg (Printf.sprintf fmt name)
 
 let set_input sim name value =
-  match find_id sim name with
-  | Some i -> (
-      match sim.env.(i) with
-      | Compiled.Vec _ -> write_sig sim i value
-      | Compiled.Mem _ -> invalid_arg "Simulator.set_input: memory")
-  | None -> invalid_arg (Printf.sprintf "Simulator.set_input: unknown %s" name)
+  let i = id_of sim name in
+  if i < 0 then bad_name "Simulator.set_input: unknown %s" name;
+  match sim.env.(i) with
+  | Compiled.Vec _ -> write_sig sim i value
+  | Compiled.Mem _ -> invalid_arg "Simulator.set_input: memory"
 
 let set_input_int sim name v =
-  match find_id sim name with
-  | Some i -> (
-      match sim.env.(i) with
-      | Compiled.Vec old -> write_sig sim i (Bits.of_int ~width:(Bits.width old) v)
-      | Compiled.Mem _ ->
-          invalid_arg (Printf.sprintf "Simulator.set_input_int: unknown %s" name))
-  | None ->
-      invalid_arg (Printf.sprintf "Simulator.set_input_int: unknown %s" name)
+  let i = id_of sim name in
+  if i < 0 then bad_name "Simulator.set_input_int: unknown %s" name;
+  match sim.env.(i) with
+  | Compiled.Vec old -> write_sig sim i (Bits.of_int ~width:(Bits.width old) v)
+  | Compiled.Mem _ -> bad_name "Simulator.set_input_int: unknown %s" name
+
+let read_id sim i =
+  match sim.env.(i) with
+  | Compiled.Vec b -> (
+      match sim.low with Some low -> Lowered.read_vec low i | None -> b)
+  | Compiled.Mem _ ->
+      bad_name "Simulator.read: %s is a memory" sim.flat.f_signal_order.(i)
 
 let read sim name =
-  match find_id sim name with
-  | Some i -> (
-      match sim.env.(i) with
-      | Compiled.Vec b -> (
-          match sim.low with Some low -> Lowered.read_vec low i | None -> b)
-      | Compiled.Mem _ ->
-          invalid_arg (Printf.sprintf "Simulator.read: %s is a memory" name))
-  | None -> invalid_arg (Printf.sprintf "Simulator.read: unknown %s" name)
+  let i = id_of sim name in
+  if i < 0 then bad_name "Simulator.read: unknown %s" name;
+  read_id sim i
 
 let read_int sim name = Bits.to_int_trunc (read sim name)
 
 let read_memory sim name =
-  match find_id sim name with
-  | Some i -> (
-      match sim.env.(i) with
-      | Compiled.Mem a -> Array.copy a
-      | Compiled.Vec _ ->
-          invalid_arg (Printf.sprintf "Simulator.read_memory: %s" name))
-  | None -> invalid_arg (Printf.sprintf "Simulator.read_memory: %s" name)
+  let i = id_of sim name in
+  if i < 0 then bad_name "Simulator.read_memory: %s" name;
+  match sim.env.(i) with
+  | Compiled.Mem a -> Array.copy a
+  | Compiled.Vec _ -> bad_name "Simulator.read_memory: %s" name
 
 (* Run the sequential blocks firing on one clock edge and commit their
    non-blocking writes. *)
@@ -870,9 +902,8 @@ let restore_sig sim i v =
 let restore (sim : t) (snap : checkpoint) : unit =
   List.iter
     (fun (name, v) ->
-      match find_id sim name with
-      | Some i -> restore_sig sim i v
-      | None -> ())
+      let i = id_of sim name in
+      if i >= 0 then restore_sig sim i v)
     snap.cp_env;
   List.iter
     (fun ps ->
@@ -982,9 +1013,9 @@ let restore_checkpoint (sim : t) (ck : Checkpoint.t) : unit =
       ck.Checkpoint.ck_design here;
   List.iter
     (fun (name, v) ->
-      match find_id sim name with
-      | None -> ck_fail "checkpoint signal %s does not exist in the design" name
-      | Some i -> (
+      match id_of sim name with
+      | -1 -> ck_fail "checkpoint signal %s does not exist in the design" name
+      | i -> (
           match (sim.env.(i), v) with
           | Compiled.Vec old, Eval.Vec b ->
               if Bits.width b <> Bits.width old then

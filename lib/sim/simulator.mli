@@ -82,6 +82,15 @@ val step : t -> unit
 val run : t -> int -> unit
 (** [run sim n] steps up to [n] cycles, stopping early on [$finish]. *)
 
+(** {1 Access by name}
+
+    The accessors below look a name up in the design's id table. Each
+    simulator also remembers the last 8 name strings it was given, by
+    physical identity: a caller that passes the same string every cycle
+    (a literal, or a name bound once) skips hashing it. Equal but
+    distinct strings resolve the same way, through the table. The
+    cache never changes a result or an error. *)
+
 val set_input : t -> string -> Fpga_bits.Bits.t -> unit
 (** Drive a top-level input (resized to its declared width). Takes
     effect at the next [step]. *)
@@ -90,6 +99,13 @@ val set_input_int : t -> string -> int -> unit
 
 val read : t -> string -> Fpga_bits.Bits.t
 (** Read any signal by its flat name (post-settle value). *)
+
+val read_id : t -> int -> Fpga_bits.Bits.t
+(** [read_id sim i] is {!read} of the signal with dense id [i] (its
+    index in [f_signal_order] of the design [sim] was built from),
+    without the name lookup: {!read} is this after resolving the name.
+    For callers that resolve their ids once, such as {!Vcd}. Raises
+    [Invalid_argument] if [i] is out of range or names a memory. *)
 
 val read_int : t -> string -> int
 (** Low 62 bits of {!read}, as an int. *)

@@ -4,11 +4,16 @@
 
 module Bits = Fpga_bits.Bits
 
+(* One slot per dumped signal, in sorted-name order (the header order):
+   dense simulator id, VCD id code, declared width, and the value last
+   written to the dump. *)
 type t = {
-  buf : Buffer.t;
-  signals : (string * string * int) list;  (* name, id code, width *)
-  mutable last : (string * Bits.t) list;
-  mutable header_done : bool;
+  buf : Buffer.t;  (* the header, then every sample so far *)
+  ids : int array;
+  codes : string array;
+  widths : int array;
+  last : Bits.t array;
+  mutable sampled : bool;  (* [last] holds a value for every slot *)
 }
 
 (* VCD identifier codes: printable ASCII starting at '!'. *)
@@ -21,56 +26,74 @@ let id_code i =
   in
   go i ""
 
+let write_header b signals codes =
+  Buffer.add_string b "$date reproduction run $end\n";
+  Buffer.add_string b "$version fpga-debug simulator $end\n";
+  Buffer.add_string b "$timescale 1ns $end\n";
+  Buffer.add_string b "$scope module top $end\n";
+  Array.iteri
+    (fun i (name, w) ->
+      Buffer.add_string b "$var wire ";
+      Buffer.add_string b (string_of_int w);
+      Buffer.add_char b ' ';
+      Buffer.add_string b codes.(i);
+      Buffer.add_char b ' ';
+      (* '/'-separated hierarchy is flattened into escaped names *)
+      Buffer.add_string b (String.map (fun c -> if c = '/' then '.' else c) name);
+      Buffer.add_string b " $end\n")
+    signals;
+  Buffer.add_string b "$upscope $end\n$enddefinitions $end\n"
+
 let create (flat : Elaborate.flat) : t =
   let signals =
     Hashtbl.fold
       (fun name (s : Elaborate.fsignal) acc ->
         match s.fs_depth with Some _ -> acc | None -> (name, s.fs_width) :: acc)
       flat.f_signals []
-    |> List.sort compare
-    |> List.mapi (fun i (name, w) -> (name, id_code i, w))
+    |> List.sort compare |> Array.of_list
   in
-  { buf = Buffer.create 4096; signals; last = []; header_done = false }
+  let codes = Array.mapi (fun i _ -> id_code i) signals in
+  let buf = Buffer.create 4096 in
+  write_header buf signals codes;
+  {
+    buf;
+    ids = Array.map (fun (name, _) -> Hashtbl.find flat.f_signal_ids name) signals;
+    codes;
+    widths = Array.map snd signals;
+    last = Array.make (Array.length signals) (Bits.zero 1);
+    sampled = false;
+  }
 
-let write_header t =
-  Buffer.add_string t.buf "$date reproduction run $end\n";
-  Buffer.add_string t.buf "$version fpga-debug simulator $end\n";
-  Buffer.add_string t.buf "$timescale 1ns $end\n";
-  Buffer.add_string t.buf "$scope module top $end\n";
-  List.iter
-    (fun (name, id, w) ->
-      (* '/'-separated hierarchy is flattened into escaped names *)
-      let safe = String.map (fun c -> if c = '/' then '.' else c) name in
-      Buffer.add_string t.buf
-        (Printf.sprintf "$var wire %d %s %s $end\n" w id safe))
-    t.signals;
-  Buffer.add_string t.buf "$upscope $end\n$enddefinitions $end\n";
-  t.header_done <- true
-
-let value_str v w id =
-  if w = 1 then Printf.sprintf "%s%s" (if Bits.is_zero v then "0" else "1") id
-  else Printf.sprintf "b%s %s" (Bits.to_binary_string v) id
+(* One value-change line: [0]/[1] plus the code for a 1-bit signal,
+   [b<bits> code] otherwise, bits most significant first. *)
+let add_value b v w code =
+  if w = 1 then Buffer.add_char b (if Bits.is_zero v then '0' else '1')
+  else begin
+    Buffer.add_char b 'b';
+    for i = Bits.width v - 1 downto 0 do
+      Buffer.add_char b (if Bits.bit v i then '1' else '0')
+    done;
+    Buffer.add_char b ' '
+  end;
+  Buffer.add_string b code;
+  Buffer.add_char b '\n'
 
 let sample t (sim : Simulator.t) =
-  if not t.header_done then write_header t;
-  Buffer.add_string t.buf (Printf.sprintf "#%d\n" (Simulator.cycle sim));
-  List.iter
-    (fun (name, id, w) ->
-      let v = Simulator.read sim name in
-      let changed =
-        match List.assoc_opt name t.last with
-        | Some prev -> not (Bits.equal prev v)
-        | None -> true
-      in
-      if changed then (
-        Buffer.add_string t.buf (value_str v w id);
-        Buffer.add_char t.buf '\n';
-        t.last <- (name, v) :: List.remove_assoc name t.last))
-    t.signals
+  let b = t.buf in
+  Buffer.add_char b '#';
+  Buffer.add_string b (string_of_int (Simulator.cycle sim));
+  Buffer.add_char b '\n';
+  let first = not t.sampled in
+  for k = 0 to Array.length t.ids - 1 do
+    let v = Simulator.read_id sim (Array.unsafe_get t.ids k) in
+    if first || not (Bits.equal (Array.unsafe_get t.last k) v) then begin
+      add_value b v (Array.unsafe_get t.widths k) (Array.unsafe_get t.codes k);
+      Array.unsafe_set t.last k v
+    end
+  done;
+  t.sampled <- true
 
-let contents t =
-  if not t.header_done then write_header t;
-  Buffer.contents t.buf
+let contents t = Buffer.contents t.buf
 
 let save t path =
   let oc = open_out path in

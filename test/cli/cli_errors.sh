@@ -1,0 +1,70 @@
+#!/usr/bin/env bash
+# Drive `fpga-debug` on inputs it cannot take and check that each error
+# exits with its documented status (see each command's --help), never
+# 125 (uncaught exception), and names the offending file or option on
+# stderr:
+#   - `sim` on malformed sources and stimulus inputs;
+#   - `vcd`, `replay` and `checkpoint` writing into a missing directory;
+#   - `vcd --from` below zero (a usage error) and past the end of the
+#     run (a header-only waveform and a note, exit 0).
+# Failures go to stderr and make the script exit 1.
+#
+#   bash test/cli/cli_errors.sh path/to/main.exe [dir-of-sources]
+set -u
+exe=$1
+dir=${2:-$(dirname "$0")}
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+fail=0
+# expect LABEL STATUS STDERR-PATTERN ARGS...: run the CLI on ARGS
+expect() {
+  local label=$1 want=$2 pattern=$3 err status
+  shift 3
+  err=$("$exe" "$@" 2>&1 >/dev/null)
+  status=$?
+  if [ "$status" -eq 125 ] || [ "$status" -ne "$want" ]; then
+    echo "FAIL $label: exit $status, want $want: $err" >&2
+    fail=1
+  elif ! grep -q -- "$pattern" <<<"$err"; then
+    echo "FAIL $label: stderr '$err' lacks '$pattern'" >&2
+    fail=1
+  else
+    echo "ok   $label: exit $status: $err"
+  fi
+}
+check() {
+  local src=$1 want=$2 pattern=$3
+  shift 3
+  expect "$src" "$want" "$pattern" sim "$dir/$src" --cycles 2 "$@"
+}
+check missing_semicolon.v 3 "missing_semicolon.v:4: "
+check unknown_module.v 4 "unknown_module.v: unknown module fifo_x"
+check comb_cycle.v 5 "comb_cycle.v: combinational cycle through a, b"
+check unbound_signal.v 6 "unbound_signal.v: unbound signal z"
+check counter.v 7 "unknown_signal.stim:2: no signal nosuch" --stim "$dir/unknown_signal.stim"
+check counter.v 7 'bad_value.stim:3: bad value "zz"' --stim "$dir/bad_value.stim"
+check counter.v 7 "--watch: no signal nosuch" --watch q,nosuch
+
+missing=$tmp/missing
+expect "vcd -o" 7 "^$missing/x.vcd: " vcd D2 -o "$missing/x.vcd"
+expect "checkpoint -o" 7 "^$missing/ck: " checkpoint D2 --every 50 -o "$missing/ck"
+expect "checkpoint -o FILE" 7 "^$dir/counter.v: not a directory" \
+  checkpoint D2 --every 50 -o "$dir/counter.v"
+if ! "$exe" checkpoint D2 --every 50 -o "$tmp/ck" >/dev/null; then
+  echo "FAIL checkpoint D2 into $tmp/ck" >&2
+  fail=1
+fi
+expect "replay -o" 7 "^$missing/r.vcd: " \
+  replay D2 --from "$tmp/ck/D2-c50.fdc" -o "$missing/r.vcd"
+expect "vcd --from=-5" 124 "option '--from'" vcd D2 --from=-5 -o "$tmp/neg.vcd"
+if [ -e "$tmp/neg.vcd" ]; then
+  echo "FAIL vcd --from=-5 wrote a file" >&2
+  fail=1
+fi
+expect "vcd --from past the end" 0 "past the last simulated cycle" \
+  vcd D2 --from 100000 -o "$tmp/late.vcd"
+if [ "$(tail -n 1 "$tmp/late.vcd")" != '$enddefinitions $end' ]; then
+  echo "FAIL vcd --from past the end: $tmp/late.vcd is not header-only" >&2
+  fail=1
+fi
+exit $fail

@@ -709,3 +709,12 @@ let suite =
       QCheck_alcotest.to_alcotest prop_pack_is_concat;
       Alcotest.test_case "pack runs each field once, in order" `Quick test_pack_order;
     ]
+
+(* [equal] compares limb by limb; a rebuilt copy is never physically
+   equal, so it takes the loop. *)
+let prop_equal_bitwise =
+  prop "equal is bitwise equality" gen_pair (fun (a, b) ->
+      Bits.equal a b = (Bits.to_binary_string a = Bits.to_binary_string b)
+      && Bits.equal a (Bits.of_binary_string (Bits.to_binary_string a)))
+
+let suite = suite @ [ QCheck_alcotest.to_alcotest prop_equal_bitwise ]

@@ -1402,3 +1402,134 @@ let suite =
             lowered_matches_brute ~name src stim))
       directed_leaf_cases
   @ [ QCheck_alcotest.to_alcotest prop_wide_concat_lowered ]
+
+(* --- by-name accessors and their name cache -------------------------------- *)
+
+(* Twelve counters stepping by 1..12, so more names are read every
+   cycle than the simulator's name cache holds, plus a memory. *)
+let many_counters =
+  let regs = List.init 12 (fun k -> k + 1) in
+  String.concat ""
+    ([ "module top (input clk, input [7:0] din, output [7:0] sum);\n";
+       "  reg [7:0] mem [0:3];\n";
+       "  assign sum = din + c1;\n" ]
+    @ List.map (fun k -> Printf.sprintf "  reg [7:0] c%d;\n" k) regs
+    @ [ "  always @(posedge clk) begin\n"; "    mem[0] <= din;\n" ]
+    @ List.map (fun k -> Printf.sprintf "    c%d <= c%d + 8'd%d;\n" k k k) regs
+    @ [ "  end\nendmodule\n" ])
+
+let counters_flat () =
+  Elaborate.elaborate (Parser.parse_design many_counters) ~top:"top"
+
+(* a fresh string equal to [s], never physically equal to it *)
+let copy s = Bytes.to_string (Bytes.of_string s)
+
+let kernels = [ Simulator.Lowered_dirty; Simulator.Brute_force ]
+
+let test_name_cache_equal_names () =
+  List.iter
+    (fun kernel ->
+      let sim = Simulator.create ~kernel (counters_flat ()) in
+      let lit = "c3" and fresh = copy "c3" in
+      check_bool "distinct strings" false (lit == fresh);
+      Simulator.set_input_int sim "din" 5;
+      Simulator.set_input sim (copy "din") (b 8 9);
+      for _ = 1 to 4 do
+        Simulator.step sim
+      done;
+      check_int "literal" 12 (Simulator.read_int sim lit);
+      check_int "equal copy" 12 (Simulator.read_int sim fresh);
+      check_int "another copy" 12 (Simulator.read_int sim (copy lit));
+      check_int "input set through a copy" 9 (Simulator.read_int sim "din");
+      check_int "comb output" (9 + 4) (Simulator.read_int sim "sum");
+      check_int "memory through a copy" 9
+        (Bits.to_int (Simulator.read_memory sim (copy "mem")).(0)))
+    kernels
+
+let test_name_cache_many_names () =
+  List.iter
+    (fun kernel ->
+      let flat = counters_flat () in
+      let sim = Simulator.create ~kernel flat in
+      let names = List.init 12 (fun k -> (k + 1, Printf.sprintf "c%d" (k + 1))) in
+      for cycle = 1 to 20 do
+        Simulator.step sim;
+        (* the same strings every cycle, in an order that evicts each
+           cached name before it comes round again *)
+        List.iter
+          (fun (step, name) ->
+            let want = cycle * step land 0xff in
+            check_int name want (Simulator.read_int sim name);
+            check_int (name ^ " copy") want (Simulator.read_int sim (copy name));
+            let i = Hashtbl.find flat.Elaborate.f_signal_ids name in
+            check_int (name ^ " by id") want
+              (Bits.to_int (Simulator.read_id sim i)))
+          (if cycle mod 2 = 0 then names else List.rev names)
+      done)
+    kernels
+
+(* The messages the by-name accessors have always raised, whether the
+   name was cached by an earlier call or not. *)
+let test_name_errors () =
+  List.iter
+    (fun kernel ->
+      let flat = counters_flat () in
+      let sim = Simulator.create ~kernel flat in
+      let raises msg f = Alcotest.check_raises msg (Invalid_argument msg) f in
+      for _ = 1 to 2 do
+        raises "Simulator.read: unknown nosuch" (fun () ->
+            ignore (Simulator.read sim "nosuch"));
+        raises "Simulator.read: unknown nosuch" (fun () ->
+            ignore (Simulator.read_int sim (copy "nosuch")));
+        raises "Simulator.set_input: unknown nosuch" (fun () ->
+            Simulator.set_input sim "nosuch" (b 1 1));
+        raises "Simulator.set_input_int: unknown nosuch" (fun () ->
+            Simulator.set_input_int sim "nosuch" 1);
+        raises "Simulator.read_memory: nosuch" (fun () ->
+            ignore (Simulator.read_memory sim "nosuch"));
+        ignore (Simulator.read_memory sim "mem");
+        raises "Simulator.read: mem is a memory" (fun () ->
+            ignore (Simulator.read sim "mem"));
+        raises "Simulator.read: mem is a memory" (fun () ->
+            ignore (Simulator.read_id sim (Hashtbl.find flat.f_signal_ids "mem")));
+        raises "Simulator.set_input: memory" (fun () ->
+            Simulator.set_input sim "mem" (b 8 1));
+        raises "Simulator.set_input_int: unknown mem" (fun () ->
+            Simulator.set_input_int sim "mem" 1);
+        ignore (Simulator.read sim "c1");
+        raises "Simulator.read_memory: c1" (fun () ->
+            ignore (Simulator.read_memory sim "c1"))
+      done;
+      raises "index out of bounds" (fun () ->
+          ignore (Simulator.read_id sim (Array.length flat.f_signal_order))))
+    kernels
+
+(* A name passed as the same string every cycle is found without
+   hashing and without allocating: the brute-force kernel returns the
+   stored vector, so reads allocate nothing at all. *)
+let test_name_cache_hit_allocation () =
+  let sim = Simulator.create ~kernel:Simulator.Brute_force (counters_flat ()) in
+  Simulator.step sim;
+  let n = 10_000 in
+  ignore (Simulator.read sim "c5");
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (Simulator.read sim "c5"))
+  done;
+  let words = Gc.minor_words () -. before in
+  check_bool
+    (Printf.sprintf "%.0f minor words over %d cached reads < 64" words n)
+    true (words < 64.)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "name cache: equal names, one signal" `Quick
+        test_name_cache_equal_names;
+      Alcotest.test_case "name cache: more names than slots" `Quick
+        test_name_cache_many_names;
+      Alcotest.test_case "name cache: error messages unchanged" `Quick
+        test_name_errors;
+      Alcotest.test_case "name cache: cached reads do not allocate" `Quick
+        test_name_cache_hit_allocation;
+    ]

@@ -669,3 +669,90 @@ let suite =
       Alcotest.test_case "design_of does not cache parse errors" `Quick
         test_design_of_error_not_cached;
     ]
+
+(* --- pinned waveforms ------------------------------------------------------ *)
+
+(* MD5 of the VCD of every Table 2 bug, buggy and fixed, sampled from
+   cycle 0 and from the listed mid-run cycle (half the run), recorded
+   before the sampler read signals by dense id. Both kernels must
+   reproduce every byte: the waveform is the oracle that compares
+   kernels and replays. Columns: bug, buggy, mid cycle, digest from 0,
+   digest from mid. *)
+let pinned_vcds =
+  [
+    ("D1", true, 60, "86eadcbd7d50f5ddde8d9071fa943ffe", "b9099c04c9426b3eb8b8312c1a4f180d");
+    ("D1", false, 20, "6f535bc1dd33cb6cfee676fda619b991", "535a1cc63eb12aa15d4a906dc460ab4c");
+    ("D2", true, 60, "644c5e278b1799cfbe00a53ca0c3082b", "87b206a6ee9bd08f03cb7516178831a2");
+    ("D2", false, 27, "49cc7e56dae00ee8030122f9d9b5d6fe", "d237a4204a589c364b586637fb153fa8");
+    ("D3", true, 40, "4dc1452329b72af6ab8a3c2635de6c58", "4f229f55c5818737a63110ed0023a8c1");
+    ("D3", false, 8, "4e62ae690d403721dcdeb554805982b2", "eb13311e74c15b6d62b2faf43f7cd73d");
+    ("D4", true, 40, "e817e24da75e1020814042de459e82e8", "5b2164987195a6b49dcf2fa8a535eda5");
+    ("D4", false, 40, "17293b6526452d56b062451d7ad5fb4d", "0400c1846b2821b9bc124be135b25f6e");
+    ("D5", true, 20, "76306d4136dd3f7f8ccbc5f44c86ee6b", "4e9cfc1d763255ac772e19757e9365b3");
+    ("D5", false, 20, "a5f65df7ca41867c38176a187ad48d45", "031642c619ccfcc48bf4f4202fbc33c9");
+    ("D6", true, 10, "06c387733a1671d633d7b8fddaaf2fe0", "ab44830e323e655b0ee32d536795799d");
+    ("D6", false, 10, "1c934cccd608838d8440c1a2d326d7b5", "b6d82c91e73166f9350b9fbbe9d5c38c");
+    ("D7", true, 12, "417dd9363a5985a5715ee152e63f4692", "e7fcc63151619401e6a4dc4d5ea1a0df");
+    ("D7", false, 12, "8ea3e15afd88af42318808e2b668ce43", "5d3a27e74b08b423b8bea6d529f41756");
+    ("D8", true, 6, "dc141f67229ff8633a3ece626537b407", "5d8415ff888e348de5c6f7cf0cbb08c1");
+    ("D8", false, 6, "ebc5d7dab13d561ce4b853d35d34e11b", "5d8415ff888e348de5c6f7cf0cbb08c1");
+    ("D9", true, 8, "2d9685fcb01eca38fa9b8ff893e13896", "51d3ee584d31971c748518ea179936cd");
+    ("D9", false, 8, "21eb540d82f6b5135092bf92969bd152", "dee1939f0e80d5fee7a19e7368ad32d5");
+    ("D10", true, 30, "6125ca8b1c076a178e85c04ec09c408b", "555d9d4859a9cb0d6d7cc34caf697291");
+    ("D10", false, 30, "e01c7380713f6579e89175916c84a097", "63e721063cd7a81c6d29fbcbd79342aa");
+    ("D11", true, 30, "94f99ce4a2542c853cfa88c73f229a13", "4b0de5f545dc0692573777074771db9d");
+    ("D11", false, 30, "63717604fa617505087b2cca5d788c18", "ec963bf0d203c7b4e93f0a7729ca74ec");
+    ("D12", true, 15, "f96f5d6db76ee32939700918221e020c", "61e5a33846526d62f1a45589d55e4a14");
+    ("D12", false, 15, "d3f0a1b175e8e1779332ead78a364659", "9fd6d78bee38ffeae11ebebf26f833e4");
+    ("D13", true, 10, "aeaef4c367c285805e07ce2de2a7a987", "d8344e21234cb98f5b3695038a1b3659");
+    ("D13", false, 10, "c8933829e2ba36cb7c72203439505070", "b10aec32f029e3c8765d8f40d6ae9121");
+    ("C1", true, 25, "c177504e4ee31cc5a47f7f5b08d3b34e", "cd74a138444d3bc23913900f22da134e");
+    ("C1", false, 2, "dfe3809b1474ca59d944bf2cf3e1a48e", "b3210aa0876d51f9fc7152f0bf1dfa4d");
+    ("C2", true, 30, "876bee67e397c4ecdc20dd105c04f8eb", "f61aea2a325012a3b4938c17ac58e8ec");
+    ("C2", false, 7, "8221dd9719086c972db49d09ad32d779", "63c1595ec459444d9ad2c13f476cd682");
+    ("C3", true, 8, "2ea790820d36e05832655125ee0ded7e", "2943d91889d9e4956e79ecf3867746d6");
+    ("C3", false, 8, "c6720a1131b52d03c60d30181d6f5db8", "1d7dff2cf299199c359d324fce9fbb05");
+    ("C4", true, 20, "719caee9a4ae061e6e7de4fd2b559147", "38c9a2ef889de004d7b345ba9651237e");
+    ("C4", false, 20, "97bcd13adddefeae4c5ef67237331454", "38c9a2ef889de004d7b345ba9651237e");
+    ("S1", true, 2, "6a890ac2c38f91f80012f56b90c73beb", "f5e03a8772038994f822f7379e75a911");
+    ("S1", false, 4, "d1b3ca8270269de209769507b6af4a2c", "4663cbfb36529afa3ec56290ffde028d");
+    ("S2", true, 6, "04c4723edb6c9008eb1fef7611bc442e", "76376394266b421a7fa42a60b4c9f57c");
+    ("S2", false, 6, "b4ec8eac363d8197ff2a5e345e6e0b17", "2363e3c58f6fc2c93239228d86359080");
+    ("S3", true, 8, "e1deb33ca1ff98e6da69ff03ba38883a", "e050eed4f79fb8ca8d70f0b49f3e1796");
+    ("S3", false, 8, "333ee13696a2a6d26ba9c47efb79f778", "e050eed4f79fb8ca8d70f0b49f3e1796");
+  ]
+
+let vcd_md5 ~kernel ~from bug ~buggy =
+  let r =
+    Bug.run_design ~vcd:true ~vcd_from:from ~kernel bug
+      (Bug.design_of bug ~buggy)
+  in
+  Digest.to_hex (Digest.string (Option.get r.Bug.vcd))
+
+let pinned_vcd_tests =
+  List.map
+    (fun (bug : Bug.t) ->
+      Alcotest.test_case (bug.Bug.id ^ " vcd md5 pinned") `Quick (fun () ->
+          let rows =
+            List.filter (fun (id, _, _, _, _) -> id = bug.Bug.id) pinned_vcds
+          in
+          check_int "buggy and fixed rows" 2 (List.length rows);
+          List.iter
+            (fun (_, buggy, mid, from0, from_mid) ->
+              List.iter
+                (fun kernel ->
+                  let tag from =
+                    Printf.sprintf "%s %s from %d under %s" bug.Bug.id
+                      (if buggy then "buggy" else "fixed")
+                      from
+                      (Simulator.kernel_name kernel)
+                  in
+                  Alcotest.(check string) (tag 0) from0
+                    (vcd_md5 ~kernel ~from:0 bug ~buggy);
+                  Alcotest.(check string) (tag mid) from_mid
+                    (vcd_md5 ~kernel ~from:mid bug ~buggy))
+                [ Simulator.Lowered_dirty; Simulator.Brute_force ])
+            rows))
+    all
+
+let suite = suite @ pinned_vcd_tests
