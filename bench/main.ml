@@ -304,16 +304,13 @@ let lowering_bench_one (d : bench_design) =
 
 (* Kernel-telemetry readout: one instrumented 2000-cycle run per bench
    design, reporting how much of the full-sweep work the default kernel
-   actually performed (in fused closures) and how the global event bus
-   filled. *)
+   actually performed (in fused closures). *)
 type telemetry_stats = {
   ts_design : string;
   ts_settles : int;
   ts_node_rounds : int;
   ts_nodes_evaluated : int;
   ts_efficiency : float;
-  ts_bus_published : int;
-  ts_bus_dropped : int;
 }
 
 let telemetry_stats_one (d : bench_design) =
@@ -328,15 +325,12 @@ let telemetry_stats_one (d : bench_design) =
     incr n
   done;
   let st = Option.get (Simulator.stats sim) in
-  let r = Telemetry.report () in
   {
     ts_design = d.bd_id;
     ts_settles = st.Simulator.st_settles;
     ts_node_rounds = st.Simulator.st_node_rounds;
     ts_nodes_evaluated = st.Simulator.st_nodes_evaluated;
     ts_efficiency = Option.value (Simulator.kernel_efficiency sim) ~default:1.0;
-    ts_bus_published = r.Telemetry.r_bus_published;
-    ts_bus_dropped = r.Telemetry.r_bus_dropped;
   }
 
 let telemetry_benches () =
@@ -441,7 +435,7 @@ let campaign_benches () =
 
 let json_of_results results lowerings bits lookup telem overheads campaigns =
   let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n  \"schema\": \"fpga-debug-bench/9\",\n";
+  Buffer.add_string buf "{\n  \"schema\": \"fpga-debug-bench/10\",\n";
   Buffer.add_string buf "  \"designs\": [\n";
   (* "speedup" is auto-kernel throughput over brute — what a user who
      never passes --kernel actually gets *)
@@ -509,10 +503,9 @@ let json_of_results results lowerings bits lookup telem overheads campaigns =
       Buffer.add_string buf
         (Printf.sprintf
            "    {\"design\": %S, \"settles\": %d, \"node_rounds\": %d, \
-            \"nodes_evaluated\": %d, \"kernel_efficiency\": %.4f, \
-            \"bus_published\": %d, \"bus_dropped\": %d}%s\n"
+            \"nodes_evaluated\": %d, \"kernel_efficiency\": %.4f}%s\n"
            t.ts_design t.ts_settles t.ts_node_rounds t.ts_nodes_evaluated
-           t.ts_efficiency t.ts_bus_published t.ts_bus_dropped
+           t.ts_efficiency
            (if i = List.length telem - 1 then "" else ",")))
     telem;
   Buffer.add_string buf "  ],\n  \"telemetry_overhead\": [\n";
@@ -707,13 +700,13 @@ let run_json_bench path baseline =
     "\nsignal lookup: hashtbl %.1f/s, interned array %.1f/s (%.1fx)\n"
     lookup.lb_hashtbl_per_sec lookup.lb_array_per_sec
     (lookup.lb_array_per_sec /. lookup.lb_hashtbl_per_sec);
-  Printf.printf "\n%-8s %10s %12s %10s %10s %10s %9s\n" "design" "settles"
-    "node rnds" "evaluated" "eff %" "bus pub" "bus drop";
+  Printf.printf "\n%-8s %10s %12s %10s %10s\n" "design" "settles"
+    "node rnds" "evaluated" "eff %";
   List.iter
     (fun t ->
-      Printf.printf "%-8s %10d %12d %10d %9.1f%% %10d %9d\n" t.ts_design
+      Printf.printf "%-8s %10d %12d %10d %9.1f%%\n" t.ts_design
         t.ts_settles t.ts_node_rounds t.ts_nodes_evaluated
-        (100.0 *. t.ts_efficiency) t.ts_bus_published t.ts_bus_dropped)
+        (100.0 *. t.ts_efficiency))
     telem;
   Printf.printf "\n%-8s %16s %16s %10s %16s %10s\n" "design"
     "cyc/s telem off" "cyc/s telem on" "overhead" "cyc/s trace on"

@@ -582,9 +582,8 @@ let replay_cmd =
 let profile_cmd =
   let doc =
     "Run a bug's buggy design with telemetry enabled and report kernel \
-     statistics: settle rounds, nodes evaluated vs. skipped, the \
-     hottest signals by toggle count, and event-bus occupancy versus \
-     --buffer depth."
+     statistics: phase timings, settle rounds, nodes evaluated vs. \
+     skipped, and the hottest signals by toggle count."
   in
   let cycles_arg =
     Arg.(value & opt int 200 & info [ "cycles" ] ~docv:"N" ~doc:"Cycles to run")
@@ -596,11 +595,11 @@ let profile_cmd =
   let top_arg =
     Arg.(value & opt int 10 & info [ "top" ] ~docv:"K" ~doc:"Hottest signals to show")
   in
-  let run id cycles json buffer top_k trace trace_clock kernel =
+  let run id cycles json top_k trace trace_clock kernel =
     let bug = find_bug id in
     let p =
       traced ~trace ~clock:trace_clock (fun () ->
-          Fpga_report.Profile.run ?kernel ~cycles ~buffer ~top_k bug)
+          Fpga_report.Profile.run ?kernel ~cycles ~top_k bug)
     in
     Fpga_report.Profile.print p;
     match json with
@@ -612,8 +611,8 @@ let profile_cmd =
         Printf.printf "\nwrote %s\n" path
   in
   Cmd.v (Cmd.info "profile" ~doc)
-    Term.(const run $ bug_arg $ cycles_arg $ json_arg $ buffer_arg $ top_arg
-          $ trace_arg $ trace_clock_arg $ kernel_arg)
+    Term.(const run $ bug_arg $ cycles_arg $ json_arg $ top_arg $ trace_arg
+          $ trace_clock_arg $ kernel_arg)
 
 (* --- lint ------------------------------------------------------------ *)
 

@@ -54,7 +54,7 @@ let () =
     List.iter (fun (n, v) -> Simulator.set_input sim n v) (bug.Bug.stimulus i);
     Simulator.step sim
   done;
-  let cp = Simulator.checkpoint sim in
+  let cp = Simulator.save_checkpoint ~tag:bug.Bug.id sim in
   Printf.printf "checkpoint taken at cycle %d\n" (Simulator.cycle sim);
   for i = 7 to 20 do
     List.iter (fun (n, v) -> Simulator.set_input sim n v) (bug.Bug.stimulus i);
@@ -62,7 +62,7 @@ let () =
   done;
   Printf.printf "ran ahead to cycle %d (host_addr = %d)\n" (Simulator.cycle sim)
     (Simulator.read_int sim "host_addr");
-  Simulator.restore sim cp;
+  Simulator.restore_checkpoint sim cp;
   Printf.printf "restored to cycle %d; replaying with extra visibility...\n"
     (Simulator.cycle sim);
   for i = 7 to 20 do

@@ -21,6 +21,7 @@ module Simulator = Fpga_sim.Simulator
 module Taxonomy = Fpga_study.Taxonomy
 module Telemetry = Fpga_telemetry.Telemetry
 module Trace = Fpga_telemetry.Telemetry.Trace
+module Trace_export = Fpga_telemetry.Trace_export
 
 (* ------------------------------------------------------------------ *)
 (* Generic domain pool                                                 *)
@@ -396,21 +397,6 @@ let trace_segments (c : t) =
 (* Reporting                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* Schema-pinned machine-readable report. Waveforms are summarized as
    (length, MD5) rather than inlined: enough for byte-identity checks
    across runs without multi-megabyte reports. *)
@@ -426,7 +412,7 @@ let to_json (c : t) : string =
       add "    {\"id\": %d, \"label\": %S, \"domain\": %d, \"wall\": %.6f, "
         r.jr_id r.jr_label r.jr_domain r.jr_wall;
       (match r.jr_value with
-      | Error e -> add "\"error\": \"%s\"" (json_escape e)
+      | Error e -> add "\"error\": \"%s\"" (Trace_export.escape e)
       | Ok v ->
           add "\"bug\": %S, \"kind\": %S, \"ok\": %b, \"cycles\": %d, "
             v.v_bug v.v_kind v.v_ok v.v_cycles;
@@ -439,7 +425,7 @@ let to_json (c : t) : string =
               add "\"vcd_bytes\": %d, \"vcd_md5\": %S" (String.length vcd)
                 (Digest.to_hex (Digest.string vcd))
           | None -> add "\"vcd_bytes\": 0, \"vcd_md5\": \"\"");
-          add ", \"detail\": \"%s\"" (json_escape v.v_detail));
+          add ", \"detail\": \"%s\"" (Trace_export.escape v.v_detail));
       add "}%s\n" (if i = njobs - 1 then "" else ","))
     c.c_results;
   add "  ],\n";
@@ -469,10 +455,8 @@ let to_json (c : t) : string =
   add "    \"pool_utilization\": %.4f\n" c.c_stats.ps_utilization;
   add "  },\n";
   let tel = c.c_stats.ps_telemetry in
-  add "  \"telemetry\": {\"counters\": %d, \"bus_published\": %d, \
-       \"bus_dropped\": %d}\n"
-    (List.length tel.Telemetry.r_counters)
-    tel.Telemetry.r_bus_published tel.Telemetry.r_bus_dropped;
+  add "  \"telemetry\": {\"counters\": %d}\n"
+    (List.length tel.Telemetry.r_counters);
   add "}\n";
   Buffer.contents buf
 
@@ -588,7 +572,8 @@ let fuzz_to_json (fc : fuzz_campaign) : string =
   let buf = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let str_list ss =
-    String.concat ", " (List.map (fun s -> Printf.sprintf "\"%s\"" (json_escape s)) ss)
+    String.concat ", "
+      (List.map (fun s -> Printf.sprintf "\"%s\"" (Trace_export.escape s)) ss)
   in
   add "{\n  \"schema\": \"fpga-debug-fuzz/2\",\n";
   add "  \"seed\": %d,\n" fc.f_seed;
@@ -608,7 +593,7 @@ let fuzz_to_json (fc : fuzz_campaign) : string =
     (fun i r ->
       add "    {\"index\": %d, " i;
       (match r.jr_value with
-      | Error e -> add "\"error\": \"%s\"" (json_escape e)
+      | Error e -> add "\"error\": \"%s\"" (Trace_export.escape e)
       | Ok f ->
           add "\"bug\": %S, \"sub_seed\": %d, \"outcome\": %S, " f.Fuzz.r_bug
             f.Fuzz.r_sub_seed
@@ -616,7 +601,7 @@ let fuzz_to_json (fc : fuzz_campaign) : string =
           add "\"mutations\": [%s], "
             (str_list (List.map Mutate.mutation_to_string f.Fuzz.r_mutations));
           add "\"detail\": \"%s\""
-            (json_escape (Fuzz.outcome_detail f.Fuzz.r_outcome)));
+            (Trace_export.escape (Fuzz.outcome_detail f.Fuzz.r_outcome)));
       add "}%s\n" (if i = n - 1 then "" else ","))
     fc.f_results;
   add "  ],\n";
@@ -627,7 +612,7 @@ let fuzz_to_json (fc : fuzz_campaign) : string =
     (fun i f ->
       add "    {\"index\": %d, \"bug\": %S, \"mismatch\": \"%s\", "
         f.Fuzz.r_index f.Fuzz.r_bug
-        (json_escape (Fuzz.outcome_detail f.Fuzz.r_outcome));
+        (Trace_export.escape (Fuzz.outcome_detail f.Fuzz.r_outcome));
       add "\"minimized\": [%s], "
         (str_list (List.map Mutate.mutation_to_string f.Fuzz.r_minimized));
       (match f.Fuzz.r_repro with

@@ -101,9 +101,8 @@ let instrument (t : t) (m : Ast.module_def) : Ast.module_def =
 
 (* Rebuild the transition trace from the unified log. The [decode_]
    variant is the pure parser shared by every consumer; the public
-   {!transitions} additionally publishes each decoded transition onto
-   the telemetry bus (exactly once per call, never from the internal
-   uses in {!final_states}). *)
+   {!transitions} additionally counts the decoded transitions (exactly
+   once per call, never from the internal uses in {!final_states}). *)
 let decode_transitions (t : t) (log : (int * string) list) : transition list =
   Instrument.tagged_lines tag log
   |> List.filter_map (fun (cycle, payload) ->
@@ -145,23 +144,8 @@ let transitions_counter = Telemetry.Counter.make "fsm_monitor.transitions"
 
 let transitions (t : t) (log : (int * string) list) : transition list =
   let trans = decode_transitions t log in
-  if Telemetry.enabled () then
-    List.iter
-      (fun tr ->
-        Telemetry.Counter.incr transitions_counter;
-        Telemetry.Bus.publish (Telemetry.bus ())
-          {
-            Telemetry.ev_cycle = tr.cycle;
-            ev_source = "fsm_monitor";
-            ev_kind = "transition";
-            ev_data =
-              [
-                ("state_var", tr.state_var);
-                ("from", tr.from_name);
-                ("to", tr.to_name);
-              ];
-          })
-      trans;
+  if trans <> [] then
+    Telemetry.Counter.bump transitions_counter (List.length trans);
   trans
 
 (* The last observed state of every monitored FSM: the "where is each

@@ -23,7 +23,6 @@ module Bits = Fpga_bits.Bits
 module Width = Fpga_analysis.Width
 module Path_constraint = Fpga_analysis.Path_constraint
 module Simulator = Fpga_sim.Simulator
-module Telemetry = Fpga_telemetry.Telemetry
 
 type mode = Simulation | On_fpga
 
@@ -358,21 +357,7 @@ let reconstruct (plan : plan) (sim : Simulator.t) : (int * string) list =
       then decode_entry plan (Simulator.read sim stage_name)
       else []
     in
-    let entries = from_buffer @ pending in
-    (* mirror the readback onto the telemetry bus: each reconstructed
-       line is one recording-IP entry recovered over JTAG *)
-    if Telemetry.enabled () then
-      List.iter
-        (fun (cycle, text) ->
-          Telemetry.Bus.publish (Telemetry.bus ())
-            {
-              Telemetry.ev_cycle = cycle;
-              ev_source = "signalcat";
-              ev_kind = "entry";
-              ev_data = [ ("text", text) ];
-            })
-        entries;
-    entries)
+    from_buffer @ pending)
 
 (* Run a design+stimulus in the given mode and return the unified log.
    This is the "single interface for tracing" the paper describes. *)

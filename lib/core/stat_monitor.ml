@@ -5,7 +5,6 @@
    counters - valid inputs vs. valid outputs - indicate data loss. *)
 
 module Ast = Fpga_hdl.Ast
-module Telemetry = Fpga_telemetry.Telemetry
 
 type event = { event_name : string; trigger : Ast.expr }
 
@@ -65,27 +64,11 @@ let instrument ?(log_changes = false) (t : t) (m : Ast.module_def) :
     Instrument.add_logic m ~decls
       ~always:[ { Ast.sens = Ast.Posedge clk; stmts } ])
 
-(* Counter read-back after an execution. Each read-back value is also
-   published onto the telemetry bus, stamped with the cycle at which it
-   was sampled. *)
+(* Counter read-back after an execution. *)
 let counts (t : t) (sim : Fpga_sim.Simulator.t) : (string * int) list =
-  let cs =
-    List.map
-      (fun e -> (e.event_name, Fpga_sim.Simulator.read_int sim (counter_name e)))
-      t.events
-  in
-  if Telemetry.enabled () then
-    List.iter
-      (fun (name, v) ->
-        Telemetry.Bus.publish (Telemetry.bus ())
-          {
-            Telemetry.ev_cycle = Fpga_sim.Simulator.cycle sim;
-            ev_source = "stat_monitor";
-            ev_kind = "count";
-            ev_data = [ ("event", name); ("count", string_of_int v) ];
-          })
-      cs;
-  cs
+  List.map
+    (fun e -> (e.event_name, Fpga_sim.Simulator.read_int sim (counter_name e)))
+    t.events
 
 (* The statistical-anomaly check of the paper's data-loss workflow:
    producer events should equal consumer events. *)

@@ -25,29 +25,16 @@ type t = {
   p_hottest : (string * int) list;
   p_spans : (string * int * float) list;
   p_counters : (string * int) list;
-  p_bus_depth : int;
-  p_bus_published : int;
-  p_bus_dropped : int;
-  p_bus_retained : int;
 }
 
 let kernel_name = Simulator.kernel_name
 
-let run ?kernel ?(cycles = 200) ?(buffer = 8192) ?(top_k = 10) (bug : Bug.t) :
-    t =
+let run ?kernel ?(cycles = 200) ?(top_k = 10) (bug : Bug.t) : t =
   let was_enabled = Telemetry.enabled () in
-  let old_sample = Telemetry.step_sample () in
   Telemetry.enable ();
-  (* profiling wants the per-cycle step-event firehose so bus drop
-     accounting reflects every cycle, not one sample per window *)
-  Telemetry.set_step_sample 1;
   Telemetry.reset ();
-  Telemetry.Bus.set_depth (Telemetry.bus ()) buffer;
-  (* restore only the knobs: the collected run stays readable afterwards *)
-  Fun.protect
-    ~finally:(fun () ->
-      Telemetry.set_step_sample old_sample;
-      if not was_enabled then Telemetry.disable ())
+  (* restore only the switch: the collected run stays readable afterwards *)
+  Fun.protect ~finally:(fun () -> if not was_enabled then Telemetry.disable ())
   @@ fun () ->
   let design =
     Telemetry.span "parse" (fun () -> Bug.design_of bug ~buggy:true)
@@ -93,10 +80,6 @@ let run ?kernel ?(cycles = 200) ?(buffer = 8192) ?(top_k = 10) (bug : Bug.t) :
     p_hottest = Simulator.hottest_signals ~k:top_k sim;
     p_spans = report.Telemetry.r_spans;
     p_counters = report.Telemetry.r_counters;
-    p_bus_depth = report.Telemetry.r_bus_depth;
-    p_bus_published = report.Telemetry.r_bus_published;
-    p_bus_dropped = report.Telemetry.r_bus_dropped;
-    p_bus_retained = report.Telemetry.r_bus_retained;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -108,7 +91,7 @@ let to_json (p : t) : string =
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let st = p.p_stats in
   let hist = st.Simulator.st_settle_hist in
-  add "{\n  \"schema\": \"fpga-debug-profile/3\",\n";
+  add "{\n  \"schema\": \"fpga-debug-profile/4\",\n";
   add "  \"bug\": %S, \"top\": %S, \"kernel\": %S,\n" p.p_bug_id p.p_top
     p.p_kernel;
   add "  \"cycles_requested\": %d, \"cycles_run\": %d, \"finished\": %b,\n"
@@ -186,12 +169,7 @@ let to_json (p : t) : string =
       add "    {\"name\": %S, \"value\": %d}%s\n" name v
         (if i = List.length p.p_counters - 1 then "" else ","))
     p.p_counters;
-  add "  ],\n";
-  add
-    "  \"bus\": {\"depth\": %d, \"published\": %d, \"dropped\": %d, \
-     \"retained\": %d}\n"
-    p.p_bus_depth p.p_bus_published p.p_bus_dropped p.p_bus_retained;
-  add "}\n";
+  add "  ]\n}\n";
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
@@ -249,15 +227,10 @@ let print (p : t) =
         Printf.printf "  commits per edge   %8.2f\n"
           (float_of_int (r.L.rs_commit_imm + r.L.rs_commit_boxed)
           /. float_of_int r.L.rs_edges));
-  (match p.p_hottest with
+  match p.p_hottest with
   | [] -> ()
   | hottest ->
       Printf.printf "\nhottest signals (toggles):\n";
       List.iter
         (fun (name, n) -> Printf.printf "  %-32s %8d\n" name n)
-        hottest);
-  Printf.printf
-    "\nevent bus: depth %d, published %d, dropped %d, retained %d%s\n"
-    p.p_bus_depth p.p_bus_published p.p_bus_dropped p.p_bus_retained
-    (if p.p_bus_dropped > 0 then "  (raise --buffer to keep more history)"
-     else "")
+        hottest

@@ -96,16 +96,9 @@ type istats = {
   mutable s_displays : int;
   s_toggles : int array;  (* per-signal change counts, by dense id *)
   s_settle_hist : Telemetry.Histogram.t;  (* nodes evaluated per settle *)
-  (* step-event sampling: one aggregated bus event per [s_sample_every]
-     cycles instead of one per cycle; totals stay exact *)
-  s_sample_every : int;
+  (* trace counter sampling window: see [sample_every] *)
   mutable s_cycles_in_window : int;
-  mutable s_evaluated_mark : int;  (* s_nodes_evaluated at last publish *)
-  (* bus accounting at create: the traced series reports this run's
-     publishes/drops, not the sink's lifetime totals, so the numbers
-     are identical whether the run shares a domain or owns one *)
-  s_bus_pub0 : int;
-  s_bus_drop0 : int;
+  mutable s_evaluated_mark : int;  (* s_nodes_evaluated at last sample *)
 }
 
 type t = {
@@ -127,7 +120,6 @@ type t = {
       (* oldest-first view cached at a given length, so repeated [log]
          reads between new displays cost O(1) instead of re-reversing *)
   mutable display_hook : (int -> string -> unit) option;
-  mutable step_hooks : (int -> unit) list;  (* registration order *)
   stats : istats option;
   (* by-name accessor cache: the last [name_slots] names looked up,
      matched by physical equality, with their dense ids; see [id_of] *)
@@ -205,21 +197,13 @@ type exec_ctx = {
   displays_enabled : bool;
 }
 
-(* The $display sink, shared by every kernel: log, stats, telemetry
-   bus, hook. Reads the cycle counter at emission time. *)
+(* The $display sink, shared by every kernel: log, stats, hook. Reads
+   the cycle counter at emission time. *)
 let emit_text sim text =
   sim.log <- (sim.cycle, text) :: sim.log;
   sim.log_len <- sim.log_len + 1;
   (match sim.stats with
-  | Some st ->
-      st.s_displays <- st.s_displays + 1;
-      Telemetry.Bus.publish (Telemetry.bus ())
-        {
-          Telemetry.ev_cycle = sim.cycle;
-          ev_source = "simulator";
-          ev_kind = "display";
-          ev_data = [ ("text", text) ];
-        }
+  | Some st -> st.s_displays <- st.s_displays + 1
   | None -> ());
   match sim.display_hook with Some f -> f sim.cycle text | None -> ()
 
@@ -515,11 +499,8 @@ let create ?(kernel = default_kernel) (flat : flat) : t =
           s_displays = 0;
           s_toggles = Array.make (Array.length flat.f_signal_order) 0;
           s_settle_hist = Telemetry.Histogram.make "settle.nodes_evaluated";
-          s_sample_every = Telemetry.step_sample ();
           s_cycles_in_window = 0;
           s_evaluated_mark = 0;
-          s_bus_pub0 = Telemetry.Bus.published (Telemetry.bus ());
-          s_bus_drop0 = Telemetry.Bus.dropped (Telemetry.bus ());
         }
     else None
   in
@@ -537,7 +518,7 @@ let create ?(kernel = default_kernel) (flat : flat) : t =
         List.exists (fun (e, _, _) -> e = Elaborate.Neg) flat.f_seq;
       prims; low;
       cycle = 0; finished; log = []; log_len = 0;
-      log_memo = (0, []); display_hook = None; step_hooks = []; stats;
+      log_memo = (0, []); display_hook = None; stats;
       (* an empty slot holds id -1, so [id_of] misses on it whatever
          its key *)
       name_keys = Array.make name_slots "";
@@ -695,6 +676,10 @@ let edge_phase (sim : t) (edge : Elaborate.clock_edge) ~with_prims =
 let dense_mode sim =
   match sim.low with Some low -> Lowered.dense low | None -> false
 
+(* The trace counter series are sampled once per this many cycles, not
+   every cycle, so tracing a long run stays cheap. *)
+let sample_every = 32
+
 let step (sim : t) =
   if not !(sim.finished) then (
     settle sim ~displays:false;
@@ -707,49 +692,23 @@ let step (sim : t) =
       settle sim ~displays:false;
       edge_phase sim Elaborate.Neg ~with_prims:false);
     settle sim ~displays:true;
-    let completed = sim.cycle in
-    sim.cycle <- completed + 1;
-    (match sim.stats with
+    sim.cycle <- sim.cycle + 1;
+    match sim.stats with
     | Some st ->
         st.s_steps <- st.s_steps + 1;
-        (* publish one aggregated event per sampling window rather than
-           one per cycle - the per-cycle record allocation dominated
-           telemetry-on overhead on small designs. Totals stay exact;
-           only the bus cadence changes. *)
         st.s_cycles_in_window <- st.s_cycles_in_window + 1;
-        if st.s_cycles_in_window >= st.s_sample_every then (
-          let window = st.s_cycles_in_window in
+        if st.s_cycles_in_window >= sample_every then (
           let delta = st.s_nodes_evaluated - st.s_evaluated_mark in
           st.s_cycles_in_window <- 0;
           st.s_evaluated_mark <- st.s_nodes_evaluated;
-          Telemetry.Bus.publish (Telemetry.bus ())
-            {
-              Telemetry.ev_cycle = completed;
-              ev_source = "simulator";
-              ev_kind = "step";
-              ev_data =
-                [
-                  ("cycles", string_of_int window);
-                  ("evaluated", string_of_int delta);
-                ];
-            };
-          (* counter series for the trace timeline, at the same sampled
-             cadence as the bus event (no per-cycle cost) *)
           if Telemetry.Trace.enabled () then (
-            let b = Telemetry.bus () in
             Telemetry.Trace.counter "sim.dirty"
               (match sim.low with
               | Some low -> Lowered.dirty_count low
               | None -> Array.length sim.nodes);
             Telemetry.Trace.counter "sim.evaluated" delta;
-            Telemetry.Trace.counter "sim.dense" (if dense_mode sim then 1 else 0);
-            Telemetry.Trace.counter "bus.published"
-              (Telemetry.Bus.published b - st.s_bus_pub0);
-            Telemetry.Trace.counter "bus.dropped"
-              (Telemetry.Bus.dropped b - st.s_bus_drop0)))
-    | None -> ());
-    if sim.step_hooks <> [] then
-      List.iter (fun f -> f completed) sim.step_hooks)
+            Telemetry.Trace.counter "sim.dense" (if dense_mode sim then 1 else 0)))
+    | None -> ())
 
 let run sim n =
   let i = ref 0 in
@@ -774,7 +733,6 @@ let finished sim = !(sim.finished)
 let kernel sim = sim.kernel
 let lowering_stats sim = Option.map Lowered.stats sim.low
 let on_display sim f = sim.display_hook <- Some f
-let on_step sim f = sim.step_hooks <- sim.step_hooks @ [ f ]
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry read-back                                                 *)
@@ -838,20 +796,6 @@ let hottest_signals ?(k = 10) sim =
 (* Checkpointing                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* A deep snapshot of the architectural state: environment, primitive
-   contents, cycle count, and log. Restoring a checkpoint and stepping
-   produces the same trace as the original run - the replay property
-   checkpoint-based FPGA debuggers (DESSERT, StateMover) rely on.
-   Snapshots are name-keyed so they stay meaningful independently of
-   the id assignment. *)
-type checkpoint = {
-  cp_env : (string * Eval.value) list;
-  cp_prims : (string * Bits.t array * int * int * Bits.t) list;
-  cp_cycle : int;
-  cp_finished : bool;
-  cp_log : (int * string) list;
-}
-
 (* Architectural value of signal [i], materialized through the lowered
    kernel's immediate bank when that is the live representation. *)
 let sig_value sim i =
@@ -860,34 +804,6 @@ let sig_value sim i =
       Eval.Vec
         (match sim.low with Some low -> Lowered.read_vec low i | None -> b)
   | Compiled.Mem a -> Eval.Mem (Array.copy a)
-
-let checkpoint (sim : t) : checkpoint =
-  let cp_env =
-    Array.to_list
-      (Array.mapi
-         (fun i name -> (name, sig_value sim i))
-         sim.flat.f_signal_order)
-  in
-  let cp_prims =
-    List.map
-      (fun ps ->
-        match ps with
-        | Pfifo (cp, f) ->
-            ( cp.cp_src.fp_name,
-              Array.copy f.f_data,
-              f.f_head,
-              f.f_count,
-              Bits.zero 1 )
-        | Pram (cp, r) -> (cp.cp_src.fp_name, Array.copy r.r_words, 0, 0, r.r_q))
-      sim.prims
-  in
-  {
-    cp_env;
-    cp_prims;
-    cp_cycle = sim.cycle;
-    cp_finished = !(sim.finished);
-    cp_log = sim.log;
-  }
 
 (* Raw restore of one signal, routed into whichever value bank is
    live; no change detection (the caller re-marks everything). *)
@@ -899,57 +815,14 @@ let restore_sig sim i v =
       | None -> sim.env.(i) <- Compiled.Vec b)
   | Eval.Mem a -> sim.env.(i) <- Compiled.Mem (Array.copy a)
 
-let restore (sim : t) (snap : checkpoint) : unit =
-  List.iter
-    (fun (name, v) ->
-      let i = id_of sim name in
-      if i >= 0 then restore_sig sim i v)
-    snap.cp_env;
-  List.iter
-    (fun ps ->
-      match ps with
-      | Pfifo (cp, f) -> (
-          match
-            List.find_opt
-              (fun (n, _, _, _, _) -> n = cp.cp_src.fp_name)
-              snap.cp_prims
-          with
-          | Some (_, data, head, count, _) ->
-              Array.blit data 0 f.f_data 0 (Array.length data);
-              f.f_head <- head;
-              f.f_count <- count
-          | None -> ())
-      | Pram (cp, r) -> (
-          match
-            List.find_opt
-              (fun (n, _, _, _, _) -> n = cp.cp_src.fp_name)
-              snap.cp_prims
-          with
-          | Some (_, words, _, _, q) ->
-              Array.blit words 0 r.r_words 0 (Array.length words);
-              r.r_q <- q
-          | None -> ()))
-    sim.prims;
-  sim.cycle <- snap.cp_cycle;
-  sim.finished := snap.cp_finished;
-  sim.log <- snap.cp_log;
-  sim.log_len <- List.length snap.cp_log;
-  (* invalidate the memo: a restored log of the same length as the
-     current one would otherwise serve the stale reversed view *)
-  sim.log_memo <- (-1, []);
-  (* the whole environment may have changed: the lowered kernel drops
-     back to sparse with everything dirty and re-derives its mode *)
-  Option.iter Lowered.mark_all sim.low
-
-(* ------------------------------------------------------------------ *)
-(* Serializable checkpoints                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* The on-disk counterpart of [checkpoint]/[restore]: same state, but
-   name-keyed into the versioned [Checkpoint] wire format and bound to
-   the design by its structural hash. The dirty set, adaptive mode, and
-   NBA queue are derived or empty at cycle boundaries, so a restored
-   simulator re-derives them exactly as [restore] does. *)
+(* A deep snapshot of the architectural state — environment, primitive
+   contents, cycle count, and log — name-keyed into the versioned
+   [Checkpoint] wire format and bound to the design by its structural
+   hash. Restoring a checkpoint and stepping produces the same trace as
+   the original run: the replay property checkpoint-based FPGA debuggers
+   (DESSERT, StateMover) rely on. The dirty set, adaptive mode, and NBA
+   queue are derived or empty at cycle boundaries, so a restored
+   simulator re-derives them. *)
 
 let ck_saves = Telemetry.Counter.make "checkpoint.saves"
 let ck_restores = Telemetry.Counter.make "checkpoint.restores"

@@ -126,16 +126,6 @@ val finished : t -> bool
 val on_display : t -> (int -> string -> unit) -> unit
 (** Install a hook called for every $display as it fires. *)
 
-val on_step : t -> (int -> unit) -> unit
-(** Register a hook called after every completed {!step} with the cycle
-    number just finished (0-based). Hooks run in registration order;
-    multiple hooks may be installed. Registering no hook keeps [step]
-    on its original path. *)
-
-val settle : ?displays:bool -> t -> unit
-(** Settle combinational logic without a clock edge (rarely needed
-    directly; [step] calls it). *)
-
 (** {1 Telemetry}
 
     Kernel-profiling counters, recorded only when the global
@@ -198,22 +188,11 @@ val hottest_signals : ?k:int -> t -> (string * int) list
     Deep snapshots of the architectural state (registers, memories,
     primitive contents, cycle count, log), in the spirit of the
     checkpoint-based FPGA debuggers the paper relates to (DESSERT,
-    StateMover): restoring a checkpoint and re-stepping replays the
-    original trace exactly. *)
-
-type checkpoint
-
-val checkpoint : t -> checkpoint
-val restore : t -> checkpoint -> unit
-
-(** {2 Serializable checkpoints}
-
-    The on-disk counterpart of {!checkpoint}/{!restore}: the same
-    architectural state, name-keyed into the versioned, content-hashed
-    {!Checkpoint} wire format and bound to the design by its structural
-    hash. Restoring a serialized checkpoint and stepping yields results
-    bit-identical to a run that never stopped — the replay-determinism
-    property the CI replay gate enforces. *)
+    StateMover). A snapshot is name-keyed into the versioned,
+    content-hashed {!Checkpoint} wire format and bound to the design by
+    its structural hash. Restoring a checkpoint and stepping yields
+    results bit-identical to a run that never stopped — the
+    replay-determinism property the CI replay gate enforces. *)
 
 val save_checkpoint :
   ?tag:string -> ?meta:(string * string) list -> t -> Checkpoint.t

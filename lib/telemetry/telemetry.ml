@@ -1,21 +1,16 @@
-(* Telemetry core: counters / histograms / timing spans plus a bounded
-   ring-buffer event bus.
+(* Telemetry core: counters / histograms / timing spans.
 
    All mutable state lives in a per-domain [sink] held in domain-local
    storage. Nothing here is shared between domains, so a pool of
    simulation workers (lib/campaign) can run fully instrumented without
    locks or races: each domain records into its own sink and the pool
    merges the per-domain reports at join time. A freshly spawned domain
-   inherits the parent's enabled flag and sampling knob (captured at
-   spawn), but starts with empty counters, spans, and bus.
+   inherits the parent's enabled flags (captured at spawn), but starts
+   with empty counters and spans.
 
    Recording is gated on the sink's enabled flag so that a disabled run
    pays a single predictable branch per recording call and nothing
-   else: no allocation, no hashing, no clock reads. The bus implements
-   the paper's recording-IP semantics in software — fixed depth, most
-   recent entries retained, every overwritten entry counted — so
-   overflow shows up in the numbers (the Figure 2 buffer-size /
-   coverage tradeoff) instead of silently truncating history. *)
+   else: no allocation, no hashing, no clock reads. *)
 
 (* [Sys.time] keeps the library free of even the unix dependency; a
    harness that wants wall time installs its own clock. Installed once
@@ -28,25 +23,6 @@ let set_clock f = clock := f
    what the flat [span] aggregates measure. Same install-before-spawn
    discipline. *)
 let trace_clock = ref Sys.time
-
-(* ------------------------------------------------------------------ *)
-(* Events and the bus                                                  *)
-(* ------------------------------------------------------------------ *)
-
-type event = {
-  ev_cycle : int;
-  ev_source : string;
-  ev_kind : string;
-  ev_data : (string * string) list;
-}
-
-type bus = {
-  mutable b_data : event option array;
-  mutable b_head : int;  (* index of the oldest retained entry *)
-  mutable b_len : int;
-  mutable b_published : int;
-  mutable b_dropped : int;
-}
 
 (* ------------------------------------------------------------------ *)
 (* The per-domain sink                                                 *)
@@ -74,12 +50,8 @@ type sink = {
   mutable sk_live : bool;
       (* sk_on || sk_tr_on: the single branch [span]'s disabled fast
          path tests, maintained by every switch flip *)
-  mutable sk_step_sample : int;
-      (* publish one aggregated simulator "step" event every this many
-         cycles; 1 restores the one-event-per-cycle firehose *)
   sk_counters : (string, int ref) Hashtbl.t;
   sk_spans : (string, span_rec) Hashtbl.t;
-  sk_bus : bus;
   (* structured tracing state (the span-tree layer) *)
   mutable sk_tr_on : bool;
   mutable sk_tr_virtual : bool;  (* deterministic tick clock vs wall *)
@@ -94,13 +66,7 @@ type sink = {
   mutable sk_tr_len : int;
 }
 
-let default_bus_depth = 8192
-let default_step_sample = 32
 let default_trace_cap = 262144
-
-let make_bus depth =
-  { b_data = Array.make depth None;
-    b_head = 0; b_len = 0; b_published = 0; b_dropped = 0 }
 
 let dummy_trace_event =
   { te_ph = 'E'; te_id = 0; te_parent = -1; te_name = ""; te_cat = "";
@@ -110,10 +76,8 @@ let fresh_sink () =
   {
     sk_on = false;
     sk_live = false;
-    sk_step_sample = default_step_sample;
     sk_counters = Hashtbl.create 32;
     sk_spans = Hashtbl.create 16;
-    sk_bus = make_bus default_bus_depth;
     sk_tr_on = false;
     sk_tr_virtual = false;
     sk_tr_vnow = 0;
@@ -127,8 +91,8 @@ let fresh_sink () =
     sk_tr_len = 0;
   }
 
-(* A spawned worker starts with the parent's switch positions, sampling
-   rate, and trace configuration, but records into its own empty sink
+(* A spawned worker starts with the parent's switch positions and trace
+   configuration, but records into its own empty sink
    (fresh buffer, ids from 0, track 0 until the pool assigns one) — so
    worker spans land on the worker's own track and per-sink span ids
    never collide inside one sink. *)
@@ -137,7 +101,6 @@ let sink_key : sink Domain.DLS.key =
     ~split_from_parent:(fun parent ->
       let s = fresh_sink () in
       s.sk_on <- parent.sk_on;
-      s.sk_step_sample <- parent.sk_step_sample;
       s.sk_tr_on <- parent.sk_tr_on;
       s.sk_tr_virtual <- parent.sk_tr_virtual;
       s.sk_tr_cap <- parent.sk_tr_cap;
@@ -160,7 +123,7 @@ let disable () =
   sk.sk_live <- sk.sk_tr_on
 
 (* Both switches off around [f], then back to where they were: nothing
-   [f] does reaches the counters, spans, bus or trace buffer, and the
+   [f] does reaches the counters, spans or trace buffer, and the
    virtual trace clock does not advance. *)
 let quietly f =
   let sk = sink () in
@@ -176,9 +139,6 @@ let quietly f =
         sk.sk_tr_on <- tr_on;
         sk.sk_live <- on || tr_on)
       f
-
-let step_sample () = (sink ()).sk_step_sample
-let set_step_sample n = (sink ()).sk_step_sample <- max 1 n
 
 (* ------------------------------------------------------------------ *)
 (* Counters                                                            *)
@@ -527,97 +487,20 @@ let all_spans () =
   |> List.sort compare
 
 (* ------------------------------------------------------------------ *)
-(* Event bus operations                                                *)
-(* ------------------------------------------------------------------ *)
-
-module Bus = struct
-  type t = bus
-
-  let create ?(depth = default_bus_depth) () =
-    if depth <= 0 then invalid_arg "Telemetry.Bus.create: depth must be > 0";
-    make_bus depth
-
-  let depth b = Array.length b.b_data
-
-  let clear b =
-    Array.fill b.b_data 0 (Array.length b.b_data) None;
-    b.b_head <- 0;
-    b.b_len <- 0;
-    b.b_published <- 0;
-    b.b_dropped <- 0
-
-  let set_depth b depth =
-    if depth <= 0 then invalid_arg "Telemetry.Bus.set_depth: depth must be > 0";
-    b.b_data <- Array.make depth None;
-    b.b_head <- 0;
-    b.b_len <- 0;
-    b.b_published <- 0;
-    b.b_dropped <- 0
-
-  let publish b e =
-    if (sink ()).sk_on then (
-      let d = Array.length b.b_data in
-      b.b_published <- b.b_published + 1;
-      if b.b_len < d then (
-        b.b_data.((b.b_head + b.b_len) mod d) <- Some e;
-        b.b_len <- b.b_len + 1)
-      else (
-        (* full: overwrite the oldest entry and account for the drop *)
-        b.b_data.(b.b_head) <- Some e;
-        b.b_head <- (b.b_head + 1) mod d;
-        b.b_dropped <- b.b_dropped + 1))
-
-  let events b =
-    let d = Array.length b.b_data in
-    List.init b.b_len (fun i ->
-        match b.b_data.((b.b_head + i) mod d) with
-        | Some e -> e
-        | None -> assert false)
-
-  let length b = b.b_len
-  let published b = b.b_published
-  let dropped b = b.b_dropped
-end
-
-let bus () = (sink ()).sk_bus
-
-(* ------------------------------------------------------------------ *)
 (* Reporting                                                           *)
 (* ------------------------------------------------------------------ *)
 
 type report = {
   r_counters : (string * int) list;
   r_spans : (string * int * float) list;
-  r_bus_depth : int;
-  r_bus_published : int;
-  r_bus_dropped : int;
-  r_bus_retained : int;
 }
 
-let report () =
-  let sk = sink () in
-  {
-    r_counters = Counter.all ();
-    r_spans = all_spans ();
-    r_bus_depth = Bus.depth sk.sk_bus;
-    r_bus_published = Bus.published sk.sk_bus;
-    r_bus_dropped = Bus.dropped sk.sk_bus;
-    r_bus_retained = Bus.length sk.sk_bus;
-  }
+let report () = { r_counters = Counter.all (); r_spans = all_spans () }
 
-let empty_report =
-  {
-    r_counters = [];
-    r_spans = [];
-    r_bus_depth = 0;
-    r_bus_published = 0;
-    r_bus_dropped = 0;
-    r_bus_retained = 0;
-  }
+let empty_report = { r_counters = []; r_spans = [] }
 
 (* Merge the reports of two sinks (e.g. two worker domains): counters
-   and spans are summed by name, bus accounting is summed, bus depth is
-   the larger of the two. *)
+   and spans are summed by name. *)
 let merge a b =
   let sum_assoc xs ys combine =
     let tbl = Hashtbl.create 32 in
@@ -640,18 +523,10 @@ let merge a b =
       (fun (c1, t1) (c2, t2) -> (c1 + c2, t1 +. t2))
     |> List.map (fun (n, (c, t)) -> (n, c, t))
   in
-  {
-    r_counters = counters;
-    r_spans = spans;
-    r_bus_depth = max a.r_bus_depth b.r_bus_depth;
-    r_bus_published = a.r_bus_published + b.r_bus_published;
-    r_bus_dropped = a.r_bus_dropped + b.r_bus_dropped;
-    r_bus_retained = a.r_bus_retained + b.r_bus_retained;
-  }
+  { r_counters = counters; r_spans = spans }
 
 let reset () =
   let sk = sink () in
   Hashtbl.reset sk.sk_counters;
   Hashtbl.reset sk.sk_spans;
-  Bus.clear sk.sk_bus;
   Trace.reset ()

@@ -1,27 +1,22 @@
-(** Simulation telemetry: counters, histograms, timing spans, and a
-    bounded event bus — the software analog of the paper's always-on
-    observability stack (recording IPs with fixed-depth buffers,
-    Statistics Monitor counters).
+(** Simulation telemetry: counters, histograms and timing spans — the
+    software analog of the paper's always-on observability stack
+    (Statistics Monitor counters). The recording IPs' fixed-depth trace
+    buffers are modelled in hardware by SignalCat, not here.
 
     All state lives in a per-domain {e sink} held in domain-local
     storage, so independent simulations running on a pool of OCaml
     domains (lib/campaign) record concurrently without locks: each
     domain accumulates into its own sink and the pool {!merge}s the
     per-domain {!report}s at join time. A freshly spawned domain
-    inherits the parent's enabled flag and step-sampling knob but
-    starts with empty counters, spans, and bus.
+    inherits the parent's enabled flags but starts with empty counters
+    and spans.
 
     Everything is gated on the current sink's switch, off by default.
     Every recording entry point checks the switch with a single branch
     and returns immediately when disabled, so an uninstrumented run
     pays ~nothing. Producers therefore never need their own guards;
-    they just call {!Counter.bump}, {!Histogram.observe}, {!span},
-    {!Bus.publish} unconditionally.
-
-    The {!Bus} mirrors the recording-IP semantics of the paper's
-    SignalCat buffers (Figure 2): a fixed-depth ring that retains the
-    most recent entries and counts every entry it had to overwrite, so
-    overflow is observable instead of silent. *)
+    they just call {!Counter.bump}, {!Histogram.observe} and {!span}
+    unconditionally. *)
 
 val enabled : unit -> bool
 val enable : unit -> unit
@@ -30,8 +25,8 @@ val disable : unit -> unit
 val quietly : (unit -> 'a) -> 'a
 (** [quietly f] runs [f] with the current domain's telemetry and
     structured tracing both off, then restores both switches (also on
-    an exception). Nothing [f] does is recorded: no counter, span, bus
-    event or trace event, and the virtual trace clock does not advance.
+    an exception). Nothing [f] does is recorded: no counter, span or
+    trace event, and the virtual trace clock does not advance.
     For work whose result is cached, so that computing it and reusing
     it leave the same record. *)
 
@@ -40,17 +35,6 @@ val set_clock : (unit -> float) -> unit
     seconds), keeping the library dependency-free; a harness that
     prefers wall time can install [Unix.gettimeofday]. Shared by all
     domains — install it from the main domain before spawning. *)
-
-val step_sample : unit -> int
-(** Simulator step-event sampling interval for the current domain: the
-    simulator publishes one aggregated "step" bus event per this many
-    cycles instead of one per cycle. Default 32. Counter and stats
-    totals are exact regardless of the interval — only the bus event
-    cadence changes. *)
-
-val set_step_sample : int -> unit
-(** Clamped to at least 1; 1 restores the one-event-per-cycle
-    firehose (what [profile] uses so drop accounting stays exact). *)
 
 (** {1 Counters} *)
 
@@ -215,60 +199,12 @@ module Trace : sig
       Keeps the switch, clock mode, cap, and track. *)
 end
 
-(** {1 Event bus} *)
-
-type event = {
-  ev_cycle : int;  (** simulation cycle, or -1 when not cycle-bound *)
-  ev_source : string;  (** e.g. ["simulator"], ["fsm_monitor"] *)
-  ev_kind : string;  (** e.g. ["step"], ["transition"], ["alarm"] *)
-  ev_data : (string * string) list;
-}
-
-module Bus : sig
-  type t
-
-  val create : ?depth:int -> unit -> t
-  (** Fixed-depth ring buffer, default depth 8192 (the paper testbed's
-      default recording-buffer depth). *)
-
-  val depth : t -> int
-
-  val set_depth : t -> int -> unit
-  (** Re-size and clear — the [--buffer] knob of the profile command. *)
-
-  val publish : t -> event -> unit
-  (** No-op while telemetry is disabled. On a full ring the oldest
-      entry is overwritten and counted as dropped. *)
-
-  val events : t -> event list
-  (** Retained events, oldest first (at most [depth]). *)
-
-  val length : t -> int
-
-  val published : t -> int
-  (** Total events offered since the last [clear]. *)
-
-  val dropped : t -> int
-  (** Entries overwritten because the ring was full — the overflow
-      accounting a bounded recording IP must surface. *)
-
-  val clear : t -> unit
-end
-
-val bus : unit -> Bus.t
-(** The current domain's default bus — what every instrumented layer
-    publishes to. Each domain has its own. *)
-
 (** {1 Reporting} *)
 
 type report = {
   r_counters : (string * int) list;  (** sorted by name *)
   r_spans : (string * int * float) list;
       (** (name, calls, total seconds), sorted by name *)
-  r_bus_depth : int;
-  r_bus_published : int;
-  r_bus_dropped : int;
-  r_bus_retained : int;
 }
 
 val report : unit -> report
@@ -278,10 +214,9 @@ val empty_report : report
 
 val merge : report -> report -> report
 (** Combine two sinks' reports (e.g. two worker domains at pool join):
-    counters and spans are summed by name, bus publish/drop/retain
-    accounting is summed, bus depth is the larger of the two. *)
+    counters and spans are summed by name. *)
 
 val reset : unit -> unit
-(** Zero the current domain's counters and spans, clear its bus, and
-    {!Trace.reset} its trace buffer. Does not change the enabled
-    flags, step sampling, the bus depth, or the clocks. *)
+(** Zero the current domain's counters and spans and {!Trace.reset}
+    its trace buffer. Does not change the enabled flags or the
+    clocks. *)

@@ -11,6 +11,11 @@
 val schema : string
 (** ["fpga-debug-trace/1"]. *)
 
+val escape : string -> string
+(** Escape a string for a JSON string literal (without the quotes):
+    quote, backslash and control characters. The campaign and fuzz
+    reports use it too. *)
+
 val to_json :
   ?process:string ->
   clock:Telemetry.Trace.clock ->

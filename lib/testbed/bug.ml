@@ -156,7 +156,8 @@ let harness_of_meta meta =
       h_ext = get "harness.ext" = Some "1";
       h_satisfied = get "harness.satisfied" = Some "1";
     }
-  with _ ->
+  with Failure _ ->
+    (* [int_of_string] and [decode_rows] signal malformed text *)
     raise
       (Fpga_sim.Checkpoint.Checkpoint_error
          "checkpoint carries malformed harness metadata")

@@ -127,6 +127,23 @@ let test_rejects_wrong_design () =
   | exception Checkpoint.Checkpoint_error _ -> ()
   | () -> Alcotest.fail "D2 checkpoint restored into the D4 design"
 
+(* A checkpoint whose harness rows do not decode is a checkpoint error,
+   not a stray [Failure] out of [int_of_string]. *)
+let test_rejects_malformed_harness () =
+  let b = bug "D2" in
+  let ck = mid_checkpoint b in
+  let ck =
+    { ck with
+      Checkpoint.ck_meta =
+        ("harness.rows", "x:y=1")
+        :: List.remove_assoc "harness.rows" ck.Checkpoint.ck_meta }
+  in
+  match
+    Bug.run_design ~from_checkpoint:ck b (Bug.design_of b ~buggy:true)
+  with
+  | exception Checkpoint.Checkpoint_error _ -> ()
+  | _ -> Alcotest.fail "malformed harness rows accepted"
+
 let test_load_missing_file () =
   match Checkpoint.load "/nonexistent/dir/nope.fdc" with
   | exception Checkpoint.Checkpoint_error _ -> ()
@@ -283,6 +300,8 @@ let suite =
       test_rejects_wrong_design;
     Alcotest.test_case "load missing file fails cleanly" `Quick
       test_load_missing_file;
+    Alcotest.test_case "rejects malformed harness metadata" `Quick
+      test_rejects_malformed_harness;
     QCheck_alcotest.to_alcotest prop_replay_deterministic;
     Alcotest.test_case "D2 replay deterministic on both kernels" `Quick
       test_replay_d2_both_kernels;

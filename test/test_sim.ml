@@ -513,9 +513,9 @@ endmodule
   (* checkpointed run: snapshot at 10, keep going, then rewind and replay *)
   let sim = sim_of src "top" in
   drive sim 0 10;
-  let cp = Simulator.checkpoint sim in
+  let cp = Simulator.save_checkpoint sim in
   drive sim 10 23;
-  Simulator.restore sim cp;
+  Simulator.restore_checkpoint sim cp;
   check_int "cycle rewound" 10 (Simulator.cycle sim);
   drive sim 10 30;
   check_bool "replay equals uninterrupted run" true (observe sim = reference)
@@ -537,13 +537,13 @@ endmodule
   Simulator.step sim;
   Simulator.set_input sim "push" (b 1 0);
   Simulator.step sim;
-  let cp = Simulator.checkpoint sim in
+  let cp = Simulator.save_checkpoint sim in
   (* drain the fifo, then rewind: the word must be back *)
   Simulator.set_input sim "pop" (b 1 1);
   Simulator.step sim;
   Simulator.step sim;
   check_int "drained" 1 (Simulator.read_int sim "is_empty");
-  Simulator.restore sim cp;
+  Simulator.restore_checkpoint sim cp;
   Simulator.set_input sim "pop" (b 1 0);
   Simulator.step sim;
   check_int "fifo content restored" 42 (Simulator.read_int sim "front");

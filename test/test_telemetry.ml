@@ -1,6 +1,5 @@
-(* Tests for the telemetry core (counters, histograms, spans, event
-   bus), the simulator's kernel-profiling integration, and the profile
-   report. Every test that enables telemetry restores the disabled
+(* Tests for the telemetry core (counters, histograms, spans), the
+   simulator's kernel-profiling integration, and the profile report. Every test that enables telemetry restores the disabled
    default on exit so the rest of the suite keeps the zero-cost path. *)
 
 open Fpga_sim
@@ -23,26 +22,17 @@ let contains haystack needle =
   go 0
 
 (* Run [f] with telemetry enabled and a clean slate, then restore the
-   disabled default (flag, depth, sampling, contents) even on failure. *)
-let with_telemetry ?depth ?step_sample f =
+   disabled default (flag, contents) even on failure. *)
+let with_telemetry f =
   Telemetry.enable ();
   Telemetry.reset ();
-  (match depth with
-  | Some d -> Telemetry.Bus.set_depth (Telemetry.bus ()) d
-  | None -> ());
-  let old_sample = Telemetry.step_sample () in
-  (match step_sample with
-  | Some s -> Telemetry.set_step_sample s
-  | None -> ());
   Fun.protect
     ~finally:(fun () ->
-      Telemetry.Bus.set_depth (Telemetry.bus ()) 8192;
-      Telemetry.set_step_sample old_sample;
       Telemetry.reset ();
       Telemetry.disable ())
     f
 
-(* --- core: counters, histograms, spans, bus ------------------------ *)
+(* --- core: counters, histograms, spans ----------------------------- *)
 
 let test_counter_gating () =
   let c = Telemetry.Counter.make "test.gating" in
@@ -95,37 +85,6 @@ let test_span () =
           check_bool "non-negative total" true (secs >= 0.0)
       | None -> Alcotest.fail "span not recorded")
 
-let test_bus_ring () =
-  with_telemetry ~depth:4 (fun () ->
-      let ev i =
-        {
-          Telemetry.ev_cycle = i;
-          ev_source = "test";
-          ev_kind = "e";
-          ev_data = [];
-        }
-      in
-      for i = 0 to 5 do
-        Telemetry.Bus.publish (Telemetry.bus ()) (ev i)
-      done;
-      check_int "depth" 4 (Telemetry.Bus.depth (Telemetry.bus ()));
-      check_int "published" 6 (Telemetry.Bus.published (Telemetry.bus ()));
-      check_int "dropped" 2 (Telemetry.Bus.dropped (Telemetry.bus ()));
-      check_int "retained" 4 (Telemetry.Bus.length (Telemetry.bus ()));
-      Alcotest.(check (list int))
-        "most recent entries retained, oldest first" [ 2; 3; 4; 5 ]
-        (List.map
-           (fun e -> e.Telemetry.ev_cycle)
-           (Telemetry.Bus.events (Telemetry.bus ()))))
-
-let test_bus_disabled () =
-  Telemetry.disable ();
-  let before = Telemetry.Bus.published (Telemetry.bus ()) in
-  Telemetry.Bus.publish (Telemetry.bus ())
-    { Telemetry.ev_cycle = 0; ev_source = "t"; ev_kind = "k"; ev_data = [] };
-  check_int "disabled publish is a no-op" before
-    (Telemetry.Bus.published (Telemetry.bus ()))
-
 (* --- simulator integration ----------------------------------------- *)
 
 let counter_src =
@@ -145,7 +104,7 @@ let test_stats_gating () =
   check_bool "no toggle counts either" true (Simulator.toggle_counts sim = [])
 
 let test_stats_and_hottest () =
-  with_telemetry ~step_sample:1 (fun () ->
+  with_telemetry (fun () ->
       let sim = sim_of counter_src "top" in
       Simulator.set_input sim "enable" (b 1 1);
       Simulator.run sim 8;
@@ -164,47 +123,7 @@ let test_stats_and_hottest () =
       let hottest = Simulator.hottest_signals ~k:2 sim in
       check_int "top-k limit respected" 2 (List.length hottest);
       check_bool "count and next are the hot signals" true
-        (List.mem_assoc "count" hottest && List.mem_assoc "next" hottest);
-      (* the bus carries one "step" event per completed cycle *)
-      let steps =
-        List.filter
-          (fun e -> e.Telemetry.ev_kind = "step")
-          (Telemetry.Bus.events (Telemetry.bus ()))
-      in
-      check_int "one step event per cycle at sample interval 1" 8
-        (List.length steps);
-      check_int "step events are 0-based completed cycles" 0
-        (List.hd steps).Telemetry.ev_cycle)
-
-(* Step events are sampled: one aggregated bus event per window, with
-   exact totals carried in the payload. *)
-let test_step_event_sampling () =
-  with_telemetry ~step_sample:4 (fun () ->
-      let sim = sim_of counter_src "top" in
-      Simulator.set_input sim "enable" (b 1 1);
-      Simulator.run sim 8;
-      let st = Option.get (Simulator.stats sim) in
-      check_int "stats totals stay exact" 8 st.Simulator.st_steps;
-      let steps =
-        List.filter
-          (fun e -> e.Telemetry.ev_kind = "step")
-          (Telemetry.Bus.events (Telemetry.bus ()))
-      in
-      check_int "one aggregated event per 4-cycle window" 2
-        (List.length steps);
-      List.iter
-        (fun e ->
-          check_int "window size in payload" 4
-            (int_of_string (List.assoc "cycles" e.Telemetry.ev_data)))
-        steps;
-      let evaluated =
-        List.fold_left
-          (fun acc e ->
-            acc + int_of_string (List.assoc "evaluated" e.Telemetry.ev_data))
-          0 steps
-      in
-      check_int "windows sum to the exact evaluation total"
-        st.Simulator.st_nodes_evaluated evaluated)
+        (List.mem_assoc "count" hottest && List.mem_assoc "next" hottest))
 
 (* Each domain records into its own sink: worker bumps never land in
    the parent's counters, and the pool-side merge sums reports. *)
@@ -220,41 +139,14 @@ let test_domain_isolation () =
             check_int "worker starts with an empty sink" 0
               (Telemetry.Counter.value c);
             Telemetry.Counter.bump c 5;
-            Telemetry.Bus.publish (Telemetry.bus ())
-              {
-                Telemetry.ev_cycle = 1;
-                ev_source = "worker";
-                ev_kind = "e";
-                ev_data = [];
-              };
             Telemetry.report ())
       in
       let wr = Domain.join worker in
       check_int "worker bumps stay out of the parent sink" 2
         (Telemetry.Counter.value c);
-      check_int "worker events stay off the parent bus" 0
-        (List.length
-           (List.filter
-              (fun e -> e.Telemetry.ev_source = "worker")
-              (Telemetry.Bus.events (Telemetry.bus ()))));
-      let parent = Telemetry.report () in
-      let merged = Telemetry.merge parent wr in
+      let merged = Telemetry.merge (Telemetry.report ()) wr in
       check_int "merge sums counters across sinks" 7
-        (List.assoc "test.domains" merged.Telemetry.r_counters);
-      check_int "merge sums bus publish accounting"
-        (parent.Telemetry.r_bus_published + wr.Telemetry.r_bus_published)
-        merged.Telemetry.r_bus_published)
-
-let test_on_step_hook () =
-  Telemetry.disable ();
-  let sim = sim_of counter_src "top" in
-  let seen = ref [] and seen2 = ref 0 in
-  Simulator.on_step sim (fun c -> seen := c :: !seen);
-  Simulator.on_step sim (fun _ -> incr seen2);
-  Simulator.run sim 4;
-  Alcotest.(check (list int))
-    "hook sees completed cycles in order" [ 0; 1; 2; 3 ] (List.rev !seen);
-  check_int "multiple hooks all fire" 4 !seen2
+        (List.assoc "test.domains" merged.Telemetry.r_counters))
 
 let display_src =
   {|
@@ -305,32 +197,28 @@ let test_kernels_identical_with_telemetry () =
       check_bool "lowered-dirty log == brute-force log, telemetry on" true
         (run Simulator.Lowered_dirty = run Simulator.Brute_force))
 
-(* --- monitors publish onto the bus ---------------------------------- *)
+(* --- monitors count what they decode --------------------------------- *)
+
+let counter_value name =
+  Option.value ~default:0
+    (List.assoc_opt name (Telemetry.report ()).Telemetry.r_counters)
 
 let test_losscheck_publishes () =
   with_telemetry (fun () ->
-      let log = [ (3, "[LOSSCHECK] potential data loss at r1") ] in
+      let log =
+        [
+          (3, "[LOSSCHECK] potential data loss at r1");
+          (5, "[LOSSCHECK] potential data loss at r2");
+        ]
+      in
       let al = Fpga_debug.Losscheck.alarms log in
-      Alcotest.(check (list (pair int string))) "alarm decoded" [ (3, "r1") ] al;
-      match
-        List.find_opt
-          (fun e -> e.Telemetry.ev_source = "losscheck")
-          (Telemetry.Bus.events (Telemetry.bus ()))
-      with
-      | Some e ->
-          check_int "alarm cycle" 3 e.Telemetry.ev_cycle;
-          Alcotest.(check (list (pair string string)))
-            "alarm payload"
-            [ ("register", "r1") ]
-            e.Telemetry.ev_data;
-          (* alarm_registers decodes without publishing a second time *)
-          ignore (Fpga_debug.Losscheck.alarm_registers log);
-          check_int "no double publish" 1
-            (List.length
-               (List.filter
-                  (fun e -> e.Telemetry.ev_source = "losscheck")
-                  (Telemetry.Bus.events (Telemetry.bus ()))))
-      | None -> Alcotest.fail "no losscheck event on the bus")
+      Alcotest.(check (list (pair int string)))
+        "alarms decoded" [ (3, "r1"); (5, "r2") ] al;
+      check_int "one count per alarm" 2 (counter_value "losscheck.alarms");
+      (* alarm_registers decodes without counting a second time *)
+      ignore (Fpga_debug.Losscheck.alarm_registers log);
+      check_int "decoded once, counted once" 2
+        (counter_value "losscheck.alarms"))
 
 let test_dep_monitor_publishes () =
   with_telemetry (fun () ->
@@ -347,39 +235,38 @@ endmodule
       let log = [ (7, "[DEP] q = 42") ] in
       let us = Fpga_debug.Dep_monitor.updates plan log in
       check_int "update decoded" 1 (List.length us);
-      check_int "dep_monitor event on the bus" 1
-        (List.length
-           (List.filter
-              (fun e -> e.Telemetry.ev_source = "dep_monitor")
-              (Telemetry.Bus.events (Telemetry.bus ())))))
+      check_int "dep_monitor.updates counts the update" 1
+        (counter_value "dep_monitor.updates");
+      (* a log with no updates leaves no zero-valued counter behind *)
+      Telemetry.reset ();
+      ignore (Fpga_debug.Dep_monitor.updates plan []);
+      check_bool "no counter for an empty decode" false
+        (List.mem_assoc "dep_monitor.updates"
+           (Telemetry.report ()).Telemetry.r_counters))
 
 (* --- profile report -------------------------------------------------- *)
 
 let test_profile_json () =
   let bug = Option.get (Registry.find "D2") in
-  let p = Fpga_report.Profile.run ~cycles:200 ~buffer:64 bug in
+  let p = Fpga_report.Profile.run ~cycles:200 bug in
   Telemetry.reset ();
-  Telemetry.Bus.set_depth (Telemetry.bus ()) 8192;
   check_int "ran the requested cycles" 200 p.Fpga_report.Profile.p_cycles_run;
   check_bool "telemetry restored to disabled" false (Telemetry.enabled ());
-  check_int "bus depth honours --buffer" 64 p.Fpga_report.Profile.p_bus_depth;
-  check_bool "small buffer drops events" true
-    (p.Fpga_report.Profile.p_bus_dropped > 0);
-  check_int "retained capped at depth" 64
-    p.Fpga_report.Profile.p_bus_retained;
+  check_bool "elaborate phase recorded" true
+    (List.exists (fun (n, _, _) -> n = "elaborate")
+       p.Fpga_report.Profile.p_spans);
   let json = Fpga_report.Profile.to_json p in
   List.iter
     (fun key -> check_bool key true (contains json key))
     [
-      "\"schema\": \"fpga-debug-profile/3\"";
+      "\"schema\": \"fpga-debug-profile/4\"";
       "\"kernel_stats\"";
       "\"kernel_efficiency\"";
       "\"nodes_skipped\"";
       "\"settle_rounds\"";
       "\"hottest_signals\"";
       "\"phases\"";
-      "\"bus\"";
-      "\"dropped\"";
+      "\"counters\"";
       (* lowered section: the default kernel is the lowered one *)
       "\"lowered\"";
       "\"closures_run\"";
@@ -396,20 +283,12 @@ let suite =
     Alcotest.test_case "histogram buckets and moments" `Quick test_histogram;
     Alcotest.test_case "span records calls and survives exceptions" `Quick
       test_span;
-    Alcotest.test_case "bus ring keeps newest, counts drops" `Quick
-      test_bus_ring;
-    Alcotest.test_case "bus publish disabled is a no-op" `Quick
-      test_bus_disabled;
     Alcotest.test_case "no stats allocated when disabled" `Quick
       test_stats_gating;
     Alcotest.test_case "kernel stats, hottest signals, step events" `Quick
       test_stats_and_hottest;
-    Alcotest.test_case "step events aggregate per sampling window" `Quick
-      test_step_event_sampling;
     Alcotest.test_case "per-domain sinks isolate and merge" `Quick
       test_domain_isolation;
-    Alcotest.test_case "on_step hooks fire per completed cycle" `Quick
-      test_on_step_hook;
     Alcotest.test_case "10k-display log reads stay linear-ish" `Quick
       test_log_linear;
     Alcotest.test_case "kernels byte-identical with telemetry on" `Quick
