@@ -392,10 +392,10 @@ let telemetry_overhead_benches () =
 (* Campaign throughput: the full Table 2 repro set executed on a
    domain pool of growing width. jobs/sec and cycles/sec are the
    headline numbers; utilization shows how evenly the queue drained.
-   Speedup is relative to the 1-domain (inline, spawn-free) run, so on
-   a single-core container it can legitimately sit at or below 1.0 —
-   the metric is recorded but deliberately kept out of the warn-only
-   baseline comparison because it is machine-dependent. *)
+   Speedup is relative to the 1-domain (inline) run. Its size is
+   machine-dependent, so it stays out of the warn-only baseline
+   comparison; [campaign_gate] only demands that 2 domains do not lose
+   to 1 on a host with a core for each worker and the caller. *)
 type campaign_bench = {
   cb_domains : int;
   cb_wall : float;
@@ -660,6 +660,22 @@ let kernel_gate results =
       (List.length results);
   failures = []
 
+(* The campaign pool must pay for itself: the 2-domain campaign's
+   best-of-3 wall may not exceed the 1-domain one measured in the same
+   run. A 2-wide pool is three domains, two workers and the waiting
+   caller, and all three meet at every minor collection; on a host with
+   fewer cores than that the ratio is only printed. *)
+let campaign_gate campaigns =
+  match List.find_opt (fun c -> c.cb_domains = 2) campaigns with
+  | None -> true
+  | Some c ->
+      let cores = Domain.recommended_domain_count () in
+      let ok = cores < 3 || c.cb_speedup >= 1.0 in
+      Printf.printf "campaign gate: 2 domains at %.2fx of 1 domain (%d cores)%s\n"
+        c.cb_speedup cores
+        (if ok then "" else " -- CAMPAIGN GATE FAILURE: below 1.00x");
+      ok
+
 let run_json_bench path baseline =
   let results = List.map bench_one (bench_designs ()) in
   let lowerings = List.map lowering_bench_one (bench_designs ()) in
@@ -737,7 +753,9 @@ let run_json_bench path baseline =
         @ [ ("signal_lookup_array", lookup.lb_array_per_sec) ]
       in
       compare_to_baseline ~current ~baseline_path);
-  if not (kernel_gate results) then exit 1
+  let kernel_ok = kernel_gate results in
+  let campaign_ok = campaign_gate campaigns in
+  if not (kernel_ok && campaign_ok) then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks                                           *)

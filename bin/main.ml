@@ -66,6 +66,26 @@ let trace_clock_arg =
                  gaps visible) or virtual (deterministic; the file is \
                  byte-identical at any --jobs width)")
 
+(* --- output files ----------------------------------------------------- *)
+
+(* A file or directory the command cannot read or write exits with this
+   status, listed in the command's --help, and a PATH: message. *)
+let exit_input = 7
+
+let io_exit ~doc = Cmd.Exit.info exit_input ~doc :: Cmd.Exit.defaults
+
+(* Report an I/O error about [path] and exit; the message names the
+   path once whether or not the runtime already put it first. *)
+let io_fail path msg =
+  flush stdout;
+  if String.starts_with ~prefix:path msg then prerr_endline msg
+  else Printf.eprintf "%s: %s\n" path msg;
+  exit exit_input
+
+let write_file path text =
+  try Out_channel.with_open_text path (fun oc -> output_string oc text)
+  with Sys_error msg -> io_fail path msg
+
 let traced ~trace ~clock ?(jobs_of = fun _ -> []) run =
   match trace with
   | None -> run ()
@@ -76,10 +96,7 @@ let traced ~trace ~clock ?(jobs_of = fun _ -> []) run =
       Trace.enable ~clock ();
       let v = Fun.protect ~finally:Trace.disable run in
       let main = Trace.capture_all ~consume:true () in
-      let json = Trace_export.to_json ~clock ~main ~jobs:(jobs_of v) () in
-      let oc = open_out path in
-      output_string oc json;
-      close_out oc;
+      write_file path (Trace_export.to_json ~clock ~main ~jobs:(jobs_of v) ());
       Printf.printf "wrote %s\n" path;
       v
 
@@ -94,6 +111,14 @@ let kernel_arg =
        & info [ "kernel" ] ~docv:"KERNEL"
            ~doc:"Settle kernel: auto|brute|lowered-dirty (auto is \
                  lowered-dirty, the default kernel)")
+
+(* Pool width of `campaign` and `fuzz`. *)
+let jobs_arg =
+  Arg.(value & opt (some int) None
+       & info [ "jobs" ] ~docv:"N"
+           ~doc:"Worker domains, kept parked between batches while the \
+                 calling domain waits (default: the machine's \
+                 recommended count)")
 
 (* --- list ----------------------------------------------------------- *)
 
@@ -374,36 +399,17 @@ let instrument_cmd =
     let text = Fpga_hdl.Pp_verilog.module_to_string r.Fpga_testbed.Recipe.on_fpga in
     (match out with
     | Some path ->
-        let oc = open_out path in
-        output_string oc text;
-        close_out oc;
+        write_file path text;
         Printf.printf "wrote %s (%d lines; %d monitor + %d recording lines added)\n"
           path
           (List.length (String.split_on_char '\n' text))
           r.Fpga_testbed.Recipe.monitor_loc r.Fpga_testbed.Recipe.recording_loc
     | None -> print_string text)
   in
-  Cmd.v (Cmd.info "instrument" ~doc) Term.(const run $ bug_arg $ out_arg $ buffer_arg)
-
-(* --- output files ----------------------------------------------------- *)
-
-(* A file or directory the command cannot read or write exits with this
-   status, listed in the command's --help, and a PATH: message. *)
-let exit_input = 7
-
-let io_exit ~doc = Cmd.Exit.info exit_input ~doc :: Cmd.Exit.defaults
-
-(* Report a [Sys_error] about [path] and exit; the message names the
-   path once whether or not the runtime already put it first. *)
-let io_fail path msg =
-  flush stdout;
-  if String.starts_with ~prefix:path msg then prerr_endline msg
-  else Printf.eprintf "%s: %s\n" path msg;
-  exit exit_input
-
-let write_file path text =
-  try Out_channel.with_open_text path (fun oc -> output_string oc text)
-  with Sys_error msg -> io_fail path msg
+  Cmd.v
+    (Cmd.info "instrument" ~doc
+       ~exits:(io_exit ~doc:"when the output file cannot be written."))
+    Term.(const run $ bug_arg $ out_arg $ buffer_arg)
 
 (* --- vcd ------------------------------------------------------------ *)
 
@@ -573,7 +579,10 @@ let replay_cmd =
   in
   Cmd.v
     (Cmd.info "replay" ~doc
-       ~exits:(io_exit ~doc:"when the output waveform cannot be written."))
+       ~exits:
+         (io_exit
+            ~doc:"when the output waveform or the $(b,--trace) file \
+                  cannot be written."))
     Term.(const run $ bug_arg $ from_arg $ window_arg $ bisect_arg
           $ every_arg $ out_arg $ trace_arg $ trace_clock_arg)
 
@@ -605,12 +614,13 @@ let profile_cmd =
     match json with
     | None -> ()
     | Some path ->
-        let oc = open_out path in
-        output_string oc (Fpga_report.Profile.to_json p);
-        close_out oc;
+        write_file path (Fpga_report.Profile.to_json p);
         Printf.printf "\nwrote %s\n" path
   in
-  Cmd.v (Cmd.info "profile" ~doc)
+  Cmd.v
+    (Cmd.info "profile" ~doc
+       ~exits:(io_exit ~doc:"when the $(b,--json) or $(b,--trace) file \
+                             cannot be written."))
     Term.(const run $ bug_arg $ cycles_arg $ json_arg $ top_arg $ trace_arg
           $ trace_clock_arg $ kernel_arg)
 
@@ -919,17 +929,15 @@ let export_cmd =
          & info [ "o"; "output" ] ~docv:"DIR" ~doc:"Output directory")
   in
   let run dir =
-    let write path text =
-      let oc = open_out path in
-      output_string oc text;
-      close_out oc
+    let mkdir d =
+      try if not (Sys.file_exists d) then Sys.mkdir d 0o755
+      with Sys_error msg -> io_fail d msg
     in
-    let mkdir d = if not (Sys.file_exists d) then Sys.mkdir d 0o755 in
     mkdir dir;
     List.iter
       (fun (b : Bug.t) ->
-        write (Filename.concat dir (b.Bug.id ^ "_buggy.v")) b.Bug.buggy_src;
-        write (Filename.concat dir (b.Bug.id ^ "_fixed.v")) b.Bug.fixed_src)
+        write_file (Filename.concat dir (b.Bug.id ^ "_buggy.v")) b.Bug.buggy_src;
+        write_file (Filename.concat dir (b.Bug.id ^ "_fixed.v")) b.Bug.fixed_src)
       Registry.all_with_extended;
     let snip_dir = Filename.concat dir "snippets" in
     mkdir snip_dir;
@@ -940,9 +948,9 @@ let export_cmd =
             (fun c -> if c = ' ' || c = '-' then '_' else Char.lowercase_ascii c)
             (Fpga_study.Taxonomy.subclass_name s.Fpga_study.Snippets.subclass)
         in
-        write (Filename.concat snip_dir (slug ^ "_buggy.v"))
+        write_file (Filename.concat snip_dir (slug ^ "_buggy.v"))
           s.Fpga_study.Snippets.buggy;
-        write (Filename.concat snip_dir (slug ^ "_fixed.v"))
+        write_file (Filename.concat snip_dir (slug ^ "_fixed.v"))
           s.Fpga_study.Snippets.fixed)
       Fpga_study.Snippets.all;
     Printf.printf "wrote %d designs and %d snippets under %s/\n"
@@ -950,7 +958,13 @@ let export_cmd =
       (2 * List.length Fpga_study.Snippets.all)
       dir
   in
-  Cmd.v (Cmd.info "export" ~doc) Term.(const run $ dir_arg)
+  Cmd.v
+    (Cmd.info "export" ~doc
+       ~exits:
+         (io_exit
+            ~doc:"when the output directory or a file in it cannot be \
+                  created or written."))
+    Term.(const run $ dir_arg)
 
 (* --- campaign ------------------------------------------------------- *)
 
@@ -961,11 +975,6 @@ let campaign_cmd =
      waveform capture), optional primary-vs-brute kernel differentials, \
      and optional cycle-budget sweeps. Results are collected in job \
      order and are identical to a serial run."
-  in
-  let jobs_arg =
-    Arg.(value & opt (some int) None
-         & info [ "jobs" ] ~docv:"N"
-             ~doc:"Worker domains (default: the machine's recommended count)")
   in
   let bugs_arg =
     Arg.(value & opt (some string) None
@@ -1026,13 +1035,14 @@ let campaign_cmd =
     (match json with
     | None -> ()
     | Some path ->
-        let oc = open_out path in
-        output_string oc (Fpga_campaign.Campaign.to_json c);
-        close_out oc;
+        write_file path (Fpga_campaign.Campaign.to_json c);
         Printf.printf "\nwrote %s\n" path);
     if not (Fpga_campaign.Campaign.ok c) then exit 1
   in
-  Cmd.v (Cmd.info "campaign" ~doc)
+  Cmd.v
+    (Cmd.info "campaign" ~doc
+       ~exits:(io_exit ~doc:"when the $(b,--json) or $(b,--trace) file \
+                             cannot be written."))
     Term.(const run $ jobs_arg $ bugs_arg $ differential_arg $ sweep_arg
           $ json_arg $ replay_arg $ trace_arg $ trace_clock_arg $ kernel_arg)
 
@@ -1056,11 +1066,6 @@ let fuzz_cmd =
   let mutants_arg =
     Arg.(value & opt int 200
          & info [ "mutants" ] ~docv:"K" ~doc:"Number of mutants to generate")
-  in
-  let jobs_arg =
-    Arg.(value & opt (some int) None
-         & info [ "jobs" ] ~docv:"N"
-             ~doc:"Worker domains (default: the machine's recommended count)")
   in
   let json_arg =
     Arg.(value & opt (some string) None
@@ -1086,17 +1091,16 @@ let fuzz_cmd =
     (match json with
     | None -> ()
     | Some path ->
-        let oc = open_out path in
-        output_string oc (Fpga_campaign.Campaign.fuzz_to_json fc);
-        close_out oc;
+        write_file path (Fpga_campaign.Campaign.fuzz_to_json fc);
         Printf.printf "\nwrote %s\n" path);
     (match repro_dir with
     | None -> ()
     | Some dir ->
         let findings = Fpga_campaign.Campaign.fuzz_findings fc in
         if findings <> [] then (
-          (try Unix.mkdir dir 0o755
-           with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+          (try Unix.mkdir dir 0o755 with
+          | Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+          | Unix.Unix_error (e, _, _) -> io_fail dir (Unix.error_message e));
           List.iter
             (fun (f : Fpga_fuzz.Fuzz.result) ->
               match f.Fpga_fuzz.Fuzz.r_repro with
@@ -1107,14 +1111,18 @@ let fuzz_cmd =
                       (Printf.sprintf "fuzz-%s-seed%d-%d.v"
                          f.Fpga_fuzz.Fuzz.r_bug seed f.Fpga_fuzz.Fuzz.r_index)
                   in
-                  let oc = open_out path in
-                  output_string oc src;
-                  close_out oc;
+                  write_file path src;
                   Printf.printf "wrote %s\n" path)
             findings));
     if not (Fpga_campaign.Campaign.fuzz_ok fc) then exit 1
   in
-  Cmd.v (Cmd.info "fuzz" ~doc)
+  Cmd.v
+    (Cmd.info "fuzz" ~doc
+       ~exits:
+         (io_exit
+            ~doc:"when the $(b,--json) or $(b,--trace) file, the \
+                  $(b,--repro-dir) directory or a reproducer in it \
+                  cannot be created or written."))
     Term.(const run $ seed_arg $ mutants_arg $ jobs_arg $ json_arg $ repro_arg
           $ trace_arg $ trace_clock_arg $ kernel_arg)
 

@@ -1,19 +1,26 @@
 (* Campaign engine: a work-queue + Domain-pool executor for batches of
    independent simulation jobs (every testbed bug, parameter sweeps,
-   event-vs-brute differential pairs).
+   kernel-vs-brute differential pairs).
 
-   The execution model is a single shared queue drained by N domains:
+   The execution model is a single shared queue drained by N workers:
    a job index is claimed with [Atomic.fetch_and_add], the job runs on
-   whichever domain claimed it, and its result is slotted into a
-   results array at the job's own index. Slot writes are disjoint by
-   construction and [Domain.join] establishes the happens-before edge
-   that makes them visible to the collector, so result order is the
-   submission order no matter how the pool interleaved the work -
-   the determinism guarantee the campaign tests pin down.
+   whichever worker claimed it, and its result is slotted into a
+   results array at the job's own index. The workers are domains that
+   persist across calls, spawned the first time a call asks for that
+   many and parked on a condition variable between batches; the
+   calling domain waits for the batch. Slot writes are
+   disjoint by construction, and the mutex handoff with which each
+   worker reports the end of its share establishes the happens-before
+   edge that makes them visible to the caller, so result order is the
+   submission order no matter how the pool interleaved the work - the
+   determinism guarantee the campaign tests pin down. One call owns
+   the workers at a time; a call made while they are busy (from inside
+   a job, or from another domain) runs its batch inline.
 
    Jobs must be self-contained closures: they share no mutable state
-   with each other, and the telemetry they record lands in per-domain
-   sinks (see Fpga_telemetry) that the pool merges at join. *)
+   with each other, and the telemetry they record lands in a fresh
+   per-worker sink for each batch (see Fpga_telemetry) that the pool
+   merges when the batch ends. *)
 
 module Bug = Fpga_testbed.Bug
 module Registry = Fpga_testbed.Registry
@@ -43,7 +50,7 @@ type 'a job_result = {
 type pool_stats = {
   ps_domains : int;
   ps_jobs : int;
-  ps_wall : float;  (* submission to last join *)
+  ps_wall : float;  (* submission to the last worker's finish *)
   ps_busy : float array;  (* per-worker seconds spent inside job bodies *)
   ps_utilization : float;  (* sum busy / (domains * wall), 0 when idle *)
   ps_telemetry : Telemetry.report;  (* merged across all worker sinks *)
@@ -51,12 +58,122 @@ type pool_stats = {
 
 let now = Unix.gettimeofday
 
+(* The worker domains, shared by every call. Worker [w] (0-based) is
+   spawned the first time a batch wants it and then parks on [wake]
+   between batches; the pool never shrinks. Only the call holding
+   [owned] writes the mutable fields, and the workers read them under
+   [lock] ([spawned] they never read). A batch is published by bumping
+   [batch] with [share] and [width] set: each worker [w < width] runs
+   [share w] and counts [running] down, and the caller waits on
+   [finished] for zero. Worker [w]'s writes before its decrement happen
+   before the caller's reads after the wait, so [lock] orders the
+   result slots.
+
+   The caller only waits: a job run on the calling domain would share
+   that domain's local state with the caller, which a harness that
+   keeps per-domain accounting around the call cannot tell apart from
+   its own. *)
+type pool = {
+  lock : Mutex.t;
+  wake : Condition.t;
+  finished : Condition.t;
+  mutable spawned : int;
+  mutable batch : int;
+  mutable width : int;
+  mutable share : int -> unit;
+  mutable running : int;
+}
+
+let pool =
+  {
+    lock = Mutex.create ();
+    wake = Condition.create ();
+    finished = Condition.create ();
+    spawned = 0;
+    batch = 0;
+    width = 0;
+    share = ignore;
+    running = 0;
+  }
+
+(* Held by the one call whose batch is on the workers. A call that
+   cannot take it (made from inside a job, or from a second domain)
+   runs inline. *)
+let owned = Atomic.make false
+
+(* Run at the start of every share, outside the per-job error
+   isolation; the tests set it to drive the escape path of [run_batch]. *)
+let share_hook : (int -> unit) ref = ref ignore
+
+(* A worker's life: wait for a batch newer than [seen], run its share
+   if it takes part, report, and park again. [share] never raises. *)
+let rec park wid seen =
+  Mutex.lock pool.lock;
+  while pool.batch = seen do
+    Condition.wait pool.wake pool.lock
+  done;
+  let batch = pool.batch in
+  let share = if wid < pool.width then Some pool.share else None in
+  Mutex.unlock pool.lock;
+  Option.iter
+    (fun share ->
+      share wid;
+      Mutex.lock pool.lock;
+      pool.running <- pool.running - 1;
+      if pool.running = 0 then Condition.signal pool.finished;
+      Mutex.unlock pool.lock)
+    share;
+  park wid batch
+
+(* Run [work w] on worker [w] for every [w < width], each in a child
+   telemetry sink of the caller's, and wait for all of them; the caller
+   must hold [owned]. An exception escaping a share is re-raised only
+   after every share has finished. *)
+let run_batch width (work : int -> unit -> 'r) : 'r array =
+  let in_child = Telemetry.child () in
+  let hook = !share_hook in
+  let out = Array.make width None in
+  let share wid =
+    out.(wid) <-
+      Some
+        (match
+           in_child (fun () ->
+               hook wid;
+               work wid ())
+         with
+        | v -> Ok v
+        | exception e -> Error (e, Printexc.get_raw_backtrace ()))
+  in
+  while pool.spawned < width do
+    let wid = pool.spawned and seen = pool.batch in
+    ignore (Domain.spawn (fun () -> park wid seen));
+    pool.spawned <- wid + 1
+  done;
+  Mutex.lock pool.lock;
+  pool.share <- share;
+  pool.width <- width;
+  pool.running <- width;
+  pool.batch <- pool.batch + 1;
+  Condition.broadcast pool.wake;
+  while pool.running > 0 do
+    Condition.wait pool.finished pool.lock
+  done;
+  pool.share <- ignore;
+  Mutex.unlock pool.lock;
+  Array.map
+    (function
+      | Some (Ok v) -> v
+      | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
+      | None -> assert false (* every worker below [width] ran *))
+    out
+
 (* Run every job from the shared queue on [domains] workers (default
    [Domain.recommended_domain_count ()], min 1). [domains <= 1] runs
    the whole batch inline on the calling domain - same code path, no
-   spawns - which is also the serial reference the determinism tests
-   compare against. A raising job is caught and reported as [Error];
-   it never takes down the pool or skips the remaining queue. *)
+   workers woken - which is also the serial reference the determinism
+   tests compare against; so does a call made while the workers are
+   busy. A raising job is caught and reported as [Error]; it never
+   takes down the pool or skips the remaining queue. *)
 let run_pool ?domains (jobs : 'a job array) :
     'a job_result array * pool_stats =
   (* error isolation must not cost context: the Error result carries
@@ -69,6 +186,8 @@ let run_pool ?domains (jobs : 'a job array) :
     | None -> max 1 (Domain.recommended_domain_count ())
   in
   let domains = min domains (max 1 n) in
+  let pooled = domains > 1 && Atomic.compare_and_set owned false true in
+  let domains = if pooled then domains else 1 in
   let results : 'a job_result option array = Array.make n None in
   let next = Atomic.make 0 in
   let t0 = now () in
@@ -79,7 +198,7 @@ let run_pool ?domains (jobs : 'a job array) :
     Printexc.record_backtrace true;
     (* every job records on its worker's own track (tid wid+1; 0 is the
        main domain). The track is restored afterwards because in the
-       inline (domains <= 1) case this IS the caller's sink. *)
+       inline case this IS the caller's sink. *)
     let tracing = Trace.enabled () in
     let track0 = Trace.track () in
     if tracing then Trace.set_track (wid + 1);
@@ -125,15 +244,14 @@ let run_pool ?domains (jobs : 'a job array) :
     (!busy, Telemetry.report ())
   in
   let per_worker =
-    if domains <= 1 then [| worker 0 () |]
-    else (
-      (* the caller's sink keeps whatever it already holds; workers
-         start from empty sinks (inheriting only the on/off switch and
-         sampling knob) so the merge below is purely the campaign's *)
-      let handles =
-        Array.init domains (fun wid -> Domain.spawn (worker wid))
-      in
-      Array.map Domain.join handles)
+    if pooled then
+      (* the caller's sink keeps whatever it already holds; every share
+         starts from an empty child sink, so the merge below is purely
+         the batch's *)
+      Fun.protect
+        ~finally:(fun () -> Atomic.set owned false)
+        (fun () -> run_batch domains worker)
+    else [| worker 0 () |]
   in
   let wall = now () -. t0 in
   let busy = Array.map fst per_worker in

@@ -4,15 +4,22 @@
     The paper's evaluation (§6) repeatedly runs the whole 20-bug
     testbed end to end; this module turns that from a latency chain
     into a throughput workload. A single shared queue is drained by N
-    domains, each job's result is slotted into a results array at its
-    submission index, and [Domain.join] makes the disjoint slot writes
-    visible to the collector — so collected results are ordered by job
-    id and byte-identical to a serial run regardless of scheduling
-    (see the campaign determinism tests).
+    workers, domains that persist across calls: each is spawned the
+    first time a call asks for that many, and parked between batches
+    (the pool never shrinks). The calling domain waits for the batch
+    and runs no job itself. Each job's result is slotted into a results array at its
+    submission index, and the mutex handoff with which each worker
+    reports the end of its share makes the disjoint slot writes
+    visible to the caller, so collected results are ordered by job id
+    and byte-identical to a serial run regardless of scheduling (see
+    the campaign determinism tests). One call owns the workers at a
+    time: a call made while they are busy, from inside a job or from
+    another domain, runs its batch inline on its own domain.
 
     Jobs must be self-contained: they share no mutable state, and any
-    telemetry they record lands in per-domain sinks
-    ({!Fpga_telemetry.Telemetry}) that the pool merges at join. *)
+    telemetry they record lands in per-worker sinks, fresh for every
+    batch ({!Fpga_telemetry.Telemetry.child}), that the pool merges
+    when the batch ends. *)
 
 (** {1 Generic pool} *)
 
@@ -36,20 +43,37 @@ type 'a job_result = {
 type pool_stats = {
   ps_domains : int;
   ps_jobs : int;
-  ps_wall : float;  (** submission to last join *)
+  ps_wall : float;  (** submission to the last worker's finish *)
   ps_busy : float array;  (** per-worker seconds inside job bodies *)
   ps_utilization : float;  (** total busy / (domains × wall) *)
   ps_telemetry : Fpga_telemetry.Telemetry.report;
-      (** merged across all worker sinks *)
+      (** merged across the batch's worker sinks; on the inline path,
+          the caller's own sink *)
 }
 
 val run_pool :
   ?domains:int -> 'a job array -> 'a job_result array * pool_stats
 (** Execute every job; results are ordered by submission index.
-    [domains] defaults to [Domain.recommended_domain_count ()]; a
-    value [<= 1] (or a single job) runs inline on the calling domain
-    with no spawns. A raising job becomes an [Error] result and never
-    takes down the pool. *)
+    [domains] defaults to [Domain.recommended_domain_count ()] and is
+    clamped to the job count. [domains] parked workers run the batch
+    while the calling domain waits, each share in a fresh child of the
+    caller's telemetry sink; the caller's own sink is left as it was.
+    A value [<= 1] (or a single job) runs inline on
+    the calling domain, recording into its sink, and so does a call
+    made while another call's batch holds the workers (a nested call
+    from inside a job, or a call from a second domain). A raising job
+    becomes an [Error] result and never takes down the pool; an
+    exception escaping the pool's own code in a worker is re-raised
+    here once every worker has finished. *)
+
+(**/**)
+
+val share_hook : (int -> unit) ref
+(** Called with the worker's index at the start of every share of a
+    pooled batch, outside the per-job error isolation. For tests of the
+    escape path; [ignore] otherwise. *)
+
+(**/**)
 
 (** {1 Testbed jobs} *)
 

@@ -4,23 +4,25 @@
    storage. Nothing here is shared between domains, so a pool of
    simulation workers (lib/campaign) can run fully instrumented without
    locks or races: each domain records into its own sink and the pool
-   merges the per-domain reports at join time. A freshly spawned domain
-   inherits the parent's enabled flags (captured at spawn), but starts
-   with empty counters and spans.
+   merges the per-domain reports when a batch ends. Each share of a
+   pool batch runs in a child sink ([child]): empty counters, spans and
+   trace buffer, with the calling domain's enabled flags. A freshly
+   spawned domain likewise starts from a child of its parent's sink.
 
    Recording is gated on the sink's enabled flag so that a disabled run
    pays a single predictable branch per recording call and nothing
    else: no allocation, no hashing, no clock reads. *)
 
 (* [Sys.time] keeps the library free of even the unix dependency; a
-   harness that wants wall time installs its own clock. Installed once
-   from the main domain before any spawning, so the plain ref is safe. *)
+   harness that wants wall time installs its own clock. Installed from
+   the main domain while no pool batch runs; the pool's mutex handoff
+   publishes it to the workers, so the plain ref is safe. *)
 let clock = ref Sys.time
 let set_clock f = clock := f
 
 (* Wall-time source of the structured tracing layer (below), distinct
    from [clock] so installing a wall clock for traces never changes
-   what the flat [span] aggregates measure. Same install-before-spawn
+   what the flat [span] aggregates measure. Same install-between-batches
    discipline. *)
 let trace_clock = ref Sys.time
 
@@ -91,24 +93,33 @@ let fresh_sink () =
     sk_tr_len = 0;
   }
 
-(* A spawned worker starts with the parent's switch positions and trace
-   configuration, but records into its own empty sink
-   (fresh buffer, ids from 0, track 0 until the pool assigns one) — so
-   worker spans land on the worker's own track and per-sink span ids
-   never collide inside one sink. *)
+(* An empty sink with [parent]'s switch positions and trace
+   configuration (fresh buffer, ids from 0, track 0 until the pool
+   assigns one), so a worker's spans land on its own track and per-sink
+   span ids never collide inside one sink. A spawned domain starts with
+   one; so does every share of a campaign pool batch ([child]). *)
+let child_of parent =
+  let s = fresh_sink () in
+  s.sk_on <- parent.sk_on;
+  s.sk_tr_on <- parent.sk_tr_on;
+  s.sk_tr_virtual <- parent.sk_tr_virtual;
+  s.sk_tr_cap <- parent.sk_tr_cap;
+  s.sk_live <- s.sk_on || s.sk_tr_on;
+  s
+
 let sink_key : sink Domain.DLS.key =
-  Domain.DLS.new_key
-    ~split_from_parent:(fun parent ->
-      let s = fresh_sink () in
-      s.sk_on <- parent.sk_on;
-      s.sk_tr_on <- parent.sk_tr_on;
-      s.sk_tr_virtual <- parent.sk_tr_virtual;
-      s.sk_tr_cap <- parent.sk_tr_cap;
-      s.sk_live <- s.sk_on || s.sk_tr_on;
-      s)
-    fresh_sink
+  Domain.DLS.new_key ~split_from_parent:child_of fresh_sink
 
 let sink () = Domain.DLS.get sink_key
+
+(* The switches are copied here, on the calling domain, into a template
+   nothing records into, so the runner may be used on any domain. *)
+let child () =
+  let switches = child_of (sink ()) in
+  fun f ->
+    let own = sink () in
+    Domain.DLS.set sink_key (child_of switches);
+    Fun.protect ~finally:(fun () -> Domain.DLS.set sink_key own) f
 
 let enabled () = (sink ()).sk_on
 

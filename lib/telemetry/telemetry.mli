@@ -6,10 +6,11 @@
     All state lives in a per-domain {e sink} held in domain-local
     storage, so independent simulations running on a pool of OCaml
     domains (lib/campaign) record concurrently without locks: each
-    domain accumulates into its own sink and the pool {!merge}s the
-    per-domain {!report}s at join time. A freshly spawned domain
-    inherits the parent's enabled flags but starts with empty counters
-    and spans.
+    share of a pool batch runs in its own {!child} sink, which inherits
+    the calling domain's enabled flags but starts with empty counters,
+    spans and trace buffer, and the pool {!merge}s the shares'
+    {!report}s when the batch ends. A freshly spawned domain likewise
+    starts from a child of its parent's sink.
 
     Everything is gated on the current sink's switch, off by default.
     Every recording entry point checks the switch with a single branch
@@ -30,11 +31,22 @@ val quietly : (unit -> 'a) -> 'a
     For work whose result is cached, so that computing it and reusing
     it leave the same record. *)
 
+val child : unit -> (unit -> 'a) -> 'a
+(** [child ()] copies the calling domain's switches (telemetry and
+    tracing on/off, trace clock mode and cap) and returns a runner.
+    [run f], on any domain, runs [f] in a fresh sink with those
+    switches, empty counters, spans and trace buffer, and track 0; then
+    it puts that domain's own sink back (also on an exception), so
+    nothing [f] records reaches it. Take {!report} inside [f] to keep
+    what it recorded. The campaign pool gives each worker's share of a
+    batch one such sink. *)
+
 val set_clock : (unit -> float) -> unit
 (** Clock used by {!span}, in seconds. Defaults to [Sys.time] (CPU
     seconds), keeping the library dependency-free; a harness that
     prefers wall time can install [Unix.gettimeofday]. Shared by all
-    domains — install it from the main domain before spawning. *)
+    domains — install it from the main domain while no pool batch
+    runs. *)
 
 (** {1 Counters} *)
 
@@ -104,9 +116,10 @@ val span : string -> (unit -> 'a) -> 'a
     stack, stable per-sink span ids), each domain records onto its own
     {e track}, and the result serializes to Chrome Trace Event Format
     via {!Trace_export}. Like everything else in this module the state
-    is per-domain: a spawned worker inherits the switch, clock mode,
-    and cap, but starts with an empty buffer, ids from 0, and track 0
-    (the pool assigns worker tracks), so merge-at-join is collision
+    is per-sink: a {!child} sink (one per pool worker per batch, and
+    one per spawned domain) inherits the switch, clock mode, and cap,
+    but starts with an empty buffer, ids from 0, and track 0 (the pool
+    assigns worker tracks), so merging a batch's shares is collision
     free by construction. *)
 
 module Trace : sig
@@ -140,8 +153,8 @@ module Trace : sig
   val empty_segment : segment
 
   val enable : ?clock:clock -> ?cap:int -> unit -> unit
-  (** Turn tracing on for the current domain (and, via sink
-      inheritance, any domain it spawns afterwards). [clock] defaults
+  (** Turn tracing on for the current domain (and, via {!child}
+      sinks, every pool batch it starts afterwards). [clock] defaults
       to [Wall]; [cap] bounds the per-domain event buffer (default
       262144). The cap is soft: over it, new events are dropped and
       counted ({!dropped}) but every recorded span still closes, so
@@ -154,7 +167,8 @@ module Trace : sig
   (** Wall-time source in seconds, default [Sys.time]; a harness that
       wants real timelines installs [Unix.gettimeofday]. Distinct from
       the flat-span clock ({!Telemetry.set_clock}). Shared by all
-      domains — install from the main domain before spawning. *)
+      domains — install from the main domain while no pool batch
+      runs. *)
 
   val set_track : int -> unit
   (** Track (Chrome-trace [tid]) new events record on. Track 0 is the
@@ -213,7 +227,7 @@ val report : unit -> report
 val empty_report : report
 
 val merge : report -> report -> report
-(** Combine two sinks' reports (e.g. two worker domains at pool join):
+(** Combine two sinks' reports (e.g. two shares of a pool batch):
     counters and spans are summed by name. *)
 
 val reset : unit -> unit

@@ -4,7 +4,10 @@
 # 125 (uncaught exception), and names the offending file or option on
 # stderr:
 #   - `sim` on malformed sources and stimulus inputs;
-#   - `vcd`, `replay` and `checkpoint` writing into a missing directory;
+#   - every command that writes a file (`vcd`, `replay`, `checkpoint`,
+#     `instrument -o`, `export -o`, `profile --json`, and the `--json`
+#     and `--trace` files of `campaign` and `fuzz`) writing into a
+#     missing directory;
 #   - `vcd --from` below zero (a usage error) and past the end of the
 #     run (a header-only waveform and a note, exit 0).
 # Failures go to stderr and make the script exit 1.
@@ -56,6 +59,18 @@ if ! "$exe" checkpoint D2 --every 50 -o "$tmp/ck" >/dev/null; then
 fi
 expect "replay -o" 7 "^$missing/r.vcd: " \
   replay D2 --from "$tmp/ck/D2-c50.fdc" -o "$missing/r.vcd"
+expect "instrument -o" 7 "^$missing/i.v: " instrument D2 -o "$missing/i.v"
+expect "export -o" 7 "^$missing/e: " export -o "$missing/e"
+expect "profile --json" 7 "^$missing/p.json: " \
+  profile D2 --cycles 20 --json "$missing/p.json"
+expect "campaign --json" 7 "^$missing/c.json: " \
+  campaign --bugs D2 --jobs 2 --json "$missing/c.json"
+expect "campaign --trace" 7 "^$missing/c.trace: " \
+  campaign --bugs D2 --jobs 2 --trace "$missing/c.trace"
+expect "fuzz --json" 7 "^$missing/f.json: " \
+  fuzz --mutants 2 --jobs 1 --json "$missing/f.json"
+expect "fuzz --trace" 7 "^$missing/f.trace: " \
+  fuzz --mutants 2 --jobs 1 --trace "$missing/f.trace"
 expect "vcd --from=-5" 124 "option '--from'" vcd D2 --from=-5 -o "$tmp/neg.vcd"
 if [ -e "$tmp/neg.vcd" ]; then
   echo "FAIL vcd --from=-5 wrote a file" >&2

@@ -1,6 +1,7 @@
 (* Campaign engine: pool ordering and error isolation, determinism of
    the full-testbed campaign across pool widths (the serial-vs-parallel
-   acceptance check), report schema, and telemetry merging at join. *)
+   acceptance check), report schema, telemetry merging, and the
+   persistent workers across consecutive, nested and failing batches. *)
 
 module Campaign = Fpga_campaign.Campaign
 module Registry = Fpga_testbed.Registry
@@ -58,7 +59,20 @@ let test_pool_error_isolation () =
   | Ok _ -> Alcotest.fail "raising job reported Ok");
   (match (results.(0).Campaign.jr_value, results.(2).Campaign.jr_value) with
   | Ok 1, Ok 2 -> ()
-  | _ -> Alcotest.fail "surviving jobs lost their results")
+  | _ -> Alcotest.fail "surviving jobs lost their results");
+  (* the workers that ran the raising job take the next batch *)
+  let next =
+    Array.init 8 (fun i ->
+        { Campaign.label = string_of_int i; work = (fun () -> i + 100) })
+  in
+  let results, stats = Campaign.run_pool ~domains:2 next in
+  check_int "next batch on two workers" 2 stats.Campaign.ps_domains;
+  Array.iteri
+    (fun i (r : int Campaign.job_result) ->
+      match r.Campaign.jr_value with
+      | Ok v -> check_int "next batch value" (i + 100) v
+      | Error e -> Alcotest.failf "job %d raised: %s" i e)
+    results
 
 (* The pool never spawns more workers than jobs, and a non-positive
    width degrades to the inline serial path. *)
@@ -172,6 +186,159 @@ let test_replay_jobs () =
         (contains v.Campaign.v_detail "no checkpoints")
   | Error e -> Alcotest.failf "replay:D8:50 raised: %s" e
 
+(* The pool's workers persist across calls: three consecutive batches
+   on the same workers, each in a different shuffled order, over the
+   full testbed's repro and replay jobs, give the serial run's verdicts
+   and waveforms. Per-domain state that outlived a batch (S2's external
+   monitor keeps its offered beat in domain-local storage) would show
+   here as a verdict or VCD that depends on which batch ran before. *)
+let test_pool_batches_reuse_workers () =
+  let jobs = Campaign.jobs_of ~replay_every:16 Registry.all in
+  let n = Array.length jobs in
+  let serial, _ = Campaign.run_pool ~domains:1 jobs in
+  let md5 (r : Campaign.verdict Campaign.job_result) =
+    match r.Campaign.jr_value with
+    | Ok v -> Option.map (fun s -> Digest.to_hex (Digest.string s)) v.Campaign.v_vcd
+    | Error e -> Alcotest.failf "%s raised: %s" r.Campaign.jr_label e
+  in
+  for batch = 1 to 3 do
+    let rng = Random.State.make [| batch |] in
+    let perm = Array.init n Fun.id in
+    for i = n - 1 downto 1 do
+      let j = Random.State.int rng (i + 1) in
+      let t = perm.(i) in
+      perm.(i) <- perm.(j);
+      perm.(j) <- t
+    done;
+    let results, stats =
+      Campaign.run_pool ~domains:2 (Array.map (fun k -> jobs.(k)) perm)
+    in
+    check_int "batch ran on two workers" 2 stats.Campaign.ps_domains;
+    Array.iteri
+      (fun pos k ->
+        let s = serial.(k) and p = results.(pos) in
+        let what = Printf.sprintf "batch %d %s" batch s.Campaign.jr_label in
+        check_string (what ^ " label") s.Campaign.jr_label p.Campaign.jr_label;
+        check_bool (what ^ " verdict identical") true
+          (s.Campaign.jr_value = p.Campaign.jr_value);
+        check_bool (what ^ " vcd md5 identical") true (md5 s = md5 p))
+      perm
+  done
+
+(* Every batch's shares record into fresh sinks: batch 2's merged
+   telemetry holds batch 2's counters and spans only, what the caller
+   recorded before the calls is intact, and nothing from the jobs
+   reaches the caller's sink. *)
+let test_pool_telemetry_per_batch () =
+  Telemetry.reset ();
+  Telemetry.enable ();
+  Fun.protect ~finally:(fun () ->
+      Telemetry.disable ();
+      Telemetry.reset ())
+  @@ fun () ->
+  let mine = Telemetry.Counter.make "campaign.test_caller" in
+  let bumps = Telemetry.Counter.make "campaign.test_batch" in
+  Telemetry.Counter.bump mine 3;
+  let batch k =
+    Array.init 6 (fun i ->
+        {
+          Campaign.label = Printf.sprintf "b%d.%d" k i;
+          work =
+            (fun () ->
+              Telemetry.span "campaign.test_span" (fun () ->
+                  Telemetry.Counter.bump bumps k));
+        })
+  in
+  let counter (st : Campaign.pool_stats) name =
+    List.assoc_opt name st.Campaign.ps_telemetry.Telemetry.r_counters
+  in
+  let _, first = Campaign.run_pool ~domains:2 (batch 1) in
+  let _, second = Campaign.run_pool ~domains:2 (batch 10) in
+  check_int "batch 1 counted its own bumps" 6
+    (Option.value (counter first "campaign.test_batch") ~default:0);
+  check_int "batch 2 holds only batch 2's bumps" 60
+    (Option.value (counter second "campaign.test_batch") ~default:0);
+  (match
+     List.find_opt
+       (fun (name, _, _) -> name = "campaign.test_span")
+       second.Campaign.ps_telemetry.Telemetry.r_spans
+   with
+  | Some (_, calls, _) -> check_int "batch 2's spans only" 6 calls
+  | None -> Alcotest.fail "batch 2 lost its spans");
+  check_bool "caller's counters stay out of the batch" true
+    (counter second "campaign.test_caller" = None);
+  check_int "caller's counter intact" 3 (Telemetry.Counter.value mine);
+  check_int "no job bump reached the caller's sink" 0
+    (Telemetry.Counter.value bumps);
+  check_bool "caller's switch intact" true (Telemetry.enabled ())
+
+(* A job may itself call the pool: the nested call finds the workers
+   busy and runs inline, so it can neither deadlock nor disturb the
+   outer batch, and the results match a serial run. *)
+let test_pool_nested_call_inline () =
+  let outer =
+    Array.init 6 (fun i ->
+        {
+          Campaign.label = Printf.sprintf "outer%d" i;
+          work =
+            (fun () ->
+              let inner =
+                Array.init 4 (fun j ->
+                    { Campaign.label = string_of_int j; work = (fun () -> (i * 10) + j) })
+              in
+              let results, stats = Campaign.run_pool ~domains:2 inner in
+              ( stats.Campaign.ps_domains,
+                Array.map (fun r -> r.Campaign.jr_value) results ));
+        })
+  in
+  let serial, _ = Campaign.run_pool ~domains:1 outer in
+  let par, stats = Campaign.run_pool ~domains:2 outer in
+  check_int "outer batch on two workers" 2 stats.Campaign.ps_domains;
+  Array.iteri
+    (fun i (r : _ Campaign.job_result) ->
+      match (r.Campaign.jr_value, serial.(i).Campaign.jr_value) with
+      | Ok (width, values), Ok (_, reference) ->
+          check_int "nested call ran inline" 1 width;
+          check_bool "nested results match serial" true (values = reference)
+      | _ -> Alcotest.failf "outer job %d raised" i)
+    par
+
+(* An exception that escapes the pool's own code in a worker, not a
+   job, reaches the caller only once every worker has finished (worker
+   0 has drained the whole queue by then), and the next call still gets
+   the workers. *)
+let test_pool_share_escape () =
+  let ran = Atomic.make 0 in
+  let jobs k =
+    Array.init 8 (fun i ->
+        {
+          Campaign.label = string_of_int i;
+          work =
+            (fun () ->
+              Atomic.incr ran;
+              i + k);
+        })
+  in
+  let raised =
+    Fun.protect ~finally:(fun () -> Campaign.share_hook := ignore)
+    @@ fun () ->
+    Campaign.share_hook := (fun w -> if w = 1 then failwith "share 1");
+    match Campaign.run_pool ~domains:2 (jobs 0) with
+    | _ -> None
+    | exception Failure m -> Some m
+  in
+  Alcotest.(check (option string))
+    "worker 1's failure reached the caller" (Some "share 1") raised;
+  check_int "worker 0 finished its share first" 8 (Atomic.get ran);
+  let results, stats = Campaign.run_pool ~domains:2 (jobs 100) in
+  check_int "next call still on two workers" 2 stats.Campaign.ps_domains;
+  Array.iteri
+    (fun i (r : int Campaign.job_result) ->
+      match r.Campaign.jr_value with
+      | Ok v -> check_int "next call value" (i + 100) v
+      | Error e -> Alcotest.failf "job %d raised: %s" i e)
+    results
+
 let suite =
   [
     Alcotest.test_case "pool preserves submission order" `Quick
@@ -186,4 +353,12 @@ let suite =
       test_replay_jobs;
     Alcotest.test_case "worker telemetry merged at join" `Quick
       test_pool_merges_telemetry;
+    Alcotest.test_case "consecutive batches on the same workers match serial"
+      `Quick test_pool_batches_reuse_workers;
+    Alcotest.test_case "each batch records into fresh sinks" `Quick
+      test_pool_telemetry_per_batch;
+    Alcotest.test_case "nested pool call runs inline" `Quick
+      test_pool_nested_call_inline;
+    Alcotest.test_case "a failed share is re-raised after the batch" `Quick
+      test_pool_share_escape;
   ]
