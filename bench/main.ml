@@ -15,9 +15,10 @@
    micro-benchmark used by CI to track the perf trajectory across PRs:
    parse / elaborate / simulate throughput over several testbed designs
    plus synthetic low-activity and sequential-heavy designs, for both
-   simulator kernels, with a hard same-run gate demanding the default
-   (lowered-dirty) kernel never lose to the brute-force sweep it
-   replaces. *)
+   simulator kernels, with hard same-run gates: the default
+   (lowered-dirty) kernel never loses to the brute-force sweep it
+   replaces, two campaign domains do not lose to one (on 3+ cores), and
+   resetting a simulator is at least 3x cheaper than building it. *)
 
 module Report = Fpga_report.Report
 module Bug = Fpga_testbed.Bug
@@ -240,17 +241,29 @@ type bench_result = {
   br_auto_kernel : string;  (* kernel [Simulator.create] picks unforced *)
 }
 
+(* [Elaborate.elaborate] returns its last flat again for the same
+   physical design, so timing it on one design would time that memo.
+   This elaborates two distinct parses of [src] in turn: every call
+   really elaborates. *)
+let elaborator src ~top =
+  let designs =
+    [| Fpga_hdl.Parser.parse_design src; Fpga_hdl.Parser.parse_design src |]
+  in
+  let k = ref 0 in
+  fun () ->
+    k := 1 - !k;
+    Fpga_sim.Elaborate.elaborate designs.(!k) ~top
+
 let bench_one (d : bench_design) =
   let design = Fpga_hdl.Parser.parse_design d.bd_src in
   let flat = Fpga_sim.Elaborate.elaborate design ~top:d.bd_top in
+  let elaborate = elaborator d.bd_src ~top:d.bd_top in
   {
     br_id = d.bd_id;
     br_top = d.bd_top;
     br_parse_per_sec =
       runs_per_sec (fun () -> ignore (Fpga_hdl.Parser.parse_design d.bd_src));
-    br_elaborate_per_sec =
-      runs_per_sec (fun () ->
-          ignore (Fpga_sim.Elaborate.elaborate design ~top:d.bd_top));
+    br_elaborate_per_sec = runs_per_sec (fun () -> ignore (elaborate ()));
     br_brute_cps =
       sim_cycles_per_sec ~kernel:Simulator.Brute_force flat d.bd_stim;
     (* best-batch ceiling (see [sim_best_batch_cps]): the gate below
@@ -389,6 +402,40 @@ let telemetry_overhead_benches () =
       else None)
     (bench_designs ())
 
+(* Instance reuse: per Table 2 design (buggy source), what building a
+   simulator costs (elaborate + create, as a cold [Bug.run_design]
+   pays) against returning a built one to its initial state
+   ([Simulator.reset], as a warm one pays). Batches of 20 builds and 20
+   resets alternate, and each side keeps its least time per call: like
+   [sim_best_batch_cps], the least-disturbed batch, so host noise
+   cannot drag the same-run ratio [reuse_gate] checks. *)
+type reuse_bench = {
+  rb_design : string;
+  rb_build_us : float;
+  rb_reset_us : float;
+}
+
+let reuse_bench_one ?(min_elapsed = 0.1) (bug : Bug.t) =
+  let elaborate = elaborator bug.Bug.buggy_src ~top:bug.Bug.top in
+  let sim = Simulator.create (elaborate ()) in
+  Simulator.run sim 20;
+  let batch f =
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to 20 do
+      f ()
+    done;
+    (Unix.gettimeofday () -. t0) /. 20.0 *. 1e6
+  in
+  let build = ref infinity and reset = ref infinity in
+  let stop = Unix.gettimeofday () +. min_elapsed in
+  while Unix.gettimeofday () < stop do
+    build :=
+      Float.min !build
+        (batch (fun () -> ignore (Simulator.create (elaborate ()))));
+    reset := Float.min !reset (batch (fun () -> Simulator.reset sim))
+  done;
+  { rb_design = bug.Bug.id; rb_build_us = !build; rb_reset_us = !reset }
+
 (* Campaign throughput: the full Table 2 repro set executed on a
    domain pool of growing width. jobs/sec and cycles/sec are the
    headline numbers; utilization shows how evenly the queue drained.
@@ -433,9 +480,10 @@ let campaign_benches () =
       })
     [ 1; 2; 4 ]
 
-let json_of_results results lowerings bits lookup telem overheads campaigns =
+let json_of_results results lowerings bits lookup telem overheads campaigns
+    reuses =
   let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n  \"schema\": \"fpga-debug-bench/10\",\n";
+  Buffer.add_string buf "{\n  \"schema\": \"fpga-debug-bench/11\",\n";
   Buffer.add_string buf "  \"designs\": [\n";
   (* "speedup" is auto-kernel throughput over brute — what a user who
      never passes --kernel actually gets *)
@@ -535,6 +583,19 @@ let json_of_results results lowerings bits lookup telem overheads campaigns =
            c.cb_utilization c.cb_speedup
            (if i = List.length campaigns - 1 then "" else ",")))
     campaigns;
+  (* keyed on "design", so outside the baseline scanner: the ratio is
+     what matters, and [reuse_gate] checks it in the same run *)
+  Buffer.add_string buf "  ],\n  \"reuse\": [\n";
+  List.iteri
+    (fun i r ->
+      Buffer.add_string buf
+        (Printf.sprintf
+           "    {\"design\": %S, \"build_us\": %.2f, \"reset_us\": %.2f, \
+            \"build_over_reset\": %.2f}%s\n"
+           r.rb_design r.rb_build_us r.rb_reset_us
+           (r.rb_build_us /. r.rb_reset_us)
+           (if i = List.length reuses - 1 then "" else ",")))
+    reuses;
   Buffer.add_string buf "  ]\n}\n";
   Buffer.contents buf
 
@@ -676,6 +737,33 @@ let campaign_gate campaigns =
         (if ok then "" else " -- CAMPAIGN GATE FAILURE: below 1.00x");
       ok
 
+(* Reusing a simulator must pay for itself: a reset may cost at most a
+   third of the elaborate + create it replaces, on every Table 2
+   design, measured in the same run. *)
+let reuse_min_ratio = 3.0
+
+let reuse_gate reuses =
+  let ratio r = r.rb_build_us /. r.rb_reset_us in
+  let failures = List.filter (fun r -> ratio r < reuse_min_ratio) reuses in
+  List.iter
+    (fun r ->
+      Printf.printf
+        "REUSE GATE FAILURE: %s reset %.1f us is only %.2fx cheaper than \
+         elaborate+create %.1f us\n"
+        r.rb_design r.rb_reset_us (ratio r) r.rb_build_us)
+    failures;
+  (match failures, reuses with
+  | [], r0 :: rest ->
+      let least =
+        List.fold_left (fun a r -> if ratio r < ratio a then r else a) r0 rest
+      in
+      Printf.printf
+        "reuse gate: reset >= %.0fx cheaper than elaborate+create on all %d \
+         designs (least %.1fx, %s)\n"
+        reuse_min_ratio (List.length reuses) (ratio least) least.rb_design
+  | _ -> ());
+  failures = []
+
 let run_json_bench path baseline =
   let results = List.map bench_one (bench_designs ()) in
   let lowerings = List.map lowering_bench_one (bench_designs ()) in
@@ -684,8 +772,10 @@ let run_json_bench path baseline =
   let telem = telemetry_benches () in
   let overheads = telemetry_overhead_benches () in
   let campaigns = campaign_benches () in
+  let reuses = List.map reuse_bench_one Registry.all in
   let json =
     json_of_results results lowerings bits lookup telem overheads campaigns
+      reuses
   in
   let oc = open_out path in
   output_string oc json;
@@ -741,6 +831,13 @@ let run_json_bench path baseline =
         c.cb_wall c.cb_jobs_per_sec c.cb_cycles_per_sec
         (100.0 *. c.cb_utilization) c.cb_speedup)
     campaigns;
+  Printf.printf "\n%-8s %14s %10s %9s\n" "design" "build us" "reset us"
+    "ratio";
+  List.iter
+    (fun r ->
+      Printf.printf "%-8s %14.1f %10.1f %8.1fx\n" r.rb_design r.rb_build_us
+        r.rb_reset_us (r.rb_build_us /. r.rb_reset_us))
+    reuses;
   Printf.printf "\nwrote %s\n" path;
   (match baseline with
   | None -> ()
@@ -755,7 +852,8 @@ let run_json_bench path baseline =
       compare_to_baseline ~current ~baseline_path);
   let kernel_ok = kernel_gate results in
   let campaign_ok = campaign_gate campaigns in
-  if not (kernel_ok && campaign_ok) then exit 1
+  let reuse_ok = reuse_gate reuses in
+  if not (kernel_ok && campaign_ok && reuse_ok) then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks                                           *)
@@ -772,9 +870,9 @@ let microbench () =
            ignore (Fpga_hdl.Parser.parse_design d2.Bug.buggy_src)))
   in
   let elaborate_test =
+    let elaborate = elaborator d2.Bug.buggy_src ~top:"grayscale" in
     Test.make ~name:"elaborate grayscale"
-      (Staged.stage (fun () ->
-           ignore (Fpga_sim.Elaborate.elaborate d2_design ~top:"grayscale")))
+      (Staged.stage (fun () -> ignore (elaborate ())))
   in
   let simulate_test =
     Test.make ~name:"simulate grayscale 100 cycles"

@@ -64,22 +64,34 @@ let id tab n =
   | Some i -> i
   | None -> err "unbound signal %s" n
 
+(* A signal's cycle-0 value: its declared initial value, zero
+   otherwise; a memory's words all start at that value. *)
+let initial (flat : Elaborate.flat) name =
+  let s = Hashtbl.find flat.Elaborate.f_signals name in
+  let w = s.Elaborate.fs_width in
+  match s.Elaborate.fs_depth with
+  | Some d -> (Some d, Option.value s.Elaborate.fs_init ~default:(Bits.zero w))
+  | None ->
+      ( None,
+        match s.Elaborate.fs_init with
+        | Some b -> Bits.resize b w
+        | None -> Bits.zero w )
+
 let fresh_env (flat : Elaborate.flat) : env =
   Array.map
     (fun n ->
-      let s = Hashtbl.find flat.Elaborate.f_signals n in
-      match s.Elaborate.fs_depth with
-      | Some d ->
-          let init =
-            Option.value s.Elaborate.fs_init
-              ~default:(Bits.zero s.Elaborate.fs_width)
-          in
-          Mem (Array.make d init)
-      | None ->
-          Vec
-            (match s.Elaborate.fs_init with
-            | Some b -> Bits.resize b s.Elaborate.fs_width
-            | None -> Bits.zero s.Elaborate.fs_width))
+      match initial flat n with
+      | Some d, init -> Mem (Array.make d init)
+      | None, init -> Vec init)
+    flat.Elaborate.f_signal_order
+
+let reset_env (flat : Elaborate.flat) (env : env) =
+  Array.iteri
+    (fun i n ->
+      (* a signal's shape never changes after construction *)
+      match (initial flat n, env.(i)) with
+      | (_, init), Mem a -> Array.fill a 0 (Array.length a) init
+      | (_, init), Vec _ -> env.(i) <- Vec init)
     flat.Elaborate.f_signal_order
 
 (* ------------------------------------------------------------------ *)

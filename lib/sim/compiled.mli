@@ -35,6 +35,10 @@ val n_signals : tab -> int
 val fresh_env : Elaborate.flat -> env
 (** Initial environment: declared initial values, zero otherwise. *)
 
+val reset_env : Elaborate.flat -> env -> unit
+(** Return an environment built from [flat] to {!fresh_env}'s values in
+    place: vectors are replaced, memory arrays refilled. *)
+
 (** {1 Compiled forms} *)
 
 type cexpr =

@@ -344,7 +344,7 @@ and inline_instance ctx prefix consts rename (i : Ast.instance) =
           inline ctx child_prefix child i.Ast.params !port_map;
           ctx.assigns <- !extra_assigns @ ctx.assigns)
 
-let elaborate (design : Ast.design) ~top : flat =
+let elaborate_fresh (design : Ast.design) ~top : flat =
   let top_mod =
     match Ast.find_module design top with
     | Some m -> m
@@ -397,6 +397,24 @@ let elaborate (design : Ast.design) ~top : flat =
     f_signal_order;
     f_signal_ids;
   }
+
+(* A fuzz mutant is elaborated by its validity gate and then by each
+   of its runs, with nothing elaborated in between, so each domain
+   remembers its last elaboration, keyed on the physical design and
+   the top. Designs are immutable and no code writes a flat after this
+   function returns, so handing the same flat out again is safe; a
+   design that fails to elaborate is not remembered and raises again. *)
+let last : (Ast.design * string * flat) option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+let elaborate (design : Ast.design) ~top : flat =
+  let slot = Domain.DLS.get last in
+  match !slot with
+  | Some (d, t, flat) when d == design && String.equal t top -> flat
+  | _ ->
+      let flat = elaborate_fresh design ~top in
+      slot := Some (design, top, flat);
+      flat
 
 let signal flat name =
   match Hashtbl.find_opt flat.f_signals name with

@@ -56,7 +56,13 @@ type flat = {
 val elaborate : Fpga_hdl.Ast.design -> top:string -> flat
 (** [elaborate design ~top] flattens [design] rooted at module [top].
     Raises {!Elaboration_error} on unknown modules, port mismatches, or
-    conflicting widths. *)
+    conflicting widths.
+
+    Each domain remembers its last successful elaboration: a second
+    call with the physically same [design] and an equal [top], with no
+    other elaboration on that domain in between, returns the same
+    [flat] without elaborating again. A flat is never modified after
+    this returns, so callers may share it; they must not write it. *)
 
 val signal : flat -> string -> fsignal
 (** [signal flat name] looks a flat signal up; raises

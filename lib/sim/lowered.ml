@@ -881,9 +881,11 @@ let rec mark_closures st = function
       mark_closure st c;
       mark_closures st tl
 
+(* [cdirty] has at least one slot, but an empty plan has nothing
+   pending: the count is the plan's, as [create] leaves it *)
 let mark_all_flags st =
   Array.fill st.cdirty 0 (Array.length st.cdirty) true;
-  st.ncdirty <- Array.length st.cdirty
+  st.ncdirty <- Array.length st.plan
 
 (* Recompose [st.notify] from mode + external callback. Closures read
    [st.notify] at call time, so rewiring mid-run is safe. With an empty comb plan there is nothing the dirty bits could ever
@@ -929,19 +931,22 @@ let mark_all st =
 (* Construction                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* Copy the immediate-bank signals' values in from [env]. *)
+let seed_ints st =
+  for i = 0 to Array.length st.ints - 1 do
+    if st.imm.(i) then st.ints.(i) <- Imm.of_bits (Compiled.vec st.env i)
+  done
+
 let create ~(tab : Compiled.tab) ~(env : Compiled.env) ~(finished : bool ref)
     ~(nodes : node array) ~(fuse : bool array) ~(sens : int list array)
     ~(display_ranks : int list)
     ~(seq : (Elaborate.clock_edge * Compiled.cstmt list) list) : t =
   let n = Compiled.n_signals tab in
   let ints = Array.make n 0 in
-  let imm = Array.make n false in
   let widths = Array.init n (fun i -> Compiled.width tab i) in
-  for i = 0 to n - 1 do
-    if Compiled.depth tab i = None && Imm.fits widths.(i) then (
-      imm.(i) <- true;
-      ints.(i) <- Imm.of_bits (Compiled.vec env i))
-  done;
+  let imm =
+    Array.init n (fun i -> Compiled.depth tab i = None && Imm.fits widths.(i))
+  in
   let n_imm = Array.fold_left (fun a b -> if b then a + 1 else a) 0 imm in
   let st =
     {
@@ -988,6 +993,7 @@ let create ~(tab : Compiled.tab) ~(env : Compiled.env) ~(finished : bool ref)
         };
     }
   in
+  seed_ints st;
   let closures = Array.map (lower_node st) nodes in
   (* fuse single-reader assign chains: a node marked fuse.(r) folds into
      its predecessor's closure, halving plan-iteration overhead on long
@@ -1033,6 +1039,24 @@ let create ~(tab : Compiled.tab) ~(env : Compiled.env) ~(finished : bool ref)
   st.stats <-
     { st.stats with lw_closures = Array.length st.plan; lw_fused = !nfused };
   st
+
+(* Back to the run state [create] leaves, once the caller has returned
+   [env] to its initial values: the immediate bank re-seeded from it,
+   no deferred writes, zeroed run counters. Scheduling is the caller's
+   [mark_all]. *)
+let reset st =
+  seed_ints st;
+  st.pb_len <- 0;
+  st.pboxed <- [];
+  st.displays <- false;
+  st.lchanges <- 0;
+  let r = st.runs in
+  r.rs_settles <- 0;
+  r.rs_closures_run <- 0;
+  r.rs_closures_skipped <- 0;
+  r.rs_edges <- 0;
+  r.rs_commit_imm <- 0;
+  r.rs_commit_boxed <- 0
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                            *)

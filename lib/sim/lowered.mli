@@ -96,7 +96,14 @@ val commit : t -> unit
 
 val mark_all : t -> unit
 (** Reset the dirty scheduler: back to the sparse worklist with every
-    closure pending (checkpoint restore). *)
+    closure pending, as {!create} leaves it (checkpoint restore,
+    {!reset}). *)
+
+val reset : t -> unit
+(** Return the run state to what {!create} leaves, after the caller has
+    put the shared [env] back to its initial values: the immediate bank
+    is re-seeded from [env], deferred writes are dropped and
+    {!run_stats} is zeroed. Follow with {!mark_all}. *)
 
 val dirty_count : t -> int
 (** Closures currently pending: the sparse worklist size, or the whole

@@ -67,18 +67,30 @@ type fifo_state = {
 
 type ram_state = { r_words : Bits.t array; mutable r_q : Bits.t }
 
-(* IP instance with compiled port connections: inputs as pre-compiled
-   reader closures (bound to whichever kernel's value banks are live),
-   outputs as signal ids. *)
-type cprim = {
-  cp_src : fprim;
-  cp_inputs : (string * (unit -> Bits.t)) list;
-  cp_outputs : (string * int) list;
+(* IP instances with their ports resolved at construction: each input
+   a compiled reader closure (bound to whichever kernel's value banks
+   are live; a constant zero when unconnected), each output a signal id
+   (-1 when unconnected). *)
+type fifo_ports = {
+  fp_wrreq : unit -> Bits.t;
+  fp_rdreq : unit -> Bits.t;
+  fp_data : unit -> Bits.t;
+  fp_q : int;
+  fp_full : int;
+  fp_empty : int;
+  fp_usedw : int;
+}
+
+type ram_ports = {
+  rp_address : unit -> Bits.t;
+  rp_wren : unit -> Bits.t;
+  rp_data : unit -> Bits.t;
+  rp_q : int;
 }
 
 type prim_state =
-  | Pfifo of cprim * fifo_state
-  | Pram of cprim * ram_state
+  | Pfifo of fprim * fifo_ports * fifo_state
+  | Pram of fprim * ram_ports * ram_state
 
 (* Kernel-profiling state, allocated at construction only when the
    telemetry switch is on; [None] keeps the hot paths at a single
@@ -106,6 +118,9 @@ type t = {
   tab : Compiled.tab;
   env : Compiled.env;  (* signal values indexed by dense id *)
   kernel : kernel;
+  (* [nodes] and [seq] serve the brute-force sweep only: the lowered
+     kernel runs its own closures, so an instance that may sit on a free
+     list between runs does not keep them ([||] and [] there) *)
   nodes : comb_node array;  (* topological order: writers before readers *)
   notify : int -> unit;  (* change callback: toggle counting, or [ignore] *)
   seq : (Elaborate.clock_edge * Compiled.cstmt list) list;
@@ -121,6 +136,9 @@ type t = {
          reads between new displays cost O(1) instead of re-reversing *)
   mutable display_hook : (int -> string -> unit) option;
   stats : istats option;
+  mutable signature : string;
+      (* [Checkpoint.design_hash flat], computed at first use; "" until
+         then *)
   (* by-name accessor cache: the last [name_slots] names looked up,
      matched by physical equality, with their dense ids; see [id_of] *)
   name_keys : string array;
@@ -258,35 +276,71 @@ let rec exec_stmt ctx (s : Compiled.cstmt) =
 (* Primitives                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let prim_param (cp : cprim) name default =
-  Option.value (List.assoc_opt name cp.cp_src.fp_params) ~default
+let prim_param (p : fprim) name default =
+  Option.value (List.assoc_opt name p.fp_params) ~default
 
-let make_prim_state (cp : cprim) : prim_state =
-  match cp.cp_src.fp_kind with
-  | Scfifo | Dcfifo ->
-      let width = prim_param cp "lpm_width" 8 in
-      let depth = prim_param cp "lpm_numwords" 16 in
-      Pfifo
-        ( cp,
-          {
-            f_depth = depth;
-            f_width = width;
-            f_data = Array.make depth (Bits.zero width);
-            f_head = 0;
-            f_count = 0;
-          } )
+(* Resolve a primitive's ports and allocate its state. [inputs] holds
+   a reader for every connected input formal; every connected output
+   resolves through [tab], so an unknown signal raises as the compiled
+   plan does. *)
+let make_prim_state tab (p : fprim) inputs : prim_state =
+  let input name =
+    match List.assoc_opt name inputs with
+    | Some f -> f
+    | None ->
+        let zero = Bits.zero 1 in
+        fun () -> zero
+  in
+  let outputs = List.map (fun (f, s) -> (f, Compiled.id tab s)) p.fp_outputs in
+  let output name = Option.value (List.assoc_opt name outputs) ~default:(-1) in
+  let fifo ~full ~empty ~usedw =
+    let width = prim_param p "lpm_width" 8 in
+    let depth = prim_param p "lpm_numwords" 16 in
+    Pfifo
+      ( p,
+        {
+          fp_wrreq = input "wrreq";
+          fp_rdreq = input "rdreq";
+          fp_data = input "data";
+          fp_q = output "q";
+          fp_full = output full;
+          fp_empty = output empty;
+          fp_usedw = output usedw;
+        },
+        {
+          f_depth = depth;
+          f_width = width;
+          f_data = Array.make depth (Bits.zero width);
+          f_head = 0;
+          f_count = 0;
+        } )
+  in
+  match p.fp_kind with
+  | Scfifo -> fifo ~full:"full" ~empty:"empty" ~usedw:"usedw"
+  | Dcfifo -> fifo ~full:"wrfull" ~empty:"rdempty" ~usedw:"wrusedw"
   | Altsyncram ->
-      let width = prim_param cp "width_a" 8 in
-      let words = prim_param cp "numwords_a" 16 in
+      let width = prim_param p "width_a" 8 in
+      let words = prim_param p "numwords_a" 16 in
       Pram
-        (cp, { r_words = Array.make words (Bits.zero width); r_q = Bits.zero width })
+        ( p,
+          {
+            rp_address = input "address_a";
+            rp_wren = input "wren_a";
+            rp_data = input "data_a";
+            rp_q = output "q_a";
+          },
+          { r_words = Array.make words (Bits.zero width); r_q = Bits.zero width } )
 
-let prim_input (cp : cprim) name =
-  match List.assoc_opt name cp.cp_inputs with
-  | Some f -> f ()
-  | None -> Bits.zero 1
-
-let prim_input_bool cp name = Bits.reduce_or (prim_input cp name)
+(* Contents back to what [make_prim_state] allocates. *)
+let reset_prim = function
+  | Pfifo (_, _, f) ->
+      Array.fill f.f_data 0 f.f_depth (Bits.zero f.f_width);
+      f.f_head <- 0;
+      f.f_count <- 0
+  | Pram (_, _, r) ->
+      let zero = Bits.zero (Bits.width r.r_q) in
+      Array.fill r.r_words 0 (Array.length r.r_words) zero;
+      r.r_q <- zero
 
 (* Change-detected write to a vector signal through whichever kernel's
    value bank is live; resizes to the declared width and notifies on
@@ -305,37 +359,14 @@ let write_sig sim i value =
 
 (* Drive a primitive output signal if it is connected; change-detected
    so a quiescent primitive does not wake its combinational readers. *)
-let drive sim (cp : cprim) formal value =
-  match List.assoc_opt formal cp.cp_outputs with
-  | None -> ()
-  | Some i -> write_sig sim i value
-
-let fifo_port_names kind =
-  match kind with
-  | Scfifo -> ("wrreq", "rdreq", "data", "q", "full", "empty", "usedw")
-  | Dcfifo -> ("wrreq", "rdreq", "data", "q", "wrfull", "rdempty", "wrusedw")
-  | Altsyncram -> assert false
-
-let drive_fifo_outputs sim (cp : cprim) (f : fifo_state) =
-  let _, _, _, q, full, empty, usedw = fifo_port_names cp.cp_src.fp_kind in
-  let front =
-    if f.f_count > 0 then f.f_data.(f.f_head) else Bits.zero f.f_width
-  in
-  drive sim cp q front;
-  drive sim cp full (Bits.of_bool (f.f_count >= f.f_depth));
-  drive sim cp empty (Bits.of_bool (f.f_count = 0));
-  (* [drive] resizes to the connected signal's declared width *)
-  drive sim cp usedw (Bits.of_int ~width:16 f.f_count)
+let drive sim i value = if i >= 0 then write_sig sim i value
 
 let step_prim (ps : prim_state) =
   match ps with
-  | Pfifo (cp, f) ->
-      let wrreq_n, rdreq_n, data_n, _, _, _, _ =
-        fifo_port_names cp.cp_src.fp_kind
-      in
-      let wrreq = prim_input_bool cp wrreq_n in
-      let rdreq = prim_input_bool cp rdreq_n in
-      let data = Bits.resize (prim_input cp data_n) f.f_width in
+  | Pfifo (_, ports, f) ->
+      let wrreq = Bits.reduce_or (ports.fp_wrreq ()) in
+      let rdreq = Bits.reduce_or (ports.fp_rdreq ()) in
+      let data = Bits.resize (ports.fp_data ()) f.f_width in
       let popped = rdreq && f.f_count > 0 in
       let pushed = wrreq && f.f_count < f.f_depth in
       if popped then (
@@ -344,10 +375,10 @@ let step_prim (ps : prim_state) =
       if pushed then (
         f.f_data.((f.f_head + f.f_count) mod f.f_depth) <- data;
         f.f_count <- f.f_count + 1)
-  | Pram (cp, r) ->
-      let addr = Bits.to_int_trunc (prim_input cp "address_a") in
-      let wren = prim_input_bool cp "wren_a" in
-      let data = prim_input cp "data_a" in
+  | Pram (_, ports, r) ->
+      let addr = Bits.to_int_trunc (ports.rp_address ()) in
+      let wren = Bits.reduce_or (ports.rp_wren ()) in
+      let data = ports.rp_data () in
       let size = Array.length r.r_words in
       let k = if size = 0 then 0 else addr mod size in
       (* registered read of the old word, then write *)
@@ -357,8 +388,16 @@ let step_prim (ps : prim_state) =
 
 let drive_prim_outputs sim ps =
   match ps with
-  | Pfifo (cp, f) -> drive_fifo_outputs sim cp f
-  | Pram (cp, r) -> drive sim cp "q_a" r.r_q
+  | Pfifo (_, ports, f) ->
+      let front =
+        if f.f_count > 0 then f.f_data.(f.f_head) else Bits.zero f.f_width
+      in
+      drive sim ports.fp_q front;
+      drive sim ports.fp_full (Bits.of_bool (f.f_count >= f.f_depth));
+      drive sim ports.fp_empty (Bits.of_bool (f.f_count = 0));
+      (* [drive] resizes to the connected signal's declared width *)
+      drive sim ports.fp_usedw (Bits.of_int ~width:16 f.f_count)
+  | Pram (_, ports, r) -> drive sim ports.rp_q r.r_q
 
 (* ------------------------------------------------------------------ *)
 (* Construction and stepping                                           *)
@@ -385,6 +424,11 @@ let compile_node tab = function
 (* Harnesses call the by-name accessors with the same string literals
    every cycle, so a few names cover nearly all lookups. *)
 let name_slots = 8
+
+(* structured tracing samples its counter series off [istats], so a
+   trace-only run (telemetry switch off) still carries them; every
+   per-cycle recording inside remains gated on its own switch *)
+let profiling () = Telemetry.enabled () || Telemetry.Trace.enabled ()
 
 let create ?(kernel = default_kernel) (flat : flat) : t =
   Telemetry.span "compile" @@ fun () ->
@@ -467,25 +511,14 @@ let create ?(kernel = default_kernel) (flat : flat) : t =
   let prims =
     List.map
       (fun (p : fprim) ->
-        let cp =
-          {
-            cp_src = p;
-            cp_inputs =
-              List.map
-                (fun (f, e) -> (f, input_closure (Compiled.compile_expr tab e)))
-                p.fp_inputs;
-            cp_outputs =
-              List.map (fun (f, s) -> (f, Compiled.id tab s)) p.fp_outputs;
-          }
-        in
-        make_prim_state cp)
+        make_prim_state tab p
+          (List.map
+             (fun (f, e) -> (f, input_closure (Compiled.compile_expr tab e)))
+             p.fp_inputs))
       flat.f_prims
   in
   let stats =
-    (* structured tracing samples its counter series off [istats], so a
-       trace-only run (telemetry switch off) still carries them; every
-       per-cycle recording inside remains gated on its own switch *)
-    if Telemetry.enabled () || Telemetry.Trace.enabled () then
+    if profiling () then
       Some
         {
           s_steps = 0;
@@ -513,12 +546,14 @@ let create ?(kernel = default_kernel) (flat : flat) : t =
   in
   Option.iter (fun lw -> Lowered.set_notify lw notify) low;
   let sim =
-    { flat; tab; env; kernel; nodes; notify; seq;
+    { flat; tab; env; kernel; notify;
+      nodes = (if low = None then nodes else [||]);
+      seq = (if low = None then seq else []);
       has_negedge =
         List.exists (fun (e, _, _) -> e = Elaborate.Neg) flat.f_seq;
       prims; low;
       cycle = 0; finished; log = []; log_len = 0;
-      log_memo = (0, []); display_hook = None; stats;
+      log_memo = (0, []); display_hook = None; stats; signature = "";
       (* an empty slot holds id -1, so [id_of] misses on it whatever
          its key *)
       name_keys = Array.make name_slots "";
@@ -530,6 +565,47 @@ let create ?(kernel = default_kernel) (flat : flat) : t =
      starts dirty, so the first settle evaluates the full plan *)
   List.iter (drive_prim_outputs sim) prims;
   sim
+
+(* The tail shared by [reset] and [restore_checkpoint], once values and
+   primitive contents are in place: the lowered scheduler back to the
+   sparse worklist with every closure pending, as [create] leaves it,
+   and the primitive outputs driven from the contents before the next
+   settle. *)
+let reschedule sim =
+  Option.iter Lowered.mark_all sim.low;
+  List.iter (drive_prim_outputs sim) sim.prims
+
+(* Back to exactly what [create] leaves, re-deriving cycle-0 values
+   from the flat. The stats are cleared first, so the toggles that
+   driving the initial primitive outputs counts at construction are
+   counted again. *)
+let reset sim =
+  (match sim.stats with
+  | None -> ()
+  | Some st ->
+      st.s_steps <- 0;
+      st.s_settles <- 0;
+      st.s_node_rounds <- 0;
+      st.s_nodes_evaluated <- 0;
+      st.s_dirty_total <- 0;
+      st.s_dirty_peak <- 0;
+      st.s_nba_commits <- 0;
+      st.s_prim_steps <- 0;
+      st.s_displays <- 0;
+      Array.fill st.s_toggles 0 (Array.length st.s_toggles) 0;
+      Telemetry.Histogram.clear st.s_settle_hist;
+      st.s_cycles_in_window <- 0;
+      st.s_evaluated_mark <- 0);
+  Compiled.reset_env sim.flat sim.env;
+  Option.iter Lowered.reset sim.low;
+  List.iter reset_prim sim.prims;
+  sim.cycle <- 0;
+  sim.finished := false;
+  sim.log <- [];
+  sim.log_len <- 0;
+  sim.log_memo <- (0, []);
+  sim.display_hook <- None;
+  reschedule sim
 
 let exec_node ctx node =
   match node with
@@ -731,6 +807,7 @@ let log sim =
 let cycle sim = sim.cycle
 let finished sim = !(sim.finished)
 let kernel sim = sim.kernel
+let flat sim = sim.flat
 let lowering_stats sim = Option.map Lowered.stats sim.low
 let on_display sim f = sim.display_hook <- Some f
 
@@ -824,6 +901,10 @@ let restore_sig sim i v =
    queue are derived or empty at cycle boundaries, so a restored
    simulator re-derives them. *)
 
+let signature sim =
+  if sim.signature = "" then sim.signature <- Checkpoint.design_hash sim.flat;
+  sim.signature
+
 let ck_saves = Telemetry.Counter.make "checkpoint.saves"
 let ck_restores = Telemetry.Counter.make "checkpoint.restores"
 
@@ -840,19 +921,19 @@ let save_checkpoint ?(tag = "") ?(meta = []) (sim : t) : Checkpoint.t =
     List.map
       (fun ps ->
         match ps with
-        | Pfifo (cp, f) ->
+        | Pfifo (p, _, f) ->
             Checkpoint.Cfifo
               {
-                cf_name = cp.cp_src.fp_name;
+                cf_name = p.fp_name;
                 cf_width = f.f_width;
                 cf_data = Array.copy f.f_data;
                 cf_head = f.f_head;
                 cf_count = f.f_count;
               }
-        | Pram (cp, r) ->
+        | Pram (p, _, r) ->
             Checkpoint.Cram
               {
-                cr_name = cp.cp_src.fp_name;
+                cr_name = p.fp_name;
                 cr_width = Bits.width r.r_q;
                 cr_q = r.r_q;
                 cr_words = Array.copy r.r_words;
@@ -860,7 +941,7 @@ let save_checkpoint ?(tag = "") ?(meta = []) (sim : t) : Checkpoint.t =
       sim.prims
   in
   {
-    Checkpoint.ck_design = Checkpoint.design_hash sim.flat;
+    Checkpoint.ck_design = signature sim;
     ck_tag = tag;
     ck_cycle = sim.cycle;
     ck_finished = !(sim.finished);
@@ -876,7 +957,7 @@ let ck_fail fmt =
 let restore_checkpoint (sim : t) (ck : Checkpoint.t) : unit =
   Telemetry.span "checkpoint.restore" @@ fun () ->
   Telemetry.Counter.incr ck_restores;
-  let here = Checkpoint.design_hash sim.flat in
+  let here = signature sim in
   if ck.Checkpoint.ck_design <> here then
     ck_fail
       "checkpoint%s was taken from a different design (signature %s, this \
@@ -909,20 +990,20 @@ let restore_checkpoint (sim : t) (ck : Checkpoint.t) : unit =
         List.find_opt
           (fun ps ->
             match ps with
-            | Pfifo (cp, _) | Pram (cp, _) -> cp.cp_src.fp_name = name)
+            | Pfifo (p, _, _) | Pram (p, _, _) -> p.fp_name = name)
           sim.prims
       in
       match ckp with
       | Checkpoint.Cfifo { cf_name; cf_data; cf_head; cf_count; _ } -> (
           match find cf_name with
-          | Some (Pfifo (_, st)) when Array.length cf_data = st.f_depth ->
+          | Some (Pfifo (_, _, st)) when Array.length cf_data = st.f_depth ->
               Array.blit cf_data 0 st.f_data 0 st.f_depth;
               st.f_head <- cf_head;
               st.f_count <- cf_count
           | _ -> ck_fail "checkpoint FIFO %s does not match the design" cf_name)
       | Checkpoint.Cram { cr_name; cr_q; cr_words; _ } -> (
           match find cr_name with
-          | Some (Pram (_, st))
+          | Some (Pram (_, _, st))
             when Array.length cr_words = Array.length st.r_words ->
               Array.blit cr_words 0 st.r_words 0 (Array.length st.r_words);
               st.r_q <- cr_q
@@ -933,7 +1014,4 @@ let restore_checkpoint (sim : t) (ck : Checkpoint.t) : unit =
   sim.log <- List.rev ck.Checkpoint.ck_log;
   sim.log_len <- List.length ck.Checkpoint.ck_log;
   sim.log_memo <- (-1, []);
-  Option.iter Lowered.mark_all sim.low;
-  (* primitive outputs must reflect the restored contents before the
-     next settle, exactly as [create] does for the initial state *)
-  List.iter (drive_prim_outputs sim) sim.prims
+  reschedule sim

@@ -72,9 +72,27 @@ val create : ?kernel:kernel -> Elaborate.flat -> t
     defaults to {!default_kernel}, whatever the plan size. Both kernels
     produce byte-identical traces. *)
 
+val reset : t -> unit
+(** Return [sim] to exactly the state {!create} left it in, without
+    rebuilding anything: cycle-0 values re-derived from the design
+    (declared initial values, zero otherwise), FIFO and RAM contents
+    cleared and primitive outputs driven again, the {!Lowered_dirty}
+    scheduler back to sparse mode with every closure pending, deferred
+    writes dropped, {!lowered_run_stats} and {!stats} (toggles and
+    histogram included) zeroed, cycle 0, no [$finish], an empty {!log}
+    and no {!on_display} hook. Whatever [sim] ran before, a run after
+    [reset sim] is indistinguishable from a run on a fresh
+    [create ~kernel flat] of the same design: same values, log, VCD,
+    checkpoints and stats. Whether {!stats} are kept stays as fixed at
+    construction. Costs a pass over the signals and primitives, a
+    fraction of {!create}'s compile. *)
+
 val kernel : t -> kernel
 (** The kernel this simulator was built with, after defaulting:
     {!Brute_force} or {!Lowered_dirty}, never the synonym. *)
+
+val flat : t -> Elaborate.flat
+(** The design this simulator was built from. *)
 
 val step : t -> unit
 (** Advance one clock cycle. No-op once the design executed [$finish]. *)
@@ -151,6 +169,10 @@ type stats = {
 val stats : t -> stats option
 (** [None] when telemetry was disabled at construction. *)
 
+val profiling : unit -> bool
+(** Whether a simulator {!create}d now, on this domain, keeps {!stats}:
+    the telemetry switch or structured tracing is on. *)
+
 val dense_mode : t -> bool
 (** True while the {!Lowered_dirty} kernel is in its dense full-sweep
     fallback (always false for {!Brute_force}, which sweeps every
@@ -199,7 +221,9 @@ val save_checkpoint :
 (** Snapshot the complete state at the current cycle boundary. [tag]
     records free-form provenance (e.g. the bug id); [meta] is an
     open-ended key/value section for harness replay state (observed
-    rows, monitor flags, stimulus seeds). *)
+    rows, monitor flags, stimulus seeds). The design signature
+    ({!Checkpoint.design_hash}) is computed once per simulator, at its
+    first save or restore, and survives {!reset}. *)
 
 val restore_checkpoint : t -> Checkpoint.t -> unit
 (** Restore a snapshot into a simulator built from the same design.

@@ -15,6 +15,7 @@ module Bits = Fpga_bits.Bits
 module Simulator = Fpga_sim.Simulator
 module Testbench = Fpga_sim.Testbench
 module Taxonomy = Fpga_study.Taxonomy
+module Telemetry = Fpga_telemetry.Telemetry
 
 type tool = SC | FSM | Stat | Dep | LC
 
@@ -99,6 +100,103 @@ let design_of bug ~buggy =
       publish ()
 
 (* ------------------------------------------------------------------ *)
+(* Simulator reuse                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* A campaign builds the same few designs over and over: repro runs
+   buggy and fixed, the differential runs two kernels, replay records
+   and replays, bisection runs the reference and then scans. So the
+   simulators of the designs [design_of] shares go back to a
+   process-wide free list after a run, and the next run of the same
+   design takes one and [Simulator.reset]s it instead of elaborating
+   and compiling again.
+
+   - The key is the physical design, the top, the kernel [create]
+     builds and whether the instance keeps stats. Only designs in
+     [parsed] get a slot, so the registry bounds the list; mutants,
+     instrumented designs and callers' own designs build afresh.
+   - A slot holds at most one idle instance. A key's first run only
+     opens its slot: a design run once (fuzz's memoised base) keeps
+     nothing. A run that finds its slot already refilled drops its
+     instance.
+   - Every word an idle instance keeps costs several words of peak
+     major heap under the GC's pacing. So a miss builds on the flat of
+     an idle instance of the same design and top when there is one
+     (the kernels and stats settings of one design share a flat), and
+     a lowered-dirty instance keeps no brute-force plan.
+   - Instances leave and enter slots under [slots_lock], which orders
+     everything the last domain to run one wrote before everything the
+     next one reads. The flat it was built from is never written after
+     elaboration.
+   - An instance goes back only when the run returns normally. One
+     whose run raised, in the simulator or in a harness callback, is
+     dropped: nothing is assumed about the state it was left in.
+   - A hit opens the same "compile" span that [Simulator.create] opens
+     on a miss and records nothing else, so traces, counters and
+     results are the same whether the list was cold or warm. *)
+type slot = {
+  s_design : Ast.design;
+  s_top : string;
+  s_kernel : Simulator.kernel;
+  s_stats : bool;
+  mutable s_idle : Simulator.t option;
+}
+
+let slots_lock = Mutex.create ()
+let slots : slot list ref = ref []
+
+let shared design = List.exists (fun (_, d) -> d == design) (Atomic.get parsed)
+
+let with_simulator ?kernel (bug : t) (design : Ast.design) f =
+  (* the kernel [Simulator.create ?kernel] builds *)
+  let kernel =
+    match Option.value kernel ~default:Simulator.default_kernel with
+    | Simulator.Event_driven -> Simulator.Lowered_dirty
+    | k -> k
+  in
+  let build () =
+    Simulator.create ~kernel (Fpga_sim.Elaborate.elaborate design ~top:bug.top)
+  in
+  if not (shared design) then f (build ())
+  else
+    let stats = Simulator.profiling () in
+    let same_design s = s.s_design == design && String.equal s.s_top bug.top in
+    let same s = same_design s && s.s_kernel = kernel && s.s_stats = stats in
+    let taken =
+      Mutex.protect slots_lock (fun () ->
+          match List.find_opt same !slots with
+          | Some ({ s_idle = Some sim; _ } as s) ->
+              s.s_idle <- None;
+              Ok sim
+          | _ ->
+              Error
+                (List.find_map
+                   (fun s ->
+                     if same_design s then Option.map Simulator.flat s.s_idle
+                     else None)
+                   !slots))
+    in
+    let sim =
+      match taken with
+      | Ok sim ->
+          Telemetry.span "compile" (fun () -> Simulator.reset sim);
+          sim
+      | Error (Some flat) -> Simulator.create ~kernel flat
+      | Error None -> build ()
+    in
+    let result = f sim in
+    Mutex.protect slots_lock (fun () ->
+        match List.find_opt same !slots with
+        | Some ({ s_idle = None; _ } as s) -> s.s_idle <- Some sim
+        | Some _ -> ()
+        | None ->
+            slots :=
+              { s_design = design; s_top = bug.top; s_kernel = kernel;
+                s_stats = stats; s_idle = None }
+              :: !slots);
+    result
+
+(* ------------------------------------------------------------------ *)
 (* Harness state in checkpoint metadata                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -166,12 +264,7 @@ let run_design ?(vcd = false) ?(vcd_from = 0) ?kernel ?max_cycles
     ?checkpoint_every ?on_checkpoint ?from_checkpoint (bug : t)
     (design : Ast.design) : report =
   let max_cycles = Option.value max_cycles ~default:bug.max_cycles in
-  let flat = Fpga_sim.Elaborate.elaborate design ~top:bug.top in
-  let sim =
-    match kernel with
-    | Some kernel -> Simulator.create ~kernel flat
-    | None -> Simulator.create flat
-  in
+  with_simulator ?kernel bug design @@ fun sim ->
   let rows = ref [] in
   let ext = ref false in
   let satisfied = ref false in
@@ -190,7 +283,9 @@ let run_design ?(vcd = false) ?(vcd_from = 0) ?kernel ?max_cycles
         satisfied := h.h_satisfied;
         ck.Fpga_sim.Checkpoint.ck_cycle
   in
-  let dump = if vcd then Some (Fpga_sim.Vcd.create flat) else None in
+  let dump =
+    if vcd then Some (Fpga_sim.Vcd.create (Simulator.flat sim)) else None
+  in
   let capture_checkpoint () =
     match on_checkpoint with
     | None -> ()

@@ -97,7 +97,33 @@ val run_design :
     harness state both — and continues from its cycle; combined with
     [vcd] this re-simulates a window with a full waveform of {e all}
     signals, byte-identical to the straight run's [vcd_from] window
-    (the replay-determinism property CI enforces). *)
+    (the replay-determinism property CI enforces).
+
+    The simulator comes from {!with_simulator}: a design that
+    {!design_of} shares is elaborated and compiled once per key and
+    {!Fpga_sim.Simulator.reset} for each later run, which changes no
+    result, trace or counter. *)
+
+val with_simulator :
+  ?kernel:Fpga_sim.Simulator.kernel ->
+  t ->
+  Fpga_hdl.Ast.design ->
+  (Fpga_sim.Simulator.t -> 'a) ->
+  'a
+(** [with_simulator ?kernel bug design f] applies [f] to a simulator of
+    [design] rooted at [bug.top], in the state
+    {!Fpga_sim.Simulator.create} leaves. For a design {!design_of}
+    returned, the simulator is taken from a process-wide free list,
+    keyed on (physical design, top, the kernel [create] builds, whether
+    {!Fpga_sim.Simulator.profiling} is on), and reset; it goes back
+    when [f] returns normally, and is dropped when [f] raises. At most
+    one idle simulator is kept per key, and none after the key's first
+    run, so a design run once keeps no memory; a miss builds on the
+    flat of an idle simulator of the same design and top. Any other
+    design is elaborated and compiled afresh and never kept. Either
+    way exactly one ["compile"] span is recorded, so traces do not
+    show whether the list was warm. [f] must not keep the simulator
+    after it returns. *)
 
 (** Harness state carried in checkpoint metadata — the observations the
     loop in {!run_design} accumulates alongside the simulator. Exposed

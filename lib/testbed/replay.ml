@@ -115,13 +115,8 @@ let bisect ?kernel ?(every = 50) (bug : Bug.t) : bisect_result =
     let until = if !lo < n then cps.(!lo).Checkpoint.ck_cycle else horizon in
     (* fine: re-simulate from the last good snapshot, testing the
        predicate after every completed cycle *)
-    let design = Bug.design_of bug ~buggy:true in
-    let flat = Fpga_sim.Elaborate.elaborate design ~top:bug.Bug.top in
-    let sim =
-      match kernel with
-      | Some kernel -> Simulator.create ~kernel flat
-      | None -> Simulator.create flat
-    in
+    Bug.with_simulator ?kernel bug (Bug.design_of bug ~buggy:true)
+    @@ fun sim ->
     let rows = ref [] (* newest first *) in
     let ext = ref false in
     let satisfied = ref false in

@@ -1533,3 +1533,255 @@ let suite =
       Alcotest.test_case "name cache: cached reads do not allocate" `Quick
         test_name_cache_hit_allocation;
     ]
+
+(* --- instance reuse: a reset instance runs exactly like a fresh one ------ *)
+
+module Bug = Fpga_testbed.Bug
+
+(* Everything one run shows of the instance it ran on. *)
+type outcome = {
+  o_rows : (int * (string * int) list) list;
+  o_log : (int * string) list;
+  o_cycles : int;
+  o_finished : bool;
+  o_vcd : string;
+  o_checkpoints : string list;  (* serialized, every 7 cycles *)
+  o_stats : Simulator.stats option;
+  o_toggles : (string * int) list;
+  o_lowered : int list option;  (* the lowered kernel's run counters *)
+}
+
+(* The testbed harness loop on a given instance: the bug's stimulus
+   until its budget, [$finish] or [done_when], with a full VCD and a
+   checkpoint every 7 cycles. [from] resumes from a checkpoint;
+   [stop_at] abandons the run at that cycle. *)
+let harness ?from ?stop_at (bug : Bug.t) sim =
+  let start =
+    match from with
+    | None -> 0
+    | Some ck ->
+        Simulator.restore_checkpoint sim ck;
+        ck.Checkpoint.ck_cycle
+  in
+  let limit = Option.value stop_at ~default:bug.Bug.max_cycles in
+  let dump = Vcd.create (Simulator.flat sim) in
+  let rows = ref [] and cks = ref [] and satisfied = ref false in
+  let i = ref start in
+  while !i < limit && (not (Simulator.finished sim)) && not !satisfied do
+    List.iter (fun (n, v) -> Simulator.set_input sim n v) (bug.Bug.stimulus !i);
+    Simulator.step sim;
+    Vcd.sample dump sim;
+    (match bug.Bug.sample sim with
+    | Some row -> rows := (!i, row) :: !rows
+    | None -> ());
+    (match bug.Bug.done_when with
+    | Some cond when cond sim -> satisfied := true
+    | _ -> ());
+    if (!i + 1) mod 7 = 0 then
+      cks :=
+        Checkpoint.to_string (Simulator.save_checkpoint ~tag:bug.Bug.id sim)
+        :: !cks;
+    incr i
+  done;
+  {
+    o_rows = List.rev !rows;
+    o_log = Simulator.log sim;
+    o_cycles = Simulator.cycle sim;
+    o_finished = Simulator.finished sim;
+    o_vcd = Vcd.contents dump;
+    o_checkpoints = List.rev !cks;
+    o_stats = Simulator.stats sim;
+    o_toggles = Simulator.toggle_counts sim;
+    o_lowered =
+      Option.map
+        (fun (r : Lowered.run_stats) ->
+          Lowered.
+            [ r.rs_settles; r.rs_closures_run; r.rs_closures_skipped;
+              r.rs_edges; r.rs_commit_imm; r.rs_commit_boxed ])
+        (Simulator.lowered_run_stats sim);
+  }
+
+let with_telemetry on f =
+  if not on then f ()
+  else (
+    Telemetry.enable ();
+    Fun.protect ~finally:Telemetry.disable f)
+
+(* One instance runs, is reset, and runs again after each kind of
+   previous run: a full one, one abandoned halfway, and one resumed
+   from a checkpoint. Every rerun must equal a run on a fresh instance,
+   and so must a resumed run on a reset instance. *)
+let check_reuse ~tag (bug : Bug.t) ~buggy =
+  let flat = Elaborate.elaborate (Bug.design_of bug ~buggy) ~top:bug.Bug.top in
+  List.iter
+    (fun (kernel, telemetry) ->
+      with_telemetry telemetry @@ fun () ->
+      let tag =
+        Printf.sprintf "%s %s, %s, telemetry %s" tag
+          (if buggy then "buggy" else "fixed")
+          (Simulator.kernel_name kernel)
+          (if telemetry then "on" else "off")
+      in
+      let fresh () = Simulator.create ~kernel flat in
+      let reference = harness bug (fresh ()) in
+      let same what o =
+        if o <> reference then
+          Alcotest.failf "%s: the run after %s differs from a fresh run" tag what
+      in
+      let sim = fresh () in
+      ignore (harness bug sim);
+      Simulator.reset sim;
+      same "a full run" (harness bug sim);
+      Simulator.reset sim;
+      ignore (harness ~stop_at:(reference.o_cycles / 2) bug sim);
+      Simulator.reset sim;
+      same "an abandoned run" (harness bug sim);
+      match reference.o_checkpoints with
+      | [] -> ()
+      | cks ->
+          let mid = Checkpoint.of_string (List.nth cks (List.length cks / 2)) in
+          check_bool (tag ^ ": signature is the design hash") true
+            (mid.Checkpoint.ck_design = Checkpoint.design_hash flat);
+          let resumed = harness ~from:mid bug (fresh ()) in
+          Simulator.reset sim;
+          if harness ~from:mid bug sim <> resumed then
+            Alcotest.failf "%s: a resumed run on a reset instance differs" tag;
+          Simulator.reset sim;
+          same "a resumed run" (harness bug sim))
+    [
+      (Simulator.Lowered_dirty, false); (Simulator.Brute_force, false);
+      (Simulator.Lowered_dirty, true); (Simulator.Brute_force, true);
+    ]
+
+let reuse_tests =
+  List.map
+    (fun (bug : Bug.t) ->
+      Alcotest.test_case (bug.Bug.id ^ " reset instance runs like a fresh one")
+        `Quick (fun () ->
+          check_reuse ~tag:bug.Bug.id bug ~buggy:true;
+          check_reuse ~tag:bug.Bug.id bug ~buggy:false))
+    Fpga_testbed.Registry.all
+
+(* No Table 2 design stops on [$finish], so a small one does: a
+   register with a declared initial value, a memory, a FIFO, a RAM and
+   a [$display], ending on [$finish] at cycle 9. *)
+let finishing_src =
+  {|
+module top (input clk, input [7:0] din, output [7:0] front, output is_empty,
+            output [7:0] q, output [7:0] m);
+  reg [7:0] n = 8'd2;
+  reg push;
+  reg [7:0] mem [0:7];
+  assign m = mem[n[2:0]];
+  scfifo #(.lpm_width(8), .lpm_numwords(4)) q0 (
+    .clock(clk), .data(din ^ n), .wrreq(push), .rdreq(n[1]),
+    .q(front), .empty(is_empty));
+  altsyncram #(.width_a(8), .numwords_a(16)) ram (
+    .clock0(clk), .address_a(n[3:0]), .data_a(din + n), .wren_a(push),
+    .q_a(q));
+  always @(posedge clk) begin
+    n <= n + 8'd1;
+    push <= ~push;
+    mem[n[2:0]] <= din + m;
+    if (n == 8'd6) $display("n=%d front=%d q=%d m=%d", n, front, q, m);
+    if (n == 8'd11) $finish;
+  end
+endmodule
+|}
+
+let finishing_bug () =
+  let base = List.hd Fpga_testbed.Registry.all in
+  {
+    base with
+    Bug.id = "FIN";
+    top = "top";
+    buggy_src = finishing_src;
+    fixed_src = finishing_src;
+    max_cycles = 40;
+    stimulus = (fun i -> [ ("din", b 8 ((i * 37) land 0xff)) ]);
+    sample =
+      (fun sim ->
+        Some
+          [ ("front", Simulator.read_int sim "front");
+            ("q", Simulator.read_int sim "q");
+            ("m", Simulator.read_int sim "m") ]);
+    done_when = None;
+    ext_monitor = None;
+  }
+
+let test_reuse_after_finish () =
+  let bug = finishing_bug () in
+  let flat = Elaborate.elaborate (Bug.design_of bug ~buggy:true) ~top:"top" in
+  let reference = harness bug (Simulator.create flat) in
+  check_bool "the run ends on $finish" true reference.o_finished;
+  check_bool "before its budget" true (reference.o_cycles < bug.Bug.max_cycles);
+  check_int "one display" 1 (List.length reference.o_log);
+  check_reuse ~tag:"FIN" bug ~buggy:true
+
+let test_reuse_after_done_when () =
+  let bug =
+    { (finishing_bug ()) with
+      Bug.done_when = Some (fun sim -> Simulator.read_int sim "n" = 7) }
+  in
+  let flat = Elaborate.elaborate (Bug.design_of bug ~buggy:true) ~top:"top" in
+  let reference = harness bug (Simulator.create flat) in
+  check_bool "the run stops on done_when" true
+    ((not reference.o_finished) && reference.o_cycles = 5);
+  check_reuse ~tag:"FIN done_when" bug ~buggy:true
+
+(* A reset instance ignores whatever the previous user left: a display
+   hook, inputs driven after the last step. *)
+let test_reset_drops_hook_and_inputs () =
+  let bug = finishing_bug () in
+  let flat = Elaborate.elaborate (Bug.design_of bug ~buggy:true) ~top:"top" in
+  let reference = harness bug (Simulator.create flat) in
+  let sim = Simulator.create flat in
+  let hooked = ref 0 in
+  Simulator.on_display sim (fun _ _ -> incr hooked);
+  ignore (harness bug sim);
+  check_int "the hook fired" 1 !hooked;
+  Simulator.set_input sim "din" (b 8 0xAA);
+  Simulator.reset sim;
+  check_int "cycle 0" 0 (Simulator.cycle sim);
+  check_int "declared initial value" 2 (Simulator.read_int sim "n");
+  check_bool "the same run" true (harness bug sim = reference);
+  check_int "the hook is gone" 1 !hooked
+
+(* The one-slot elaboration memo: the same physical design and top come
+   back as the same flat; anything in between, or an equal but distinct
+   design, elaborates again; a failure is never remembered. *)
+let test_elaborate_memo () =
+  let src = {|
+module top (input clk, input [3:0] d, output reg [3:0] q);
+  always @(posedge clk) q <= d;
+endmodule
+|} in
+  let d1 = Parser.parse_design src and d2 = Parser.parse_design src in
+  let f1 = Elaborate.elaborate d1 ~top:"top" in
+  check_bool "same design, same flat" true (Elaborate.elaborate d1 ~top:"top" == f1);
+  let f2 = Elaborate.elaborate d2 ~top:"top" in
+  check_bool "an equal copy elaborates anew" false (f2 == f1);
+  check_bool "to an equal flat" true
+    (f2.Elaborate.f_signal_order = f1.Elaborate.f_signal_order);
+  check_bool "the slot now holds the copy" false
+    (Elaborate.elaborate d1 ~top:"top" == f1);
+  let raises () =
+    match Elaborate.elaborate d1 ~top:"nope" with
+    | exception Elaborate.Elaboration_error _ -> true
+    | _ -> false
+  in
+  check_bool "unknown top raises" true (raises ());
+  check_bool "and raises again" true (raises ())
+
+let suite =
+  suite @ reuse_tests
+  @ [
+      Alcotest.test_case "reset after $finish, with FIFO, RAM and memory"
+        `Quick test_reuse_after_finish;
+      Alcotest.test_case "reset after a run stopped on done_when" `Quick
+        test_reuse_after_done_when;
+      Alcotest.test_case "reset drops the display hook and stale inputs"
+        `Quick test_reset_drops_hook_and_inputs;
+      Alcotest.test_case "elaborate remembers the last design per domain"
+        `Quick test_elaborate_memo;
+    ]

@@ -756,3 +756,191 @@ let pinned_vcd_tests =
     all
 
 let suite = suite @ pinned_vcd_tests
+
+(* --- simulator reuse through the free list --------------------------------- *)
+
+module Checkpoint = Fpga_sim.Checkpoint
+module Telemetry = Fpga_telemetry.Telemetry
+module Trace = Telemetry.Trace
+
+(* A copy of [bug] on fresh copies of its source strings: [design_of]
+   parses them into designs of their own, so the copy's first run of
+   each design finds the free list cold. *)
+let cold_copy (bug : Bug.t) =
+  let copy s = Bytes.to_string (Bytes.of_string s) in
+  { bug with Bug.buggy_src = copy bug.Bug.buggy_src; fixed_src = copy bug.Bug.fixed_src }
+
+(* A run's report with every checkpoint it emitted, serialized. *)
+let run_checkpointed ?from ~kernel bug ~buggy =
+  let cks = ref [] in
+  let report =
+    Bug.run_design ~vcd:true ~kernel ~checkpoint_every:9
+      ~on_checkpoint:(fun ck -> cks := Checkpoint.to_string ck :: !cks)
+      ?from_checkpoint:from bug (Bug.design_of bug ~buggy)
+  in
+  (report, List.rev !cks)
+
+let with_telemetry on f =
+  if not on then f ()
+  else (
+    Telemetry.enable ();
+    Fun.protect ~finally:Telemetry.disable f)
+
+(* The first two runs of a cold copy build their simulators (the
+   first only opens the key's slot); every later run of the same
+   design, kernel and telemetry state takes the second's instance back
+   and resets it. Each must report what the cold run did, also after a
+   run resumed from a checkpoint has used the instance. *)
+let reuse_tests =
+  List.map
+    (fun (bug : Bug.t) ->
+      Alcotest.test_case (bug.Bug.id ^ " warm free list runs like a cold one")
+        `Quick (fun () ->
+          List.iter
+            (fun (buggy, kernel, telemetry) ->
+              with_telemetry telemetry @@ fun () ->
+              let tag =
+                Printf.sprintf "%s %s, %s, telemetry %s" bug.Bug.id
+                  (if buggy then "buggy" else "fixed")
+                  (Simulator.kernel_name kernel)
+                  (if telemetry then "on" else "off")
+              in
+              let copy = cold_copy bug in
+              let ((_, cks) as cold) = run_checkpointed ~kernel copy ~buggy in
+              for _ = 1 to 2 do
+                if run_checkpointed ~kernel copy ~buggy <> cold then
+                  Alcotest.failf "%s: a warm run differs from the cold one" tag
+              done;
+              match cks with
+              | [] -> ()
+              | cks ->
+                  let from =
+                    Checkpoint.of_string (List.nth cks (List.length cks / 2))
+                  in
+                  let resumed = run_checkpointed ~from ~kernel copy ~buggy in
+                  let cold_resumed =
+                    run_checkpointed ~from ~kernel (cold_copy bug) ~buggy
+                  in
+                  if resumed <> cold_resumed then
+                    Alcotest.failf "%s: a warm resumed run differs" tag;
+                  if run_checkpointed ~kernel copy ~buggy <> cold then
+                    Alcotest.failf "%s: the run after a resumed one differs" tag)
+            [
+              (true, Simulator.Lowered_dirty, false);
+              (false, Simulator.Lowered_dirty, false);
+              (true, Simulator.Brute_force, false);
+              (false, Simulator.Brute_force, false);
+              (true, Simulator.Lowered_dirty, true);
+              (false, Simulator.Lowered_dirty, true);
+              (true, Simulator.Brute_force, true);
+              (false, Simulator.Brute_force, true);
+            ]))
+    all
+
+(* A key's first run keeps nothing; after its second, an instance goes
+   back on a normal return and comes out again for the same key. One
+   whose run raised, in [with_simulator]'s callback or in a harness
+   callback of [run_design], is never handed out again. Keys differ by
+   kernel and telemetry state; a miss builds on the flat of an idle
+   instance of the same design. A design [design_of] did not return is
+   never kept. *)
+let test_free_list_rules () =
+  let bug = cold_copy (Option.get (Registry.find "D2")) in
+  let design = Bug.design_of bug ~buggy:true in
+  let take ?kernel () = Bug.with_simulator ?kernel bug design Fun.id in
+  let first = take () in
+  let s0 = take () in
+  check_bool "a key's first run keeps nothing" false (s0 == first);
+  check_bool "a normal return puts the instance back" true (take () == s0);
+  check_bool "the default kernel is lowered-dirty's key" true
+    (take ~kernel:Simulator.Lowered_dirty () == s0);
+  let b0 = take ~kernel:Simulator.Brute_force () in
+  check_bool "another kernel is another key" false (b0 == s0);
+  check_bool "built on the idle instance's flat" true
+    (Simulator.flat b0 == Simulator.flat s0);
+  check_bool "telemetry on is another key" false
+    (with_telemetry true (fun () -> take ()) == s0);
+  (match
+     Bug.with_simulator bug design (fun sim ->
+         Simulator.step sim;
+         failwith "callback")
+   with
+  | exception Failure _ -> ()
+  | () -> Alcotest.fail "the callback's exception is lost");
+  let s1 = take () in
+  check_bool "an instance whose run raised is dropped" false (s1 == s0);
+  let cold = Bug.run_design bug design in
+  let raising =
+    { bug with
+      Bug.sample =
+        (fun sim -> if Simulator.cycle sim = 3 then failwith "harness" else None) }
+  in
+  (match Bug.run_design raising design with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "the harness exception is lost");
+  check_bool "so is one whose harness raised" false (take () == s1);
+  check_bool "the next run is unaffected" true (Bug.run_design bug design = cold);
+  let own = Fpga_hdl.Parser.parse_design bug.Bug.buggy_src in
+  let own_run () = Bug.with_simulator bug own Fun.id in
+  let o1 = own_run () and o2 = own_run () in
+  check_bool "a caller's own design is never kept" false
+    (own_run () == o1 || own_run () == o2)
+
+(* What a campaign pass runs per bug: repro, differential, replay and
+   bisection. Traced on the virtual clock, the first pass over a cold
+   copy and a second, warm pass export the same bytes and record the
+   same spans ("compile" included) and counters. *)
+let traced_pass (bug : Bug.t) =
+  Trace.enable ~clock:Trace.Virtual ();
+  Telemetry.enable ();
+  Telemetry.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Telemetry.reset ();
+      Telemetry.disable ();
+      Trace.disable ())
+    (fun () ->
+      let buggy = Bug.design_of bug ~buggy:true in
+      ignore (Bug.run_design ~vcd:true bug buggy);
+      ignore (Bug.run_design bug (Bug.design_of bug ~buggy:false));
+      ignore (Bug.run_design ~kernel:Simulator.Brute_force bug buggy);
+      let rc = Replay.record ~every:16 bug in
+      List.iter
+        (fun from -> ignore (Replay.replay ~from bug))
+        rc.Replay.rec_checkpoints;
+      ignore (Replay.bisect ~every:16 bug);
+      let r = Telemetry.report () in
+      let calls = List.map (fun (name, n, _) -> (name, n)) r.Telemetry.r_spans in
+      let main = Trace.capture_all () in
+      ( Fpga_telemetry.Trace_export.to_json ~clock:Trace.Virtual ~main ~jobs:[] (),
+        calls,
+        r.Telemetry.r_counters ))
+
+let test_trace_invisible () =
+  List.iter
+    (fun (bug : Bug.t) ->
+      let copy = cold_copy bug in
+      let cold_json, cold_calls, cold_counters = traced_pass copy in
+      let warm_json, warm_calls, warm_counters = traced_pass copy in
+      let compiles calls = Option.value (List.assoc_opt "compile" calls) ~default:0 in
+      check_bool (bug.Bug.id ^ ": compile spans recorded") true
+        (compiles cold_calls > 0);
+      check_int (bug.Bug.id ^ ": compile spans, cold vs warm")
+        (compiles cold_calls) (compiles warm_calls);
+      check_bool (bug.Bug.id ^ ": span calls, cold vs warm") true
+        (cold_calls = warm_calls);
+      check_bool (bug.Bug.id ^ ": counters, cold vs warm") true
+        (cold_counters = warm_counters);
+      Alcotest.(check string)
+        (bug.Bug.id ^ ": virtual trace, cold vs warm")
+        cold_json warm_json)
+    all
+
+let suite =
+  suite @ reuse_tests
+  @ [
+      Alcotest.test_case "free list: keys, returns and raised runs" `Quick
+        test_free_list_rules;
+      Alcotest.test_case "free list: cold and warm traces identical" `Quick
+        test_trace_invisible;
+    ]
