@@ -295,14 +295,19 @@ type lowering_bench = {
   lo_seq : int;
 }
 
+(* [Simulator.create] reuses the last plan it compiled for the same
+   physical flat, so this creates on the flats of two distinct parses
+   in turn: every timed call compiles its plan cold. *)
 let lowering_bench_one (d : bench_design) =
-  let design = Fpga_hdl.Parser.parse_design d.bd_src in
-  let flat = Fpga_sim.Elaborate.elaborate design ~top:d.bd_top in
+  let elaborate = elaborator d.bd_src ~top:d.bd_top in
+  let flats = [| elaborate (); elaborate () |] in
+  let k = ref 0 in
   let creates_per_sec =
     runs_per_sec (fun () ->
-        ignore (Simulator.create ~kernel:Simulator.Lowered_dirty flat))
+        k := 1 - !k;
+        ignore (Simulator.create ~kernel:Simulator.Lowered_dirty flats.(!k)))
   in
-  let sim = Simulator.create ~kernel:Simulator.Lowered_dirty flat in
+  let sim = Simulator.create ~kernel:Simulator.Lowered_dirty flats.(0) in
   let st = Option.get (Simulator.lowering_stats sim) in
   {
     lo_design = d.bd_id;
@@ -404,11 +409,13 @@ let telemetry_overhead_benches () =
 
 (* Instance reuse: per Table 2 design (buggy source), what building a
    simulator costs (elaborate + create, as a cold [Bug.run_design]
-   pays) against returning a built one to its initial state
-   ([Simulator.reset], as a warm one pays). Batches of 20 builds and 20
-   resets alternate, and each side keeps its least time per call: like
-   [sim_best_batch_cps], the least-disturbed batch, so host noise
-   cannot drag the same-run ratio [reuse_gate] checks. *)
+   pays; [elaborator] alternates two parses, so neither the elaboration
+   memo nor [create]'s plan memo ever hits) against returning a built
+   one to its initial state ([Simulator.reset], as a warm one pays).
+   Batches of 20 builds and 20 resets alternate, and each side keeps its
+   least time per call: like [sim_best_batch_cps], the least-disturbed
+   batch, so host noise cannot drag the same-run ratio [reuse_gate]
+   checks. *)
 type reuse_bench = {
   rb_design : string;
   rb_build_us : float;

@@ -19,8 +19,6 @@ type finding = {
   message : string;
 }
 
-let finding severity rule signal message = { severity; rule; signal; message }
-
 let finding_to_string f =
   Printf.sprintf "%s [%s] %s: %s"
     (match f.severity with Warning -> "warning" | Error -> "error")
@@ -75,8 +73,11 @@ let instance_outputs (m : Ast.module_def) =
 (* Rules                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* Each rule reports (signal, message) pairs; [check] turns them into
+   findings carrying the rule's name and declared severity. *)
+
 (* R1: declared but never read and never written. *)
-let unused_signals (m : Ast.module_def) : finding list =
+let unused_signals (m : Ast.module_def) =
   let reads = reads_of_module m in
   let writes = writes_of_module m in
   let connected = instance_outputs m in
@@ -88,14 +89,12 @@ let unused_signals (m : Ast.module_def) : finding list =
         && (not (List.mem d.Ast.name connected))
         && Ast.find_port m d.Ast.name = None
       then
-        Some
-          (finding Warning "unused" d.Ast.name
-             "declared but never read or written")
+        Some (d.Ast.name, "declared but never read or written")
       else None)
     m.Ast.decls
 
 (* R2: a register read somewhere but driven nowhere. *)
-let undriven_signals (m : Ast.module_def) : finding list =
+let undriven_signals (m : Ast.module_def) =
   let reads = reads_of_module m in
   let writes = writes_of_module m in
   let connected = instance_outputs m in
@@ -113,13 +112,13 @@ let undriven_signals (m : Ast.module_def) : finding list =
         && (not is_input)
         && d.Ast.init = None
       then
-        Some (finding Error "undriven" d.Ast.name "read but never driven")
+        Some (d.Ast.name, "read but never driven")
       else None)
     m.Ast.decls
 
 (* R3: a base signal assigned in more than one always block (or by both
    an always block and a continuous assign). *)
-let multiple_drivers (m : Ast.module_def) : finding list =
+let multiple_drivers (m : Ast.module_def) =
   let driver_sets =
     List.mapi
       (fun i (a : Ast.always) ->
@@ -148,16 +147,16 @@ let multiple_drivers (m : Ast.module_def) : finding list =
         List.filter (fun d -> String.length d > 6 && String.sub d 0 6 = "always") drivers
       in
       if List.length always_drivers > 1 then
-        finding Error "multiple-drivers" s
-          (Printf.sprintf "driven from %d always blocks"
-             (List.length always_drivers))
+        ( s,
+          Printf.sprintf "driven from %d always blocks"
+            (List.length always_drivers) )
         :: acc
       else acc)
     tally []
 
 (* R4: implicit truncation - an assignment whose right-hand side is
    statically wider than its target (the Bit Truncation shape). *)
-let truncating_assignments (m : Ast.module_def) : finding list =
+let truncating_assignments (m : Ast.module_def) =
   List.filter_map
     (fun (l, rhs, _) ->
       match l with
@@ -176,9 +175,9 @@ let truncating_assignments (m : Ast.module_def) : finding list =
               in
               if rhs_has_wide_signal then
                 Some
-                  (finding Warning "truncation" name
-                     (Printf.sprintf
-                        "%d-bit expression assigned to %d-bit target" rw lw))
+                  ( name,
+                    Printf.sprintf "%d-bit expression assigned to %d-bit target"
+                      rw lw )
               else None
           | _ -> None
           | exception Width.Unknown_width _ -> None)
@@ -187,7 +186,7 @@ let truncating_assignments (m : Ast.module_def) : finding list =
 
 (* R5: indexing a non-power-of-two structure with an index wide enough
    to exceed it - the silent-drop flavor of buffer overflow. *)
-let overflow_prone_indexing (m : Ast.module_def) : finding list =
+let overflow_prone_indexing (m : Ast.module_def) =
   let check_index name size (idx : Ast.expr) =
     if size > 0 && size land (size - 1) = 0 then None
     else
@@ -197,11 +196,11 @@ let overflow_prone_indexing (m : Ast.module_def) : finding list =
           match Width.of_expr m idx with
           | iw when (1 lsl min iw 30) > size ->
               Some
-                (finding Warning "overflow-prone" name
-                   (Printf.sprintf
-                      "%d-bit index can exceed the %d-entry non-power-of-two \
-                       structure; out-of-range accesses are silently dropped"
-                      iw size))
+                ( name,
+                  Printf.sprintf
+                    "%d-bit index can exceed the %d-entry non-power-of-two \
+                     structure; out-of-range accesses are silently dropped"
+                    iw size )
           | _ -> None
           | exception Width.Unknown_width _ -> None)
   in
@@ -235,7 +234,7 @@ let overflow_prone_indexing (m : Ast.module_def) : finding list =
 
 (* R6: a case over an n-bit scrutinee that covers neither all 2^n values
    nor a default - the incomplete-implementation shape. *)
-let incomplete_cases (m : Ast.module_def) : finding list =
+let incomplete_cases (m : Ast.module_def) =
   let rec of_stmt (s : Ast.stmt) =
     match s with
     | Ast.Case (e, items, None) -> (
@@ -249,11 +248,9 @@ let incomplete_cases (m : Ast.module_def) : finding list =
         in
         match Width.of_expr m e with
         | w when w <= 16 && List.length labels < 1 lsl w ->
-            finding Warning "incomplete-case"
-              (Fpga_hdl.Pp_verilog.expr_str e)
-              (Printf.sprintf
-                 "case covers %d of %d values and has no default"
-                 (List.length labels) (1 lsl w))
+            ( Fpga_hdl.Pp_verilog.expr_str e,
+              Printf.sprintf "case covers %d of %d values and has no default"
+                (List.length labels) (1 lsl w) )
             :: nested
         | _ -> nested
         | exception Width.Unknown_width _ -> nested)
@@ -271,17 +268,22 @@ let incomplete_cases (m : Ast.module_def) : finding list =
 
 let rules =
   [
-    ("unused", unused_signals);
-    ("undriven", undriven_signals);
-    ("multiple-drivers", multiple_drivers);
-    ("truncation", truncating_assignments);
-    ("overflow-prone", overflow_prone_indexing);
-    ("incomplete-case", incomplete_cases);
+    ("unused", Warning, unused_signals);
+    ("undriven", Error, undriven_signals);
+    ("multiple-drivers", Error, multiple_drivers);
+    ("truncation", Warning, truncating_assignments);
+    ("overflow-prone", Warning, overflow_prone_indexing);
+    ("incomplete-case", Warning, incomplete_cases);
   ]
 
 let check ?(only = []) (m : Ast.module_def) : finding list =
   List.concat_map
-    (fun (name, rule) -> if only = [] || List.mem name only then rule m else [])
+    (fun (rule, severity, run) ->
+      if only = [] || List.mem rule only then
+        List.map
+          (fun (signal, message) -> { severity; rule; signal; message })
+          (run m)
+      else [])
     rules
   |> List.sort_uniq compare
 

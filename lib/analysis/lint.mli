@@ -28,10 +28,21 @@ type finding = {
 
 val finding_to_string : finding -> string
 
-val rules : (string * (Fpga_hdl.Ast.module_def -> finding list)) list
+val rules :
+  (string * severity * (Fpga_hdl.Ast.module_def -> (string * string) list))
+  list
+(** Every rule as (name, declared severity, check). A check reports
+    (signal, message) pairs; {!check} turns each into a finding with the
+    rule's name and declared severity, so a rule's findings always carry
+    that severity. Only [undriven] and [multiple-drivers] are declared
+    [Error]: a gate that keeps only [Error] findings (the fuzz validity
+    gate) can pass just those two as [~only]. *)
 
 val check : ?only:string list -> Fpga_hdl.Ast.module_def -> finding list
-(** Run all rules (or the named subset) over one module. *)
+(** Run all rules (or the named subset) over one module. Findings come
+    sorted and deduplicated, so a subset yields exactly the unrestricted
+    findings of those rules, in the same order. *)
 
 val check_design :
   ?only:string list -> Fpga_hdl.Ast.design -> (string * finding list) list
+(** {!check} on every module, in design order. *)

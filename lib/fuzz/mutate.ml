@@ -672,13 +672,96 @@ let apply_all d muts =
   in
   go d [] muts
 
+(* Every template's [site_count] at once: one traversal that calls each
+   template's hooks on every node, each feeding its own counting probe.
+   Counting probes never fire, so no hook rewrites anything and every
+   probe sees exactly the nodes, in exactly the order, of its own
+   template's traversal. *)
+let site_counts d =
+  let probes = List.map (fun t -> (t, probe (-1))) templates in
+  let vs = List.map (fun (t, p) -> visitor_of t p) probes in
+  let each f =
+    List.iter (fun v -> ignore (f v)) vs;
+    None
+  in
+  let all =
+    {
+      v_expr = (fun m e -> each (fun v -> v.v_expr m e));
+      v_lvalue = (fun m l -> each (fun v -> v.v_lvalue m l));
+      v_stmt = (fun m ~in_seq s -> each (fun v -> v.v_stmt m ~in_seq s));
+      v_always = (fun m a -> each (fun v -> v.v_always m a));
+      v_instance = (fun m i -> each (fun v -> v.v_instance m i));
+    }
+  in
+  ignore (map_design all d);
+  List.map (fun (t, p) -> (t, p.seen)) probes
+
+(* ------------------------------------------------------------------ *)
+(* Facts of an unmutated design                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The rules [Lint.rules] declares [Error]: the only ones the gate reads. *)
+let error_rules =
+  List.filter_map
+    (fun (r, s, _) -> if s = Lint.Error then Some r else None)
+    Lint.rules
+
+(* The [Error] lint findings of a design, as "module:rule:signal"
+   strings. Only the error rules run: [Lint.check] sorts its findings,
+   so this is the full lint filtered to [Error]. *)
+let lint_errors d =
+  Lint.check_design ~only:error_rules d
+  |> List.concat_map (fun (mn, fs) ->
+         List.map
+           (fun (f : Lint.finding) -> mn ^ ":" ^ f.Lint.rule ^ ":" ^ f.Lint.signal)
+           fs)
+
+(* Every mutant of a fuzz target starts from, and is gated against, the
+   same unmutated design: [Bug.design_of]'s shared parse. Its lint
+   errors and site counts are computed once per process and shared by
+   every domain, keyed on the physical design. Only designs
+   [Bug.design_of] shares are admitted, so the registry bounds the
+   table and no mutant ever enters it; any other design is analysed
+   afresh on every call. Lookups are lock-free: a miss computes outside
+   any lock and publishes with [compare_and_set], and a domain that
+   loses the race returns the winner's entry (an equal one). *)
+type facts = {
+  fa_lint : string list;
+  fa_sites : (Taxonomy.subclass * int) list;
+}
+
+let facts_table : (design * facts) list Atomic.t = Atomic.make []
+
+let shared_facts d =
+  match List.assq_opt d (Atomic.get facts_table) with
+  | Some f -> Some f
+  | None when not (Fpga_testbed.Bug.shared d) -> None
+  | None ->
+      let f = { fa_lint = lint_errors d; fa_sites = site_counts d } in
+      let rec publish () =
+        let seen = Atomic.get facts_table in
+        match List.assq_opt d seen with
+        | Some winner -> winner
+        | None ->
+            if Atomic.compare_and_set facts_table seen ((d, f) :: seen) then f
+            else publish ()
+      in
+      Some (publish ())
+
+let sites_of d =
+  match shared_facts d with Some f -> f.fa_sites | None -> site_counts d
+
+let lint_errors_of d =
+  match shared_facts d with Some f -> f.fa_lint | None -> lint_errors d
+
+(* Consumes the stream exactly as drawing a template among the
+   applicable ones, then a site within it, always has: two draws. *)
 let pick r d =
-  let applicable = List.filter (fun t -> site_count t d > 0) templates in
-  match applicable with
+  match List.filter (fun (_, n) -> n > 0) (sites_of d) with
   | [] -> None
   | ts ->
-      let t = List.nth ts (rng_int r (List.length ts)) in
-      apply t ~site:(rng_int r (site_count t d)) d
+      let t, n = List.nth ts (rng_int r (List.length ts)) in
+      apply t ~site:(rng_int r n) d
 
 (* ------------------------------------------------------------------ *)
 (* Validity gate                                                       *)
@@ -734,16 +817,6 @@ let check_widths (d : design) =
     Ok ()
   with Bad s -> Error s
 
-let lint_errors d =
-  Lint.check_design d
-  |> List.concat_map (fun (mn, fs) ->
-         List.filter_map
-           (fun (f : Lint.finding) ->
-             match f.Lint.severity with
-             | Lint.Error -> Some (mn ^ ":" ^ f.Lint.rule ^ ":" ^ f.Lint.signal)
-             | Lint.Warning -> None)
-           fs)
-
 let validate_ok_counter = Telemetry.Counter.make "fuzz.validate_ok"
 let validate_reject_counter = Telemetry.Counter.make "fuzz.validate_rejects"
 
@@ -774,7 +847,7 @@ let validate ~top ~baseline (d : design) =
             | Ok () -> (
                 let introduced =
                   Telemetry.span "fuzz.validate.lint" (fun () ->
-                      let base_errs = lint_errors baseline in
+                      let base_errs = lint_errors_of baseline in
                       List.filter
                         (fun f -> not (List.mem f base_errs))
                         (lint_errors reparsed))

@@ -33,6 +33,11 @@ val template_mutation_name : Fpga_study.Taxonomy.subclass -> string
 val site_count : Fpga_study.Taxonomy.subclass -> Fpga_hdl.Ast.design -> int
 (** Number of candidate sites the template has in the design. *)
 
+val site_counts :
+  Fpga_hdl.Ast.design -> (Fpga_study.Taxonomy.subclass * int) list
+(** Every template's {!site_count}, in {!templates} order, from one
+    traversal of the design instead of thirteen. *)
+
 val apply :
   Fpga_study.Taxonomy.subclass ->
   site:int ->
@@ -70,7 +75,10 @@ val derive : int -> int -> int
 val pick : rng -> Fpga_hdl.Ast.design -> (Fpga_hdl.Ast.design * mutation) option
 (** Choose a template uniformly among those with at least one site,
     then a site uniformly within it, and apply. [None] when no template
-    applies anywhere (practically impossible for a non-empty design). *)
+    applies anywhere (practically impossible for a non-empty design).
+    The site counts of a design {!Fpga_testbed.Bug.design_of} shares
+    (a fuzz target's unmutated base) are computed once per process; see
+    {!validate}. *)
 
 (** {1 Validity gate} *)
 
@@ -89,4 +97,14 @@ val validate :
     + constructs a simulator (rejecting combinational cycles).
 
     [Error reason] classifies the rejected mutant; the gate never
-    raises. *)
+    raises.
+
+    The lint step runs only the rules {!Fpga_analysis.Lint.rules}
+    declares [Error] ([undriven] and [multiple-drivers]): the gate
+    reads no other finding, and [Lint.check] sorts its findings, so
+    the verdict is the one a full lint filtered to [Error] gives. When
+    [baseline] is a design {!Fpga_testbed.Bug.design_of} shares, its
+    lint errors (and its site counts, for {!pick}) are computed once
+    per process and kept in a lock-free table keyed on the physical
+    design, which the registry bounds; no mutant, and no design of the
+    caller's own, is ever admitted. *)

@@ -50,12 +50,8 @@ let kernel_of_string = function
   | _ -> None
 
 (* AST-level node, used only for dependency analysis (reads/writes are
-   name sets); execution uses the compiled [comb_node] form. *)
+   name sets); both kernels execute the compiled [Lowered.node] form. *)
 type ast_node = Aassign of Ast.lvalue * Ast.expr | Ablock of Ast.stmt list
-
-type comb_node =
-  | Cassign of Compiled.clvalue * Compiled.cexpr * int  (* ctx width *)
-  | Cblock of Compiled.cstmt list
 
 type fifo_state = {
   f_depth : int;
@@ -115,13 +111,12 @@ type istats = {
 
 type t = {
   flat : flat;
-  tab : Compiled.tab;
   env : Compiled.env;  (* signal values indexed by dense id *)
   kernel : kernel;
   (* [nodes] and [seq] serve the brute-force sweep only: the lowered
      kernel runs its own closures, so an instance that may sit on a free
      list between runs does not keep them ([||] and [] there) *)
-  nodes : comb_node array;  (* topological order: writers before readers *)
+  nodes : Lowered.node array;  (* topological order: writers before readers *)
   notify : int -> unit;  (* change callback: toggle counting, or [ignore] *)
   seq : (Elaborate.clock_edge * Compiled.cstmt list) list;
   has_negedge : bool;  (* any negedge block: [step] runs the falling edge *)
@@ -158,11 +153,12 @@ let node_writes = function
   | Aassign (l, _) -> Ast.lvalue_bases l
   | Ablock stmts -> Ast.dedup (List.concat_map Ast.stmt_writes stmts)
 
-let topo_sort (nodes : ast_node list) : ast_node list =
-  let arr = Array.of_list nodes in
-  let n = Array.length arr in
-  let writes = Array.map node_writes arr in
-  let reads = Array.map node_reads arr in
+(* A topological order of the nodes whose read and write sets are
+   [reads] and [writes], as node indices: every writer before all of its
+   readers. *)
+let topo_sort ~(reads : string list array) ~(writes : string list array) :
+    int array =
+  let n = Array.length reads in
   (* reader index for every read signal, built once: successor lookup is
      then linear in the actual edges rather than rescanning every node's
      read set for every written signal *)
@@ -202,7 +198,7 @@ let topo_sort (nodes : ast_node list) : ast_node list =
   done;
   (* each node is prepended after its readers, so [order] places every
      writer before all of its readers *)
-  List.map (fun i -> arr.(i)) !order
+  Array.of_list !order
 
 (* ------------------------------------------------------------------ *)
 (* Statement interpretation                                            *)
@@ -279,20 +275,28 @@ let rec exec_stmt ctx (s : Compiled.cstmt) =
 let prim_param (p : fprim) name default =
   Option.value (List.assoc_opt name p.fp_params) ~default
 
-(* Resolve a primitive's ports and allocate its state. [inputs] holds
-   a reader for every connected input formal; every connected output
-   resolves through [tab], so an unknown signal raises as the compiled
-   plan does. *)
-let make_prim_state tab (p : fprim) inputs : prim_state =
+(* A primitive as a plan holds it: each connected input formal
+   compiled, each connected output resolved to its signal id through
+   the design table, so an unknown signal raises as the compiled plan
+   does. *)
+type prim_plan = {
+  pp_prim : fprim;
+  pp_inputs : (string * Compiled.cexpr) list;
+  pp_outputs : (string * int) list;
+}
+
+(* Allocate a primitive's state, its inputs read through [reader]
+   (bound to whichever kernel's value banks are live). *)
+let make_prim_state reader (pp : prim_plan) : prim_state =
+  let p = pp.pp_prim in
   let input name =
-    match List.assoc_opt name inputs with
-    | Some f -> f
+    match List.assoc_opt name pp.pp_inputs with
+    | Some e -> reader e
     | None ->
         let zero = Bits.zero 1 in
         fun () -> zero
   in
-  let outputs = List.map (fun (f, s) -> (f, Compiled.id tab s)) p.fp_outputs in
-  let output name = Option.value (List.assoc_opt name outputs) ~default:(-1) in
+  let output name = Option.value (List.assoc_opt name pp.pp_outputs) ~default:(-1) in
   let fifo ~full ~empty ~usedw =
     let width = prim_param p "lpm_width" 8 in
     let depth = prim_param p "lpm_numwords" 16 in
@@ -418,8 +422,113 @@ let rec stmt_has_display (s : Ast.stmt) =
 let compile_node tab = function
   | Aassign (l, e) ->
       let cl = Compiled.compile_lvalue tab l in
-      Cassign (cl, Compiled.compile_expr tab e, Compiled.clvalue_width cl)
-  | Ablock stmts -> Cblock (List.map (Compiled.compile_stmt tab) stmts)
+      Lowered.Lassign (cl, Compiled.compile_expr tab e, Compiled.clvalue_width cl)
+  | Ablock stmts -> Lowered.Lblock (List.map (Compiled.compile_stmt tab) stmts)
+
+(* The immutable half of construction: everything [create] derives
+   from the flat alone. No instance ever writes into a plan, so every
+   instance of one flat, under either kernel and with or without stats,
+   can be built from the same one. *)
+type plan = {
+  p_flat : flat;
+  p_tab : Compiled.tab;
+  p_nodes : Lowered.node array;  (* topological order *)
+  p_seq : (Elaborate.clock_edge * Compiled.cstmt list) list;
+  p_has_negedge : bool;  (* any negedge block: [step] runs the falling edge *)
+  p_sens : int list array;  (* signal id -> ranks of the nodes reading it *)
+  p_fuse : bool array;  (* rank r folds into rank r-1's closure *)
+  p_display_ranks : int list;  (* ranks of the blocks holding a $display *)
+  p_prims : prim_plan list;
+}
+
+let compile_plan (flat : flat) : plan =
+  let tab = Compiled.of_flat flat in
+  let all =
+    Array.of_list
+      (List.map (fun (l, e) -> Aassign (l, e)) flat.f_assigns
+      @ List.map (fun b -> Ablock b) flat.f_comb)
+  in
+  let reads = Array.map node_reads all in
+  let order = topo_sort ~reads ~writes:(Array.map node_writes all) in
+  let ast_nodes = Array.map (fun i -> all.(i)) order in
+  let nodes = Array.map (compile_node tab) ast_nodes in
+  let n = Array.length nodes in
+  let seq =
+    List.map
+      (fun (e, _clk, body) -> (e, List.map (Compiled.compile_stmt tab) body))
+      flat.f_seq
+  in
+  (* sensitivity map on ids: every signal a node reads wakes that node *)
+  let sens = Array.make (Array.length flat.f_signal_order) [] in
+  Array.iteri
+    (fun rank i ->
+      List.iter
+        (fun s ->
+          match Hashtbl.find_opt flat.f_signal_ids s with
+          | Some id -> sens.(id) <- rank :: sens.(id)
+          | None -> ())
+        reads.(i))
+    order;
+  let display_ranks =
+    Array.to_list
+      (Array.mapi
+         (fun rank node ->
+           match node with
+           | Ablock stmts when List.exists stmt_has_display stmts -> Some rank
+           | _ -> None)
+         ast_nodes)
+    |> List.filter_map Fun.id
+  in
+  (* single-reader assign chains fuse into one closure: when node r-1 is
+     a plain assign whose sole written signal feeds exactly one node and
+     that node is r, the pair always runs back to back in the full
+     sweep, so folding them is behavior-preserving and halves the
+     plan-iteration overhead on long chains *)
+  let fuse = Array.make (max n 1) false in
+  for r = 1 to n - 1 do
+    match ast_nodes.(r - 1) with
+    | Aassign (l, _) -> (
+        match Ast.lvalue_bases l with
+        | [ s ] -> (
+            match Hashtbl.find_opt flat.f_signal_ids s with
+            | Some i -> if sens.(i) = [ r ] then fuse.(r) <- true
+            | None -> ())
+        | _ -> ())
+    | Ablock _ -> ()
+  done;
+  let prims =
+    List.map
+      (fun (p : fprim) ->
+        let pp_inputs =
+          List.map (fun (f, e) -> (f, Compiled.compile_expr tab e)) p.fp_inputs
+        in
+        { pp_prim = p; pp_inputs;
+          pp_outputs =
+            List.map (fun (f, s) -> (f, Compiled.id tab s)) p.fp_outputs })
+      flat.f_prims
+  in
+  { p_flat = flat; p_tab = tab; p_nodes = nodes; p_seq = seq;
+    p_has_negedge = List.exists (fun (e, _, _) -> e = Elaborate.Neg) flat.f_seq;
+    p_sens = sens; p_fuse = fuse; p_display_ranks = display_ranks;
+    p_prims = prims }
+
+(* A fuzz mutant's validity gate and its runs build simulators of the
+   same flat back to back, so each domain keeps its last plan, keyed on
+   the physical flat. A flat is never written after elaboration and a
+   plan never after [compile_plan], so handing one out again is safe. A
+   flat that fails to compile (a combinational cycle, an unbound name)
+   is not remembered and raises again. *)
+let last_plan : plan option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+let plan_of flat =
+  let slot = Domain.DLS.get last_plan in
+  match !slot with
+  | Some p when p.p_flat == flat -> p
+  | _ ->
+      let p = compile_plan flat in
+      slot := Some p;
+      p
 
 (* Harnesses call the by-name accessors with the same string literals
    every cycle, so a few names cover nearly all lookups. *)
@@ -430,93 +539,28 @@ let name_slots = 8
    per-cycle recording inside remains gated on its own switch *)
 let profiling () = Telemetry.enabled () || Telemetry.Trace.enabled ()
 
+(* The run state: what [create] allocates afresh for each instance on
+   top of the flat's shared plan. *)
 let create ?(kernel = default_kernel) (flat : flat) : t =
   Telemetry.span "compile" @@ fun () ->
   let kernel = match kernel with Event_driven -> Lowered_dirty | k -> k in
-  let tab = Compiled.of_flat flat in
+  let plan = plan_of flat in
   let env = Compiled.fresh_env flat in
-  let node_list =
-    List.map (fun (l, e) -> Aassign (l, e)) flat.f_assigns
-    @ List.map (fun b -> Ablock b) flat.f_comb
-  in
-  let ast_nodes = Array.of_list (topo_sort node_list) in
-  let nodes = Array.map (compile_node tab) ast_nodes in
-  let n = Array.length nodes in
-  let seq =
-    List.map
-      (fun (e, _clk, body) -> (e, List.map (Compiled.compile_stmt tab) body))
-      flat.f_seq
-  in
   let finished = ref false in
   let low =
     if kernel <> Lowered_dirty then None
-    else begin
-      (* sensitivity map on ids: every signal a node reads wakes that
-         node *)
-      let sens = Array.make (Array.length flat.f_signal_order) [] in
-      Array.iteri
-        (fun rank node ->
-          List.iter
-            (fun s ->
-              match Hashtbl.find_opt flat.f_signal_ids s with
-              | Some i -> sens.(i) <- rank :: sens.(i)
-              | None -> ())
-            (node_reads node))
-        ast_nodes;
-      let display_ranks =
-        Array.to_list
-          (Array.mapi
-             (fun rank node ->
-               match node with
-               | Ablock stmts when List.exists stmt_has_display stmts ->
-                   Some rank
-               | _ -> None)
-             ast_nodes)
-        |> List.filter_map Fun.id
-      in
-      (* single-reader assign chains fuse into one closure: when node
-         r-1 is a plain assign whose sole written signal feeds exactly
-         one node and that node is r, the pair always runs back to back
-         in the full sweep, so folding them is behavior-preserving and
-         halves the plan-iteration overhead on long chains *)
-      let fuse = Array.make (max n 1) false in
-      for r = 1 to n - 1 do
-        match ast_nodes.(r - 1) with
-        | Aassign (l, _) -> (
-            match Ast.lvalue_bases l with
-            | [ s ] -> (
-                match Hashtbl.find_opt flat.f_signal_ids s with
-                | Some i -> if sens.(i) = [ r ] then fuse.(r) <- true
-                | None -> ())
-            | _ -> ())
-        | Ablock _ -> ()
-      done;
-      let lnodes =
-        Array.map
-          (function
-            | Cassign (l, e, cw) -> Lowered.Lassign (l, e, cw)
-            | Cblock ss -> Lowered.Lblock ss)
-          nodes
-      in
+    else
       Some
-        (Lowered.create ~tab ~env ~finished ~nodes:lnodes ~fuse ~sens
-           ~display_ranks ~seq)
-    end
+        (Lowered.create ~tab:plan.p_tab ~env ~finished ~nodes:plan.p_nodes
+           ~fuse:plan.p_fuse ~sens:plan.p_sens
+           ~display_ranks:plan.p_display_ranks ~seq:plan.p_seq)
   in
-  let input_closure ce =
+  let reader =
     match low with
-    | Some lw -> Lowered.input_fn lw ce
-    | None -> fun () -> Compiled.eval env ce
+    | Some lw -> Lowered.input_fn lw
+    | None -> fun ce () -> Compiled.eval env ce
   in
-  let prims =
-    List.map
-      (fun (p : fprim) ->
-        make_prim_state tab p
-          (List.map
-             (fun (f, e) -> (f, input_closure (Compiled.compile_expr tab e)))
-             p.fp_inputs))
-      flat.f_prims
-  in
+  let prims = List.map (make_prim_state reader) plan.p_prims in
   let stats =
     if profiling () then
       Some
@@ -546,11 +590,10 @@ let create ?(kernel = default_kernel) (flat : flat) : t =
   in
   Option.iter (fun lw -> Lowered.set_notify lw notify) low;
   let sim =
-    { flat; tab; env; kernel; notify;
-      nodes = (if low = None then nodes else [||]);
-      seq = (if low = None then seq else []);
-      has_negedge =
-        List.exists (fun (e, _, _) -> e = Elaborate.Neg) flat.f_seq;
+    { flat; env; kernel; notify;
+      nodes = (if low = None then plan.p_nodes else [||]);
+      seq = (if low = None then plan.p_seq else []);
+      has_negedge = plan.p_has_negedge;
       prims; low;
       cycle = 0; finished; log = []; log_len = 0;
       log_memo = (0, []); display_hook = None; stats; signature = "";
@@ -609,10 +652,10 @@ let reset sim =
 
 let exec_node ctx node =
   match node with
-  | Cassign (l, e, cw) ->
+  | Lowered.Lassign (l, e, cw) ->
       let v = Compiled.eval_ctx ctx.sim.env ~ctx:cw e in
       Compiled.write_notify ctx.sim.env ~notify:ctx.sim.notify l v
-  | Cblock stmts -> List.iter (exec_stmt ctx) stmts
+  | Lowered.Lblock stmts -> List.iter (exec_stmt ctx) stmts
 
 (* Full-sweep settle statistics for the brute-force kernel: every node
    counts as considered, evaluated, and dirty. *)

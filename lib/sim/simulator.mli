@@ -70,7 +70,20 @@ val create : ?kernel:kernel -> Elaborate.flat -> t
 (** Build a simulator with all registers at their declared initial
     values (zero by default) and primitive outputs settled. [kernel]
     defaults to {!default_kernel}, whatever the plan size. Both kernels
-    produce byte-identical traces. *)
+    produce byte-identical traces.
+
+    Construction has two halves. The {e plan} is what depends on the
+    flat alone: the design table, the topological order, the compiled
+    nodes, sequential blocks and primitive ports, the sensitivity map,
+    the fuse flags and the display ranks. The {e run state} is the
+    instance's own: values, the {!Lowered_dirty} closures, primitive
+    contents and stats. Each domain keeps the last plan it compiled,
+    keyed on the physical flat, so building again on the same flat (as
+    a fuzz mutant's gate and runs do) compiles nothing; instances never
+    write into their plan, so they never disturb each other. A flat
+    that fails to compile is not remembered: a combinational cycle
+    raises {!Combinational_cycle} on every call. Every call opens the
+    ["compile"] telemetry span, hit or miss. *)
 
 val reset : t -> unit
 (** Return [sim] to exactly the state {!create} left it in, without

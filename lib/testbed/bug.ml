@@ -216,6 +216,13 @@ let encode_rows (rows : (int * (string * int) list) list) : string =
               (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) row)))
        rows)
 
+let malformed () =
+  raise
+    (Fpga_sim.Checkpoint.Checkpoint_error
+       "checkpoint carries malformed harness metadata")
+
+let decode_int s = match int_of_string_opt s with Some n -> n | None -> malformed ()
+
 let decode_rows (s : string) : (int * (string * int) list) list =
   if s = "" then []
   else
@@ -223,15 +230,15 @@ let decode_rows (s : string) : (int * (string * int) list) list =
     |> List.map (fun entry ->
            match String.split_on_char ':' entry with
            | [ c; row ] ->
-               ( int_of_string c,
+               ( decode_int c,
                  if row = "" then []
                  else
                    String.split_on_char ',' row
                    |> List.map (fun kv ->
                           match String.split_on_char '=' kv with
-                          | [ k; v ] -> (k, int_of_string v)
-                          | _ -> failwith "malformed row binding") )
-           | _ -> failwith "malformed row entry")
+                          | [ k; v ] -> (k, decode_int v)
+                          | _ -> malformed ()) )
+           | _ -> malformed ())
 
 type harness = {
   h_rows : (int * (string * int) list) list;  (* oldest first *)
@@ -248,17 +255,11 @@ let meta_of_harness h =
 
 let harness_of_meta meta =
   let get k = List.assoc_opt k meta in
-  try
-    {
-      h_rows = (match get "harness.rows" with Some s -> decode_rows s | None -> []);
-      h_ext = get "harness.ext" = Some "1";
-      h_satisfied = get "harness.satisfied" = Some "1";
-    }
-  with Failure _ ->
-    (* [int_of_string] and [decode_rows] signal malformed text *)
-    raise
-      (Fpga_sim.Checkpoint.Checkpoint_error
-         "checkpoint carries malformed harness metadata")
+  {
+    h_rows = (match get "harness.rows" with Some s -> decode_rows s | None -> []);
+    h_ext = get "harness.ext" = Some "1";
+    h_satisfied = get "harness.satisfied" = Some "1";
+  }
 
 let run_design ?(vcd = false) ?(vcd_from = 0) ?kernel ?max_cycles
     ?checkpoint_every ?on_checkpoint ?from_checkpoint (bug : t)

@@ -70,6 +70,11 @@ val design_of : t -> buggy:bool -> Fpga_hdl.Ast.design
     every call and is never cached. Callers must not rely on getting a
     fresh design. *)
 
+val shared : Fpga_hdl.Ast.design -> bool
+(** Whether [design] is physically one that {!design_of} has returned.
+    The registry bounds these designs, so a memo that admits only them
+    stays bounded; a mutant or a caller's own parse is never shared. *)
+
 val run_design :
   ?vcd:bool ->
   ?vcd_from:int ->

@@ -144,6 +144,26 @@ let test_rejects_malformed_harness () =
   | exception Checkpoint.Checkpoint_error _ -> ()
   | _ -> Alcotest.fail "malformed harness rows accepted"
 
+(* Every malformed shape of the harness rows raises the one pinned
+   [Checkpoint_error], directly from the decoder: a bad cycle or value,
+   a binding without [=], an entry without or with too many [:]. *)
+let test_malformed_harness_pinned () =
+  let pinned = "checkpoint carries malformed harness metadata" in
+  List.iter
+    (fun rows ->
+      match Bug.harness_of_meta [ ("harness.rows", rows) ] with
+      | exception Checkpoint.Checkpoint_error msg ->
+          check_string ("message for " ^ rows) pinned msg
+      | _ -> Alcotest.failf "malformed harness rows %S accepted" rows)
+    [ "x:y=1"; "3:y=z"; "3:y"; "3:y=1=2"; "3"; "3:a=1:b"; "1:a=1;;" ];
+  let h =
+    Bug.harness_of_meta
+      [ ("harness.rows", "0:a=1,b=-2;5:"); ("harness.ext", "1") ]
+  in
+  check_bool "well-formed rows decode" true
+    (h.Bug.h_rows = [ (0, [ ("a", 1); ("b", -2) ]); (5, []) ]
+    && h.Bug.h_ext && not h.Bug.h_satisfied)
+
 let test_load_missing_file () =
   match Checkpoint.load "/nonexistent/dir/nope.fdc" with
   | exception Checkpoint.Checkpoint_error _ -> ()
@@ -302,6 +322,8 @@ let suite =
       test_load_missing_file;
     Alcotest.test_case "rejects malformed harness metadata" `Quick
       test_rejects_malformed_harness;
+    Alcotest.test_case "malformed harness rows raise one pinned error" `Quick
+      test_malformed_harness_pinned;
     QCheck_alcotest.to_alcotest prop_replay_deterministic;
     Alcotest.test_case "D2 replay deterministic on both kernels" `Quick
       test_replay_d2_both_kernels;

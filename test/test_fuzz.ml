@@ -316,6 +316,168 @@ let test_validity_gate_rejects () =
   | Ok _ -> ()
   | Error e -> Alcotest.failf "gate rejected the identity design: %s" e
 
+(* ------------------------------------------------------------------ *)
+(* The mutation gate's shortcuts                                       *)
+(* ------------------------------------------------------------------ *)
+
+module Lint = Fpga_analysis.Lint
+
+(* Each target's unmutated base and the first [n] generated mutants. *)
+let gate_designs n =
+  List.map (fun b -> (b, Bug.design_of b ~buggy:false)) Fuzz.targets
+  @ List.init n (fun index ->
+        let b, mutant, _ = Fuzz.generate ~seed:5 ~index in
+        (b, mutant))
+
+(* One traversal counts what thirteen [site_count] calls count, and
+   [pick] draws the same mutant on a shared base (counts from the
+   table) as on an equal copy of the caller's own (counts afresh). *)
+let test_site_counts_one_pass () =
+  List.iter
+    (fun ((b : Bug.t), d) ->
+      List.iter2
+        (fun t (t', n) ->
+          check_bool "templates in order" true (t = t');
+          check_int
+            (Printf.sprintf "%s %s sites" b.Bug.id (Taxonomy.subclass_name t))
+            (Mutate.site_count t d) n)
+        Mutate.templates (Mutate.site_counts d))
+    ((List.hd Fuzz.targets, pin_design ()) :: gate_designs 200);
+  List.iter
+    (fun (b : Bug.t) ->
+      let base = Bug.design_of b ~buggy:false in
+      let copy = Fpga_hdl.Parser.parse_design b.Bug.fixed_src in
+      for s = 0 to 9 do
+        match (Mutate.pick (Mutate.rng s) base, Mutate.pick (Mutate.rng s) copy) with
+        | Some (d, mu), Some (d', mu') ->
+            check_bool (b.Bug.id ^ " same pick") true (mu = mu' && d = d')
+        | _ -> Alcotest.failf "%s: no pick" b.Bug.id
+      done)
+    Fuzz.targets
+
+(* Whatever design it runs on, a finding carries the severity its rule
+   declares. *)
+let test_lint_declared_severity () =
+  let designs =
+    List.concat_map
+      (fun (b : Bug.t) ->
+        [ Bug.design_of b ~buggy:true; Bug.design_of b ~buggy:false ])
+      Registry.all
+    @ List.map snd (gate_designs 100)
+  in
+  List.iter
+    (fun d ->
+      List.iter
+        (fun (_, fs) ->
+          List.iter
+            (fun (f : Lint.finding) ->
+              match List.find_opt (fun (r, _, _) -> r = f.Lint.rule) Lint.rules with
+              | Some (_, sev, _) ->
+                  check_bool (f.Lint.rule ^ " severity") true (sev = f.Lint.severity)
+              | None -> Alcotest.failf "finding of an undeclared rule %s" f.Lint.rule)
+            fs)
+        (Lint.check_design d))
+    designs;
+  check_bool "the error rules" true
+    (List.filter_map
+       (fun (r, sev, _) -> if sev = Lint.Error then Some r else None)
+       Lint.rules
+    = [ "undriven"; "multiple-drivers" ])
+
+(* The lint step of the gate, as it read before the gate ran only the
+   [Error] rules: a full lint filtered to [Error]. *)
+let full_lint_errors d =
+  Lint.check_design d
+  |> List.concat_map (fun (mn, fs) ->
+         List.filter_map
+           (fun (f : Lint.finding) ->
+             if f.Lint.severity = Lint.Error then
+               Some (mn ^ ":" ^ f.Lint.rule ^ ":" ^ f.Lint.signal)
+             else None)
+           fs)
+
+let starts_with p s =
+  String.length s >= String.length p && String.sub s 0 (String.length p) = p
+
+(* [validate]'s verdict equals what a gate linting in full would say:
+   the same lint rejection word for word, and no other verdict where
+   the full lint would have rejected. Verdicts decided before the lint
+   step (re-parse, elaboration, width) do not depend on it. *)
+let check_gate_verdict ~top ~baseline d =
+  let introduced () =
+    let base = full_lint_errors baseline in
+    full_lint_errors (Fpga_hdl.Parser.parse_design (Pp.design_to_string d))
+    |> List.filter (fun f -> not (List.mem f base))
+  in
+  match Mutate.validate ~top ~baseline d with
+  | Error e when starts_with "lint: " e ->
+      check_string "lint verdict" ("lint: " ^ String.concat "; " (introduced ())) e;
+      `Lint
+  | Error e
+    when List.exists
+           (fun p -> starts_with p e)
+           [ "does not re-parse"; "does not elaborate"; "width check: " ] ->
+      `Before
+  | Ok _ | Error _ ->
+      check_bool "no lint rejection missed" true (introduced () = []);
+      `After
+
+let undriven_src =
+  {|
+module top (input clk, input [3:0] d, output reg [3:0] q);
+  reg [3:0] r;
+  always @(posedge clk) q <= r ^ d;
+endmodule
+|}
+
+let multi_driven_src =
+  {|
+module top (input clk, input [3:0] d, output reg [3:0] q);
+  reg [3:0] r;
+  always @(posedge clk) r <= d;
+  always @(posedge clk) r <= ~d;
+  always @(posedge clk) q <= r;
+endmodule
+|}
+
+let clean_src =
+  {|
+module top (input clk, input [3:0] d, output reg [3:0] q);
+  reg [3:0] r;
+  always @(posedge clk) r <= d;
+  always @(posedge clk) q <= r;
+endmodule
+|}
+
+let test_gate_error_rules_only () =
+  let lints = ref 0 in
+  List.iter
+    (fun ((b : Bug.t), d) ->
+      match
+        check_gate_verdict ~top:b.Bug.top ~baseline:(Bug.design_of b ~buggy:false) d
+      with
+      | `Lint -> incr lints
+      | `Before | `After -> ())
+    (gate_designs 500);
+  check_bool "lint rejects some of the 500 mutants" true (!lints > 0);
+  let parse = Fpga_hdl.Parser.parse_design in
+  let clean = parse clean_src in
+  List.iter
+    (fun (src, expected) ->
+      check_bool expected true (check_gate_verdict ~top:"top" ~baseline:clean (parse src) = `Lint);
+      match Mutate.validate ~top:"top" ~baseline:clean (parse src) with
+      | Error e -> check_string "pinned rejection" expected e
+      | Ok _ -> Alcotest.failf "%s accepted" expected)
+    [
+      (undriven_src, "lint: top:undriven:r");
+      (multi_driven_src, "lint: top:multiple-drivers:r");
+    ];
+  (* against a baseline that already has the error, it is not new *)
+  check_bool "an error the baseline has passes" true
+    (check_gate_verdict ~top:"top" ~baseline:(parse undriven_src)
+       (parse undriven_src)
+    = `After)
+
 let test_target_round_robin () =
   let n = List.length Fuzz.targets in
   check_bool "at least 8 fuzz targets" true (n >= 8);
@@ -521,4 +683,10 @@ let suite =
       test_default_kernel_shares_memo;
     Alcotest.test_case "classify never serves a caller's own base" `Quick
       test_memo_not_served_for_own_base;
+    Alcotest.test_case "one-pass site counts equal site_count" `Quick
+      test_site_counts_one_pass;
+    Alcotest.test_case "lint findings carry the declared severity" `Quick
+      test_lint_declared_severity;
+    Alcotest.test_case "gate linting error rules only gives the same verdict"
+      `Quick test_gate_error_rules_only;
   ]

@@ -1551,11 +1551,13 @@ type outcome = {
   o_lowered : int list option;  (* the lowered kernel's run counters *)
 }
 
-(* The testbed harness loop on a given instance: the bug's stimulus
-   until its budget, [$finish] or [done_when], with a full VCD and a
-   checkpoint every 7 cycles. [from] resumes from a checkpoint;
-   [stop_at] abandons the run at that cycle. *)
-let harness ?from ?stop_at (bug : Bug.t) sim =
+(* The testbed harness on a given instance, one cycle per call of the
+   returned [step] (false once the run is over), then [result]: the
+   bug's stimulus (or [stim]) until its budget, [$finish] or
+   [done_when], with a full VCD and a checkpoint every 7 cycles. [from]
+   resumes from a checkpoint; [stop_at] abandons the run at that cycle. *)
+let start_harness ?from ?stop_at ?stim (bug : Bug.t) sim =
+  let stim = Option.value stim ~default:bug.Bug.stimulus in
   let start =
     match from with
     | None -> 0
@@ -1567,45 +1569,66 @@ let harness ?from ?stop_at (bug : Bug.t) sim =
   let dump = Vcd.create (Simulator.flat sim) in
   let rows = ref [] and cks = ref [] and satisfied = ref false in
   let i = ref start in
-  while !i < limit && (not (Simulator.finished sim)) && not !satisfied do
-    List.iter (fun (n, v) -> Simulator.set_input sim n v) (bug.Bug.stimulus !i);
-    Simulator.step sim;
-    Vcd.sample dump sim;
-    (match bug.Bug.sample sim with
-    | Some row -> rows := (!i, row) :: !rows
-    | None -> ());
-    (match bug.Bug.done_when with
-    | Some cond when cond sim -> satisfied := true
-    | _ -> ());
-    if (!i + 1) mod 7 = 0 then
-      cks :=
-        Checkpoint.to_string (Simulator.save_checkpoint ~tag:bug.Bug.id sim)
-        :: !cks;
-    incr i
+  let step () =
+    !i < limit && (not (Simulator.finished sim)) && (not !satisfied)
+    && begin
+      List.iter (fun (n, v) -> Simulator.set_input sim n v) (stim !i);
+      Simulator.step sim;
+      Vcd.sample dump sim;
+      (match bug.Bug.sample sim with
+      | Some row -> rows := (!i, row) :: !rows
+      | None -> ());
+      (match bug.Bug.done_when with
+      | Some cond when cond sim -> satisfied := true
+      | _ -> ());
+      if (!i + 1) mod 7 = 0 then
+        cks :=
+          Checkpoint.to_string (Simulator.save_checkpoint ~tag:bug.Bug.id sim)
+          :: !cks;
+      incr i;
+      true
+    end
+  in
+  let result () =
+    {
+      o_rows = List.rev !rows;
+      o_log = Simulator.log sim;
+      o_cycles = Simulator.cycle sim;
+      o_finished = Simulator.finished sim;
+      o_vcd = Vcd.contents dump;
+      o_checkpoints = List.rev !cks;
+      o_stats = Simulator.stats sim;
+      o_toggles = Simulator.toggle_counts sim;
+      o_lowered =
+        Option.map
+          (fun (r : Lowered.run_stats) ->
+            Lowered.
+              [ r.rs_settles; r.rs_closures_run; r.rs_closures_skipped;
+                r.rs_edges; r.rs_commit_imm; r.rs_commit_boxed ])
+          (Simulator.lowered_run_stats sim);
+    }
+  in
+  (step, result)
+
+let harness ?from ?stop_at ?stim bug sim =
+  let step, result = start_harness ?from ?stop_at ?stim bug sim in
+  while step () do
+    ()
   done;
-  {
-    o_rows = List.rev !rows;
-    o_log = Simulator.log sim;
-    o_cycles = Simulator.cycle sim;
-    o_finished = Simulator.finished sim;
-    o_vcd = Vcd.contents dump;
-    o_checkpoints = List.rev !cks;
-    o_stats = Simulator.stats sim;
-    o_toggles = Simulator.toggle_counts sim;
-    o_lowered =
-      Option.map
-        (fun (r : Lowered.run_stats) ->
-          Lowered.
-            [ r.rs_settles; r.rs_closures_run; r.rs_closures_skipped;
-              r.rs_edges; r.rs_commit_imm; r.rs_commit_boxed ])
-        (Simulator.lowered_run_stats sim);
-  }
+  result ()
 
 let with_telemetry on f =
   if not on then f ()
   else (
     Telemetry.enable ();
     Fun.protect ~finally:Telemetry.disable f)
+
+(* Each kernel, with telemetry off and on. *)
+let all_kinds =
+  [
+    (Simulator.Lowered_dirty, false); (Simulator.Brute_force, false);
+    (Simulator.Lowered_dirty, true); (Simulator.Brute_force, true);
+  ]
 
 (* One instance runs, is reset, and runs again after each kind of
    previous run: a full one, one abandoned halfway, and one resumed
@@ -1648,10 +1671,7 @@ let check_reuse ~tag (bug : Bug.t) ~buggy =
             Alcotest.failf "%s: a resumed run on a reset instance differs" tag;
           Simulator.reset sim;
           same "a resumed run" (harness bug sim))
-    [
-      (Simulator.Lowered_dirty, false); (Simulator.Brute_force, false);
-      (Simulator.Lowered_dirty, true); (Simulator.Brute_force, true);
-    ]
+    all_kinds
 
 let reuse_tests =
   List.map
@@ -1773,6 +1793,101 @@ endmodule
   check_bool "unknown top raises" true (raises ());
   check_bool "and raises again" true (raises ())
 
+(* --- the compiled-plan memo: instances of one flat share its plan ------- *)
+
+(* Instances built back to back on one flat share its compiled plan;
+   instances of a freshly parsed and elaborated copy compile their own.
+   Whichever kernel and stats setting, a plan-sharing instance runs like
+   a fresh-flat one, also after another instance of the plan ran, and
+   two live instances stepped in turn (one on the bug's stimulus, one
+   on all-zero inputs) each run like they do alone. *)
+let check_shared_plan (bug : Bug.t) ~buggy =
+  let src = if buggy then bug.Bug.buggy_src else bug.Bug.fixed_src in
+  let fresh_flat () =
+    Elaborate.elaborate (Parser.parse_design src) ~top:bug.Bug.top
+  in
+  let flat = Elaborate.elaborate (Bug.design_of bug ~buggy) ~top:bug.Bug.top in
+  let zeros _ = [] in
+  List.iter
+    (fun (kernel, telemetry) ->
+      with_telemetry telemetry @@ fun () ->
+      let tag =
+        Printf.sprintf "%s %s, %s, telemetry %s" bug.Bug.id
+          (if buggy then "buggy" else "fixed")
+          (Simulator.kernel_name kernel)
+          (if telemetry then "on" else "off")
+      in
+      let reference = harness bug (Simulator.create ~kernel (fresh_flat ())) in
+      let idle = harness ~stim:zeros bug (Simulator.create ~kernel (fresh_flat ())) in
+      let a = Simulator.create ~kernel flat in
+      let b = Simulator.create ~kernel flat in
+      let same what o r =
+        if o <> r then Alcotest.failf "%s: %s differs from a fresh flat's" tag what
+      in
+      same "the first instance of a plan" (harness bug a) reference;
+      same "a second instance, after the first ran" (harness bug b) reference;
+      let a = Simulator.create ~kernel flat in
+      let b = Simulator.create ~kernel flat in
+      let step_a, result_a = start_harness bug a in
+      let step_b, result_b = start_harness ~stim:zeros bug b in
+      let rec interleave () =
+        let more_a = step_a () in
+        let more_b = step_b () in
+        if more_a || more_b then interleave ()
+      in
+      interleave ();
+      same "an instance stepped in turn with another" (result_a ()) reference;
+      same "the other instance" (result_b ()) idle)
+    all_kinds
+
+let plan_tests =
+  List.map
+    (fun (bug : Bug.t) ->
+      Alcotest.test_case (bug.Bug.id ^ " shared plan runs like a fresh flat")
+        `Quick (fun () ->
+          check_shared_plan bug ~buggy:true;
+          check_shared_plan bug ~buggy:false))
+    Fpga_testbed.Registry.all
+
+(* A failed compile is never remembered: a flat with a combinational
+   cycle raises on every [create], under both kernels, whatever plan
+   the domain built last. *)
+let test_cycle_never_memoised () =
+  let flat_of src = Elaborate.elaborate (Parser.parse_design src) ~top:"top" in
+  let cyclic =
+    flat_of
+      {|
+module top (input a, output x);
+  wire y;
+  assign x = y & a;
+  assign y = x | a;
+endmodule
+|}
+  in
+  let good =
+    flat_of
+      {|
+module top (input a, output x);
+  assign x = ~a;
+endmodule
+|}
+  in
+  let raises kernel =
+    match Simulator.create ~kernel cyclic with
+    | exception Simulator.Combinational_cycle _ -> true
+    | _ -> false
+  in
+  List.iter
+    (fun kernel ->
+      let k = Simulator.kernel_name kernel in
+      check_bool (k ^ ": raises") true (raises kernel);
+      check_bool (k ^ ": raises again") true (raises kernel);
+      let sim = Simulator.create ~kernel good in
+      Simulator.step sim;
+      check_int (k ^ ": a good flat still builds") 1 (Simulator.read_int sim "x");
+      check_bool (k ^ ": raises after a good build") true (raises kernel))
+    [ Simulator.Lowered_dirty; Simulator.Brute_force ]
+
 let suite =
   suite @ reuse_tests
   @ [
@@ -1784,4 +1899,9 @@ let suite =
         `Quick test_reset_drops_hook_and_inputs;
       Alcotest.test_case "elaborate remembers the last design per domain"
         `Quick test_elaborate_memo;
+    ]
+  @ plan_tests
+  @ [
+      Alcotest.test_case "a cyclic flat raises on every create" `Quick
+        test_cycle_never_memoised;
     ]
