@@ -42,8 +42,10 @@ type bench_design = {
 }
 
 (* A deep pipeline fed a constant input: after it fills, no signal
-   changes, so the lowered-dirty kernel's worklist runs empty. This is
-   the low-activity design its dirty scheduling is meant to win on. *)
+   changes, so the lowered-dirty kernel's comb worklist runs empty and
+   each of the 64 register statements, a statement group of its own,
+   sleeps too. This is the low-activity design its dirty scheduling is
+   meant to win on. *)
 let idle_design_src stages =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
@@ -67,9 +69,12 @@ let idle_design_src stages =
 
 (* A register ring with essentially no combinational plan: one always
    block rewrites all [regs] registers every cycle, so the run is pure
-   sequential-edge work through the flat NBA commit buffer. The dirty
-   lowered kernel has nothing to skip here — the design exists to prove
-   the dirty machinery costs nothing when it cannot help. *)
+   sequential-edge work through the flat NBA commit buffer. Every
+   register changes on every edge, so each statement group runs on
+   every edge and the dirty lowered kernel has nothing to skip, in the
+   comb plan or the sequential phase; after 8 such edges it stops
+   marking groups at all. The design exists to prove the dirty
+   machinery costs nothing when it cannot help. *)
 let seq_design_src regs =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf

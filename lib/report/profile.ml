@@ -86,12 +86,17 @@ let run ?kernel ?(cycles = 200) ?(top_k = 10) (bug : Bug.t) : t =
 (* JSON                                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* Share of sequential statement groups skipped as clean. *)
+let seq_skip_rate (r : Fpga_sim.Lowered.run_stats) =
+  let total = r.rs_seq_run + r.rs_seq_skipped in
+  if total = 0 then 0.0 else float_of_int r.rs_seq_skipped /. float_of_int total
+
 let to_json (p : t) : string =
   let buf = Buffer.create 2048 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let st = p.p_stats in
   let hist = st.Simulator.st_settle_hist in
-  add "{\n  \"schema\": \"fpga-debug-profile/4\",\n";
+  add "{\n  \"schema\": \"fpga-debug-profile/5\",\n";
   add "  \"bug\": %S, \"top\": %S, \"kernel\": %S,\n" p.p_bug_id p.p_top
     p.p_kernel;
   add "  \"cycles_requested\": %d, \"cycles_run\": %d, \"finished\": %b,\n"
@@ -118,8 +123,8 @@ let to_json (p : t) : string =
     st.Simulator.st_nba_commits st.Simulator.st_prim_steps
     st.Simulator.st_displays;
   add "  },\n";
-  (* the lowered kernel's closure skip rate and commit-buffer
-     occupancy; absent for event/brute *)
+  (* the lowered kernel's closure and statement-group skip rates and
+     commit-buffer occupancy; absent for brute force *)
   (match p.p_lowered with
   | None -> ()
   | Some { lp_stats = lw; lp_runs = r } ->
@@ -129,6 +134,7 @@ let to_json (p : t) : string =
         if total = 0 then 0.0
         else float_of_int r.L.rs_closures_skipped /. float_of_int total
       in
+      let seq_skip_rate = seq_skip_rate r in
       let commit_per_edge =
         if r.L.rs_edges = 0 then 0.0
         else
@@ -143,6 +149,9 @@ let to_json (p : t) : string =
       add "    \"settles\": %d, \"closures_run\": %d, \"closures_skipped\": %d,\n"
         r.L.rs_settles r.L.rs_closures_run r.L.rs_closures_skipped;
       add "    \"skip_rate\": %.4f,\n" skip_rate;
+      add "    \"seq_groups_run\": %d, \"seq_groups_skipped\": %d,\n"
+        r.L.rs_seq_run r.L.rs_seq_skipped;
+      add "    \"seq_skip_rate\": %.4f,\n" seq_skip_rate;
       add "    \"edge_runs\": %d, \"commit_imm\": %d, \"commit_boxed\": %d,\n"
         r.L.rs_edges r.L.rs_commit_imm r.L.rs_commit_boxed;
       add "    \"commit_per_edge\": %.2f\n" commit_per_edge;
@@ -221,6 +230,10 @@ let print (p : t) =
       if total > 0 then
         Printf.printf "  skip rate          %8.1f%%\n"
           (100.0 *. float_of_int r.L.rs_closures_skipped /. float_of_int total);
+      Printf.printf "  seq groups run     %8d\n" r.L.rs_seq_run;
+      Printf.printf "  seq groups skipped %8d\n" r.L.rs_seq_skipped;
+      if r.L.rs_seq_run + r.L.rs_seq_skipped > 0 then
+        Printf.printf "  seq skip rate      %8.1f%%\n" (100.0 *. seq_skip_rate r);
       Printf.printf "  commits (imm/box)  %8d / %d\n" r.L.rs_commit_imm
         r.L.rs_commit_boxed;
       if r.L.rs_edges > 0 then

@@ -46,8 +46,9 @@ val run :
     kernel; [p_kernel] records the kernel actually used. *)
 
 val to_json : t -> string
-(** Schema ["fpga-debug-profile/4"], stable for CI consumption. The
-    ["lowered"] object (closure skip rates, commit-buffer occupancy) is
+(** Schema ["fpga-debug-profile/5"], stable for CI consumption. The
+    ["lowered"] object (closure skip rates, sequential statement groups
+    run and skipped with their skip rate, commit-buffer occupancy) is
     present when the run used the lowered kernel. *)
 
 val print : t -> unit

@@ -26,11 +26,20 @@
    adaptive sparse/dense hysteresis so fully-active plans sweep without
    flag traffic.
 
+   The sequential phase skips the same way, by statement group (the
+   groups and their sensitivity map come from [Simulator.compile_plan]):
+   an edge runs a group only if something it reads or writes changed
+   since it last ran, or if it has no flag ($display, $finish, a target
+   another block writes on the same edge). Every notify path sets the
+   flags of the groups sensitive to the changed signal. A skipped
+   group would only have queued writes that change nothing.
+
    Semantics are bit-identical to [Compiled.eval_ctx] /
    [Simulator.exec_stmt]: the same Verilog context-width rules, the
    same out-of-range index semantics ([Eval.resolve_index]), the same
    non-blocking commit ordering (including dropped writes, which still
-   count toward commit statistics), the same display gating, and the
+   count toward commit statistics as far as the groups that ran queued
+   them), the same display gating, and the
    same change-detection points so per-signal toggle counts match the
    other kernels exactly. Conditional/logical operators are compiled to
    short-circuit form; expression evaluation is pure, so this is
@@ -63,9 +72,40 @@ type run_stats = {
   mutable rs_closures_run : int;
   mutable rs_closures_skipped : int;  (* skipped by dirty scheduling *)
   mutable rs_edges : int;  (* sequential block invocations *)
+  mutable rs_seq_run : int;  (* statement groups run *)
+  mutable rs_seq_skipped : int;  (* statement groups skipped as clean *)
   mutable rs_commit_imm : int;  (* flat-buffer (unboxed) NBA commits *)
   mutable rs_commit_boxed : int;  (* boxed NBA commits, drops included *)
 }
+
+(* A statement group of one sequential block, as [Simulator.compile_plan]
+   splits it: statements in program order, and the index of the group's
+   dirty flag, or -1 for a group that runs on every edge. *)
+type seq_group = { g_stmts : Compiled.cstmt list; g_flag : int }
+
+(* The groups firing on one clock edge, block by block in source order,
+   each block's groups in order of their first statement: laid out once
+   per plan by [seq_edge] and shared by every instance. *)
+type seq_edge = {
+  se_groups : seq_group array;
+  se_flag : int array;  (* [g_flag] of each group *)
+  se_flagged : int;  (* groups with a flag *)
+  se_blocks : int;  (* blocks firing on this edge *)
+}
+
+let seq_edge seq edge =
+  let blocks = List.filter (fun (e, _) -> e = edge) seq in
+  let groups = Array.of_list (List.concat_map snd blocks) in
+  let flag = Array.map (fun g -> g.g_flag) groups in
+  {
+    se_groups = groups;
+    se_flag = flag;
+    se_flagged = Array.fold_left (fun n g -> if g >= 0 then n + 1 else n) 0 flag;
+    se_blocks = List.length blocks;
+  }
+
+(* One edge's groups lowered for an instance. *)
+type edge_plan = { e_run : (unit -> unit) array; e_seq : seq_edge }
 
 (* A deferred non-blocking write. Immediate targets defer as masked int
    stores; everything else falls back to the resolved [Compiled.cwrite]
@@ -99,8 +139,21 @@ type t = {
   mutable displays : bool;  (* comb $display gate for this settle *)
   mutable emit : string -> unit;
   mutable plan : (unit -> unit) array;  (* fused comb closures, topo order *)
-  mutable seq_pos : (unit -> unit) array;  (* posedge blocks, source order *)
-  mutable seq_neg : (unit -> unit) array;  (* negedge blocks, source order *)
+  mutable seq_pos : edge_plan;
+  mutable seq_neg : edge_plan;
+  (* sequential dirty flags, one per skippable group, and the plan's
+     signal id -> flags map (shared, never written) *)
+  mutable gdirty : bool array;
+  mutable gsens : int list array;
+  (* the external callback plus group marking: what [notify] wraps in
+     every mode, and all of it outside dense sweeps *)
+  mutable seq_notify : int -> unit;
+  (* the sequential side's own sparse/dense hysteresis: while nearly
+     every flagged group runs on every edge, all groups run and nothing
+     marks them *)
+  mutable sdense : bool;
+  mutable sstreak : int;
+  mutable scommit_changes : int;  (* immediate changes the last commit made *)
   (* dirty-set state, sized once the plan is fused *)
   mutable csens : int list array;  (* signal id -> reading closure indices *)
   mutable cdirty : bool array;  (* per-closure pending flag *)
@@ -881,49 +934,75 @@ let rec mark_closures st = function
       mark_closure st c;
       mark_closures st tl
 
+(* Wake the sequential groups sensitive to a changed signal: flag
+   stores only, no count and no allocation. *)
+let rec mark_groups gdirty = function
+  | [] -> ()
+  | g :: tl ->
+      Array.unsafe_set gdirty g true;
+      mark_groups gdirty tl
+
 (* [cdirty] has at least one slot, but an empty plan has nothing
    pending: the count is the plan's, as [create] leaves it *)
 let mark_all_flags st =
   Array.fill st.cdirty 0 (Array.length st.cdirty) true;
-  st.ncdirty <- Array.length st.plan
+  st.ncdirty <- Array.length st.plan;
+  Array.fill st.gdirty 0 (Array.length st.gdirty) true
 
 (* Recompose [st.notify] from mode + external callback. Closures read
-   [st.notify] at call time, so rewiring mid-run is safe. With an empty comb plan there is nothing the dirty bits could ever
-   skip, so writes bypass the marking wrapper entirely — sequential-only
-   designs must not pay for machinery that cannot help them. *)
+   [st.notify] at call time, so rewiring mid-run is safe. Every mode
+   marks the sequential groups sensitive to the change ([seq_notify]);
+   a plan without skippable groups adds nothing for them. With an empty
+   comb plan there is nothing the closure flags could ever skip, so
+   writes bypass the closure marking entirely — sequential-only designs
+   must not pay for machinery that cannot help them. *)
 let rewire st =
-  if Array.length st.plan = 0 then st.notify <- st.ext_notify
+  let ext = st.ext_notify in
+  let gdirty = st.gdirty and gsens = st.gsens in
+  let grouped = Array.length gdirty > 0 && not st.sdense in
+  st.seq_notify <-
+    (if grouped then fun i ->
+       ext i;
+       mark_groups gdirty gsens.(i)
+     else ext);
+  if Array.length st.plan = 0 then st.notify <- st.seq_notify
   else
-    let ext = st.ext_notify in
     match st.lmode with
     | Lsparse ->
         st.notify <-
-          (fun i ->
-            ext i;
-            mark_closures st st.csens.(i))
+          (if grouped then fun i ->
+             ext i;
+             mark_closures st st.csens.(i);
+             mark_groups gdirty gsens.(i)
+           else fun i ->
+             ext i;
+             mark_closures st st.csens.(i))
     | Ldense ->
         (* change counting matters only inside the settle sweep (the
            exit test's reset wipes anything counted between settles),
-           so keep the bare external notify installed and let [settle]
-           swap [dense_mark] in just around the sweep — sequential
-           commits pay nothing for the mode machinery *)
+           so keep [seq_notify] installed and let [settle] swap
+           [dense_mark] in just around the sweep — sequential commits
+           pay nothing for the mode machinery *)
+        let base = st.seq_notify in
         st.dense_mark <-
           (fun i ->
-            ext i;
+            base i;
             st.lchanges <- st.lchanges + 1);
-        st.notify <- ext
+        st.notify <- base
 
 let set_notify st f =
   st.ext_notify <- f;
   rewire st
 
 (* Full scheduling reset (checkpoint restore): drop back to the sparse
-   worklist with everything pending, so a restored run re-derives the
-   mode trajectory from activity alone. The superset is safe:
-   re-running a clean closure is a no-op. *)
+   worklist with every closure and every sequential group pending, so a
+   restored run re-derives the mode trajectory from activity alone. The
+   superset is safe: re-running a clean closure or group is a no-op. *)
 let mark_all st =
   st.lmode <- Lsparse;
   st.lmode_streak <- 0;
+  st.sdense <- false;
+  st.sstreak <- 0;
   rewire st;
   mark_all_flags st
 
@@ -940,7 +1019,7 @@ let seed_ints st =
 let create ~(tab : Compiled.tab) ~(env : Compiled.env) ~(finished : bool ref)
     ~(nodes : node array) ~(fuse : bool array) ~(sens : int list array)
     ~(display_ranks : int list)
-    ~(seq : (Elaborate.clock_edge * Compiled.cstmt list) list) : t =
+    ~(seq_pos : seq_edge) ~(seq_neg : seq_edge) ~(seq_sens : int list array) : t =
   let n = Compiled.n_signals tab in
   let ints = Array.make n 0 in
   let widths = Array.init n (fun i -> Compiled.width tab i) in
@@ -963,8 +1042,14 @@ let create ~(tab : Compiled.tab) ~(env : Compiled.env) ~(finished : bool ref)
       displays = false;
       emit = ignore;
       plan = [||];
-      seq_pos = [||];
-      seq_neg = [||];
+      seq_pos = { e_run = [||]; e_seq = seq_pos };
+      seq_neg = { e_run = [||]; e_seq = seq_neg };
+      gdirty = [||];
+      gsens = seq_sens;
+      seq_notify = ignore;
+      sdense = false;
+      sstreak = 0;
+      scommit_changes = 0;
       csens = [||];
       cdirty = [||];
       ncdirty = 0;
@@ -980,7 +1065,7 @@ let create ~(tab : Compiled.tab) ~(env : Compiled.env) ~(finished : bool ref)
           lw_fused = 0;
           lw_imm = n_imm;
           lw_boxed = n - n_imm;
-          lw_seq = List.length seq;
+          lw_seq = seq_pos.se_blocks + seq_neg.se_blocks;
         };
       runs =
         {
@@ -988,6 +1073,8 @@ let create ~(tab : Compiled.tab) ~(env : Compiled.env) ~(finished : bool ref)
           rs_closures_run = 0;
           rs_closures_skipped = 0;
           rs_edges = 0;
+          rs_seq_run = 0;
+          rs_seq_skipped = 0;
           rs_commit_imm = 0;
           rs_commit_boxed = 0;
         };
@@ -1018,14 +1105,12 @@ let create ~(tab : Compiled.tab) ~(env : Compiled.env) ~(finished : bool ref)
         incr nplan))
     closures;
   st.plan <- Array.of_list (List.rev !plan);
-  let lower_edge edge =
-    List.filter_map
-      (fun (e, body) -> if e = edge then Some (lseq st ~in_comb:false body) else None)
-      seq
-    |> Array.of_list
+  let lower_edge se =
+    { e_run = Array.map (fun g -> lseq st ~in_comb:false g.g_stmts) se.se_groups; e_seq = se }
   in
-  st.seq_pos <- lower_edge Elaborate.Pos;
-  st.seq_neg <- lower_edge Elaborate.Neg;
+  st.seq_pos <- lower_edge seq_pos;
+  st.seq_neg <- lower_edge seq_neg;
+  st.gdirty <- Array.make (seq_pos.se_flagged + seq_neg.se_flagged) true;
   let nclosures = Array.length st.plan in
   st.cdirty <- Array.make (max nclosures 1) true;
   st.ncdirty <- nclosures;
@@ -1050,11 +1135,14 @@ let reset st =
   st.pboxed <- [];
   st.displays <- false;
   st.lchanges <- 0;
+  st.scommit_changes <- 0;
   let r = st.runs in
   r.rs_settles <- 0;
   r.rs_closures_run <- 0;
   r.rs_closures_skipped <- 0;
   r.rs_edges <- 0;
+  r.rs_seq_run <- 0;
+  r.rs_seq_skipped <- 0;
   r.rs_commit_imm <- 0;
   r.rs_commit_boxed <- 0
 
@@ -1087,7 +1175,7 @@ let settle st ~displays =
       st.lchanges <- 0;
       st.notify <- st.dense_mark;
       let n = sweep st in
-      st.notify <- st.ext_notify;
+      st.notify <- st.seq_notify;
       r.rs_closures_run <- r.rs_closures_run + n;
       if dense_exit_den * st.lchanges <= dense_exit_num * n then (
         st.lmode_streak <- st.lmode_streak + 1;
@@ -1131,12 +1219,61 @@ let settle st ~displays =
       else if ev > 0 then st.lmode_streak <- 0;
       ev
 
+(* Run one edge's groups in order. A skippable group runs only when its
+   flag is set, and its flag is cleared before it runs, so a change the
+   group causes itself (a blocking write, or its own commit) wakes it
+   for the next edge. A clean group is skipped: nothing it reads or
+   writes changed since it last ran, so it would queue the writes it
+   queued then, and those changed nothing when they were committed.
+
+   The same hysteresis as the comb plan's spares fully-active blocks
+   the flag traffic: once >= 3/4 of the flagged groups ran on 8 edges
+   in a row, every group runs and no change marks any; once the
+   commits before 8 edges in a row changed <= 1/4 as many immediate
+   signals as there are flagged groups, every flag is set and marking
+   resumes (a blocking write during the last edge went unmarked, and a
+   group that ran before it must see it). Either way only the work done
+   changes, never a result. *)
 let run_edge st edge =
-  let arr = match edge with Elaborate.Pos -> st.seq_pos | Elaborate.Neg -> st.seq_neg in
-  for i = 0 to Array.length arr - 1 do
-    arr.(i) ()
-  done;
-  st.runs.rs_edges <- st.runs.rs_edges + Array.length arr
+  let e = match edge with Elaborate.Pos -> st.seq_pos | Elaborate.Neg -> st.seq_neg in
+  let run = e.e_run and flagged = e.e_seq.se_flagged in
+  let n = Array.length run in
+  let r = st.runs in
+  r.rs_edges <- r.rs_edges + e.e_seq.se_blocks;
+  if st.sdense then (
+    for k = 0 to n - 1 do
+      run.(k) ()
+    done;
+    r.rs_seq_run <- r.rs_seq_run + n;
+    if dense_exit_den * st.scommit_changes <= dense_exit_num * flagged then (
+      st.sstreak <- st.sstreak + 1;
+      if st.sstreak >= mode_streak_len then (
+        st.sdense <- false;
+        st.sstreak <- 0;
+        Array.fill st.gdirty 0 (Array.length st.gdirty) true;
+        rewire st))
+    else st.sstreak <- 0)
+  else (
+    let flag = e.e_seq.se_flag and gdirty = st.gdirty in
+    let skipped = ref 0 in
+    for k = 0 to n - 1 do
+      let g = flag.(k) in
+      if g < 0 then run.(k) ()
+      else if gdirty.(g) then (
+        gdirty.(g) <- false;
+        run.(k) ())
+      else incr skipped
+    done;
+    r.rs_seq_run <- r.rs_seq_run + (n - !skipped);
+    r.rs_seq_skipped <- r.rs_seq_skipped + !skipped;
+    if flagged > 0 then
+      if dense_enter_den * (flagged - !skipped) >= dense_enter_num * flagged then (
+        st.sstreak <- st.sstreak + 1;
+        if st.sstreak >= mode_streak_len then (
+          st.sdense <- true;
+          st.sstreak <- 0;
+          rewire st))
+      else st.sstreak <- 0)
 
 let pending_count st = (st.pb_len / 3) + List.length st.pboxed
 
@@ -1148,14 +1285,20 @@ let commit st =
   let n = st.pb_len in
   if n > 0 then (
     st.runs.rs_commit_imm <- st.runs.rs_commit_imm + (n / 3);
-    let b = st.pb in
-    let i = ref 0 in
+    let b = st.pb and ints = st.ints in
+    let i = ref 0 and changes = ref 0 in
     while !i < n do
       let id = b.(!i) in
-      store_imm st id (st.ints.(id) land lnot b.(!i + 1) lor b.(!i + 2));
+      let nv = ints.(id) land lnot b.(!i + 1) lor b.(!i + 2) in
+      if ints.(id) <> nv then (
+        ints.(id) <- nv;
+        incr changes;
+        st.notify id);
       i := !i + 3
     done;
-    st.pb_len <- 0);
+    st.scommit_changes <- !changes;
+    st.pb_len <- 0)
+  else st.scommit_changes <- 0;
   match st.pboxed with
   | [] -> ()
   | ps ->

@@ -14,7 +14,9 @@
     Closures are scheduled by a per-closure dirty worklist fed from a
     closure-level sensitivity index (change-driven skipping composed
     with closure-array dispatch), with an adaptive sparse/dense
-    hysteresis so fully-active plans pay no flag traffic.
+    hysteresis so fully-active plans pay no flag traffic. Sequential
+    blocks run by statement group, and a group nothing of which changed
+    since it last ran is skipped ({!run_edge}).
 
     Semantics are bit-identical to the reference executor: same width
     rules, same out-of-range index handling, same non-blocking commit
@@ -38,12 +40,35 @@ type run_stats = {
   mutable rs_settles : int;  (** settle passes *)
   mutable rs_closures_run : int;  (** closures evaluated *)
   mutable rs_closures_skipped : int;  (** skipped by dirty scheduling *)
-  mutable rs_edges : int;  (** sequential block invocations *)
+  mutable rs_edges : int;
+      (** sequential block invocations: blocks firing per edge, whether
+          or not their groups ran *)
+  mutable rs_seq_run : int;  (** sequential statement groups run *)
+  mutable rs_seq_skipped : int;
+      (** sequential statement groups skipped as clean *)
   mutable rs_commit_imm : int;  (** flat-buffer (unboxed) NBA commits *)
   mutable rs_commit_boxed : int;  (** boxed NBA commits, drops included *)
 }
 
 type t
+
+type seq_group = {
+  g_stmts : Compiled.cstmt list;  (** program order *)
+  g_flag : int;
+      (** index of the group's dirty flag, or [-1]: the group runs on
+          every edge *)
+}
+(** A statement group of one sequential block, as [Simulator] splits
+    it. A group is the unit {!run_edge} skips. *)
+
+type seq_edge
+(** The groups firing on one clock edge, laid out for {!create}. *)
+
+val seq_edge :
+  (Elaborate.clock_edge * seq_group list) list -> Elaborate.clock_edge -> seq_edge
+(** [seq_edge blocks edge]: the groups of the blocks firing on [edge],
+    block by block in the order given. [blocks] lists each sequential
+    block with its groups. *)
 
 (** Combinational node in compiled form, as built by [Simulator]. *)
 type node =
@@ -58,7 +83,9 @@ val create :
   fuse:bool array ->
   sens:int list array ->
   display_ranks:int list ->
-  seq:(Elaborate.clock_edge * Compiled.cstmt list) list ->
+  seq_pos:seq_edge ->
+  seq_neg:seq_edge ->
+  seq_sens:int list array ->
   t
 (** [fuse.(r)] marks a node to be folded into its predecessor's closure
     (legal only for single-reader assign chains — the caller proves
@@ -66,7 +93,11 @@ val create :
     checked before every lowered statement. Immediate-bank values are
     seeded from [env]. [sens] maps signal id to the ranks of reading
     nodes and [display_ranks] lists ranks of comb blocks containing
-    [$display]; both are lifted to the closure level. *)
+    [$display]; both are lifted to the closure level. [seq_pos] and
+    [seq_neg] hold the statement groups of each edge; [seq_sens] maps
+    signal id to the flags of the groups that read or write it. Flags
+    are numbered from 0 with no gap across both edges; [seq_pos],
+    [seq_neg] and [seq_sens] are kept, never written. *)
 
 (** {1 Execution} *)
 
@@ -80,7 +111,16 @@ val settle : t -> displays:bool -> int
 
 val run_edge : t -> Elaborate.clock_edge -> unit
 (** Run the sequential blocks for one clock edge; non-blocking writes
-    accumulate until {!commit}. *)
+    accumulate until {!commit}. Groups run block by block in source
+    order. A group with a flag runs only when the flag is set, which
+    a change to any signal it reads or writes does (every write path
+    notifies: commits, blocking and comb writes, {!write_vec}). The
+    flag is cleared just before the group runs, so what the group
+    changes itself wakes it again. A skipped group's writes would all
+    be no-ops. Once nearly every flagged group has run on 8 edges in a
+    row, all groups run and no change marks a flag, until the commits
+    go quiet for 8 edges; then every flag is set and marking resumes.
+    The mode changes only the work done, never a result. *)
 
 val pending_count : t -> int
 (** Deferred writes accumulated since the last {!commit} (dropped
@@ -96,8 +136,9 @@ val commit : t -> unit
 
 val mark_all : t -> unit
 (** Reset the dirty scheduler: back to the sparse worklist with every
-    closure pending, as {!create} leaves it (checkpoint restore,
-    {!reset}). *)
+    closure and every sequential group pending and the sequential side
+    marking again, as {!create} leaves it (checkpoint restore, {!reset}):
+    values written without notification must be re-read by everything. *)
 
 val reset : t -> unit
 (** Return the run state to what {!create} leaves, after the caller has

@@ -172,7 +172,11 @@ type stats = {
   st_nodes_skipped : int;  (** [st_node_rounds - st_nodes_evaluated] *)
   st_dirty_total : int;  (** sum of dirty-set sizes at settle entry *)
   st_dirty_peak : int;  (** largest dirty set seen *)
-  st_nba_commits : int;  (** non-blocking writes committed *)
+  st_nba_commits : int;
+      (** non-blocking writes committed, dropped ones included: the
+          writes queued by the statements that ran. {!Lowered_dirty}
+          skips statement groups whose writes would all be no-ops, so
+          it counts at most what {!Brute_force} does on the same run *)
   st_prim_steps : int;  (** primitive (FIFO/RAM) step invocations *)
   st_displays : int;  (** $display statements fired *)
   st_settle_hist : Fpga_telemetry.Telemetry.Histogram.snapshot;

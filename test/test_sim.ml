@@ -1604,7 +1604,8 @@ let start_harness ?from ?stop_at ?stim (bug : Bug.t) sim =
           (fun (r : Lowered.run_stats) ->
             Lowered.
               [ r.rs_settles; r.rs_closures_run; r.rs_closures_skipped;
-                r.rs_edges; r.rs_commit_imm; r.rs_commit_boxed ])
+                r.rs_edges; r.rs_seq_run; r.rs_seq_skipped; r.rs_commit_imm;
+                r.rs_commit_boxed ])
           (Simulator.lowered_run_stats sim);
     }
   in
@@ -1904,4 +1905,420 @@ let suite =
   @ [
       Alcotest.test_case "a cyclic flat raises on every create" `Quick
         test_cycle_never_memoised;
+    ]
+
+(* --- sequential activity skipping ------------------------------------------ *)
+
+(* Run [src] for [cycles] cycles under lowered-dirty and brute force,
+   calling [drive sim c] before cycle [c] (inputs, pokes), and require
+   identical values (memories included), logs and toggle counts after
+   every cycle. Lowered-dirty must have skipped at least one statement
+   group, so the case exercises the skip rule it names. Returns the
+   lowered-dirty instance. *)
+let seq_skip_matches_brute ~name ?(cycles = 48) src drive =
+  let flat = Elaborate.elaborate (Parser.parse_design src) ~top:"top" in
+  let run kernel =
+    Telemetry.reset ();
+    Telemetry.enable ();
+    Fun.protect
+      ~finally:(fun () ->
+        Telemetry.disable ();
+        Telemetry.reset ())
+      (fun () ->
+        let sim = Simulator.create ~kernel flat in
+        let trace =
+          List.init cycles (fun c ->
+              drive sim c;
+              Simulator.step sim;
+              (signal_state flat sim, Simulator.log sim, Simulator.toggle_counts sim))
+        in
+        (sim, trace))
+  in
+  let ld, lt = run Simulator.Lowered_dirty in
+  let _, bt = run Simulator.Brute_force in
+  List.iteri
+    (fun c ((lv, ll, lc), (bv, bl, bc)) ->
+      if lv <> bv then Alcotest.failf "%s: values diverge at cycle %d" name c;
+      if ll <> bl then Alcotest.failf "%s: logs diverge at cycle %d" name c;
+      if lc <> bc then Alcotest.failf "%s: toggle counts diverge at cycle %d" name c)
+    (List.combine lt bt);
+  let rs = Option.get (Simulator.lowered_run_stats ld) in
+  check_bool (name ^ ": some group was skipped") true (rs.Lowered.rs_seq_skipped > 0);
+  ld
+
+let set sim name w v = Simulator.set_input sim name (b w v)
+
+(* S3's shape: two statements of one block write [out_last], with a
+   statement of another group between them. The later write must win,
+   also when only the earlier statement's input moves ([last2] follows
+   [k] unless [w] holds it at [l]). *)
+let test_skip_shared_target_in_block () =
+  ignore
+    (seq_skip_matches_brute ~name:"two writes of out_last"
+       {|
+module top (input clk, input v, input l, input k, input w, input [7:0] d,
+            output reg out_last, output reg last2, output reg [7:0] cnt,
+            output reg [7:0] held);
+  always @(posedge clk) begin
+    out_last <= 1'b0;
+    cnt <= cnt + {7'd0, v};
+    if (v) out_last <= l;
+    last2 <= k;
+    held <= d;
+    if (w) last2 <= l;
+  end
+endmodule
+|}
+       (fun sim c ->
+         set sim "v" 1 (if c mod 7 = 3 || c mod 7 = 4 then 1 else 0);
+         set sim "l" 1 (if c mod 5 = 4 then 1 else 0);
+         set sim "w" 1 (if c / 10 mod 2 = 1 then 1 else 0);
+         set sim "k" 1 (if c mod 3 = 0 then 1 else 0);
+         set sim "d" 8 (c / 16)))
+
+(* Block 1 writes [x] only when [c]; block 2 writes it on every edge and
+   wins. Block 2 reads nothing and its write never changes [x], so it
+   would sleep if a group writing a target another block writes on the
+   same edge could. *)
+let test_skip_two_blocks_one_target () =
+  ignore
+    (seq_skip_matches_brute ~name:"two blocks write x"
+       {|
+module top (input clk, input c, input [7:0] d, output reg x, output reg [7:0] y);
+  always @(posedge clk) if (c) x <= 1'b1;
+  always @(posedge clk) x <= 1'b0;
+  always @(posedge clk) y <= d;
+endmodule
+|}
+       (fun sim c ->
+         set sim "c" 1 (if c mod 9 = 5 then 1 else 0);
+         set sim "d" 8 (c / 20)))
+
+(* [set_input] pokes a register whose only group sleeps: the poke must
+   wake it, so the next edge restores [r], and its comb reader follows. *)
+let test_skip_poked_register () =
+  ignore
+    (seq_skip_matches_brute ~name:"poke a sleeping register"
+       {|
+module top (input clk, input [7:0] d, output [7:0] q);
+  reg [7:0] r;
+  reg [7:0] s = 8'd3;
+  assign q = r + s;
+  always @(posedge clk) r <= d;
+  always @(posedge clk) s <= 8'd0;
+endmodule
+|}
+       (fun sim c ->
+         set sim "d" 8 (if c < 20 then 5 else 9);
+         if c mod 6 = 2 then set sim "r" 8 (40 + c);
+         if c mod 11 = 7 then set sim "s" 8 c))
+
+(* Two groups of one block write different words of one memory (they
+   share the memory as a target, so they merge), two blocks write
+   words of another (so both always run), and a third block reads a
+   word back. *)
+let test_skip_memory_words () =
+  ignore
+    (seq_skip_matches_brute ~name:"memory words"
+       {|
+module top (input clk, input a, input bb, input [7:0] x, input [7:0] y,
+            input [1:0] sel, output reg [7:0] q, output reg [7:0] q2);
+  reg [7:0] mem [0:3];
+  reg [7:0] mem2 [0:3];
+  always @(posedge clk) begin
+    if (a) mem[0] <= x;
+    if (bb) mem[1] <= y;
+  end
+  always @(posedge clk) if (a) mem2[2] <= x;
+  always @(posedge clk) mem2[3] <= y;
+  always @(posedge clk) begin
+    q <= mem[sel];
+    q2 <= mem2[sel];
+  end
+endmodule
+|}
+       (fun sim c ->
+         set sim "a" 1 (if c mod 8 = 1 then 1 else 0);
+         set sim "bb" 1 (if c mod 10 = 6 then 1 else 0);
+         set sim "x" 8 (c / 3);
+         set sim "y" 8 (c / 12);
+         set sim "sel" 2 (c / 13)))
+
+(* A $display in a sequential block whose inputs never change prints on
+   every edge, in program order with the block's other displays: in the
+   second block the statements printing A and C also write [x], and B
+   must still print between them. *)
+let test_skip_display_every_edge () =
+  let ld =
+    seq_skip_matches_brute ~name:"seq display"
+      {|
+module top (input clk, input [7:0] k, input a, input bb, output reg [7:0] r,
+            output reg [7:0] s, output reg x);
+  always @(posedge clk) begin
+    $display("k=%d", k);
+    r <= k;
+    if (k == 8'd7) begin
+      s <= k;
+      $display("seven %d", s);
+    end
+  end
+  always @(posedge clk) begin
+    if (a) begin
+      $display("A");
+      x <= 1'b1;
+    end
+    $display("B");
+    if (bb) begin
+      x <= 1'b0;
+      $display("C");
+    end
+  end
+endmodule
+|}
+      (fun sim c ->
+        set sim "k" 8 7;
+        set sim "a" 1 (if c mod 4 = 1 then 1 else 0);
+        set sim "bb" 1 (if c mod 6 < 3 then 1 else 0))
+  in
+  check_bool "k and seven on every cycle" true
+    (List.length (List.filter (fun (_, l) -> l = "k=7") (Simulator.log ld)) = 48)
+
+(* A block with a $finish is one group that runs on every edge: nothing
+   after the $finish may run, so [x] keeps 1 and [y] its old value on
+   the edge that finishes. *)
+let test_skip_finish () =
+  let ld =
+    seq_skip_matches_brute ~name:"finish"
+      {|
+module top (input clk, input stop, input [7:0] d, output reg [7:0] x,
+            output reg [7:0] y, output reg [7:0] z);
+  always @(posedge clk) begin
+    x <= 8'd1;
+    if (stop) $finish;
+    y <= d;
+    x <= d + 8'd2;
+  end
+  always @(posedge clk) z <= 8'd4;
+endmodule
+|}
+      (fun sim c ->
+        set sim "stop" 1 (if c = 30 then 1 else 0);
+        set sim "d" 8 (c / 4))
+  in
+  check_bool "finished" true (Simulator.finished ld);
+  check_int "x from before the $finish" 1 (Simulator.read_int ld "x")
+
+(* Blocking temporaries: such a block is one group, later statements
+   read what earlier ones wrote, and a later block reads the temporary
+   on the same edge. [t2] is read before it is written, so the group
+   must wake on the change it makes itself; [t3] is written twice
+   around a read. *)
+let test_skip_blocking_temps () =
+  ignore
+    (seq_skip_matches_brute ~name:"blocking temps"
+       {|
+module top (input clk, input [7:0] a, input [7:0] bb, output reg [7:0] r,
+            output reg [7:0] s, output reg [7:0] u, output reg [7:0] u2,
+            output reg [7:0] x3, output reg [7:0] y3);
+  reg [7:0] t, t2, t3;
+  always @(posedge clk) begin
+    t = a + bb;
+    r <= t;
+    if (t[0]) s <= s + 8'd1;
+  end
+  always @(posedge clk) u <= t;
+  always @(posedge clk) if (a == 8'd0) r <= 8'd9;
+  always @(posedge clk) begin
+    u2 <= t2;
+    t2 = a;
+  end
+  always @(posedge clk) begin
+    t3 = a;
+    x3 <= t3;
+    t3 = bb;
+    y3 <= t3;
+  end
+endmodule
+|}
+       (fun sim c ->
+         set sim "a" 8 (c / 10);
+         set sim "bb" 8 (if c mod 13 = 0 then c else 1)))
+
+(* A comb plan that churns into the dense full sweep, beside sequential
+   groups that sleep: one woken only by a comb output that changes now
+   and then (a change made inside the dense sweep), one by a register
+   another group commits (a change made outside it). *)
+let test_skip_beside_dense_plan () =
+  let was_dense = ref false in
+  let ld =
+    seq_skip_matches_brute ~name:"dense comb plan" ~cycles:60
+      {|
+module top (input clk, input [7:0] d, input tick, output [7:0] q,
+            output reg [7:0] snap, output reg [7:0] seen);
+  reg [7:0] r;
+  reg [7:0] cnt;
+  wire [7:0] w1, w2, w3;
+  wire slow;
+  assign w1 = d + r;
+  assign w2 = w1 ^ r;
+  assign w3 = w2 + d;
+  assign q = w3;
+  assign slow = r[7:6] == 2'b11 && d != 8'd0;
+  always @(posedge clk) r <= r + d;
+  always @(posedge clk) snap <= {7'd0, slow};
+  always @(posedge clk) if (tick) cnt <= cnt + 8'd1;
+  always @(posedge clk) seen <= cnt;
+endmodule
+|}
+      (fun sim c ->
+        if Simulator.dense_mode sim then was_dense := true;
+        set sim "d" 8 (if c < 50 then ((c * 37) + 1) land 0xff else 0);
+        set sim "tick" 1 (if c mod 7 = 3 then 1 else 0))
+  in
+  check_bool "the comb plan went dense" true !was_dense;
+  let rs = Option.get (Simulator.lowered_run_stats ld) in
+  check_bool "groups slept" true (rs.Lowered.rs_seq_skipped > 60)
+
+(* Eight counters that all count for a while, then all idle, then count
+   again, beside a register that follows an input changing every cycle.
+   While nearly every group runs, lowered-dirty runs them all without
+   marking; once the commits go quiet it sets every flag and skips
+   again. The input changes on the edge where the marking resumes too,
+   so the register must still follow it. Four blocks read a blocking
+   temporary before writing it, from inputs that change once in four
+   cycles, each a cycle later than the last: whichever edge marking
+   resumes after, one of them wrote its temporary on that edge without
+   being marked, and must run again on the next. *)
+let test_skip_sequential_dense_round_trip () =
+  let counters = List.init 8 (fun k -> k + 1) and phases = List.init 4 Fun.id in
+  let src =
+    String.concat ""
+      ([ "module top (input clk, input en, input [7:0] d, output reg [7:0] h,\n";
+         "            input [7:0] e0, input [7:0] e1, input [7:0] e2, input [7:0] e3);\n" ]
+      @ List.map (fun k -> Printf.sprintf "  reg [7:0] c%d;\n" k) counters
+      @ List.map (fun j -> Printf.sprintf "  reg [7:0] t%d, u%d;\n" j j) phases
+      @ List.map
+          (fun j ->
+            Printf.sprintf "  always @(posedge clk) begin\n    u%d <= t%d;\n    t%d = e%d;\n  end\n"
+              j j j j)
+          phases
+      @ [ "  always @(posedge clk) begin\n"; "    h <= d;\n" ]
+      @ List.map
+          (fun k -> Printf.sprintf "    c%d <= c%d + {7'd0, en};\n" k k)
+          counters
+      @ [ "  end\nendmodule\n" ])
+  in
+  let skipped = ref [] in
+  ignore
+    (seq_skip_matches_brute ~name:"sequential dense round trip" ~cycles:90 src
+       (fun sim c ->
+         (match Simulator.lowered_run_stats sim with
+         | Some r -> skipped := r.Lowered.rs_seq_skipped :: !skipped
+         | None -> ());
+         set sim "en" 1 (if c < 30 || c >= 60 then 1 else 0);
+         set sim "d" 8 c;
+         List.iter (fun j -> set sim (Printf.sprintf "e%d" j) 8 ((c + j) / 4)) phases));
+  let at c = List.nth (List.rev !skipped) c in
+  check_int "nothing skipped while every group runs" (at 12) (at 30);
+  check_bool "idle counters sleep" true (at 60 > at 30)
+
+(* [reset] and [restore_checkpoint] write values without notifying, so
+   every group must be pending after them. A straight run saves a
+   checkpoint after setting cycle 20's inputs; a second instance runs
+   other inputs (its groups fall asleep on other values), restores that
+   checkpoint and finishes the run: it must equal the straight run.
+   After [reset] the same instance must equal a fresh one, though the
+   group that resets [s] sleeps at the moment of the reset. *)
+let test_skip_reset_and_restore () =
+  let src =
+    {|
+module top (input clk, input [7:0] d, output reg [7:0] r, output [7:0] q);
+  reg [7:0] s = 8'd3;
+  assign q = r + s;
+  always @(posedge clk) r <= d;
+  always @(posedge clk) s <= 8'd0;
+endmodule
+|}
+  in
+  let flat = Elaborate.elaborate (Parser.parse_design src) ~top:"top" in
+  let input c = if c < 20 then 5 else 9 in
+  List.iter
+    (fun kernel ->
+      let tag = Simulator.kernel_name kernel in
+      let straight = Simulator.create ~kernel flat in
+      let ck = ref None and rows = ref [] in
+      for c = 0 to 39 do
+        set straight "d" 8 (input c);
+        if c = 20 then ck := Some (Simulator.save_checkpoint straight);
+        Simulator.step straight;
+        if c >= 20 then rows := signal_state flat straight :: !rows
+      done;
+      let other = Simulator.create ~kernel flat in
+      for _ = 0 to 9 do
+        set other "d" 8 2;
+        Simulator.step other
+      done;
+      Simulator.restore_checkpoint other (Option.get !ck);
+      let resumed = ref [] in
+      for c = 20 to 39 do
+        set other "d" 8 (input c);
+        Simulator.step other;
+        resumed := signal_state flat other :: !resumed
+      done;
+      check_bool (tag ^ ": restored run equals the straight run") true (!resumed = !rows);
+      Simulator.reset other;
+      let fresh = Simulator.create ~kernel flat in
+      for c = 0 to 5 do
+        set other "d" 8 (input c);
+        set fresh "d" 8 (input c);
+        Simulator.step other;
+        Simulator.step fresh;
+        if signal_state flat other <> signal_state flat fresh then
+          Alcotest.failf "%s: reset run diverges from a fresh one at cycle %d" tag c
+      done)
+    [ Simulator.Lowered_dirty; Simulator.Brute_force ]
+
+(* The counters: one group per statement of the idle monitor block, so
+   once [d] stops moving its group sleeps while the counter's runs. *)
+let test_skip_counters () =
+  let sim =
+    Testbench.of_source ~top:"top"
+      {|
+module top (input clk, input [7:0] d, output reg [7:0] cnt, output reg [7:0] prev);
+  always @(posedge clk) begin
+    cnt <= cnt + 8'd1;
+    prev <= d;
+  end
+endmodule
+|}
+  in
+  set sim "d" 8 4;
+  Simulator.run sim 10;
+  let rs = Option.get (Simulator.lowered_run_stats sim) in
+  check_int "one edge per cycle" 10 rs.Lowered.rs_edges;
+  check_int "counter group runs every edge, prev twice" 12 rs.Lowered.rs_seq_run;
+  check_int "prev group sleeps" 8 rs.Lowered.rs_seq_skipped
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "skip: two writes of one target in a block" `Quick
+        test_skip_shared_target_in_block;
+      Alcotest.test_case "skip: two blocks write one target" `Quick
+        test_skip_two_blocks_one_target;
+      Alcotest.test_case "skip: a poke wakes a sleeping register" `Quick
+        test_skip_poked_register;
+      Alcotest.test_case "skip: memory words" `Quick test_skip_memory_words;
+      Alcotest.test_case "skip: seq $display prints every edge" `Quick
+        test_skip_display_every_edge;
+      Alcotest.test_case "skip: $finish" `Quick test_skip_finish;
+      Alcotest.test_case "skip: blocking temporaries" `Quick
+        test_skip_blocking_temps;
+      Alcotest.test_case "skip: beside a dense comb plan" `Quick
+        test_skip_beside_dense_plan;
+      Alcotest.test_case "skip: sequential dense round trip" `Quick
+        test_skip_sequential_dense_round_trip;
+      Alcotest.test_case "skip: reset and restore wake every group" `Quick
+        test_skip_reset_and_restore;
+      Alcotest.test_case "skip: run and skip counters" `Quick test_skip_counters;
     ]

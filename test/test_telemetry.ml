@@ -259,7 +259,7 @@ let test_profile_json () =
   List.iter
     (fun key -> check_bool key true (contains json key))
     [
-      "\"schema\": \"fpga-debug-profile/4\"";
+      "\"schema\": \"fpga-debug-profile/5\"";
       "\"kernel_stats\"";
       "\"kernel_efficiency\"";
       "\"nodes_skipped\"";
@@ -271,6 +271,8 @@ let test_profile_json () =
       "\"lowered\"";
       "\"closures_run\"";
       "\"skip_rate\"";
+      "\"seq_groups_run\"";
+      "\"seq_skip_rate\"";
       "\"commit_per_edge\"";
     ];
   check_bool "hottest signals present" true

@@ -944,3 +944,77 @@ let suite =
       Alcotest.test_case "free list: cold and warm traces identical" `Quick
         test_trace_invisible;
     ]
+
+(* --- instrumented designs under both kernels ------------------------------ *)
+
+(* Run [design] for up to 2000 cycles of the bug's stimulus under
+   [kernel], telemetry on so toggles are counted: the top's outputs
+   after every cycle, the log, the recording buffer (when the design
+   has one) and the toggle counts. *)
+let instrumented_run ~kernel (bug : Bug.t) design =
+  let module Telemetry = Fpga_telemetry.Telemetry in
+  Telemetry.enable ();
+  Fun.protect ~finally:Telemetry.disable @@ fun () ->
+  let flat = Fpga_sim.Elaborate.elaborate design ~top:bug.Bug.top in
+  let sim = Simulator.create ~kernel flat in
+  let top = Option.get (Fpga_hdl.Ast.find_module design bug.Bug.top) in
+  let outputs =
+    List.filter_map
+      (fun (p : Fpga_hdl.Ast.port) ->
+        if p.Fpga_hdl.Ast.dir = Fpga_hdl.Ast.Output then Some p.Fpga_hdl.Ast.port_name
+        else None)
+      top.Fpga_hdl.Ast.ports
+  in
+  let rows = ref [] in
+  let c = ref 0 in
+  while !c < 2000 && not (Simulator.finished sim) do
+    List.iter (fun (n, v) -> Simulator.set_input sim n v) (bug.Bug.stimulus !c);
+    Simulator.step sim;
+    rows :=
+      List.map (fun n -> Fpga_bits.Bits.to_hex_string (Simulator.read sim n)) outputs
+      :: !rows;
+    incr c
+  done;
+  let buffer =
+    if Hashtbl.mem flat.Fpga_sim.Elaborate.f_signals "_sc_buf" then
+      Some (Simulator.read_memory sim "_sc_buf")
+    else None
+  in
+  (List.rev !rows, Simulator.log sim, buffer, Simulator.toggle_counts sim)
+
+(* The debug recipe's designs, with the monitors' displays and with
+   them compiled into SignalCat recording logic, are where lowered-dirty
+   skips most sequential work. They must run exactly as under brute
+   force for 2000 cycles: outputs every cycle, log, recording buffer
+   and toggle counts. *)
+let instrumented_kernel_tests =
+  List.map
+    (fun (bug : Bug.t) ->
+      Alcotest.test_case (bug.Bug.id ^ " instrumented designs: lowered == brute")
+        `Quick (fun () ->
+          let r = Fpga_testbed.Recipe.apply ~buffer_depth:2048 bug in
+          let design = Bug.design_of bug ~buggy:true in
+          List.iter
+            (fun (what, m) ->
+              let design = substitute design m in
+              let lr, ll, lb, lt =
+                instrumented_run ~kernel:Simulator.Lowered_dirty bug design
+              in
+              let br, bl, bb, bt =
+                instrumented_run ~kernel:Simulator.Brute_force bug design
+              in
+              let tag part = Printf.sprintf "%s %s: %s" bug.Bug.id what part in
+              check_bool (tag "records into a buffer") (what = "on FPGA") (lb <> None);
+              check_bool (tag "outputs every cycle") true (lr = br);
+              check_bool (tag "log") true (ll = bl);
+              check_bool (tag "recording buffer") true
+                (Option.map (Array.map Fpga_bits.Bits.to_hex_string) lb
+                = Option.map (Array.map Fpga_bits.Bits.to_hex_string) bb);
+              check_bool (tag "toggle counts") true (lt = bt))
+            [
+              ("with monitors", r.Fpga_testbed.Recipe.with_monitors);
+              ("on FPGA", r.Fpga_testbed.Recipe.on_fpga);
+            ]))
+    all
+
+let suite = suite @ instrumented_kernel_tests
