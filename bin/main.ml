@@ -100,8 +100,8 @@ let traced ~trace ~clock ?(jobs_of = fun _ -> []) run =
       Printf.printf "wrote %s\n" path;
       v
 
-(* Shared settle-kernel selector: [None] keeps the caller's default,
-   [Simulator.default_kernel] everywhere. *)
+(* Settle-kernel selector of `sim` and `profile`: [None] keeps
+   [Simulator.default_kernel]. *)
 let kernel_arg =
   Arg.(value
        & opt (enum [ ("auto", None);
@@ -119,6 +119,119 @@ let jobs_arg =
            ~doc:"Worker domains, kept parked between batches while the \
                  calling domain waits (default: the machine's \
                  recommended count)")
+
+(* --- user designs ------------------------------------------------------ *)
+
+(* The commands that take a user's Verilog file (`sim`, `lint`,
+   `losscheck`) load it through [read_design] and [design_errors]. Each
+   class of design error gets its own exit status, listed in their
+   --help, so a script can tell a typo from an unsupported design
+   without parsing the message. [exit_input] is shared with the
+   commands that write files. *)
+let exit_syntax = 3
+let exit_elaboration = 4
+let exit_comb_cycle = 5
+let exit_eval = 6
+
+(* A file, stimulus line or signal name the design cannot take; the
+   message carries the location. *)
+exception Bad_input of string
+
+let bad_input fmt = Printf.ksprintf (fun s -> raise (Bad_input s)) fmt
+
+(* A file's contents; a read error names the file (reading a directory
+   reports only "Is a directory"). *)
+let read_input path =
+  try In_channel.with_open_text path In_channel.input_all
+  with Sys_error msg ->
+    if String.starts_with ~prefix:path msg then bad_input "%s" msg
+    else bad_input "%s: %s" path msg
+
+let sim_exits =
+  Cmd.Exit.info exit_syntax
+    ~doc:"on a lexical or syntax error in $(i,FILE) (reported as \
+          FILE:LINE: message)."
+  :: Cmd.Exit.info exit_elaboration
+       ~doc:"on an elaboration error, e.g. an unknown module or a \
+             missing top (reported as FILE: message)."
+  :: Cmd.Exit.info exit_comb_cycle
+       ~doc:"when continuous assignments or combinational blocks form \
+             a dependency cycle."
+  :: Cmd.Exit.info exit_eval
+       ~doc:"on an evaluation error, e.g. a reference to an \
+             undeclared signal."
+  :: Cmd.Exit.info exit_input
+       ~doc:"when a file cannot be read or written, a stimulus line \
+             is malformed (reported as STIM:LINE: message), or a \
+             stimulus, $(b,--watch), $(b,--source), $(b,--valid) or \
+             $(b,--sink) name is not a signal of the design."
+  :: Cmd.Exit.defaults
+
+let read_design path = Fpga_hdl.Parser.parse_design (read_input path)
+
+(* Every stimulus and watched name must be a vector signal: the
+   simulator's accessors reject anything else mid-run. *)
+let check_signal (flat : Fpga_sim.Elaborate.flat) ~source name =
+  match Hashtbl.find_opt flat.Fpga_sim.Elaborate.f_signals name with
+  | Some { Fpga_sim.Elaborate.fs_depth = None; _ } -> ()
+  | Some _ -> bad_input "%s: %s is a memory, not a signal" source name
+  | None -> bad_input "%s: no signal %s in the design" source name
+
+(* A stimulus file: lines '@CYCLE sig=value ...', '#' comments *)
+let parse_stim flat path =
+  read_input path
+  |> String.split_on_char '\n'
+  |> List.mapi (fun i line -> (i + 1, line))
+  |> List.filter_map (fun (lineno, line) ->
+         let line = String.trim line in
+         let source = Printf.sprintf "%s:%d" path lineno in
+         let number what s =
+           match int_of_string_opt s with
+           | Some v -> v
+           | None -> bad_input "%s: bad %s %S" source what s
+         in
+         if line = "" || line.[0] = '#' then None
+         else
+           match String.split_on_char ' ' line with
+           | at :: bindings when String.length at > 1 && at.[0] = '@' ->
+               let cycle =
+                 number "cycle" (String.sub at 1 (String.length at - 1))
+               in
+               let parsed =
+                 List.filter_map
+                   (fun b ->
+                     match String.split_on_char '=' b with
+                     | [ k; v ] when k <> "" ->
+                         check_signal flat ~source k;
+                         Some (k, number "value" v)
+                     | _ -> None)
+                   bindings
+               in
+               Some (cycle, parsed)
+           | _ -> None)
+
+(* Run [f] over the design in [file]: each design error exits with its
+   status and a message naming the file. *)
+let design_errors file f =
+  let fail code fmt =
+    Printf.ksprintf
+      (fun msg ->
+        flush stdout;
+        prerr_endline msg;
+        exit code)
+      fmt
+  in
+  try f () with
+  | Fpga_hdl.Lexer.Lex_error (msg, line) | Fpga_hdl.Parser.Parse_error (msg, line)
+    ->
+      fail exit_syntax "%s:%d: %s" file line msg
+  | Fpga_sim.Elaborate.Elaboration_error msg ->
+      fail exit_elaboration "%s: %s" file msg
+  | Fpga_sim.Simulator.Combinational_cycle sigs ->
+      fail exit_comb_cycle "%s: combinational cycle through %s" file
+        (String.concat ", " sigs)
+  | Fpga_sim.Compiled.Eval_error msg -> fail exit_eval "%s: %s" file msg
+  | Bad_input msg | Sys_error msg -> fail exit_input "%s" msg
 
 (* --- list ----------------------------------------------------------- *)
 
@@ -295,7 +408,7 @@ let losscheck_cmd =
     Arg.(value & opt (some string) None & info [ "sink" ] ~docv:"SIG" ~doc:"Sink register")
   in
   let stim_arg =
-    Arg.(value & opt (some string) None & info [ "stim" ] ~docv:"FILE" ~doc:"Stimulus file (file mode)")
+    Arg.(value & opt (some file) None & info [ "stim" ] ~docv:"FILE" ~doc:"Stimulus file (file mode)")
   in
   let cycles_arg =
     Arg.(value & opt int 200 & info [ "cycles" ] ~docv:"N" ~doc:"Cycles to run (file mode)")
@@ -316,46 +429,24 @@ let losscheck_cmd =
           (fun reg -> Printf.printf "potential data loss at: %s\n" reg)
           regs
   in
-  let parse_stim_file path =
-    In_channel.with_open_text path In_channel.input_all
-    |> String.split_on_char '\n'
-    |> List.filter_map (fun line ->
-           let line = String.trim line in
-           if line = "" || line.[0] = '#' then None
-           else
-             match String.split_on_char ' ' line with
-             | at :: bindings when String.length at > 1 && at.[0] = '@' ->
-                 Some
-                   ( int_of_string (String.sub at 1 (String.length at - 1)),
-                     List.filter_map
-                       (fun b ->
-                         match String.split_on_char '=' b with
-                         | [ k; v ] when k <> "" -> Some (k, int_of_string v)
-                         | _ -> None)
-                       bindings )
-             | _ -> None)
-  in
   let run target top source valid sink stim cycles =
     if Sys.file_exists target then (
       match (source, valid, sink) with
       | Some source, Some valid, Some sink ->
-          let design =
-            Fpga_hdl.Parser.parse_design
-              (In_channel.with_open_text target In_channel.input_all)
-          in
-          let table = match stim with Some p -> parse_stim_file p | None -> [] in
+          design_errors target @@ fun () ->
+          let design = read_design target in
+          let flat = Fpga_sim.Elaborate.elaborate design ~top in
+          check_signal flat ~source:"--source" source;
+          check_signal flat ~source:"--valid" valid;
+          check_signal flat ~source:"--sink" sink;
+          let table = match stim with Some p -> parse_stim flat p | None -> [] in
           let stimulus cycle =
             match List.assoc_opt cycle table with
             | Some bindings ->
                 List.map
                   (fun (k, v) ->
-                    let width =
-                      match Fpga_hdl.Ast.find_module design top with
-                      | Some m ->
-                          Option.value (Fpga_hdl.Ast.signal_width m k) ~default:32
-                      | None -> 32
-                    in
-                    (k, Fpga_bits.Bits.of_int ~width v))
+                    let s = Hashtbl.find flat.Fpga_sim.Elaborate.f_signals k in
+                    (k, Fpga_bits.Bits.of_int ~width:s.Fpga_sim.Elaborate.fs_width v))
                   bindings
             | None -> []
           in
@@ -381,7 +472,7 @@ let losscheck_cmd =
                ~max_cycles:bug.Bug.max_cycles ~top:bug.Bug.top ~spec
                ~stimulus:bug.Bug.stimulus design)
   in
-  Cmd.v (Cmd.info "losscheck" ~doc)
+  Cmd.v (Cmd.info "losscheck" ~doc ~exits:sim_exits)
     Term.(
       const run $ bug_arg $ top_arg $ source_arg $ valid_arg $ sink_arg
       $ stim_arg $ cycles_arg)
@@ -635,7 +726,7 @@ let lint_cmd =
   let run target =
     let design =
       if Sys.file_exists target then
-        Fpga_hdl.Parser.parse_design (In_channel.with_open_text target In_channel.input_all)
+        design_errors target (fun () -> read_design target)
       else Bug.design_of (find_bug target) ~buggy:true
     in
     List.iter
@@ -648,7 +739,7 @@ let lint_cmd =
             findings))
       (Fpga_analysis.Lint.check_design design)
   in
-  Cmd.v (Cmd.info "lint" ~doc) Term.(const run $ target_arg)
+  Cmd.v (Cmd.info "lint" ~doc ~exits:sim_exits) Term.(const run $ target_arg)
 
 (* --- wavediff --------------------------------------------------------- *)
 
@@ -729,50 +820,7 @@ let snippets_cmd =
   in
   Cmd.v (Cmd.info "snippets" ~doc) Term.(const run $ which_arg)
 
-(* --- sim (user designs) ------------------------------------------------ *)
-
-(* Each class of design error gets its own exit status, listed in
-   `sim --help`, so a script can tell a typo from an unsupported
-   design without parsing the message. [exit_input] is shared with the
-   commands that write files. *)
-let exit_syntax = 3
-let exit_elaboration = 4
-let exit_comb_cycle = 5
-let exit_eval = 6
-
-(* A file, stimulus line or --watch list the design cannot take; the
-   message carries the location. *)
-exception Bad_input of string
-
-let bad_input fmt = Printf.ksprintf (fun s -> raise (Bad_input s)) fmt
-
-(* A file's contents; a read error names the file (reading a directory
-   reports only "Is a directory"). *)
-let read_input path =
-  try In_channel.with_open_text path In_channel.input_all
-  with Sys_error msg ->
-    if String.starts_with ~prefix:path msg then bad_input "%s" msg
-    else bad_input "%s: %s" path msg
-
-let sim_exits =
-  Cmd.Exit.info exit_syntax
-    ~doc:"on a lexical or syntax error in $(i,FILE) (reported as \
-          FILE:LINE: message)."
-  :: Cmd.Exit.info exit_elaboration
-       ~doc:"on an elaboration error, e.g. an unknown module or a \
-             missing top (reported as FILE: message)."
-  :: Cmd.Exit.info exit_comb_cycle
-       ~doc:"when continuous assignments or combinational blocks form \
-             a dependency cycle."
-  :: Cmd.Exit.info exit_eval
-       ~doc:"on an evaluation error, e.g. a reference to an \
-             undeclared signal."
-  :: Cmd.Exit.info exit_input
-       ~doc:"when a file cannot be read or written, a stimulus line \
-             is malformed (reported as STIM:LINE: message), or a \
-             stimulus or $(b,--watch) name is not a signal of the \
-             design."
-  :: Cmd.Exit.defaults
+(* --- sim --------------------------------------------------------------- *)
 
 let sim_cmd =
   let doc =
@@ -800,52 +848,11 @@ let sim_cmd =
   let vcd_arg =
     Arg.(value & opt (some string) None & info [ "vcd" ] ~docv:"FILE" ~doc:"Dump a VCD waveform")
   in
-  (* every stimulus and watched name must be a vector signal: the
-     simulator's accessors reject anything else mid-run *)
-  let check_signal (flat : Fpga_sim.Elaborate.flat) ~source name =
-    match Hashtbl.find_opt flat.Fpga_sim.Elaborate.f_signals name with
-    | Some { Fpga_sim.Elaborate.fs_depth = None; _ } -> ()
-    | Some _ -> bad_input "%s: %s is a memory, not a signal" source name
-    | None -> bad_input "%s: no signal %s in the design" source name
-  in
-  let parse_stim flat path =
-    read_input path
-    |> String.split_on_char '\n'
-    |> List.mapi (fun i line -> (i + 1, line))
-    |> List.filter_map (fun (lineno, line) ->
-           let line = String.trim line in
-           let source = Printf.sprintf "%s:%d" path lineno in
-           let number what s =
-             match int_of_string_opt s with
-             | Some v -> v
-             | None -> bad_input "%s: bad %s %S" source what s
-           in
-           if line = "" || line.[0] = '#' then None
-           else
-             match String.split_on_char ' ' line with
-             | at :: bindings when String.length at > 1 && at.[0] = '@' ->
-                 let cycle =
-                   number "cycle" (String.sub at 1 (String.length at - 1))
-                 in
-                 let parsed =
-                   List.filter_map
-                     (fun b ->
-                       match String.split_on_char '=' b with
-                       | [ k; v ] when k <> "" ->
-                           check_signal flat ~source k;
-                           Some (k, number "value" v)
-                       | _ -> None)
-                     bindings
-                 in
-                 Some (cycle, parsed)
-             | _ -> None)
-  in
   let simulate file top cycles stim watch vcd_out trace trace_clock kernel =
     traced ~trace ~clock:trace_clock @@ fun () ->
     let module Telemetry = Fpga_telemetry.Telemetry in
     let design =
-      Telemetry.span "parse" @@ fun () ->
-      Fpga_hdl.Parser.parse_design (read_input file)
+      Telemetry.span "parse" @@ fun () -> read_design file
     in
     let flat =
       Telemetry.span "elaborate" @@ fun () ->
@@ -893,25 +900,8 @@ let sim_cmd =
     if Fpga_sim.Simulator.finished sim then print_endline "design executed $finish"
   in
   let run file top cycles stim watch vcd_out trace trace_clock kernel =
-    let fail code fmt =
-      Printf.ksprintf
-        (fun msg ->
-          flush stdout;
-          prerr_endline msg;
-          exit code)
-        fmt
-    in
-    try simulate file top cycles stim watch vcd_out trace trace_clock kernel with
-    | Fpga_hdl.Lexer.Lex_error (msg, line) | Fpga_hdl.Parser.Parse_error (msg, line)
-      ->
-        fail exit_syntax "%s:%d: %s" file line msg
-    | Fpga_sim.Elaborate.Elaboration_error msg ->
-        fail exit_elaboration "%s: %s" file msg
-    | Fpga_sim.Simulator.Combinational_cycle sigs ->
-        fail exit_comb_cycle "%s: combinational cycle through %s" file
-          (String.concat ", " sigs)
-    | Fpga_sim.Eval.Eval_error msg -> fail exit_eval "%s: %s" file msg
-    | Bad_input msg | Sys_error msg -> fail exit_input "%s" msg
+    design_errors file (fun () ->
+        simulate file top cycles stim watch vcd_out trace trace_clock kernel)
   in
   Cmd.v (Cmd.info "sim" ~doc ~exits:sim_exits)
     Term.(const run $ file_arg $ top_arg $ cycles_arg $ stim_arg $ watch_arg
@@ -972,7 +962,7 @@ let campaign_cmd =
   let doc =
     "Run a batch simulation campaign over the testbed on a pool of \
      domains: differential reproduction of every selected bug (with \
-     waveform capture), optional primary-vs-brute kernel differentials, \
+     waveform capture), optional default-vs-brute kernel differentials, \
      and optional cycle-budget sweeps. Results are collected in job \
      order and are identical to a serial run."
   in
@@ -984,10 +974,19 @@ let campaign_cmd =
   let differential_arg =
     Arg.(value & flag
          & info [ "differential" ]
-             ~doc:"Also run primary-vs-brute kernel differential jobs")
+             ~doc:"Also run default-vs-brute kernel differential jobs")
   in
   let sweep_arg =
-    Arg.(value & opt (some string) None
+    let budget =
+      let parse s =
+        match int_of_string_opt (String.trim s) with
+        | Some n when n > 0 -> Ok n
+        | _ ->
+            Error (`Msg (Printf.sprintf "%S is not a cycle budget (an integer > 0)" s))
+      in
+      Arg.conv ~docv:"CYCLES" (parse, Format.pp_print_int)
+    in
+    Arg.(value & opt (list budget) []
          & info [ "sweep" ] ~docv:"LIST"
              ~doc:"Comma-separated cycle budgets; one sweep job per \
                    (bug, budget)")
@@ -1003,8 +1002,7 @@ let campaign_cmd =
              ~doc:"Also run a checkpoint/replay determinism job per bug \
                    (checkpoint every K cycles)")
   in
-  let run jobs bugs differential sweep json replay_every trace trace_clock
-      kernel =
+  let run jobs bugs differential sweeps json replay_every trace trace_clock =
     let bugs =
       match bugs with
       | None -> Registry.all
@@ -1018,18 +1016,11 @@ let campaign_cmd =
                 (String.concat ", " unknown);
               exit 1)
     in
-    let sweeps =
-      match sweep with
-      | None -> []
-      | Some list ->
-          String.split_on_char ',' list |> List.map String.trim
-          |> List.map int_of_string
-    in
     let c =
       traced ~trace ~clock:trace_clock
         ~jobs_of:Fpga_campaign.Campaign.trace_segments (fun () ->
-          Fpga_campaign.Campaign.run ?domains:jobs ?kernel ~differential
-            ~sweeps ?replay_every bugs)
+          Fpga_campaign.Campaign.run ?domains:jobs ~differential ~sweeps
+            ?replay_every bugs)
     in
     Fpga_campaign.Campaign.print c;
     (match json with
@@ -1044,7 +1035,7 @@ let campaign_cmd =
        ~exits:(io_exit ~doc:"when the $(b,--json) or $(b,--trace) file \
                              cannot be written."))
     Term.(const run $ jobs_arg $ bugs_arg $ differential_arg $ sweep_arg
-          $ json_arg $ replay_arg $ trace_arg $ trace_clock_arg $ kernel_arg)
+          $ json_arg $ replay_arg $ trace_arg $ trace_clock_arg)
 
 (* --- fuzz ----------------------------------------------------------- *)
 
@@ -1052,10 +1043,10 @@ let fuzz_cmd =
   let doc =
     "Run a differential fuzzing campaign: deterministic seed-driven \
      mutants of the testbed designs, each valid mutant simulated under \
-     the primary (--kernel) vs brute-force kernels and with telemetry \
-     on vs off on a pool of domains. Any disagreement is a kernel bug found \
-     by the system itself; it is greedily minimized and dumped as a \
-     plain-Verilog reproducer. The same seed replays the same corpus, \
+     the default (lowered-dirty) vs brute-force kernels and with \
+     telemetry on vs off on a pool of domains. Any disagreement is a \
+     kernel bug found by the system itself; it is greedily minimized \
+     and dumped as a plain-Verilog reproducer. The same seed replays the same corpus, \
      classifications, and JSON byte-identically at any --jobs width."
   in
   let seed_arg =
@@ -1077,15 +1068,14 @@ let fuzz_cmd =
          & info [ "repro-dir" ] ~docv:"DIR"
              ~doc:"Write a .v reproducer per kernel mismatch into DIR")
   in
-  let run seed mutants jobs json repro_dir trace trace_clock kernel =
+  let run seed mutants jobs json repro_dir trace trace_clock =
     if mutants <= 0 then (
       Printf.eprintf "--mutants must be positive\n";
       exit 1);
     let fc =
       traced ~trace ~clock:trace_clock
         ~jobs_of:Fpga_campaign.Campaign.fuzz_trace_segments (fun () ->
-          Fpga_campaign.Campaign.run_fuzz ?domains:jobs ?kernel ~seed ~mutants
-            ())
+          Fpga_campaign.Campaign.run_fuzz ?domains:jobs ~seed ~mutants ())
     in
     Fpga_campaign.Campaign.print_fuzz fc;
     (match json with
@@ -1124,7 +1114,7 @@ let fuzz_cmd =
                   $(b,--repro-dir) directory or a reproducer in it \
                   cannot be created or written."))
     Term.(const run $ seed_arg $ mutants_arg $ jobs_arg $ json_arg $ repro_arg
-          $ trace_arg $ trace_clock_arg $ kernel_arg)
+          $ trace_arg $ trace_clock_arg)
 
 (* --- trace-check ----------------------------------------------------- *)
 

@@ -303,17 +303,15 @@ type verdict = {
 
 (* Differential reproduction of one bug, with a waveform captured on
    the buggy side: ok = every Table 2 symptom manifests. *)
-let repro_job ?kernel (bug : Bug.t) : verdict job =
+let repro_job (bug : Bug.t) : verdict job =
   {
     label = Printf.sprintf "repro:%s" bug.Bug.id;
     work =
       (fun () ->
         let buggy =
-          Bug.run_design ~vcd:true ?kernel bug (Bug.design_of bug ~buggy:true)
+          Bug.run_design ~vcd:true bug (Bug.design_of bug ~buggy:true)
         in
-        let fixed =
-          Bug.run_design ?kernel bug (Bug.design_of bug ~buggy:false)
-        in
+        let fixed = Bug.run_design bug (Bug.design_of bug ~buggy:false) in
         let symptoms = Bug.symptoms_of ~buggy ~fixed in
         let ok = Bug.reproduces_of ~bug ~buggy ~fixed in
         {
@@ -331,16 +329,15 @@ let repro_job ?kernel (bug : Bug.t) : verdict job =
         });
   }
 
-(* Primary settle kernel vs the brute-force reference over the buggy
+(* The default settle kernel vs the brute-force reference over the buggy
    design: ok = observationally identical reports. *)
-let differential_job ?(kernel = Simulator.default_kernel) (bug : Bug.t) :
-    verdict job =
+let differential_job (bug : Bug.t) : verdict job =
   {
     label = Printf.sprintf "differential:%s" bug.Bug.id;
     work =
       (fun () ->
         let design = Bug.design_of bug ~buggy:true in
-        let pr = Bug.run_design ~kernel bug design in
+        let pr = Bug.run_design bug design in
         let bf = Bug.run_design ~kernel:Simulator.Brute_force bug design in
         let agree =
           pr.Bug.log = bf.Bug.log
@@ -357,7 +354,7 @@ let differential_job ?(kernel = Simulator.default_kernel) (bug : Bug.t) :
           v_detail =
             (if agree then "kernels agree"
              else
-               Simulator.kernel_name kernel
+               Simulator.kernel_name Simulator.default_kernel
                ^ " and brute-force kernels diverge");
           v_symptoms = [];
           v_log = pr.Bug.log;
@@ -367,13 +364,13 @@ let differential_job ?(kernel = Simulator.default_kernel) (bug : Bug.t) :
 
 (* Buggy run under a non-default cycle budget - the parameter-sweep
    axis of the campaign. *)
-let sweep_job ?kernel ~cycles (bug : Bug.t) : verdict job =
+let sweep_job ~cycles (bug : Bug.t) : verdict job =
   {
     label = Printf.sprintf "sweep:%s:%d" bug.Bug.id cycles;
     work =
       (fun () ->
         let r =
-          Bug.run_design ?kernel ~max_cycles:cycles bug
+          Bug.run_design ~max_cycles:cycles bug
             (Bug.design_of bug ~buggy:true)
         in
         {
@@ -471,16 +468,12 @@ type t = {
   c_cycles : int;  (* simulated cycles across all jobs *)
 }
 
-let jobs_of ?kernel ?(differential = false) ?(sweeps = []) ?replay_every
+let jobs_of ?(differential = false) ?(sweeps = []) ?replay_every
     (bugs : Bug.t list) : verdict job array =
-  let repro = List.map (repro_job ?kernel) bugs in
-  let diff =
-    if differential then List.map (differential_job ?kernel) bugs else []
-  in
+  let repro = List.map repro_job bugs in
+  let diff = if differential then List.map differential_job bugs else [] in
   let sweep =
-    List.concat_map
-      (fun c -> List.map (sweep_job ?kernel ~cycles:c) bugs)
-      sweeps
+    List.concat_map (fun c -> List.map (sweep_job ~cycles:c) bugs) sweeps
   in
   let replay =
     match replay_every with
@@ -489,9 +482,8 @@ let jobs_of ?kernel ?(differential = false) ?(sweeps = []) ?replay_every
   in
   Array.of_list (repro @ diff @ sweep @ replay)
 
-let run ?domains ?kernel ?differential ?sweeps ?replay_every
-    (bugs : Bug.t list) : t =
-  let jobs = jobs_of ?kernel ?differential ?sweeps ?replay_every bugs in
+let run ?domains ?differential ?sweeps ?replay_every (bugs : Bug.t list) : t =
+  let jobs = jobs_of ?differential ?sweeps ?replay_every bugs in
   let results, stats = run_pool ?domains jobs in
   let cycles =
     Array.fold_left
@@ -620,27 +612,23 @@ module Mutate = Fpga_fuzz.Mutate
    (seed, index) alone, so the job is self-contained and the pool's
    slot-by-submission-index ordering makes any jobs width produce the
    same results array. *)
-let fuzz_job ?kernel ~seed ~index () : Fuzz.result job =
+let fuzz_job ~seed ~index () : Fuzz.result job =
   {
     label =
       Printf.sprintf "fuzz:%d:%s" index (Fuzz.target_of_index index).Bug.id;
-    work = (fun () -> Fuzz.run_one ?kernel ~seed ~index ());
+    work = (fun () -> Fuzz.run_one ~seed ~index ());
   }
 
 type fuzz_campaign = {
   f_seed : int;
-  f_kernel : Simulator.kernel;  (* primary kernel of the differential *)
   f_results : Fuzz.result job_result array;  (* ordered by mutant index *)
   f_stats : pool_stats;
 }
 
-let run_fuzz ?domains ?(kernel = Simulator.default_kernel) ~seed ~mutants () :
-    fuzz_campaign =
-  let jobs =
-    Array.init mutants (fun index -> fuzz_job ~kernel ~seed ~index ())
-  in
+let run_fuzz ?domains ~seed ~mutants () : fuzz_campaign =
+  let jobs = Array.init mutants (fun index -> fuzz_job ~seed ~index ()) in
   let results, stats = run_pool ?domains jobs in
-  { f_seed = seed; f_kernel = kernel; f_results = results; f_stats = stats }
+  { f_seed = seed; f_results = results; f_stats = stats }
 
 let fuzz_trace_segments (fc : fuzz_campaign) =
   Array.to_list fc.f_results |> List.map (fun r -> (r.jr_label, r.jr_trace))
@@ -695,7 +683,7 @@ let fuzz_to_json (fc : fuzz_campaign) : string =
   in
   add "{\n  \"schema\": \"fpga-debug-fuzz/2\",\n";
   add "  \"seed\": %d,\n" fc.f_seed;
-  add "  \"kernel\": %S,\n" (Simulator.kernel_name fc.f_kernel);
+  add "  \"kernel\": %S,\n" (Simulator.kernel_name Simulator.default_kernel);
   add "  \"mutants\": %d,\n" (Array.length fc.f_results);
   add "  \"targets\": [%s],\n"
     (str_list (List.map (fun (b : Bug.t) -> b.Bug.id) Fuzz.targets));
@@ -748,7 +736,7 @@ let print_fuzz (fc : fuzz_campaign) =
   Printf.printf
     "fuzz campaign: seed %d, %d mutants (%s kernel) on %d domain%s\n\n"
     fc.f_seed (Array.length fc.f_results)
-    (Simulator.kernel_name fc.f_kernel)
+    (Simulator.kernel_name Simulator.default_kernel)
     fc.f_stats.ps_domains
     (if fc.f_stats.ps_domains = 1 then "" else "s");
   Printf.printf

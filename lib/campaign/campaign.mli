@@ -88,22 +88,16 @@ type verdict = {
   v_vcd : string option;  (** buggy-run waveform (repro jobs) *)
 }
 
-val repro_job :
-  ?kernel:Fpga_sim.Simulator.kernel -> Fpga_testbed.Bug.t -> verdict job
+val repro_job : Fpga_testbed.Bug.t -> verdict job
 (** Differential buggy-vs-fixed reproduction with a VCD captured on
-    the buggy side; ok when every Table 2 symptom manifests. [kernel]
-    overrides the simulator's automatic kernel selection. *)
+    the buggy side; ok when every Table 2 symptom manifests. *)
 
-val differential_job :
-  ?kernel:Fpga_sim.Simulator.kernel -> Fpga_testbed.Bug.t -> verdict job
-(** Primary settle kernel ([kernel], default
-    {!Fpga_sim.Simulator.default_kernel}) vs the brute-force reference
+val differential_job : Fpga_testbed.Bug.t -> verdict job
+(** {!Fpga_sim.Simulator.default_kernel} vs the brute-force reference
     over the buggy design; ok when the two reports are observationally
     identical. *)
 
-val sweep_job :
-  ?kernel:Fpga_sim.Simulator.kernel ->
-  cycles:int -> Fpga_testbed.Bug.t -> verdict job
+val sweep_job : cycles:int -> Fpga_testbed.Bug.t -> verdict job
 (** Buggy run under a non-default cycle budget. *)
 
 val replay_job : every:int -> Fpga_testbed.Bug.t -> verdict job
@@ -123,7 +117,6 @@ type t = {
 }
 
 val jobs_of :
-  ?kernel:Fpga_sim.Simulator.kernel ->
   ?differential:bool ->
   ?sweeps:int list ->
   ?replay_every:int ->
@@ -132,14 +125,10 @@ val jobs_of :
 (** Repro jobs for every bug, plus kernel-differential pairs when
     [differential], plus one sweep job per (bug, cycle budget) in
     [sweeps], plus one replay-determinism job per bug when
-    [replay_every] is set to a positive checkpoint interval. [kernel]
-    pins the settle kernel for repro/differential/sweep jobs (replay
-    jobs keep automatic selection so the recorded and replayed runs
-    share it). *)
+    [replay_every] is set to a positive checkpoint interval. *)
 
 val run :
   ?domains:int ->
-  ?kernel:Fpga_sim.Simulator.kernel ->
   ?differential:bool ->
   ?sweeps:int list ->
   ?replay_every:int ->
@@ -168,27 +157,16 @@ val print : t -> unit
     [(seed, index)] alone, so the pool's slot-by-submission-index
     ordering makes any [--jobs] width produce the same results. *)
 
-val fuzz_job :
-  ?kernel:Fpga_sim.Simulator.kernel ->
-  seed:int -> index:int -> unit -> Fpga_fuzz.Fuzz.result job
+val fuzz_job : seed:int -> index:int -> unit -> Fpga_fuzz.Fuzz.result job
 
 type fuzz_campaign = {
   f_seed : int;
-  f_kernel : Fpga_sim.Simulator.kernel;
-      (** primary kernel of the differential (brute-force is always
-          the reference side) *)
   f_results : Fpga_fuzz.Fuzz.result job_result array;
       (** ordered by mutant index *)
   f_stats : pool_stats;
 }
 
-val run_fuzz :
-  ?domains:int ->
-  ?kernel:Fpga_sim.Simulator.kernel ->
-  seed:int -> mutants:int -> unit -> fuzz_campaign
-(** [kernel] is the primary kernel every mutant is classified under
-    (default {!Fpga_sim.Simulator.default_kernel}); recorded in the
-    report's ["kernel"] field. *)
+val run_fuzz : ?domains:int -> seed:int -> mutants:int -> unit -> fuzz_campaign
 
 val fuzz_ok : fuzz_campaign -> bool
 (** No kernel-mismatch classifications and no pool-level job errors —
@@ -202,10 +180,11 @@ val fuzz_trace_segments :
 (** (label, segment) per mutant job, in mutant-index order. *)
 
 val fuzz_to_json : fuzz_campaign -> string
-(** Schema [fpga-debug-fuzz/2] (v2 adds the ["kernel"] field). Contains
+(** Schema [fpga-debug-fuzz/2] (v2 adds the ["kernel"] field, the
+    primary kernel {!Fpga_sim.Simulator.default_kernel}). Contains
     only deterministic fields (no wall times, worker ids, domain
-    counts, or telemetry): the same (seed, kernel) yields
-    byte-identical JSON across runs and [--jobs] widths. Reproducer
+    counts, or telemetry): the same seed yields byte-identical JSON
+    across runs and [--jobs] widths. Reproducer
     sources are summarized as (bytes, MD5). *)
 
 val print_fuzz : fuzz_campaign -> unit

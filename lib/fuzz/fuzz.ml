@@ -8,8 +8,8 @@
    ones and `fpga-debug fuzz --seed N` a replay command.
 
    Classification compares runs of the same harness (the primary
-   kernel defaults to [Simulator.default_kernel], the one
-   [Simulator.create] builds; `--kernel brute` swaps it):
+   kernel is [Simulator.default_kernel], the one [Simulator.create]
+   builds when none is given):
 
      primary kernel  vs  brute-force kernel      (scheduling differential)
      primary kernel  vs  primary + telemetry on  (observer differential)
@@ -22,9 +22,9 @@
 
    A valid mutant is simulated three times: primary, brute force and
    telemetry on. The symptom differential reuses the primary run, and
-   the unmutated base is run once per process per target and kernel
-   (see "The unmutated base" below); that memoised run never appears in
-   traces or counters. *)
+   the unmutated base is run once per process per target (see "The
+   unmutated base" below); that memoised run never appears in traces
+   or counters. *)
 
 module Pp = Fpga_hdl.Pp_verilog
 module Bug = Fpga_testbed.Bug
@@ -78,39 +78,26 @@ let run_kernel ?kernel bug d = safe (fun () -> Bug.run_design ?kernel bug d)
 
 (* Every mutant of a target starts from, is gated against and is
    compared with the same unmutated design: [Bug.design_of]'s shared
-   parse of the fixed source. Its run under each primary kernel is
-   computed once and shared by every domain, in an entry that belongs
-   to one physical [Bug.t]. A run is served only for that shared
-   design, so a caller's own base is simulated afresh. Runs are
-   computed under [Telemetry.quietly]: whichever run of a campaign
-   computes one, every run records the same trace and counters. *)
-type base_entry = {
-  be_bug : Bug.t;
-  mutable be_runs : (Simulator.kernel * (Bug.report, string) Stdlib.result) list;
-}
-
-let base_memo : base_entry list ref = ref []
+   parse of the fixed source. Its primary run is computed once and
+   shared by every domain, in an entry that belongs to one physical
+   [Bug.t]. A run is served only for that shared design, so a caller's
+   own base is simulated afresh. Runs are computed under
+   [Telemetry.quietly]: whichever run of a campaign computes one, every
+   run records the same trace and counters. *)
+let base_memo : (Bug.t * (Bug.report, string) Stdlib.result) list ref = ref []
 let base_lock = Mutex.create ()
 
 let base_design bug = Bug.design_of bug ~buggy:false
 
-let base_run ~kernel bug base =
-  if base != base_design bug then run_kernel ~kernel bug base
+let base_run bug base =
+  if base != base_design bug then run_kernel bug base
   else
     Mutex.protect base_lock (fun () ->
-        let e =
-          match List.find_opt (fun e -> e.be_bug == bug) !base_memo with
-          | Some e -> e
-          | None ->
-              let e = { be_bug = bug; be_runs = [] } in
-              base_memo := e :: !base_memo;
-              e
-        in
-        match List.assoc_opt kernel e.be_runs with
-        | Some run -> run
+        match List.find_opt (fun (b, _) -> b == bug) !base_memo with
+        | Some (_, run) -> run
         | None ->
-            let run = Telemetry.quietly (fun () -> run_kernel ~kernel bug base) in
-            e.be_runs <- (kernel, run) :: e.be_runs;
+            let run = Telemetry.quietly (fun () -> run_kernel bug base) in
+            base_memo := (bug, run) :: !base_memo;
             run)
 
 let clear_base_memo () = Mutex.protect base_lock (fun () -> base_memo := [])
@@ -146,13 +133,13 @@ let generate ~seed ~index =
 (* Same kernel, telemetry recording on — instrumentation must be
    observationally invisible. The worker's per-domain switch is
    restored afterwards so the surrounding campaign stays uninstrumented. *)
-let run_instrumented ~kernel bug d =
+let run_instrumented bug d =
   safe (fun () ->
       let was = Telemetry.enabled () in
       if not was then Telemetry.enable ();
       Fun.protect
         ~finally:(fun () -> if not was then Telemetry.disable ())
-        (fun () -> Bug.run_design ~kernel bug d))
+        (fun () -> Bug.run_design bug d))
 
 let diff_reports (a : Bug.report) (b : Bug.report) : string option =
   if a.Bug.rows <> b.Bug.rows then
@@ -187,21 +174,22 @@ let diff_runs a b =
    the instrumented vs uninstrumented primary kernel, tell the same
    story about [d]? Returns the primary run with the verdict, for the
    symptom differential to reuse. *)
-let differential ~kernel bug d =
-  let pr = run_kernel ~kernel bug d in
+let differential bug d =
+  let pr = run_kernel bug d in
   let bf = run_kernel ~kernel:Simulator.Brute_force bug d in
   match diff_runs pr bf with
   | Some why ->
-      (pr, Some (Simulator.kernel_name kernel ^ " vs brute-force: " ^ why))
+      let primary = Simulator.kernel_name Simulator.default_kernel in
+      (pr, Some (primary ^ " vs brute-force: " ^ why))
   | None -> (
-      match diff_runs pr (run_instrumented ~kernel bug d) with
+      match diff_runs pr (run_instrumented bug d) with
       | Some why -> (pr, Some ("telemetry-off vs telemetry-on: " ^ why))
       | None -> (pr, None))
 
 (* The symptom differential, once the kernels agree: the valid mutant's
    primary run against the unmutated base's. *)
-let symptom_outcome ~kernel bug ~base mutant_run =
-  let base_run = base_run ~kernel bug base in
+let symptom_outcome bug ~base mutant_run =
+  let base_run = base_run bug base in
   match diff_runs mutant_run base_run with
   | None -> Equivalent
   | Some why ->
@@ -213,17 +201,17 @@ let symptom_outcome ~kernel bug ~base mutant_run =
       in
       Symptom_divergent (if symptoms = [] then [ why ] else symptoms)
 
-let classify ?(kernel = Simulator.default_kernel) bug ~base d =
+let classify bug ~base d =
   match Mutate.validate ~top:bug.Bug.top ~baseline:base d with
   | Error reason -> Invalid reason
   | Ok valid -> (
-      match differential ~kernel bug valid with
+      match differential bug valid with
       | _, Some why -> Kernel_mismatch why
-      | mutant_run, None -> symptom_outcome ~kernel bug ~base mutant_run)
+      | mutant_run, None -> symptom_outcome bug ~base mutant_run)
 
-let classify_identity ?kernel bug =
+let classify_identity bug =
   let base = base_design bug in
-  classify ?kernel bug ~base base
+  classify bug ~base base
 
 (* ------------------------------------------------------------------ *)
 (* Minimization and reproducers                                        *)
@@ -234,21 +222,21 @@ let classify_identity ?kernel bug =
    against the evolving design, so a subset can denote slightly
    different nodes than it did inside the full sequence — the check
    keeps a subset only when the mismatch genuinely persists.) *)
-let check_subset ~kernel bug base ms =
+let check_subset bug base ms =
   match Mutate.apply_all base ms with
   | None -> None
   | Some (d, ms') -> (
       match Mutate.validate ~top:bug.Bug.top ~baseline:base d with
       | Error _ -> None
       | Ok valid -> (
-          match differential ~kernel bug valid with
+          match differential bug valid with
           | _, Some why -> Some (ms', valid, why)
           | _, None -> None))
 
 (* Greedy one-at-a-time reduction: drop the first mutation whose
    removal preserves the mismatch, restart; fixed order makes the
    minimizer as deterministic as the generator. *)
-let minimize ~kernel bug base (muts, d, why) =
+let minimize bug base (muts, d, why) =
   let rec shrink ((cur, _, _) as state) =
     let n = List.length cur in
     if n <= 1 then state
@@ -257,7 +245,7 @@ let minimize ~kernel bug base (muts, d, why) =
         if i >= n then state
         else
           let candidate = List.filteri (fun j _ -> j <> i) cur in
-          match check_subset ~kernel bug base candidate with
+          match check_subset bug base candidate with
           | Some smaller -> shrink smaller
           | None -> try_drop (i + 1)
       in
@@ -282,7 +270,7 @@ let repro_text ~bug ~seed ~index ~sub_seed ~why ~mutations design =
 (* One mutant, end to end                                              *)
 (* ------------------------------------------------------------------ *)
 
-let run_one ?(kernel = Simulator.default_kernel) ~seed ~index () =
+let run_one ~seed ~index () =
   let sub_seed = Mutate.derive seed index in
   let bug, mutant, muts =
     Telemetry.span "fuzz.generate" (fun () -> generate ~seed ~index)
@@ -305,12 +293,12 @@ let run_one ?(kernel = Simulator.default_kernel) ~seed ~index () =
   | Ok valid -> (
       match
         Telemetry.span "fuzz.differential" (fun () ->
-            differential ~kernel bug valid)
+            differential bug valid)
       with
       | _, Some why ->
           let min_muts, min_design, min_why =
             Telemetry.span "fuzz.minimize" (fun () ->
-                minimize ~kernel bug base (muts, valid, why))
+                minimize bug base (muts, valid, why))
           in
           let repro =
             repro_text ~bug ~seed ~index ~sub_seed ~why:min_why
@@ -318,4 +306,4 @@ let run_one ?(kernel = Simulator.default_kernel) ~seed ~index () =
           in
           mk (Kernel_mismatch min_why) min_muts (Some repro)
       | mutant_run, None ->
-          mk (symptom_outcome ~kernel bug ~base mutant_run) muts None)
+          mk (symptom_outcome bug ~base mutant_run) muts None)

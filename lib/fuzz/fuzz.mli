@@ -1,11 +1,11 @@
 (** Differential fuzz driver: generate mutants of testbed designs,
     gate them through {!Mutate.validate}, and run each valid mutant
-    under a primary kernel (event-driven by default, any
-    {!Fpga_sim.Simulator.kernel} via [?kernel]) vs the brute-force
-    reference, and with telemetry on vs off. Any observable
-    disagreement between those runs is a kernel bug found by the
-    system itself; divergence from the unmutated design is merely the
-    injected bug's symptom.
+    under the primary kernel ({!Fpga_sim.Simulator.default_kernel},
+    the one {!Fpga_sim.Simulator.create} builds when none is given) vs
+    the brute-force reference, and with telemetry on vs off. Any
+    observable disagreement between those runs is a kernel bug found
+    by the system itself; divergence from the unmutated design is
+    merely the injected bug's symptom.
 
     Everything here is a pure function of [(seed, index)]: the same
     pair names the same target bug, the same mutant, and the same
@@ -17,8 +17,8 @@
     primary with telemetry on. The symptom differential reuses the
     primary run. Each target's unmutated base is
     {!Fpga_testbed.Bug.design_of}'s process-wide parse of the fixed
-    source, and it is run once per primary kernel, in a memo shared by
-    all domains. The memoised run is computed under
+    source, and it is run once, in a memo shared by all domains. The
+    memoised run is computed under
     {!Fpga_telemetry.Telemetry.quietly}, so it never appears in traces
     or counters, and a campaign records the same trace whichever of its
     mutants computed it. *)
@@ -76,34 +76,25 @@ val generate :
     Pre-gate — the mutant may still be invalid. *)
 
 val classify :
-  ?kernel:Fpga_sim.Simulator.kernel ->
   Fpga_testbed.Bug.t -> base:Fpga_hdl.Ast.design -> Fpga_hdl.Ast.design ->
   outcome
 (** Classify one (already generated) mutant: validity gate, then the
     kernel and telemetry differentials (three simulations of a valid
     mutant), then comparison of the primary run against the [base]
-    design's run. [kernel] is the primary kernel compared against the
-    brute-force reference (default {!Fpga_sim.Simulator.default_kernel},
-    the kernel {!Fpga_sim.Simulator.create} builds).
-    The base run comes from the memo only when [base] is physically
+    design's run. The base run comes from the memo only when [base] is physically
     [Bug.design_of bug ~buggy:false], the shared parse of the bug's
     fixed design (as in {!classify_identity}); any other [base] is
     simulated afresh. *)
 
-val classify_identity :
-  ?kernel:Fpga_sim.Simulator.kernel -> Fpga_testbed.Bug.t -> outcome
+val classify_identity : Fpga_testbed.Bug.t -> outcome
 (** {!classify} of the unmutated design against itself — the fuzzer's
     null hypothesis, [Equivalent] for every testbed bug (pinned by
     test_fuzz). *)
 
-val run_one :
-  ?kernel:Fpga_sim.Simulator.kernel -> seed:int -> index:int -> unit -> result
+val run_one : seed:int -> index:int -> unit -> result
 (** Generate, gate, classify, and (for kernel mismatches) minimize and
-    render a reproducer. Never raises. [kernel] picks the primary
-    kernel of the differential (default
-    {!Fpga_sim.Simulator.default_kernel}). A valid mutant
-    is simulated three times; the base it is compared with comes from
-    the memo. *)
+    render a reproducer. Never raises. A valid mutant is simulated
+    three times; the base it is compared with comes from the memo. *)
 
 val clear_base_memo : unit -> unit
 (** Forget every memoised base run, so the next mutant of each target

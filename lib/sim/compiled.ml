@@ -1,31 +1,33 @@
 (* Interned-signal compiled evaluation.
 
-   [Eval] interprets raw AST nodes over a [(string, value) Hashtbl],
-   re-hashing every signal name on every expression node — measurable
-   overhead once settling is change-driven and each node evaluation is
-   the unit of work. This module compiles, once at simulator
-   construction, each expression / lvalue / statement into a resolved
-   form in which every signal reference is a dense integer id (assigned
-   at elaboration, [Elaborate.f_signal_ids]) and every width, memory
-   depth, and assignment context width is pre-resolved. Evaluation then
-   reads and writes an id-indexed [value array]: no string hashing, no
-   width lookups, no re-resolution on the hot path.
+   This module compiles, once at simulator construction, each
+   expression / lvalue / statement into a resolved form in which every
+   signal reference is a dense integer id (assigned at elaboration,
+   [Elaborate.f_signal_ids]) and every width, memory depth, and
+   assignment context width is pre-resolved. Evaluation then reads and
+   writes an id-indexed [value array]: no string hashing, no width
+   lookups, no re-resolution on the hot path.
 
-   Expression semantics are identical to [Eval.eval_ctx] (same Verilog
-   width rules, the same out-of-range access semantics from the bug
-   study section 3.2.1, the same error messages); name-resolution
-   errors simply surface at compile (simulator construction) time
-   instead of mid-simulation. Writes are change-detecting: a write
-   that does not change the stored value neither mutates the
-   environment nor notifies, relying on the Bits phys-eq no-op returns
-   for O(1) detection. *)
+   Width rules follow the Verilog synthesizable subset: binary operands
+   are zero-extended to the wider of the two widths, comparisons and
+   logical operators produce 1-bit results, and shifts keep the left
+   operand's width. Out-of-range accesses implement the semantics
+   documented in the bug study (section 3.2.1): when the buffer size is
+   a power of two the index is truncated (wraps); otherwise the access
+   is ignored (writes dropped, reads return zero). Name-resolution
+   errors surface at compile (simulator construction) time. Writes are
+   change-detecting: a write that does not change the stored value
+   neither mutates the environment nor notifies, relying on the Bits
+   phys-eq no-op returns for O(1) detection. *)
 
 module Ast = Fpga_hdl.Ast
 module Bits = Fpga_bits.Bits
 
-let err fmt = Printf.ksprintf (fun s -> raise (Eval.Eval_error s)) fmt
+exception Eval_error of string
 
-type value = Eval.value = Vec of Bits.t | Mem of Bits.t array
+let err fmt = Printf.ksprintf (fun s -> raise (Eval_error s)) fmt
+
+type value = Vec of Bits.t | Mem of Bits.t array
 
 type env = value array
 
@@ -249,7 +251,19 @@ let mem (env : env) i =
 
 let bool_bits = Bits.of_bool
 
-(* [ctx] is the Verilog context width, exactly as in [Eval.eval_ctx]. *)
+let is_power_of_two n = n > 0 && n land (n - 1) = 0
+
+(* Resolve an index into a structure of [size] elements; [None] =
+   dropped. *)
+let resolve_index ~size idx =
+  if idx >= 0 && idx < size then Some idx
+  else if is_power_of_two size then Some (idx land (size - 1))
+  else None
+
+(* [ctx] is the Verilog context width: in an assignment the target's
+   width flows into arithmetic and bitwise operands, so a carry computed
+   into a wider target is not lost ({co, s} <= a + b). Self-determined
+   contexts pass [ctx = 0]. *)
 let rec eval_ctx (env : env) ~ctx (e : cexpr) : Bits.t =
   let widen v = if Bits.width v < ctx then Bits.resize v ctx else v in
   match e with
@@ -258,13 +272,13 @@ let rec eval_ctx (env : env) ~ctx (e : cexpr) : Bits.t =
   | Cbit (i, w, ix) ->
       let idx = Bits.to_int_trunc (eval_ctx env ~ctx:0 ix) in
       widen
-        (match Eval.resolve_index ~size:w idx with
+        (match resolve_index ~size:w idx with
         | Some k -> bool_bits (Bits.bit (vec env i) k)
         | None -> Bits.zero 1)
   | Cword (i, depth, ww, ix) ->
       let idx = Bits.to_int_trunc (eval_ctx env ~ctx:0 ix) in
       widen
-        (match Eval.resolve_index ~size:depth idx with
+        (match resolve_index ~size:depth idx with
         | Some k -> (mem env i).(k)
         | None -> Bits.zero ww)
   | Crange (i, hi, lo) -> widen (Bits.slice (vec env i) ~hi ~lo)
@@ -347,12 +361,12 @@ let rec resolve_into env acc (l : clvalue) (value : Bits.t) =
   | CLvar (i, w) -> CWfull (i, Bits.resize value w) :: acc
   | CLbit (i, w, ix) -> (
       let idx = Bits.to_int_trunc (eval env ix) in
-      match Eval.resolve_index ~size:w idx with
+      match resolve_index ~size:w idx with
       | Some k -> CWbit (i, k, Bits.bit (Bits.resize value 1) 0) :: acc
       | None -> CWdropped :: acc)
   | CLword (i, depth, ww, ix) -> (
       let idx = Bits.to_int_trunc (eval env ix) in
-      match Eval.resolve_index ~size:depth idx with
+      match resolve_index ~size:depth idx with
       | Some k -> CWmem (i, k, Bits.resize value ww) :: acc
       | None -> CWdropped :: acc)
   | CLrange (i, hi, lo) ->

@@ -47,11 +47,6 @@ let kernel_name = function
   | Brute_force -> "brute"
   | Lowered_dirty | Event_driven -> "lowered-dirty"
 
-let kernel_of_string = function
-  | "brute" | "brute-force" -> Some Brute_force
-  | "lowered-dirty" | "lowered_dirty" -> Some Lowered_dirty
-  | _ -> None
-
 (* AST-level node, used only for dependency analysis (reads/writes are
    name sets); both kernels execute the compiled [Lowered.node] form. *)
 type ast_node = Aassign of Ast.lvalue * Ast.expr | Ablock of Ast.stmt list
@@ -1135,19 +1130,19 @@ let hottest_signals ?(k = 10) sim =
 let sig_value sim i =
   match sim.env.(i) with
   | Compiled.Vec b ->
-      Eval.Vec
+      Compiled.Vec
         (match sim.low with Some low -> Lowered.read_vec low i | None -> b)
-  | Compiled.Mem a -> Eval.Mem (Array.copy a)
+  | Compiled.Mem a -> Compiled.Mem (Array.copy a)
 
 (* Raw restore of one signal, routed into whichever value bank is
    live; no change detection (the caller re-marks everything). *)
 let restore_sig sim i v =
   match v with
-  | Eval.Vec b -> (
+  | Compiled.Vec b -> (
       match sim.low with
       | Some low -> Lowered.set_vec_raw low i b
       | None -> sim.env.(i) <- Compiled.Vec b)
-  | Eval.Mem a -> sim.env.(i) <- Compiled.Mem (Array.copy a)
+  | Compiled.Mem a -> sim.env.(i) <- Compiled.Mem (Array.copy a)
 
 (* A deep snapshot of the architectural state — environment, primitive
    contents, cycle count, and log — name-keyed into the versioned
@@ -1228,17 +1223,17 @@ let restore_checkpoint (sim : t) (ck : Checkpoint.t) : unit =
       | -1 -> ck_fail "checkpoint signal %s does not exist in the design" name
       | i -> (
           match (sim.env.(i), v) with
-          | Compiled.Vec old, Eval.Vec b ->
+          | Compiled.Vec old, Compiled.Vec b ->
               if Bits.width b <> Bits.width old then
                 ck_fail "checkpoint signal %s has width %d, design has %d" name
                   (Bits.width b) (Bits.width old)
               else restore_sig sim i v
-          | Compiled.Mem old, Eval.Mem a ->
+          | Compiled.Mem old, Compiled.Mem a ->
               if Array.length a <> Array.length old then
                 ck_fail "checkpoint memory %s has %d words, design has %d" name
                   (Array.length a) (Array.length old)
               else sim.env.(i) <- Compiled.Mem (Array.copy a)
-          | Compiled.Vec _, Eval.Mem _ | Compiled.Mem _, Eval.Vec _ ->
+          | Compiled.Vec _, Compiled.Mem _ | Compiled.Mem _, Compiled.Vec _ ->
               ck_fail "checkpoint signal %s has the wrong shape" name))
     ck.Checkpoint.ck_values;
   List.iter

@@ -47,22 +47,18 @@ type kernel =
   | Event_driven
       (** synonym of {!Lowered_dirty}, kept only because the workload
           benchmark ([perfbench/]) still names it: {!create} builds
-          [Lowered_dirty] for it, {!kernel} never returns it, and
-          {!kernel_of_string} has no spelling for it. It is deleted
-          together with that benchmark's mirror of the campaign and
-          fuzz items (ROADMAP item 1, step 2). *)
+          [Lowered_dirty] for it, {!kernel} never returns it, and the
+          CLI has no spelling for it. It is deleted together with that
+          benchmark's mirror of the campaign and fuzz items. *)
 
 val default_kernel : kernel
 (** {!Lowered_dirty}: the kernel {!create} builds when none is given,
-    and the primary kernel of the fuzz and campaign differentials, so
-    those test the kernel that runs. *)
+    and always the primary side of the fuzz and campaign differentials
+    (with {!Brute_force} the reference side), so those test the kernel
+    that runs. *)
 
 val kernel_name : kernel -> string
 (** ["brute"] or ["lowered-dirty"] — the CLI spelling. *)
-
-val kernel_of_string : string -> kernel option
-(** Inverse of {!kernel_name} (also accepts ["brute-force"] and
-    ["lowered_dirty"]). *)
 
 type t
 

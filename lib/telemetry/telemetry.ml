@@ -13,17 +13,12 @@
    pays a single predictable branch per recording call and nothing
    else: no allocation, no hashing, no clock reads. *)
 
-(* [Sys.time] keeps the library free of even the unix dependency; a
-   harness that wants wall time installs its own clock. Installed from
-   the main domain while no pool batch runs; the pool's mutex handoff
-   publishes it to the workers, so the plain ref is safe. *)
-let clock = ref Sys.time
-let set_clock f = clock := f
-
-(* Wall-time source of the structured tracing layer (below), distinct
-   from [clock] so installing a wall clock for traces never changes
-   what the flat [span] aggregates measure. Same install-between-batches
-   discipline. *)
+(* Wall-time source of the structured tracing layer (below); the flat
+   [span] aggregates always read [Sys.time], which keeps the library
+   free of even the unix dependency, so installing a wall clock for
+   traces never changes what they measure. Installed from the main
+   domain while no pool batch runs; the pool's mutex handoff publishes
+   it to the workers, so the plain ref is safe. *)
 let trace_clock = ref Sys.time
 
 (* ------------------------------------------------------------------ *)
@@ -480,13 +475,13 @@ let span name f =
     in
     let tracing = sk.sk_tr_on in
     if tracing then trace_begin sk name "span";
-    let t0 = if r = None then 0.0 else !clock () in
+    let t0 = if r = None then 0.0 else Sys.time () in
     Fun.protect
       ~finally:(fun () ->
         (match r with
         | Some r ->
             r.sp_count <- r.sp_count + 1;
-            r.sp_total <- r.sp_total +. (!clock () -. t0)
+            r.sp_total <- r.sp_total +. (Sys.time () -. t0)
         | None -> ());
         if tracing then trace_end sk)
       f)

@@ -41,13 +41,6 @@ val child : unit -> (unit -> 'a) -> 'a
     what it recorded. The campaign pool gives each worker's share of a
     batch one such sink. *)
 
-val set_clock : (unit -> float) -> unit
-(** Clock used by {!span}, in seconds. Defaults to [Sys.time] (CPU
-    seconds), keeping the library dependency-free; a harness that
-    prefers wall time can install [Unix.gettimeofday]. Shared by all
-    domains — install it from the main domain while no pool batch
-    runs. *)
-
 (** {1 Counters} *)
 
 module Counter : sig
@@ -101,9 +94,9 @@ end
 (** {1 Timing spans} *)
 
 val span : string -> (unit -> 'a) -> 'a
-(** [span name f] runs [f], accumulating its duration and call count
-    under [name] in the current domain's sink when telemetry is
-    enabled (exceptions still record). While structured tracing
+(** [span name f] runs [f], accumulating its duration (CPU seconds,
+    [Sys.time]) and call count under [name] in the current domain's
+    sink when telemetry is enabled (exceptions still record). While structured tracing
     ({!Trace}) is on, the same call also opens/closes a tree span named
     [name] (category ["span"]) — one instrumentation point feeds both
     the flat aggregate and the timeline. When both layers are off it is
@@ -124,7 +117,9 @@ val span : string -> (unit -> 'a) -> 'a
 
 module Trace : sig
   type clock =
-    | Wall  (** the injectable wall clock ({!set_clock}), µs precision *)
+    | Wall
+        (** the injectable wall clock ({!set_clock} below), µs
+            precision *)
     | Virtual
         (** deterministic per-domain tick clock: each timestamp read
             returns the previous value + 1µs. Same recording sequence ⇒
@@ -165,10 +160,10 @@ module Trace : sig
 
   val set_clock : (unit -> float) -> unit
   (** Wall-time source in seconds, default [Sys.time]; a harness that
-      wants real timelines installs [Unix.gettimeofday]. Distinct from
-      the flat-span clock ({!Telemetry.set_clock}). Shared by all
-      domains — install from the main domain while no pool batch
-      runs. *)
+      wants real timelines installs [Unix.gettimeofday]. The flat
+      {!Telemetry.span} aggregates always read [Sys.time], whatever is
+      installed here. Shared by all domains — install from the main
+      domain while no pool batch runs. *)
 
   val set_track : int -> unit
   (** Track (Chrome-trace [tid]) new events record on. Track 0 is the

@@ -3,13 +3,15 @@
 # exits with its documented status (see each command's --help), never
 # 125 (uncaught exception), and names the offending file or option on
 # stderr:
-#   - `sim` on malformed sources and stimulus inputs;
+#   - `sim` on malformed sources and stimulus inputs, and the file
+#     modes of `lint` and `losscheck`, which load a design the same way;
 #   - every command that writes a file (`vcd`, `replay`, `checkpoint`,
 #     `instrument -o`, `export -o`, `profile --json`, and the `--json`
 #     and `--trace` files of `campaign` and `fuzz`) writing into a
 #     missing directory;
-#   - `vcd --from` below zero (a usage error) and past the end of the
-#     run (a header-only waveform and a note, exit 0).
+#   - `vcd --from` below zero and `campaign --sweep` off a list of
+#     positive integers (usage errors), and `vcd --from` past the end of
+#     the run (a header-only waveform and a note, exit 0).
 # Failures go to stderr and make the script exit 1.
 #
 #   bash test/cli/cli_errors.sh path/to/main.exe [dir-of-sources]
@@ -47,6 +49,24 @@ check unbound_signal.v 6 "unbound_signal.v: unbound signal z"
 check counter.v 7 "unknown_signal.stim:2: no signal nosuch" --stim "$dir/unknown_signal.stim"
 check counter.v 7 'bad_value.stim:3: bad value "zz"' --stim "$dir/bad_value.stim"
 check counter.v 7 "--watch: no signal nosuch" --watch q,nosuch
+expect "lint syntax" 3 "missing_semicolon.v:4: " lint "$dir/missing_semicolon.v"
+losscheck_file() {
+  local label=$1 want=$2 pattern=$3 src=$4
+  shift 4
+  expect "losscheck $label" "$want" "$pattern" \
+    losscheck "$dir/$src" --source d --valid d --sink q "$@"
+}
+losscheck_file syntax 3 "missing_semicolon.v:4: " missing_semicolon.v
+losscheck_file "bad value" 7 'bad_value.stim:3: bad value "zz"' counter.v \
+  --stim "$dir/bad_value.stim"
+losscheck_file "unknown signal" 7 "unknown_signal.stim:2: no signal nosuch" \
+  counter.v --stim "$dir/unknown_signal.stim"
+losscheck_file "missing stim" 124 "option '--stim'" \
+  counter.v --stim "$tmp/none.stim"
+losscheck_file "missing top" 4 "counter.v: top module nope not found" counter.v \
+  --top nope
+expect "losscheck --source" 7 "--source: no signal nosuch" \
+  losscheck "$dir/counter.v" --source nosuch --valid d --sink q
 
 missing=$tmp/missing
 expect "vcd -o" 7 "^$missing/x.vcd: " vcd D2 -o "$missing/x.vcd"
@@ -76,6 +96,7 @@ if [ -e "$tmp/neg.vcd" ]; then
   echo "FAIL vcd --from=-5 wrote a file" >&2
   fail=1
 fi
+expect "campaign --sweep abc" 124 "option '--sweep'" campaign --sweep abc
 expect "vcd --from past the end" 0 "past the last simulated cycle" \
   vcd D2 --from 100000 -o "$tmp/late.vcd"
 if [ "$(tail -n 1 "$tmp/late.vcd")" != '$enddefinitions $end' ]; then

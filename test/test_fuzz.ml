@@ -241,33 +241,15 @@ let test_identity_no_divergence () =
             (Fuzz.outcome_name o) (Fuzz.outcome_detail o))
     Registry.all
 
-(* Same null hypothesis with the dirty lowered kernel as the primary
-   side of the differential — worklist scheduling plus
-   the flat NBA commit buffer must be invisible to the differential on
-   every fuzz target. *)
-let test_identity_lowered_dirty_primary () =
-  List.iter
-    (fun (bug : Bug.t) ->
-      match
-        Fuzz.classify_identity ~kernel:Fpga_sim.Simulator.Lowered_dirty bug
-      with
-      | Fuzz.Equivalent -> ()
-      | o ->
-          Alcotest.failf "%s: lowered-dirty identity classified %s (%s)"
-            bug.Bug.id (Fuzz.outcome_name o) (Fuzz.outcome_detail o))
-    Fuzz.targets
-
-(* The CI fuzz-smoke gate in miniature, under the dirty lowered kernel:
-   200 mutants, every valid one a lowered-dirty vs brute-force
-   differential, zero mismatches, and byte-identical JSON across pool
-   widths (the dirty scheduler's mode trajectory must not leak into
-   results). *)
+(* The CI fuzz-smoke gate in miniature: 200 mutants, every valid one a
+   lowered-dirty vs brute-force differential, zero mismatches, and
+   byte-identical JSON across pool widths (the dirty scheduler's mode
+   trajectory must not leak into results). *)
 let test_fuzz_smoke_lowered_dirty () =
-  let kernel = Fpga_sim.Simulator.Lowered_dirty in
-  let serial = Campaign.run_fuzz ~domains:1 ~kernel ~seed:1 ~mutants:200 () in
+  let serial = Campaign.run_fuzz ~domains:1 ~seed:1 ~mutants:200 () in
   check_bool "no mismatches under lowered-dirty" true
     (Campaign.fuzz_ok serial);
-  let parallel = Campaign.run_fuzz ~domains:4 ~kernel ~seed:1 ~mutants:200 () in
+  let parallel = Campaign.run_fuzz ~domains:4 ~seed:1 ~mutants:200 () in
   check_string "fuzz JSON identical at jobs 1 vs 4"
     (Campaign.fuzz_to_json serial)
     (Campaign.fuzz_to_json parallel)
@@ -506,8 +488,8 @@ let test_fuzz_json_schema () =
     [
       "\"schema\": \"fpga-debug-fuzz/2\"";
       "\"seed\": 2";
-      (* no kernel given: the report names the default, the kernel
-         that runs everywhere else *)
+      (* the primary kernel: the default, the kernel that runs
+         everywhere else *)
       "\"kernel\": \"lowered-dirty\"";
       "\"mutants\": 4";
       "\"targets\"";
@@ -527,7 +509,6 @@ let test_fuzz_json_schema () =
 (* ------------------------------------------------------------------ *)
 
 module Telemetry = Fpga_telemetry.Telemetry
-module Simulator = Fpga_sim.Simulator
 
 (* Span calls recorded in this domain while [f] runs with telemetry on. *)
 let span_calls f =
@@ -594,33 +575,20 @@ let counting (bug : Bug.t) =
       check_bool "classified Equivalent" true (o = Fuzz.Equivalent);
       !samples )
 
-let test_memo_entry_per_kernel () =
+(* One memoised base run per target: a cold classification runs the
+   base besides its three simulations, a warm one only the three. A
+   second copy of the target is a new entry, cold again. *)
+let test_memo_entry_per_target () =
   let bug, samples = counting (List.hd Fuzz.targets) in
-  let identity kernel () = Fuzz.classify_identity ~kernel bug in
-  let ld_cold = samples (identity Simulator.Lowered_dirty) in
-  let ld_warm = samples (identity Simulator.Lowered_dirty) in
-  let bf_cold = samples (identity Simulator.Brute_force) in
-  let bf_warm = samples (identity Simulator.Brute_force) in
-  check_bool "the base ran for some cycles" true (ld_warm > 0);
-  check_int "lowered-dirty: cold = four runs of three" (ld_warm / 3 * 4)
-    ld_cold;
-  check_int "brute force has its own entry, cold too" ld_cold bf_cold;
-  check_int "brute force warm" ld_warm bf_warm
-
-(* The default primary kernel is the one [Simulator.create] builds: a
-   classification with no [~kernel] fills the same memo entry as an
-   explicit lowered-dirty one, so the explicit call after a cold
-   default call runs only the three warm simulations. *)
-let test_default_kernel_shares_memo () =
-  let bug, samples = counting (List.hd Fuzz.targets) in
-  let default_cold = samples (fun () -> Fuzz.classify_identity bug) in
-  let explicit =
-    samples (fun () ->
-        Fuzz.classify_identity ~kernel:Simulator.Lowered_dirty bug)
-  in
-  check_bool "the base ran for some cycles" true (explicit > 0);
-  check_int "explicit lowered-dirty is warm after the default"
-    (explicit / 3 * 4) default_cold
+  let identity () = Fuzz.classify_identity bug in
+  let cold = samples identity in
+  let warm = samples identity in
+  check_bool "the base ran for some cycles" true (warm > 0);
+  check_int "cold = four runs of three" (warm / 3 * 4) cold;
+  check_int "warm stays warm" warm (samples identity);
+  let copy, copy_samples = counting (List.hd Fuzz.targets) in
+  check_int "a new target copy starts cold" cold
+    (copy_samples (fun () -> Fuzz.classify_identity copy))
 
 let test_memo_not_served_for_own_base () =
   let bug, samples = counting (List.hd Fuzz.targets) in
@@ -661,8 +629,6 @@ let suite =
       `Slow test_identity_no_divergence;
     Alcotest.test_case "run_one and classify agree on 40 mutants" `Quick
       test_run_one_agrees_with_classify;
-    Alcotest.test_case "identity under lowered-dirty primary kernel" `Slow
-      test_identity_lowered_dirty_primary;
     Alcotest.test_case "200-mutant fuzz smoke under lowered-dirty" `Slow
       test_fuzz_smoke_lowered_dirty;
     Alcotest.test_case "all 13 templates elaborate on fuzz targets" `Slow
@@ -677,10 +643,8 @@ let suite =
       test_three_simulations_per_mutant;
     Alcotest.test_case "200 mutants identical on cold and warm memo" `Quick
       test_memo_cold_and_warm_agree;
-    Alcotest.test_case "lowered-dirty and brute bases memoised apart" `Quick
-      test_memo_entry_per_kernel;
-    Alcotest.test_case "default kernel shares the lowered-dirty memo" `Quick
-      test_default_kernel_shares_memo;
+    Alcotest.test_case "one memoised base run per target" `Quick
+      test_memo_entry_per_target;
     Alcotest.test_case "classify never serves a caller's own base" `Quick
       test_memo_not_served_for_own_base;
     Alcotest.test_case "one-pass site counts equal site_count" `Quick

@@ -158,45 +158,77 @@ endmodule
   check_int "overridden step" 12 (Simulator.read_int sim "v3")
 
 let test_memory_overflow_semantics () =
-  (* Power-of-two memory wraps; non-power-of-two drops the write
-     (bug study section 3.2.1). *)
+  (* Out-of-range accesses (bug study section 3.2.1): a power-of-two
+     structure wraps the index, any other size drops the access —
+     writes are ignored, reads return zero. Pinned for memory words and
+     vector bits, read and written, under both kernels. *)
   let src size =
     Printf.sprintf
       {|
-module top (input clk, input [7:0] idx, input [7:0] din, input we,
-            input [7:0] ridx, output [7:0] dout);
+module top (input clk, input [7:0] idx, input [7:0] din, input bin,
+            input we, input [7:0] ridx,
+            output [7:0] dout, output bout, output [%d:0] vout);
   reg [7:0] m [0:%d];
+  reg [%d:0] v;
   assign dout = m[ridx];
-  always @(posedge clk) if (we) m[idx] <= din;
+  assign bout = v[ridx];
+  assign vout = v;
+  always @(posedge clk) if (we) begin
+    m[idx] <= din;
+    v[idx] <= bin;
+  end
 endmodule
 |}
-      (size - 1)
+      (size - 1) (size - 1) (size - 1)
   in
-  (* size 8 (pow2): write at 9 lands at 1 *)
-  let sim = sim_of (src 8) "top" in
-  Simulator.set_input sim "we" (b 1 1);
-  Simulator.set_input sim "idx" (b 8 9);
-  Simulator.set_input sim "din" (b 8 0x5A);
-  Simulator.step sim;
-  Simulator.set_input sim "we" (b 1 0);
-  Simulator.set_input sim "ridx" (b 8 1);
-  Simulator.step sim;
-  check_int "pow2 wraps" 0x5A (Simulator.read_int sim "dout");
-  (* size 6 (non-pow2): write at 9 dropped *)
-  let sim = sim_of (src 6) "top" in
-  Simulator.set_input sim "we" (b 1 1);
-  Simulator.set_input sim "idx" (b 8 9);
-  Simulator.set_input sim "din" (b 8 0x5A);
-  Simulator.step sim;
-  Simulator.set_input sim "we" (b 1 0);
-  for k = 0 to 5 do
-    Simulator.set_input sim "ridx" (b 8 k);
-    Simulator.step sim;
-    check_int
-      (Printf.sprintf "non-pow2 untouched word %d" k)
-      0
-      (Simulator.read_int sim "dout")
-  done
+  List.iter
+    (fun kernel ->
+      List.iter
+        (fun size ->
+          let pow2 = size = 8 in
+          let what fmt =
+            Printf.ksprintf
+              (fun s ->
+                Printf.sprintf "%s size %d: %s"
+                  (Simulator.kernel_name kernel) size s)
+              fmt
+          in
+          let sim = Testbench.of_source ~kernel ~top:"top" (src size) in
+          let write i d bit =
+            Simulator.set_input sim "we" (b 1 1);
+            Simulator.set_input sim "idx" (b 8 i);
+            Simulator.set_input sim "din" (b 8 d);
+            Simulator.set_input sim "bin" (b 1 bit);
+            Simulator.step sim;
+            Simulator.set_input sim "we" (b 1 0)
+          in
+          let read i =
+            Simulator.set_input sim "ridx" (b 8 i);
+            Simulator.step sim;
+            (Simulator.read_int sim "dout", Simulator.read_int sim "bout")
+          in
+          (* every word distinct and nonzero, every bit set *)
+          for k = 0 to size - 1 do
+            write k (0x10 + k) 1
+          done;
+          let all_ones = (1 lsl size) - 1 in
+          check_int (what "filled") all_ones (Simulator.read_int sim "vout");
+          let word, bit = read 9 in
+          check_int (what "word read at 9") (if pow2 then 0x11 else 0) word;
+          check_int (what "bit read at 9") (if pow2 then 1 else 0) bit;
+          write 9 0x5A 0;
+          check_int (what "bit write at 9")
+            (if pow2 then all_ones land lnot 2 else all_ones)
+            (Simulator.read_int sim "vout");
+          for k = 0 to size - 1 do
+            let expect = if pow2 && k = 1 then 0x5A else 0x10 + k in
+            check_int
+              (what "word %d after write at 9" k)
+              expect
+              (fst (read k))
+          done)
+        [ 8; 6 ])
+    [ Simulator.Brute_force; Simulator.Lowered_dirty ]
 
 let test_display_log () =
   let sim =
@@ -552,8 +584,9 @@ endmodule
 (* --- differential property: printed Verilog evaluates like the AST ------- *)
 
 (* Random expressions over fixed 8-bit inputs: the value computed by the
-   full pipeline (print -> parse -> elaborate -> simulate) equals direct
-   evaluation of the AST over the same environment. *)
+   full pipeline (print -> parse -> elaborate -> default kernel) equals
+   the brute-force kernel's over the same expression built directly
+   with [Builder], which involves neither printer nor parser. *)
 let prop_print_parse_simulate_eval =
   let gen_leaf =
     QCheck2.Gen.(
@@ -608,11 +641,23 @@ let prop_print_parse_simulate_eval =
       Simulator.set_input sim "s2" (b 8 v2);
       Simulator.step sim;
       let via_sim = Simulator.read_int sim "o" in
-      let env : Eval.env = Hashtbl.create 4 in
-      Hashtbl.replace env "s0" (Eval.Vec (b 8 v0));
-      Hashtbl.replace env "s1" (Eval.Vec (b 8 v1));
-      Hashtbl.replace env "s2" (Eval.Vec (b 8 v2));
-      let direct = Bits.to_int (Bits.resize (Eval.eval_ctx env ~ctx:8 e) 8) in
+      let direct =
+        let open Builder in
+        let m =
+          module_ "t"
+            ~ports:
+              [ input ~width:8 "s0"; input ~width:8 "s1"; input ~width:8 "s2";
+                output ~width:8 "o" ]
+            ~assigns:[ (Ast.Lident "o", e) ]
+        in
+        let flat = Elaborate.elaborate { Ast.modules = [ m ] } ~top:"t" in
+        let bf = Simulator.create ~kernel:Simulator.Brute_force flat in
+        Simulator.set_input bf "s0" (b 8 v0);
+        Simulator.set_input bf "s1" (b 8 v1);
+        Simulator.set_input bf "s2" (b 8 v2);
+        Simulator.step bf;
+        Simulator.read_int bf "o"
+      in
       via_sim = direct)
 
 let suite =
@@ -941,7 +986,7 @@ let test_large_plans_default_kernel () =
     [ (`Chain, "chain"); (`Mesh, "mesh") ]
 
 (* [Event_driven] survives only as a spelling of the default: it builds
-   lowered-dirty, prints as lowered-dirty, and has no CLI name. *)
+   lowered-dirty and prints as lowered-dirty. *)
 let test_event_driven_is_a_synonym () =
   let flat =
     Elaborate.elaborate
@@ -964,33 +1009,10 @@ endmodule
     (kernel_of (Some Simulator.Brute_force) = Simulator.Brute_force);
   Alcotest.(check string) "Event_driven prints as lowered-dirty" "lowered-dirty"
     (Simulator.kernel_name Simulator.Event_driven);
-  check_bool "\"event\" is not a kernel name" true
-    (Simulator.kernel_of_string "event" = None)
-
-(* [kernel_of_string] inverts [kernel_name] for both real kernels and
-   knows the documented aliases; anything else, "auto" included (the
-   CLI resolves that itself), is not a kernel. *)
-let test_kernel_names_round_trip () =
-  List.iter
-    (fun k ->
-      check_bool
-        (Simulator.kernel_name k ^ " round-trips")
-        true
-        (Simulator.kernel_of_string (Simulator.kernel_name k) = Some k))
-    [ Simulator.Brute_force; Simulator.Lowered_dirty ];
   Alcotest.(check string) "brute spelling" "brute"
     (Simulator.kernel_name Simulator.Brute_force);
   Alcotest.(check string) "lowered-dirty spelling" "lowered-dirty"
-    (Simulator.kernel_name Simulator.Lowered_dirty);
-  check_bool "brute-force alias" true
-    (Simulator.kernel_of_string "brute-force" = Some Simulator.Brute_force);
-  check_bool "lowered_dirty alias" true
-    (Simulator.kernel_of_string "lowered_dirty" = Some Simulator.Lowered_dirty);
-  List.iter
-    (fun s ->
-      check_bool (Printf.sprintf "%S is not a kernel" s) true
-        (Simulator.kernel_of_string s = None))
-    [ ""; "auto"; "dirty"; "Brute" ]
+    (Simulator.kernel_name Simulator.Lowered_dirty)
 
 (* Lowering and run counters exist only for the lowered kernel; brute
    force reports none and never enters dense mode. Both kernels still
@@ -1051,8 +1073,6 @@ let suite =
         test_dirty_kernel_skips_on_idle_design;
       Alcotest.test_case "dirty lowered kernel dense round trip" `Quick
         test_dirty_kernel_dense_roundtrip;
-      Alcotest.test_case "kernel names round trip" `Quick
-        test_kernel_names_round_trip;
       Alcotest.test_case "lowered stats only under lowered-dirty" `Quick
         test_lowered_stats_per_kernel;
     ]
