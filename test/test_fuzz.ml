@@ -629,6 +629,8 @@ let suite =
       `Slow test_identity_no_divergence;
     Alcotest.test_case "run_one and classify agree on 40 mutants" `Quick
       test_run_one_agrees_with_classify;
+    Alcotest.test_case "one memoised base run per target" `Quick
+      test_memo_entry_per_target;
     Alcotest.test_case "200-mutant fuzz smoke under lowered-dirty" `Slow
       test_fuzz_smoke_lowered_dirty;
     Alcotest.test_case "all 13 templates elaborate on fuzz targets" `Slow
@@ -643,8 +645,6 @@ let suite =
       test_three_simulations_per_mutant;
     Alcotest.test_case "200 mutants identical on cold and warm memo" `Quick
       test_memo_cold_and_warm_agree;
-    Alcotest.test_case "one memoised base run per target" `Quick
-      test_memo_entry_per_target;
     Alcotest.test_case "classify never serves a caller's own base" `Quick
       test_memo_not_served_for_own_base;
     Alcotest.test_case "one-pass site counts equal site_count" `Quick

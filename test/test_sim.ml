@@ -157,11 +157,13 @@ endmodule
   check_int "default step" 4 (Simulator.read_int sim "v1");
   check_int "overridden step" 12 (Simulator.read_int sim "v3")
 
-let test_memory_overflow_semantics () =
-  (* Out-of-range accesses (bug study section 3.2.1): a power-of-two
-     structure wraps the index, any other size drops the access —
-     writes are ignored, reads return zero. Pinned for memory words and
-     vector bits, read and written, under both kernels. *)
+(* Out-of-range accesses (bug study section 3.2.1): a power-of-two
+   structure wraps the index, any other size drops the access — writes
+   are ignored, reads return zero. [overflow_cases check] runs [check]
+   under both kernels on an 8-entry (pow2) and a 6-entry design holding
+   a memory [m] and a vector [v] of that size, every word distinct and
+   nonzero, every bit set. *)
+let overflow_cases check =
   let src size =
     Printf.sprintf
       {|
@@ -185,13 +187,9 @@ endmodule
     (fun kernel ->
       List.iter
         (fun size ->
-          let pow2 = size = 8 in
-          let what fmt =
-            Printf.ksprintf
-              (fun s ->
-                Printf.sprintf "%s size %d: %s"
-                  (Simulator.kernel_name kernel) size s)
-              fmt
+          let what s =
+            Printf.sprintf "%s size %d: %s" (Simulator.kernel_name kernel) size
+              s
           in
           let sim = Testbench.of_source ~kernel ~top:"top" (src size) in
           let write i d bit =
@@ -207,28 +205,35 @@ endmodule
             Simulator.step sim;
             (Simulator.read_int sim "dout", Simulator.read_int sim "bout")
           in
-          (* every word distinct and nonzero, every bit set *)
           for k = 0 to size - 1 do
             write k (0x10 + k) 1
           done;
-          let all_ones = (1 lsl size) - 1 in
-          check_int (what "filled") all_ones (Simulator.read_int sim "vout");
-          let word, bit = read 9 in
-          check_int (what "word read at 9") (if pow2 then 0x11 else 0) word;
-          check_int (what "bit read at 9") (if pow2 then 1 else 0) bit;
-          write 9 0x5A 0;
-          check_int (what "bit write at 9")
-            (if pow2 then all_ones land lnot 2 else all_ones)
-            (Simulator.read_int sim "vout");
-          for k = 0 to size - 1 do
-            let expect = if pow2 && k = 1 then 0x5A else 0x10 + k in
-            check_int
-              (what "word %d after write at 9" k)
-              expect
-              (fst (read k))
-          done)
+          check ~what ~pow2:(size = 8) ~size ~write ~read sim)
         [ 8; 6 ])
     [ Simulator.Brute_force; Simulator.Lowered_dirty ]
+
+let test_memory_overflow_semantics () =
+  overflow_cases (fun ~what ~pow2 ~size ~write ~read _ ->
+      check_int (what "word read at 9") (if pow2 then 0x11 else 0)
+        (fst (read 9));
+      write 9 0x5A 1;
+      for k = 0 to size - 1 do
+        let expect = if pow2 && k = 1 then 0x5A else 0x10 + k in
+        check_int
+          (what (Printf.sprintf "word %d after write at 9" k))
+          expect
+          (fst (read k))
+      done)
+
+let test_bit_select_overflow_semantics () =
+  overflow_cases (fun ~what ~pow2 ~size ~write ~read sim ->
+      let all_ones = (1 lsl size) - 1 in
+      check_int (what "filled") all_ones (Simulator.read_int sim "vout");
+      check_int (what "bit read at 9") (if pow2 then 1 else 0) (snd (read 9));
+      write 9 0x5A 0;
+      check_int (what "bit write at 9")
+        (if pow2 then all_ones land lnot 2 else all_ones)
+        (Simulator.read_int sim "vout"))
 
 let test_display_log () =
   let sim =
@@ -440,6 +445,8 @@ let suite =
     Alcotest.test_case "parameter override" `Quick test_parameter_override;
     Alcotest.test_case "memory overflow semantics" `Quick
       test_memory_overflow_semantics;
+    Alcotest.test_case "bit-select overflow semantics" `Quick
+      test_bit_select_overflow_semantics;
     Alcotest.test_case "display log" `Quick test_display_log;
     Alcotest.test_case "finish" `Quick test_finish;
     Alcotest.test_case "scfifo primitive" `Quick test_scfifo;
