@@ -855,9 +855,13 @@ let validate ~top ~baseline (d : design) =
                 if introduced <> [] then
                   Error ("lint: " ^ String.concat "; " introduced)
                 else
+                  (* the plan compile raises the cycle; a brute-force
+                     instance builds no lowered closures around it, and
+                     the mutant's runs reuse the plan it leaves *)
                   match
                     Telemetry.span "fuzz.validate.cycle_check" (fun () ->
-                        Fpga_sim.Simulator.create flat)
+                        Fpga_sim.Simulator.create
+                          ~kernel:Fpga_sim.Simulator.Brute_force flat)
                   with
                   | exception Fpga_sim.Simulator.Combinational_cycle sigs ->
                       Error

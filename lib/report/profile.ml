@@ -2,15 +2,9 @@
    a human table or schema-stable JSON. See profile.mli. *)
 
 module Bug = Fpga_testbed.Bug
+module L = Fpga_sim.Lowered
 module Simulator = Fpga_sim.Simulator
 module Telemetry = Fpga_telemetry.Telemetry
-
-(* Lowered-kernel profile: static lowering shape + runtime skip/commit
-   behaviour, present only when the run used the lowered kernel. *)
-type lowered_profile = {
-  lp_stats : Fpga_sim.Lowered.stats;
-  lp_runs : Fpga_sim.Lowered.run_stats;
-}
 
 type t = {
   p_bug_id : string;
@@ -19,9 +13,10 @@ type t = {
   p_cycles_requested : int;
   p_cycles_run : int;
   p_finished : bool;
-  p_stats : Simulator.stats;
+  p_stats : L.run_stats;
+  p_prim_steps : int;
   p_efficiency : float;
-  p_lowered : lowered_profile option;
+  p_lowered : L.stats option;
   p_hottest : (string * int) list;
   p_spans : (string * int * float) list;
   p_counters : (string * int) list;
@@ -58,11 +53,7 @@ let run ?kernel ?(cycles = 200) ?(top_k = 10) (bug : Bug.t) : t =
     Simulator.step sim;
     incr i
   done;
-  let stats =
-    match Simulator.stats sim with
-    | Some s -> s
-    | None -> assert false (* telemetry was enabled at create *)
-  in
+  let stats = Simulator.stats sim in
   let report = Telemetry.report () in
   {
     p_bug_id = bug.Bug.id;
@@ -72,11 +63,12 @@ let run ?kernel ?(cycles = 200) ?(top_k = 10) (bug : Bug.t) : t =
     p_cycles_run = !i;
     p_finished = Simulator.finished sim;
     p_stats = stats;
+    (* every step fires each primitive once, on the rising edge *)
+    p_prim_steps =
+      stats.rs_steps
+      * List.length (Simulator.flat sim).Fpga_sim.Elaborate.f_prims;
     p_efficiency = Option.value (Simulator.kernel_efficiency sim) ~default:1.0;
-    p_lowered =
-      (match (Simulator.lowering_stats sim, Simulator.lowered_run_stats sim) with
-      | Some lp_stats, Some lp_runs -> Some { lp_stats; lp_runs }
-      | _ -> None);
+    p_lowered = Simulator.lowering_stats sim;
     p_hottest = Simulator.hottest_signals ~k:top_k sim;
     p_spans = report.Telemetry.r_spans;
     p_counters = report.Telemetry.r_counters;
@@ -87,15 +79,18 @@ let run ?kernel ?(cycles = 200) ?(top_k = 10) (bug : Bug.t) : t =
 (* ------------------------------------------------------------------ *)
 
 (* Share of sequential statement groups skipped as clean. *)
-let seq_skip_rate (r : Fpga_sim.Lowered.run_stats) =
+let seq_skip_rate (r : L.run_stats) =
   let total = r.rs_seq_run + r.rs_seq_skipped in
   if total = 0 then 0.0 else float_of_int r.rs_seq_skipped /. float_of_int total
+
+let settle_mean (r : L.run_stats) =
+  if r.rs_settles = 0 then 0.0
+  else float_of_int r.rs_closures_run /. float_of_int r.rs_settles
 
 let to_json (p : t) : string =
   let buf = Buffer.create 2048 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let st = p.p_stats in
-  let hist = st.Simulator.st_settle_hist in
+  let r = p.p_stats in
   add "{\n  \"schema\": \"fpga-debug-profile/5\",\n";
   add "  \"bug\": %S, \"top\": %S, \"kernel\": %S,\n" p.p_bug_id p.p_top
     p.p_kernel;
@@ -110,61 +105,52 @@ let to_json (p : t) : string =
     p.p_spans;
   add "  ],\n";
   add "  \"kernel_stats\": {\n";
-  add "    \"steps\": %d, \"settles\": %d,\n" st.Simulator.st_steps
-    st.Simulator.st_settles;
+  add "    \"steps\": %d, \"settles\": %d,\n" r.rs_steps r.rs_settles;
   add "    \"node_rounds\": %d, \"nodes_evaluated\": %d, \
        \"nodes_skipped\": %d,\n"
-    st.Simulator.st_node_rounds st.Simulator.st_nodes_evaluated
-    st.Simulator.st_nodes_skipped;
+    (r.rs_closures_run + r.rs_closures_skipped) r.rs_closures_run
+    r.rs_closures_skipped;
   add "    \"kernel_efficiency\": %.4f,\n" p.p_efficiency;
-  add "    \"dirty_total\": %d, \"dirty_peak\": %d,\n"
-    st.Simulator.st_dirty_total st.Simulator.st_dirty_peak;
+  add "    \"dirty_total\": %d, \"dirty_peak\": %d,\n" r.rs_dirty_total
+    r.rs_dirty_peak;
   add "    \"nba_commits\": %d, \"prim_steps\": %d, \"displays\": %d\n"
-    st.Simulator.st_nba_commits st.Simulator.st_prim_steps
-    st.Simulator.st_displays;
+    (r.rs_commit_imm + r.rs_commit_boxed) p.p_prim_steps r.rs_displays;
   add "  },\n";
   (* the lowered kernel's closure and statement-group skip rates and
      commit-buffer occupancy; absent for brute force *)
   (match p.p_lowered with
   | None -> ()
-  | Some { lp_stats = lw; lp_runs = r } ->
-      let module L = Fpga_sim.Lowered in
+  | Some lw ->
       let skip_rate =
-        let total = r.L.rs_closures_run + r.L.rs_closures_skipped in
+        let total = r.rs_closures_run + r.rs_closures_skipped in
         if total = 0 then 0.0
-        else float_of_int r.L.rs_closures_skipped /. float_of_int total
+        else float_of_int r.rs_closures_skipped /. float_of_int total
       in
       let seq_skip_rate = seq_skip_rate r in
       let commit_per_edge =
-        if r.L.rs_edges = 0 then 0.0
+        if r.rs_edges = 0 then 0.0
         else
-          float_of_int (r.L.rs_commit_imm + r.L.rs_commit_boxed)
-          /. float_of_int r.L.rs_edges
+          float_of_int (r.rs_commit_imm + r.rs_commit_boxed)
+          /. float_of_int r.rs_edges
       in
       add "  \"lowered\": {\n";
-      add "    \"closures\": %d, \"fused\": %d,\n" lw.L.lw_closures
-        lw.L.lw_fused;
+      add "    \"closures\": %d, \"fused\": %d,\n" lw.lw_closures lw.lw_fused;
       add "    \"imm_signals\": %d, \"boxed_signals\": %d, \"seq_blocks\": %d,\n"
-        lw.L.lw_imm lw.L.lw_boxed lw.L.lw_seq;
+        lw.lw_imm lw.lw_boxed lw.lw_seq;
       add "    \"settles\": %d, \"closures_run\": %d, \"closures_skipped\": %d,\n"
-        r.L.rs_settles r.L.rs_closures_run r.L.rs_closures_skipped;
+        r.rs_settles r.rs_closures_run r.rs_closures_skipped;
       add "    \"skip_rate\": %.4f,\n" skip_rate;
       add "    \"seq_groups_run\": %d, \"seq_groups_skipped\": %d,\n"
-        r.L.rs_seq_run r.L.rs_seq_skipped;
+        r.rs_seq_run r.rs_seq_skipped;
       add "    \"seq_skip_rate\": %.4f,\n" seq_skip_rate;
       add "    \"edge_runs\": %d, \"commit_imm\": %d, \"commit_boxed\": %d,\n"
-        r.L.rs_edges r.L.rs_commit_imm r.L.rs_commit_boxed;
+        r.rs_edges r.rs_commit_imm r.rs_commit_boxed;
       add "    \"commit_per_edge\": %.2f\n" commit_per_edge;
       add "  },\n");
   add
     "  \"settle_rounds\": {\"count\": %d, \"min\": %d, \"max\": %d, \
      \"mean\": %.2f},\n"
-    hist.Telemetry.Histogram.hs_count hist.Telemetry.Histogram.hs_min
-    hist.Telemetry.Histogram.hs_max
-    (if hist.Telemetry.Histogram.hs_count = 0 then 0.0
-     else
-       float_of_int hist.Telemetry.Histogram.hs_sum
-       /. float_of_int hist.Telemetry.Histogram.hs_count);
+    r.rs_settles r.rs_run_min r.rs_run_max (settle_mean r);
   add "  \"hottest_signals\": [\n";
   List.iteri
     (fun i (name, n) ->
@@ -186,8 +172,7 @@ let to_json (p : t) : string =
 (* ------------------------------------------------------------------ *)
 
 let print (p : t) =
-  let st = p.p_stats in
-  let hist = st.Simulator.st_settle_hist in
+  let r = p.p_stats in
   Printf.printf "profile of %s (top %s, %s kernel): %d/%d cycles%s\n"
     p.p_bug_id p.p_top p.p_kernel p.p_cycles_run p.p_cycles_requested
     (if p.p_finished then ", design finished" else "");
@@ -199,47 +184,45 @@ let print (p : t) =
           (if calls = 1 then "" else "s"))
       p.p_spans);
   Printf.printf "\nkernel:\n";
-  Printf.printf "  steps              %8d\n" st.Simulator.st_steps;
-  Printf.printf "  settles            %8d\n" st.Simulator.st_settles;
-  Printf.printf "  node rounds        %8d\n" st.Simulator.st_node_rounds;
-  Printf.printf "  nodes evaluated    %8d\n" st.Simulator.st_nodes_evaluated;
-  Printf.printf "  nodes skipped      %8d\n" st.Simulator.st_nodes_skipped;
+  Printf.printf "  steps              %8d\n" r.rs_steps;
+  Printf.printf "  settles            %8d\n" r.rs_settles;
+  Printf.printf "  node rounds        %8d\n"
+    (r.rs_closures_run + r.rs_closures_skipped);
+  Printf.printf "  nodes evaluated    %8d\n" r.rs_closures_run;
+  Printf.printf "  nodes skipped      %8d\n" r.rs_closures_skipped;
   Printf.printf "  kernel efficiency  %8.1f%% of full-sweep work\n"
     (100.0 *. p.p_efficiency);
-  Printf.printf "  dirty-set peak     %8d\n" st.Simulator.st_dirty_peak;
-  Printf.printf "  NBA commits        %8d\n" st.Simulator.st_nba_commits;
-  Printf.printf "  primitive steps    %8d\n" st.Simulator.st_prim_steps;
-  Printf.printf "  displays           %8d\n" st.Simulator.st_displays;
-  if hist.Telemetry.Histogram.hs_count > 0 then
-    Printf.printf "  nodes/settle       min %d, mean %.1f, max %d\n"
-      hist.Telemetry.Histogram.hs_min
-      (float_of_int hist.Telemetry.Histogram.hs_sum
-      /. float_of_int hist.Telemetry.Histogram.hs_count)
-      hist.Telemetry.Histogram.hs_max;
+  Printf.printf "  dirty-set peak     %8d\n" r.rs_dirty_peak;
+  Printf.printf "  NBA commits        %8d\n"
+    (r.rs_commit_imm + r.rs_commit_boxed);
+  Printf.printf "  primitive steps    %8d\n" p.p_prim_steps;
+  Printf.printf "  displays           %8d\n" r.rs_displays;
+  if r.rs_settles > 0 then
+    Printf.printf "  nodes/settle       min %d, mean %.1f, max %d\n" r.rs_run_min
+      (settle_mean r) r.rs_run_max;
   (match p.p_lowered with
   | None -> ()
-  | Some { lp_stats = lw; lp_runs = r } ->
-      let module L = Fpga_sim.Lowered in
+  | Some lw ->
       Printf.printf "\nlowered kernel (dirty-set):\n";
-      Printf.printf "  plan closures      %8d  (%d fused)\n" lw.L.lw_closures
-        lw.L.lw_fused;
-      Printf.printf "  seq blocks         %8d\n" lw.L.lw_seq;
-      Printf.printf "  closures run       %8d\n" r.L.rs_closures_run;
-      Printf.printf "  closures skipped   %8d\n" r.L.rs_closures_skipped;
-      let total = r.L.rs_closures_run + r.L.rs_closures_skipped in
+      Printf.printf "  plan closures      %8d  (%d fused)\n" lw.lw_closures
+        lw.lw_fused;
+      Printf.printf "  seq blocks         %8d\n" lw.lw_seq;
+      Printf.printf "  closures run       %8d\n" r.rs_closures_run;
+      Printf.printf "  closures skipped   %8d\n" r.rs_closures_skipped;
+      let total = r.rs_closures_run + r.rs_closures_skipped in
       if total > 0 then
         Printf.printf "  skip rate          %8.1f%%\n"
-          (100.0 *. float_of_int r.L.rs_closures_skipped /. float_of_int total);
-      Printf.printf "  seq groups run     %8d\n" r.L.rs_seq_run;
-      Printf.printf "  seq groups skipped %8d\n" r.L.rs_seq_skipped;
-      if r.L.rs_seq_run + r.L.rs_seq_skipped > 0 then
+          (100.0 *. float_of_int r.rs_closures_skipped /. float_of_int total);
+      Printf.printf "  seq groups run     %8d\n" r.rs_seq_run;
+      Printf.printf "  seq groups skipped %8d\n" r.rs_seq_skipped;
+      if r.rs_seq_run + r.rs_seq_skipped > 0 then
         Printf.printf "  seq skip rate      %8.1f%%\n" (100.0 *. seq_skip_rate r);
-      Printf.printf "  commits (imm/box)  %8d / %d\n" r.L.rs_commit_imm
-        r.L.rs_commit_boxed;
-      if r.L.rs_edges > 0 then
+      Printf.printf "  commits (imm/box)  %8d / %d\n" r.rs_commit_imm
+        r.rs_commit_boxed;
+      if r.rs_edges > 0 then
         Printf.printf "  commits per edge   %8.2f\n"
-          (float_of_int (r.L.rs_commit_imm + r.L.rs_commit_boxed)
-          /. float_of_int r.L.rs_edges));
+          (float_of_int (r.rs_commit_imm + r.rs_commit_boxed)
+          /. float_of_int r.rs_edges));
   match p.p_hottest with
   | [] -> ()
   | hottest ->

@@ -5,14 +5,6 @@
     of reading the paper's Statistics-Monitor counters back from the
     FPGA after a run. *)
 
-(** Lowered-kernel profile: static lowering shape plus runtime
-    skip/commit counters; present only when the run used
-    {!Fpga_sim.Simulator.Lowered_dirty}. *)
-type lowered_profile = {
-  lp_stats : Fpga_sim.Lowered.stats;
-  lp_runs : Fpga_sim.Lowered.run_stats;
-}
-
 type t = {
   p_bug_id : string;
   p_top : string;
@@ -21,11 +13,15 @@ type t = {
   p_cycles_requested : int;
   p_cycles_run : int;
   p_finished : bool;
-  p_stats : Fpga_sim.Simulator.stats;
+  p_stats : Fpga_sim.Lowered.run_stats;
+      (** the run's kernel counters ({!Fpga_sim.Simulator.stats}) *)
+  p_prim_steps : int;  (** primitive (FIFO/RAM) steps: one per instance per cycle *)
   p_efficiency : float;
       (** evaluated / rounds — 1.0 means nothing was skipped (for
           the lowered kernel both counts are in fused closures) *)
-  p_lowered : lowered_profile option;
+  p_lowered : Fpga_sim.Lowered.stats option;
+      (** the lowering shape (closures, fusion, banks); present only
+          when the run used {!Fpga_sim.Simulator.Lowered_dirty} *)
   p_hottest : (string * int) list;  (** top-K signals by toggle count *)
   p_spans : (string * int * float) list;  (** (phase, calls, seconds) *)
   p_counters : (string * int) list;

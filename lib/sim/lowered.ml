@@ -64,18 +64,25 @@ type stats = {
   lw_seq : int;  (* sequential always-blocks lowered to closures *)
 }
 
-(* Run counters, maintained unconditionally (a handful of int stores
-   per settle/commit, never per node): the skip-rate and commit-buffer
-   numbers profile and trace report for the lowered kernel. *)
+(* A simulator's run counters, kept by both kernels and maintained
+   unconditionally (a handful of int stores per settle/commit, never per
+   node). [Simulator] owns the record and hands it to [create]; the
+   brute-force sweep counts each node as a closure run. *)
 type run_stats = {
+  mutable rs_steps : int;  (* clock cycles stepped *)
   mutable rs_settles : int;
   mutable rs_closures_run : int;
   mutable rs_closures_skipped : int;  (* skipped by dirty scheduling *)
+  mutable rs_run_min : int;  (* fewest closures one settle ran *)
+  mutable rs_run_max : int;  (* most closures one settle ran *)
+  mutable rs_dirty_total : int;  (* closures pending at settle entry, summed *)
+  mutable rs_dirty_peak : int;
   mutable rs_edges : int;  (* sequential block invocations *)
   mutable rs_seq_run : int;  (* statement groups run *)
   mutable rs_seq_skipped : int;  (* statement groups skipped as clean *)
   mutable rs_commit_imm : int;  (* flat-buffer (unboxed) NBA commits *)
   mutable rs_commit_boxed : int;  (* boxed NBA commits, drops included *)
+  mutable rs_displays : int;  (* $display statements fired *)
 }
 
 (* A statement group of one sequential block, as [Simulator.compile_plan]
@@ -1019,7 +1026,8 @@ let seed_ints st =
 let create ~(tab : Compiled.tab) ~(env : Compiled.env) ~(finished : bool ref)
     ~(nodes : node array) ~(fuse : bool array) ~(sens : int list array)
     ~(display_ranks : int list)
-    ~(seq_pos : seq_edge) ~(seq_neg : seq_edge) ~(seq_sens : int list array) : t =
+    ~(seq_pos : seq_edge) ~(seq_neg : seq_edge) ~(seq_sens : int list array)
+    ~(runs : run_stats) : t =
   let n = Compiled.n_signals tab in
   let ints = Array.make n 0 in
   let widths = Array.init n (fun i -> Compiled.width tab i) in
@@ -1067,17 +1075,7 @@ let create ~(tab : Compiled.tab) ~(env : Compiled.env) ~(finished : bool ref)
           lw_boxed = n - n_imm;
           lw_seq = seq_pos.se_blocks + seq_neg.se_blocks;
         };
-      runs =
-        {
-          rs_settles = 0;
-          rs_closures_run = 0;
-          rs_closures_skipped = 0;
-          rs_edges = 0;
-          rs_seq_run = 0;
-          rs_seq_skipped = 0;
-          rs_commit_imm = 0;
-          rs_commit_boxed = 0;
-        };
+      runs;
     }
   in
   seed_ints st;
@@ -1127,40 +1125,68 @@ let create ~(tab : Compiled.tab) ~(env : Compiled.env) ~(finished : bool ref)
 
 (* Back to the run state [create] leaves, once the caller has returned
    [env] to its initial values: the immediate bank re-seeded from it,
-   no deferred writes, zeroed run counters. Scheduling is the caller's
-   [mark_all]. *)
+   no deferred writes. Scheduling is the caller's [mark_all], the run
+   counters its [clear_run_stats]. *)
 let reset st =
   seed_ints st;
   st.pb_len <- 0;
   st.pboxed <- [];
   st.displays <- false;
   st.lchanges <- 0;
-  st.scommit_changes <- 0;
-  let r = st.runs in
-  r.rs_settles <- 0;
-  r.rs_closures_run <- 0;
-  r.rs_closures_skipped <- 0;
-  r.rs_edges <- 0;
-  r.rs_seq_run <- 0;
-  r.rs_seq_skipped <- 0;
-  r.rs_commit_imm <- 0;
-  r.rs_commit_boxed <- 0
+  st.scommit_changes <- 0
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Full sweep over the plan; returns the closure count. *)
+let new_run_stats () =
+  { rs_steps = 0; rs_settles = 0; rs_closures_run = 0; rs_closures_skipped = 0;
+    rs_run_min = 0; rs_run_max = 0; rs_dirty_total = 0; rs_dirty_peak = 0;
+    rs_edges = 0; rs_seq_run = 0; rs_seq_skipped = 0; rs_commit_imm = 0;
+    rs_commit_boxed = 0; rs_displays = 0 }
+
+let clear_run_stats r =
+  r.rs_steps <- 0;
+  r.rs_settles <- 0;
+  r.rs_closures_run <- 0;
+  r.rs_closures_skipped <- 0;
+  r.rs_run_min <- 0;
+  r.rs_run_max <- 0;
+  r.rs_dirty_total <- 0;
+  r.rs_dirty_peak <- 0;
+  r.rs_edges <- 0;
+  r.rs_seq_run <- 0;
+  r.rs_seq_skipped <- 0;
+  r.rs_commit_imm <- 0;
+  r.rs_commit_boxed <- 0;
+  r.rs_displays <- 0
+
+(* One settle: [dirty] closures pending at entry, [run] of [size]
+   evaluated. *)
+let count_settle r ~dirty ~run ~size =
+  let settles = r.rs_settles + 1 in
+  r.rs_settles <- settles;
+  r.rs_closures_run <- r.rs_closures_run + run;
+  r.rs_closures_skipped <- r.rs_closures_skipped + (size - run);
+  r.rs_dirty_total <- r.rs_dirty_total + dirty;
+  if dirty > r.rs_dirty_peak then r.rs_dirty_peak <- dirty;
+  if run > r.rs_run_max then r.rs_run_max <- run;
+  if run < r.rs_run_min || settles = 1 then r.rs_run_min <- run
+
+(* Full sweep over the plan. *)
 let sweep st =
   let plan = st.plan in
-  let n = Array.length plan in
-  for i = 0 to n - 1 do
+  for i = 0 to Array.length plan - 1 do
     plan.(i) ()
-  done;
-  n
+  done
 
-(* One settle pass. Returns the number of closures evaluated (the whole
-   plan for dense-mode sweeps). Dirty flags set during the pass (by
+(* Closures currently pending: the sparse worklist size, or the whole
+   plan in dense mode (every sweep evaluates everything). *)
+let dirty_count st =
+  if st.lmode = Lsparse then st.ncdirty else Array.length st.plan
+
+(* One settle pass, counted in [st.runs] with the closures pending at
+   entry (before display forcing). Dirty flags set during the pass (by
    writes this settle performs) stay pending for the next settle. The
    plan is in topological order, so every producer runs before its
    consumers; only a self-dependency the cycle check admits can mark an
@@ -1168,29 +1194,27 @@ let sweep st =
    once-per-sweep full plan would leave it. *)
 let settle st ~displays =
   st.displays <- displays;
-  let r = st.runs in
-  r.rs_settles <- r.rs_settles + 1;
+  let n = Array.length st.plan in
+  let dirty = dirty_count st in
   match st.lmode with
   | Ldense ->
       st.lchanges <- 0;
       st.notify <- st.dense_mark;
-      let n = sweep st in
+      sweep st;
       st.notify <- st.seq_notify;
-      r.rs_closures_run <- r.rs_closures_run + n;
+      count_settle st.runs ~dirty ~run:n ~size:n;
       if dense_exit_den * st.lchanges <= dense_exit_num * n then (
         st.lmode_streak <- st.lmode_streak + 1;
         if st.lmode_streak >= mode_streak_len then
           (* activity dropped: back to sparse; flags are stale after
              dense sweeps, so re-mark everything once *)
           mark_all st)
-      else st.lmode_streak <- 0;
-      n
+      else st.lmode_streak <- 0
   | Lsparse ->
       (* $display side effects must fire on every display-enabled
          settle, as in the full sweep, even when inputs are stable *)
       if displays then mark_closures st st.disp_closures;
       let plan = st.plan in
-      let n = Array.length plan in
       let evaluated = ref 0 in
       if st.ncdirty > 0 then (
         let cdirty = st.cdirty in
@@ -1202,8 +1226,7 @@ let settle st ~displays =
             plan.(c) ())
         done);
       let ev = !evaluated in
-      r.rs_closures_run <- r.rs_closures_run + ev;
-      r.rs_closures_skipped <- r.rs_closures_skipped + (n - ev);
+      count_settle st.runs ~dirty ~run:ev ~size:n;
       (* an empty settle is sparse operating at zero cost — it says
          nothing about how dense the actual work is, so it leaves the
          streak alone; only a busy-but-not-dense settle resets it.
@@ -1216,8 +1239,7 @@ let settle st ~displays =
           st.lmode <- Ldense;
           st.lmode_streak <- 0;
           rewire st))
-      else if ev > 0 then st.lmode_streak <- 0;
-      ev
+      else if ev > 0 then st.lmode_streak <- 0
 
 (* Run one edge's groups in order. A skippable group runs only when its
    flag is set, and its flag is cleared before it runs, so a change the
@@ -1274,8 +1296,6 @@ let run_edge st edge =
           st.sstreak <- 0;
           rewire st))
       else st.sstreak <- 0)
-
-let pending_count st = (st.pb_len / 3) + List.length st.pboxed
 
 (* Commit deferred non-blocking writes: the flat immediate buffer in
    push order, then boxed writes in program order (the boxed list is
@@ -1343,12 +1363,4 @@ let input_fn st (e : Compiled.cexpr) : unit -> Bits.t =
 
 let set_emit st f = st.emit <- f
 let stats st = st.stats
-let run_stats st = st.runs
-let plan_size st = Array.length st.plan
-
-(* Closures currently pending: the sparse worklist size, or the whole
-   plan in dense mode (every sweep evaluates everything). *)
-let dirty_count st =
-  if st.lmode = Lsparse then st.ncdirty else Array.length st.plan
-
 let dense st = st.lmode = Ldense

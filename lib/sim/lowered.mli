@@ -34,12 +34,23 @@ type stats = {
   lw_seq : int;  (** sequential always-blocks lowered to closures *)
 }
 
-(** Runtime counters, maintained unconditionally (a handful of int
-    stores per settle/commit, never per node). *)
+(** A simulator's run counters, the one record both kernels fill
+    ({!Simulator.stats}). They are maintained unconditionally, a handful
+    of int stores per settle, edge and commit, never per node. Under
+    [Brute_force] every compiled node counts as a closure, each settle
+    runs them all, and every non-blocking write counts as boxed; the
+    sequential-group and edge counters stay 0 there. *)
 type run_stats = {
+  mutable rs_steps : int;  (** clock cycles stepped *)
   mutable rs_settles : int;  (** settle passes *)
   mutable rs_closures_run : int;  (** closures evaluated *)
   mutable rs_closures_skipped : int;  (** skipped by dirty scheduling *)
+  mutable rs_run_min : int;
+      (** fewest closures one settle evaluated (0 before any settle) *)
+  mutable rs_run_max : int;  (** most closures one settle evaluated *)
+  mutable rs_dirty_total : int;
+      (** closures pending at settle entry, summed over settles *)
+  mutable rs_dirty_peak : int;  (** most closures pending at a settle entry *)
   mutable rs_edges : int;
       (** sequential block invocations: blocks firing per edge, whether
           or not their groups ran *)
@@ -47,8 +58,22 @@ type run_stats = {
   mutable rs_seq_skipped : int;
       (** sequential statement groups skipped as clean *)
   mutable rs_commit_imm : int;  (** flat-buffer (unboxed) NBA commits *)
-  mutable rs_commit_boxed : int;  (** boxed NBA commits, drops included *)
+  mutable rs_commit_boxed : int;
+      (** boxed NBA commits, drops included. A skipped statement group
+          queues no writes, so the lowered kernel counts at most what
+          [Brute_force] does on the same run. *)
+  mutable rs_displays : int;  (** [$display] statements fired *)
 }
+
+val new_run_stats : unit -> run_stats
+(** All counters 0. *)
+
+val clear_run_stats : run_stats -> unit
+(** Set every counter back to 0. *)
+
+val count_settle : run_stats -> dirty:int -> run:int -> size:int -> unit
+(** Count one settle that found [dirty] closures pending at entry and
+    evaluated [run] of the [size] in its plan. *)
 
 type t
 
@@ -86,6 +111,7 @@ val create :
   seq_pos:seq_edge ->
   seq_neg:seq_edge ->
   seq_sens:int list array ->
+  runs:run_stats ->
   t
 (** [fuse.(r)] marks a node to be folded into its predecessor's closure
     (legal only for single-reader assign chains — the caller proves
@@ -97,14 +123,15 @@ val create :
     [seq_neg] hold the statement groups of each edge; [seq_sens] maps
     signal id to the flags of the groups that read or write it. Flags
     are numbered from 0 with no gap across both edges; [seq_pos],
-    [seq_neg] and [seq_sens] are kept, never written. *)
+    [seq_neg] and [seq_sens] are kept, never written. Settles, edges
+    and commits count into [runs]. *)
 
 (** {1 Execution} *)
 
-val settle : t -> displays:bool -> int
-(** One settle pass over the fused plan in topological order; returns
-    the number of closures evaluated (the whole plan unless dirty-set
-    scheduling skipped some). [displays] gates combinational
+val settle : t -> displays:bool -> unit
+(** One settle pass over the fused plan in topological order, counted
+    with {!count_settle}: the whole plan is evaluated unless dirty-set
+    scheduling skips some. [displays] gates combinational
     [$display]s, as in the reference settle; display closures are
     forced onto the worklist for display-enabled settles so logs stay
     identical. *)
@@ -121,10 +148,6 @@ val run_edge : t -> Elaborate.clock_edge -> unit
     row, all groups run and no change marks a flag, until the commits
     go quiet for 8 edges; then every flag is set and marking resumes.
     The mode changes only the work done, never a result. *)
-
-val pending_count : t -> int
-(** Deferred writes accumulated since the last {!commit} (dropped
-    writes included, matching the reference's commit statistics). *)
 
 val commit : t -> unit
 (** Apply deferred non-blocking writes with change detection and
@@ -143,8 +166,8 @@ val mark_all : t -> unit
 val reset : t -> unit
 (** Return the run state to what {!create} leaves, after the caller has
     put the shared [env] back to its initial values: the immediate bank
-    is re-seeded from [env], deferred writes are dropped and
-    {!run_stats} is zeroed. Follow with {!mark_all}. *)
+    is re-seeded from [env] and deferred writes are dropped. Follow with
+    {!mark_all}; the run counters are the caller's to clear. *)
 
 val dirty_count : t -> int
 (** Closures currently pending: the sparse worklist size, or the whole
@@ -153,9 +176,6 @@ val dirty_count : t -> int
 val dense : t -> bool
 (** Whether dirty scheduling is currently in the dense full-sweep
     mode. *)
-
-val plan_size : t -> int
-(** Number of closures in the fused settle plan. *)
 
 (** {1 State access} *)
 
@@ -182,4 +202,3 @@ val set_notify : t -> (int -> unit) -> unit
     telemetry); dirty marking is composed on top internally. *)
 
 val stats : t -> stats
-val run_stats : t -> run_stats

@@ -86,27 +86,6 @@ type prim_state =
   | Pfifo of fprim * fifo_ports * fifo_state
   | Pram of fprim * ram_ports * ram_state
 
-(* Kernel-profiling state, allocated at construction only when the
-   telemetry switch is on; [None] keeps the hot paths at a single
-   branch per settle/edge, with the per-node and per-write code
-   untouched. *)
-type istats = {
-  mutable s_steps : int;
-  mutable s_settles : int;
-  mutable s_node_rounds : int;  (* nodes considered: settles * plan size *)
-  mutable s_nodes_evaluated : int;
-  mutable s_dirty_total : int;  (* sum of dirty-set sizes at settle entry *)
-  mutable s_dirty_peak : int;
-  mutable s_nba_commits : int;
-  mutable s_prim_steps : int;
-  mutable s_displays : int;
-  s_toggles : int array;  (* per-signal change counts, by dense id *)
-  s_settle_hist : Telemetry.Histogram.t;  (* nodes evaluated per settle *)
-  (* trace counter sampling window: see [sample_every] *)
-  mutable s_cycles_in_window : int;
-  mutable s_evaluated_mark : int;  (* s_nodes_evaluated at last sample *)
-}
-
 type t = {
   flat : flat;
   env : Compiled.env;  (* signal values indexed by dense id *)
@@ -128,7 +107,11 @@ type t = {
       (* oldest-first view cached at a given length, so repeated [log]
          reads between new displays cost O(1) instead of re-reversing *)
   mutable display_hook : (int -> string -> unit) option;
-  stats : istats option;
+  runs : Lowered.run_stats;  (* both kernels count here; shared with [low] *)
+  toggles : int array option;
+      (* per-signal change counts by dense id, kept only when profiling
+         at [create]: they cost a callback per write *)
+  mutable trace_mark : int;  (* closures run at the last trace sample *)
   mutable signature : string;
       (* [Checkpoint.design_hash flat], computed at first use; "" until
          then *)
@@ -429,9 +412,7 @@ type exec_ctx = {
 let emit_text sim text =
   sim.log <- (sim.cycle, text) :: sim.log;
   sim.log_len <- sim.log_len + 1;
-  (match sim.stats with
-  | Some st -> st.s_displays <- st.s_displays + 1
-  | None -> ());
+  sim.runs.rs_displays <- sim.runs.rs_displays + 1;
   match sim.display_hook with Some f -> f sim.cycle text | None -> ()
 
 let emit_display ctx fmt args =
@@ -742,9 +723,8 @@ let plan_of flat =
    every cycle, so a few names cover nearly all lookups. *)
 let name_slots = 8
 
-(* structured tracing samples its counter series off [istats], so a
-   trace-only run (telemetry switch off) still carries them; every
-   per-cycle recording inside remains gated on its own switch *)
+(* toggles are counted, and the trace counter series sampled, only for
+   an instance created while telemetry or structured tracing is on *)
 let profiling () = Telemetry.enabled () || Telemetry.Trace.enabled ()
 
 (* The run state: what [create] allocates afresh for each instance on
@@ -755,6 +735,7 @@ let create ?(kernel = default_kernel) (flat : flat) : t =
   let plan = plan_of flat in
   let env = Compiled.fresh_env flat in
   let finished = ref false in
+  let runs = Lowered.new_run_stats () in
   let low =
     if kernel <> Lowered_dirty then None
     else
@@ -762,7 +743,7 @@ let create ?(kernel = default_kernel) (flat : flat) : t =
         (Lowered.create ~tab:plan.p_tab ~env ~finished ~nodes:plan.p_nodes
            ~fuse:plan.p_fuse ~sens:plan.p_sens
            ~display_ranks:plan.p_display_ranks ~seq_pos:plan.p_seq_pos
-           ~seq_neg:plan.p_seq_neg ~seq_sens:plan.p_seq_sens)
+           ~seq_neg:plan.p_seq_neg ~seq_sens:plan.p_seq_sens ~runs)
   in
   let reader =
     match low with
@@ -770,32 +751,16 @@ let create ?(kernel = default_kernel) (flat : flat) : t =
     | None -> fun ce () -> Compiled.eval env ce
   in
   let prims = List.map (make_prim_state reader) plan.p_prims in
-  let stats =
-    if profiling () then
-      Some
-        {
-          s_steps = 0;
-          s_settles = 0;
-          s_node_rounds = 0;
-          s_nodes_evaluated = 0;
-          s_dirty_total = 0;
-          s_dirty_peak = 0;
-          s_nba_commits = 0;
-          s_prim_steps = 0;
-          s_displays = 0;
-          s_toggles = Array.make (Array.length flat.f_signal_order) 0;
-          s_settle_hist = Telemetry.Histogram.make "settle.nodes_evaluated";
-          s_cycles_in_window = 0;
-          s_evaluated_mark = 0;
-        }
+  let toggles =
+    if profiling () then Some (Array.make (Array.length flat.f_signal_order) 0)
     else None
   in
   (* the lowered kernel holds its own copy of the callback, so toggle
      counts match across kernels *)
   let notify =
-    match stats with
+    match toggles with
     | None -> ignore
-    | Some st -> fun i -> st.s_toggles.(i) <- st.s_toggles.(i) + 1
+    | Some t -> fun i -> t.(i) <- t.(i) + 1
   in
   Option.iter (fun lw -> Lowered.set_notify lw notify) low;
   let sim =
@@ -805,7 +770,8 @@ let create ?(kernel = default_kernel) (flat : flat) : t =
       has_negedge = plan.p_has_negedge;
       prims; low;
       cycle = 0; finished; log = []; log_len = 0;
-      log_memo = (0, []); display_hook = None; stats; signature = "";
+      log_memo = (0, []); display_hook = None; runs; toggles; trace_mark = 0;
+      signature = "";
       (* an empty slot holds id -1, so [id_of] misses on it whatever
          its key *)
       name_keys = Array.make name_slots "";
@@ -828,26 +794,13 @@ let reschedule sim =
   List.iter (drive_prim_outputs sim) sim.prims
 
 (* Back to exactly what [create] leaves, re-deriving cycle-0 values
-   from the flat. The stats are cleared first, so the toggles that
+   from the flat. The counters are cleared first, so the toggles that
    driving the initial primitive outputs counts at construction are
    counted again. *)
 let reset sim =
-  (match sim.stats with
-  | None -> ()
-  | Some st ->
-      st.s_steps <- 0;
-      st.s_settles <- 0;
-      st.s_node_rounds <- 0;
-      st.s_nodes_evaluated <- 0;
-      st.s_dirty_total <- 0;
-      st.s_dirty_peak <- 0;
-      st.s_nba_commits <- 0;
-      st.s_prim_steps <- 0;
-      st.s_displays <- 0;
-      Array.fill st.s_toggles 0 (Array.length st.s_toggles) 0;
-      Telemetry.Histogram.clear st.s_settle_hist;
-      st.s_cycles_in_window <- 0;
-      st.s_evaluated_mark <- 0);
+  Lowered.clear_run_stats sim.runs;
+  Option.iter (fun t -> Array.fill t 0 (Array.length t) 0) sim.toggles;
+  sim.trace_mark <- 0;
   Compiled.reset_env sim.flat sim.env;
   Option.iter Lowered.reset sim.low;
   List.iter reset_prim sim.prims;
@@ -866,41 +819,14 @@ let exec_node ctx node =
       Compiled.write_notify ctx.sim.env ~notify:ctx.sim.notify l v
   | Lowered.Lblock stmts -> List.iter (exec_stmt ctx) stmts
 
-(* Full-sweep settle statistics for the brute-force kernel: every node
-   counts as considered, evaluated, and dirty. *)
-let full_sweep_stats sim =
-  match sim.stats with
-  | None -> ()
-  | Some st ->
-      let n = Array.length sim.nodes in
-      st.s_settles <- st.s_settles + 1;
-      st.s_node_rounds <- st.s_node_rounds + n;
-      st.s_nodes_evaluated <- st.s_nodes_evaluated + n;
-      st.s_dirty_total <- st.s_dirty_total + n;
-      if n > st.s_dirty_peak then st.s_dirty_peak <- n;
-      Telemetry.Histogram.observe st.s_settle_hist n
-
+(* The lowered kernel counts its settles itself, in fused closures; the
+   brute-force sweep counts every node as pending and evaluated. *)
 let settle ?(displays = false) (sim : t) =
   match sim.low with
-  | Some low -> (
-      match sim.stats with
-      | None -> ignore (Lowered.settle low ~displays)
-      | Some st ->
-          (* the lowered kernel counts in fused closures, not nodes: that
-             is the unit the plan actually iterates, so evaluated/rounds
-             is an honest skip rate. Dirty size is read at settle entry
-             (display forcing happens inside). *)
-          let n = Lowered.plan_size low in
-          let pre = Lowered.dirty_count low in
-          let ev = Lowered.settle low ~displays in
-          st.s_settles <- st.s_settles + 1;
-          st.s_node_rounds <- st.s_node_rounds + n;
-          st.s_nodes_evaluated <- st.s_nodes_evaluated + ev;
-          st.s_dirty_total <- st.s_dirty_total + pre;
-          if pre > st.s_dirty_peak then st.s_dirty_peak <- pre;
-          Telemetry.Histogram.observe st.s_settle_hist ev)
+  | Some low -> Lowered.settle low ~displays
   | None ->
-      full_sweep_stats sim;
+      let n = Array.length sim.nodes in
+      Lowered.count_settle sim.runs ~dirty:n ~run:n ~size:n;
       let ctx =
         { sim; pending = []; in_comb_phase = true; displays_enabled = displays }
       in
@@ -974,12 +900,6 @@ let edge_phase (sim : t) (edge : Elaborate.clock_edge) ~with_prims =
   | Some low ->
       Lowered.run_edge low edge;
       if with_prims then List.iter step_prim sim.prims;
-      (match sim.stats with
-      | None -> ()
-      | Some st ->
-          st.s_nba_commits <- st.s_nba_commits + Lowered.pending_count low;
-          if with_prims then
-            st.s_prim_steps <- st.s_prim_steps + List.length sim.prims);
       Lowered.commit low;
       if with_prims then List.iter (drive_prim_outputs sim) sim.prims
   | None ->
@@ -990,12 +910,8 @@ let edge_phase (sim : t) (edge : Elaborate.clock_edge) ~with_prims =
         (fun (e, body) -> if e = edge then List.iter (exec_stmt ctx) body)
         sim.seq;
       if with_prims then List.iter step_prim sim.prims;
-      (match sim.stats with
-      | None -> ()
-      | Some st ->
-          st.s_nba_commits <- st.s_nba_commits + List.length ctx.pending;
-          if with_prims then
-            st.s_prim_steps <- st.s_prim_steps + List.length sim.prims);
+      sim.runs.rs_commit_boxed <-
+        sim.runs.rs_commit_boxed + List.length ctx.pending;
       List.iter
         (Compiled.apply_write_notify sim.env ~notify:sim.notify)
         (List.rev ctx.pending);
@@ -1007,6 +923,18 @@ let dense_mode sim =
 (* The trace counter series are sampled once per this many cycles, not
    every cycle, so tracing a long run stays cheap. *)
 let sample_every = 32
+
+let sample_counters sim =
+  let run = sim.runs.rs_closures_run in
+  let delta = run - sim.trace_mark in
+  sim.trace_mark <- run;
+  if Telemetry.Trace.enabled () then (
+    Telemetry.Trace.counter "sim.dirty"
+      (match sim.low with
+      | Some low -> Lowered.dirty_count low
+      | None -> Array.length sim.nodes);
+    Telemetry.Trace.counter "sim.evaluated" delta;
+    Telemetry.Trace.counter "sim.dense" (if dense_mode sim then 1 else 0))
 
 let step (sim : t) =
   if not !(sim.finished) then (
@@ -1021,22 +949,11 @@ let step (sim : t) =
       edge_phase sim Elaborate.Neg ~with_prims:false);
     settle sim ~displays:true;
     sim.cycle <- sim.cycle + 1;
-    match sim.stats with
-    | Some st ->
-        st.s_steps <- st.s_steps + 1;
-        st.s_cycles_in_window <- st.s_cycles_in_window + 1;
-        if st.s_cycles_in_window >= sample_every then (
-          let delta = st.s_nodes_evaluated - st.s_evaluated_mark in
-          st.s_cycles_in_window <- 0;
-          st.s_evaluated_mark <- st.s_nodes_evaluated;
-          if Telemetry.Trace.enabled () then (
-            Telemetry.Trace.counter "sim.dirty"
-              (match sim.low with
-              | Some low -> Lowered.dirty_count low
-              | None -> Array.length sim.nodes);
-            Telemetry.Trace.counter "sim.evaluated" delta;
-            Telemetry.Trace.counter "sim.dense" (if dense_mode sim then 1 else 0)))
-    | None -> ())
+    let steps = sim.runs.rs_steps + 1 in
+    sim.runs.rs_steps <- steps;
+    match sim.toggles with
+    | Some _ when steps mod sample_every = 0 -> sample_counters sim
+    | _ -> ())
 
 let run sim n =
   let i = ref 0 in
@@ -1067,52 +984,21 @@ let on_display sim f = sim.display_hook <- Some f
 (* Telemetry read-back                                                 *)
 (* ------------------------------------------------------------------ *)
 
-type stats = {
-  st_steps : int;
-  st_settles : int;
-  st_node_rounds : int;
-  st_nodes_evaluated : int;
-  st_nodes_skipped : int;
-  st_dirty_total : int;
-  st_dirty_peak : int;
-  st_nba_commits : int;
-  st_prim_steps : int;
-  st_displays : int;
-  st_settle_hist : Telemetry.Histogram.snapshot;
-}
+let stats sim = { sim.runs with rs_steps = sim.runs.rs_steps }
 
-let stats sim =
-  Option.map
-    (fun st ->
-      {
-        st_steps = st.s_steps;
-        st_settles = st.s_settles;
-        st_node_rounds = st.s_node_rounds;
-        st_nodes_evaluated = st.s_nodes_evaluated;
-        st_nodes_skipped = st.s_node_rounds - st.s_nodes_evaluated;
-        st_dirty_total = st.s_dirty_total;
-        st_dirty_peak = st.s_dirty_peak;
-        st_nba_commits = st.s_nba_commits;
-        st_prim_steps = st.s_prim_steps;
-        st_displays = st.s_displays;
-        st_settle_hist = Telemetry.Histogram.snapshot st.s_settle_hist;
-      })
-    sim.stats
-
-let lowered_run_stats sim = Option.map Lowered.run_stats sim.low
+let lowered_run_stats sim = Option.map (fun _ -> sim.runs) sim.low
 
 let kernel_efficiency sim =
-  match sim.stats with
-  | Some st when st.s_node_rounds > 0 ->
-      Some (float_of_int st.s_nodes_evaluated /. float_of_int st.s_node_rounds)
-  | _ -> None
+  let r = sim.runs in
+  let rounds = r.rs_closures_run + r.rs_closures_skipped in
+  if rounds = 0 then None
+  else Some (float_of_int r.rs_closures_run /. float_of_int rounds)
 
 let toggle_counts sim =
-  match sim.stats with
+  match sim.toggles with
   | None -> []
-  | Some st ->
-      Array.to_list
-        (Array.mapi (fun i n -> (sim.flat.f_signal_order.(i), n)) st.s_toggles)
+  | Some t ->
+      Array.to_list (Array.mapi (fun i n -> (sim.flat.f_signal_order.(i), n)) t)
 
 let hottest_signals ?(k = 10) sim =
   toggle_counts sim

@@ -87,14 +87,13 @@ val reset : t -> unit
     (declared initial values, zero otherwise), FIFO and RAM contents
     cleared and primitive outputs driven again, the {!Lowered_dirty}
     scheduler back to sparse mode with every closure pending, deferred
-    writes dropped, {!lowered_run_stats} and {!stats} (toggles and
-    histogram included) zeroed, cycle 0, no [$finish], an empty {!log}
-    and no {!on_display} hook. Whatever [sim] ran before, a run after
-    [reset sim] is indistinguishable from a run on a fresh
-    [create ~kernel flat] of the same design: same values, log, VCD,
-    checkpoints and stats. Whether {!stats} are kept stays as fixed at
-    construction. Costs a pass over the signals and primitives, a
-    fraction of {!create}'s compile. *)
+    writes dropped, {!stats} and the toggle counts zeroed, cycle 0, no
+    [$finish], an empty {!log} and no {!on_display} hook. Whatever
+    [sim] ran before, a run after [reset sim] is indistinguishable from
+    a run on a fresh [create ~kernel flat] of the same design: same
+    values, log, VCD, checkpoints and stats. Whether toggles are
+    counted stays as fixed at construction. Costs a pass over the
+    signals and primitives, a fraction of {!create}'s compile. *)
 
 val kernel : t -> kernel
 (** The kernel this simulator was built with, after defaulting:
@@ -155,36 +154,22 @@ val on_display : t -> (int -> string -> unit) -> unit
 
 (** {1 Telemetry}
 
-    Kernel-profiling counters, recorded only when the global
-    {!Fpga_telemetry.Telemetry} switch was on at {!create} time —
-    otherwise every accessor below reports nothing and the hot paths
-    carry no instrumentation at all. *)
+    Kernel counters ({!stats}) are kept by both kernels on every
+    instance, telemetry on or off: a few int stores per settle, edge and
+    commit. Per-signal toggle counts cost a callback per write, so they
+    are kept only by an instance created while {!profiling} holds, and
+    only such an instance samples the ["sim.*"] trace counter series. *)
 
-type stats = {
-  st_steps : int;  (** completed clock cycles *)
-  st_settles : int;  (** combinational settle passes *)
-  st_node_rounds : int;  (** settles × plan size: work a full sweep does *)
-  st_nodes_evaluated : int;  (** nodes actually re-evaluated *)
-  st_nodes_skipped : int;  (** [st_node_rounds - st_nodes_evaluated] *)
-  st_dirty_total : int;  (** sum of dirty-set sizes at settle entry *)
-  st_dirty_peak : int;  (** largest dirty set seen *)
-  st_nba_commits : int;
-      (** non-blocking writes committed, dropped ones included: the
-          writes queued by the statements that ran. {!Lowered_dirty}
-          skips statement groups whose writes would all be no-ops, so
-          it counts at most what {!Brute_force} does on the same run *)
-  st_prim_steps : int;  (** primitive (FIFO/RAM) step invocations *)
-  st_displays : int;  (** $display statements fired *)
-  st_settle_hist : Fpga_telemetry.Telemetry.Histogram.snapshot;
-      (** distribution of nodes evaluated per settle *)
-}
-
-val stats : t -> stats option
-(** [None] when telemetry was disabled at construction. *)
+val stats : t -> Lowered.run_stats
+(** A copy of the counters now, the same record whichever kernel runs:
+    steps, settles, closures run and skipped per settle (under
+    {!Brute_force} every node runs on every settle), the dirty set at
+    settle entry, commits, displays. Counted since {!create} or the last
+    {!reset}; {!restore_checkpoint} leaves them running. *)
 
 val profiling : unit -> bool
-(** Whether a simulator {!create}d now, on this domain, keeps {!stats}:
-    the telemetry switch or structured tracing is on. *)
+(** Whether a simulator {!create}d now, on this domain, keeps toggle
+    counts: the telemetry switch or structured tracing is on. *)
 
 val dense_mode : t -> bool
 (** True while the {!Lowered_dirty} kernel is in its dense full-sweep
@@ -199,20 +184,23 @@ val lowering_stats : t -> Lowered.stats option
     plan. *)
 
 val lowered_run_stats : t -> Lowered.run_stats option
-(** Runtime counters of the lowered kernel (closures run/skipped,
-    commit-buffer occupancy); [None] unless the kernel is
-    {!Lowered_dirty}. Always maintained (a few int stores per settle, never per
-    node), so available even without telemetry. *)
+(** The live {!stats} record under {!Lowered_dirty}, [None] under
+    {!Brute_force}. Kept only because the workload benchmark
+    ([perfbench/]) reads it, so its counts stay lowered-only; it is
+    deleted together with that benchmark's mirror of the campaign and
+    fuzz items, as {!Event_driven} is. *)
 
 val kernel_efficiency : t -> float option
-(** [st_nodes_evaluated / st_node_rounds] — the fraction of full-sweep
-    work the kernel actually performed (1.0 for {!Brute_force}; for
-    {!Lowered_dirty} both counts are in fused closures). [None] when
-    telemetry is off or nothing ran. *)
+(** Closures run over closures considered ([rs_closures_run +
+    rs_closures_skipped] of {!stats}): the fraction of full-sweep work
+    the kernel actually performed (1.0 for {!Brute_force}; for
+    {!Lowered_dirty} both counts are in fused closures). [None] before
+    the first settle. *)
 
 val toggle_counts : t -> (string * int) list
 (** Per-signal change counts (every change-detected write that took
-    effect), in dense-id order; empty when telemetry is off. *)
+    effect), in dense-id order; empty unless {!profiling} held at
+    {!create}. *)
 
 val hottest_signals : ?k:int -> t -> (string * int) list
 (** Top-[k] (default 10) most active signals by toggle count,

@@ -1,4 +1,4 @@
-(* Telemetry core: counters / histograms / timing spans.
+(* Telemetry core: counters / timing spans.
 
    All mutable state lives in a per-domain [sink] held in domain-local
    storage. Nothing here is shared between domains, so a pool of
@@ -183,89 +183,6 @@ module Counter = struct
   let all () =
     Hashtbl.fold (fun n r acc -> (n, !r) :: acc) (sink ()).sk_counters []
     |> List.sort compare
-end
-
-(* ------------------------------------------------------------------ *)
-(* Histograms                                                          *)
-(* ------------------------------------------------------------------ *)
-
-module Histogram = struct
-  (* Power-of-two buckets: bucket [k] holds values in
-     (2^(k-1) - 1, 2^k - 1]; bucket 0 holds exactly 0. 63 buckets
-     cover the full non-negative int range. Histograms are plain values
-     owned by their producer (a simulator instance keeps its own), so
-     they are domain-safe as long as the producer is. *)
-  let nbuckets = 63
-
-  type t = {
-    h_name : string;
-    mutable h_count : int;
-    mutable h_sum : int;
-    mutable h_min : int;
-    mutable h_max : int;
-    h_buckets : int array;
-  }
-
-  type snapshot = {
-    hs_name : string;
-    hs_count : int;
-    hs_sum : int;
-    hs_min : int;
-    hs_max : int;
-    hs_buckets : (int * int) list;
-  }
-
-  let make name =
-    {
-      h_name = name;
-      h_count = 0;
-      h_sum = 0;
-      h_min = 0;
-      h_max = 0;
-      h_buckets = Array.make nbuckets 0;
-    }
-
-  (* number of significant bits = the index of the smallest bucket
-     whose upper bound (2^k - 1) admits [v] *)
-  let bucket_index v =
-    let rec bits v acc = if v = 0 then acc else bits (v lsr 1) (acc + 1) in
-    min (bits v 0) (nbuckets - 1)
-
-  let observe h v =
-    if (sink ()).sk_on then (
-      let v = max v 0 in
-      if h.h_count = 0 then (
-        h.h_min <- v;
-        h.h_max <- v)
-      else (
-        if v < h.h_min then h.h_min <- v;
-        if v > h.h_max then h.h_max <- v);
-      h.h_count <- h.h_count + 1;
-      h.h_sum <- h.h_sum + v;
-      let k = bucket_index v in
-      h.h_buckets.(k) <- h.h_buckets.(k) + 1)
-
-  let snapshot h =
-    let buckets = ref [] in
-    for k = nbuckets - 1 downto 0 do
-      if h.h_buckets.(k) > 0 then
-        buckets := ((1 lsl k) - 1, h.h_buckets.(k)) :: !buckets
-    done;
-    {
-      hs_name = h.h_name;
-      hs_count = h.h_count;
-      hs_sum = h.h_sum;
-      hs_min = h.h_min;
-      hs_max = h.h_max;
-      hs_buckets = !buckets;
-    }
-
-  let clear h =
-    h.h_count <- 0;
-    h.h_sum <- 0;
-    h.h_min <- 0;
-    h.h_max <- 0;
-    Array.fill h.h_buckets 0 nbuckets 0
 end
 
 (* ------------------------------------------------------------------ *)

@@ -1,4 +1,4 @@
-(** Simulation telemetry: counters, histograms and timing spans — the
+(** Simulation telemetry: counters and timing spans — the
     software analog of the paper's always-on observability stack
     (Statistics Monitor counters). The recording IPs' fixed-depth trace
     buffers are modelled in hardware by SignalCat, not here.
@@ -16,8 +16,7 @@
     Every recording entry point checks the switch with a single branch
     and returns immediately when disabled, so an uninstrumented run
     pays ~nothing. Producers therefore never need their own guards;
-    they just call {!Counter.bump}, {!Histogram.observe} and {!span}
-    unconditionally. *)
+    they just call {!Counter.bump} and {!span} unconditionally. *)
 
 val enabled : unit -> bool
 val enable : unit -> unit
@@ -61,34 +60,6 @@ module Counter : sig
   (** Value accumulated in the {e current} domain's sink. *)
 
   val name : t -> string
-end
-
-(** {1 Histograms} — power-of-two buckets over non-negative ints. *)
-
-module Histogram : sig
-  type t
-
-  type snapshot = {
-    hs_name : string;
-    hs_count : int;
-    hs_sum : int;
-    hs_min : int;  (** 0 when empty *)
-    hs_max : int;
-    hs_buckets : (int * int) list;
-        (** (inclusive upper bound, count), non-empty buckets only;
-            bounds are [2^k - 1] *)
-  }
-
-  val make : string -> t
-  (** Histograms are plain values owned by their producer (a simulator
-      instance keeps its own), not interned; they are domain-safe as
-      long as their producer is. *)
-
-  val observe : t -> int -> unit
-  (** No-op while telemetry is disabled; negative values clamp to 0. *)
-
-  val snapshot : t -> snapshot
-  val clear : t -> unit
 end
 
 (** {1 Timing spans} *)

@@ -112,7 +112,7 @@ let design_of bug ~buggy =
    and compiling again.
 
    - The key is the physical design, the top, the kernel [create]
-     builds and whether the instance keeps stats. Only designs in
+     builds and whether the instance counts toggles. Only designs in
      [parsed] get a slot, so the registry bounds the list; mutants,
      instrumented designs and callers' own designs build afresh.
    - A slot holds at most one idle instance. A key's first run only
@@ -122,7 +122,7 @@ let design_of bug ~buggy =
    - Every word an idle instance keeps costs several words of peak
      major heap under the GC's pacing. So a miss builds on the flat of
      an idle instance of the same design and top when there is one
-     (the kernels and stats settings of one design share a flat), and
+     (the kernels and toggle settings of one design share a flat), and
      a lowered-dirty instance keeps no brute-force plan.
    - Instances leave and enter slots under [slots_lock], which orders
      everything the last domain to run one wrote before everything the

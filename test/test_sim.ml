@@ -1573,7 +1573,7 @@ type outcome = {
   o_finished : bool;
   o_vcd : string;
   o_checkpoints : string list;  (* serialized, every 7 cycles *)
-  o_stats : Simulator.stats option;
+  o_stats : Lowered.run_stats;
   o_toggles : (string * int) list;
   o_lowered : int list option;  (* the lowered kernel's run counters *)
 }

@@ -1,4 +1,4 @@
-(* Tests for the telemetry core (counters, histograms, spans), the
+(* Tests for the telemetry core (counters, spans), the
    simulator's kernel-profiling integration, and the profile report. Every test that enables telemetry restores the disabled
    default on exit so the rest of the suite keeps the zero-cost path. *)
 
@@ -32,7 +32,7 @@ let with_telemetry f =
       Telemetry.disable ())
     f
 
-(* --- core: counters, histograms, spans ----------------------------- *)
+(* --- core: counters, spans ------------------------------------------ *)
 
 let test_counter_gating () =
   let c = Telemetry.Counter.make "test.gating" in
@@ -51,21 +51,6 @@ let test_counter_gating () =
       Telemetry.Counter.incr c';
       check_int "same name writes the same cell" 7 (Telemetry.Counter.value c));
   check_int "reset zeroes the counter" 0 (Telemetry.Counter.value c)
-
-let test_histogram () =
-  with_telemetry (fun () ->
-      let h = Telemetry.Histogram.make "test.hist" in
-      List.iter (Telemetry.Histogram.observe h) [ 0; 1; 5; 8; 8 ];
-      let s = Telemetry.Histogram.snapshot h in
-      check_int "count" 5 s.Telemetry.Histogram.hs_count;
-      check_int "sum" 22 s.Telemetry.Histogram.hs_sum;
-      check_int "min" 0 s.Telemetry.Histogram.hs_min;
-      check_int "max" 8 s.Telemetry.Histogram.hs_max;
-      (* buckets: 0 -> bound 0; 1 -> bound 1; 5 -> bound 7; 8,8 -> 15 *)
-      Alcotest.(check (list (pair int int)))
-        "power-of-two buckets"
-        [ (0, 1); (1, 1); (7, 1); (15, 2) ]
-        s.Telemetry.Histogram.hs_buckets)
 
 let test_span () =
   with_telemetry (fun () ->
@@ -95,29 +80,53 @@ module top (input clk, input enable, output reg [7:0] count, output [7:0] next);
 endmodule
 |}
 
+(* Both kernels fill the one counter record, in the same units on this
+   design (one node, one closure): the brute-force sweep evaluates every
+   round, the lowered kernel at most that, and it queues no more
+   non-blocking writes, as it skips clean statement groups. *)
+let test_one_record () =
+  let run kernel =
+    let sim = Testbench.of_source ~kernel ~top:"top" counter_src in
+    Simulator.set_input sim "enable" (b 1 1);
+    Simulator.run sim 8;
+    Simulator.set_input sim "enable" (b 1 0);
+    Simulator.run sim 8;
+    Simulator.stats sim
+  in
+  let bf = run Simulator.Brute_force and ld = run Simulator.Lowered_dirty in
+  let rounds (r : Lowered.run_stats) = r.rs_closures_run + r.rs_closures_skipped in
+  let commits (r : Lowered.run_stats) = r.rs_commit_imm + r.rs_commit_boxed in
+  check_int "steps agree" bf.rs_steps ld.rs_steps;
+  check_int "settles agree" bf.rs_settles ld.rs_settles;
+  check_int "node rounds agree" (rounds bf) (rounds ld);
+  check_int "displays agree" bf.rs_displays ld.rs_displays;
+  check_int "brute evaluates every round" (rounds bf) bf.rs_closures_run;
+  check_bool "lowered evaluates at most every round" true
+    (ld.rs_closures_run <= rounds ld);
+  check_bool "lowered commits at most what brute does" true
+    (commits ld <= commits bf)
+
 let test_stats_gating () =
   Telemetry.disable ();
   let sim = sim_of counter_src "top" in
   Simulator.run sim 5;
-  check_bool "no stats when telemetry was off at create" true
-    (Simulator.stats sim = None);
-  check_bool "no toggle counts either" true (Simulator.toggle_counts sim = [])
+  let st = Simulator.stats sim in
+  check_int "steps counted with telemetry off" 5 st.rs_steps;
+  check_int "settles counted with telemetry off" 10 st.rs_settles;
+  check_bool "no toggle counts" true (Simulator.toggle_counts sim = [])
 
 let test_stats_and_hottest () =
   with_telemetry (fun () ->
       let sim = sim_of counter_src "top" in
       Simulator.set_input sim "enable" (b 1 1);
       Simulator.run sim 8;
-      let st = Option.get (Simulator.stats sim) in
-      check_int "steps" 8 st.Simulator.st_steps;
-      check_int "two settles per cycle" 16 st.Simulator.st_settles;
-      check_bool "evaluated <= rounds" true
-        (st.Simulator.st_nodes_evaluated <= st.Simulator.st_node_rounds);
-      check_int "skipped = rounds - evaluated"
-        (st.Simulator.st_node_rounds - st.Simulator.st_nodes_evaluated)
-        st.Simulator.st_nodes_skipped;
+      let st = Simulator.stats sim in
+      check_int "steps" 8 st.rs_steps;
+      check_int "two settles per cycle" 16 st.rs_settles;
+      check_bool "min <= max closures per settle" true
+        (st.rs_run_min <= st.rs_run_max);
       check_bool "count register commits each cycle" true
-        (st.Simulator.st_nba_commits >= 8);
+        (st.rs_commit_imm + st.rs_commit_boxed >= 8);
       let eff = Option.get (Simulator.kernel_efficiency sim) in
       check_bool "efficiency in (0,1]" true (eff > 0.0 && eff <= 1.0);
       let hottest = Simulator.hottest_signals ~k:2 sim in
@@ -278,11 +287,90 @@ let test_profile_json () =
   check_bool "hottest signals present" true
     (p.Fpga_report.Profile.p_hottest <> [])
 
+(* The counter sections of D2's profile under each kernel, pinned byte
+   for byte: a change to how either kernel counts its work shows here. *)
+let golden_d2_lowered =
+  {|  "kernel_stats": {
+    "steps": 200, "settles": 400,
+    "node_rounds": 1200, "nodes_evaluated": 30, "nodes_skipped": 1170,
+    "kernel_efficiency": 0.0250,
+    "dirty_total": 30, "dirty_peak": 3,
+    "nba_commits": 184, "prim_steps": 0, "displays": 0
+  },
+  "lowered": {
+    "closures": 3, "fused": 0,
+    "imm_signals": 18, "boxed_signals": 1, "seq_blocks": 1,
+    "settles": 400, "closures_run": 30, "closures_skipped": 1170,
+    "skip_rate": 0.9750,
+    "seq_groups_run": 49, "seq_groups_skipped": 151,
+    "seq_skip_rate": 0.7550,
+    "edge_runs": 200, "commit_imm": 160, "commit_boxed": 24,
+    "commit_per_edge": 0.92
+  },
+  "settle_rounds": {"count": 400, "min": 0, "max": 3, "mean": 0.07},
+  "hottest_signals": [
+    {"signal": "gray", "toggles": 24},
+    {"signal": "in_rgb", "toggles": 24},
+    {"signal": "linebuf", "toggles": 24},
+    {"signal": "rd_count", "toggles": 24},
+    {"signal": "wptr", "toggles": 24},
+    {"signal": "out_valid", "toggles": 16},
+    {"signal": "out_gray", "toggles": 8},
+    {"signal": "rptr", "toggles": 8},
+    {"signal": "wr_count", "toggles": 8},
+    {"signal": "in_valid", "toggles": 2}
+  ],
+|}
+
+let golden_d2_brute =
+  {|  "kernel_stats": {
+    "steps": 200, "settles": 400,
+    "node_rounds": 1200, "nodes_evaluated": 1200, "nodes_skipped": 0,
+    "kernel_efficiency": 1.0000,
+    "dirty_total": 1200, "dirty_peak": 3,
+    "nba_commits": 486, "prim_steps": 0, "displays": 0
+  },
+  "settle_rounds": {"count": 400, "min": 3, "max": 3, "mean": 3.00},
+  "hottest_signals": [
+    {"signal": "gray", "toggles": 24},
+    {"signal": "in_rgb", "toggles": 24},
+    {"signal": "linebuf", "toggles": 24},
+    {"signal": "rd_count", "toggles": 24},
+    {"signal": "wptr", "toggles": 24},
+    {"signal": "out_valid", "toggles": 16},
+    {"signal": "out_gray", "toggles": 8},
+    {"signal": "rptr", "toggles": 8},
+    {"signal": "wr_count", "toggles": 8},
+    {"signal": "in_valid", "toggles": 2}
+  ],
+|}
+
+let test_profile_golden () =
+  let bug = Option.get (Registry.find "D2") in
+  let sections kernel =
+    let json =
+      Fpga_report.Profile.to_json (Fpga_report.Profile.run ~kernel ~cycles:200 bug)
+    in
+    Telemetry.reset ();
+    let find key =
+      let rec go i =
+        if String.sub json i (String.length key) = key then i else go (i + 1)
+      in
+      go 0
+    in
+    let first = find "  \"kernel_stats\"" in
+    String.sub json first (find "  \"counters\"" - first)
+  in
+  Alcotest.(check string) "lowered-dirty" golden_d2_lowered
+    (sections Simulator.Lowered_dirty);
+  Alcotest.(check string) "brute" golden_d2_brute (sections Simulator.Brute_force)
+
 let suite =
   [
     Alcotest.test_case "counter gating on the global switch" `Quick
       test_counter_gating;
-    Alcotest.test_case "histogram buckets and moments" `Quick test_histogram;
+    Alcotest.test_case "one counter record for both kernels" `Quick
+      test_one_record;
     Alcotest.test_case "span records calls and survives exceptions" `Quick
       test_span;
     Alcotest.test_case "no stats allocated when disabled" `Quick
@@ -301,4 +389,6 @@ let suite =
       test_dep_monitor_publishes;
     Alcotest.test_case "profile JSON schema and drop accounting" `Quick
       test_profile_json;
+    Alcotest.test_case "golden profile counters for D2" `Quick
+      test_profile_golden;
   ]
