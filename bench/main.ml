@@ -210,32 +210,6 @@ let bits_benches () =
         cases)
     widths
 
-(* Signal-lookup micro-benchmark: a string-keyed hashtable environment
-   (the seed's evaluator) against the interned id-indexed array the
-   compiled evaluator uses, over a real design's signal set. *)
-type lookup_bench = { lb_hashtbl_per_sec : float; lb_array_per_sec : float }
-
-let signal_lookup_bench () =
-  let bug = Option.get (Registry.find "D8") in
-  let design = Fpga_hdl.Parser.parse_design bug.Bug.buggy_src in
-  let flat = Fpga_sim.Elaborate.elaborate design ~top:bug.Bug.top in
-  let names = flat.Fpga_sim.Elaborate.f_signal_order in
-  let n = Array.length names in
-  let h = Hashtbl.create (2 * n) in
-  Array.iter (fun nm -> Hashtbl.replace h nm (Bits.zero 8)) names;
-  let arr = Array.make n (Bits.zero 8) in
-  let per_sweep f = ops_per_sec f *. float_of_int n in
-  {
-    lb_hashtbl_per_sec =
-      per_sweep (fun () ->
-          Array.iter (fun nm -> ignore (Sys.opaque_identity (Hashtbl.find h nm))) names);
-    lb_array_per_sec =
-      per_sweep (fun () ->
-          for i = 0 to n - 1 do
-            ignore (Sys.opaque_identity arr.(i))
-          done);
-  }
-
 type bench_result = {
   br_id : string;
   br_top : string;
@@ -243,7 +217,6 @@ type bench_result = {
   br_elaborate_per_sec : float;
   br_brute_cps : float;
   br_ldirty_cps : float;
-  br_auto_kernel : string;  (* kernel [Simulator.create] picks unforced *)
 }
 
 (* [Elaborate.elaborate] returns its last flat again for the same
@@ -277,13 +250,7 @@ let bench_one (d : bench_design) =
     br_ldirty_cps =
       sim_best_batch_cps ~min_elapsed:0.45 ~kernel:Simulator.Lowered_dirty
         flat d.bd_stim;
-    br_auto_kernel = Simulator.kernel_name (Simulator.kernel (Simulator.create flat));
   }
-
-(* Throughput of whichever kernel [Simulator.create] actually picked for
-   this design: the honest numerator for the headline "speedup" column. *)
-let auto_cps r =
-  match r.br_auto_kernel with "brute" -> r.br_brute_cps | _ -> r.br_ldirty_cps
 
 (* Lowering-pass statics per bench design: how long one lowered
    construction takes and what the closure compiler emitted. The counts
@@ -493,13 +460,16 @@ let campaign_benches () =
       })
     [ 1; 2; 4 ]
 
-let json_of_results results lowerings bits lookup telem overheads campaigns
-    reuses =
+(* The schema [json_of_results] writes; [compare_to_baseline] warns
+   when the baseline was written under another. *)
+let schema = "fpga-debug-bench/12"
+
+let json_of_results results lowerings bits telem overheads campaigns reuses =
   let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n  \"schema\": \"fpga-debug-bench/11\",\n";
+  Buffer.add_string buf (Printf.sprintf "{\n  \"schema\": %S,\n" schema);
   Buffer.add_string buf "  \"designs\": [\n";
-  (* "speedup" is auto-kernel throughput over brute — what a user who
-     never passes --kernel actually gets *)
+  (* "speedup" is lowered-dirty, the kernel [Simulator.create] builds,
+     over brute force *)
   List.iteri
     (fun i r ->
       Buffer.add_string buf
@@ -507,25 +477,9 @@ let json_of_results results lowerings bits lookup telem overheads campaigns
            "    {\"id\": %S, \"top\": %S, \"parse_per_sec\": %.1f, \
             \"elaborate_per_sec\": %.1f, \"sim_cycles_per_sec_brute\": \
             %.1f, \"sim_cycles_per_sec_lowered_dirty\": %.1f, \
-            \"auto_kernel\": %S, \"speedup\": %.2f}%s\n"
+            \"speedup\": %.2f}%s\n"
            r.br_id r.br_top r.br_parse_per_sec r.br_elaborate_per_sec
            r.br_brute_cps r.br_ldirty_cps
-           r.br_auto_kernel
-           (auto_cps r /. r.br_brute_cps)
-           (if i = List.length results - 1 then "" else ",")))
-    results;
-  (* per-kernel throughput side by side, keyed on "design" so the
-     baseline scanner (which keys throughput on "id") sees each number
-     exactly once *)
-  Buffer.add_string buf "  ],\n  \"kernel_compare\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"design\": %S, \"brute_cps\": %.1f, \
-            \"lowered_dirty_cps\": %.1f, \"auto_kernel\": %S, \
-            \"lowered_dirty_speedup_vs_brute\": %.2f}%s\n"
-           r.br_id r.br_brute_cps r.br_ldirty_cps r.br_auto_kernel
            (r.br_ldirty_cps /. r.br_brute_cps)
            (if i = List.length results - 1 then "" else ",")))
     results;
@@ -549,16 +503,10 @@ let json_of_results results lowerings bits lookup telem overheads campaigns
            b.bb_op b.bb_width b.bb_ops_per_sec
            (if i = List.length bits - 1 then "" else ",")))
     bits;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"signal_lookup\": {\"hashtbl_per_sec\": %.1f, \"array_per_sec\": \
-        %.1f},\n"
-       lookup.lb_hashtbl_per_sec lookup.lb_array_per_sec);
   (* telemetry sections are keyed on "design" (not "id") so the
-     line-based baseline scanner above never conflates them with the
+     line-based baseline scanner below never conflates them with the
      throughput entries *)
-  Buffer.add_string buf "  \"telemetry\": [\n";
+  Buffer.add_string buf "  ],\n  \"telemetry\": [\n";
   List.iteri
     (fun i t ->
       Buffer.add_string buf
@@ -619,7 +567,7 @@ let json_of_results results lowerings bits lookup telem overheads campaigns
 (* Minimal scanner for the bench JSON this harness writes (one entry
    per line): extracts labelled throughput numbers without a JSON
    dependency. Labels: "id@lowered-dirty" -> lowered-dirty cycles/sec,
-   "op@width" -> ops/sec, "signal_lookup_array" -> lookups/sec. *)
+   "op@width" -> ops/sec, "schema" -> the schema it was written under. *)
 let find_sub s pat =
   let n = String.length s and m = String.length pat in
   let rec go i =
@@ -655,7 +603,7 @@ let field_string line key =
 
 let labelled_metrics_of_file path =
   let ic = open_in path in
-  let entries = ref [] in
+  let entries = ref [] and schema_seen = ref None in
   (try
      while true do
        let line = input_line ic in
@@ -671,24 +619,30 @@ let labelled_metrics_of_file path =
        | Some op, Some w, Some v ->
            entries := (Printf.sprintf "%s@%d" op (int_of_float w), v) :: !entries
        | _ -> ());
-       match field_float line "array_per_sec" with
-       | Some v -> entries := ("signal_lookup_array", v) :: !entries
+       match field_string line "schema" with
+       | Some s -> schema_seen := Some s
        | None -> ()
      done
    with End_of_file -> ());
   close_in ic;
-  List.rev !entries
+  (!schema_seen, List.rev !entries)
 
 (* Warn-only regression gate: flag any metric that fell below
    [tolerance] of the checked-in baseline. Timing noise on shared CI
    runners makes a hard failure counterproductive, so this never exits
-   non-zero; the warning lines are what reviewers grep for. *)
+   non-zero; the warning lines are what reviewers grep for. A baseline
+   written under another schema may lack metrics or measure them
+   differently, so that is a warning too. *)
 let compare_to_baseline ~current ~baseline_path =
   if not (Sys.file_exists baseline_path) then
     Printf.printf "baseline %s not found; skipping comparison\n" baseline_path
   else begin
     let tolerance = 0.8 in
-    let baseline = labelled_metrics_of_file baseline_path in
+    let base_schema, baseline = labelled_metrics_of_file baseline_path in
+    let base_schema = Option.value base_schema ~default:"none" in
+    if base_schema <> schema then
+      Printf.printf "BENCH WARNING: baseline %s has schema %s, this run writes %s\n"
+        baseline_path base_schema schema;
     let warned = ref 0 and checked = ref 0 in
     List.iter
       (fun (label, base) ->
@@ -781,26 +735,23 @@ let run_json_bench path baseline =
   let results = List.map bench_one (bench_designs ()) in
   let lowerings = List.map lowering_bench_one (bench_designs ()) in
   let bits = bits_benches () in
-  let lookup = signal_lookup_bench () in
   let telem = telemetry_benches () in
   let overheads = telemetry_overhead_benches () in
   let campaigns = campaign_benches () in
   let reuses = List.map reuse_bench_one Registry.all in
   let json =
-    json_of_results results lowerings bits lookup telem overheads campaigns
-      reuses
+    json_of_results results lowerings bits telem overheads campaigns reuses
   in
   let oc = open_out path in
   output_string oc json;
   close_out oc;
-  Printf.printf "%-8s %-10s %12s %14s %14s %8s %-13s\n" "design" "top"
-    "parse/s" "brute cyc/s" "ldirty cyc/s" "ld/bf" "auto";
+  Printf.printf "%-8s %-10s %12s %14s %14s %8s\n" "design" "top" "parse/s"
+    "brute cyc/s" "ldirty cyc/s" "ld/bf";
   List.iter
     (fun r ->
-      Printf.printf "%-8s %-10s %12.1f %14.1f %14.1f %7.2fx %-13s\n"
-        r.br_id r.br_top r.br_parse_per_sec r.br_brute_cps r.br_ldirty_cps
-        (r.br_ldirty_cps /. r.br_brute_cps)
-        r.br_auto_kernel)
+      Printf.printf "%-8s %-10s %12.1f %14.1f %14.1f %7.2fx\n" r.br_id r.br_top
+        r.br_parse_per_sec r.br_brute_cps r.br_ldirty_cps
+        (r.br_ldirty_cps /. r.br_brute_cps))
     results;
   Printf.printf "\n%-8s %12s %8s %10s %8s %8s %8s %8s\n" "design"
     "compile ms" "nodes" "closures" "fused" "imm" "boxed" "seq";
@@ -815,10 +766,6 @@ let run_json_bench path baseline =
     (fun b ->
       Printf.printf "%-14s %8d %16.1f\n" b.bb_op b.bb_width b.bb_ops_per_sec)
     bits;
-  Printf.printf
-    "\nsignal lookup: hashtbl %.1f/s, interned array %.1f/s (%.1fx)\n"
-    lookup.lb_hashtbl_per_sec lookup.lb_array_per_sec
-    (lookup.lb_array_per_sec /. lookup.lb_hashtbl_per_sec);
   Printf.printf "\n%-8s %10s %12s %10s %10s\n" "design" "settles"
     "node rnds" "evaluated" "eff %";
   List.iter
@@ -860,7 +807,6 @@ let run_json_bench path baseline =
         @ List.map
             (fun b -> (Printf.sprintf "%s@%d" b.bb_op b.bb_width, b.bb_ops_per_sec))
             bits
-        @ [ ("signal_lookup_array", lookup.lb_array_per_sec) ]
       in
       compare_to_baseline ~current ~baseline_path);
   let kernel_ok = kernel_gate results in

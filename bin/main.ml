@@ -255,18 +255,19 @@ let repro_cmd =
     let bug = find_bug id in
     Printf.printf "%s: %s (%s)\n" bug.Bug.id bug.Bug.description
       bug.Bug.application;
-    let observed = Bug.observed_symptoms bug in
+    let buggy = Bug.run bug ~buggy:true in
+    let fixed = Bug.run bug ~buggy:false in
     Printf.printf "expected symptoms: %s\n"
       (String.concat ", " (List.map Taxonomy.symptom_name bug.Bug.symptoms));
     Printf.printf "observed symptoms: %s\n"
-      (String.concat ", " (List.map Taxonomy.symptom_name observed));
-    Printf.printf "reproduces: %b\n" (Bug.reproduces bug);
-    let report = Bug.run bug ~buggy:true in
-    if report.Bug.log <> [] then (
+      (String.concat ", "
+         (List.map Taxonomy.symptom_name (Bug.symptoms_of ~buggy ~fixed)));
+    Printf.printf "reproduces: %b\n" (Bug.reproduces_of ~bug ~buggy ~fixed);
+    if buggy.Bug.log <> [] then (
       print_endline "design log:";
       List.iter
         (fun (c, t) -> Printf.printf "  [cycle %d] %s\n" c t)
-        report.Bug.log)
+        buggy.Bug.log)
   in
   Cmd.v (Cmd.info "repro" ~doc) Term.(const run $ bug_arg)
 

@@ -153,8 +153,6 @@ type slice_edge = {
   se_timing : timing;
 }
 
-let slice_to_string s = Printf.sprintf "%s[%d:%d]" s.s_name s.s_hi s.s_lo
-
 let overlaps a b =
   a.s_name = b.s_name && a.s_hi >= b.s_lo && a.s_lo <= b.s_hi
 

@@ -56,7 +56,6 @@ type slice_edge = {
   se_timing : timing;
 }
 
-val slice_to_string : slice -> string
 val overlaps : slice -> slice -> bool
 val full_slice : Fpga_hdl.Ast.module_def -> string -> slice
 val slice_edges : Fpga_hdl.Ast.module_def -> slice_edge list

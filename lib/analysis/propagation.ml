@@ -13,11 +13,6 @@ type relation = {
 
 type table = relation list
 
-let relation_to_string r =
-  Printf.sprintf "%s ~>[%s] %s" r.src
-    (Fpga_hdl.Pp_verilog.expr_str r.cond)
-    r.dst
-
 (* Data propagation relations of a sequential assignment: every register
    read on the right-hand side propagates into every written base when
    the path constraint holds. A [Lindex] write on a memory adds the
@@ -92,10 +87,6 @@ let sequence_registers (table : table) ~source ~sink : string list =
     (fun n _ acc -> if Hashtbl.mem bwd n then n :: acc else acc)
     fwd []
   |> List.sort String.compare
-
-(* Relations restricted to a register set. *)
-let restrict table names =
-  List.filter (fun r -> List.mem r.src names && List.mem r.dst names) table
 
 let incoming table dst = List.filter (fun r -> r.dst = dst) table
 let outgoing table src = List.filter (fun r -> r.src = src) table

@@ -13,8 +13,6 @@ type relation = {
 
 type table = relation list
 
-val relation_to_string : relation -> string
-
 val of_assignment :
   Fpga_hdl.Ast.lvalue * Fpga_hdl.Ast.expr * Fpga_hdl.Ast.expr -> relation list
 (** Relations of one (target, rhs, path-constraint) assignment: every
@@ -33,6 +31,5 @@ val sequence_registers : table -> source:string -> sink:string -> string list
 (** Registers on some propagation sequence from [source] to [sink]
     (reachable from the source and reaching the sink), sorted. *)
 
-val restrict : table -> string list -> table
 val incoming : table -> string -> relation list
 val outgoing : table -> string -> relation list

@@ -339,23 +339,18 @@ let differential_job (bug : Bug.t) : verdict job =
         let design = Bug.design_of bug ~buggy:true in
         let pr = Bug.run_design bug design in
         let bf = Bug.run_design ~kernel:Simulator.Brute_force bug design in
-        let agree =
-          pr.Bug.log = bf.Bug.log
-          && pr.Bug.rows = bf.Bug.rows
-          && pr.Bug.stuck = bf.Bug.stuck
-          && pr.Bug.finished = bf.Bug.finished
-          && pr.Bug.cycles = bf.Bug.cycles
-        in
+        let diff = Bug.diff_reports pr bf in
         {
           v_bug = bug.Bug.id;
           v_kind = "differential";
           v_cycles = pr.Bug.cycles + bf.Bug.cycles;
-          v_ok = agree;
+          v_ok = diff = None;
           v_detail =
-            (if agree then "kernels agree"
-             else
-               Simulator.kernel_name Simulator.default_kernel
-               ^ " and brute-force kernels diverge");
+            (match diff with
+            | None -> "kernels agree"
+            | Some why ->
+                Simulator.kernel_name Simulator.default_kernel
+                ^ " and brute-force kernels diverge: " ^ why);
           v_symptoms = [];
           v_log = pr.Bug.log;
           v_vcd = None;
@@ -429,11 +424,7 @@ let replay_job ~every (bug : Bug.t) : verdict job =
             let replayed = Replay.replay ~from:mid bug in
             let agree =
               straight.Bug.vcd = replayed.Bug.vcd
-              && straight.Bug.rows = replayed.Bug.rows
-              && straight.Bug.log = replayed.Bug.log
-              && straight.Bug.stuck = replayed.Bug.stuck
-              && straight.Bug.finished = replayed.Bug.finished
-              && straight.Bug.cycles = replayed.Bug.cycles
+              && Bug.diff_reports straight replayed = None
             in
             {
               v_bug = bug.Bug.id;

@@ -120,11 +120,6 @@ let localize_stage (counts : (string * int) list) ~(stages : string list) :
   in
   scan stages
 
-let stage_anomaly_to_string a =
-  Printf.sprintf "events vanish between %s (%d) and %s (%d): %d lost"
-    a.upstream a.upstream_count a.downstream a.downstream_count
-    (a.upstream_count - a.downstream_count)
-
 (* Derive one event per valid-like 1-bit signal, in declaration order -
    the quick way to get per-stage counters over a handshaked pipeline. *)
 let valid_signal_events (m : Fpga_hdl.Ast.module_def) : event list =

@@ -52,8 +52,6 @@ type stage_anomaly = {
 val localize_stage :
   (string * int) list -> stages:string list -> stage_anomaly option
 
-val stage_anomaly_to_string : stage_anomaly -> string
-
 val valid_signal_events : Fpga_hdl.Ast.module_def -> event list
 (** One event per valid-like 1-bit signal (ports first, then registers,
     in declaration order) — instant per-stage counters for a handshaked

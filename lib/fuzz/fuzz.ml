@@ -141,29 +141,9 @@ let run_instrumented bug d =
         ~finally:(fun () -> if not was then Telemetry.disable ())
         (fun () -> Bug.run_design bug d))
 
-let diff_reports (a : Bug.report) (b : Bug.report) : string option =
-  if a.Bug.rows <> b.Bug.rows then
-    Some
-      (Printf.sprintf "output rows differ (%d vs %d rows)"
-         (List.length a.Bug.rows) (List.length b.Bug.rows))
-  else if a.Bug.log <> b.Bug.log then Some "$display logs differ"
-  else if a.Bug.stuck <> b.Bug.stuck then
-    Some (Printf.sprintf "stuck flag differs (%b vs %b)" a.Bug.stuck b.Bug.stuck)
-  else if a.Bug.finished <> b.Bug.finished then
-    Some
-      (Printf.sprintf "finished flag differs (%b vs %b)" a.Bug.finished
-         b.Bug.finished)
-  else if a.Bug.ext_error <> b.Bug.ext_error then
-    Some
-      (Printf.sprintf "external-monitor flag differs (%b vs %b)" a.Bug.ext_error
-         b.Bug.ext_error)
-  else if a.Bug.cycles <> b.Bug.cycles then
-    Some (Printf.sprintf "cycle counts differ (%d vs %d)" a.Bug.cycles b.Bug.cycles)
-  else None
-
 let diff_runs a b =
   match (a, b) with
-  | Ok a, Ok b -> diff_reports a b
+  | Ok a, Ok b -> Bug.diff_reports a b
   | Error e, Error f ->
       if String.equal e f then None
       else Some (Printf.sprintf "crashes differ (%s vs %s)" e f)

@@ -35,21 +35,6 @@ let mutation_to_string mu =
 
 let templates = Taxonomy.all_subclasses
 
-let template_mutation_name = function
-  | Taxonomy.Buffer_overflow -> "index off-by-one"
-  | Taxonomy.Bit_truncation -> "slice narrowing"
-  | Taxonomy.Misindexing -> "slice bound shift"
-  | Taxonomy.Endianness_mismatch -> "concat order reversal"
-  | Taxonomy.Failure_to_update -> "register update drop"
-  | Taxonomy.Deadlock -> "condition negation"
-  | Taxonomy.Producer_consumer_mismatch -> "constant perturbation"
-  | Taxonomy.Signal_asynchrony -> "blocking <-> non-blocking swap"
-  | Taxonomy.Use_without_valid -> "guard conjunct drop"
-  | Taxonomy.Protocol_violation -> "clock-edge / reset-polarity flip"
-  | Taxonomy.Api_misuse -> "instance parameter/connection perturbation"
-  | Taxonomy.Incomplete_implementation -> "case-arm drop"
-  | Taxonomy.Erroneous_expression -> "operator swap"
-
 (* ------------------------------------------------------------------ *)
 (* Deterministic PRNG (splitmix64)                                     *)
 (* ------------------------------------------------------------------ *)

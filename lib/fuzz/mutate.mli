@@ -26,10 +26,6 @@ val mutation_to_string : mutation -> string
 val templates : Fpga_study.Taxonomy.subclass list
 (** All thirteen templates, in the taxonomy's fixed order. *)
 
-val template_mutation_name : Fpga_study.Taxonomy.subclass -> string
-(** What the template injects, e.g. ["operator swap"] for
-    [Erroneous_expression] — the template table of DESIGN.md. *)
-
 val site_count : Fpga_study.Taxonomy.subclass -> Fpga_hdl.Ast.design -> int
 (** Number of candidate sites the template has in the design. *)
 

@@ -213,6 +213,4 @@ let design_to_string d =
 
 (* Lines-of-code accounting for generated instrumentation. *)
 let stmt_loc s = List.length (stmt_lines 0 s)
-let stmts_loc ss = List.fold_left (fun acc s -> acc + stmt_loc s) 0 ss
 let module_loc m = List.length (module_lines m)
-let design_loc d = List.fold_left (fun acc m -> acc + module_loc m) 0 d.modules

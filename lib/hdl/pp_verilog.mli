@@ -24,6 +24,4 @@ val design_to_string : Ast.design -> string
 (** {1 Lines-of-code accounting} *)
 
 val stmt_loc : Ast.stmt -> int
-val stmts_loc : Ast.stmt list -> int
 val module_loc : Ast.module_def -> int
-val design_loc : Ast.design -> int

@@ -137,6 +137,10 @@ type cstmt =
   | CSdisplay of string * cexpr list
   | CSfinish
 
+(* A combinational node: a continuous assign with its context width, or
+   an always-star block. *)
+type cnode = CNassign of clvalue * cexpr * int | CNblock of cstmt list
+
 (* ------------------------------------------------------------------ *)
 (* Compilation                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -236,6 +240,93 @@ let rec compile_stmt tab (s : Ast.stmt) : cstmt =
   | Ast.Display (fmt, args) ->
       CSdisplay (fmt, List.map (compile_expr tab) args)
   | Ast.Finish -> CSfinish
+
+(* ------------------------------------------------------------------ *)
+(* Dependency walks                                                    *)
+(* ------------------------------------------------------------------ *)
+
+type walk = Targets | Reads | Touches
+
+(* Every id an expression reads goes to [f]: signals, the memory of a
+   word read, and whatever index expressions read. These walks recurse
+   by hand, with no closure per list: a fuzz run compiles a plan per
+   mutant. *)
+let rec expr_ids f (e : cexpr) =
+  match e with
+  | Cconst _ -> ()
+  | Cvar i | Crange (i, _, _) -> f i
+  | Cbit (i, _, ix) | Cword (i, _, _, ix) ->
+      f i;
+      expr_ids f ix
+  | Cunop (_, a) | Crepeat (_, a) -> expr_ids f a
+  | Cbinop (_, a, b) ->
+      expr_ids f a;
+      expr_ids f b
+  | Ccond (c, a, b) ->
+      expr_ids f c;
+      expr_ids f a;
+      expr_ids f b
+  | Cconcat es -> exprs_ids f es
+
+and exprs_ids f = function
+  | [] -> ()
+  | e :: tl ->
+      expr_ids f e;
+      exprs_ids f tl
+
+let rec lvalue_ids walk f (l : clvalue) =
+  match l with
+  | CLvar (i, _) | CLrange (i, _, _) -> if walk <> Reads then f i
+  | CLbit (i, _, ix) | CLword (i, _, _, ix) ->
+      if walk <> Reads then f i;
+      if walk <> Targets then expr_ids f ix
+  | CLconcat (parts, _) -> parts_ids walk f parts
+
+and parts_ids walk f = function
+  | [] -> ()
+  | (l, _) :: tl ->
+      lvalue_ids walk f l;
+      parts_ids walk f tl
+
+let rec stmt_ids walk f (s : cstmt) =
+  let reads = walk <> Targets in
+  match s with
+  | CSblocking (l, e, _) | CSnonblocking (l, e, _) ->
+      lvalue_ids walk f l;
+      if reads then expr_ids f e
+  | CSif (c, a, b) ->
+      if reads then expr_ids f c;
+      stmts_ids walk f a;
+      stmts_ids walk f b
+  | CScase (e, items, default) -> (
+      if reads then expr_ids f e;
+      items_ids walk f items;
+      match default with Some body -> stmts_ids walk f body | None -> ())
+  | CSdisplay (_, args) -> if reads then exprs_ids f args
+  | CSfinish -> ()
+
+and stmts_ids walk f = function
+  | [] -> ()
+  | s :: tl ->
+      stmt_ids walk f s;
+      stmts_ids walk f tl
+
+and items_ids walk f = function
+  | [] -> ()
+  | (labels, body) :: tl ->
+      if walk <> Targets then exprs_ids f labels;
+      stmts_ids walk f body;
+      items_ids walk f tl
+
+let node_ids walk node =
+  let ids = ref [] in
+  let f i = ids := i :: !ids in
+  (match node with
+  | CNassign (l, e, _) ->
+      lvalue_ids walk f l;
+      if walk <> Targets then expr_ids f e
+  | CNblock stmts -> stmts_ids walk f stmts);
+  !ids
 
 (* ------------------------------------------------------------------ *)
 (* Evaluation                                                          *)

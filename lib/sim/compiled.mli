@@ -89,6 +89,10 @@ type cstmt =
   | CSdisplay of string * cexpr list
   | CSfinish
 
+(** A combinational node: a continuous assign, with the context width
+    of its right-hand side, or an always-star block. *)
+type cnode = CNassign of clvalue * cexpr * int | CNblock of cstmt list
+
 (** {1 Compilation} — raises {!Eval_error} on unbound names,
     memory misuse, or out-of-width part selects. *)
 
@@ -96,6 +100,25 @@ val compile_expr : tab -> Fpga_hdl.Ast.expr -> cexpr
 val compile_lvalue : tab -> Fpga_hdl.Ast.lvalue -> clvalue
 val compile_stmt : tab -> Fpga_hdl.Ast.stmt -> cstmt
 val clvalue_width : clvalue -> int
+
+(** {1 Dependency walks}
+
+    Each walk meets every id it reports at any depth, once per
+    occurrence. *)
+
+type walk =
+  | Targets  (** the signals and memories written *)
+  | Reads
+      (** the ids read: conditions, case labels, right-hand sides,
+          display arguments and the index expressions of targets, but
+          not the targets themselves *)
+  | Touches  (** both *)
+
+val stmt_ids : walk -> (int -> unit) -> cstmt -> unit
+val stmts_ids : walk -> (int -> unit) -> cstmt list -> unit
+val node_ids : walk -> cnode -> int list
+(** The ids a node's walk meets, repeats included, in no particular
+    order. *)
 
 (** {1 Evaluation} *)
 

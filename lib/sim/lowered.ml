@@ -26,9 +26,8 @@
    adaptive sparse/dense hysteresis so fully-active plans sweep without
    flag traffic.
 
-   The sequential phase skips the same way, by statement group (the
-   groups and their sensitivity map come from [Simulator.compile_plan]):
-   an edge runs a group only if something it reads or writes changed
+   The sequential phase skips the same way, by statement group: an
+   edge runs a group only if something it reads or writes changed
    since it last ran, or if it has no flag ($display, $finish, a target
    another block writes on the same edge). Every notify path sets the
    flags of the groups sensitive to the changed signal. A skipped
@@ -85,27 +84,24 @@ type run_stats = {
   mutable rs_displays : int;  (* $display statements fired *)
 }
 
-(* A statement group of one sequential block, as [Simulator.compile_plan]
-   splits it: statements in program order, and the index of the group's
-   dirty flag, or -1 for a group that runs on every edge. *)
-type seq_group = { g_stmts : Compiled.cstmt list; g_flag : int }
-
-(* The groups firing on one clock edge, block by block in source order,
-   each block's groups in order of their first statement: laid out once
-   per plan by [seq_edge] and shared by every instance. *)
+(* The statement groups firing on one clock edge, as [seq_groups]
+   splits the blocks: block by block in source order, each block's
+   groups in order of their first statement. Laid out once per plan by
+   [seq_edge] and shared by every instance. *)
 type seq_edge = {
-  se_groups : seq_group array;
-  se_flag : int array;  (* [g_flag] of each group *)
+  se_stmts : Compiled.cstmt list array;  (* each group's, in program order *)
+  se_flag : int array;  (* each group's dirty flag, or -1: runs every edge *)
   se_flagged : int;  (* groups with a flag *)
   se_blocks : int;  (* blocks firing on this edge *)
 }
 
+(* [seq] lists each block's edge with its (statements, flag) groups. *)
 let seq_edge seq edge =
   let blocks = List.filter (fun (e, _) -> e = edge) seq in
   let groups = Array.of_list (List.concat_map snd blocks) in
-  let flag = Array.map (fun g -> g.g_flag) groups in
+  let flag = Array.map snd groups in
   {
-    se_groups = groups;
+    se_stmts = Array.map fst groups;
     se_flag = flag;
     se_flagged = Array.fold_left (fun n g -> if g >= 0 then n + 1 else n) 0 flag;
     se_blocks = List.length blocks;
@@ -132,8 +128,8 @@ type lmode = Lsparse | Ldense
 type t = {
   env : Compiled.env;  (* boxed bank: wide vecs + all memories *)
   ints : int array;  (* immediate bank, indexed by signal id *)
-  imm : bool array;  (* which ids live in the immediate bank *)
-  widths : int array;
+  imm : bool array;  (* which ids live in the immediate bank (shared) *)
+  widths : int array;  (* shared *)
   finished : bool ref;  (* shared with the simulator's $finish flag *)
   mutable notify : int -> unit;  (* composed: dirty marking + external *)
   mutable ext_notify : int -> unit;  (* simulator's callback (toggles) *)
@@ -145,13 +141,13 @@ type t = {
   mutable pboxed : Compiled.cwrite list;  (* reversed *)
   mutable displays : bool;  (* comb $display gate for this settle *)
   mutable emit : string -> unit;
-  mutable plan : (unit -> unit) array;  (* fused comb closures, topo order *)
-  mutable seq_pos : edge_plan;
-  mutable seq_neg : edge_plan;
+  plan : (unit -> unit) array;  (* fused comb closures, topo order *)
+  seq_pos : edge_plan;
+  seq_neg : edge_plan;
   (* sequential dirty flags, one per skippable group, and the plan's
      signal id -> flags map (shared, never written) *)
-  mutable gdirty : bool array;
-  mutable gsens : int list array;
+  gdirty : bool array;
+  gsens : int list array;
   (* the external callback plus group marking: what [notify] wraps in
      every mode, and all of it outside dense sweeps *)
   mutable seq_notify : int -> unit;
@@ -161,11 +157,11 @@ type t = {
   mutable sdense : bool;
   mutable sstreak : int;
   mutable scommit_changes : int;  (* immediate changes the last commit made *)
-  (* dirty-set state, sized once the plan is fused *)
-  mutable csens : int list array;  (* signal id -> reading closure indices *)
-  mutable cdirty : bool array;  (* per-closure pending flag *)
+  (* dirty-set state *)
+  csens : int list array;  (* signal id -> reading closure indices (shared) *)
+  cdirty : bool array;  (* per-closure pending flag *)
   mutable ncdirty : int;
-  mutable disp_closures : int list;  (* closures containing $display *)
+  disp_closures : int list;  (* closures containing $display (shared) *)
   mutable lmode : lmode;
   mutable lmode_streak : int;  (* consecutive settles meeting the test *)
   mutable lchanges : int;  (* value changes during a dense sweep *)
@@ -173,14 +169,9 @@ type t = {
      sweep; outside sweeps dense mode uses the bare external notify so
      sequential commits pay nothing for the mode machinery *)
   mutable dense_mark : int -> unit;
-  mutable stats : stats;
+  stats : stats;  (* shared *)
   runs : run_stats;
 }
-
-(* Comb node in compiled form, as handed over by [Simulator.create]. *)
-type node =
-  | Lassign of Compiled.clvalue * Compiled.cexpr * int  (* ctx width *)
-  | Lblock of Compiled.cstmt list
 
 (* ------------------------------------------------------------------ *)
 (* Expression lowering                                                  *)
@@ -914,8 +905,9 @@ and lseq st ~in_comb stmts = chain (List.map (lstmt st ~in_comb) stmts)
 
 (* Comb assign nodes execute unguarded, like [Simulator.exec_node]. *)
 let lower_node st = function
-  | Lassign (l, e, cw) -> compile_store st l (lex st ~ctx:cw e) ~nba:false
-  | Lblock ss -> lseq st ~in_comb:true ss
+  | Compiled.CNassign (l, e, cw) ->
+      compile_store st l (lex st ~ctx:cw e) ~nba:false
+  | Compiled.CNblock ss -> lseq st ~in_comb:true ss
 
 (* ------------------------------------------------------------------ *)
 (* Dirty-set scheduling                                                 *)
@@ -1014,6 +1006,224 @@ let mark_all st =
   mark_all_flags st
 
 (* ------------------------------------------------------------------ *)
+(* Scheduling plan                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* What a statement holds at any depth, as bits: [has_blocking],
+   [has_display], [has_finish]. *)
+let has_blocking = 1
+let has_display = 2
+let has_finish = 4
+
+let rec stmt_kinds acc (s : Compiled.cstmt) =
+  match s with
+  | Compiled.CSblocking _ -> acc lor has_blocking
+  | Compiled.CSnonblocking _ -> acc
+  | Compiled.CSdisplay _ -> acc lor has_display
+  | Compiled.CSfinish -> acc lor has_finish
+  | Compiled.CSif (_, a, b) -> stmts_kinds (stmts_kinds acc a) b
+  | Compiled.CScase (_, items, default) -> (
+      let acc = items_kinds acc items in
+      match default with Some body -> stmts_kinds acc body | None -> acc)
+
+and stmts_kinds acc = function [] -> acc | s :: tl -> stmts_kinds (stmt_kinds acc s) tl
+
+and items_kinds acc = function
+  | [] -> acc
+  | (_, body) :: tl -> items_kinds (stmts_kinds acc body) tl
+
+(* Every sequential block's statement groups, and the map from signal id
+   to the flags of the groups sensitive to it (DESIGN.md, "Sequential
+   activity skipping").
+
+   A block with a blocking assignment (later statements read what
+   earlier ones wrote) or a $finish (nothing after it may run) is one
+   group. Otherwise every top-level statement starts as its own group,
+   and statements that write a common target are merged, so a target's
+   writes keep their order and the last still wins. The statements
+   holding a $display are merged too: such a group runs on every edge,
+   and one per block keeps the displays in program order. A block's
+   groups run in order of their first statement; groups of non-blocking
+   writes to disjoint targets may interleave, as none reads what another
+   queues.
+
+   A group runs on every edge, with no flag, when it holds a $display
+   or $finish, or when it writes a target that another block also
+   writes on the same edge: a skipped group would leave the other
+   block's write standing where its own should win. Any other group is
+   sensitive to everything it reads or writes, so a foreign write to
+   one of its targets (an input poke, a primitive drive, a comb
+   overwrite, a write on the other edge) wakes it too. *)
+let seq_groups n_signals (seq : (Elaborate.clock_edge * Compiled.cstmt list) list) =
+  (* one scratch slot per id, reset between the three passes below *)
+  let stamp = Array.make n_signals (-1) in
+  (* pass 1: [contested.(w)] has bit 1 (posedge) or 2 (negedge) when
+     two blocks firing on that edge write [w]; [stamp] holds the first
+     writing block *)
+  let contested = Array.make n_signals 0 and any_contested = ref false in
+  List.iter
+    (fun (edge, bit) ->
+      if List.fold_left (fun n (e, _) -> if e = edge then n + 1 else n) 0 seq > 1 then (
+        Array.fill stamp 0 n_signals (-1);
+        List.iteri
+          (fun b (e, body) ->
+            if e = edge then
+              Compiled.stmts_ids Targets
+                (fun w ->
+                  if stamp.(w) < 0 then stamp.(w) <- b
+                  else if stamp.(w) <> b then (
+                    contested.(w) <- contested.(w) lor bit;
+                    any_contested := true))
+                body)
+          seq))
+    [ (Elaborate.Pos, 1); (Elaborate.Neg, 2) ];
+  (* pass 2: [stamp] holds the first statement writing an id, numbered
+     across all blocks; a block's statements are numbered from [base] *)
+  Array.fill stamp 0 n_signals (-1);
+  let base = ref 0 in
+  let split stmts =
+    let a = Array.of_list stmts in
+    let n = Array.length a in
+    let b0 = !base in
+    base := b0 + n;
+    let kinds = Array.map (stmt_kinds 0) a in
+    let all = Array.fold_left ( lor ) 0 kinds in
+    if n <= 1 || all land (has_blocking lor has_finish) <> 0 then [ (stmts, all) ]
+    else
+      (* union-find whose root is the class's first statement *)
+      let parent = Array.init n Fun.id in
+      let rec find k = if parent.(k) = k then k else find parent.(k) in
+      let union j k =
+        let rj = find j and rk = find k in
+        if rj < rk then parent.(rk) <- rj else if rk < rj then parent.(rj) <- rk
+      in
+      let display = ref (-1) in
+      Array.iteri
+        (fun k s ->
+          Compiled.stmt_ids Targets
+            (fun w -> if stamp.(w) >= b0 then union (stamp.(w) - b0) k else stamp.(w) <- b0 + k)
+            s;
+          if kinds.(k) land has_display <> 0 then
+            if !display < 0 then display := k else union !display k)
+        a;
+      (* each class's statements and kinds gather at its root; the
+         roots, in order, are the groups *)
+      let members = Array.make n [] and mkinds = Array.make n 0 in
+      for k = n - 1 downto 0 do
+        let r = find k in
+        members.(r) <- a.(k) :: members.(r);
+        mkinds.(r) <- mkinds.(r) lor kinds.(k)
+      done;
+      let groups = ref [] in
+      for k = n - 1 downto 0 do
+        if parent.(k) = k then groups := (members.(k), mkinds.(k)) :: !groups
+      done;
+      !groups
+  in
+  let split_blocks = List.map (fun (edge, body) -> (edge, split body)) seq in
+  (* pass 3: [stamp] holds the last group added to an id's list *)
+  Array.fill stamp 0 n_signals (-1);
+  let sens = Array.make n_signals [] in
+  let next = ref 0 in
+  let group edge (stmts, kinds) =
+    let bit = if edge = Elaborate.Pos then 1 else 2 in
+    let shared = ref false in
+    if !any_contested then
+      Compiled.stmts_ids Targets
+        (fun w -> if contested.(w) land bit <> 0 then shared := true)
+        stmts;
+    if !shared || kinds land (has_display lor has_finish) <> 0 then (stmts, -1)
+    else
+      let g = !next in
+      incr next;
+      Compiled.stmts_ids Touches
+        (fun i ->
+          if stamp.(i) <> g then (
+            stamp.(i) <- g;
+            sens.(i) <- g :: sens.(i)))
+        stmts;
+      (stmts, g)
+  in
+  (List.map (fun (edge, groups) -> (edge, List.map (group edge) groups)) split_blocks, sens)
+
+(* Everything the kernel derives from the compiled design alone, built
+   once per [Simulator] plan and shared by every instance, which never
+   writes into it. *)
+type plan = {
+  l_nodes : Compiled.cnode array;  (* topological order *)
+  l_cidx : int array;  (* node rank -> the closure it is lowered into *)
+  l_widths : int array;
+  l_imm : bool array;  (* which ids live in the immediate bank *)
+  l_csens : int list array;  (* signal id -> closures reading it *)
+  l_disp : int list;  (* closures holding a $display *)
+  l_pos : seq_edge;
+  l_neg : seq_edge;
+  l_gsens : int list array;  (* signal id -> flags of the groups touching it *)
+  l_stats : stats;
+}
+
+let plan tab ~nodes ~reads ~seq =
+  let n = Compiled.n_signals tab in
+  let widths = Array.init n (Compiled.width tab) in
+  let imm =
+    Array.init n (fun i -> Compiled.depth tab i = None && Imm.fits widths.(i))
+  in
+  let n_imm = Array.fold_left (fun a b -> if b then a + 1 else a) 0 imm in
+  (* node-level sensitivity: signal id -> ranks of the nodes reading it *)
+  let sens = Array.make n [] in
+  Array.iteri (fun r ids -> List.iter (fun i -> sens.(i) <- r :: sens.(i)) ids) reads;
+  (* single-reader assign chains fuse into one closure: when node r-1 is
+     an assign whose sole target feeds exactly one node and that node is
+     r, the pair always runs back to back in the full sweep, so folding
+     them is behavior-preserving and halves the plan-iteration overhead
+     on long chains. [cidx] records the closure each node lands in, so
+     node-level sensitivity lifts to the closure level. *)
+  let feeds_only r = function
+    | Compiled.CNblock _ -> false
+    | Compiled.CNassign _ as a -> (
+        match Compiled.node_ids Targets a with [ s ] -> sens.(s) = [ r ] | _ -> false)
+  in
+  let nnodes = Array.length nodes in
+  let cidx = Array.make nnodes 0 and nfused = ref 0 in
+  for r = 1 to nnodes - 1 do
+    if feeds_only r nodes.(r - 1) then (
+      incr nfused;
+      cidx.(r) <- cidx.(r - 1))
+    else cidx.(r) <- cidx.(r - 1) + 1
+  done;
+  let closures ranks = List.sort_uniq Int.compare (List.map (fun r -> cidx.(r)) ranks) in
+  let disp = ref [] in
+  Array.iteri
+    (fun r node ->
+      match node with
+      | Compiled.CNblock ss when stmts_kinds 0 ss land has_display <> 0 ->
+          disp := r :: !disp
+      | _ -> ())
+    nodes;
+  let groups, gsens = seq_groups n seq in
+  let pos = seq_edge groups Elaborate.Pos and neg = seq_edge groups Elaborate.Neg in
+  {
+    l_nodes = nodes;
+    l_cidx = cidx;
+    l_widths = widths;
+    l_imm = imm;
+    l_csens = Array.map closures sens;
+    l_disp = closures !disp;
+    l_pos = pos;
+    l_neg = neg;
+    l_gsens = gsens;
+    l_stats =
+      {
+        lw_nodes = nnodes;
+        lw_closures = nnodes - !nfused;
+        lw_fused = !nfused;
+        lw_imm = n_imm;
+        lw_boxed = n - n_imm;
+        lw_seq = pos.se_blocks + neg.se_blocks;
+      };
+  }
+
+(* ------------------------------------------------------------------ *)
 (* Construction                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -1023,24 +1233,17 @@ let seed_ints st =
     if st.imm.(i) then st.ints.(i) <- Imm.of_bits (Compiled.vec st.env i)
   done
 
-let create ~(tab : Compiled.tab) ~(env : Compiled.env) ~(finished : bool ref)
-    ~(nodes : node array) ~(fuse : bool array) ~(sens : int list array)
-    ~(display_ranks : int list)
-    ~(seq_pos : seq_edge) ~(seq_neg : seq_edge) ~(seq_sens : int list array)
-    ~(runs : run_stats) : t =
-  let n = Compiled.n_signals tab in
-  let ints = Array.make n 0 in
-  let widths = Array.init n (fun i -> Compiled.width tab i) in
-  let imm =
-    Array.init n (fun i -> Compiled.depth tab i = None && Imm.fits widths.(i))
-  in
-  let n_imm = Array.fold_left (fun a b -> if b then a + 1 else a) 0 imm in
+(* The instance's closures capture it, so the arrays they fill are
+   allocated with it and filled once it exists. *)
+let create p ~env ~finished ~runs =
+  let edge se = { e_run = Array.make (Array.length se.se_stmts) ignore; e_seq = se } in
+  let nclosures = p.l_stats.lw_closures in
   let st =
     {
       env;
-      ints;
-      imm;
-      widths;
+      ints = Array.make (Array.length p.l_widths) 0;
+      imm = p.l_imm;
+      widths = p.l_widths;
       finished;
       notify = ignore;
       ext_notify = ignore;
@@ -1049,78 +1252,40 @@ let create ~(tab : Compiled.tab) ~(env : Compiled.env) ~(finished : bool ref)
       pboxed = [];
       displays = false;
       emit = ignore;
-      plan = [||];
-      seq_pos = { e_run = [||]; e_seq = seq_pos };
-      seq_neg = { e_run = [||]; e_seq = seq_neg };
-      gdirty = [||];
-      gsens = seq_sens;
+      plan = Array.make nclosures ignore;
+      seq_pos = edge p.l_pos;
+      seq_neg = edge p.l_neg;
+      gdirty = Array.make (p.l_pos.se_flagged + p.l_neg.se_flagged) true;
+      gsens = p.l_gsens;
       seq_notify = ignore;
       sdense = false;
       sstreak = 0;
       scommit_changes = 0;
-      csens = [||];
-      cdirty = [||];
-      ncdirty = 0;
-      disp_closures = [];
+      csens = p.l_csens;
+      cdirty = Array.make (max nclosures 1) true;
+      ncdirty = nclosures;
+      disp_closures = p.l_disp;
       lmode = Lsparse;
       lmode_streak = 0;
       lchanges = 0;
       dense_mark = (fun _ -> ());
-      stats =
-        {
-          lw_nodes = Array.length nodes;
-          lw_closures = 0;
-          lw_fused = 0;
-          lw_imm = n_imm;
-          lw_boxed = n - n_imm;
-          lw_seq = seq_pos.se_blocks + seq_neg.se_blocks;
-        };
+      stats = p.l_stats;
       runs;
     }
   in
   seed_ints st;
-  let closures = Array.map (lower_node st) nodes in
-  (* fuse single-reader assign chains: a node marked fuse.(r) folds into
-     its predecessor's closure, halving plan-iteration overhead on long
-     assign chains. [cidx] records which plan closure each node rank
-     landed in, so rank-level sensitivity lifts to the closure level. *)
-  let nnodes = Array.length closures in
-  let cidx = Array.make (max nnodes 1) 0 in
-  let plan = ref [] and nfused = ref 0 and nplan = ref 0 in
   Array.iteri
-    (fun r c ->
-      if r > 0 && fuse.(r) then (
-        incr nfused;
-        (match !plan with
-        | prev :: tl -> plan := seq2 prev c :: tl
-        | [] ->
-            plan := [ c ];
-            incr nplan);
-        cidx.(r) <- !nplan - 1)
-      else (
-        plan := c :: !plan;
-        cidx.(r) <- !nplan;
-        incr nplan))
-    closures;
-  st.plan <- Array.of_list (List.rev !plan);
-  let lower_edge se =
-    { e_run = Array.map (fun g -> lseq st ~in_comb:false g.g_stmts) se.se_groups; e_seq = se }
-  in
-  st.seq_pos <- lower_edge seq_pos;
-  st.seq_neg <- lower_edge seq_neg;
-  st.gdirty <- Array.make (seq_pos.se_flagged + seq_neg.se_flagged) true;
-  let nclosures = Array.length st.plan in
-  st.cdirty <- Array.make (max nclosures 1) true;
-  st.ncdirty <- nclosures;
-  st.csens <-
-    Array.map
-      (fun ranks -> List.sort_uniq compare (List.map (fun r -> cidx.(r)) ranks))
-      sens;
-  st.disp_closures <-
-    List.sort_uniq compare (List.map (fun r -> cidx.(r)) display_ranks);
+    (fun r node ->
+      let c = lower_node st node and k = p.l_cidx.(r) in
+      st.plan.(k) <- (if r > 0 && p.l_cidx.(r - 1) = k then seq2 st.plan.(k) c else c))
+    p.l_nodes;
+  List.iter
+    (fun e ->
+      Array.iteri
+        (fun k stmts -> e.e_run.(k) <- lseq st ~in_comb:false stmts)
+        e.e_seq.se_stmts)
+    [ st.seq_pos; st.seq_neg ];
   rewire st;
-  st.stats <-
-    { st.stats with lw_closures = Array.length st.plan; lw_fused = !nfused };
   st
 
 (* Back to the run state [create] leaves, once the caller has returned

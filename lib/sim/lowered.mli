@@ -77,54 +77,34 @@ val count_settle : run_stats -> dirty:int -> run:int -> size:int -> unit
 
 type t
 
-type seq_group = {
-  g_stmts : Compiled.cstmt list;  (** program order *)
-  g_flag : int;
-      (** index of the group's dirty flag, or [-1]: the group runs on
-          every edge *)
-}
-(** A statement group of one sequential block, as [Simulator] splits
-    it. A group is the unit {!run_edge} skips. *)
+type plan
+(** What the kernel derives from a compiled design alone, built once
+    per {!Simulator} plan and shared by every instance built from it:
+    the closure each node is lowered into (single-reader assign chains
+    fuse), the closure-level sensitivity map, the closures holding a
+    [$display], each sequential block's statement groups with their
+    flags and the signal-to-group map, the bank layout and {!stats}.
+    Instances never write into it. *)
 
-type seq_edge
-(** The groups firing on one clock edge, laid out for {!create}. *)
-
-val seq_edge :
-  (Elaborate.clock_edge * seq_group list) list -> Elaborate.clock_edge -> seq_edge
-(** [seq_edge blocks edge]: the groups of the blocks firing on [edge],
-    block by block in the order given. [blocks] lists each sequential
-    block with its groups. *)
-
-(** Combinational node in compiled form, as built by [Simulator]. *)
-type node =
-  | Lassign of Compiled.clvalue * Compiled.cexpr * int  (** ctx width *)
-  | Lblock of Compiled.cstmt list
+val plan :
+  Compiled.tab ->
+  nodes:Compiled.cnode array ->
+  reads:int list array ->
+  seq:(Elaborate.clock_edge * Compiled.cstmt list) list ->
+  plan
+(** [plan tab ~nodes ~reads ~seq]: [nodes] are the combinational nodes
+    in topological order, [reads.(r)] the ids node [r] reads (write
+    targets left out, their index expressions kept), each once, and
+    [seq] the sequential blocks in source order. *)
 
 val create :
-  tab:Compiled.tab ->
-  env:Compiled.env ->
-  finished:bool ref ->
-  nodes:node array ->
-  fuse:bool array ->
-  sens:int list array ->
-  display_ranks:int list ->
-  seq_pos:seq_edge ->
-  seq_neg:seq_edge ->
-  seq_sens:int list array ->
-  runs:run_stats ->
-  t
-(** [fuse.(r)] marks a node to be folded into its predecessor's closure
-    (legal only for single-reader assign chains — the caller proves
-    it); [finished] is shared with the simulator's $finish flag and
-    checked before every lowered statement. Immediate-bank values are
-    seeded from [env]. [sens] maps signal id to the ranks of reading
-    nodes and [display_ranks] lists ranks of comb blocks containing
-    [$display]; both are lifted to the closure level. [seq_pos] and
-    [seq_neg] hold the statement groups of each edge; [seq_sens] maps
-    signal id to the flags of the groups that read or write it. Flags
-    are numbered from 0 with no gap across both edges; [seq_pos],
-    [seq_neg] and [seq_sens] are kept, never written. Settles, edges
-    and commits count into [runs]. *)
+  plan -> env:Compiled.env -> finished:bool ref -> runs:run_stats -> t
+(** An instance of [plan] over [env], whose immediate-bank values are
+    seeded from it: its nodes and statement groups lowered into
+    closures bound to the instance, every closure and group pending.
+    [finished] is shared with the simulator's $finish flag and checked
+    before every lowered statement. Settles, edges and commits count
+    into [runs]. *)
 
 (** {1 Execution} *)
 

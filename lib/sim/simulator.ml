@@ -19,20 +19,19 @@
    performs no string hashing or name resolution.
 
    Two settle kernels share this plan. [Lowered_dirty], the default,
-   hands it to [Lowered]: fused closures over an unboxed value bank,
-   scheduled by per-closure dirty bits fed from a sensitivity map
-   (signal id -> reading nodes) built here. [Brute_force] interprets
-   the compiled nodes with a full topological sweep on every settle,
-   the seed behavior, kept as the independent differential-testing
-   reference. Node evaluation is a pure function of the environment, so
-   skipping clean nodes yields exactly the state the sweep computes;
-   nodes containing $display are forced onto the dirty set during
-   display-enabled settles so logs stay identical too. The sequential
-   blocks are split here into statement groups with a sensitivity map
-   of their own, and [Lowered] skips a group whose inputs and targets
-   did not change since it last ran. *)
+   hands it to [Lowered], which derives its own scheduling plan from it
+   once: fused closures over an unboxed value bank, scheduled by
+   per-closure dirty bits fed from a sensitivity map (signal id ->
+   reading closures), and the sequential blocks split into statement
+   groups that are skipped when nothing they read or write changed.
+   [Brute_force] interprets the compiled nodes with a full topological
+   sweep on every settle, the seed behavior, kept as the independent
+   differential-testing reference. Node evaluation is a pure function
+   of the environment, so skipping clean nodes yields exactly the state
+   the sweep computes; nodes containing $display are forced onto the
+   dirty set during display-enabled settles so logs stay identical
+   too. *)
 
-module Ast = Fpga_hdl.Ast
 module Bits = Fpga_bits.Bits
 module Telemetry = Fpga_telemetry.Telemetry
 open Elaborate
@@ -46,10 +45,6 @@ let default_kernel = Lowered_dirty
 let kernel_name = function
   | Brute_force -> "brute"
   | Lowered_dirty | Event_driven -> "lowered-dirty"
-
-(* AST-level node, used only for dependency analysis (reads/writes are
-   name sets); both kernels execute the compiled [Lowered.node] form. *)
-type ast_node = Aassign of Ast.lvalue * Ast.expr | Ablock of Ast.stmt list
 
 type fifo_state = {
   f_depth : int;
@@ -93,7 +88,7 @@ type t = {
   (* [nodes] and [seq] serve the brute-force sweep only: the lowered
      kernel runs its own closures, so an instance that may sit on a free
      list between runs does not keep them ([||] and [] there) *)
-  nodes : Lowered.node array;  (* topological order: writers before readers *)
+  nodes : Compiled.cnode array;  (* topological order: writers before readers *)
   notify : int -> unit;  (* change callback: toggle counting, or [ignore] *)
   seq : (Elaborate.clock_edge * Compiled.cstmt list) list;
   has_negedge : bool;  (* any negedge block: [step] runs the falling edge *)
@@ -126,37 +121,21 @@ type t = {
 (* Combinational scheduling                                            *)
 (* ------------------------------------------------------------------ *)
 
-let node_reads = function
-  | Aassign (l, e) -> Ast.dedup (Ast.expr_reads e @ Ast.lvalue_reads l)
-  | Ablock stmts -> Ast.dedup (List.concat_map Ast.stmt_reads stmts)
-
-let node_writes = function
-  | Aassign (l, _) -> Ast.lvalue_bases l
-  | Ablock stmts -> Ast.dedup (List.concat_map Ast.stmt_writes stmts)
-
 (* A topological order of the nodes whose read and write sets are
    [reads] and [writes], as node indices: every writer before all of its
-   readers. *)
-let topo_sort ~(reads : string list array) ~(writes : string list array) :
+   readers. A cycle raises with the names of the node the search
+   re-entered, in string order. *)
+let topo_sort tab ~(reads : int list array) ~(writes : int list array) :
     int array =
   let n = Array.length reads in
   (* reader index for every read signal, built once: successor lookup is
      then linear in the actual edges rather than rescanning every node's
      read set for every written signal *)
-  let readers = Hashtbl.create (max 16 n) in
-  Array.iteri
-    (fun j rs ->
-      List.iter
-        (fun r ->
-          let prev = Option.value (Hashtbl.find_opt readers r) ~default:[] in
-          Hashtbl.replace readers r (j :: prev))
-        rs)
-    reads;
+  let readers = Array.make (Compiled.n_signals tab) [] in
+  Array.iteri (fun j rs -> List.iter (fun r -> readers.(r) <- j :: readers.(r)) rs) reads;
   let succs i =
     (* nodes that read what node i writes *)
-    List.concat_map
-      (fun w -> Option.value (Hashtbl.find_opt readers w) ~default:[])
-      writes.(i)
+    List.concat_map (fun w -> readers.(w)) writes.(i)
     |> List.filter (fun j -> j <> i)
     |> List.sort_uniq Int.compare
   in
@@ -166,8 +145,8 @@ let topo_sort ~(reads : string list array) ~(writes : string list array) :
     match state.(i) with
     | 2 -> ()
     | 1 ->
-        let cyc = Ast.dedup (writes.(i) @ reads.(i)) in
-        raise (Combinational_cycle cyc)
+        let names = List.map (Compiled.name tab) (writes.(i) @ reads.(i)) in
+        raise (Combinational_cycle (List.sort_uniq String.compare names))
     | _ ->
         state.(i) <- 1;
         List.iter visit (succs i);
@@ -180,221 +159,6 @@ let topo_sort ~(reads : string list array) ~(writes : string list array) :
   (* each node is prepended after its readers, so [order] places every
      writer before all of its readers *)
   Array.of_list !order
-
-(* ------------------------------------------------------------------ *)
-(* Sequential statement groups                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* Every id an expression reads goes to [f]: signals, the memory of a
-   word read, and whatever index expressions read. These walks recurse
-   by hand, with no closure per list: a fuzz run compiles a plan per
-   mutant. *)
-let rec expr_ids f (e : Compiled.cexpr) =
-  match e with
-  | Compiled.Cconst _ -> ()
-  | Compiled.Cvar i | Compiled.Crange (i, _, _) -> f i
-  | Compiled.Cbit (i, _, ix) | Compiled.Cword (i, _, _, ix) ->
-      f i;
-      expr_ids f ix
-  | Compiled.Cunop (_, a) | Compiled.Crepeat (_, a) -> expr_ids f a
-  | Compiled.Cbinop (_, a, b) ->
-      expr_ids f a;
-      expr_ids f b
-  | Compiled.Ccond (c, a, b) ->
-      expr_ids f c;
-      expr_ids f a;
-      expr_ids f b
-  | Compiled.Cconcat es -> exprs_ids f es
-
-and exprs_ids f = function
-  | [] -> ()
-  | e :: tl ->
-      expr_ids f e;
-      exprs_ids f tl
-
-(* The target of an lvalue, a signal or a whole memory, goes to [f]; with
-   [~reads:true], so do the ids its index expressions read. *)
-let rec lvalue_ids ~reads f (l : Compiled.clvalue) =
-  match l with
-  | Compiled.CLvar (i, _) | Compiled.CLrange (i, _, _) -> f i
-  | Compiled.CLbit (i, _, ix) | Compiled.CLword (i, _, _, ix) ->
-      f i;
-      if reads then expr_ids f ix
-  | Compiled.CLconcat (parts, _) -> parts_ids ~reads f parts
-
-and parts_ids ~reads f = function
-  | [] -> ()
-  | (l, _) :: tl ->
-      lvalue_ids ~reads f l;
-      parts_ids ~reads f tl
-
-(* Every target a statement writes goes to [f], at any depth; with
-   [~reads:true], so does every id it reads (conditions, case labels,
-   index expressions, right-hand sides, display arguments). *)
-let rec stmt_ids ~reads f (s : Compiled.cstmt) =
-  match s with
-  | Compiled.CSblocking (l, e, _) | Compiled.CSnonblocking (l, e, _) ->
-      lvalue_ids ~reads f l;
-      if reads then expr_ids f e
-  | Compiled.CSif (c, a, b) ->
-      if reads then expr_ids f c;
-      stmts_ids ~reads f a;
-      stmts_ids ~reads f b
-  | Compiled.CScase (e, items, default) -> (
-      if reads then expr_ids f e;
-      items_ids ~reads f items;
-      match default with Some body -> stmts_ids ~reads f body | None -> ())
-  | Compiled.CSdisplay (_, args) -> if reads then exprs_ids f args
-  | Compiled.CSfinish -> ()
-
-and stmts_ids ~reads f = function
-  | [] -> ()
-  | s :: tl ->
-      stmt_ids ~reads f s;
-      stmts_ids ~reads f tl
-
-and items_ids ~reads f = function
-  | [] -> ()
-  | (labels, body) :: tl ->
-      if reads then exprs_ids f labels;
-      stmts_ids ~reads f body;
-      items_ids ~reads f tl
-
-(* What a statement holds at any depth, as bits: [has_blocking],
-   [has_display], [has_finish]. *)
-let has_blocking = 1
-let has_display = 2
-let has_finish = 4
-
-let rec stmt_kinds acc (s : Compiled.cstmt) =
-  match s with
-  | Compiled.CSblocking _ -> acc lor has_blocking
-  | Compiled.CSnonblocking _ -> acc
-  | Compiled.CSdisplay _ -> acc lor has_display
-  | Compiled.CSfinish -> acc lor has_finish
-  | Compiled.CSif (_, a, b) -> stmts_kinds (stmts_kinds acc a) b
-  | Compiled.CScase (_, items, default) -> (
-      let acc = items_kinds acc items in
-      match default with Some body -> stmts_kinds acc body | None -> acc)
-
-and stmts_kinds acc = function [] -> acc | s :: tl -> stmts_kinds (stmt_kinds acc s) tl
-
-and items_kinds acc = function
-  | [] -> acc
-  | (_, body) :: tl -> items_kinds (stmts_kinds acc body) tl
-
-(* Every sequential block's statement groups, and the map from signal id
-   to the flags of the groups sensitive to it (DESIGN.md, "Sequential
-   activity skipping").
-
-   A block with a blocking assignment (later statements read what
-   earlier ones wrote) or a $finish (nothing after it may run) is one
-   group. Otherwise every top-level statement starts as its own group,
-   and statements that write a common target are merged, so a target's
-   writes keep their order and the last still wins. The statements
-   holding a $display are merged too: such a group runs on every edge,
-   and one per block keeps the displays in program order. A block's
-   groups run in order of their first statement; groups of non-blocking
-   writes to disjoint targets may interleave, as none reads what another
-   queues.
-
-   A group runs on every edge, with no flag, when it holds a $display
-   or $finish, or when it writes a target that another block also
-   writes on the same edge: a skipped group would leave the other
-   block's write standing where its own should win. Any other group is
-   sensitive to everything it reads or writes, so a foreign write to
-   one of its targets (an input poke, a primitive drive, a comb
-   overwrite, a write on the other edge) wakes it too. *)
-let seq_groups n_signals (seq : (clock_edge * Compiled.cstmt list) list) =
-  (* one scratch slot per id, reset between the three passes below *)
-  let stamp = Array.make n_signals (-1) in
-  (* pass 1: [contested.(w)] has bit 1 (posedge) or 2 (negedge) when
-     two blocks firing on that edge write [w]; [stamp] holds the first
-     writing block *)
-  let contested = Array.make n_signals 0 and any_contested = ref false in
-  List.iter
-    (fun (edge, bit) ->
-      if List.fold_left (fun n (e, _) -> if e = edge then n + 1 else n) 0 seq > 1 then (
-        Array.fill stamp 0 n_signals (-1);
-        List.iteri
-          (fun b (e, body) ->
-            if e = edge then
-              stmts_ids ~reads:false
-                (fun w ->
-                  if stamp.(w) < 0 then stamp.(w) <- b
-                  else if stamp.(w) <> b then (
-                    contested.(w) <- contested.(w) lor bit;
-                    any_contested := true))
-                body)
-          seq))
-    [ (Pos, 1); (Neg, 2) ];
-  (* pass 2: [stamp] holds the first statement writing an id, numbered
-     across all blocks; a block's statements are numbered from [base] *)
-  Array.fill stamp 0 n_signals (-1);
-  let base = ref 0 in
-  let split stmts =
-    let a = Array.of_list stmts in
-    let n = Array.length a in
-    let b0 = !base in
-    base := b0 + n;
-    let kinds = Array.map (stmt_kinds 0) a in
-    let all = Array.fold_left ( lor ) 0 kinds in
-    if n <= 1 || all land (has_blocking lor has_finish) <> 0 then [ (stmts, all) ]
-    else
-      (* union-find whose root is the class's first statement *)
-      let parent = Array.init n Fun.id in
-      let rec find k = if parent.(k) = k then k else find parent.(k) in
-      let union j k =
-        let rj = find j and rk = find k in
-        if rj < rk then parent.(rk) <- rj else if rk < rj then parent.(rj) <- rk
-      in
-      let display = ref (-1) in
-      Array.iteri
-        (fun k s ->
-          stmt_ids ~reads:false
-            (fun w -> if stamp.(w) >= b0 then union (stamp.(w) - b0) k else stamp.(w) <- b0 + k)
-            s;
-          if kinds.(k) land has_display <> 0 then
-            if !display < 0 then display := k else union !display k)
-        a;
-      (* each class's statements and kinds gather at its root; the
-         roots, in order, are the groups *)
-      let members = Array.make n [] and mkinds = Array.make n 0 in
-      for k = n - 1 downto 0 do
-        let r = find k in
-        members.(r) <- a.(k) :: members.(r);
-        mkinds.(r) <- mkinds.(r) lor kinds.(k)
-      done;
-      let groups = ref [] in
-      for k = n - 1 downto 0 do
-        if parent.(k) = k then groups := (members.(k), mkinds.(k)) :: !groups
-      done;
-      !groups
-  in
-  let split_blocks = List.map (fun (edge, body) -> (edge, split body)) seq in
-  (* pass 3: [stamp] holds the last group added to an id's list *)
-  Array.fill stamp 0 n_signals (-1);
-  let sens = Array.make n_signals [] in
-  let next = ref 0 in
-  let group edge (stmts, kinds) =
-    let bit = if edge = Pos then 1 else 2 in
-    let shared = ref false in
-    if !any_contested then
-      stmts_ids ~reads:false (fun w -> if contested.(w) land bit <> 0 then shared := true) stmts;
-    if !shared || kinds land (has_display lor has_finish) <> 0 then
-      { Lowered.g_stmts = stmts; g_flag = -1 }
-    else
-      let g = !next in
-      incr next;
-      stmts_ids ~reads:true
-        (fun i ->
-          if stamp.(i) <> g then (
-            stamp.(i) <- g;
-            sens.(i) <- g :: sens.(i)))
-        stmts;
-      { Lowered.g_stmts = stmts; g_flag = g }
-  in
-  (List.map (fun (edge, groups) -> (edge, List.map (group edge) groups)) split_blocks, sens)
 
 (* ------------------------------------------------------------------ *)
 (* Statement interpretation                                            *)
@@ -601,88 +365,43 @@ let drive_prim_outputs sim ps =
 (* Construction and stepping                                           *)
 (* ------------------------------------------------------------------ *)
 
-let compile_node tab = function
-  | Aassign (l, e) ->
-      let cl = Compiled.compile_lvalue tab l in
-      Lowered.Lassign (cl, Compiled.compile_expr tab e, Compiled.clvalue_width cl)
-  | Ablock stmts -> Lowered.Lblock (List.map (Compiled.compile_stmt tab) stmts)
-
 (* The immutable half of construction: everything [create] derives
    from the flat alone. No instance ever writes into a plan, so every
    instance of one flat, under either kernel and with or without stats,
    can be built from the same one. *)
 type plan = {
   p_flat : flat;
-  p_tab : Compiled.tab;
-  p_nodes : Lowered.node array;  (* topological order *)
+  p_nodes : Compiled.cnode array;  (* topological order *)
   p_seq : (Elaborate.clock_edge * Compiled.cstmt list) list;
-  p_seq_pos : Lowered.seq_edge;  (* statement groups, for lowered-dirty *)
-  p_seq_neg : Lowered.seq_edge;
-  p_seq_sens : int list array;  (* signal id -> flags of the groups touching it *)
   p_has_negedge : bool;  (* any negedge block: [step] runs the falling edge *)
-  p_sens : int list array;  (* signal id -> ranks of the nodes reading it *)
-  p_fuse : bool array;  (* rank r folds into rank r-1's closure *)
-  p_display_ranks : int list;  (* ranks of the blocks holding a $display *)
   p_prims : prim_plan list;
+  p_low : Lowered.plan;  (* what lowered-dirty schedules by *)
 }
 
+(* The combinational nodes are compiled in source order and sorted by
+   the ids they read and write, so an unbound name in one raises before
+   a cycle through it does. *)
 let compile_plan (flat : flat) : plan =
   let tab = Compiled.of_flat flat in
   let all =
     Array.of_list
-      (List.map (fun (l, e) -> Aassign (l, e)) flat.f_assigns
-      @ List.map (fun b -> Ablock b) flat.f_comb)
+      (List.map
+         (fun (l, e) ->
+           let cl = Compiled.compile_lvalue tab l in
+           Compiled.CNassign (cl, Compiled.compile_expr tab e, Compiled.clvalue_width cl))
+         flat.f_assigns
+      @ List.map (fun b -> Compiled.CNblock (List.map (Compiled.compile_stmt tab) b)) flat.f_comb)
   in
-  let reads = Array.map node_reads all in
-  let order = topo_sort ~reads ~writes:(Array.map node_writes all) in
-  let ast_nodes = Array.map (fun i -> all.(i)) order in
-  let nodes = Array.map (compile_node tab) ast_nodes in
-  let n = Array.length nodes in
+  let reads =
+    Array.map (fun node -> List.sort_uniq Int.compare (Compiled.node_ids Reads node)) all
+  in
+  let order = topo_sort tab ~reads ~writes:(Array.map (Compiled.node_ids Targets) all) in
+  let nodes = Array.map (fun i -> all.(i)) order in
   let seq =
     List.map
       (fun (e, _clk, body) -> (e, List.map (Compiled.compile_stmt tab) body))
       flat.f_seq
   in
-  let seq_groups, seq_sens = seq_groups (Array.length flat.f_signal_order) seq in
-  (* sensitivity map on ids: every signal a node reads wakes that node *)
-  let sens = Array.make (Array.length flat.f_signal_order) [] in
-  Array.iteri
-    (fun rank i ->
-      List.iter
-        (fun s ->
-          match Hashtbl.find_opt flat.f_signal_ids s with
-          | Some id -> sens.(id) <- rank :: sens.(id)
-          | None -> ())
-        reads.(i))
-    order;
-  let display_ranks =
-    Array.to_list
-      (Array.mapi
-         (fun rank node ->
-           match node with
-           | Lowered.Lblock stmts when stmts_kinds 0 stmts land has_display <> 0 ->
-               Some rank
-           | _ -> None)
-         nodes)
-    |> List.filter_map Fun.id
-  in
-  (* single-reader assign chains fuse into one closure: when node r-1 is
-     a plain assign whose sole written signal feeds exactly one node and
-     that node is r, the pair always runs back to back in the full
-     sweep, so folding them is behavior-preserving and halves the
-     plan-iteration overhead on long chains *)
-  let fuse = Array.make (max n 1) false in
-  for r = 1 to n - 1 do
-    match ast_nodes.(r - 1) with
-    | Aassign (l, _) -> (
-        match Ast.lvalue_bases l with
-        | [ s ] -> (
-            match Hashtbl.find_opt flat.f_signal_ids s with
-            | Some i -> if sens.(i) = [ r ] then fuse.(r) <- true
-            | None -> ())
-        | _ -> ())
-    | Ablock _ -> ()
-  done;
   let prims =
     List.map
       (fun (p : fprim) ->
@@ -694,12 +413,10 @@ let compile_plan (flat : flat) : plan =
             List.map (fun (f, s) -> (f, Compiled.id tab s)) p.fp_outputs })
       flat.f_prims
   in
-  { p_flat = flat; p_tab = tab; p_nodes = nodes; p_seq = seq;
-    p_seq_pos = Lowered.seq_edge seq_groups Pos;
-    p_seq_neg = Lowered.seq_edge seq_groups Neg; p_seq_sens = seq_sens;
+  { p_flat = flat; p_nodes = nodes; p_seq = seq;
     p_has_negedge = List.exists (fun (e, _, _) -> e = Elaborate.Neg) flat.f_seq;
-    p_sens = sens; p_fuse = fuse; p_display_ranks = display_ranks;
-    p_prims = prims }
+    p_prims = prims;
+    p_low = Lowered.plan tab ~nodes ~reads:(Array.map (fun i -> reads.(i)) order) ~seq }
 
 (* A fuzz mutant's validity gate and its runs build simulators of the
    same flat back to back, so each domain keeps its last plan, keyed on
@@ -739,11 +456,7 @@ let create ?(kernel = default_kernel) (flat : flat) : t =
   let low =
     if kernel <> Lowered_dirty then None
     else
-      Some
-        (Lowered.create ~tab:plan.p_tab ~env ~finished ~nodes:plan.p_nodes
-           ~fuse:plan.p_fuse ~sens:plan.p_sens
-           ~display_ranks:plan.p_display_ranks ~seq_pos:plan.p_seq_pos
-           ~seq_neg:plan.p_seq_neg ~seq_sens:plan.p_seq_sens ~runs)
+      Some (Lowered.create plan.p_low ~env ~finished ~runs)
   in
   let reader =
     match low with
@@ -814,10 +527,10 @@ let reset sim =
 
 let exec_node ctx node =
   match node with
-  | Lowered.Lassign (l, e, cw) ->
+  | Compiled.CNassign (l, e, cw) ->
       let v = Compiled.eval_ctx ctx.sim.env ~ctx:cw e in
       Compiled.write_notify ctx.sim.env ~notify:ctx.sim.notify l v
-  | Lowered.Lblock stmts -> List.iter (exec_stmt ctx) stmts
+  | Compiled.CNblock stmts -> List.iter (exec_stmt ctx) stmts
 
 (* The lowered kernel counts its settles itself, in fused closures; the
    brute-force sweep counts every node as pending and evaluated. *)

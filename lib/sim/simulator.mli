@@ -69,11 +69,15 @@ val create : ?kernel:kernel -> Elaborate.flat -> t
     produce byte-identical traces.
 
     Construction has two halves. The {e plan} is what depends on the
-    flat alone: the design table, the topological order, the compiled
-    nodes, sequential blocks and primitive ports, the sensitivity map,
-    the fuse flags and the display ranks. The {e run state} is the
-    instance's own: values, the {!Lowered_dirty} closures, primitive
-    contents and stats. Each domain keeps the last plan it compiled,
+    flat alone: the compiled combinational nodes in topological order,
+    the compiled sequential blocks and primitive ports, which is all
+    {!Brute_force} runs, and the {!Lowered.plan} that {!Lowered_dirty}
+    schedules by, built from the same read sets the sort used. The
+    {e run state} is the instance's own: values, the {!Lowered_dirty}
+    closures and dirty flags, primitive contents and stats. A
+    combinational node with an unbound name raises
+    {!Compiled.Eval_error} before the sort can find a cycle through
+    it. Each domain keeps the last plan it compiled,
     keyed on the physical flat, so building again on the same flat (as
     a fuzz mutant's gate and runs do) compiles nothing; instances never
     write into their plan, so they never disturb each other. A flat

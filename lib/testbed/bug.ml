@@ -333,6 +333,25 @@ let run_design ?(vcd = false) ?(vcd_from = 0) ?kernel ?max_cycles
 
 let run (bug : t) ~buggy : report = run_design bug (design_of bug ~buggy)
 
+(* The first way two runs of one design disagree, if any. *)
+let diff_reports (a : report) (b : report) : string option =
+  if a.rows <> b.rows then
+    Some
+      (Printf.sprintf "output rows differ (%d vs %d rows)" (List.length a.rows)
+         (List.length b.rows))
+  else if a.log <> b.log then Some "$display logs differ"
+  else if a.stuck <> b.stuck then
+    Some (Printf.sprintf "stuck flag differs (%b vs %b)" a.stuck b.stuck)
+  else if a.finished <> b.finished then
+    Some (Printf.sprintf "finished flag differs (%b vs %b)" a.finished b.finished)
+  else if a.ext_error <> b.ext_error then
+    Some
+      (Printf.sprintf "external-monitor flag differs (%b vs %b)" a.ext_error
+         b.ext_error)
+  else if a.cycles <> b.cycles then
+    Some (Printf.sprintf "cycle counts differ (%d vs %d)" a.cycles b.cycles)
+  else None
+
 (* Symptoms derived from an already-executed differential pair: how the
    buggy run diverges from the fixed one. Factored out of
    [observed_symptoms] so a campaign job that already holds both
@@ -361,14 +380,14 @@ let observed_symptoms (bug : t) : Taxonomy.symptom list =
   let fixed = run bug ~buggy:false in
   symptoms_of ~buggy ~fixed
 
-(* Push-button reproduction: the expected symptoms all manifest. *)
-let reproduces (bug : t) : bool =
-  let observed = observed_symptoms bug in
-  List.for_all (fun s -> List.mem s observed) bug.symptoms
-
 let reproduces_of ~(bug : t) ~buggy ~fixed : bool =
   let observed = symptoms_of ~buggy ~fixed in
   List.for_all (fun s -> List.mem s observed) bug.symptoms
+
+(* Push-button reproduction: the expected symptoms all manifest. *)
+let reproduces (bug : t) : bool =
+  let buggy = run bug ~buggy:true in
+  reproduces_of ~bug ~buggy ~fixed:(run bug ~buggy:false)
 
 (* Convenience constructors for stimuli. *)
 let b = Bits.of_int

@@ -147,6 +147,11 @@ val harness_of_meta : (string * string) list -> harness
 
 val run : t -> buggy:bool -> report
 
+val diff_reports : report -> report -> string option
+(** [None] when two runs agree on output rows, log, stuck, finished and
+    external-monitor flags and cycle count; otherwise the first of these
+    that differs, in that order, as a message. The VCD is not compared. *)
+
 val symptoms_of :
   buggy:report -> fixed:report -> Fpga_study.Taxonomy.symptom list
 (** Symptoms derived from an already-executed differential pair, so a

@@ -339,6 +339,18 @@ let test_pool_share_escape () =
       | Error e -> Alcotest.failf "job %d raised: %s" i e)
     results
 
+(* The campaign's differential and replay jobs and the fuzzer compare
+   runs with one function; a divergence only the external monitor sees
+   must count as one. *)
+let test_reports_differ_in_ext_error () =
+  let module Bug = Fpga_testbed.Bug in
+  let bug = Option.get (Registry.find "S2") in
+  let a = Bug.run bug ~buggy:true in
+  check_bool "a run agrees with itself" true (Bug.diff_reports a a = None);
+  Alcotest.(check (option string))
+    "external monitor" (Some "external-monitor flag differs (true vs false)")
+    (Bug.diff_reports a { a with Bug.ext_error = not a.Bug.ext_error })
+
 let suite =
   [
     Alcotest.test_case "pool preserves submission order" `Quick
@@ -361,4 +373,6 @@ let suite =
       test_pool_nested_call_inline;
     Alcotest.test_case "a failed share is re-raised after the batch" `Quick
       test_pool_share_escape;
+    Alcotest.test_case "reports differing only in ext_error differ" `Quick
+      test_reports_differ_in_ext_error;
   ]

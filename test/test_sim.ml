@@ -2349,3 +2349,60 @@ let suite =
         test_skip_reset_and_restore;
       Alcotest.test_case "skip: run and skip counters" `Quick test_skip_counters;
     ]
+
+(* A cycle through an always-star block that writes a vector bit by
+   index: the block reads the index and the right-hand side, not the
+   vector it writes, and the cycle names every signal of the node the
+   sort re-entered, in string order (not declaration order). Two blocks
+   writing bits of one vector by index read each other's target only
+   through the index, so they form no cycle. *)
+let test_cycle_through_indexed_write () =
+  let names =
+    match
+      sim_of
+        {|
+module top (input [1:0] sel, input en, output reg q);
+  reg [3:0] bank;
+  always @(*) begin
+    bank[sel] = en & q;
+  end
+  always @(*) begin
+    q = bank[2];
+  end
+endmodule
+|}
+        "top"
+    with
+    | _ -> []
+    | exception Simulator.Combinational_cycle names -> names
+  in
+  Alcotest.(check (list string)) "cycle names" [ "bank"; "en"; "q"; "sel" ] names;
+  let sim =
+    sim_of
+      {|
+module top (input [1:0] i, input [1:0] j, input a, input b, output [3:0] o);
+  reg [3:0] v;
+  always @(*) begin
+    v[i] = a;
+  end
+  always @(*) begin
+    v[j] = b;
+  end
+  assign o = v;
+endmodule
+|}
+      "top"
+  in
+  Simulator.set_input sim "i" (b 2 1);
+  Simulator.set_input sim "j" (b 2 3);
+  Simulator.set_input sim "a" (b 1 1);
+  Simulator.set_input sim "b" (b 1 1);
+  Simulator.step sim;
+  check_int "both bits written" 0b1010 (Simulator.read_int sim "o")
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "cycle through an indexed always-star write" `Quick
+        test_cycle_through_indexed_write;
+    ]

@@ -1018,3 +1018,185 @@ let instrumented_kernel_tests =
     all
 
 let suite = suite @ instrumented_kernel_tests
+
+(* --- pinned lowering shape and run counters --------------------------- *)
+
+(* What the lowered kernel builds for every Table 2 design, buggy and
+   fixed, and what it counts over 200 cycles of the bug's stimulus:
+   how nodes fuse into closures, which banks hold the signals, and how
+   much each settle and edge runs and skips. A change to the scheduling
+   analysis (read sets, sensitivity, fusion, statement groups) moves
+   these first. *)
+let pinned_kernel_stats = [
+  ("D1", true,
+    "closures 1 fused 0 imm 18 boxed 1 seq 1",
+    "steps 200 settles 400 run 2 skipped 398 min 0 max 1 dirty 2/1 edges 200 seq 38/162 commits 156/12 displays 0");
+  ("D1", false,
+    "closures 1 fused 0 imm 18 boxed 1 seq 1",
+    "steps 200 settles 400 run 4 skipped 396 min 0 max 1 dirty 4/1 edges 200 seq 50/150 commits 224/12 displays 0");
+  ("D2", true,
+    "closures 3 fused 0 imm 18 boxed 1 seq 1",
+    "steps 200 settles 400 run 30 skipped 1170 min 0 max 3 dirty 30/3 edges 200 seq 49/151 commits 160/24 displays 0");
+  ("D2", false,
+    "closures 3 fused 0 imm 18 boxed 1 seq 1",
+    "steps 200 settles 400 run 31 skipped 1169 min 0 max 3 dirty 31/3 edges 200 seq 65/135 commits 268/24 displays 0");
+  ("D3", true,
+    "closures 1 fused 0 imm 18 boxed 1 seq 1",
+    "steps 200 settles 400 run 19 skipped 381 min 0 max 1 dirty 19/1 edges 200 seq 200/0 commits 654/8 displays 0");
+  ("D3", false,
+    "closures 1 fused 0 imm 18 boxed 1 seq 1",
+    "steps 200 settles 400 run 31 skipped 369 min 0 max 1 dirty 31/1 edges 200 seq 200/0 commits 674/8 displays 0");
+  ("D4", true,
+    "closures 0 fused 0 imm 11 boxed 1 seq 1",
+    "steps 200 settles 400 run 0 skipped 0 min 0 max 0 dirty 0/0 edges 200 seq 45/155 commits 82/20 displays 0");
+  ("D4", false,
+    "closures 0 fused 0 imm 11 boxed 1 seq 1",
+    "steps 200 settles 400 run 0 skipped 0 min 0 max 0 dirty 0/0 edges 200 seq 61/139 commits 146/20 displays 0");
+  ("D5", true,
+    "closures 1 fused 0 imm 9 boxed 5 seq 1",
+    "steps 200 settles 400 run 5 skipped 395 min 0 max 1 dirty 5/1 edges 200 seq 25/175 commits 42/20 displays 0");
+  ("D5", false,
+    "closures 1 fused 0 imm 9 boxed 5 seq 1",
+    "steps 200 settles 400 run 5 skipped 395 min 0 max 1 dirty 5/1 edges 200 seq 25/175 commits 42/20 displays 0");
+  ("D6", true,
+    "closures 0 fused 0 imm 12 boxed 0 seq 1",
+    "steps 200 settles 400 run 0 skipped 0 min 0 max 0 dirty 0/0 edges 200 seq 18/182 commits 56/0 displays 0");
+  ("D6", false,
+    "closures 0 fused 0 imm 12 boxed 0 seq 1",
+    "steps 200 settles 400 run 0 skipped 0 min 0 max 0 dirty 0/0 edges 200 seq 18/182 commits 56/0 displays 0");
+  ("D7", true,
+    "closures 0 fused 0 imm 15 boxed 0 seq 1",
+    "steps 200 settles 400 run 0 skipped 0 min 0 max 0 dirty 0/0 edges 200 seq 24/176 commits 96/0 displays 0");
+  ("D7", false,
+    "closures 0 fused 0 imm 15 boxed 0 seq 1",
+    "steps 200 settles 400 run 0 skipped 0 min 0 max 0 dirty 0/0 edges 200 seq 24/176 commits 96/0 displays 0");
+  ("D8", true,
+    "closures 0 fused 0 imm 8 boxed 0 seq 1",
+    "steps 200 settles 400 run 0 skipped 0 min 0 max 0 dirty 0/0 edges 200 seq 17/183 commits 29/0 displays 0");
+  ("D8", false,
+    "closures 0 fused 0 imm 8 boxed 0 seq 1",
+    "steps 200 settles 400 run 0 skipped 0 min 0 max 0 dirty 0/0 edges 200 seq 17/183 commits 29/0 displays 0");
+  ("D9", true,
+    "closures 1 fused 0 imm 10 boxed 0 seq 1",
+    "steps 200 settles 400 run 5 skipped 395 min 0 max 1 dirty 5/1 edges 200 seq 18/182 commits 51/0 displays 0");
+  ("D9", false,
+    "closures 1 fused 0 imm 10 boxed 0 seq 1",
+    "steps 200 settles 400 run 5 skipped 395 min 0 max 1 dirty 5/1 edges 200 seq 18/182 commits 51/0 displays 0");
+  ("D10", true,
+    "closures 1 fused 0 imm 9 boxed 5 seq 1",
+    "steps 200 settles 400 run 19 skipped 381 min 0 max 1 dirty 19/1 edges 200 seq 33/167 commits 65/37 displays 0");
+  ("D10", false,
+    "closures 1 fused 0 imm 9 boxed 5 seq 1",
+    "steps 200 settles 400 run 19 skipped 381 min 0 max 1 dirty 19/1 edges 200 seq 33/167 commits 65/39 displays 0");
+  ("D11", true,
+    "closures 0 fused 0 imm 16 boxed 1 seq 1",
+    "steps 200 settles 400 run 0 skipped 0 min 0 max 0 dirty 0/0 edges 200 seq 29/171 commits 107/5 displays 0");
+  ("D11", false,
+    "closures 0 fused 0 imm 16 boxed 1 seq 1",
+    "steps 200 settles 400 run 0 skipped 0 min 0 max 0 dirty 0/0 edges 200 seq 35/165 commits 140/9 displays 0");
+  ("D12", true,
+    "closures 0 fused 0 imm 11 boxed 0 seq 1",
+    "steps 200 settles 400 run 0 skipped 0 min 0 max 0 dirty 0/0 edges 200 seq 20/180 commits 37/0 displays 0");
+  ("D12", false,
+    "closures 0 fused 0 imm 11 boxed 0 seq 1",
+    "steps 200 settles 400 run 0 skipped 0 min 0 max 0 dirty 0/0 edges 200 seq 20/180 commits 41/0 displays 0");
+  ("D13", true,
+    "closures 0 fused 0 imm 8 boxed 0 seq 1",
+    "steps 200 settles 400 run 0 skipped 0 min 0 max 0 dirty 0/0 edges 200 seq 23/177 commits 45/0 displays 0");
+  ("D13", false,
+    "closures 0 fused 0 imm 8 boxed 0 seq 1",
+    "steps 200 settles 400 run 0 skipped 0 min 0 max 0 dirty 0/0 edges 200 seq 23/177 commits 47/0 displays 0");
+  ("C1", true,
+    "closures 2 fused 0 imm 10 boxed 0 seq 1",
+    "steps 200 settles 400 run 3 skipped 797 min 0 max 2 dirty 3/2 edges 200 seq 4/196 commits 6/0 displays 0");
+  ("C1", false,
+    "closures 2 fused 0 imm 10 boxed 0 seq 1",
+    "steps 200 settles 400 run 7 skipped 793 min 0 max 2 dirty 7/2 edges 200 seq 7/193 commits 16/0 displays 0");
+  ("C2", true,
+    "closures 1 fused 0 imm 17 boxed 0 seq 1",
+    "steps 200 settles 400 run 23 skipped 377 min 0 max 1 dirty 23/1 edges 200 seq 17/183 commits 49/0 displays 0");
+  ("C2", false,
+    "closures 1 fused 0 imm 19 boxed 0 seq 1",
+    "steps 200 settles 400 run 24 skipped 376 min 0 max 1 dirty 24/1 edges 200 seq 17/183 commits 54/0 displays 0");
+  ("C3", true,
+    "closures 0 fused 0 imm 7 boxed 0 seq 1",
+    "steps 200 settles 400 run 0 skipped 0 min 0 max 0 dirty 0/0 edges 200 seq 8/192 commits 17/0 displays 0");
+  ("C3", false,
+    "closures 0 fused 0 imm 8 boxed 0 seq 1",
+    "steps 200 settles 400 run 0 skipped 0 min 0 max 0 dirty 0/0 edges 200 seq 10/190 commits 30/0 displays 0");
+  ("C4", true,
+    "closures 1 fused 0 imm 13 boxed 0 seq 1",
+    "steps 200 settles 400 run 3 skipped 397 min 0 max 1 dirty 3/1 edges 200 seq 11/189 commits 25/0 displays 0");
+  ("C4", false,
+    "closures 1 fused 0 imm 13 boxed 0 seq 1",
+    "steps 200 settles 400 run 17 skipped 383 min 0 max 1 dirty 17/1 edges 200 seq 12/188 commits 38/0 displays 0");
+  ("S1", true,
+    "closures 2 fused 0 imm 13 boxed 0 seq 1",
+    "steps 200 settles 400 run 5 skipped 795 min 0 max 2 dirty 5/2 edges 200 seq 7/193 commits 12/0 displays 0");
+  ("S1", false,
+    "closures 2 fused 0 imm 13 boxed 0 seq 1",
+    "steps 200 settles 400 run 6 skipped 794 min 0 max 2 dirty 6/2 edges 200 seq 8/192 commits 12/0 displays 0");
+  ("S2", true,
+    "closures 0 fused 0 imm 9 boxed 0 seq 1",
+    "steps 200 settles 400 run 0 skipped 0 min 0 max 0 dirty 0/0 edges 200 seq 200/0 commits 410/0 displays 0");
+  ("S2", false,
+    "closures 0 fused 0 imm 9 boxed 0 seq 1",
+    "steps 200 settles 400 run 0 skipped 0 min 0 max 0 dirty 0/0 edges 200 seq 86/114 commits 26/0 displays 0");
+  ("S3", true,
+    "closures 0 fused 0 imm 10 boxed 0 seq 1",
+    "steps 200 settles 400 run 0 skipped 0 min 0 max 0 dirty 0/0 edges 200 seq 18/182 commits 55/0 displays 0");
+  ("S3", false,
+    "closures 0 fused 0 imm 10 boxed 0 seq 1",
+    "steps 200 settles 400 run 0 skipped 0 min 0 max 0 dirty 0/0 edges 200 seq 18/182 commits 55/0 displays 0");
+]
+
+let kernel_stats_row (bug : Bug.t) ~buggy =
+  let flat =
+    Fpga_sim.Elaborate.elaborate (Bug.design_of bug ~buggy) ~top:bug.Bug.top
+  in
+  let sim = Simulator.create ~kernel:Simulator.Lowered_dirty flat in
+  let i = ref 0 in
+  while !i < 200 && not (Simulator.finished sim) do
+    List.iter (fun (n, v) -> Simulator.set_input sim n v) (bug.Bug.stimulus !i);
+    Simulator.step sim;
+    incr i
+  done;
+  let lw = Option.get (Simulator.lowering_stats sim) in
+  let r = Simulator.stats sim in
+  let open Fpga_sim.Lowered in
+  ( Printf.sprintf "closures %d fused %d imm %d boxed %d seq %d" lw.lw_closures
+      lw.lw_fused lw.lw_imm lw.lw_boxed lw.lw_seq,
+    Printf.sprintf
+      "steps %d settles %d run %d skipped %d min %d max %d dirty %d/%d edges \
+       %d seq %d/%d commits %d/%d displays %d"
+      r.rs_steps r.rs_settles r.rs_closures_run r.rs_closures_skipped
+      r.rs_run_min r.rs_run_max r.rs_dirty_total r.rs_dirty_peak r.rs_edges
+      r.rs_seq_run r.rs_seq_skipped r.rs_commit_imm r.rs_commit_boxed
+      r.rs_displays )
+
+let test_kernel_stats_pinned () =
+  List.iter
+    (fun (bug : Bug.t) ->
+      List.iter
+        (fun buggy ->
+          let tag =
+            Printf.sprintf "%s %s" bug.Bug.id (if buggy then "buggy" else "fixed")
+          in
+          let shape, runs = kernel_stats_row bug ~buggy in
+          match
+            List.find_opt (fun (id, b, _, _) -> id = bug.Bug.id && b = buggy)
+              pinned_kernel_stats
+          with
+          | None -> Alcotest.failf "%s: no pinned row (%S, %S)" tag shape runs
+          | Some (_, _, s, r) ->
+              Alcotest.(check string) (tag ^ " lowering") s shape;
+              Alcotest.(check string) (tag ^ " 200-cycle stats") r runs)
+        [ true; false ])
+    all
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "lowering and run counters pinned" `Quick
+        test_kernel_stats_pinned;
+    ]
