@@ -83,19 +83,6 @@ let backward_closure ?(data_only = false) (g : graph) ~target ~cycles :
   Hashtbl.fold (fun name _ acc -> name :: acc) best []
   |> List.sort String.compare
 
-(* Signals reachable forward from [source] (used by LossCheck to find
-   propagation sequences). *)
-let forward_closure ?(data_only = true) (g : graph) ~source : string list =
-  let keep e = (not data_only) || e.kind = Data in
-  let seen = Hashtbl.create 16 in
-  let rec visit name =
-    if not (Hashtbl.mem seen name) then (
-      Hashtbl.replace seen name ();
-      List.iter (fun e -> if keep e then visit e.dst) (outgoing g name))
-  in
-  visit source;
-  Hashtbl.fold (fun name _ acc -> name :: acc) seen [] |> List.sort String.compare
-
 (* Detect circular control dependencies among conditionally-assigned
    registers - the shape of hardware deadlocks (section 3.3.1). Returns
    strongly-connected cycles of length >= 2 through sequential control

@@ -21,7 +21,7 @@ type graph = { edges : edge list; module_name : string }
 val of_module : ?ip_edges:edge list -> Fpga_hdl.Ast.module_def -> graph
 (** Dependency graph of a module's always blocks and continuous
     assigns; [ip_edges] supplies the edges induced by IP instances
-    (see {!Ip_models.dependency_edges}). *)
+    (the Dependency Monitor builds them from {!Ip_models.data_path}). *)
 
 val incoming : graph -> string -> edge list
 val outgoing : graph -> string -> edge list
@@ -32,9 +32,6 @@ val backward_closure :
     following combinational edges freely; includes [target]. With
     [data_only], control dependencies are ignored (section 4.3's
     configuration switch). *)
-
-val forward_closure : ?data_only:bool -> graph -> source:string -> string list
-(** Signals reachable forward from [source]; includes [source]. *)
 
 val control_cycles : graph -> string list list
 (** Circular control dependencies among conditionally-assigned

@@ -1,102 +1,32 @@
-(* Dependency and propagation models for closed-source IP blocks
-   (section 5). The paper implements models for the three IPs used by
-   its testbed - altsyncram, scfifo, and dcfifo - and so do we.
-
-   A model maps the instance's port connections to the propagation
-   relations and dependency edges the IP induces between the nets
-   attached to it. Only plain-identifier connections contribute ends of
-   relations (expression actuals contribute their read sets). *)
+(* Data-path model of the closed-source IP blocks (section 5). The paper
+   implements models for the three IPs used by its testbed - altsyncram,
+   scfifo, and dcfifo - and so do we; their port roles are the table in
+   Ast.ip_ports. *)
 
 module Ast = Fpga_hdl.Ast
 
-exception No_model of string
+type data_path = { data : Ast.expr; write : Ast.expr; q : string }
 
-let supported = [ "scfifo"; "dcfifo"; "altsyncram" ]
-let has_model target = List.mem target supported
-
-let conn_expr (i : Ast.instance) formal : Ast.expr option =
-  List.find_map
-    (fun (c : Ast.connection) ->
-      if c.Ast.formal = formal then Some c.Ast.actual else None)
-    i.Ast.conns
-
-let conn_ident i formal =
-  match conn_expr i formal with Some (Ast.Ident n) -> Some n | _ -> None
-
-let conn_reads i formal =
-  match conn_expr i formal with Some e -> Ast.expr_reads e | None -> []
-
-(* data-in ~> data-out under (write enable), plus out ~> downstream
-   handled by the enclosing module's own relations. The conditions keep
-   the IP's gating signals so LossCheck's shadow logic observes
-   backpressure (full) and validity (wrreq). *)
-let fifo_relations i ~wr_req ~rd_req ~full_opt ~data ~q : Propagation.relation list =
-  let open Propagation in
-  let hint = Printf.sprintf "IP model %s %s" i.Ast.target i.Ast.inst_name in
-  let wr_cond =
-    let base =
-      match conn_expr i wr_req with Some e -> e | None -> Ast.true_expr
-    in
-    match full_opt with
-    | Some full_formal -> (
-        match conn_ident i full_formal with
-        | Some full -> Ast.and_expr base (Ast.not_expr (Ast.Ident full))
-        | None -> base)
-    | None -> base
+(* The write gate keeps the IP's backpressure (full) and validity (the
+   write enable) so LossCheck's shadow logic observes both. *)
+let data_path (i : Ast.instance) : data_path option =
+  let conn formal =
+    List.find_map
+      (fun (c : Ast.connection) ->
+        if c.Ast.formal = formal then Some c.Ast.actual else None)
+      i.Ast.conns
   in
-  let rd_cond =
-    match conn_expr i rd_req with Some e -> e | None -> Ast.true_expr
-  in
-  match (conn_reads i data, conn_ident i q) with
-  | srcs, Some qn ->
-      List.map (fun src -> { src; dst = qn; cond = wr_cond; line_hint = hint }) srcs
-      @ [ { src = qn; dst = qn; cond = rd_cond; line_hint = hint } ]
-  | _, None -> []
-
-let ram_relations i : Propagation.relation list =
-  let open Propagation in
-  let hint = Printf.sprintf "IP model altsyncram %s" i.Ast.inst_name in
-  let wr_cond =
-    match conn_expr i "wren_a" with Some e -> e | None -> Ast.true_expr
-  in
-  match (conn_reads i "data_a", conn_ident i "q_a") with
-  | srcs, Some qn ->
-      List.map (fun src -> { src; dst = qn; cond = wr_cond; line_hint = hint }) srcs
-  | _, None -> []
-
-let propagation_relations (i : Ast.instance) : Propagation.relation list =
-  match i.Ast.target with
-  | "scfifo" ->
-      fifo_relations i ~wr_req:"wrreq" ~rd_req:"rdreq" ~full_opt:(Some "full")
-        ~data:"data" ~q:"q"
-  | "dcfifo" ->
-      fifo_relations i ~wr_req:"wrreq" ~rd_req:"rdreq"
-        ~full_opt:(Some "wrfull") ~data:"data" ~q:"q"
-  | "altsyncram" -> ram_relations i
-  | other ->
-      if Ast.is_builtin_ip other then []
-      else raise (No_model other)
-
-(* Propagation table of a module including its IP instances' models. *)
-let table_of_module (m : Ast.module_def) : Propagation.table =
-  Propagation.of_module ~ip:propagation_relations m
-
-(* Dependency edges for Dependency Monitor: outputs depend on inputs.
-   Unknown non-builtin targets contribute nothing here; Dep_monitor
-   expands user-module instances from the design instead. *)
-let dependency_edges (i : Ast.instance) : Deps.edge list =
-  let rels =
-    match propagation_relations i with
-    | rels -> rels
-    | exception No_model _ -> []
-  in
-  List.map
-    (fun (r : Propagation.relation) ->
-      {
-        Deps.src = r.Propagation.src;
-        dst = r.Propagation.dst;
-        kind = Deps.Data;
-        timing = Deps.Sequential;
-        cond = r.Propagation.cond;
-      })
-    rels
+  match Ast.ip_ports i.Ast.target with
+  | None -> None
+  | Some p -> (
+      match (conn p.Ast.ip_data, conn p.Ast.ip_q) with
+      | Some data, Some (Ast.Ident q) ->
+          let wr = Option.value (conn p.Ast.ip_write) ~default:Ast.true_expr in
+          let write =
+            match Option.bind p.Ast.ip_full conn with
+            | Some (Ast.Ident full) ->
+                Ast.and_expr wr (Ast.not_expr (Ast.Ident full))
+            | _ -> wr
+          in
+          Some { data; write; q }
+      | _ -> None)

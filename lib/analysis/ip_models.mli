@@ -1,25 +1,18 @@
-(** Dependency and propagation models for closed-source IP blocks
-    (section 5 of the paper).
+(** Data-path model of the closed-source IP blocks (section 5 of the
+    paper): [scfifo], [dcfifo] and [altsyncram], the three IPs the
+    testbed uses, mirroring the paper's artifact. The port roles come
+    from {!Fpga_hdl.Ast.ip_ports}; the Dependency Monitor and LossCheck
+    each build their own edges or relations from the one data path. *)
 
-    A model maps an instance's port connections to the propagation
-    relations and dependency edges the IP induces between the attached
-    nets. Models exist for the three IPs the testbed uses — [scfifo],
-    [dcfifo], and [altsyncram] — mirroring the paper's artifact. *)
+type data_path = {
+  data : Fpga_hdl.Ast.expr;  (** the actual connected to the data input *)
+  write : Fpga_hdl.Ast.expr;
+      (** when a word is stored: the write enable, and for a FIFO with
+          its full flag connected, [write && !full] *)
+  q : string;  (** the net the data output drives *)
+}
 
-exception No_model of string
-
-val supported : string list
-val has_model : string -> bool
-
-val propagation_relations : Fpga_hdl.Ast.instance -> Propagation.relation list
-(** The relations of one IP instance; e.g. a FIFO's data input
-    propagates to its [q] output when [wrreq && !full]. Raises
-    {!No_model} for an unknown non-builtin target. *)
-
-val table_of_module : Fpga_hdl.Ast.module_def -> Propagation.table
-(** {!Propagation.of_module} composed with the builtin IP models. *)
-
-val dependency_edges : Fpga_hdl.Ast.instance -> Deps.edge list
-(** Dependency-graph edges mirroring {!propagation_relations}; empty
-    for unknown targets (Dependency Monitor expands user-module
-    instances from the design instead). *)
+val data_path : Fpga_hdl.Ast.instance -> data_path option
+(** The data path of a builtin IP instance; [None] for any other target,
+    or when the data input is unconnected or the data output does not
+    drive a plain identifier. *)

@@ -69,6 +69,23 @@ let child_instance_edges (design : Ast.design option) (i : Ast.instance) :
               | _ -> [])
             conns)
 
+(* Edges induced by a builtin IP instance: its data output depends on
+   every read of the data actual, sequentially, under the write gate. *)
+let ip_model_edges (i : Ast.instance) : Deps.edge list =
+  match Ip_models.data_path i with
+  | None -> []
+  | Some p ->
+      List.map
+        (fun src ->
+          {
+            Deps.src;
+            dst = p.Ip_models.q;
+            kind = Deps.Data;
+            timing = Deps.Sequential;
+            cond = p.Ip_models.write;
+          })
+        (Ast.expr_reads p.Ip_models.data)
+
 let analyze ?design ?(data_only = false) ?(slice_precise = false) ~target
     ~cycles (m : Ast.module_def) : plan =
   if Ast.signal_width m target = None then
@@ -76,8 +93,8 @@ let analyze ?design ?(data_only = false) ?(slice_precise = false) ~target
   let ip_edges =
     List.concat_map
       (fun (i : Ast.instance) ->
-        if Ast.is_builtin_ip i.Ast.target then Ip_models.dependency_edges i
-        else child_instance_edges design i)
+        if Ast.ip_ports i.Ast.target = None then child_instance_edges design i
+        else ip_model_edges i)
       m.Ast.instances
   in
   let g = Deps.of_module ~ip_edges m in

@@ -25,6 +25,7 @@
 
 module Ast = Fpga_hdl.Ast
 module Bits = Fpga_bits.Bits
+module Ip_models = Fpga_analysis.Ip_models
 module Path_constraint = Fpga_analysis.Path_constraint
 module Simulator = Fpga_sim.Simulator
 module Testbench = Fpga_sim.Testbench
@@ -97,25 +98,19 @@ let classify (m : Ast.module_def) ~(spec : spec) ~ip_outputs name : node_class =
         | Some _ -> if List.mem name ip_outputs then Nip_output else Nwire
         | None -> Nwire)
 
-(* IP output nets of the module's instances. *)
+(* Output nets of the module's builtin IP instances. *)
 let ip_output_nets (m : Ast.module_def) : string list =
   List.concat_map
     (fun (i : Ast.instance) ->
-      List.filter_map
-        (fun (c : Ast.connection) ->
-          let is_out =
-            match i.Ast.target with
-            | "scfifo" -> List.mem c.Ast.formal [ "q"; "empty"; "full"; "usedw" ]
-            | "dcfifo" ->
-                List.mem c.Ast.formal
-                  [ "q"; "rdempty"; "wrfull"; "wrusedw"; "rdusedw" ]
-            | "altsyncram" -> List.mem c.Ast.formal [ "q_a"; "q_b" ]
-            | _ -> false
-          in
-          match (is_out, c.Ast.actual) with
-          | true, Ast.Ident n -> Some n
-          | _ -> None)
-        i.Ast.conns)
+      match Ast.ip_ports i.Ast.target with
+      | None -> []
+      | Some p ->
+          List.filter_map
+            (fun (c : Ast.connection) ->
+              match c.Ast.actual with
+              | Ast.Ident n when List.mem c.Ast.formal p.Ast.ip_outputs -> Some n
+              | _ -> None)
+            i.Ast.conns)
     m.Ast.instances
 
 (* Combinational definitions of wires: continuous assigns plus
@@ -176,6 +171,15 @@ let effective_relations ?design (m : Ast.module_def) (spec : spec) :
   let ip_outputs = ip_output_nets m in
   let defs = wire_defs m in
   let expand = expand m ~spec ~ip_outputs ~defs in
+  (* the data of every read, expanded to storage, flows into [dst] *)
+  let flow ~dst ~cond reads =
+    List.concat_map
+      (fun r ->
+        List.map
+          (fun (node, c) -> { src = node; dst; cond = Ast.and_expr cond c })
+          (expand r))
+      reads
+  in
   let of_assignment (l, rhs, cond) =
     (* A write into a non-power-of-two memory with an out-of-range index
        is dropped (section 3.2.1 case 2): the data does NOT propagate,
@@ -191,110 +195,51 @@ let effective_relations ?design (m : Ast.module_def) (spec : spec) :
           | _ -> cond)
       | _ -> cond
     in
-    let dsts = Ast.dedup (Ast.lvalue_bases l) in
     List.concat_map
-      (fun dst ->
-        List.concat_map
-          (fun r ->
-            List.map
-              (fun (node, c) -> { src = node; dst; cond = Ast.and_expr cond c })
-              (expand r))
-          (Ast.dedup (data_reads rhs)))
-      dsts
+      (fun dst -> flow ~dst ~cond (Ast.dedup (data_reads rhs)))
+      (Ast.dedup (Ast.lvalue_bases l))
   in
   let seq = List.concat_map of_assignment (seq_assignments m) in
   (* relations into the sink when the sink is combinational *)
-  let sink_defs = List.filter (fun (w, _) -> w = spec.sink) defs in
   let into_sink =
     List.concat_map
-      (fun (_, (e, dcond)) ->
-        List.concat_map
-          (fun r ->
-            List.map
-              (fun (node, c) ->
-                { src = node; dst = spec.sink; cond = Ast.and_expr dcond c })
-              (expand r))
-          (Ast.dedup (data_reads e)))
-      sink_defs
+      (fun (w, (e, dcond)) ->
+        if w = spec.sink then
+          flow ~dst:spec.sink ~cond:dcond (Ast.dedup (data_reads e))
+        else [])
+      defs
   in
-  (* IP models: data input ~>(wrreq & ~full) q output *)
   let ip =
     List.concat_map
       (fun (i : Ast.instance) ->
-        let conn f =
-          List.find_map
-            (fun (c : Ast.connection) ->
-              if c.Ast.formal = f then Some c.Ast.actual else None)
-            i.Ast.conns
-        in
-        let fifo ~data ~wrreq ~full ~q =
-          match conn q with
-          | Some (Ast.Ident qn) ->
-              let wr =
-                match conn wrreq with Some e -> e | None -> Ast.true_expr
-              in
-              let gate =
-                match conn full with
-                | Some (Ast.Ident fn) ->
-                    Ast.and_expr wr (Ast.not_expr (Ast.Ident fn))
-                | _ -> wr
-              in
-              let srcs =
-                match conn data with
-                | Some e -> Ast.dedup (data_reads e)
-                | None -> []
-              in
-              List.concat_map
-                (fun r ->
-                  List.map
-                    (fun (node, c) ->
-                      { src = node; dst = qn; cond = Ast.and_expr gate c })
-                    (expand r))
-                srcs
-          | _ -> []
-        in
-        (* user-module instances (when the design is known): every
-           output net conservatively receives every input's data *)
-        let user_module child =
-          let out_nets =
-            List.filter_map
-              (fun (c : Ast.connection) ->
-                match (Ast.find_port child c.Ast.formal, c.Ast.actual) with
-                | Some { Ast.dir = Ast.Output; _ }, Ast.Ident n -> Some n
-                | _ -> None)
-              i.Ast.conns
-          in
-          let in_srcs =
-            List.concat_map
-              (fun (c : Ast.connection) ->
-                match Ast.find_port child c.Ast.formal with
-                | Some { Ast.dir = Ast.Input; _ } ->
-                    Ast.dedup (data_reads c.Ast.actual)
-                | _ -> [])
-              i.Ast.conns
-          in
-          List.concat_map
-            (fun dst ->
-              List.concat_map
-                (fun r ->
-                  List.map
-                    (fun (node, c) -> { src = node; dst; cond = c })
-                    (expand r))
-                in_srcs)
-            out_nets
-        in
-        match i.Ast.target with
-        | "scfifo" -> fifo ~data:"data" ~wrreq:"wrreq" ~full:"full" ~q:"q"
-        | "dcfifo" -> fifo ~data:"data" ~wrreq:"wrreq" ~full:"wrfull" ~q:"q"
-        | "altsyncram" ->
-            fifo ~data:"data_a" ~wrreq:"wren_a" ~full:"_none_" ~q:"q_a"
-        | other -> (
-            match design with
-            | Some d -> (
-                match Ast.find_module d other with
-                | Some child -> user_module child
-                | None -> [])
-            | None -> []))
+        match (Ip_models.data_path i, design) with
+        | Some p, _ ->
+            (* data input ~>(write gate) data output *)
+            flow ~dst:p.Ip_models.q ~cond:p.Ip_models.write
+              (Ast.dedup (data_reads p.Ip_models.data))
+        | None, Some d when Ast.ip_ports i.Ast.target = None -> (
+            (* a user-module instance: every output net conservatively
+               receives every input's data *)
+            match Ast.find_module d i.Ast.target with
+            | None -> []
+            | Some child ->
+                let in_srcs =
+                  List.concat_map
+                    (fun (c : Ast.connection) ->
+                      match Ast.find_port child c.Ast.formal with
+                      | Some { Ast.dir = Ast.Input; _ } ->
+                          Ast.dedup (data_reads c.Ast.actual)
+                      | _ -> [])
+                    i.Ast.conns
+                in
+                List.concat_map
+                  (fun (c : Ast.connection) ->
+                    match (Ast.find_port child c.Ast.formal, c.Ast.actual) with
+                    | Some { Ast.dir = Ast.Output; _ }, Ast.Ident dst ->
+                        flow ~dst ~cond:Ast.true_expr in_srcs
+                    | _ -> [])
+                  i.Ast.conns)
+        | None, _ -> [])
       m.Ast.instances
   in
   seq @ into_sink @ ip
@@ -376,10 +321,6 @@ let validity_factor (plan : plan) ~rhs node extra_cond : Ast.expr =
   in
   Ast.and_expr extra_cond base
 
-let validity_factor_with_ip (plan : plan) ~ip_outputs ~rhs node extra_cond =
-  if List.mem node ip_outputs then Ast.and_expr extra_cond Ast.true_expr
-  else validity_factor plan ~rhs node extra_cond
-
 let instrument (plan : plan) (m : Ast.module_def) : Ast.module_def =
   if plan.scalar_checks = [] && plan.memory_checks = [] then m
   else (
@@ -390,6 +331,19 @@ let instrument (plan : plan) (m : Ast.module_def) : Ast.module_def =
     let expand = expand m ~spec:plan.spec ~ip_outputs ~defs in
     let assignments = seq_assignments m in
     let bit name = Ast.Ident name in
+    (* whether the data a right-hand side reads is valid; an IP output
+       counts as valid whenever it is read *)
+    let valid_data rhs =
+      List.concat_map
+        (fun read ->
+          List.map
+            (fun (node, c) ->
+              if List.mem node ip_outputs then c
+              else validity_factor plan ~rhs node c)
+            (expand read))
+        (Ast.dedup (data_reads rhs))
+      |> List.fold_left Ast.or_expr Ast.false_expr
+    in
     (* --- scalar registers ------------------------------------------ *)
     let scalar_decls =
       List.concat_map
@@ -414,19 +368,7 @@ let instrument (plan : plan) (m : Ast.module_def) : Ast.module_def =
           let v_expr =
             List.fold_left
               (fun acc (_, rhs, cond) ->
-                let factors =
-                  List.concat_map
-                    (fun read ->
-                      List.map
-                        (fun (node, c) ->
-                          validity_factor_with_ip plan ~ip_outputs ~rhs node c)
-                        (expand read))
-                    (Ast.dedup (data_reads rhs))
-                in
-                let valid_src =
-                  List.fold_left Ast.or_expr Ast.false_expr factors
-                in
-                Ast.or_expr acc (Ast.and_expr cond valid_src))
+                Ast.or_expr acc (Ast.and_expr cond (valid_data rhs)))
               Ast.false_expr my_assignments
           in
           let p_expr =
@@ -530,18 +472,6 @@ let instrument (plan : plan) (m : Ast.module_def) : Ast.module_def =
                         (Ast.and_expr rcond (Ast.Binop (Ast.Eq, ri, wi))))
                     Ast.false_expr reads
                 in
-                let v_write =
-                  let factors =
-                    List.concat_map
-                      (fun read ->
-                        List.map
-                          (fun (node, c) ->
-                            validity_factor_with_ip plan ~ip_outputs ~rhs node c)
-                          (expand read))
-                      (Ast.dedup (data_reads rhs))
-                  in
-                  List.fold_left Ast.or_expr Ast.false_expr factors
-                in
                 Ast.If
                   ( cond,
                     [
@@ -552,12 +482,7 @@ let instrument (plan : plan) (m : Ast.module_def) : Ast.module_def =
                           [ loss_display mem ],
                           [] );
                       Ast.Nonblocking
-                        ( Ast.Lindex (nm_name mem, wi),
-                          (* constant-fed writes still store data; treat
-                             them as valid when no tracked source exists *)
-                          (match v_write with
-                          | Ast.Const _ -> v_write
-                          | e -> e) );
+                        (Ast.Lindex (nm_name mem, wi), valid_data rhs);
                     ],
                     [] ))
               writes

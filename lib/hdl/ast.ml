@@ -105,8 +105,35 @@ type design = { modules : module_def list }
 (* Helpers                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let builtin_ips = [ "scfifo"; "dcfifo"; "altsyncram" ]
-let is_builtin_ip name = List.mem name builtin_ips
+(* Port roles of the builtin IPs (section 5's models), the one table the
+   elaborator, the Dependency Monitor and LossCheck read: the output
+   formals, and the data path a word takes through the IP. The word at
+   [ip_data] is stored when [ip_write] holds and, for a FIFO, [ip_full]
+   does not; it comes out at [ip_q]. *)
+type ip_ports = {
+  ip_outputs : string list;
+  ip_data : string;
+  ip_write : string;
+  ip_full : string option;
+  ip_q : string;
+}
+
+let builtin_ip_ports =
+  let fifo ~outputs ~full =
+    { ip_outputs = outputs; ip_data = "data"; ip_write = "wrreq";
+      ip_full = Some full; ip_q = "q" }
+  in
+  [
+    ("scfifo", fifo ~outputs:[ "q"; "empty"; "full"; "usedw" ] ~full:"full");
+    ( "dcfifo",
+      fifo ~outputs:[ "q"; "rdempty"; "wrfull"; "wrusedw"; "rdusedw" ]
+        ~full:"wrfull" );
+    ( "altsyncram",
+      { ip_outputs = [ "q_a"; "q_b" ]; ip_data = "data_a"; ip_write = "wren_a";
+        ip_full = None; ip_q = "q_a" } );
+  ]
+
+let ip_ports target = List.assoc_opt target builtin_ip_ports
 
 let find_module design name =
   List.find_opt (fun m -> m.mod_name = name) design.modules

@@ -98,13 +98,14 @@ let extended_testbed () =
      subclasses covered)";
   List.iter
     (fun (bug : Bug.t) ->
-      let observed = Bug.observed_symptoms bug in
+      let buggy = Bug.run bug ~buggy:true in
+      let fixed = Bug.run bug ~buggy:false in
       Printf.printf "%-4s %-28s %-20s %s -> [%s]\n" bug.Bug.id
         (Taxonomy.subclass_name bug.Bug.subclass)
         bug.Bug.application
-        (if Bug.reproduces bug then "reproduces" else "FAILS")
+        (if Bug.reproduces_of ~bug ~buggy ~fixed then "reproduces" else "FAILS")
         (String.concat ","
-           (List.map Taxonomy.symptom_name observed)))
+           (List.map Taxonomy.symptom_name (Bug.symptoms_of ~buggy ~fixed))))
     Registry.extended
 
 (* ------------------------------------------------------------------ *)

@@ -60,13 +60,11 @@ let prim_kind_of_target = function
   | "altsyncram" -> Some Altsyncram
   | _ -> None
 
-(* Port directions of builtin IPs: [true] = output. *)
-let prim_port_is_output kind formal =
-  match (kind, formal) with
-  | Scfifo, ("q" | "empty" | "full" | "usedw") -> true
-  | Dcfifo, ("q" | "rdempty" | "wrfull" | "wrusedw" | "rdusedw") -> true
-  | Altsyncram, ("q_a" | "q_b") -> true
-  | _ -> false
+(* Port directions of builtin IPs, from {!Ast.ip_ports}: [true] = output. *)
+let prim_port_is_output target formal =
+  match Ast.ip_ports target with
+  | Some p -> List.mem formal p.Ast.ip_outputs
+  | None -> false
 
 (* Output widths of builtin IPs given their parameters. *)
 let prim_output_width kind params formal =
@@ -252,7 +250,7 @@ and inline_instance ctx prefix consts rename (i : Ast.instance) =
       List.iter
         (fun (c : Ast.connection) ->
           let actual = subst_expr consts rename c.Ast.actual in
-          if prim_port_is_output kind c.Ast.formal then (
+          if prim_port_is_output i.Ast.target c.Ast.formal then (
             match actual with
             | Ast.Ident "_nc_" -> ()
             | Ast.Ident flat ->

@@ -261,29 +261,49 @@ let harness_of_meta meta =
     h_satisfied = get "harness.satisfied" = Some "1";
   }
 
+(* A run's harness observations so far, rows newest first: the state
+   [run_design] and [Replay.bisect]'s fine phase carry alongside the
+   simulator. *)
+type progress = {
+  mutable p_rows : (int * (string * int) list) list;
+  mutable p_ext : bool;
+  mutable p_satisfied : bool;
+}
+
+(* Resuming from a checkpoint restores both halves of the state: the
+   simulator itself and the harness observations accumulated up to the
+   capture cycle, so the loop continues exactly where the original run
+   was. Returns the observations and the cycle to continue from. *)
+let resume sim (from_checkpoint : Fpga_sim.Checkpoint.t option) =
+  match from_checkpoint with
+  | None -> ({ p_rows = []; p_ext = false; p_satisfied = false }, 0)
+  | Some ck ->
+      Simulator.restore_checkpoint sim ck;
+      let h = harness_of_meta ck.Fpga_sim.Checkpoint.ck_meta in
+      ( { p_rows = List.rev h.h_rows; p_ext = h.h_ext;
+          p_satisfied = h.h_satisfied },
+        ck.Fpga_sim.Checkpoint.ck_cycle )
+
+(* The harness's view of [cycle], which the simulator has just
+   completed: the output row, the external monitor, the completion
+   condition. *)
+let observe (bug : t) sim (p : progress) cycle =
+  (match bug.sample sim with
+  | Some row -> p.p_rows <- (cycle, row) :: p.p_rows
+  | None -> ());
+  (match bug.ext_monitor with
+  | Some f when f sim -> p.p_ext <- true
+  | _ -> ());
+  match bug.done_when with
+  | Some cond when cond sim -> p.p_satisfied <- true
+  | _ -> ()
+
 let run_design ?(vcd = false) ?(vcd_from = 0) ?kernel ?max_cycles
     ?checkpoint_every ?on_checkpoint ?from_checkpoint (bug : t)
     (design : Ast.design) : report =
   let max_cycles = Option.value max_cycles ~default:bug.max_cycles in
   with_simulator ?kernel bug design @@ fun sim ->
-  let rows = ref [] in
-  let ext = ref false in
-  let satisfied = ref false in
-  (* Resuming from a checkpoint restores both halves of the state: the
-     simulator itself and the harness observations accumulated up to
-     the capture cycle, so the loop continues exactly where the
-     original run was. *)
-  let start =
-    match from_checkpoint with
-    | None -> 0
-    | Some ck ->
-        Simulator.restore_checkpoint sim ck;
-        let h = harness_of_meta ck.Fpga_sim.Checkpoint.ck_meta in
-        rows := List.rev h.h_rows;
-        ext := h.h_ext;
-        satisfied := h.h_satisfied;
-        ck.Fpga_sim.Checkpoint.ck_cycle
-  in
+  let p, start = resume sim from_checkpoint in
   let dump =
     if vcd then Some (Fpga_sim.Vcd.create (Simulator.flat sim)) else None
   in
@@ -295,26 +315,18 @@ let run_design ?(vcd = false) ?(vcd_from = 0) ?kernel ?max_cycles
           (Simulator.save_checkpoint ~tag:bug.id
              ~meta:
                (meta_of_harness
-                  { h_rows = List.rev !rows; h_ext = !ext;
-                    h_satisfied = !satisfied })
+                  { h_rows = List.rev p.p_rows; h_ext = p.p_ext;
+                    h_satisfied = p.p_satisfied })
              sim)
   in
   let i = ref start in
-  while !i < max_cycles && (not (Simulator.finished sim)) && not !satisfied do
+  while !i < max_cycles && (not (Simulator.finished sim)) && not p.p_satisfied do
     List.iter (fun (n, v) -> Simulator.set_input sim n v) (bug.stimulus !i);
     Simulator.step sim;
     (match dump with
     | Some d when !i >= vcd_from -> Fpga_sim.Vcd.sample d sim
     | _ -> ());
-    (match bug.sample sim with
-    | Some row -> rows := (!i, row) :: !rows
-    | None -> ());
-    (match bug.ext_monitor with
-    | Some f when f sim -> ext := true
-    | _ -> ());
-    (match bug.done_when with
-    | Some cond when cond sim -> satisfied := true
-    | _ -> ());
+    observe bug sim p !i;
     (match checkpoint_every with
     | Some every when every > 0 && (!i + 1) mod every = 0 ->
         capture_checkpoint ()
@@ -322,10 +334,10 @@ let run_design ?(vcd = false) ?(vcd_from = 0) ?kernel ?max_cycles
     incr i
   done;
   {
-    stuck = (match bug.done_when with Some _ -> not !satisfied | None -> false);
+    stuck = (match bug.done_when with Some _ -> not p.p_satisfied | None -> false);
     finished = Simulator.finished sim;
-    rows = List.rev !rows;
-    ext_error = !ext;
+    rows = List.rev p.p_rows;
+    ext_error = p.p_ext;
     log = Simulator.log sim;
     cycles = !i;
     vcd = Option.map Fpga_sim.Vcd.contents dump;
@@ -380,14 +392,11 @@ let observed_symptoms (bug : t) : Taxonomy.symptom list =
   let fixed = run bug ~buggy:false in
   symptoms_of ~buggy ~fixed
 
+(* Push-button reproduction: the expected symptoms all manifest in an
+   executed buggy/fixed pair. *)
 let reproduces_of ~(bug : t) ~buggy ~fixed : bool =
   let observed = symptoms_of ~buggy ~fixed in
   List.for_all (fun s -> List.mem s observed) bug.symptoms
-
-(* Push-button reproduction: the expected symptoms all manifest. *)
-let reproduces (bug : t) : bool =
-  let buggy = run bug ~buggy:true in
-  reproduces_of ~bug ~buggy ~fixed:(run bug ~buggy:false)
 
 (* Convenience constructors for stimuli. *)
 let b = Bits.of_int

@@ -145,6 +145,25 @@ val harness_of_meta : (string * string) list -> harness
     {!Fpga_sim.Checkpoint.Checkpoint_error} when the metadata is
     malformed. *)
 
+(** The harness observations of a run in progress, rows newest first. *)
+type progress = {
+  mutable p_rows : (int * (string * int) list) list;
+  mutable p_ext : bool;
+  mutable p_satisfied : bool;
+}
+
+val resume :
+  Fpga_sim.Simulator.t -> Fpga_sim.Checkpoint.t option -> progress * int
+(** [resume sim ck] restores [ck], when given, into [sim] and returns the
+    harness observations it carries and the cycle to continue from;
+    without a checkpoint, empty observations and cycle 0. *)
+
+val observe : t -> Fpga_sim.Simulator.t -> progress -> int -> unit
+(** [observe bug sim p cycle] records the bug's harness view of [cycle],
+    which [sim] has just completed: its output row, the external
+    monitor and the completion condition — the per-cycle step
+    {!run_design} takes after each [Simulator.step]. *)
+
 val run : t -> buggy:bool -> report
 
 val diff_reports : report -> report -> string option
@@ -160,11 +179,9 @@ val symptoms_of :
 val observed_symptoms : t -> Fpga_study.Taxonomy.symptom list
 (** Differential execution of the buggy vs. fixed design. *)
 
-val reproduces : t -> bool
-(** All expected symptoms manifest. *)
-
 val reproduces_of : bug:t -> buggy:report -> fixed:report -> bool
-(** {!reproduces} over already-executed reports. *)
+(** All expected symptoms manifest in an already-executed buggy/fixed
+    pair. *)
 
 val changed_signals : t -> string list
 (** Signals whose driving logic differs between the buggy and fixed

@@ -117,20 +117,7 @@ let bisect ?kernel ?(every = 50) (bug : Bug.t) : bisect_result =
        predicate after every completed cycle *)
     Bug.with_simulator ?kernel bug (Bug.design_of bug ~buggy:true)
     @@ fun sim ->
-    let rows = ref [] (* newest first *) in
-    let ext = ref false in
-    let satisfied = ref false in
-    let start =
-      match from with
-      | None -> 0
-      | Some ck ->
-          Simulator.restore_checkpoint sim ck;
-          let h = Bug.harness_of_meta ck.Checkpoint.ck_meta in
-          rows := List.rev h.Bug.h_rows;
-          ext := h.Bug.h_ext;
-          satisfied := h.Bug.h_satisfied;
-          ck.Checkpoint.ck_cycle
-    in
+    let p, start = Bug.resume sim from in
     let replayed = ref 0 in
     let first = ref None in
     let c = ref (start + 1) in
@@ -140,7 +127,7 @@ let bisect ?kernel ?(every = 50) (bug : Bug.t) : bisect_result =
          already stopped (then only reference time advances) *)
       if
         (not (Simulator.finished sim))
-        && (not !satisfied)
+        && (not p.Bug.p_satisfied)
         && !c - 1 < bug.Bug.max_cycles
       then (
         List.iter
@@ -148,17 +135,10 @@ let bisect ?kernel ?(every = 50) (bug : Bug.t) : bisect_result =
           (bug.Bug.stimulus (!c - 1));
         Simulator.step sim;
         incr replayed;
-        (match bug.Bug.sample sim with
-        | Some row -> rows := (!c - 1, row) :: !rows
-        | None -> ());
-        (match bug.Bug.ext_monitor with
-        | Some f when f sim -> ext := true
-        | _ -> ());
-        match bug.Bug.done_when with
-        | Some cond when cond sim -> satisfied := true
-        | _ -> ());
-      if failed ~cycle:!c ~rows:(List.rev !rows) ~ext:!ext
-           ~satisfied:!satisfied
+        Bug.observe bug sim p (!c - 1));
+      if
+        failed ~cycle:!c ~rows:(List.rev p.Bug.p_rows) ~ext:p.Bug.p_ext
+          ~satisfied:p.Bug.p_satisfied
       then first := Some !c
       else incr c
     done;

@@ -4,6 +4,8 @@
 
 open Fpga_hdl
 open Fpga_analysis
+module Losscheck = Fpga_debug.Losscheck
+module Dep_monitor = Fpga_debug.Dep_monitor
 module Bits = Fpga_bits.Bits
 
 let check_int = Alcotest.(check int)
@@ -110,13 +112,25 @@ let test_backward_closure () =
   check_bool "data-only chain drops en" false (List.mem "en" data_only);
   check_bool "data-only chain keeps d" true (List.mem "d" data_only)
 
+(* Forward reach through LossCheck's propagation relations: d's data
+   reaches q through every pipeline register, and the wire w between s1
+   and s2 is expanded to its storage source. *)
 let test_forward_closure () =
   let m = parse pipeline_src in
-  let g = Deps.of_module m in
-  let fwd = Deps.forward_closure g ~source:"d" in
-  List.iter
-    (fun s -> check_bool ("d reaches " ^ s) true (List.mem s fwd))
-    [ "s1"; "w"; "s2"; "s3"; "q" ]
+  let spec =
+    { Losscheck.source = "d"; valid = Ast.Ident "en"; sink = "q" }
+  in
+  let plan = Losscheck.analyze spec m in
+  check_strings "d reaches q through" [ "s1"; "s2"; "s3" ]
+    plan.Losscheck.scalar_checks;
+  check_bool "w expands to s1" true
+    (List.exists
+       (fun (r : Losscheck.relation) -> r.Losscheck.src = "s1" && r.dst = "s2")
+       plan.Losscheck.relations);
+  check_bool "no relation names the wire" false
+    (List.exists
+       (fun (r : Losscheck.relation) -> r.Losscheck.src = "w" || r.dst = "w")
+       plan.Losscheck.relations)
 
 let test_control_cycles_absent () =
   let m = parse pipeline_src in
@@ -249,10 +263,13 @@ module ex (input clk, input cond_a, input cond_b, input in_valid,
 endmodule
 |}
   in
-  let table = Propagation.of_module m in
+  let spec =
+    { Losscheck.source = "in"; valid = Ast.Ident "in_valid"; sink = "out" }
+  in
+  let table = Losscheck.effective_relations m spec in
   let rel src dst =
     List.find_opt
-      (fun r -> r.Propagation.src = src && r.Propagation.dst = dst)
+      (fun (r : Losscheck.relation) -> r.Losscheck.src = src && r.dst = dst)
       table
   in
   check_bool "a ~> out" true (rel "a" "out" <> None);
@@ -262,15 +279,16 @@ endmodule
   | Some r ->
       Alcotest.(check string)
         "b's condition is !cond_a && cond_b" "(!(cond_a) && cond_b)"
-        (Pp_verilog.expr_str r.Propagation.cond)
+        (Pp_verilog.expr_str r.Losscheck.cond)
   | None -> Alcotest.fail "missing relation");
   (match rel "in" "b" with
   | Some r ->
       Alcotest.(check string) "in's condition" "in_valid"
-        (Pp_verilog.expr_str r.Propagation.cond)
+        (Pp_verilog.expr_str r.Losscheck.cond)
   | None -> Alcotest.fail "missing relation");
-  let seq = Propagation.sequence_registers table ~source:"in" ~sink:"out" in
-  check_strings "propagation sequence" [ "b"; "in"; "out" ] seq
+  let plan = Losscheck.analyze spec m in
+  check_strings "propagation sequence" [ "b" ] plan.Losscheck.scalar_checks;
+  check_strings "no memories" [] plan.Losscheck.memory_checks
 
 (* --- IP models ----------------------------------------------------------- *)
 
@@ -287,30 +305,33 @@ endmodule
 |}
   in
   let i = List.hd m.Ast.instances in
-  let rels = Ip_models.propagation_relations i in
-  check_bool "din ~> q_out exists" true
-    (List.exists
-       (fun r -> r.Propagation.src = "din" && r.Propagation.dst = "q_out")
-       rels);
-  (match
-     List.find_opt
-       (fun r -> r.Propagation.src = "din" && r.Propagation.dst = "q_out")
-       rels
-   with
-  | Some r ->
-      check_bool "condition gates on full" true
-        (let s = Pp_verilog.expr_str r.Propagation.cond in
-         let contains sub =
-           let n = String.length sub and h = String.length s in
-           let rec go i = i + n <= h && (String.sub s i n = sub || go (i + 1)) in
-           go 0
-         in
-         contains "push" && contains "fifo_full")
-  | None -> Alcotest.fail "missing IP relation");
-  check_bool "has model" true (Ip_models.has_model "scfifo");
-  check_bool "no model for unknown" false (Ip_models.has_model "mystery_ip");
-  check_bool "dependency edges mirror relations" true
-    (List.length (Ip_models.dependency_edges i) >= List.length rels - 1)
+  (match Ip_models.data_path i with
+  | Some p ->
+      Alcotest.(check string) "data actual" "din"
+        (Pp_verilog.expr_str p.Ip_models.data);
+      Alcotest.(check string) "write gates on full" "(push && !(fifo_full))"
+        (Pp_verilog.expr_str p.Ip_models.write);
+      Alcotest.(check string) "data output" "q_out" p.Ip_models.q
+  | None -> Alcotest.fail "missing IP data path");
+  check_bool "no model for unknown" true
+    (Ip_models.data_path { i with Ast.target = "mystery_ip" } = None);
+  check_bool "no model without a data output" true
+    (Ip_models.data_path
+       { i with Ast.conns = List.filter (fun c -> c.Ast.formal <> "q") i.Ast.conns }
+     = None);
+  let spec =
+    { Losscheck.source = "din"; valid = Ast.Ident "push"; sink = "q_out" }
+  in
+  check_strings "losscheck relation through the fifo"
+    [ "din ~>[(push && !(fifo_full))] q_out" ]
+    (List.map
+       (fun (r : Losscheck.relation) ->
+         Printf.sprintf "%s ~>[%s] %s" r.Losscheck.src
+           (Pp_verilog.expr_str r.cond) r.dst)
+       (Losscheck.effective_relations m spec));
+  let dep = Dep_monitor.analyze ~target:"q_out" ~cycles:1 m in
+  check_strings "dependency chain through the fifo" [ "din"; "q_out" ]
+    dep.Dep_monitor.chain
 
 let suite =
   [

@@ -763,3 +763,90 @@ let suite =
       Alcotest.test_case "losscheck simultaneous read+write" `Quick
         test_losscheck_simultaneous_rw;
     ]
+
+(* --- LossCheck and Dependency Monitor through dcfifo and altsyncram ----- *)
+
+(* A word enters the IP, comes out at [q] into [hold], and waits there
+   for [drain]; with drain low, every refill of [hold] loses a word. *)
+let ip_skid_design ip =
+  Parser.parse_design
+    (Printf.sprintf
+       {|
+module top (input clk, input reset, input in_valid, input [7:0] din,
+            input [1:0] addr, input drain, output reg [7:0] out);
+  wire [7:0] q;
+  wire rdempty, wrfull;
+  wire pop;
+  reg [7:0] hold;
+  %s
+  assign pop = !rdempty;
+  always @(posedge clk) begin
+    if (pop) hold <= q;
+    if (drain) out <= hold;
+  end
+endmodule
+|}
+       ip)
+
+let dcfifo_inst =
+  {|dcfifo #(.lpm_width(8), .lpm_numwords(4)) u_q (
+    .wrclk(clk), .rdclk(clk), .data(din), .wrreq(in_valid), .rdreq(pop),
+    .q(q), .rdempty(rdempty), .wrfull(wrfull));|}
+
+(* no full formal: a RAM write is gated by its write enable alone *)
+let altsyncram_inst =
+  {|altsyncram #(.width_a(8), .numwords_a(4)) u_q (
+    .clock0(clk), .address_a(addr), .data_a(din), .wren_a(in_valid),
+    .q_a(q));
+  assign rdempty = !in_valid;|}
+
+let check_ip_analyses ~ip ~gate () =
+  let design = ip_skid_design ip in
+  let m = List.hd design.Ast.modules in
+  let spec =
+    { Losscheck.source = "din"; valid = Ast.Ident "in_valid"; sink = "out" }
+  in
+  let plan = Losscheck.analyze ~design spec m in
+  Alcotest.(check (list string))
+    "relations through the IP"
+    [
+      "q ~>[pop] hold";
+      "hold ~>[drain] out";
+      Printf.sprintf "din ~>[%s] q" gate;
+    ]
+    (List.map
+       (fun (r : Losscheck.relation) ->
+         Printf.sprintf "%s ~>[%s] %s" r.Losscheck.src
+           (Pp_verilog.expr_str r.Losscheck.cond)
+           r.Losscheck.dst)
+       plan.Losscheck.relations);
+  Alcotest.(check (list string)) "hold checked" [ "hold" ]
+    plan.Losscheck.scalar_checks;
+  let stim cycle =
+    [
+      ("reset", b ~width:1 0);
+      ("in_valid", b ~width:1 (if cycle >= 2 && cycle < 6 then 1 else 0));
+      ("din", b ~width:8 (0x10 + cycle));
+      ("addr", b ~width:2 cycle);
+      ("drain", b ~width:1 0);
+    ]
+  in
+  let r =
+    Losscheck.localize ~max_cycles:20 ~top:"top" ~spec ~stimulus:stim design
+  in
+  Alcotest.(check (list string)) "hold flagged" [ "hold" ] r.Losscheck.reported;
+  let dep = Dep_monitor.analyze ~design ~target:"hold" ~cycles:2 m in
+  check_bool "chain reaches the IP's data input" true
+    (List.mem "din" dep.Dep_monitor.chain);
+  let dep1 = Dep_monitor.analyze ~design ~target:"hold" ~cycles:1 m in
+  check_bool "the IP crosses a clock cycle" false
+    (List.mem "din" dep1.Dep_monitor.chain)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "losscheck and deps through dcfifo" `Quick
+        (check_ip_analyses ~ip:dcfifo_inst ~gate:"(in_valid && !(wrfull))");
+      Alcotest.test_case "losscheck and deps through altsyncram" `Quick
+        (check_ip_analyses ~ip:altsyncram_inst ~gate:"in_valid");
+    ]

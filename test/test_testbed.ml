@@ -1200,3 +1200,65 @@ let suite =
       Alcotest.test_case "lowering and run counters pinned" `Quick
         test_kernel_stats_pinned;
     ]
+
+(* --- static analyses pinned ------------------------------------------------- *)
+
+(* Every bug's LossCheck plan (relations printed [src ~>[cond] dst] as
+   examples/fifo_data_loss.ml prints them, the instrumented registers
+   and memories, the lines of checking logic) and Dependency Monitor
+   chain (name-level and slice-precise, 8 cycles), compared with
+   analyses.expected. On a mismatch the rendering is written to
+   analyses.actual next to it. *)
+let render_analyses () =
+  let b = Buffer.create 16384 in
+  let line fmt = Printf.bprintf b (fmt ^^ "\n") in
+  List.iter
+    (fun (bug : Bug.t) ->
+      let design = Bug.design_of bug ~buggy:true in
+      let m = Option.get (Fpga_hdl.Ast.find_module design bug.Bug.top) in
+      line "== %s" bug.Bug.id;
+      (match bug.Bug.loss_spec with
+      | None -> ()
+      | Some spec ->
+          let open Fpga_debug.Losscheck in
+          let plan = analyze ~design spec m in
+          List.iter
+            (fun r ->
+              line "losscheck %s ~>[%s] %s" r.src
+                (Fpga_hdl.Pp_verilog.expr_str r.cond)
+                r.dst)
+            plan.relations;
+          line "losscheck scalar_checks %s" (String.concat " " plan.scalar_checks);
+          line "losscheck memory_checks %s" (String.concat " " plan.memory_checks);
+          line "losscheck generated_loc %d"
+            (Fpga_debug.Instrument.added_loc ~before:m ~after:(instrument plan m)));
+      match bug.Bug.dep_target with
+      | None -> ()
+      | Some target ->
+          List.iter
+            (fun slice_precise ->
+              let plan =
+                Fpga_debug.Dep_monitor.analyze ~design ~slice_precise ~target
+                  ~cycles:8 m
+              in
+              line "deps%s %s: %s"
+                (if slice_precise then " --slices" else "")
+                target
+                (String.concat " " plan.Fpga_debug.Dep_monitor.chain))
+            [ false; true ])
+    Registry.all_with_extended;
+  Buffer.contents b
+
+let test_analyses_pinned () =
+  let expected = In_channel.with_open_bin "analyses.expected" In_channel.input_all in
+  let actual = render_analyses () in
+  if actual <> expected then (
+    Out_channel.with_open_bin "analyses.actual" (fun oc ->
+        Out_channel.output_string oc actual);
+    Alcotest.fail
+      "static analyses differ from analyses.expected (rendering written to \
+       analyses.actual)")
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "static analyses pinned" `Quick test_analyses_pinned ]
