@@ -492,10 +492,11 @@ let instrument_cmd =
     (match out with
     | Some path ->
         write_file path text;
+        let monitor, recording = Fpga_testbed.Recipe.loc r in
         Printf.printf "wrote %s (%d lines; %d monitor + %d recording lines added)\n"
           path
           (List.length (String.split_on_char '\n' text))
-          r.Fpga_testbed.Recipe.monitor_loc r.Fpga_testbed.Recipe.recording_loc
+          monitor recording
     | None -> print_string text)
   in
   Cmd.v

@@ -4,7 +4,8 @@
    tool's raw pieces: the propagation-relation table, the generated
    shadow logic, and the final localization.
 
-   Run with:  dune exec examples/fifo_data_loss.exe *)
+   Run with:  dune exec examples/fifo_data_loss.exe
+   It exits 1 unless LossCheck reports the bug's [loss_root]. *)
 
 module Ast = Fpga_hdl.Ast
 module Pp = Fpga_hdl.Pp_verilog
@@ -58,4 +59,11 @@ let () =
   Printf.printf
     "buggy design delivered %d words, fixed design delivered %d\n"
     (List.length buggy.Bug.rows)
-    (List.length fixed.Bug.rows)
+    (List.length fixed.Bug.rows);
+
+  (* a wrong localization fails the run, not only a crash *)
+  let expected = Option.get bug.Bug.loss_root in
+  if not (List.mem expected result.Losscheck.reported) then (
+    Printf.eprintf "LossCheck did not report the expected register %s\n"
+      expected;
+    exit 1)

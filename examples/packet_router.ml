@@ -9,7 +9,8 @@
    LossCheck names the register, and the fix (one grant at a time)
    checks clean.
 
-   Run with:  dune exec examples/packet_router.exe *)
+   Run with:  dune exec examples/packet_router.exe
+   It exits 1 unless LossCheck reports the forwarding register [fwd_data]. *)
 
 module Ast = Fpga_hdl.Ast
 module Bits = Fpga_bits.Bits
@@ -178,4 +179,9 @@ let () =
   print_endline "\n== After the fix (one grant per cycle) ==";
   Printf.printf "fixed egress order: %s\n"
     (String.concat " "
-       (List.map (fun (p, d) -> Printf.sprintf "p%d:%02x" p d) fixed))
+       (List.map (fun (p, d) -> Printf.sprintf "p%d:%02x" p d) fixed));
+
+  (* a wrong localization fails the run, not only a crash *)
+  if not (List.mem "fwd_data" result.Fpga_debug.Losscheck.reported) then (
+    prerr_endline "LossCheck did not report the forwarding register fwd_data";
+    exit 1)

@@ -166,11 +166,22 @@ let seq_assignments (m : Ast.module_def) =
       | Ast.Star -> [])
     m.Ast.always_blocks
 
-let effective_relations ?design (m : Ast.module_def) (spec : spec) :
-    relation list =
+(* What the relation table and the instrumentation both read of one
+   module: its IP output nets, its wire definitions and the expansion of
+   a read through those wires. [localize] builds it once for both. *)
+type context = {
+  ip_outputs : string list;
+  defs : (string * (Ast.expr * Ast.expr)) list;
+  expand : string -> (string * Ast.expr) list;
+}
+
+let context (m : Ast.module_def) (spec : spec) : context =
   let ip_outputs = ip_output_nets m in
   let defs = wire_defs m in
-  let expand = expand m ~spec ~ip_outputs ~defs in
+  { ip_outputs; defs; expand = expand m ~spec ~ip_outputs ~defs }
+
+let relations_in { defs; expand; _ } ?design (m : Ast.module_def) (spec : spec)
+    : relation list =
   (* the data of every read, expanded to storage, flows into [dst] *)
   let flow ~dst ~cond reads =
     List.concat_map
@@ -244,6 +255,9 @@ let effective_relations ?design (m : Ast.module_def) (spec : spec) :
   in
   seq @ into_sink @ ip
 
+let effective_relations ?design m spec =
+  relations_in (context m spec) ?design m spec
+
 (* Registers and memories on a propagation sequence source -> sink. *)
 let sequence_nodes (relations : relation list) ~source ~sink : string list =
   let fwd = Hashtbl.create 16 and bwd = Hashtbl.create 16 in
@@ -265,11 +279,11 @@ let sequence_nodes (relations : relation list) ~source ~sink : string list =
     fwd []
   |> List.sort String.compare
 
-let analyze ?design (spec : spec) (m : Ast.module_def) : plan =
+let analyze_in ctx ?design (spec : spec) (m : Ast.module_def) : plan =
   (match Ast.signal_width m spec.source with
   | None -> Instrument.err "LossCheck: unknown source %s" spec.source
   | Some _ -> ());
-  let relations = effective_relations ?design m spec in
+  let relations = relations_in ctx ?design m spec in
   let seq = sequence_nodes relations ~source:spec.source ~sink:spec.sink in
   let checks =
     List.filter (fun n -> n <> spec.source && n <> spec.sink) seq
@@ -291,6 +305,8 @@ let analyze ?design (spec : spec) (m : Ast.module_def) : plan =
       checks
   in
   { module_name = m.Ast.mod_name; spec; relations; scalar_checks; memory_checks }
+
+let analyze ?design spec m = analyze_in (context m spec) ?design spec m
 
 (* ------------------------------------------------------------------ *)
 (* Instrumentation                                                     *)
@@ -321,14 +337,12 @@ let validity_factor (plan : plan) ~rhs node extra_cond : Ast.expr =
   in
   Ast.and_expr extra_cond base
 
-let instrument (plan : plan) (m : Ast.module_def) : Ast.module_def =
+let instrument_in { ip_outputs; expand; _ } (plan : plan) (m : Ast.module_def)
+    : Ast.module_def =
   if plan.scalar_checks = [] && plan.memory_checks = [] then m
   else (
     let clk = Instrument.find_clock m in
     let reset = Instrument.find_reset m in
-    let ip_outputs = ip_output_nets m in
-    let defs = wire_defs m in
-    let expand = expand m ~spec:plan.spec ~ip_outputs ~defs in
     let assignments = seq_assignments m in
     let bit name = Ast.Ident name in
     (* whether the data a right-hand side reads is valid; an IP output
@@ -495,6 +509,8 @@ let instrument (plan : plan) (m : Ast.module_def) : Ast.module_def =
       ~always:
         [ { Ast.sens = Ast.Posedge clk; stmts = scalar_stmts @ memory_stmts } ])
 
+let instrument plan m = instrument_in (context m plan.spec) plan m
+
 (* ------------------------------------------------------------------ *)
 (* Dynamic analysis                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -536,8 +552,9 @@ let localize ?(ground_truth = []) ?(max_cycles = 10_000) ~top ~spec
     | Some m -> m
     | None -> Instrument.err "LossCheck: no module %s" top
   in
-  let plan = analyze ~design spec m in
-  let m' = instrument plan m in
+  let ctx = context m spec in
+  let plan = analyze_in ctx ~design spec m in
+  let m' = instrument_in ctx plan m in
   let generated_loc = Instrument.added_loc ~before:m ~after:m' in
   let design' =
     { Ast.modules = List.map (fun x -> if x == m then m' else x) design.Ast.modules }

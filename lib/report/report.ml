@@ -183,8 +183,10 @@ let effectiveness () =
   let locs =
     List.map
       (fun bug ->
-        let r = Recipe.apply ~buffer_depth:8192 bug in
-        (bug.Bug.id, r.Recipe.monitor_loc + r.Recipe.recording_loc))
+        let monitor, recording =
+          Recipe.loc (Recipe.apply ~buffer_depth:8192 bug)
+        in
+        (bug.Bug.id, monitor + recording))
       Registry.all
   in
   let total = List.fold_left (fun acc (_, l) -> acc + l) 0 locs in

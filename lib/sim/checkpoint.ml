@@ -133,7 +133,8 @@ let hex_csv (a : Bits.t array) =
   String.concat "," (Array.to_list (Array.map Bits.to_hex_string a))
 
 let body_string (t : t) : string =
-  let buf = Buffer.create 4096 in
+  (* 1 KB fits the minor heap; see [Vcd.create] *)
+  let buf = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "%s/%d\n" magic version;
   add "design %s\n" t.ck_design;

@@ -4,7 +4,14 @@
 type stimulus = int -> (string * Fpga_bits.Bits.t) list
 (** A stimulus maps the cycle number to the input bindings applied
     before that cycle's clock edge. Bindings persist until overwritten,
-    so a stimulus only needs to mention the inputs it changes. *)
+    so a stimulus only needs to mention the inputs it changes.
+
+    A harness applies the rows in order: cycle 0, 1, 2, ... on a fresh
+    simulator, or from cycle [k] on a simulator restored from a
+    checkpoint taken after cycle [k-1] (which carries the inputs the
+    earlier rows set). Every harness in this repository does, and
+    {!tabulate} relies on it: a row may then leave out a binding that
+    sets an input to the value it already holds. *)
 
 type outcome = {
   cycles_run : int;
@@ -15,6 +22,28 @@ type outcome = {
 
 val const_stimulus : (string * Fpga_bits.Bits.t) list -> stimulus
 (** The same bindings every cycle. *)
+
+val tabulate : cycles:int -> stimulus -> stimulus
+(** [tabulate ~cycles f] is a stimulus that, applied in order, drives a
+    design exactly as [f] does, for a pure [f] that is total on
+    [0 .. cycles-1]. Its rows for those cycles come from a table of
+    [f]'s changes, built on the first call and then shared by every
+    caller and domain:
+    - row [c] holds only the bindings whose value differs (by
+      {!Fpga_bits.Bits.equal}, so a new width is a change) from the
+      value the name holds after rows [0 .. c-1]; row 0 holds every
+      binding;
+    - within a row the last binding of a name wins, at the position of
+      its first;
+    - a name [f] first binds at cycle [k] is a change at [k], so an
+      input the design lacks raises at the same cycle as with [f].
+
+    A cycle below 0 or at or past [cycles] returns [f]'s full row.
+    Re-setting an input to its value changes nothing in the simulator
+    (writes are change-detected), so the results, logs and waveforms of
+    an in-order run are those of [f], and so are its counters unless a
+    row of [f] binds one name twice; only [f]'s per-cycle allocation is
+    gone. *)
 
 val run :
   ?max_cycles:int ->

@@ -26,6 +26,10 @@ type t = {
   buggy_src : string;
   fixed_src : string;
   stimulus : Fpga_sim.Testbench.stimulus;
+      (** the bug's inputs, cycle by cycle. The bugs of {!Registry}
+          carry a table of the inputs that change
+          ({!Fpga_sim.Testbench.tabulate} over [max_cycles]), so apply
+          its rows in order; a bug module's own value is the closure *)
   max_cycles : int;
   sample : Fpga_sim.Simulator.t -> (string * int) list option;
       (** a valid output row of the design, when present this cycle *)
@@ -38,7 +42,8 @@ type t = {
   loss_root : string option;
       (** the register LossCheck is expected to localize *)
   ground_truth : (Fpga_sim.Testbench.stimulus * int) list;
-      (** passing stimuli used for false-positive filtering *)
+      (** passing stimuli used for false-positive filtering, each with
+          its cycle budget; tabulated over that budget in {!Registry} *)
   manual_fsms : string list;
       (** manually identified FSM state variables (section 4.2 accuracy) *)
   stat_events : (string * string) list;  (** event name, 1-bit signal *)

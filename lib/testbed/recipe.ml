@@ -10,8 +10,6 @@ type instrumented = {
   with_monitors : Ast.module_def;  (* monitors applied, displays intact *)
   on_fpga : Ast.module_def;  (* displays compiled into recording logic *)
   signalcat_plan : Fpga_debug.Signalcat.plan;
-  monitor_loc : int;  (* Verilog lines inserted by the monitors *)
-  recording_loc : int;  (* lines inserted by SignalCat's recording logic *)
 }
 
 let apply ?(buffer_depth = 8192) (bug : Bug.t) : instrumented =
@@ -48,20 +46,17 @@ let apply ?(buffer_depth = 8192) (bug : Bug.t) : instrumented =
     Fpga_debug.Signalcat.apply ~buffer_depth Fpga_debug.Signalcat.On_fpga
       with_monitors
   in
-  {
-    baseline;
-    with_monitors;
-    on_fpga;
-    signalcat_plan;
-    monitor_loc =
-      Fpga_debug.Instrument.added_loc ~before:baseline ~after:with_monitors;
-    recording_loc =
-      (* gross size of the recording logic, measured against the
-         display-stripped design *)
-      Fpga_debug.Instrument.added_loc
-        ~before:(Fpga_debug.Signalcat.strip_displays_module with_monitors)
-        ~after:on_fpga;
-  }
+  { baseline; with_monitors; on_fpga; signalcat_plan }
+
+(* Counting lines pretty-prints four modules, which costs more than the
+   instrumentation itself, so only the callers that report it pay. *)
+let loc r =
+  ( Fpga_debug.Instrument.added_loc ~before:r.baseline ~after:r.with_monitors,
+    (* gross size of the recording logic, measured against the
+       display-stripped design *)
+    Fpga_debug.Instrument.added_loc
+      ~before:(Fpga_debug.Signalcat.strip_displays_module r.with_monitors)
+      ~after:r.on_fpga )
 
 (* Resource overhead of the recipe at a given recording depth
    (one point of Figure 2). *)

@@ -10,11 +10,15 @@ type instrumented = {
   on_fpga : Fpga_hdl.Ast.module_def;
       (** displays compiled into recording logic *)
   signalcat_plan : Fpga_debug.Signalcat.plan;
-  monitor_loc : int;  (** Verilog lines the monitors inserted *)
-  recording_loc : int;  (** gross lines of generated recording logic *)
 }
 
 val apply : ?buffer_depth:int -> Bug.t -> instrumented
+
+val loc : instrumented -> int * int
+(** The Verilog lines the monitors inserted, and the gross lines of the
+    generated recording logic (measured against the display-stripped
+    [with_monitors]). Each call pretty-prints four modules, so it is
+    computed on demand rather than by {!apply}. *)
 
 val overhead : ?buffer_depth:int -> Bug.t -> Fpga_resources.Model.usage
 (** One point of Figure 2: resource overhead of the recipe at a given

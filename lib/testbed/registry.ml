@@ -1,6 +1,22 @@
-(* All reproducible bugs of the testbed, in Table 2 order. *)
+(* A bug whose stimuli are tables of the inputs that change
+   ([Testbench.tabulate]): the bug's own over its cycle budget, each
+   ground-truth stimulus over its own. Every run, replay, fuzz mutant
+   and LossCheck pass of a registry bug then applies only those inputs,
+   with the results of the closures. *)
+let tabulated (bug : Bug.t) =
+  let tabulate = Fpga_sim.Testbench.tabulate in
+  {
+    bug with
+    Bug.stimulus = tabulate ~cycles:bug.Bug.max_cycles bug.Bug.stimulus;
+    ground_truth =
+      List.map
+        (fun (f, cycles) -> (tabulate ~cycles f, cycles))
+        bug.Bug.ground_truth;
+  }
 
-let all : Bug.t list =
+(* All reproducible bugs of the testbed, in Table 2 order, as their
+   modules define them. *)
+let table2 : Bug.t list =
   [
     App_rsd.bug;          (* D1 *)
     App_grayscale.bug;    (* D2 *)
@@ -24,6 +40,8 @@ let all : Bug.t list =
     App_axis_adapter.bug; (* S3 *)
   ]
 
+let all = List.map tabulated table2
+
 let find id = List.find_opt (fun (b : Bug.t) -> b.Bug.id = id) all
 let ids = List.map (fun (b : Bug.t) -> b.Bug.id) all
 
@@ -41,9 +59,10 @@ let fuzz_targets =
     all
 
 (* The extended reproductions beyond Table 2 (see Extended, App_cpu). *)
-let extended : Bug.t list = Extended.all @ [ App_cpu.e7; App_cpu.e8 ]
-
+let extended_closures = Extended.all @ [ App_cpu.e7; App_cpu.e8 ]
+let extended : Bug.t list = List.map tabulated extended_closures
 let all_with_extended = all @ extended
+let untabulated = table2 @ extended_closures
 
 (* Resolve a list of ids (extended set included), preserving request
    order; the second component collects the unknown ids so a CLI can

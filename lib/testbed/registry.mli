@@ -21,6 +21,14 @@ val extended : Bug.t list
     coverage of all 13 subclasses. *)
 
 val all_with_extended : Bug.t list
+(** Every bug of {!all} and {!extended} carries tabulated stimuli
+    ({!Fpga_sim.Testbench.tabulate}): its own over [max_cycles], each
+    ground-truth stimulus over that entry's budget. *)
+
+val untabulated : Bug.t list
+(** {!all_with_extended} as the bug modules define them, in the same
+    order: the same bugs with the stimulus closures the tables were
+    built from, for checking the tables against. *)
 
 val find_many : string list -> Bug.t list * string list
 (** Resolve ids (extended set included) in request order; the second

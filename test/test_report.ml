@@ -56,8 +56,10 @@ let test_generated_loc_average () =
   let locs =
     List.map
       (fun bug ->
-        let r = Recipe.apply ~buffer_depth:8192 bug in
-        r.Recipe.monitor_loc + r.Recipe.recording_loc)
+        let monitor, recording =
+          Recipe.loc (Recipe.apply ~buffer_depth:8192 bug)
+        in
+        monitor + recording)
       Registry.all
   in
   let avg = List.fold_left ( + ) 0 locs / List.length locs in

@@ -2406,3 +2406,116 @@ let suite =
       Alcotest.test_case "cycle through an indexed always-star write" `Quick
         test_cycle_through_indexed_write;
     ]
+
+(* --- tabulated stimuli ------------------------------------------------- *)
+
+let rows_of stim cycles = List.init cycles stim
+
+let hex_row row = List.map (fun (n, v) -> (n, Bits.to_hex_string v)) row
+
+let check_rows msg expected actual =
+  Alcotest.(check (list (list (pair string string))))
+    msg (List.map hex_row expected) (List.map hex_row actual)
+
+let test_tabulate_duplicates () =
+  let f = function
+    | 0 -> [ ("a", b 4 1); ("b", b 4 2); ("a", b 4 3) ]
+    | 1 -> [ ("b", b 4 2); ("a", b 4 5); ("a", b 4 3) ]
+    | _ -> [ ("a", b 4 1); ("a", b 4 3); ("b", b 4 7); ("b", b 4 2) ]
+  in
+  let t = Testbench.tabulate ~cycles:3 f in
+  check_rows "last binding wins, at its first position"
+    [ [ ("a", b 4 3); ("b", b 4 2) ]; []; [] ]
+    (rows_of t 3);
+  check_rows "past the table: the full row" [ f 3 ] [ t 3 ]
+
+let test_tabulate_late_name () =
+  let f c =
+    if c < 3 then [ ("a", b 1 1) ] else [ ("a", b 1 1); ("nope", b 1 0) ]
+  in
+  let t = Testbench.tabulate ~cycles:6 f in
+  check_rows "a new name is a change at its first cycle"
+    [ [ ("a", b 1 1) ]; []; []; [ ("nope", b 1 0) ]; []; [] ]
+    (rows_of t 6);
+  (* an input the design lacks raises at the same cycle as the closure *)
+  let raised_at stim =
+    let sim =
+      sim_of "module top (input a, output o);\n  assign o = a;\nendmodule\n"
+        "top"
+    in
+    match Testbench.run ~max_cycles:6 sim stim with
+    | _ -> None
+    | exception Invalid_argument _ -> Some (Simulator.cycle sim)
+  in
+  Alcotest.(check (option int)) "raises at cycle 3" (raised_at f) (raised_at t);
+  Alcotest.(check (option int)) "closure raises" (Some 3) (raised_at f)
+
+let test_tabulate_width () =
+  let f = function
+    | 0 -> [ ("a", b 1 1) ]
+    | 1 -> [ ("a", b 8 1) ]
+    | 2 -> [ ("a", b 8 1) ]
+    | _ -> [ ("a", b 1 1) ]
+  in
+  let t = Testbench.tabulate ~cycles:4 f in
+  check_rows "equal bits at a new width are a change"
+    [ [ ("a", b 1 1) ]; [ ("a", b 8 1) ]; []; [ ("a", b 1 1) ] ]
+    (rows_of t 4);
+  let run stim =
+    let sim =
+      sim_of
+        "module top (input [3:0] a, output [3:0] o);\n  assign o = a;\nendmodule\n"
+        "top"
+    in
+    List.init 5 (fun c ->
+        List.iter (fun (n, v) -> Simulator.set_input sim n v) (stim c);
+        Simulator.step sim;
+        Simulator.read_int sim "o")
+  in
+  Alcotest.(check (list int)) "same outputs" (run f) (run t)
+
+let test_tabulate_bounds () =
+  let calls = ref 0 in
+  let f c =
+    incr calls;
+    [ ("a", b 8 (c land 0xff)) ]
+  in
+  let expected = rows_of f 4 and below = f (-1) in
+  let none = Testbench.tabulate ~cycles:0 f in
+  calls := 0;
+  check_rows "cycles = 0: every row is the closure's" expected (rows_of none 4);
+  check_int "cycles = 0 calls the closure once per row" 4 !calls;
+  let t = Testbench.tabulate ~cycles:4 f in
+  calls := 0;
+  check_rows "negative cycle: the closure's row" [ below ] [ t (-1) ];
+  check_int "a negative cycle builds no table" 1 !calls;
+  calls := 0;
+  ignore (rows_of t 4);
+  ignore (rows_of t 4);
+  check_int "the table is built once" 4 !calls
+
+let test_tabulate_domains () =
+  let f c = [ ("a", b 8 (c / 3)); ("b", b 1 (c land 1)) ] in
+  let t () = Testbench.tabulate ~cycles:200 f in
+  let expected = rows_of (t ()) 200 in
+  let shared = t () in
+  let rows =
+    List.map Domain.join
+      (List.init 2 (fun _ -> Domain.spawn (fun () -> rows_of shared 200)))
+  in
+  List.iter (check_rows "racing domains read equal tables" expected) rows
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "tabulate: duplicate names in one row" `Quick
+        test_tabulate_duplicates;
+      Alcotest.test_case "tabulate: a name first seen late" `Quick
+        test_tabulate_late_name;
+      Alcotest.test_case "tabulate: equal bits at another width" `Quick
+        test_tabulate_width;
+      Alcotest.test_case "tabulate: zero cycles and negative cycles" `Quick
+        test_tabulate_bounds;
+      Alcotest.test_case "tabulate: two domains share one table" `Quick
+        test_tabulate_domains;
+    ]
