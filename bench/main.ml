@@ -72,9 +72,10 @@ let idle_design_src stages =
    sequential-edge work through the flat NBA commit buffer. Every
    register changes on every edge, so each statement group runs on
    every edge and the dirty lowered kernel has nothing to skip, in the
-   comb plan or the sequential phase; after 8 such edges it stops
-   marking groups at all. The design exists to prove the dirty
-   machinery costs nothing when it cannot help. *)
+   comb plan or the sequential phase: every commit still sets the
+   flags of the groups that read the register it changed. The design
+   measures what the dirty machinery costs when it cannot help; the
+   kernel gate holds it to at least brute-force speed. *)
 let seq_design_src regs =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf

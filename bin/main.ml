@@ -416,7 +416,7 @@ let losscheck_cmd =
   in
   let print_result (r : Fpga_debug.Losscheck.result) =
     Printf.printf "generated checking logic: %d lines\n"
-      r.Fpga_debug.Losscheck.generated_loc;
+      (Fpga_debug.Losscheck.generated_loc r);
     List.iter
       (fun (c, reg) -> Printf.printf "raw alarm at cycle %d: %s\n" c reg)
       r.Fpga_debug.Losscheck.raw_alarms;

@@ -72,7 +72,7 @@ let () =
       ~stimulus:bug.Bug.stimulus design
   in
   Printf.printf "LossCheck generated %d lines of checking logic\n"
-    result.Losscheck.generated_loc;
+    (Losscheck.generated_loc result);
   List.iter
     (fun reg -> Printf.printf "-> potential data loss at register: %s\n" reg)
     result.Losscheck.reported;

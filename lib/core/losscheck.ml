@@ -540,8 +540,11 @@ type result = {
   reported : string list;  (* alarming registers after filtering *)
   suppressed : string list;  (* registers filtered as intentional drops *)
   raw_alarms : (int * string) list;
-  generated_loc : int;
+  original : Ast.module_def;  (* the top module as given *)
+  instrumented : Ast.module_def;  (* the same with the checking logic *)
 }
+
+let generated_loc r = Instrument.added_loc ~before:r.original ~after:r.instrumented
 
 (* Full workflow: instrument, run ground-truth stimuli to learn
    intentional drops, run the failing stimulus, report the difference. *)
@@ -555,7 +558,6 @@ let localize ?(ground_truth = []) ?(max_cycles = 10_000) ~top ~spec
   let ctx = context m spec in
   let plan = analyze_in ctx ~design spec m in
   let m' = instrument_in ctx plan m in
-  let generated_loc = Instrument.added_loc ~before:m ~after:m' in
   let design' =
     { Ast.modules = List.map (fun x -> if x == m then m' else x) design.Ast.modules }
   in
@@ -575,4 +577,4 @@ let localize ?(ground_truth = []) ?(max_cycles = 10_000) ~top ~spec
   let reported =
     List.filter (fun r -> not (List.mem r suppressed)) (alarm_registers log)
   in
-  { reported; suppressed; raw_alarms = raw; generated_loc }
+  { reported; suppressed; raw_alarms = raw; original = m; instrumented = m' }

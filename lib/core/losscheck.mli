@@ -72,8 +72,14 @@ type result = {
   reported : string list;  (** alarming registers after filtering *)
   suppressed : string list;  (** filtered as intentional drops *)
   raw_alarms : (int * string) list;
-  generated_loc : int;  (** lines of checking logic inserted *)
+  original : Fpga_hdl.Ast.module_def;  (** the top module as given *)
+  instrumented : Fpga_hdl.Ast.module_def;
+      (** the top module with the checking logic inserted *)
 }
+
+val generated_loc : result -> int
+(** The lines of checking logic inserted. It pretty-prints both
+    modules, so it is computed on demand rather than by {!localize}. *)
 
 val localize :
   ?ground_truth:(Fpga_sim.Testbench.stimulus * int) list ->

@@ -207,7 +207,7 @@ let effectiveness () =
           ~max_cycles:bug.Bug.max_cycles ~top:bug.Bug.top ~spec
           ~stimulus:bug.Bug.stimulus design
       in
-      lc_locs := r.Fpga_debug.Losscheck.generated_loc :: !lc_locs;
+      lc_locs := Fpga_debug.Losscheck.generated_loc r :: !lc_locs;
       let root = bug.Bug.loss_root in
       let found =
         match root with

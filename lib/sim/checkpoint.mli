@@ -13,10 +13,10 @@
     harness uses for its own replay state (observed output rows,
     monitor flags, stimulus seeds).
 
-    The derived scheduler state of the lowered-dirty kernel (dirty
-    flags, sparse/dense mode, streak counters) is deliberately {e not}
-    captured: it is recomputed conservatively on restore, and mode
-    trajectories never change simulation results. The non-blocking
+    The derived scheduler state of the lowered-dirty kernel (its
+    closure and statement-group dirty flags) is deliberately {e not}
+    captured: restore sets every flag, and re-running clean logic
+    never changes a simulation result. The non-blocking
     assignment queue is empty at every cycle boundary by construction
     (writes commit inside {!Simulator.step}), so there is nothing of it
     to save — which is exactly why checkpoints are only taken between

@@ -22,16 +22,14 @@
    the raw 0/1 patterns.
 
    A settle runs only the closures whose inputs changed: per-closure
-   dirty bits are fed from a closure-level sensitivity index, with an
-   adaptive sparse/dense hysteresis so fully-active plans sweep without
-   flag traffic.
+   dirty bits are fed from a closure-level sensitivity index.
 
    The sequential phase skips the same way, by statement group: an
    edge runs a group only if something it reads or writes changed
    since it last ran, or if it has no flag ($display, $finish, a target
-   another block writes on the same edge). Every notify path sets the
-   flags of the groups sensitive to the changed signal. A skipped
-   group would only have queued writes that change nothing.
+   another block writes on the same edge). A skipped group would only
+   have queued writes that change nothing. Both kinds of flag are set
+   by the one [notify] every write path calls on a change.
 
    Semantics are bit-identical to [Compiled.eval_ctx] /
    [Simulator.exec_stmt]: the same Verilog context-width rules, the
@@ -118,21 +116,15 @@ type pend =
   | Pmask of int * int * int  (* id, insert mask, pre-shifted pattern *)
   | Pboxed of Compiled.cwrite
 
-(* Dirty-set execution mode: [Lsparse] walks only dirty closures,
-   [Ldense] is the full sweep (no flag traffic) while nearly every
-   closure fires anyway, with change counting to detect when activity
-   drops. Transitions depend only on evaluation and change counts, so
-   instrumented and uninstrumented runs take identical trajectories. *)
-type lmode = Lsparse | Ldense
-
 type t = {
   env : Compiled.env;  (* boxed bank: wide vecs + all memories *)
   ints : int array;  (* immediate bank, indexed by signal id *)
   imm : bool array;  (* which ids live in the immediate bank (shared) *)
   widths : int array;  (* shared *)
   finished : bool ref;  (* shared with the simulator's $finish flag *)
-  mutable notify : int -> unit;  (* composed: dirty marking + external *)
-  mutable ext_notify : int -> unit;  (* simulator's callback (toggles) *)
+  (* on a change: the simulator's callback, then the closure and group
+     flags; set once, by [create] *)
+  mutable notify : int -> unit;
   (* flat NBA commit buffer: (id, insert mask, pre-shifted pattern)
      int triples for immediate targets — no allocation per deferred
      write; boxed/memory/dropped writes overflow into [pboxed] *)
@@ -148,27 +140,11 @@ type t = {
      signal id -> flags map (shared, never written) *)
   gdirty : bool array;
   gsens : int list array;
-  (* the external callback plus group marking: what [notify] wraps in
-     every mode, and all of it outside dense sweeps *)
-  mutable seq_notify : int -> unit;
-  (* the sequential side's own sparse/dense hysteresis: while nearly
-     every flagged group runs on every edge, all groups run and nothing
-     marks them *)
-  mutable sdense : bool;
-  mutable sstreak : int;
-  mutable scommit_changes : int;  (* immediate changes the last commit made *)
   (* dirty-set state *)
   csens : int list array;  (* signal id -> reading closure indices (shared) *)
   cdirty : bool array;  (* per-closure pending flag *)
   mutable ncdirty : int;
   disp_closures : int list;  (* closures containing $display (shared) *)
-  mutable lmode : lmode;
-  mutable lmode_streak : int;  (* consecutive settles meeting the test *)
-  mutable lchanges : int;  (* value changes during a dense sweep *)
-  (* change-counting notify installed only for the duration of a dense
-     sweep; outside sweeps dense mode uses the bare external notify so
-     sequential commits pay nothing for the mode machinery *)
-  mutable dense_mark : int -> unit;
   stats : stats;  (* shared *)
   runs : run_stats;
 }
@@ -913,15 +889,6 @@ let lower_node st = function
 (* Dirty-set scheduling                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Adaptive thresholds: enter the dense sweep once >= 3/4 of the plan
-   ran in a settle for 8 settles in a row, drop back to sparse once
-   <= 1/4 of the plan changed value for 8 sweeps. *)
-let dense_enter_num = 3
-let dense_enter_den = 4
-let dense_exit_num = 1
-let dense_exit_den = 4
-let mode_streak_len = 8
-
 let mark_closure st c =
   if not st.cdirty.(c) then (
     st.cdirty.(c) <- true;
@@ -941,69 +908,16 @@ let rec mark_groups gdirty = function
       Array.unsafe_set gdirty g true;
       mark_groups gdirty tl
 
-(* [cdirty] has at least one slot, but an empty plan has nothing
-   pending: the count is the plan's, as [create] leaves it *)
-let mark_all_flags st =
+(* Every closure and every sequential group pending (checkpoint
+   restore, [reset]): values written without notification must be
+   re-read by everything. The superset is safe: re-running a clean
+   closure or group is a no-op. [cdirty] has at least one slot, but an
+   empty plan has nothing pending: the count is the plan's, as [create]
+   leaves it. *)
+let mark_all st =
   Array.fill st.cdirty 0 (Array.length st.cdirty) true;
   st.ncdirty <- Array.length st.plan;
   Array.fill st.gdirty 0 (Array.length st.gdirty) true
-
-(* Recompose [st.notify] from mode + external callback. Closures read
-   [st.notify] at call time, so rewiring mid-run is safe. Every mode
-   marks the sequential groups sensitive to the change ([seq_notify]);
-   a plan without skippable groups adds nothing for them. With an empty
-   comb plan there is nothing the closure flags could ever skip, so
-   writes bypass the closure marking entirely — sequential-only designs
-   must not pay for machinery that cannot help them. *)
-let rewire st =
-  let ext = st.ext_notify in
-  let gdirty = st.gdirty and gsens = st.gsens in
-  let grouped = Array.length gdirty > 0 && not st.sdense in
-  st.seq_notify <-
-    (if grouped then fun i ->
-       ext i;
-       mark_groups gdirty gsens.(i)
-     else ext);
-  if Array.length st.plan = 0 then st.notify <- st.seq_notify
-  else
-    match st.lmode with
-    | Lsparse ->
-        st.notify <-
-          (if grouped then fun i ->
-             ext i;
-             mark_closures st st.csens.(i);
-             mark_groups gdirty gsens.(i)
-           else fun i ->
-             ext i;
-             mark_closures st st.csens.(i))
-    | Ldense ->
-        (* change counting matters only inside the settle sweep (the
-           exit test's reset wipes anything counted between settles),
-           so keep [seq_notify] installed and let [settle] swap
-           [dense_mark] in just around the sweep — sequential commits
-           pay nothing for the mode machinery *)
-        let base = st.seq_notify in
-        st.dense_mark <-
-          (fun i ->
-            base i;
-            st.lchanges <- st.lchanges + 1);
-        st.notify <- base
-
-let set_notify st f =
-  st.ext_notify <- f;
-  rewire st
-
-(* Full scheduling reset (checkpoint restore): drop back to the sparse
-   worklist with every closure and every sequential group pending, so a
-   restored run re-derives the mode trajectory from activity alone. The
-   superset is safe: re-running a clean closure or group is a no-op. *)
-let mark_all st =
-  st.lmode <- Lsparse;
-  st.lmode_streak <- 0;
-  st.sdense <- false;
-  st.sstreak <- 0;
-  rewire st;
-  mark_all_flags st
 
 (* ------------------------------------------------------------------ *)
 (* Scheduling plan                                                      *)
@@ -1235,7 +1149,7 @@ let seed_ints st =
 
 (* The instance's closures capture it, so the arrays they fill are
    allocated with it and filled once it exists. *)
-let create p ~env ~finished ~runs =
+let create p ~env ~finished ~runs ~notify:ext =
   let edge se = { e_run = Array.make (Array.length se.se_stmts) ignore; e_seq = se } in
   let nclosures = p.l_stats.lw_closures in
   let st =
@@ -1246,7 +1160,6 @@ let create p ~env ~finished ~runs =
       widths = p.l_widths;
       finished;
       notify = ignore;
-      ext_notify = ignore;
       pb = [||];
       pb_len = 0;
       pboxed = [];
@@ -1257,18 +1170,10 @@ let create p ~env ~finished ~runs =
       seq_neg = edge p.l_neg;
       gdirty = Array.make (p.l_pos.se_flagged + p.l_neg.se_flagged) true;
       gsens = p.l_gsens;
-      seq_notify = ignore;
-      sdense = false;
-      sstreak = 0;
-      scommit_changes = 0;
       csens = p.l_csens;
       cdirty = Array.make (max nclosures 1) true;
       ncdirty = nclosures;
       disp_closures = p.l_disp;
-      lmode = Lsparse;
-      lmode_streak = 0;
-      lchanges = 0;
-      dense_mark = (fun _ -> ());
       stats = p.l_stats;
       runs;
     }
@@ -1285,7 +1190,12 @@ let create p ~env ~finished ~runs =
         (fun k stmts -> e.e_run.(k) <- lseq st ~in_comb:false stmts)
         e.e_seq.se_stmts)
     [ st.seq_pos; st.seq_neg ];
-  rewire st;
+  let csens = st.csens and gdirty = st.gdirty and gsens = st.gsens in
+  st.notify <-
+    (fun i ->
+      ext i;
+      mark_closures st csens.(i);
+      mark_groups gdirty gsens.(i));
   st
 
 (* Back to the run state [create] leaves, once the caller has returned
@@ -1296,9 +1206,7 @@ let reset st =
   seed_ints st;
   st.pb_len <- 0;
   st.pboxed <- [];
-  st.displays <- false;
-  st.lchanges <- 0;
-  st.scommit_changes <- 0
+  st.displays <- false
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                            *)
@@ -1338,17 +1246,8 @@ let count_settle r ~dirty ~run ~size =
   if run > r.rs_run_max then r.rs_run_max <- run;
   if run < r.rs_run_min || settles = 1 then r.rs_run_min <- run
 
-(* Full sweep over the plan. *)
-let sweep st =
-  let plan = st.plan in
-  for i = 0 to Array.length plan - 1 do
-    plan.(i) ()
-  done
-
-(* Closures currently pending: the sparse worklist size, or the whole
-   plan in dense mode (every sweep evaluates everything). *)
-let dirty_count st =
-  if st.lmode = Lsparse then st.ncdirty else Array.length st.plan
+(* Closures currently pending. *)
+let dirty_count st = st.ncdirty
 
 (* One settle pass, counted in [st.runs] with the closures pending at
    entry (before display forcing). Dirty flags set during the pass (by
@@ -1359,108 +1258,47 @@ let dirty_count st =
    once-per-sweep full plan would leave it. *)
 let settle st ~displays =
   st.displays <- displays;
-  let n = Array.length st.plan in
-  let dirty = dirty_count st in
-  match st.lmode with
-  | Ldense ->
-      st.lchanges <- 0;
-      st.notify <- st.dense_mark;
-      sweep st;
-      st.notify <- st.seq_notify;
-      count_settle st.runs ~dirty ~run:n ~size:n;
-      if dense_exit_den * st.lchanges <= dense_exit_num * n then (
-        st.lmode_streak <- st.lmode_streak + 1;
-        if st.lmode_streak >= mode_streak_len then
-          (* activity dropped: back to sparse; flags are stale after
-             dense sweeps, so re-mark everything once *)
-          mark_all st)
-      else st.lmode_streak <- 0
-  | Lsparse ->
-      (* $display side effects must fire on every display-enabled
-         settle, as in the full sweep, even when inputs are stable *)
-      if displays then mark_closures st st.disp_closures;
-      let plan = st.plan in
-      let evaluated = ref 0 in
-      if st.ncdirty > 0 then (
-        let cdirty = st.cdirty in
-        for c = 0 to n - 1 do
-          if cdirty.(c) then (
-            cdirty.(c) <- false;
-            st.ncdirty <- st.ncdirty - 1;
-            incr evaluated;
-            plan.(c) ())
-        done);
-      let ev = !evaluated in
-      count_settle st.runs ~dirty ~run:ev ~size:n;
-      (* an empty settle is sparse operating at zero cost — it says
-         nothing about how dense the actual work is, so it leaves the
-         streak alone; only a busy-but-not-dense settle resets it.
-         Without this, designs whose activity arrives every other
-         settle (pure sequential commits marking a handful of
-         closures) could never accumulate a streak. *)
-      if n > 0 && dense_enter_den * ev >= dense_enter_num * n then (
-        st.lmode_streak <- st.lmode_streak + 1;
-        if st.lmode_streak >= mode_streak_len then (
-          st.lmode <- Ldense;
-          st.lmode_streak <- 0;
-          rewire st))
-      else if ev > 0 then st.lmode_streak <- 0
+  let plan = st.plan in
+  let n = Array.length plan in
+  let dirty = st.ncdirty in
+  (* $display side effects must fire on every display-enabled settle,
+     as in the full sweep, even when inputs are stable *)
+  if displays then mark_closures st st.disp_closures;
+  let evaluated = ref 0 in
+  if st.ncdirty > 0 then (
+    let cdirty = st.cdirty in
+    for c = 0 to n - 1 do
+      if cdirty.(c) then (
+        cdirty.(c) <- false;
+        st.ncdirty <- st.ncdirty - 1;
+        incr evaluated;
+        plan.(c) ())
+    done);
+  count_settle st.runs ~dirty ~run:!evaluated ~size:n
 
 (* Run one edge's groups in order. A skippable group runs only when its
    flag is set, and its flag is cleared before it runs, so a change the
    group causes itself (a blocking write, or its own commit) wakes it
    for the next edge. A clean group is skipped: nothing it reads or
    writes changed since it last ran, so it would queue the writes it
-   queued then, and those changed nothing when they were committed.
-
-   The same hysteresis as the comb plan's spares fully-active blocks
-   the flag traffic: once >= 3/4 of the flagged groups ran on 8 edges
-   in a row, every group runs and no change marks any; once the
-   commits before 8 edges in a row changed <= 1/4 as many immediate
-   signals as there are flagged groups, every flag is set and marking
-   resumes (a blocking write during the last edge went unmarked, and a
-   group that ran before it must see it). Either way only the work done
-   changes, never a result. *)
+   queued then, and those changed nothing when they were committed. *)
 let run_edge st edge =
   let e = match edge with Elaborate.Pos -> st.seq_pos | Elaborate.Neg -> st.seq_neg in
-  let run = e.e_run and flagged = e.e_seq.se_flagged in
+  let run = e.e_run and flag = e.e_seq.se_flag and gdirty = st.gdirty in
   let n = Array.length run in
   let r = st.runs in
   r.rs_edges <- r.rs_edges + e.e_seq.se_blocks;
-  if st.sdense then (
-    for k = 0 to n - 1 do
-      run.(k) ()
-    done;
-    r.rs_seq_run <- r.rs_seq_run + n;
-    if dense_exit_den * st.scommit_changes <= dense_exit_num * flagged then (
-      st.sstreak <- st.sstreak + 1;
-      if st.sstreak >= mode_streak_len then (
-        st.sdense <- false;
-        st.sstreak <- 0;
-        Array.fill st.gdirty 0 (Array.length st.gdirty) true;
-        rewire st))
-    else st.sstreak <- 0)
-  else (
-    let flag = e.e_seq.se_flag and gdirty = st.gdirty in
-    let skipped = ref 0 in
-    for k = 0 to n - 1 do
-      let g = flag.(k) in
-      if g < 0 then run.(k) ()
-      else if gdirty.(g) then (
-        gdirty.(g) <- false;
-        run.(k) ())
-      else incr skipped
-    done;
-    r.rs_seq_run <- r.rs_seq_run + (n - !skipped);
-    r.rs_seq_skipped <- r.rs_seq_skipped + !skipped;
-    if flagged > 0 then
-      if dense_enter_den * (flagged - !skipped) >= dense_enter_num * flagged then (
-        st.sstreak <- st.sstreak + 1;
-        if st.sstreak >= mode_streak_len then (
-          st.sdense <- true;
-          st.sstreak <- 0;
-          rewire st))
-      else st.sstreak <- 0)
+  let skipped = ref 0 in
+  for k = 0 to n - 1 do
+    let g = flag.(k) in
+    if g < 0 then run.(k) ()
+    else if gdirty.(g) then (
+      gdirty.(g) <- false;
+      run.(k) ())
+    else incr skipped
+  done;
+  r.rs_seq_run <- r.rs_seq_run + (n - !skipped);
+  r.rs_seq_skipped <- r.rs_seq_skipped + !skipped
 
 (* Commit deferred non-blocking writes: the flat immediate buffer in
    push order, then boxed writes in program order (the boxed list is
@@ -1471,19 +1309,16 @@ let commit st =
   if n > 0 then (
     st.runs.rs_commit_imm <- st.runs.rs_commit_imm + (n / 3);
     let b = st.pb and ints = st.ints in
-    let i = ref 0 and changes = ref 0 in
+    let i = ref 0 in
     while !i < n do
       let id = b.(!i) in
       let nv = ints.(id) land lnot b.(!i + 1) lor b.(!i + 2) in
       if ints.(id) <> nv then (
         ints.(id) <- nv;
-        incr changes;
         st.notify id);
       i := !i + 3
     done;
-    st.scommit_changes <- !changes;
-    st.pb_len <- 0)
-  else st.scommit_changes <- 0;
+    st.pb_len <- 0);
   match st.pboxed with
   | [] -> ()
   | ps ->
@@ -1528,4 +1363,3 @@ let input_fn st (e : Compiled.cexpr) : unit -> Bits.t =
 
 let set_emit st f = st.emit <- f
 let stats st = st.stats
-let dense st = st.lmode = Ldense

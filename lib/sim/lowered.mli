@@ -13,10 +13,10 @@
 
     Closures are scheduled by a per-closure dirty worklist fed from a
     closure-level sensitivity index (change-driven skipping composed
-    with closure-array dispatch), with an adaptive sparse/dense
-    hysteresis so fully-active plans pay no flag traffic. Sequential
-    blocks run by statement group, and a group nothing of which changed
-    since it last ran is skipped ({!run_edge}).
+    with closure-array dispatch). Sequential blocks run by statement
+    group, and a group nothing of which changed since it last ran is
+    skipped ({!run_edge}). One change callback, fixed at {!create},
+    sets both kinds of flag.
 
     Semantics are bit-identical to the reference executor: same width
     rules, same out-of-range index handling, same non-blocking commit
@@ -98,13 +98,21 @@ val plan :
     [seq] the sequential blocks in source order. *)
 
 val create :
-  plan -> env:Compiled.env -> finished:bool ref -> runs:run_stats -> t
+  plan ->
+  env:Compiled.env ->
+  finished:bool ref ->
+  runs:run_stats ->
+  notify:(int -> unit) ->
+  t
 (** An instance of [plan] over [env], whose immediate-bank values are
     seeded from it: its nodes and statement groups lowered into
     closures bound to the instance, every closure and group pending.
     [finished] is shared with the simulator's $finish flag and checked
     before every lowered statement. Settles, edges and commits count
-    into [runs]. *)
+    into [runs]. [notify] is the simulator's change callback (toggle
+    counting under telemetry): every change the instance detects calls
+    it with the signal id, then flags the closures and statement groups
+    that read the signal. *)
 
 (** {1 Execution} *)
 
@@ -124,10 +132,7 @@ val run_edge : t -> Elaborate.clock_edge -> unit
     notifies: commits, blocking and comb writes, {!write_vec}). The
     flag is cleared just before the group runs, so what the group
     changes itself wakes it again. A skipped group's writes would all
-    be no-ops. Once nearly every flagged group has run on 8 edges in a
-    row, all groups run and no change marks a flag, until the commits
-    go quiet for 8 edges; then every flag is set and marking resumes.
-    The mode changes only the work done, never a result. *)
+    be no-ops. *)
 
 val commit : t -> unit
 (** Apply deferred non-blocking writes with change detection and
@@ -138,10 +143,9 @@ val commit : t -> unit
 (** {1 Dirty-set scheduling} *)
 
 val mark_all : t -> unit
-(** Reset the dirty scheduler: back to the sparse worklist with every
-    closure and every sequential group pending and the sequential side
-    marking again, as {!create} leaves it (checkpoint restore, {!reset}):
-    values written without notification must be re-read by everything. *)
+(** Set every closure and sequential group pending, as {!create} leaves
+    them (checkpoint restore, {!reset}): values written without
+    notification must be re-read by everything. *)
 
 val reset : t -> unit
 (** Return the run state to what {!create} leaves, after the caller has
@@ -150,12 +154,7 @@ val reset : t -> unit
     {!mark_all}; the run counters are the caller's to clear. *)
 
 val dirty_count : t -> int
-(** Closures currently pending: the sparse worklist size, or the whole
-    plan in dense mode. *)
-
-val dense : t -> bool
-(** Whether dirty scheduling is currently in the dense full-sweep
-    mode. *)
+(** Closures currently pending. *)
 
 (** {1 State access} *)
 
@@ -176,9 +175,5 @@ val input_fn : t -> Compiled.cexpr -> unit -> Fpga_bits.Bits.t
 
 val set_emit : t -> (string -> unit) -> unit
 (** Wire the [$display] sink (the simulator's log/telemetry path). *)
-
-val set_notify : t -> (int -> unit) -> unit
-(** Wire the external change callback (toggle counting under
-    telemetry); dirty marking is composed on top internally. *)
 
 val stats : t -> stats

@@ -453,17 +453,6 @@ let create ?(kernel = default_kernel) (flat : flat) : t =
   let env = Compiled.fresh_env flat in
   let finished = ref false in
   let runs = Lowered.new_run_stats () in
-  let low =
-    if kernel <> Lowered_dirty then None
-    else
-      Some (Lowered.create plan.p_low ~env ~finished ~runs)
-  in
-  let reader =
-    match low with
-    | Some lw -> Lowered.input_fn lw
-    | None -> fun ce () -> Compiled.eval env ce
-  in
-  let prims = List.map (make_prim_state reader) plan.p_prims in
   let toggles =
     if profiling () then Some (Array.make (Array.length flat.f_signal_order) 0)
     else None
@@ -475,7 +464,16 @@ let create ?(kernel = default_kernel) (flat : flat) : t =
     | None -> ignore
     | Some t -> fun i -> t.(i) <- t.(i) + 1
   in
-  Option.iter (fun lw -> Lowered.set_notify lw notify) low;
+  let low =
+    if kernel <> Lowered_dirty then None
+    else Some (Lowered.create plan.p_low ~env ~finished ~runs ~notify)
+  in
+  let reader =
+    match low with
+    | Some lw -> Lowered.input_fn lw
+    | None -> fun ce () -> Compiled.eval env ce
+  in
+  let prims = List.map (make_prim_state reader) plan.p_prims in
   let sim =
     { flat; env; kernel; notify;
       nodes = (if low = None then plan.p_nodes else [||]);
@@ -498,9 +496,8 @@ let create ?(kernel = default_kernel) (flat : flat) : t =
   sim
 
 (* The tail shared by [reset] and [restore_checkpoint], once values and
-   primitive contents are in place: the lowered scheduler back to the
-   sparse worklist with every closure pending, as [create] leaves it,
-   and the primitive outputs driven from the contents before the next
+   primitive contents are in place: every lowered closure and
+   statement group pending, as [create] leaves them, and the primitive outputs driven from the contents before the next
    settle. *)
 let reschedule sim =
   Option.iter Lowered.mark_all sim.low;
@@ -630,9 +627,6 @@ let edge_phase (sim : t) (edge : Elaborate.clock_edge) ~with_prims =
         (List.rev ctx.pending);
       if with_prims then List.iter (drive_prim_outputs sim) sim.prims
 
-let dense_mode sim =
-  match sim.low with Some low -> Lowered.dense low | None -> false
-
 (* The trace counter series are sampled once per this many cycles, not
    every cycle, so tracing a long run stays cheap. *)
 let sample_every = 32
@@ -646,8 +640,7 @@ let sample_counters sim =
       (match sim.low with
       | Some low -> Lowered.dirty_count low
       | None -> Array.length sim.nodes);
-    Telemetry.Trace.counter "sim.evaluated" delta;
-    Telemetry.Trace.counter "sim.dense" (if dense_mode sim then 1 else 0))
+    Telemetry.Trace.counter "sim.evaluated" delta)
 
 let step (sim : t) =
   if not !(sim.finished) then (
@@ -748,9 +741,9 @@ let restore_sig sim i v =
    [Checkpoint] wire format and bound to the design by its structural
    hash. Restoring a checkpoint and stepping produces the same trace as
    the original run: the replay property checkpoint-based FPGA debuggers
-   (DESSERT, StateMover) rely on. The dirty set, adaptive mode, and NBA
-   queue are derived or empty at cycle boundaries, so a restored
-   simulator re-derives them. *)
+   (DESSERT, StateMover) rely on. The dirty flags and the NBA queue are
+   derived or empty at cycle boundaries, so a restored simulator
+   re-derives them. *)
 
 let signature sim =
   if sim.signature = "" then sim.signature <- Checkpoint.design_hash sim.flat;

@@ -21,9 +21,7 @@
     topological order. This preserves the exact cycle-level semantics
     of the full sweep (including the once-per-final-settle firing of
     combinational [$display] statements) while skipping quiescent logic
-    entirely. On designs where nearly every closure fires every cycle,
-    the kernel falls back to a full sweep ({e dense mode}) while
-    activity stays high; see {!dense_mode}.
+    entirely. Sequential blocks skip the same way, by statement group.
 
     The only other kernel, {!Brute_force}, re-evaluates the whole plan
     on every settle. It shares no scheduling code with the default and
@@ -41,9 +39,8 @@ type kernel =
   | Lowered_dirty
       (** closure-array kernel ({!Lowered}): each comb node compiled
           once into a fused [unit -> unit] closure, narrow signals
-          unboxed in a dense int bank, scheduled by per-closure dirty
-          bits with adaptive sparse/dense hysteresis, so idle plans
-          skip and fully-active plans pay no flag traffic *)
+          unboxed in a dense int bank, scheduled by per-closure and
+          per-statement-group dirty bits, so idle logic is skipped *)
   | Event_driven
       (** synonym of {!Lowered_dirty}, kept only because the workload
           benchmark ([perfbench/]) still names it: {!create} builds
@@ -89,8 +86,8 @@ val reset : t -> unit
 (** Return [sim] to exactly the state {!create} left it in, without
     rebuilding anything: cycle-0 values re-derived from the design
     (declared initial values, zero otherwise), FIFO and RAM contents
-    cleared and primitive outputs driven again, the {!Lowered_dirty}
-    scheduler back to sparse mode with every closure pending, deferred
+    cleared and primitive outputs driven again, every {!Lowered_dirty}
+    closure and statement group pending, deferred
     writes dropped, {!stats} and the toggle counts zeroed, cycle 0, no
     [$finish], an empty {!log} and no {!on_display} hook. Whatever
     [sim] ran before, a run after [reset sim] is indistinguishable from
@@ -175,12 +172,6 @@ val profiling : unit -> bool
 (** Whether a simulator {!create}d now, on this domain, keeps toggle
     counts: the telemetry switch or structured tracing is on. *)
 
-val dense_mode : t -> bool
-(** True while the {!Lowered_dirty} kernel is in its dense full-sweep
-    fallback (always false for {!Brute_force}, which sweeps every
-    settle). Exposed for tests and profiling; mode switches never
-    change simulation results. *)
-
 val lowering_stats : t -> Lowered.stats option
 (** Closure/representation counts from the lowering pass; [None] unless
     the kernel is {!Lowered_dirty}. Always available (not
@@ -235,6 +226,6 @@ val restore_checkpoint : t -> Checkpoint.t -> unit
     Raises {!Checkpoint.Checkpoint_error} when the checkpoint's design
     signature, a signal's width/shape, or a primitive's geometry does
     not match — a checkpoint can never be silently restored into a
-    different design. {!Lowered_dirty} restarts in sparse mode with
-    every closure dirty (a conservative superset that re-derives the
+    different design. {!Lowered_dirty} restarts with every closure and
+    statement group dirty (a conservative superset that re-derives the
     schedule without affecting results). *)

@@ -890,16 +890,15 @@ endmodule
     (rs.Fpga_sim.Lowered.rs_closures_skipped > rs.Fpga_sim.Lowered.rs_closures_run)
 
 let test_dirty_kernel_dense_roundtrip () =
-  (* churn drives the dirty lowered kernel into its dense full-sweep
-     mode, idling drops it back out, and the values track the sweep
-     the whole way *)
+  (* churn keeps the whole plan busy, then idling lets it sleep, then a
+     fresh burst wakes it: the values track the full sweep the whole
+     way *)
   let ld = Testbench.of_source ~kernel:Simulator.Lowered_dirty ~top:"top" dense_src in
   let bf = Testbench.of_source ~kernel:Simulator.Brute_force ~top:"top" dense_src in
   let drive sim d =
     Simulator.set_input sim "d" (b 8 d);
     Simulator.step sim
   in
-  check_bool "starts sparse" false (Simulator.dense_mode ld);
   for i = 0 to 29 do
     let d = ((i * 37) + 1) land 0xff in
     drive ld d;
@@ -908,7 +907,6 @@ let test_dirty_kernel_dense_roundtrip () =
       (Printf.sprintf "q agrees at burst cycle %d" i)
       (Simulator.read_int bf "q") (Simulator.read_int ld "q")
   done;
-  check_bool "burst engages dense mode" true (Simulator.dense_mode ld);
   for i = 0 to 29 do
     drive ld 0;
     drive bf 0;
@@ -916,8 +914,7 @@ let test_dirty_kernel_dense_roundtrip () =
       (Printf.sprintf "q agrees during idle cycle %d" i)
       (Simulator.read_int bf "q") (Simulator.read_int ld "q")
   done;
-  check_bool "idle drops back to sparse" false (Simulator.dense_mode ld);
-  (* a fresh burst after the round trip still tracks the sweep *)
+  (* a fresh burst after the idle stretch still tracks the sweep *)
   for i = 0 to 9 do
     let d = ((i * 53) + 5) land 0xff in
     drive ld d;
@@ -925,9 +922,7 @@ let test_dirty_kernel_dense_roundtrip () =
     check_int
       (Printf.sprintf "q agrees after re-burst cycle %d" i)
       (Simulator.read_int bf "q") (Simulator.read_int ld "q")
-  done;
-  check_bool "brute force never reports dense mode" false
-    (Simulator.dense_mode bf)
+  done
 
 (* Plans far larger than any testbed design: the default kernel stays
    lowered-dirty at any size and must match the full sweep. [shape]
@@ -1022,8 +1017,7 @@ endmodule
     (Simulator.kernel_name Simulator.Lowered_dirty)
 
 (* Lowering and run counters exist only for the lowered kernel; brute
-   force reports none and never enters dense mode. Both kernels still
-   trace the same outputs. *)
+   force reports none. Both kernels still trace the same outputs. *)
 let test_lowered_stats_per_kernel () =
   let flat =
     Elaborate.elaborate
@@ -1046,8 +1040,7 @@ endmodule
     Simulator.step ld;
     check_int
       (Printf.sprintf "q agrees at cycle %d" i)
-      (Simulator.read_int bf "q") (Simulator.read_int ld "q");
-    check_bool "brute never dense" false (Simulator.dense_mode bf)
+      (Simulator.read_int bf "q") (Simulator.read_int ld "q")
   done;
   check_bool "brute has no lowering stats" true
     (Simulator.lowering_stats bf = None);
@@ -2171,12 +2164,11 @@ endmodule
          set sim "a" 8 (c / 10);
          set sim "bb" 8 (if c mod 13 = 0 then c else 1)))
 
-(* A comb plan that churns into the dense full sweep, beside sequential
+(* A comb plan that is busy on nearly every settle, beside sequential
    groups that sleep: one woken only by a comb output that changes now
-   and then (a change made inside the dense sweep), one by a register
-   another group commits (a change made outside it). *)
+   and then (a change made inside a settle), one by a register another
+   group commits (a change made outside it). *)
 let test_skip_beside_dense_plan () =
-  let was_dense = ref false in
   let ld =
     seq_skip_matches_brute ~name:"dense comb plan" ~cycles:60
       {|
@@ -2198,24 +2190,20 @@ module top (input clk, input [7:0] d, input tick, output [7:0] q,
 endmodule
 |}
       (fun sim c ->
-        if Simulator.dense_mode sim then was_dense := true;
         set sim "d" 8 (if c < 50 then ((c * 37) + 1) land 0xff else 0);
         set sim "tick" 1 (if c mod 7 = 3 then 1 else 0))
   in
-  check_bool "the comb plan went dense" true !was_dense;
   let rs = Option.get (Simulator.lowered_run_stats ld) in
   check_bool "groups slept" true (rs.Lowered.rs_seq_skipped > 60)
 
 (* Eight counters that all count for a while, then all idle, then count
-   again, beside a register that follows an input changing every cycle.
-   While nearly every group runs, lowered-dirty runs them all without
-   marking; once the commits go quiet it sets every flag and skips
-   again. The input changes on the edge where the marking resumes too,
-   so the register must still follow it. Four blocks read a blocking
-   temporary before writing it, from inputs that change once in four
-   cycles, each a cycle later than the last: whichever edge marking
-   resumes after, one of them wrote its temporary on that edge without
-   being marked, and must run again on the next. *)
+   again, beside a register that follows an input changing every cycle:
+   the counters' groups run while they count, sleep while they idle,
+   and wake again, and the register follows its input throughout. Four
+   blocks read a blocking temporary before writing it, from inputs that
+   change once in four cycles, each a cycle later than the last: each
+   edge on which one of them writes a new temporary must wake it for
+   the next. *)
 let test_skip_sequential_dense_round_trip () =
   let counters = List.init 8 (fun k -> k + 1) and phases = List.init 4 Fun.id in
   let src =
@@ -2246,7 +2234,6 @@ let test_skip_sequential_dense_round_trip () =
          set sim "d" 8 c;
          List.iter (fun j -> set sim (Printf.sprintf "e%d" j) 8 ((c + j) / 4)) phases));
   let at c = List.nth (List.rev !skipped) c in
-  check_int "nothing skipped while every group runs" (at 12) (at 30);
   check_bool "idle counters sleep" true (at 60 > at 30)
 
 (* [reset] and [restore_checkpoint] write values without notifying, so

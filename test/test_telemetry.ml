@@ -295,17 +295,17 @@ let golden_d2_lowered =
     "node_rounds": 1200, "nodes_evaluated": 30, "nodes_skipped": 1170,
     "kernel_efficiency": 0.0250,
     "dirty_total": 30, "dirty_peak": 3,
-    "nba_commits": 184, "prim_steps": 0, "displays": 0
+    "nba_commits": 162, "prim_steps": 0, "displays": 0
   },
   "lowered": {
     "closures": 3, "fused": 0,
     "imm_signals": 18, "boxed_signals": 1, "seq_blocks": 1,
     "settles": 400, "closures_run": 30, "closures_skipped": 1170,
     "skip_rate": 0.9750,
-    "seq_groups_run": 49, "seq_groups_skipped": 151,
-    "seq_skip_rate": 0.7550,
-    "edge_runs": 200, "commit_imm": 160, "commit_boxed": 24,
-    "commit_per_edge": 0.92
+    "seq_groups_run": 38, "seq_groups_skipped": 162,
+    "seq_skip_rate": 0.8100,
+    "edge_runs": 200, "commit_imm": 138, "commit_boxed": 24,
+    "commit_per_edge": 0.81
   },
   "settle_rounds": {"count": 400, "min": 0, "max": 3, "mean": 0.07},
   "hottest_signals": [

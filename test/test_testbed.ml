@@ -113,7 +113,7 @@ let losscheck_tests =
               check_bool (bug.Bug.id ^ " alarm was filtered") true
                 (r.Fpga_debug.Losscheck.suppressed <> []));
           check_bool "losscheck generated code" true
-            (r.Fpga_debug.Losscheck.generated_loc > 0)))
+            (Fpga_debug.Losscheck.generated_loc r > 0)))
     Registry.loss_bugs
 
 let test_losscheck_d1_false_positive () =
@@ -1030,82 +1030,82 @@ let suite = suite @ instrumented_kernel_tests
 let pinned_kernel_stats = [
   ("D1", true,
     "closures 1 fused 0 imm 18 boxed 1 seq 1",
-    "steps 200 settles 400 run 2 skipped 398 min 0 max 1 dirty 2/1 edges 200 seq 38/162 commits 156/12 displays 0");
+    "steps 200 settles 400 run 2 skipped 398 min 0 max 1 dirty 2/1 edges 200 seq 29/171 commits 138/12 displays 0");
   ("D1", false,
     "closures 1 fused 0 imm 18 boxed 1 seq 1",
-    "steps 200 settles 400 run 4 skipped 396 min 0 max 1 dirty 4/1 edges 200 seq 50/150 commits 224/12 displays 0");
+    "steps 200 settles 400 run 4 skipped 396 min 0 max 1 dirty 4/1 edges 200 seq 41/159 commits 197/12 displays 0");
   ("D2", true,
     "closures 3 fused 0 imm 18 boxed 1 seq 1",
-    "steps 200 settles 400 run 30 skipped 1170 min 0 max 3 dirty 30/3 edges 200 seq 49/151 commits 160/24 displays 0");
+    "steps 200 settles 400 run 30 skipped 1170 min 0 max 3 dirty 30/3 edges 200 seq 38/162 commits 138/24 displays 0");
   ("D2", false,
     "closures 3 fused 0 imm 18 boxed 1 seq 1",
-    "steps 200 settles 400 run 31 skipped 1169 min 0 max 3 dirty 31/3 edges 200 seq 65/135 commits 268/24 displays 0");
+    "steps 200 settles 400 run 31 skipped 1169 min 0 max 3 dirty 31/3 edges 200 seq 54/146 commits 237/24 displays 0");
   ("D3", true,
     "closures 1 fused 0 imm 18 boxed 1 seq 1",
-    "steps 200 settles 400 run 19 skipped 381 min 0 max 1 dirty 19/1 edges 200 seq 200/0 commits 654/8 displays 0");
+    "steps 200 settles 400 run 9 skipped 391 min 0 max 1 dirty 9/1 edges 200 seq 200/0 commits 654/8 displays 0");
   ("D3", false,
     "closures 1 fused 0 imm 18 boxed 1 seq 1",
-    "steps 200 settles 400 run 31 skipped 369 min 0 max 1 dirty 31/1 edges 200 seq 200/0 commits 674/8 displays 0");
+    "steps 200 settles 400 run 15 skipped 385 min 0 max 1 dirty 15/1 edges 200 seq 200/0 commits 674/8 displays 0");
   ("D4", true,
     "closures 0 fused 0 imm 11 boxed 1 seq 1",
-    "steps 200 settles 400 run 0 skipped 0 min 0 max 0 dirty 0/0 edges 200 seq 45/155 commits 82/20 displays 0");
+    "steps 200 settles 400 run 0 skipped 0 min 0 max 0 dirty 0/0 edges 200 seq 30/170 commits 67/20 displays 0");
   ("D4", false,
     "closures 0 fused 0 imm 11 boxed 1 seq 1",
-    "steps 200 settles 400 run 0 skipped 0 min 0 max 0 dirty 0/0 edges 200 seq 61/139 commits 146/20 displays 0");
+    "steps 200 settles 400 run 0 skipped 0 min 0 max 0 dirty 0/0 edges 200 seq 46/154 commits 131/20 displays 0");
   ("D5", true,
     "closures 1 fused 0 imm 9 boxed 5 seq 1",
-    "steps 200 settles 400 run 5 skipped 395 min 0 max 1 dirty 5/1 edges 200 seq 25/175 commits 42/20 displays 0");
+    "steps 200 settles 400 run 5 skipped 395 min 0 max 1 dirty 5/1 edges 200 seq 16/184 commits 33/20 displays 0");
   ("D5", false,
     "closures 1 fused 0 imm 9 boxed 5 seq 1",
-    "steps 200 settles 400 run 5 skipped 395 min 0 max 1 dirty 5/1 edges 200 seq 25/175 commits 42/20 displays 0");
+    "steps 200 settles 400 run 5 skipped 395 min 0 max 1 dirty 5/1 edges 200 seq 16/184 commits 33/20 displays 0");
   ("D6", true,
     "closures 0 fused 0 imm 12 boxed 0 seq 1",
-    "steps 200 settles 400 run 0 skipped 0 min 0 max 0 dirty 0/0 edges 200 seq 18/182 commits 56/0 displays 0");
+    "steps 200 settles 400 run 0 skipped 0 min 0 max 0 dirty 0/0 edges 200 seq 9/191 commits 38/0 displays 0");
   ("D6", false,
     "closures 0 fused 0 imm 12 boxed 0 seq 1",
-    "steps 200 settles 400 run 0 skipped 0 min 0 max 0 dirty 0/0 edges 200 seq 18/182 commits 56/0 displays 0");
+    "steps 200 settles 400 run 0 skipped 0 min 0 max 0 dirty 0/0 edges 200 seq 9/191 commits 38/0 displays 0");
   ("D7", true,
     "closures 0 fused 0 imm 15 boxed 0 seq 1",
-    "steps 200 settles 400 run 0 skipped 0 min 0 max 0 dirty 0/0 edges 200 seq 24/176 commits 96/0 displays 0");
+    "steps 200 settles 400 run 0 skipped 0 min 0 max 0 dirty 0/0 edges 200 seq 15/185 commits 69/0 displays 0");
   ("D7", false,
     "closures 0 fused 0 imm 15 boxed 0 seq 1",
-    "steps 200 settles 400 run 0 skipped 0 min 0 max 0 dirty 0/0 edges 200 seq 24/176 commits 96/0 displays 0");
+    "steps 200 settles 400 run 0 skipped 0 min 0 max 0 dirty 0/0 edges 200 seq 15/185 commits 69/0 displays 0");
   ("D8", true,
     "closures 0 fused 0 imm 8 boxed 0 seq 1",
-    "steps 200 settles 400 run 0 skipped 0 min 0 max 0 dirty 0/0 edges 200 seq 17/183 commits 29/0 displays 0");
+    "steps 200 settles 400 run 0 skipped 0 min 0 max 0 dirty 0/0 edges 200 seq 8/192 commits 20/0 displays 0");
   ("D8", false,
     "closures 0 fused 0 imm 8 boxed 0 seq 1",
-    "steps 200 settles 400 run 0 skipped 0 min 0 max 0 dirty 0/0 edges 200 seq 17/183 commits 29/0 displays 0");
+    "steps 200 settles 400 run 0 skipped 0 min 0 max 0 dirty 0/0 edges 200 seq 8/192 commits 20/0 displays 0");
   ("D9", true,
     "closures 1 fused 0 imm 10 boxed 0 seq 1",
-    "steps 200 settles 400 run 5 skipped 395 min 0 max 1 dirty 5/1 edges 200 seq 18/182 commits 51/0 displays 0");
+    "steps 200 settles 400 run 5 skipped 395 min 0 max 1 dirty 5/1 edges 200 seq 9/191 commits 33/0 displays 0");
   ("D9", false,
     "closures 1 fused 0 imm 10 boxed 0 seq 1",
-    "steps 200 settles 400 run 5 skipped 395 min 0 max 1 dirty 5/1 edges 200 seq 18/182 commits 51/0 displays 0");
+    "steps 200 settles 400 run 5 skipped 395 min 0 max 1 dirty 5/1 edges 200 seq 9/191 commits 33/0 displays 0");
   ("D10", true,
     "closures 1 fused 0 imm 9 boxed 5 seq 1",
-    "steps 200 settles 400 run 19 skipped 381 min 0 max 1 dirty 19/1 edges 200 seq 33/167 commits 65/37 displays 0");
+    "steps 200 settles 400 run 9 skipped 391 min 0 max 1 dirty 9/1 edges 200 seq 30/170 commits 62/37 displays 0");
   ("D10", false,
     "closures 1 fused 0 imm 9 boxed 5 seq 1",
-    "steps 200 settles 400 run 19 skipped 381 min 0 max 1 dirty 19/1 edges 200 seq 33/167 commits 65/39 displays 0");
+    "steps 200 settles 400 run 9 skipped 391 min 0 max 1 dirty 9/1 edges 200 seq 30/170 commits 62/39 displays 0");
   ("D11", true,
     "closures 0 fused 0 imm 16 boxed 1 seq 1",
-    "steps 200 settles 400 run 0 skipped 0 min 0 max 0 dirty 0/0 edges 200 seq 29/171 commits 107/5 displays 0");
+    "steps 200 settles 400 run 0 skipped 0 min 0 max 0 dirty 0/0 edges 200 seq 20/180 commits 89/5 displays 0");
   ("D11", false,
     "closures 0 fused 0 imm 16 boxed 1 seq 1",
-    "steps 200 settles 400 run 0 skipped 0 min 0 max 0 dirty 0/0 edges 200 seq 35/165 commits 140/9 displays 0");
+    "steps 200 settles 400 run 0 skipped 0 min 0 max 0 dirty 0/0 edges 200 seq 26/174 commits 122/9 displays 0");
   ("D12", true,
     "closures 0 fused 0 imm 11 boxed 0 seq 1",
-    "steps 200 settles 400 run 0 skipped 0 min 0 max 0 dirty 0/0 edges 200 seq 20/180 commits 37/0 displays 0");
+    "steps 200 settles 400 run 0 skipped 0 min 0 max 0 dirty 0/0 edges 200 seq 11/189 commits 28/0 displays 0");
   ("D12", false,
     "closures 0 fused 0 imm 11 boxed 0 seq 1",
-    "steps 200 settles 400 run 0 skipped 0 min 0 max 0 dirty 0/0 edges 200 seq 20/180 commits 41/0 displays 0");
+    "steps 200 settles 400 run 0 skipped 0 min 0 max 0 dirty 0/0 edges 200 seq 11/189 commits 32/0 displays 0");
   ("D13", true,
     "closures 0 fused 0 imm 8 boxed 0 seq 1",
-    "steps 200 settles 400 run 0 skipped 0 min 0 max 0 dirty 0/0 edges 200 seq 23/177 commits 45/0 displays 0");
+    "steps 200 settles 400 run 0 skipped 0 min 0 max 0 dirty 0/0 edges 200 seq 14/186 commits 36/0 displays 0");
   ("D13", false,
     "closures 0 fused 0 imm 8 boxed 0 seq 1",
-    "steps 200 settles 400 run 0 skipped 0 min 0 max 0 dirty 0/0 edges 200 seq 23/177 commits 47/0 displays 0");
+    "steps 200 settles 400 run 0 skipped 0 min 0 max 0 dirty 0/0 edges 200 seq 14/186 commits 38/0 displays 0");
   ("C1", true,
     "closures 2 fused 0 imm 10 boxed 0 seq 1",
     "steps 200 settles 400 run 3 skipped 797 min 0 max 2 dirty 3/2 edges 200 seq 4/196 commits 6/0 displays 0");
@@ -1114,10 +1114,10 @@ let pinned_kernel_stats = [
     "steps 200 settles 400 run 7 skipped 793 min 0 max 2 dirty 7/2 edges 200 seq 7/193 commits 16/0 displays 0");
   ("C2", true,
     "closures 1 fused 0 imm 17 boxed 0 seq 1",
-    "steps 200 settles 400 run 23 skipped 377 min 0 max 1 dirty 23/1 edges 200 seq 17/183 commits 49/0 displays 0");
+    "steps 200 settles 400 run 16 skipped 384 min 0 max 1 dirty 16/1 edges 200 seq 14/186 commits 46/0 displays 0");
   ("C2", false,
     "closures 1 fused 0 imm 19 boxed 0 seq 1",
-    "steps 200 settles 400 run 24 skipped 376 min 0 max 1 dirty 24/1 edges 200 seq 17/183 commits 54/0 displays 0");
+    "steps 200 settles 400 run 16 skipped 384 min 0 max 1 dirty 16/1 edges 200 seq 14/186 commits 51/0 displays 0");
   ("C3", true,
     "closures 0 fused 0 imm 7 boxed 0 seq 1",
     "steps 200 settles 400 run 0 skipped 0 min 0 max 0 dirty 0/0 edges 200 seq 8/192 commits 17/0 displays 0");
@@ -1129,7 +1129,7 @@ let pinned_kernel_stats = [
     "steps 200 settles 400 run 3 skipped 397 min 0 max 1 dirty 3/1 edges 200 seq 11/189 commits 25/0 displays 0");
   ("C4", false,
     "closures 1 fused 0 imm 13 boxed 0 seq 1",
-    "steps 200 settles 400 run 17 skipped 383 min 0 max 1 dirty 17/1 edges 200 seq 12/188 commits 38/0 displays 0");
+    "steps 200 settles 400 run 9 skipped 391 min 0 max 1 dirty 9/1 edges 200 seq 11/189 commits 37/0 displays 0");
   ("S1", true,
     "closures 2 fused 0 imm 13 boxed 0 seq 1",
     "steps 200 settles 400 run 5 skipped 795 min 0 max 2 dirty 5/2 edges 200 seq 7/193 commits 12/0 displays 0");
@@ -1144,10 +1144,10 @@ let pinned_kernel_stats = [
     "steps 200 settles 400 run 0 skipped 0 min 0 max 0 dirty 0/0 edges 200 seq 86/114 commits 26/0 displays 0");
   ("S3", true,
     "closures 0 fused 0 imm 10 boxed 0 seq 1",
-    "steps 200 settles 400 run 0 skipped 0 min 0 max 0 dirty 0/0 edges 200 seq 18/182 commits 55/0 displays 0");
+    "steps 200 settles 400 run 0 skipped 0 min 0 max 0 dirty 0/0 edges 200 seq 9/191 commits 37/0 displays 0");
   ("S3", false,
     "closures 0 fused 0 imm 10 boxed 0 seq 1",
-    "steps 200 settles 400 run 0 skipped 0 min 0 max 0 dirty 0/0 edges 200 seq 18/182 commits 55/0 displays 0");
+    "steps 200 settles 400 run 0 skipped 0 min 0 max 0 dirty 0/0 edges 200 seq 9/191 commits 37/0 displays 0");
 ]
 
 let kernel_stats_row (bug : Bug.t) ~buggy =
