@@ -215,8 +215,14 @@ let slice_edges (m : Ast.module_def) : slice_edge list =
    whole (conservative within the slice). *)
 let backward_slice_closure ?(data_only = false) (m : Ast.module_def)
     ~(target : slice) ~cycles : slice list =
-  let edges = slice_edges m in
   let keep (e : slice_edge) = (not data_only) || e.se_kind = Data in
+  (* the kept edges by destination name, so a visit scans only the edges
+     that can overlap it; added in reverse, [find_all] returns them in
+     [slice_edges] order *)
+  let into : (string, slice_edge) Hashtbl.t = Hashtbl.create 64 in
+  List.iter
+    (fun e -> if keep e then Hashtbl.add into e.se_dst.s_name e)
+    (List.rev (slice_edges m));
   let best : (slice, int) Hashtbl.t = Hashtbl.create 16 in
   let rec visit q budget =
     let better =
@@ -226,11 +232,11 @@ let backward_slice_closure ?(data_only = false) (m : Ast.module_def)
       Hashtbl.replace best q budget;
       List.iter
         (fun e ->
-          if keep e && overlaps e.se_dst q then
+          if overlaps e.se_dst q then
             match e.se_timing with
             | Combinational -> visit e.se_src budget
             | Sequential -> if budget > 0 then visit e.se_src (budget - 1))
-        edges)
+        (Hashtbl.find_all into q.s_name))
   in
   visit target cycles;
   Hashtbl.fold (fun s _ acc -> s :: acc) best []

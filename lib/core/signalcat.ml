@@ -314,50 +314,49 @@ let apply ?(buffer_depth = 8192) ?trigger mode (m : Ast.module_def) :
 (* Log reconstruction (On_fpga mode)                                   *)
 (* ------------------------------------------------------------------ *)
 
-let decode_entry (plan : plan) (entry : Bits.t) : (int * string) list =
-  let cycle = Bits.to_int_trunc (Bits.slice entry ~hi:31 ~lo:0) in
-  let pos = ref 32 in
-  List.filter_map
-    (fun s ->
-      let cbit = Bits.bit entry !pos in
-      incr pos;
-      if not cbit then (
+(* Cons the log lines of one buffer entry onto [acc], last statement
+   first: the entry's low 32 bits hold its cycle, then each statement
+   has its constraint bit followed by its arguments. *)
+let decode_entry (plan : plan) (entry : Bits.t) acc =
+  let cycle = Bits.to_int_trunc entry land 0xffff_ffff in
+  let rec args pos = function
+    | [] -> []
+    | w :: ws -> Bits.slice entry ~hi:(pos + w - 1) ~lo:pos :: args (pos + w) ws
+  in
+  let rec statements pos acc = function
+    | [] -> acc
+    | s :: rest ->
+        let next = List.fold_left ( + ) (pos + 1) s.arg_widths in
         (* a disabled statement's arguments are never rendered *)
-        pos := List.fold_left ( + ) !pos s.arg_widths;
-        None)
-      else
-        let args =
-          List.map
-            (fun w ->
-              let v = Bits.slice entry ~hi:(!pos + w - 1) ~lo:!pos in
-              pos := !pos + w;
-              v)
-            s.arg_widths
-        in
-        Some (cycle, Fpga_sim.Display.render s.fmt args))
-    plan.statements
+        if not (Bits.bit entry pos) then statements next acc rest
+        else
+          let text = Fpga_sim.Display.render s.fmt (args (pos + 1) s.arg_widths) in
+          statements next ((cycle, text) :: acc) rest
+  in
+  statements 32 acc plan.statements
 
+(* Walk the ring buffer oldest entry first (from [ptr] once it has
+   wrapped), then any entry still sitting in the capture pipeline when
+   the run ends. *)
 let reconstruct (plan : plan) (sim : Simulator.t) : (int * string) list =
   if plan.statements = [] then []
   else (
     let buf = Simulator.read_memory sim buf_name in
     let total = Simulator.read_int sim total_name in
     let depth = plan.buffer_depth in
-    let ptr = Simulator.read_int sim ptr_name in
-    let indices =
-      if total <= depth then List.init total (fun i -> i)
-      else List.init depth (fun i -> (ptr + i) mod depth)
+    let first, count =
+      if total <= depth then (0, total)
+      else (Simulator.read_int sim ptr_name, depth)
     in
-    let from_buffer = List.concat_map (fun i -> decode_entry plan buf.(i)) indices in
-    (* an entry still sitting in the capture pipeline when the run ends *)
-    let pending =
-      if
-        Simulator.read_int sim stage_vld_name = 1
-        && Simulator.read_int sim gate_name = 1
-      then decode_entry plan (Simulator.read sim stage_name)
-      else []
-    in
-    from_buffer @ pending)
+    let acc = ref [] in
+    for i = 0 to count - 1 do
+      acc := decode_entry plan buf.((first + i) mod depth) !acc
+    done;
+    if
+      Simulator.read_int sim stage_vld_name = 1
+      && Simulator.read_int sim gate_name = 1
+    then acc := decode_entry plan (Simulator.read sim stage_name) !acc;
+    List.rev !acc)
 
 (* Run a design+stimulus in the given mode and return the unified log.
    This is the "single interface for tracing" the paper describes. *)

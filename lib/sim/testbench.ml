@@ -3,7 +3,8 @@
    function from the cycle number to a set of input bindings; the driver
    applies it, steps the clock, and watches for stop conditions.
    [tabulate] turns a stimulus into a table of the bindings that change,
-   so a harness re-sets only the inputs whose value moves. *)
+   grown block by block over the cycles callers reach, so a harness
+   re-sets only the inputs whose value moves. *)
 
 module Bits = Fpga_bits.Bits
 
@@ -18,47 +19,78 @@ type outcome = {
 
 let const_stimulus bindings _cycle = bindings
 
+(* whether some name is bound twice in [row] *)
+let rec has_repeat = function
+  | [] -> false
+  | (n, _) :: rest -> List.mem_assoc n rest || has_repeat rest
+
 (* [row] with one binding per name: each name's last binding, at the
-   position of its first. *)
+   position of its first. Most rows name each input once and are
+   returned as they are. *)
 let last_wins row =
-  List.fold_left
-    (fun acc (n, v) ->
-      if List.mem_assoc n acc then
-        List.map (fun (m, w) -> if String.equal m n then (m, v) else (m, w)) acc
-      else (n, v) :: acc)
-    [] row
-  |> List.rev
+  if not (has_repeat row) then row
+  else
+    List.fold_left
+      (fun acc (n, v) ->
+        if List.mem_assoc n acc then
+          List.map (fun (m, w) -> if String.equal m n then (m, v) else (m, w)) acc
+        else (n, v) :: acc)
+      [] row
+    |> List.rev
 
-(* Rows [0 .. cycles-1] of [f], each cut down to the bindings that
-   change the value a name holds after the previous rows. A name seen
-   for the first time is a change, so row 0 holds every binding. *)
-let changes ~cycles f =
-  let current = Hashtbl.create 16 in
-  Array.init cycles (fun c ->
-      List.filter
-        (fun (n, v) ->
-          match Hashtbl.find_opt current n with
-          | Some old when Bits.equal old v -> false
-          | _ ->
-              Hashtbl.replace current n v;
-              true)
-        (last_wins (f c)))
+module Names = Map.Make (String)
 
-(* The table is built on the first call, not when the stimulus is
-   made, and published like [Bug.design_of]'s memo: domains that race
-   build equal tables and all use the one that won. Forcing a [Lazy]
-   from two domains at once raises, so there is none here. *)
-let tabulate ~cycles (f : stimulus) : stimulus =
-  let table = Atomic.make None in
-  let rows () =
-    match Atomic.get table with
-    | Some rows -> rows
-    | None ->
-        let rows = changes ~cycles f in
-        if Atomic.compare_and_set table None (Some rows) then rows
-        else Option.get (Atomic.get table)
+let block_bits = 6
+let table_block = 1 lsl block_bits
+let table_ceiling = 1 lsl 16
+
+(* The rows built so far, one block per entry of [blocks], and the value
+   each name holds after them. Both are immutable, so a block built
+   from one spine is the same whichever domain builds it. *)
+type spine = {
+  blocks : (string * Bits.t) list array array;
+  held : Bits.t Names.t;
+}
+
+(* Rows [first ..] of [f], one block of them, each cut down to the
+   bindings that change the value a name holds after the previous rows.
+   A name seen for the first time is a change, so row 0 holds every
+   binding. *)
+let next_block f ~first held =
+  let held = ref held in
+  let rows =
+    Array.init table_block (fun i ->
+        List.filter
+          (fun (n, v) ->
+            match Names.find n !held with
+            | old when Bits.equal old v -> false
+            | _ | (exception Not_found) ->
+                held := Names.add n v !held;
+                true)
+          (last_wins (f (first + i))))
   in
-  fun cycle -> if cycle < 0 || cycle >= cycles then f cycle else (rows ()).(cycle)
+  (rows, !held)
+
+(* Blocks are built on the first call that reaches them, not when the
+   stimulus is made, and appended like [Bug.design_of]'s memo: a domain
+   that loses the race to append drops its block and reads the
+   winner's. Forcing a [Lazy] from two domains at once raises, so there
+   is none here. *)
+let tabulate (f : stimulus) : stimulus =
+  let spine = Atomic.make { blocks = [||]; held = Names.empty } in
+  let rec row cycle =
+    let s = Atomic.get spine in
+    let b = cycle lsr block_bits in
+    let built = Array.length s.blocks in
+    if b < built then s.blocks.(b).(cycle land (table_block - 1))
+    else
+      let rows, held = next_block f ~first:(built * table_block) s.held in
+      ignore
+        (Atomic.compare_and_set spine s
+           { blocks = Array.append s.blocks [| rows |]; held });
+      row cycle
+  in
+  fun cycle -> if cycle < 0 || cycle >= table_ceiling then f cycle else row cycle
 
 (* Drive [sim] for up to [max_cycles] with [stimulus]; stop early when
    [until] becomes true (if given) or the design finishes. The [stuck]

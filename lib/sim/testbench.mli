@@ -23,12 +23,11 @@ type outcome = {
 val const_stimulus : (string * Fpga_bits.Bits.t) list -> stimulus
 (** The same bindings every cycle. *)
 
-val tabulate : cycles:int -> stimulus -> stimulus
-(** [tabulate ~cycles f] is a stimulus that, applied in order, drives a
-    design exactly as [f] does, for a pure [f] that is total on
-    [0 .. cycles-1]. Its rows for those cycles come from a table of
-    [f]'s changes, built on the first call and then shared by every
-    caller and domain:
+val tabulate : stimulus -> stimulus
+(** [tabulate f] is a stimulus that, applied in order, drives a design
+    exactly as [f] does, for a pure [f] that is total on cycles [>= 0].
+    Its rows come from a table of [f]'s changes, shared by every caller
+    and domain:
     - row [c] holds only the bindings whose value differs (by
       {!Fpga_bits.Bits.equal}, so a new width is a change) from the
       value the name holds after rows [0 .. c-1]; row 0 holds every
@@ -38,12 +37,26 @@ val tabulate : cycles:int -> stimulus -> stimulus
     - a name [f] first binds at cycle [k] is a change at [k], so an
       input the design lacks raises at the same cycle as with [f].
 
-    A cycle below 0 or at or past [cycles] returns [f]'s full row.
+    The table grows on demand, {!table_block} rows at a time: the first
+    call that reaches a cycle past the rows built so far appends the
+    blocks up to it, each continuing from the values the earlier blocks
+    left. So [f] runs once per row in a process (twice where two
+    domains race to build one block), and a row once built is never
+    rebuilt. A cycle below 0 or at or past {!table_ceiling} returns
+    [f]'s full row, so a run of any length keeps the table bounded.
+
     Re-setting an input to its value changes nothing in the simulator
     (writes are change-detected), so the results, logs and waveforms of
     an in-order run are those of [f], and so are its counters unless a
     row of [f] binds one name twice; only [f]'s per-cycle allocation is
     gone. *)
+
+val table_block : int
+(** The rows {!tabulate} builds at a time (64). *)
+
+val table_ceiling : int
+(** The cycles a {!tabulate}d table covers (65536, a whole number of
+    blocks). *)
 
 val run :
   ?max_cycles:int ->

@@ -26,10 +26,12 @@ type t = {
   buggy_src : string;
   fixed_src : string;
   stimulus : Fpga_sim.Testbench.stimulus;
-      (** the bug's inputs, cycle by cycle. The bugs of {!Registry}
+      (** the bug's inputs, cycle by cycle, for every cycle [>= 0] (past
+          its scripted traffic, an idle row). The bugs of {!Registry}
           carry a table of the inputs that change
-          ({!Fpga_sim.Testbench.tabulate} over [max_cycles]), so apply
-          its rows in order; a bug module's own value is the closure *)
+          ({!Fpga_sim.Testbench.tabulate}, grown over every cycle a
+          caller runs), so apply its rows in order; a bug module's own
+          value is the closure *)
   max_cycles : int;
   sample : Fpga_sim.Simulator.t -> (string * int) list option;
       (** a valid output row of the design, when present this cycle *)
@@ -43,7 +45,8 @@ type t = {
       (** the register LossCheck is expected to localize *)
   ground_truth : (Fpga_sim.Testbench.stimulus * int) list;
       (** passing stimuli used for false-positive filtering, each with
-          its cycle budget; tabulated over that budget in {!Registry} *)
+          the cycle budget its runs take; tabulated in {!Registry} like
+          [stimulus], with the budget kept for those runs only *)
   manual_fsms : string list;
       (** manually identified FSM state variables (section 4.2 accuracy) *)
   stat_events : (string * string) list;  (** event name, 1-bit signal *)

@@ -1,17 +1,18 @@
 (* A bug whose stimuli are tables of the inputs that change
-   ([Testbench.tabulate]): the bug's own over its cycle budget, each
-   ground-truth stimulus over its own. Every run, replay, fuzz mutant
-   and LossCheck pass of a registry bug then applies only those inputs,
-   with the results of the closures. *)
+   ([Testbench.tabulate]), grown over every cycle a caller runs: the
+   bug's own and each ground-truth one. Every run, replay, fuzz mutant,
+   LossCheck pass and on-FPGA session of a registry bug then applies
+   only those inputs, with the results of the closures, which are all
+   pure and total on cycles >= 0 (past its scripted traffic a closure
+   returns its idle row). A ground-truth entry keeps its budget for the
+   runs it drives. *)
 let tabulated (bug : Bug.t) =
   let tabulate = Fpga_sim.Testbench.tabulate in
   {
     bug with
-    Bug.stimulus = tabulate ~cycles:bug.Bug.max_cycles bug.Bug.stimulus;
+    Bug.stimulus = tabulate bug.Bug.stimulus;
     ground_truth =
-      List.map
-        (fun (f, cycles) -> (tabulate ~cycles f, cycles))
-        bug.Bug.ground_truth;
+      List.map (fun (f, cycles) -> (tabulate f, cycles)) bug.Bug.ground_truth;
   }
 
 (* All reproducible bugs of the testbed, in Table 2 order, as their

@@ -1,5 +1,8 @@
 (** The reproducible-bug testbed of Table 2, in paper order:
-    D1–D13 (data mis-access), C1–C4 (communication), S1–S3 (semantic). *)
+    D1–D13 (data mis-access), C1–C4 (communication), S1–S3 (semantic).
+    Every bug here drives its design from tabulated stimuli (see
+    {!all_with_extended}), so a harness re-sets only the inputs that
+    change, over whatever window it runs. *)
 
 val all : Bug.t list
 val find : string -> Bug.t option
@@ -22,8 +25,9 @@ val extended : Bug.t list
 
 val all_with_extended : Bug.t list
 (** Every bug of {!all} and {!extended} carries tabulated stimuli
-    ({!Fpga_sim.Testbench.tabulate}): its own over [max_cycles], each
-    ground-truth stimulus over that entry's budget. *)
+    ({!Fpga_sim.Testbench.tabulate}), its own and each ground-truth
+    one: tables that grow over every cycle a caller runs, however far
+    past [max_cycles] or a ground-truth budget that is. *)
 
 val untabulated : Bug.t list
 (** {!all_with_extended} as the bug modules define them, in the same

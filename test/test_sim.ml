@@ -2404,23 +2404,30 @@ let check_rows msg expected actual =
   Alcotest.(check (list (list (pair string string))))
     msg (List.map hex_row expected) (List.map hex_row actual)
 
+let block = Testbench.table_block
+let ceiling = Testbench.table_ceiling
+
 let test_tabulate_duplicates () =
   let f = function
     | 0 -> [ ("a", b 4 1); ("b", b 4 2); ("a", b 4 3) ]
     | 1 -> [ ("b", b 4 2); ("a", b 4 5); ("a", b 4 3) ]
-    | _ -> [ ("a", b 4 1); ("a", b 4 3); ("b", b 4 7); ("b", b 4 2) ]
+    | c when c < block + 2 ->
+        [ ("a", b 4 1); ("a", b 4 3); ("b", b 4 7); ("b", b 4 2) ]
+    | _ -> [ ("a", b 4 3); ("b", b 4 2); ("a", b 4 6); ("b", b 4 2) ]
   in
-  let t = Testbench.tabulate ~cycles:3 f in
+  let t = Testbench.tabulate f in
   check_rows "last binding wins, at its first position"
     [ [ ("a", b 4 3); ("b", b 4 2) ]; []; [] ]
     (rows_of t 3);
-  check_rows "past the table: the full row" [ f 3 ] [ t 3 ]
+  check_rows "past the first block: changes, not full rows"
+    [ []; []; [ ("a", b 4 6) ]; [] ]
+    (List.init 4 (fun i -> t (block + i)))
 
 let test_tabulate_late_name () =
   let f c =
     if c < 3 then [ ("a", b 1 1) ] else [ ("a", b 1 1); ("nope", b 1 0) ]
   in
-  let t = Testbench.tabulate ~cycles:6 f in
+  let t = Testbench.tabulate f in
   check_rows "a new name is a change at its first cycle"
     [ [ ("a", b 1 1) ]; []; []; [ ("nope", b 1 0) ]; []; [] ]
     (rows_of t 6);
@@ -2444,7 +2451,7 @@ let test_tabulate_width () =
     | 2 -> [ ("a", b 8 1) ]
     | _ -> [ ("a", b 1 1) ]
   in
-  let t = Testbench.tabulate ~cycles:4 f in
+  let t = Testbench.tabulate f in
   check_rows "equal bits at a new width are a change"
     [ [ ("a", b 1 1) ]; [ ("a", b 8 1) ]; []; [ ("a", b 1 1) ] ]
     (rows_of t 4);
@@ -2461,29 +2468,36 @@ let test_tabulate_width () =
   in
   Alcotest.(check (list int)) "same outputs" (run f) (run t)
 
+(* A table starts with zero cycles built: a negative cycle returns the
+   closure's row and builds nothing, and a read at or past 0 builds
+   whole blocks, each row once. *)
 let test_tabulate_bounds () =
   let calls = ref 0 in
   let f c =
     incr calls;
     [ ("a", b 8 (c land 0xff)) ]
   in
-  let expected = rows_of f 4 and below = f (-1) in
-  let none = Testbench.tabulate ~cycles:0 f in
-  calls := 0;
-  check_rows "cycles = 0: every row is the closure's" expected (rows_of none 4);
-  check_int "cycles = 0 calls the closure once per row" 4 !calls;
-  let t = Testbench.tabulate ~cycles:4 f in
+  let below = f (-1) in
+  let t = Testbench.tabulate f in
   calls := 0;
   check_rows "negative cycle: the closure's row" [ below ] [ t (-1) ];
-  check_int "a negative cycle builds no table" 1 !calls;
+  check_int "a negative cycle builds nothing" 1 !calls;
   calls := 0;
   ignore (rows_of t 4);
-  ignore (rows_of t 4);
-  check_int "the table is built once" 4 !calls
+  check_int "the first read builds one block" block !calls;
+  calls := 0;
+  ignore (rows_of t (block + 4));
+  ignore (rows_of t (block + 4));
+  ignore (t (2 * block - 1));
+  check_int "each row is built once" block !calls;
+  calls := 0;
+  check_rows "a negative cycle after growth: still the closure's row" [ below ]
+    [ t (-1) ];
+  check_int "and still builds nothing" 1 !calls
 
 let test_tabulate_domains () =
   let f c = [ ("a", b 8 (c / 3)); ("b", b 1 (c land 1)) ] in
-  let t () = Testbench.tabulate ~cycles:200 f in
+  let t () = Testbench.tabulate f in
   let expected = rows_of (t ()) 200 in
   let shared = t () in
   let rows =
@@ -2491,6 +2505,79 @@ let test_tabulate_domains () =
       (List.init 2 (fun _ -> Domain.spawn (fun () -> rows_of shared 200)))
   in
   List.iter (check_rows "racing domains read equal tables" expected) rows
+
+(* A reference for the table: [f]'s rows cut to their changes by a
+   plain fold from cycle 0. *)
+let reference_changes f cycles =
+  let held = Hashtbl.create 8 in
+  List.init cycles (fun c ->
+      List.filter
+        (fun (n, v) ->
+          match Hashtbl.find_opt held n with
+          | Some old when Bits.equal old v -> false
+          | _ ->
+              Hashtbl.replace held n v;
+              true)
+        (f c))
+
+(* names that change on different periods, so every block boundary
+   falls inside some name's run of equal values *)
+let periodic c =
+  [
+    ("a", b 8 (c / 7 land 0xff));
+    ("b", b 1 (c / 100 land 1));
+    ("c", b 4 (c / 300 land 0xf));
+  ]
+
+let test_tabulate_blocks () =
+  let cycles = (3 * block) + 17 in
+  let expected = reference_changes periodic cycles in
+  let t = Testbench.tabulate periodic in
+  check_rows "rows across three block boundaries: the closure's changes"
+    expected (rows_of t cycles);
+  (* read out of order: a far cycle first builds the blocks before it *)
+  let u = Testbench.tabulate periodic in
+  check_rows "a far cycle read first"
+    [ List.nth expected (cycles - 1) ]
+    [ u (cycles - 1) ];
+  check_rows "then the earlier rows" expected (rows_of u cycles)
+
+let test_tabulate_ceiling () =
+  let t = Testbench.tabulate periodic in
+  List.iter
+    (fun c ->
+      check_rows (Printf.sprintf "cycle %d: the full row" c) [ periodic c ] [ t c ])
+    [ ceiling; ceiling + 1; ceiling + 1000; max_int ];
+  check_rows "just below the ceiling: a change row"
+    [ List.nth (reference_changes periodic ceiling) (ceiling - 1) ]
+    [ t (ceiling - 1) ];
+  let run stim =
+    let sim =
+      sim_of
+        "module top (input [7:0] a, input b, input [3:0] c, output [7:0] o);\n\
+        \  assign o = a ^ {3'b0, c, b};\nendmodule\n"
+        "top"
+    in
+    List.init (ceiling + 20) (fun c ->
+        List.iter (fun (n, v) -> Simulator.set_input sim n v) (stim c);
+        Simulator.step sim;
+        Simulator.read_int sim "o")
+  in
+  Alcotest.(check bool) "an in-order run across the ceiling: the closure's outputs"
+    true
+    (run periodic = run (Testbench.tabulate periodic))
+
+let test_tabulate_race_blocks () =
+  let cycles = (4 * block) + 3 in
+  let expected = reference_changes periodic cycles in
+  for _ = 1 to 4 do
+    let shared = Testbench.tabulate periodic in
+    let rows =
+      List.map Domain.join
+        (List.init 2 (fun _ -> Domain.spawn (fun () -> rows_of shared cycles)))
+    in
+    List.iter (check_rows "domains racing through block boundaries" expected) rows
+  done
 
 let suite =
   suite
@@ -2505,4 +2592,10 @@ let suite =
         test_tabulate_bounds;
       Alcotest.test_case "tabulate: two domains share one table" `Quick
         test_tabulate_domains;
+      Alcotest.test_case "tabulate: rows across block boundaries" `Quick
+        test_tabulate_blocks;
+      Alcotest.test_case "tabulate: full rows from the ceiling on" `Quick
+        test_tabulate_ceiling;
+      Alcotest.test_case "tabulate: domains race through block boundaries"
+        `Quick test_tabulate_race_blocks;
     ]

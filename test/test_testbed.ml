@@ -1300,9 +1300,10 @@ let stimulus_run ~kernel ~cycles (bug : Bug.t) design stimulus =
   (List.rev !per_cycle, Simulator.log sim, Simulator.stats sim)
 
 (* Every registry stimulus, the bug's own and each ground-truth one, run
-   50 cycles past its budget on the buggy and the fixed design under
-   both kernels, must drive the design exactly as the closure it was
-   tabulated from: outputs and toggles every cycle, log and counters. *)
+   50 cycles past its budget and past the table's first block on the
+   buggy and the fixed design under both kernels, must drive the design
+   exactly as the closure it was tabulated from: outputs and toggles
+   every cycle, log and counters. *)
 let tabulated_tests =
   List.map2
     (fun (bug : Bug.t) (closure : Bug.t) ->
@@ -1321,7 +1322,9 @@ let tabulated_tests =
               List.iter
                 (fun (buggy, kernel) ->
                   let run =
-                    stimulus_run ~kernel ~cycles:(budget + 50) bug
+                    stimulus_run ~kernel
+                      ~cycles:(max budget Fpga_sim.Testbench.table_block + 50)
+                      bug
                       (Bug.design_of bug ~buggy)
                   in
                   check_bool
