@@ -1176,6 +1176,7 @@ let report_cmd =
     | `All ->
         R.table1 ();
         R.table2 ();
+        R.extended_testbed ();
         R.figure2 ();
         R.figure3 ();
         R.effectiveness ();

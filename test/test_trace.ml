@@ -3,8 +3,9 @@
    deterministic virtual clock, segment capture/rebase, the soft cap,
    per-domain track accounting under the campaign pool, byte-identity
    of virtual-clock exports across pool widths, the pinned golden
-   trace, and the reader-side validator's rejection of malformed
-   input. Every test restores the disabled default on exit. *)
+   trace, the reader-side validator's rejection of malformed input,
+   and the checked-in bench baseline as that reader sees it. Every
+   test restores the disabled default on exit. *)
 
 module Telemetry = Fpga_telemetry.Telemetry
 module Trace = Telemetry.Trace
@@ -358,6 +359,40 @@ let prop_random_trees_export_valid =
           | Ok s -> s.Trace_export.v_spans = !spans
           | Error _ -> false))
 
+(* --- the checked-in bench baseline --------------------------------- *)
+
+(* [bench/main.exe --baseline] reads BENCH_baseline.json with this
+   reader and compares each design's speedup and each Bits op's ratio;
+   a hand edit the bench would misread fails here, not only in CI. *)
+let test_bench_baseline_ratios () =
+  let json =
+    Trace_export.parse_json
+      (In_channel.with_open_bin "../BENCH_baseline.json" In_channel.input_all)
+  in
+  let field key = function
+    | Trace_export.Obj kvs -> List.assoc_opt key kvs
+    | _ -> None
+  in
+  check_string "schema" "fpga-debug-bench/13"
+    (match field "schema" json with Some (Trace_export.Str s) -> s | _ -> "none");
+  List.iter
+    (fun (section, key, ratio) ->
+      match field section json with
+      | Some (Trace_export.Arr (_ :: _ as entries)) ->
+          List.iter
+            (fun e ->
+              match (field key e, field ratio e) with
+              | Some (Trace_export.Str _), Some (Trace_export.Num r)
+                when Float.is_finite r && r > 0.0 ->
+                  ()
+              | Some (Trace_export.Str name), _ ->
+                  Alcotest.failf "%s entry %s has no positive, finite %S"
+                    section name ratio
+              | _ -> Alcotest.failf "%s entry without a %S" section key)
+            entries
+      | _ -> Alcotest.failf "baseline has no %s entries" section)
+    [ ("designs", "id", "speedup"); ("bits_ops", "op", "ratio") ]
+
 let suite =
   [
     Alcotest.test_case "spans form a tree with stable ids" `Quick
@@ -386,4 +421,6 @@ let suite =
     Alcotest.test_case "validator rejects malformed input" `Quick
       test_validator_rejects_malformed;
     QCheck_alcotest.to_alcotest prop_random_trees_export_valid;
+    Alcotest.test_case "checked-in bench baseline carries positive ratios"
+      `Quick test_bench_baseline_ratios;
   ]
