@@ -21,14 +21,11 @@ module Ast = Fpga_hdl.Ast
 module Bug = Fpga_testbed.Bug
 module Registry = Fpga_testbed.Registry
 module Taxonomy = Fpga_study.Taxonomy
+module Testbench = Fpga_sim.Testbench
 
 let find_bug id =
   let id = String.uppercase_ascii id in
-  match
-    List.find_opt
-      (fun (b : Bug.t) -> b.Bug.id = id)
-      Registry.all_with_extended
-  with
+  match Registry.find id with
   | Some bug -> bug
   | None ->
       Printf.eprintf "unknown bug %s; try `fpga-debug list`\n" id;
@@ -171,44 +168,25 @@ let read_design path = Fpga_hdl.Parser.parse_design (read_input path)
 
 (* Every stimulus and watched name must be a vector signal: the
    simulator's accessors reject anything else mid-run. *)
-let check_signal (flat : Fpga_sim.Elaborate.flat) ~source name =
+let signal_error (flat : Fpga_sim.Elaborate.flat) name =
   match Hashtbl.find_opt flat.Fpga_sim.Elaborate.f_signals name with
-  | Some { Fpga_sim.Elaborate.fs_depth = None; _ } -> ()
-  | Some _ -> bad_input "%s: %s is a memory, not a signal" source name
-  | None -> bad_input "%s: no signal %s in the design" source name
+  | Some { Fpga_sim.Elaborate.fs_depth = None; _ } -> None
+  | Some _ -> Some (name ^ " is a memory, not a signal")
+  | None -> Some ("no signal " ^ name ^ " in the design")
 
-(* A stimulus file: lines '@CYCLE sig=value ...', '#' comments *)
-let parse_stim flat path =
-  read_input path
-  |> String.split_on_char '\n'
-  |> List.mapi (fun i line -> (i + 1, line))
-  |> List.filter_map (fun (lineno, line) ->
-         let line = String.trim line in
-         let source = Printf.sprintf "%s:%d" path lineno in
-         let number what s =
-           match int_of_string_opt s with
-           | Some v -> v
-           | None -> bad_input "%s: bad %s %S" source what s
-         in
-         if line = "" || line.[0] = '#' then None
-         else
-           match String.split_on_char ' ' line with
-           | at :: bindings when String.length at > 1 && at.[0] = '@' ->
-               let cycle =
-                 number "cycle" (String.sub at 1 (String.length at - 1))
-               in
-               let parsed =
-                 List.filter_map
-                   (fun b ->
-                     match String.split_on_char '=' b with
-                     | [ k; v ] when k <> "" ->
-                         check_signal flat ~source k;
-                         Some (k, number "value" v)
-                     | _ -> None)
-                   bindings
-               in
-               Some (cycle, parsed)
-           | _ -> None)
+let check_signal flat ~source name =
+  Option.iter (bad_input "%s: %s" source) (signal_error flat name)
+
+(* The stimulus of a file in [Testbench]'s row syntax; none without a
+   file. *)
+let read_stim flat = function
+  | None -> Testbench.const_stimulus []
+  | Some path -> (
+      let text = read_input path in
+      match Testbench.read_rows ~check:(signal_error flat) text with
+      | rows -> Testbench.of_rows flat rows
+      | exception Testbench.Bad_row (line, msg) ->
+          bad_input "%s:%d: %s" path line msg)
 
 (* Run [f] over the design in [file]: each design error exits with its
    status and a message naming the file. *)
@@ -294,10 +272,7 @@ let fsm_cmd =
       print_endline "no FSMs detected in this design"
     else (
       let instrumented = Fpga_debug.Fsm_monitor.instrument plan m in
-      let design' =
-        { Ast.modules =
-            List.map (fun x -> if x == m then instrumented else x) design.Ast.modules }
-      in
+      let design' = Ast.replace_module design m instrumented in
       let report = Bug.run_design bug design' in
       List.iter
         (fun tr ->
@@ -325,12 +300,9 @@ let stats_cmd =
     in
     let plan = Fpga_debug.Stat_monitor.plan m events in
     let instrumented = Fpga_debug.Stat_monitor.instrument plan m in
-    let design' =
-      { Ast.modules =
-          List.map (fun x -> if x == m then instrumented else x) design.Ast.modules }
-    in
-    let sim = Fpga_sim.Testbench.of_design ~top:bug.Bug.top design' in
-    let _ = Fpga_sim.Testbench.run ~max_cycles:bug.Bug.max_cycles sim bug.Bug.stimulus in
+    let design' = Ast.replace_module design m instrumented in
+    let sim = Testbench.of_design ~top:bug.Bug.top design' in
+    let _ = Testbench.run ~max_cycles:bug.Bug.max_cycles sim bug.Bug.stimulus in
     List.iter
       (fun (name, n) -> Printf.printf "%-20s %d\n" name n)
       (Fpga_debug.Stat_monitor.counts plan sim)
@@ -374,10 +346,7 @@ let deps_cmd =
     List.iter (fun s -> Printf.printf "  %s\n" s) plan.Fpga_debug.Dep_monitor.chain;
     (* run with monitoring and show the update trace *)
     let instrumented = Fpga_debug.Dep_monitor.instrument plan m in
-    let design' =
-      { Ast.modules =
-          List.map (fun x -> if x == m then instrumented else x) design.Ast.modules }
-    in
+    let design' = Ast.replace_module design m instrumented in
     let report = Bug.run_design bug design' in
     print_endline "update trace:";
     List.iter
@@ -440,17 +409,7 @@ let losscheck_cmd =
           check_signal flat ~source:"--source" source;
           check_signal flat ~source:"--valid" valid;
           check_signal flat ~source:"--sink" sink;
-          let table = match stim with Some p -> parse_stim flat p | None -> [] in
-          let stimulus cycle =
-            match List.assoc_opt cycle table with
-            | Some bindings ->
-                List.map
-                  (fun (k, v) ->
-                    let s = Hashtbl.find flat.Fpga_sim.Elaborate.f_signals k in
-                    (k, Fpga_bits.Bits.of_int ~width:s.Fpga_sim.Elaborate.fs_width v))
-                  bindings
-            | None -> []
-          in
+          let stimulus = read_stim flat stim in
           let spec =
             { Fpga_debug.Losscheck.source; valid = Ast.Ident valid; sink }
           in
@@ -826,10 +785,13 @@ let snippets_cmd =
 
 let sim_cmd =
   let doc =
-    "Simulate a Verilog file. The optional stimulus file has lines of \
-     the form '@CYCLE sig=value sig=value ...' (values decimal or 0x \
-     hex); bindings persist until overwritten. Watched signals print on \
-     change."
+    "Simulate a Verilog file for --cycles cycles or until it executes \
+     \\$finish. The optional stimulus file has lines of the form \
+     '@CYCLE sig=value sig=value ...' and '#' comment lines. Cycles (>= \
+     0) and values are integers as OCaml reads them (decimal, 0x, 0o or \
+     0b, '_' separators, a sign). Lines for one cycle apply in file \
+     order, so a later binding wins; bindings persist until overwritten. \
+     Watched signals print on change."
   in
   let file_arg =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Verilog source")
@@ -862,7 +824,7 @@ let sim_cmd =
     in
     let sim = Fpga_sim.Simulator.create ?kernel flat in
     let vcd = Option.map (fun _ -> Fpga_sim.Vcd.create flat) vcd_out in
-    let stim_table = match stim with Some p -> parse_stim flat p | None -> [] in
+    let stimulus = read_stim flat stim in
     let watched =
       match watch with
       | Some s -> String.split_on_char ',' s |> List.map String.trim
@@ -872,15 +834,9 @@ let sim_cmd =
     Fpga_sim.Simulator.on_display sim (fun c t ->
         Printf.printf "[cycle %d] %s\n" c t);
     let prev = Hashtbl.create 8 in
-    for i = 0 to cycles - 1 do
-      (match List.assoc_opt i stim_table with
-      | Some bindings ->
-          List.iter
-            (fun (k, v) -> Fpga_sim.Simulator.set_input_int sim k v)
-            bindings
-      | None -> ());
-      Fpga_sim.Simulator.step sim;
+    let observe sim =
       Option.iter (fun w -> Fpga_sim.Vcd.sample w sim) vcd;
+      let i = Fpga_sim.Simulator.cycle sim - 1 in
       List.iter
         (fun sig_ ->
           let v = Fpga_sim.Simulator.read_int sim sig_ in
@@ -892,8 +848,10 @@ let sim_cmd =
           if changed then (
             Hashtbl.replace prev sig_ v;
             Printf.printf "cycle %3d: %s = %d\n" i sig_ v))
-        watched
-    done;
+        watched;
+      false
+    in
+    ignore (Testbench.run ~max_cycles:cycles ~until:observe sim stimulus);
     (match (vcd, vcd_out) with
     | Some w, Some path ->
         Fpga_sim.Vcd.save w path;

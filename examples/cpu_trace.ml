@@ -40,9 +40,7 @@ let () =
   let design = Bug.design_of bug ~buggy:true in
   let m = Option.get (Ast.find_module design bug.Bug.top) in
   let traced = with_trace m in
-  let design' =
-    { Ast.modules = List.map (fun x -> if x == m then traced else x) design.Ast.modules }
-  in
+  let design' = Ast.replace_module design m traced in
 
   print_endline "== Full simulation trace (too big for an on-chip buffer) ==";
   let full =

@@ -151,9 +151,7 @@ let () =
   in
   let plan = Fpga_debug.Stat_monitor.plan m events in
   let counted = Fpga_debug.Stat_monitor.instrument plan m in
-  let design' =
-    { Ast.modules = List.map (fun x -> if x == m then counted else x) design.Ast.modules }
-  in
+  let design' = Ast.replace_module design m counted in
   let sim = Testbench.of_design ~top:"router" design' in
   let _ = Testbench.run ~max_cycles:40 sim stimulus in
   List.iter

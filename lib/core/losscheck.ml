@@ -558,9 +558,7 @@ let localize ?(ground_truth = []) ?(max_cycles = 10_000) ~top ~spec
   let ctx = context m spec in
   let plan = analyze_in ctx ~design spec m in
   let m' = instrument_in ctx plan m in
-  let design' =
-    { Ast.modules = List.map (fun x -> if x == m then m' else x) design.Ast.modules }
-  in
+  let design' = Ast.replace_module design m m' in
   let run stim cycles =
     let sim = Testbench.of_design ~top design' in
     let outcome = Testbench.run ~max_cycles:cycles sim stim in

@@ -369,9 +369,7 @@ let run_and_log ?(buffer_depth = 8192) ?trigger ?(max_cycles = 10_000) ~mode
     | None -> Instrument.err "no module %s" top
   in
   let m', plan = apply ~buffer_depth ?trigger mode m in
-  let design' =
-    { Ast.modules = List.map (fun x -> if x == m then m' else x) design.Ast.modules }
-  in
+  let design' = Ast.replace_module design m m' in
   let sim = Fpga_sim.Testbench.of_design ~top design' in
   let outcome = Fpga_sim.Testbench.run ~max_cycles sim stimulus in
   match mode with

@@ -138,6 +138,11 @@ let ip_ports target = List.assoc_opt target builtin_ip_ports
 let find_module design name =
   List.find_opt (fun m -> m.mod_name = name) design.modules
 
+(* [design] with its module [m] (the physical one, as [find_module]
+   returns it) replaced by [m']. *)
+let replace_module design m m' =
+  { modules = List.map (fun x -> if x == m then m' else x) design.modules }
+
 let find_decl m name = List.find_opt (fun d -> d.name = name) m.decls
 let find_port m name = List.find_opt (fun p -> p.port_name = name) m.ports
 

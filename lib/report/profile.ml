@@ -45,14 +45,7 @@ let run ?kernel ?(cycles = 200) ?(top_k = 10) (bug : Bug.t) : t =
     | Some kernel -> Simulator.create ~kernel flat
     | None -> Simulator.create flat
   in
-  let i = ref 0 in
-  while !i < cycles && not (Simulator.finished sim) do
-    List.iter
-      (fun (n, v) -> Simulator.set_input sim n v)
-      (bug.Bug.stimulus !i);
-    Simulator.step sim;
-    incr i
-  done;
+  ignore (Fpga_sim.Testbench.run ~max_cycles:cycles sim bug.Bug.stimulus);
   let stats = Simulator.stats sim in
   let report = Telemetry.report () in
   {
@@ -60,7 +53,7 @@ let run ?kernel ?(cycles = 200) ?(top_k = 10) (bug : Bug.t) : t =
     p_top = bug.Bug.top;
     p_kernel = kernel_name (Simulator.kernel sim);
     p_cycles_requested = cycles;
-    p_cycles_run = !i;
+    p_cycles_run = Simulator.cycle sim;
     p_finished = Simulator.finished sim;
     p_stats = stats;
     (* every step fires each primitive once, on the rising edge *)

@@ -18,7 +18,7 @@
     captured: restore sets every flag, and re-running clean logic
     never changes a simulation result. The non-blocking
     assignment queue is empty at every cycle boundary by construction
-    (writes commit inside {!Simulator.step}), so there is nothing of it
+    (writes commit inside a simulator step), so there is nothing of it
     to save — which is exactly why checkpoints are only taken between
     steps.
 

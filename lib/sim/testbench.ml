@@ -4,7 +4,8 @@
    applies it, steps the clock, and watches for stop conditions.
    [tabulate] turns a stimulus into a table of the bindings that change,
    grown block by block over the cycles callers reach, so a harness
-   re-sets only the inputs whose value moves. *)
+   re-sets only the inputs whose value moves. [print_rows] and
+   [read_rows] are the one text form of rows. *)
 
 module Bits = Fpga_bits.Bits
 
@@ -92,31 +93,85 @@ let tabulate (f : stimulus) : stimulus =
   in
   fun cycle -> if cycle < 0 || cycle >= table_ceiling then f cycle else row cycle
 
-(* Drive [sim] for up to [max_cycles] with [stimulus]; stop early when
-   [until] becomes true (if given) or the design finishes. The [stuck]
-   flag reports that [until] was provided but never satisfied - the
-   "application stuck / infinite wait" symptom of Table 2. *)
+(* Drive [sim] until its cycle [max_cycles] with [stimulus]; stop early
+   when [until] becomes true (if given) or the design finishes. The
+   [stuck] flag reports that [until] was provided but never satisfied -
+   the "application stuck / infinite wait" symptom of Table 2. *)
 let run ?(max_cycles = 10_000) ?until (sim : Simulator.t) (stimulus : stimulus)
     : outcome =
-  let stop = ref false in
   let satisfied = ref false in
-  let i = ref 0 in
-  while (not !stop) && !i < max_cycles && not (Simulator.finished sim) do
-    List.iter (fun (n, v) -> Simulator.set_input sim n v) (stimulus !i);
+  while
+    (not !satisfied)
+    && Simulator.cycle sim < max_cycles
+    && not (Simulator.finished sim)
+  do
+    List.iter
+      (fun (n, v) -> Simulator.set_input sim n v)
+      (stimulus (Simulator.cycle sim));
     Simulator.step sim;
-    (match until with
-    | Some cond when cond sim ->
-        satisfied := true;
-        stop := true
-    | _ -> ());
-    incr i
+    match until with Some cond when cond sim -> satisfied := true | _ -> ()
   done;
   {
-    cycles_run = !i;
+    cycles_run = Simulator.cycle sim;
     finished = Simulator.finished sim;
     stuck = (match until with Some _ -> not !satisfied | None -> false);
     log = Simulator.log sim;
   }
+
+type row = int * (string * int) list
+
+exception Bad_row of int * string
+
+let print_rows rows =
+  String.concat ""
+    (List.map
+       (fun (cycle, bindings) ->
+         String.concat " "
+           (("@" ^ string_of_int cycle)
+           :: List.map (fun (n, v) -> n ^ "=" ^ string_of_int v) bindings)
+         ^ "\n")
+       rows)
+
+let read_rows ~check text =
+  String.split_on_char '\n' text
+  |> List.mapi (fun i line -> (i + 1, String.trim line))
+  |> List.filter_map (fun (line, trimmed) ->
+         let fail fmt =
+           Printf.ksprintf (fun m -> raise (Bad_row (line, m))) fmt
+         in
+         let binding word =
+           match String.split_on_char '=' word with
+           | [ name; v ] when name <> "" -> (
+               Option.iter (fail "%s") (check name);
+               match int_of_string_opt v with
+               | Some v -> (name, v)
+               | None -> fail "bad value %S" v)
+           | _ -> fail "bad binding %S" word
+         in
+         match List.filter (( <> ) "") (String.split_on_char ' ' trimmed) with
+         | [] -> None
+         | w :: _ when w.[0] = '#' -> None
+         | at :: bindings when at.[0] = '@' -> (
+             let c = String.sub at 1 (String.length at - 1) in
+             match int_of_string_opt c with
+             | Some cycle when cycle >= 0 ->
+                 Some (cycle, List.map binding bindings)
+             | _ -> fail "bad cycle %S" c)
+         | w :: _ -> fail "expected @CYCLE, got %S" w)
+
+let of_rows (flat : Elaborate.flat) (rows : row list) : stimulus =
+  let bind (name, v) =
+    match Hashtbl.find_opt flat.Elaborate.f_signals name with
+    | Some s -> (name, Bits.of_int ~width:s.Elaborate.fs_width v)
+    | None -> invalid_arg ("Testbench.of_rows: unknown " ^ name)
+  in
+  let table = Hashtbl.create 16 in
+  List.iter
+    (fun (cycle, bindings) ->
+      let earlier = Option.value (Hashtbl.find_opt table cycle) ~default:[] in
+      Hashtbl.replace table cycle (earlier @ List.map bind bindings))
+    rows;
+  fun cycle -> Option.value (Hashtbl.find_opt table cycle) ~default:[]
 
 let of_design ?kernel ?(top = "top") design =
   Simulator.create ?kernel (Elaborate.elaborate design ~top)

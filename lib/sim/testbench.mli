@@ -64,10 +64,43 @@ val run :
   Simulator.t ->
   stimulus ->
   outcome
-(** [run sim stimulus] drives [sim] for up to [max_cycles] (default
-    10000), stopping early when [until] holds or the design finishes.
-    An unmet [until] is reported as [stuck] — the "application stuck"
-    symptom of the bug study. *)
+(** [run sim stimulus] is the one stepping loop of every
+    stimulus-driven run. While [c = Simulator.cycle sim] is below
+    [max_cycles] (default 10000), the design has not finished and
+    [until] has not held, it applies [stimulus c], steps, and calls
+    [until], which thus also serves as a per-cycle observer. A simulator
+    restored from a checkpoint continues from the checkpoint's cycle.
+    [cycles_run] is the cycle the run ended at. An unmet [until] is
+    reported as [stuck] — the "application stuck" symptom of the bug
+    study. *)
+
+(** {1 Rows as text}
+
+    Stimulus files and checkpoints' harness rows share one text form: a
+    row [@CYCLE name=value ...] a line (no bindings is an empty row);
+    blank lines and lines starting with [#] are skipped. Cycles ([>= 0])
+    and values are read by [int_of_string] ([0x], [0o], [0b], [_] and a
+    sign are accepted). *)
+
+type row = int * (string * int) list
+
+exception Bad_row of int * string
+(** [Bad_row (line, message)], [line] counted from 1. *)
+
+val print_rows : row list -> string
+(** One line per row; {!read_rows} reads the rows back when names are
+    non-empty and hold no space, newline or [=]. *)
+
+val read_rows : check:(string -> string option) -> string -> row list
+(** The rows of a text, in order. Raises {!Bad_row} at the first line
+    that is not a row, or that binds a name [check] rejects with
+    [Some message]. *)
+
+val of_rows : Elaborate.flat -> row list -> stimulus
+(** Apply [rows], each value at its signal's width in [flat]. Rows of
+    one cycle apply in order (a later binding of a name wins); a cycle's
+    row is found in constant time. Raises [Invalid_argument] for a name
+    that is not a signal of [flat]. *)
 
 val of_design :
   ?kernel:Simulator.kernel -> ?top:string -> Fpga_hdl.Ast.design -> Simulator.t

@@ -12,7 +12,7 @@ val create : Elaborate.flat -> t
 
 val sample : t -> Simulator.t -> unit
 (** Record the signals that changed since the previous sample, stamped
-    with the simulator's cycle count. Call once per {!Simulator.step}.
+    with the simulator's cycle count. Call once per completed cycle.
     The cost is O(signals) per call: one {!Simulator.read_id} and one
     compare per signal, and the changed values are written straight
     into the buffer. The simulator must be built from the same [flat]

@@ -13,45 +13,29 @@ type trace = { signal : string; width : int; values : Bits.t array }
 
 type t = { cycles : int; traces : trace list }
 
-type recorder = {
-  signals : string list;
-  mutable samples : (string * Bits.t) list list;  (* newest first *)
-}
-
-let recorder signals = { signals; samples = [] }
-
-let sample rec_ (sim : Simulator.t) =
-  rec_.samples <-
-    List.map (fun s -> (s, Simulator.read sim s)) rec_.signals :: rec_.samples
-
-let finish rec_ : t =
-  let rows = List.rev rec_.samples in
+(* Capture a design over a stimulus, sampling [signals] every cycle. *)
+let capture ?(max_cycles = 200) ~top ~signals design
+    (stimulus : Testbench.stimulus) : t =
+  let sim = Testbench.of_design ~top design in
+  let samples = ref [] in
+  ignore
+    (Testbench.run ~max_cycles
+       ~until:(fun sim ->
+         let row = List.map (fun s -> (s, Simulator.read sim s)) signals in
+         samples := row :: !samples;
+         false)
+       sim stimulus);
+  let rows = List.rev !samples in
   let cycles = List.length rows in
   let traces =
     List.map
       (fun signal ->
-        let values =
-          Array.of_list (List.map (fun row -> List.assoc signal row) rows)
-        in
+        let values = Array.of_list (List.map (List.assoc signal) rows) in
         let width = if cycles = 0 then 1 else Bits.width values.(0) in
         { signal; width; values })
-      rec_.signals
+      signals
   in
   { cycles; traces }
-
-(* Capture a design over a stimulus in one call. *)
-let capture ?(max_cycles = 200) ~top ~signals design
-    (stimulus : Testbench.stimulus) : t =
-  let sim = Testbench.of_design ~top design in
-  let rec_ = recorder signals in
-  let i = ref 0 in
-  while !i < max_cycles && not (Simulator.finished sim) do
-    List.iter (fun (n, v) -> Simulator.set_input sim n v) (stimulus !i);
-    Simulator.step sim;
-    sample rec_ sim;
-    incr i
-  done;
-  finish rec_
 
 let trace t signal = List.find_opt (fun tr -> tr.signal = signal) t.traces
 

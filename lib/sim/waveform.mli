@@ -11,14 +11,6 @@ type t = { cycles : int; traces : trace list }
 
 (** {1 Capture} *)
 
-type recorder
-
-val recorder : string list -> recorder
-val sample : recorder -> Simulator.t -> unit
-(** Record the named signals' current values; call once per step. *)
-
-val finish : recorder -> t
-
 val capture :
   ?max_cycles:int ->
   top:string ->

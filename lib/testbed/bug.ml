@@ -203,143 +203,94 @@ let with_simulator ?kernel (bug : t) (design : Ast.design) f =
 (* A checkpoint captures the simulator; the testbed harness around it
    (observed output rows, the external-monitor flag, the completion
    flag) lives in the checkpoint's metadata section so a replayed run
-   reports exactly what an uninterrupted run would. Row names are
-   Verilog identifiers and values are ints, so a flat
-   "cycle:name=value,...;..." encoding round-trips losslessly. *)
-
-let encode_rows (rows : (int * (string * int) list) list) : string =
-  String.concat ";"
-    (List.map
-       (fun (c, row) ->
-         Printf.sprintf "%d:%s" c
-           (String.concat ","
-              (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) row)))
-       rows)
-
-let malformed () =
-  raise
-    (Fpga_sim.Checkpoint.Checkpoint_error
-       "checkpoint carries malformed harness metadata")
-
-let decode_int s = match int_of_string_opt s with Some n -> n | None -> malformed ()
-
-let decode_rows (s : string) : (int * (string * int) list) list =
-  if s = "" then []
-  else
-    String.split_on_char ';' s
-    |> List.map (fun entry ->
-           match String.split_on_char ':' entry with
-           | [ c; row ] ->
-               ( decode_int c,
-                 if row = "" then []
-                 else
-                   String.split_on_char ',' row
-                   |> List.map (fun kv ->
-                          match String.split_on_char '=' kv with
-                          | [ k; v ] -> (k, decode_int v)
-                          | _ -> malformed ()) )
-           | _ -> malformed ())
+   reports exactly what an uninterrupted run would. The rows are in
+   [Testbench]'s text form. *)
 
 type harness = {
-  h_rows : (int * (string * int) list) list;  (* oldest first *)
-  h_ext : bool;
-  h_satisfied : bool;
+  mutable h_rows : (int * (string * int) list) list;  (* newest first *)
+  mutable h_ext : bool;
+  mutable h_satisfied : bool;
 }
 
 let meta_of_harness h =
   [
-    ("harness.rows", encode_rows h.h_rows);
+    ("harness.rows", Testbench.print_rows (List.rev h.h_rows));
     ("harness.ext", if h.h_ext then "1" else "0");
     ("harness.satisfied", if h.h_satisfied then "1" else "0");
   ]
 
 let harness_of_meta meta =
   let get k = List.assoc_opt k meta in
-  {
-    h_rows = (match get "harness.rows" with Some s -> decode_rows s | None -> []);
-    h_ext = get "harness.ext" = Some "1";
-    h_satisfied = get "harness.satisfied" = Some "1";
-  }
-
-(* A run's harness observations so far, rows newest first: the state
-   [run_design] and [Replay.bisect]'s fine phase carry alongside the
-   simulator. *)
-type progress = {
-  mutable p_rows : (int * (string * int) list) list;
-  mutable p_ext : bool;
-  mutable p_satisfied : bool;
-}
+  let rows = Option.value (get "harness.rows") ~default:"" in
+  match Testbench.read_rows ~check:(fun _ -> None) rows with
+  | exception Testbench.Bad_row _ ->
+      raise
+        (Fpga_sim.Checkpoint.Checkpoint_error
+           "checkpoint carries malformed harness metadata")
+  | rows ->
+      {
+        h_rows = List.rev rows;
+        h_ext = get "harness.ext" = Some "1";
+        h_satisfied = get "harness.satisfied" = Some "1";
+      }
 
 (* Resuming from a checkpoint restores both halves of the state: the
-   simulator itself and the harness observations accumulated up to the
-   capture cycle, so the loop continues exactly where the original run
-   was. Returns the observations and the cycle to continue from. *)
+   simulator itself, which continues from the checkpoint's cycle, and
+   the harness observations accumulated up to it. *)
 let resume sim (from_checkpoint : Fpga_sim.Checkpoint.t option) =
   match from_checkpoint with
-  | None -> ({ p_rows = []; p_ext = false; p_satisfied = false }, 0)
+  | None -> { h_rows = []; h_ext = false; h_satisfied = false }
   | Some ck ->
       Simulator.restore_checkpoint sim ck;
-      let h = harness_of_meta ck.Fpga_sim.Checkpoint.ck_meta in
-      ( { p_rows = List.rev h.h_rows; p_ext = h.h_ext;
-          p_satisfied = h.h_satisfied },
-        ck.Fpga_sim.Checkpoint.ck_cycle )
+      harness_of_meta ck.Fpga_sim.Checkpoint.ck_meta
 
-(* The harness's view of [cycle], which the simulator has just
-   completed: the output row, the external monitor, the completion
-   condition. *)
-let observe (bug : t) sim (p : progress) cycle =
-  (match bug.sample sim with
-  | Some row -> p.p_rows <- (cycle, row) :: p.p_rows
-  | None -> ());
-  (match bug.ext_monitor with
-  | Some f when f sim -> p.p_ext <- true
-  | _ -> ());
-  match bug.done_when with
-  | Some cond when cond sim -> p.p_satisfied <- true
-  | _ -> ()
+(* Step [sim] through the bug's stimulus, recording after each cycle
+   the harness's view of it (the output row, the external monitor, the
+   completion condition) and then calling [after]. A checkpoint taken
+   once the completion condition held resumes into no cycle. *)
+let drive (bug : t) sim (h : harness) ~max_cycles after =
+  let observe sim =
+    let cycle = Simulator.cycle sim - 1 in
+    (match bug.sample sim with
+    | Some row -> h.h_rows <- (cycle, row) :: h.h_rows
+    | None -> ());
+    (match bug.ext_monitor with
+    | Some f when f sim -> h.h_ext <- true
+    | _ -> ());
+    (match bug.done_when with
+    | Some cond when cond sim -> h.h_satisfied <- true
+    | _ -> ());
+    after cycle || h.h_satisfied
+  in
+  let max_cycles = if h.h_satisfied then 0 else max_cycles in
+  ignore (Testbench.run ~max_cycles ~until:observe sim bug.stimulus)
 
 let run_design ?(vcd = false) ?(vcd_from = 0) ?kernel ?max_cycles
     ?checkpoint_every ?on_checkpoint ?from_checkpoint (bug : t)
     (design : Ast.design) : report =
-  let max_cycles = Option.value max_cycles ~default:bug.max_cycles in
   with_simulator ?kernel bug design @@ fun sim ->
-  let p, start = resume sim from_checkpoint in
+  let h = resume sim from_checkpoint in
   let dump =
     if vcd then Some (Fpga_sim.Vcd.create (Simulator.flat sim)) else None
   in
-  let capture_checkpoint () =
-    match on_checkpoint with
-    | None -> ()
-    | Some f ->
-        f
-          (Simulator.save_checkpoint ~tag:bug.id
-             ~meta:
-               (meta_of_harness
-                  { h_rows = List.rev p.p_rows; h_ext = p.p_ext;
-                    h_satisfied = p.p_satisfied })
-             sim)
-  in
-  let i = ref start in
-  while !i < max_cycles && (not (Simulator.finished sim)) && not p.p_satisfied do
-    List.iter (fun (n, v) -> Simulator.set_input sim n v) (bug.stimulus !i);
-    Simulator.step sim;
-    (match dump with
-    | Some d when !i >= vcd_from -> Fpga_sim.Vcd.sample d sim
-    | _ -> ());
-    observe bug sim p !i;
-    (match checkpoint_every with
-    | Some every when every > 0 && (!i + 1) mod every = 0 ->
-        capture_checkpoint ()
-    | _ -> ());
-    incr i
-  done;
+  drive bug sim h
+    ~max_cycles:(Option.value max_cycles ~default:bug.max_cycles)
+    (fun cycle ->
+      (match dump with
+      | Some d when cycle >= vcd_from -> Fpga_sim.Vcd.sample d sim
+      | _ -> ());
+      (match (checkpoint_every, on_checkpoint) with
+      | Some every, Some f when every > 0 && (cycle + 1) mod every = 0 ->
+          f (Simulator.save_checkpoint ~tag:bug.id ~meta:(meta_of_harness h) sim)
+      | _ -> ());
+      false);
   {
-    stuck = (match bug.done_when with Some _ -> not p.p_satisfied | None -> false);
+    stuck = (match bug.done_when with Some _ -> not h.h_satisfied | None -> false);
     finished = Simulator.finished sim;
-    rows = List.rev p.p_rows;
-    ext_error = p.p_ext;
+    rows = List.rev h.h_rows;
+    ext_error = h.h_ext;
     log = Simulator.log sim;
-    cycles = !i;
+    cycles = Simulator.cycle sim;
     vcd = Option.map Fpga_sim.Vcd.contents dump;
   }
 

@@ -138,14 +138,14 @@ val with_simulator :
     show whether the list was warm. [f] must not keep the simulator
     after it returns. *)
 
-(** Harness state carried in checkpoint metadata — the observations the
-    loop in {!run_design} accumulates alongside the simulator. Exposed
-    so {!Replay} can probe a checkpoint's metadata without
-    deserializing or re-simulating anything. *)
+(** The harness observations of a run, which a checkpoint's metadata
+    carries (the rows in {!Fpga_sim.Testbench}'s text form). Exposed so
+    {!Replay} can probe a checkpoint's metadata without deserializing or
+    re-simulating anything, and scan a window with {!drive}. *)
 type harness = {
-  h_rows : (int * (string * int) list) list;  (** oldest first *)
-  h_ext : bool;
-  h_satisfied : bool;
+  mutable h_rows : (int * (string * int) list) list;  (** newest first *)
+  mutable h_ext : bool;  (** the external monitor has tripped *)
+  mutable h_satisfied : bool;  (** the completion condition has held *)
 }
 
 val harness_of_meta : (string * string) list -> harness
@@ -153,24 +153,21 @@ val harness_of_meta : (string * string) list -> harness
     {!Fpga_sim.Checkpoint.Checkpoint_error} when the metadata is
     malformed. *)
 
-(** The harness observations of a run in progress, rows newest first. *)
-type progress = {
-  mutable p_rows : (int * (string * int) list) list;
-  mutable p_ext : bool;
-  mutable p_satisfied : bool;
-}
+val resume : Fpga_sim.Simulator.t -> Fpga_sim.Checkpoint.t option -> harness
+(** [resume sim ck] restores [ck], when given, into [sim], which then
+    continues from the checkpoint's cycle, and returns the harness
+    observations it carries; without a checkpoint, empty
+    observations. *)
 
-val resume :
-  Fpga_sim.Simulator.t -> Fpga_sim.Checkpoint.t option -> progress * int
-(** [resume sim ck] restores [ck], when given, into [sim] and returns the
-    harness observations it carries and the cycle to continue from;
-    without a checkpoint, empty observations and cycle 0. *)
-
-val observe : t -> Fpga_sim.Simulator.t -> progress -> int -> unit
-(** [observe bug sim p cycle] records the bug's harness view of [cycle],
-    which [sim] has just completed: its output row, the external
-    monitor and the completion condition — the per-cycle step
-    {!run_design} takes after each [Simulator.step]. *)
+val drive :
+  t -> Fpga_sim.Simulator.t -> harness -> max_cycles:int ->
+  (int -> bool) -> unit
+(** [drive bug sim h ~max_cycles after] runs [bug]'s stimulus on [sim]
+    up to cycle [max_cycles] ({!Fpga_sim.Testbench.run}). After each
+    cycle [c] it records in [h] the bug's view of [c] (its output row,
+    the external monitor, the completion condition), then calls [after
+    c]; it stops once the completion condition has held or [after]
+    returns true. With [h.h_satisfied] already set it runs no cycle. *)
 
 val run : t -> buggy:bool -> report
 

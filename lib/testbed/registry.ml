@@ -43,7 +43,6 @@ let table2 : Bug.t list =
 
 let all = List.map tabulated table2
 
-let find id = List.find_opt (fun (b : Bug.t) -> b.Bug.id = id) all
 let ids = List.map (fun (b : Bug.t) -> b.Bug.id) all
 
 (* Bugs whose loss_spec makes them LossCheck targets. *)
@@ -65,16 +64,16 @@ let extended : Bug.t list = List.map tabulated extended_closures
 let all_with_extended = all @ extended
 let untabulated = table2 @ extended_closures
 
+let find id =
+  List.find_opt (fun (b : Bug.t) -> b.Bug.id = id) all_with_extended
+
 (* Resolve a list of ids (extended set included), preserving request
    order; the second component collects the unknown ids so a CLI can
    report them all at once. *)
 let find_many requested =
-  let find_any id =
-    List.find_opt (fun (b : Bug.t) -> b.Bug.id = id) all_with_extended
-  in
   List.fold_right
     (fun id (found, unknown) ->
-      match find_any id with
+      match find id with
       | Some b -> (b :: found, unknown)
       | None -> (found, id :: unknown))
     requested ([], [])

@@ -5,7 +5,6 @@
     change, over whatever window it runs. *)
 
 val all : Bug.t list
-val find : string -> Bug.t option
 val ids : string list
 
 val loss_bugs : Bug.t list
@@ -28,6 +27,9 @@ val all_with_extended : Bug.t list
     ({!Fpga_sim.Testbench.tabulate}), its own and each ground-truth
     one: tables that grow over every cycle a caller runs, however far
     past [max_cycles] or a ground-truth budget that is. *)
+
+val find : string -> Bug.t option
+(** The bug of {!all_with_extended} with this id (ids are unique). *)
 
 val untabulated : Bug.t list
 (** {!all_with_extended} as the bug modules define them, in the same

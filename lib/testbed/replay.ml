@@ -35,12 +35,8 @@ let record ?kernel ?(every = 50) ?max_cycles (bug : Bug.t) : recording =
 let replay ?kernel ?(vcd = true) ?window ~(from : Checkpoint.t) (bug : Bug.t) :
     Bug.report =
   Telemetry.span "replay.replay" @@ fun () ->
-  let max_cycles =
-    match window with
-    | Some w -> from.Checkpoint.ck_cycle + w
-    | None -> max bug.Bug.max_cycles from.Checkpoint.ck_cycle
-  in
-  Bug.run_design ?kernel ~vcd ~from_checkpoint:from ~max_cycles bug
+  let max_cycles = Option.map (( + ) from.Checkpoint.ck_cycle) window in
+  Bug.run_design ?kernel ~vcd ~from_checkpoint:from ?max_cycles bug
     (Bug.design_of bug ~buggy:true)
 
 type bisect_result = {
@@ -66,20 +62,21 @@ let bisect ?kernel ?(every = 50) (bug : Bug.t) : bisect_result =
      the completion clause compares against a run that has already
      stopped. *)
   let pre limit rows = List.filter (fun (c, _) -> c < limit) rows in
-  let failed ~cycle ~rows ~ext ~satisfied =
-    ext
+  let fixed_rows = List.rev fixed.Bug.rows in
+  (* [h]'s rows, like [fixed_rows], are newest first *)
+  let failed ~cycle (h : Bug.harness) =
+    h.Bug.h_ext
     || (let limit = min cycle fixed_end in
-        pre limit rows <> pre limit fixed.Bug.rows)
-    || (fixed_done && (not satisfied) && cycle >= fixed_end)
+        pre limit h.Bug.h_rows <> pre limit fixed_rows)
+    || (fixed_done && (not h.Bug.h_satisfied) && cycle >= fixed_end)
   in
   let probes = ref 0 in
   let failed_ck (ck : Checkpoint.t) =
     incr probes;
     Telemetry.Counter.incr probes_counter;
     Telemetry.Trace.instant ~cat:"replay" "bisect.probe";
-    let h = Bug.harness_of_meta ck.Checkpoint.ck_meta in
-    failed ~cycle:ck.Checkpoint.ck_cycle ~rows:h.Bug.h_rows ~ext:h.Bug.h_ext
-      ~satisfied:h.Bug.h_satisfied
+    failed ~cycle:ck.Checkpoint.ck_cycle
+      (Bug.harness_of_meta ck.Checkpoint.ck_meta)
   in
   (* The horizon is the last virtual cycle worth probing: observable
      state freezes when the buggy run stops, but the completion clause
@@ -89,8 +86,9 @@ let bisect ?kernel ?(every = 50) (bug : Bug.t) : bisect_result =
   incr probes;
   if
     not
-      (failed ~cycle:horizon ~rows:buggy.Bug.rows ~ext:buggy.Bug.ext_error
-         ~satisfied:end_satisfied)
+      (failed ~cycle:horizon
+         { Bug.h_rows = List.rev buggy.Bug.rows; h_ext = buggy.Bug.ext_error;
+           h_satisfied = end_satisfied })
   then
     {
       bi_first_failing = None;
@@ -114,39 +112,29 @@ let bisect ?kernel ?(every = 50) (bug : Bug.t) : bisect_result =
     let from = if !lo = 0 then None else Some cps.(!lo - 1) in
     let until = if !lo < n then cps.(!lo).Checkpoint.ck_cycle else horizon in
     (* fine: re-simulate from the last good snapshot, testing the
-       predicate after every completed cycle *)
+       predicate after every completed cycle, then (once the run has
+       stopped) as only reference time advances *)
     Bug.with_simulator ?kernel bug (Bug.design_of bug ~buggy:true)
     @@ fun sim ->
-    let p, start = Bug.resume sim from in
-    let replayed = ref 0 in
+    let h = Bug.resume sim from in
+    let start = Simulator.cycle sim in
     let first = ref None in
-    let c = ref (start + 1) in
+    let check cycle =
+      if !first = None && failed ~cycle h then first := Some cycle
+    in
     Telemetry.span "replay.bisect.resim" @@ fun () ->
-    while !first = None && !c <= until do
-      (* advance the simulation through cycle [c-1] unless the run has
-         already stopped (then only reference time advances) *)
-      if
-        (not (Simulator.finished sim))
-        && (not p.Bug.p_satisfied)
-        && !c - 1 < bug.Bug.max_cycles
-      then (
-        List.iter
-          (fun (nm, v) -> Simulator.set_input sim nm v)
-          (bug.Bug.stimulus (!c - 1));
-        Simulator.step sim;
-        incr replayed;
-        Bug.observe bug sim p (!c - 1));
-      if
-        failed ~cycle:!c ~rows:(List.rev p.Bug.p_rows) ~ext:p.Bug.p_ext
-          ~satisfied:p.Bug.p_satisfied
-      then first := Some !c
-      else incr c
+    Bug.drive bug sim h ~max_cycles:(min until bug.Bug.max_cycles) (fun cycle ->
+        check (cycle + 1);
+        !first <> None);
+    let replayed = Simulator.cycle sim - start in
+    for c = Simulator.cycle sim + 1 to until do
+      check c
     done;
     {
       bi_first_failing = !first;
       bi_checkpoints = n;
       bi_probes = !probes;
-      bi_replayed_cycles = !replayed;
+      bi_replayed_cycles = replayed;
       bi_detail =
         (match !first with
         | Some c ->
@@ -154,7 +142,7 @@ let bisect ?kernel ?(every = 50) (bug : Bug.t) : bisect_result =
               "first failing cycle %d: %d-checkpoint stream (every %d \
                cycles), %d metadata probes, %d cycles re-simulated from \
                cycle %d"
-              c n every !probes !replayed start
+              c n every !probes replayed start
         | None ->
             Printf.sprintf
               "divergence detected at the horizon but not localized \

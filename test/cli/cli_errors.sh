@@ -5,6 +5,8 @@
 # stderr:
 #   - `sim` on malformed sources and stimulus inputs, and the file
 #     modes of `lint` and `losscheck`, which load a design the same way;
+#   - `sim` applying two stimulus rows for one cycle in file order, and
+#     stopping at `$finish` (its VCD timestamps strictly increase);
 #   - every command that writes a file (`vcd`, `replay`, `checkpoint`,
 #     `instrument -o`, `export -o`, `profile --json`, and the `--json`
 #     and `--trace` files of `campaign` and `fuzz`) writing into a
@@ -48,6 +50,9 @@ check comb_cycle.v 5 "comb_cycle.v: combinational cycle through a, b"
 check unbound_signal.v 6 "unbound_signal.v: unbound signal z"
 check counter.v 7 "unknown_signal.stim:2: no signal nosuch" --stim "$dir/unknown_signal.stim"
 check counter.v 7 'bad_value.stim:3: bad value "zz"' --stim "$dir/bad_value.stim"
+check counter.v 7 'not_at.stim:2: expected @CYCLE, got "d=1"' --stim "$dir/not_at.stim"
+check counter.v 7 'no_equals.stim:3: bad binding "d"' --stim "$dir/no_equals.stim"
+check counter.v 7 'neg_cycle.stim:2: bad cycle "-1"' --stim "$dir/neg_cycle.stim"
 check counter.v 7 "--watch: no signal nosuch" --watch q,nosuch
 expect "lint syntax" 3 "missing_semicolon.v:4: " lint "$dir/missing_semicolon.v"
 losscheck_file() {
@@ -61,6 +66,12 @@ losscheck_file "bad value" 7 'bad_value.stim:3: bad value "zz"' counter.v \
   --stim "$dir/bad_value.stim"
 losscheck_file "unknown signal" 7 "unknown_signal.stim:2: no signal nosuch" \
   counter.v --stim "$dir/unknown_signal.stim"
+losscheck_file "no @" 7 'not_at.stim:2: expected @CYCLE, got "d=1"' counter.v \
+  --stim "$dir/not_at.stim"
+losscheck_file "no =" 7 'no_equals.stim:3: bad binding "d"' counter.v \
+  --stim "$dir/no_equals.stim"
+losscheck_file "negative cycle" 7 'neg_cycle.stim:2: bad cycle "-1"' counter.v \
+  --stim "$dir/neg_cycle.stim"
 losscheck_file "missing stim" 124 "option '--stim'" \
   counter.v --stim "$tmp/none.stim"
 losscheck_file "missing top" 4 "counter.v: top module nope not found" counter.v \
@@ -68,6 +79,19 @@ losscheck_file "missing top" 4 "counter.v: top module nope not found" counter.v 
 expect "losscheck --source" 7 "--source: no signal nosuch" \
   losscheck "$dir/counter.v" --source nosuch --valid d --sink q
 
+# Two rows for one cycle apply in file order: the later d=2 wins.
+want=$'cycle   0: q = 1\ncycle   1: q = 2\ncycle   2: q = 4\ncycle   3: q = 6'
+got=$("$exe" sim "$dir/counter.v" --cycles 4 --watch q --stim "$dir/repeat.stim")
+if [ "$got" != "$want" ]; then
+  echo "FAIL sim repeat.stim: got '$got', want '$want'" >&2
+  fail=1
+fi
+# A run stops at $finish: no VCD timestamp repeats after it.
+if ! "$exe" sim "$dir/finish.v" --cycles 8 --vcd "$tmp/finish.vcd" >/dev/null \
+  || ! grep '^#' "$tmp/finish.vcd" | tr -d '#' | sort -n -c -u; then
+  echo "FAIL sim finish.v --vcd: timestamps do not strictly increase" >&2
+  fail=1
+fi
 missing=$tmp/missing
 expect "vcd -o" 7 "^$missing/x.vcd: " vcd D2 -o "$missing/x.vcd"
 expect "checkpoint -o" 7 "^$missing/ck: " checkpoint D2 --every 50 -o "$missing/ck"

@@ -145,8 +145,9 @@ let test_rejects_malformed_harness () =
   | _ -> Alcotest.fail "malformed harness rows accepted"
 
 (* Every malformed shape of the harness rows raises the one pinned
-   [Checkpoint_error], directly from the decoder: a bad cycle or value,
-   a binding without [=], an entry without or with too many [:]. *)
+   [Checkpoint_error], directly from the decoder: a row without [@], a
+   bad or negative cycle, a bad value, a binding without [=] or without
+   a name, and the rows of the earlier "cycle:name=value;..." form. *)
 let test_malformed_harness_pinned () =
   let pinned = "checkpoint carries malformed harness metadata" in
   List.iter
@@ -155,13 +156,15 @@ let test_malformed_harness_pinned () =
       | exception Checkpoint.Checkpoint_error msg ->
           check_string ("message for " ^ rows) pinned msg
       | _ -> Alcotest.failf "malformed harness rows %S accepted" rows)
-    [ "x:y=1"; "3:y=z"; "3:y"; "3:y=1=2"; "3"; "3:a=1:b"; "1:a=1;;" ];
+    [ "x:y=1"; "3:y=z"; "3:y"; "3:y=1=2"; "3"; "3:a=1:b"; "1:a=1;;";
+      "0:a=1"; "@x y=1"; "@3 y=z"; "@3 y"; "@3 y=1=2"; "@3 =1"; "@-1 a=1";
+      "@"; "@0 a=1\n5 b=2" ];
   let h =
     Bug.harness_of_meta
-      [ ("harness.rows", "0:a=1,b=-2;5:"); ("harness.ext", "1") ]
+      [ ("harness.rows", "@0 a=1 b=-2\n@5\n"); ("harness.ext", "1") ]
   in
-  check_bool "well-formed rows decode" true
-    (h.Bug.h_rows = [ (0, [ ("a", 1); ("b", -2) ]); (5, []) ]
+  check_bool "well-formed rows decode, newest first" true
+    (h.Bug.h_rows = [ (5, []); (0, [ ("a", 1); ("b", -2) ]) ]
     && h.Bug.h_ext && not h.Bug.h_satisfied)
 
 let test_load_missing_file () =

@@ -2579,9 +2579,30 @@ let test_tabulate_race_blocks () =
     List.iter (check_rows "domains racing through block boundaries" expected) rows
   done
 
+(* --- rows as text --------------------------------------------------- *)
+
+(* The reader returns the rows the printer wrote: empty rows, repeated
+   cycles and names, and any int value included. *)
+let prop_rows_round_trip =
+  let name =
+    QCheck2.Gen.(
+      map2
+        (fun c rest -> String.make 1 c ^ rest)
+        (char_range 'a' 'z')
+        (string_size ~gen:(oneofl [ 'a'; 'z'; '_'; '0'; '9' ]) (int_bound 6)))
+  in
+  QCheck2.Test.make ~count:200 ~name:"rows: print then read is the identity"
+    QCheck2.Gen.(
+      list_size (int_bound 8)
+        (pair (int_bound 20) (list_size (int_bound 4) (pair name int))))
+    (fun rows ->
+      Testbench.read_rows ~check:(fun _ -> None) (Testbench.print_rows rows)
+      = rows)
+
 let suite =
   suite
   @ [
+      QCheck_alcotest.to_alcotest prop_rows_round_trip;
       Alcotest.test_case "tabulate: duplicate names in one row" `Quick
         test_tabulate_duplicates;
       Alcotest.test_case "tabulate: a name first seen late" `Quick
