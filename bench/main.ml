@@ -108,16 +108,29 @@ let bench_design bd_id bd_top bd_src bd_stim =
   let bd_elaborate = elaborator bd_src ~top:bd_top in
   { bd_id; bd_top; bd_src; bd_stim; bd_elaborate; bd_flat = bd_elaborate () }
 
+(* D2 with the debug recipe's on-FPGA instrumentation, printed back to
+   Verilog: SignalCat's recorder stages one wide concat of every
+   monitor's constraint and arguments per cycle, beside a per-cycle
+   counter. *)
+let recorder_src (bug : Bug.t) =
+  let r = Fpga_testbed.Recipe.apply ~buffer_depth:2048 bug in
+  let design = Bug.design_of bug ~buggy:true in
+  let top = Option.get (Fpga_hdl.Ast.find_module design bug.Bug.top) in
+  Fpga_hdl.Pp_verilog.design_to_string
+    (Fpga_hdl.Ast.replace_module design top r.Fpga_testbed.Recipe.on_fpga)
+
 let bench_designs () =
   let of_bug id =
     let bug = Option.get (Registry.find id) in
     bench_design id bug.Bug.top bug.Bug.buggy_src bug.Bug.stimulus
   in
+  let d2 = Option.get (Registry.find "D2") in
   let const_d v =
     Fpga_sim.Testbench.const_stimulus [ ("d", Bits.of_int ~width:8 v) ]
   in
   [
     of_bug "D2";  (* grayscale converter *)
+    bench_design "D2-REC" d2.Bug.top (recorder_src d2) d2.Bug.stimulus;
     of_bug "D4";  (* frame FIFO *)
     of_bug "D8";  (* AXI-stream switch (packet router) *)
     bench_design "IDLE64" "idle" (idle_design_src 64) (const_d 42);

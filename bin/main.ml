@@ -38,7 +38,15 @@ let out_arg =
   Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Output file")
 
 let buffer_arg =
-  Arg.(value & opt int 8192 & info [ "buffer" ] ~docv:"DEPTH" ~doc:"Recording buffer depth (power of two)")
+  let depth =
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n >= 1 && n land (n - 1) = 0 -> Ok n
+      | _ -> Error (`Msg (Printf.sprintf "%S is not a buffer depth (a power of two >= 1)" s))
+    in
+    Arg.conv ~docv:"DEPTH" (parse, Format.pp_print_int)
+  in
+  Arg.(value & opt depth 8192 & info [ "buffer" ] ~docv:"DEPTH" ~doc:"Recording buffer depth (power of two)")
 
 (* Shared structured-tracing surface: --trace FILE turns the
    Telemetry.Trace layer on around the command's computation and

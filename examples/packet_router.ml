@@ -120,14 +120,15 @@ let run_and_count src =
   let design = Fpga_hdl.Parser.parse_design src in
   let sim = Testbench.of_design ~top:"router" design in
   let forwarded = ref [] in
-  for i = 0 to 40 do
-    List.iter (fun (n, v) -> Simulator.set_input sim n v) (stimulus i);
-    Simulator.step sim;
+  (* [until] observes each cycle and never holds: the run takes all 41 *)
+  let observe sim =
     if Simulator.read_int sim "out_valid" = 1 then
       forwarded :=
         (Simulator.read_int sim "out_port", Simulator.read_int sim "out_data")
-        :: !forwarded
-  done;
+        :: !forwarded;
+    false
+  in
+  ignore (Testbench.run ~max_cycles:41 ~until:observe sim stimulus);
   List.rev !forwarded
 
 let () =

@@ -46,10 +46,7 @@ let () =
 
   print_endline "\n== 2. Simulate directly ==";
   let sim = Testbench.of_design ~top:"counter" design in
-  for cycle = 0 to 20 do
-    List.iter (fun (n, v) -> Simulator.set_input sim n v) (stimulus cycle);
-    Simulator.step sim
-  done;
+  ignore (Testbench.run ~max_cycles:21 sim stimulus);
   Printf.printf "count after 21 cycles: %d\n" (Simulator.read_int sim "count");
 
   print_endline "\n== 3. Unified logging with SignalCat ==";

@@ -114,6 +114,9 @@ type walk =
           not the targets themselves *)
   | Touches  (** both *)
 
+val exprs_ids : (int -> unit) -> cexpr list -> unit
+(** Every id the expressions read, as the [Reads] walk meets them. *)
+
 val stmt_ids : walk -> (int -> unit) -> cstmt -> unit
 val stmts_ids : walk -> (int -> unit) -> cstmt list -> unit
 val node_ids : walk -> cnode -> int list

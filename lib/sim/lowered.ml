@@ -16,7 +16,12 @@
    closures. A wide concat (total > 63 bits) builds one fresh vector
    per evaluation with [Bits.pack], from runs of adjacent immediate
    parts (at most 63 bits each, laid out at compile time) and blits of
-   its wide parts. A comparison between an immediate signal and an
+   its wide parts. Each run of two or more parts is memoised: it keeps
+   its last pattern and re-evaluates only after [notify] reports a
+   change to an id it reads, or after [mark_all]. Evaluation is pure
+   and every write that can change a read id notifies (restores and
+   [reset] store raw, then [mark_all]), so the cached pattern is always
+   the one evaluation would give. A comparison between an immediate signal and an
    immediate signal or a constant that fits 63 bits is one closure over
    [ints]. [&&]/[||] over two width-1 immediates is one closure over
    the raw 0/1 patterns.
@@ -28,8 +33,9 @@
    edge runs a group only if something it reads or writes changed
    since it last ran, or if it has no flag ($display, $finish, a target
    another block writes on the same edge). A skipped group would only
-   have queued writes that change nothing. Both kinds of flag are set
-   by the one [notify] every write path calls on a change.
+   have queued writes that change nothing. These flags and the concat
+   runs' are set by the one [notify] every write path calls on a
+   change.
 
    Semantics are bit-identical to [Compiled.eval_ctx] /
    [Simulator.exec_stmt]: the same Verilog context-width rules, the
@@ -116,6 +122,15 @@ type pend =
   | Pmask of int * int * int  (* id, insert mask, pre-shifted pattern *)
   | Pboxed of Compiled.cwrite
 
+(* One immediate run of a wide concat, memoised per instance: the
+   pattern it last evaluated to, and whether an id it reads changed
+   since ([notify] or [mark_all] sets the flag). *)
+type memo = { mutable m_dirty : bool; mutable m_pat : int }
+
+(* An instance's memoised runs: collected, each with the ids it reads,
+   while [create] lowers, then fixed. *)
+type memos = Lowering of (memo * int list) list | Memos of memo array
+
 type t = {
   env : Compiled.env;  (* boxed bank: wide vecs + all memories *)
   ints : int array;  (* immediate bank, indexed by signal id *)
@@ -145,6 +160,7 @@ type t = {
   cdirty : bool array;  (* per-closure pending flag *)
   mutable ncdirty : int;
   disp_closures : int list;  (* closures containing $display (shared) *)
+  mutable memos : memos;  (* the memoised wide-concat runs *)
   stats : stats;  (* shared *)
   runs : run_stats;
 }
@@ -230,39 +246,77 @@ let bool_ex f = Eint (1, fun () -> if f () then 1 else 0)
    immediate. *)
 let pack_ints p0 rest =
   let f0 = int_fn p0 in
-  match List.map (fun p -> (ex_width p, int_fn p)) rest with
+  match rest with
   | [] -> f0
-  | rest ->
-      fun () -> List.fold_left (fun acc (w, f) -> (acc lsl w) lor f ()) (f0 ()) rest
+  | [ p1 ] ->
+      let w1 = ex_width p1 and f1 = int_fn p1 in
+      fun () -> (f0 () lsl w1) lor f1 ()
+  | _ ->
+      let rest = Array.of_list rest in
+      let ws = Array.map ex_width rest and fs = Array.map int_fn rest in
+      fun () ->
+        let acc = ref (f0 ()) in
+        for k = 0 to Array.length fs - 1 do
+          acc := (!acc lsl ws.(k)) lor fs.(k) ()
+        done;
+        !acc
+
+(* [f], the pattern of a concat run over the parts [es], memoised while
+   [create] lowers, which records the ids the parts read. A reader
+   lowered later ([input_fn]) is not memoised: [notify] is fixed by
+   then. *)
+let memo_run st es f =
+  match st.memos with
+  | Memos _ -> f
+  | Lowering ms ->
+      let reads = ref [] in
+      Compiled.exprs_ids (fun i -> if not (List.mem i !reads) then reads := i :: !reads) es;
+      let m = { m_dirty = true; m_pat = 0 } in
+      st.memos <- Lowering ((m, !reads) :: ms);
+      fun () ->
+        if m.m_dirty then (
+          let p = f () in
+          m.m_pat <- p;
+          m.m_dirty <- false;
+          p)
+        else m.m_pat
 
 (* The [Bits.pack] layout of a wide concat ([total > 63], every part at
-   least 1 bit wide): adjacent immediate parts group greedily, MSB first,
-   into runs of at most 63 bits, each one [Fint] of their shift-or fold;
-   wide parts are [Fvec]s. Fields stay in MSB-first order, so parts
-   evaluate in the order [Bits.concat] would see them. *)
-let concat_fields parts total =
+   least 1 bit wide) of the compiled parts [es], lowered to [parts]:
+   adjacent immediate parts group greedily, MSB first, into runs of at
+   most 63 bits, each one [Fint] of their shift-or fold; wide parts are
+   [Fvec]s. A run of two or more parts is memoised ([memo_run]); one
+   part alone is the part's own closure. Fields stay in MSB-first
+   order, so parts evaluate in the order [Bits.concat] would see
+   them. *)
+let concat_fields st es parts total =
   let fields = ref [] in
-  let flush run lo =
+  let flush run k0 lo =
     match List.rev run with
     | [] -> ()
-    | p0 :: rest -> fields := Bits.Fint (lo, pack_ints p0 rest) :: !fields
+    | [ p ] -> fields := Bits.Fint (lo, int_fn p) :: !fields
+    | p0 :: rest as ps ->
+        let n = List.length ps in
+        let run_es = List.filteri (fun k _ -> k >= k0 && k < k0 + n) es in
+        fields := Bits.Fint (lo, memo_run st run_es (pack_ints p0 rest)) :: !fields
   in
-  (* [hi]: bit offset just above the next part; [run]/[rw]: the open run
-     (reversed) and its width *)
-  let rec go hi run rw = function
-    | [] -> flush run hi
+  (* [hi]: bit offset just above part [k]; [run]/[k0]/[rw]: the open
+     run's lowered parts (reversed), the index of its first part in
+     [es], and its width *)
+  let rec go hi k run k0 rw = function
+    | [] -> flush run k0 hi
     | p :: rest ->
         let w = ex_width p in
         if not (Imm.fits w) then (
-          flush run hi;
+          flush run k0 hi;
           fields := Bits.Fvec (hi - w, bits_fn p) :: !fields;
-          go (hi - w) [] 0 rest)
-        else if rw + w <= Imm.max_width then go (hi - w) (p :: run) (rw + w) rest
+          go (hi - w) (k + 1) [] (k + 1) 0 rest)
+        else if rw + w <= Imm.max_width then go (hi - w) (k + 1) (p :: run) k0 (rw + w) rest
         else (
-          flush run hi;
-          go (hi - w) [ p ] w rest)
+          flush run k0 hi;
+          go (hi - w) (k + 1) [ p ] k w rest)
   in
-  go total [] 0 parts;
+  go total 0 [] 0 0 parts;
   Array.of_list (List.rev !fields)
 
 (* Compare operands read straight from the immediate bank or held as
@@ -417,7 +471,7 @@ let rec lex st ~ctx (e : Compiled.cexpr) : ex =
           (* built at the context width directly: the zero-extension is
              just the unfilled top of the fresh vector *)
           let w = max total ctx in
-          let fields = concat_fields parts total in
+          let fields = concat_fields st es parts total in
           Ebits (w, fun () -> Bits.pack w fields)
       | _ ->
           (* a part of width < 1 raises when evaluated, as reference *)
@@ -908,16 +962,26 @@ let rec mark_groups gdirty = function
       Array.unsafe_set gdirty g true;
       mark_groups gdirty tl
 
-(* Every closure and every sequential group pending (checkpoint
-   restore, [reset]): values written without notification must be
-   re-read by everything. The superset is safe: re-running a clean
-   closure or group is a no-op. [cdirty] has at least one slot, but an
-   empty plan has nothing pending: the count is the plan's, as [create]
-   leaves it. *)
+let rec mark_memos = function
+  | [] -> ()
+  | m :: tl ->
+      m.m_dirty <- true;
+      mark_memos tl
+
+(* Every closure, sequential group and memoised concat run pending
+   (checkpoint restore, [reset]): values written without notification
+   must be re-read by everything. The superset is safe: re-running a
+   clean closure or group is a no-op, and a clean run re-evaluates to
+   the pattern it caches. [cdirty] has at least one slot, but an empty plan
+   has nothing pending: the count is the plan's, as [create] leaves
+   it. *)
 let mark_all st =
   Array.fill st.cdirty 0 (Array.length st.cdirty) true;
   st.ncdirty <- Array.length st.plan;
-  Array.fill st.gdirty 0 (Array.length st.gdirty) true
+  Array.fill st.gdirty 0 (Array.length st.gdirty) true;
+  match st.memos with
+  | Memos ms -> Array.iter (fun m -> m.m_dirty <- true) ms
+  | Lowering _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Scheduling plan                                                      *)
@@ -1174,6 +1238,7 @@ let create p ~env ~finished ~runs ~notify:ext =
       cdirty = Array.make (max nclosures 1) true;
       ncdirty = nclosures;
       disp_closures = p.l_disp;
+      memos = Lowering [];
       stats = p.l_stats;
       runs;
     }
@@ -1184,19 +1249,33 @@ let create p ~env ~finished ~runs ~notify:ext =
       let c = lower_node st node and k = p.l_cidx.(r) in
       st.plan.(k) <- (if r > 0 && p.l_cidx.(r - 1) = k then seq2 st.plan.(k) c else c))
     p.l_nodes;
-  List.iter
-    (fun e ->
-      Array.iteri
-        (fun k stmts -> e.e_run.(k) <- lseq st ~in_comb:false stmts)
-        e.e_seq.se_stmts)
-    [ st.seq_pos; st.seq_neg ];
+  let lower_edge e =
+    Array.iteri (fun k stmts -> e.e_run.(k) <- lseq st ~in_comb:false stmts) e.e_seq.se_stmts
+  in
+  lower_edge st.seq_pos;
+  lower_edge st.seq_neg;
   let csens = st.csens and gdirty = st.gdirty and gsens = st.gsens in
-  st.notify <-
-    (fun i ->
-      ext i;
-      mark_closures st csens.(i);
-      mark_groups gdirty gsens.(i));
-  st
+  match st.memos with
+  | Memos _ | Lowering [] ->
+      st.memos <- Memos [||];
+      st.notify <-
+        (fun i ->
+          ext i;
+          mark_closures st csens.(i);
+          mark_groups gdirty gsens.(i));
+      st
+  | Lowering ms ->
+      (* signal id -> the memoised runs reading it, for this instance *)
+      let msens = Array.make (Array.length st.ints) [] in
+      List.iter (fun (m, reads) -> List.iter (fun i -> msens.(i) <- m :: msens.(i)) reads) ms;
+      st.memos <- Memos (Array.of_list (List.rev_map fst ms));
+      st.notify <-
+        (fun i ->
+          ext i;
+          mark_closures st csens.(i);
+          mark_groups gdirty gsens.(i);
+          mark_memos msens.(i));
+      st
 
 (* Back to the run state [create] leaves, once the caller has returned
    [env] to its initial values: the immediate bank re-seeded from it,

@@ -15,8 +15,11 @@
     closure-level sensitivity index (change-driven skipping composed
     with closure-array dispatch). Sequential blocks run by statement
     group, and a group nothing of which changed since it last ran is
-    skipped ({!run_edge}). One change callback, fixed at {!create},
-    sets both kinds of flag.
+    skipped ({!run_edge}). Each immediate run of two or more parts in a
+    wide concat keeps its last pattern and re-evaluates only once an id
+    it reads changed.
+    One change callback, fixed at {!create}, sets all three kinds of
+    flag.
 
     Semantics are bit-identical to the reference executor: same width
     rules, same out-of-range index handling, same non-blocking commit
@@ -143,9 +146,10 @@ val commit : t -> unit
 (** {1 Dirty-set scheduling} *)
 
 val mark_all : t -> unit
-(** Set every closure and sequential group pending, as {!create} leaves
-    them (checkpoint restore, {!reset}): values written without
-    notification must be re-read by everything. *)
+(** Set every closure, sequential group and memoised wide-concat run
+    pending, as {!create} leaves them (checkpoint restore, {!reset}):
+    values written without notification must be re-read by
+    everything. *)
 
 val reset : t -> unit
 (** Return the run state to what {!create} leaves, after the caller has

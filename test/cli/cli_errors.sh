@@ -11,9 +11,10 @@
 #     `instrument -o`, `export -o`, `profile --json`, and the `--json`
 #     and `--trace` files of `campaign` and `fuzz`) writing into a
 #     missing directory;
-#   - `vcd --from` below zero and `campaign --sweep` off a list of
-#     positive integers (usage errors), and `vcd --from` past the end of
-#     the run (a header-only waveform and a note, exit 0).
+#   - `vcd --from` below zero, `campaign --sweep` off a list of
+#     positive integers and `instrument --buffer` off the powers of two
+#     (usage errors), and `vcd --from` past the end of the run (a
+#     header-only waveform and a note, exit 0).
 # Failures go to stderr and make the script exit 1.
 #
 #   bash test/cli/cli_errors.sh path/to/main.exe [dir-of-sources]
@@ -121,6 +122,8 @@ if [ -e "$tmp/neg.vcd" ]; then
   fail=1
 fi
 expect "campaign --sweep abc" 124 "option '--sweep'" campaign --sweep abc
+expect "instrument --buffer 3" 124 "option '--buffer'" instrument D2 --buffer 3
+expect "instrument --buffer 0" 124 "option '--buffer'" instrument D2 --buffer 0
 expect "vcd --from past the end" 0 "past the last simulated cycle" \
   vcd D2 --from 100000 -o "$tmp/late.vcd"
 if [ "$(tail -n 1 "$tmp/late.vcd")" != '$enddefinitions $end' ]; then

@@ -2337,6 +2337,83 @@ let suite =
       Alcotest.test_case "skip: run and skip counters" `Quick test_skip_counters;
     ]
 
+(* --- memoised wide-concat runs ------------------------------------------- *)
+
+(* A wide concat's immediate runs re-evaluate only after an id they read
+   changes. [stage] and [q] mix a per-cycle counter with fields that move
+   rarely: a register, an input, a comparison of the two, a memory word,
+   a slice of a wide register and a constant. [stage]'s runs are
+   {ra, b, ra != a}, {24'hc0ffee, m[k]} and {cyc}, with [wide] between
+   them; [q]'s are {ra, b}, {wide[41:0], m[k]} and {cyc}. *)
+let memo_src =
+  {|
+module top (input clk, input [7:0] a, input [15:0] b, input [1:0] k,
+            output [170:0] o, output [117:0] q);
+  reg [31:0] cyc = 32'd0;
+  reg [7:0] ra = 8'd0;
+  reg [69:0] wide = 70'd1;
+  reg [19:0] m [0:3];
+  reg [170:0] stage = 171'd0;
+  assign q = {ra, b, wide[41:0], m[k], cyc};
+  assign o = stage;
+  always @(posedge clk) begin
+    cyc <= cyc + 32'd1;
+    ra <= a;
+    if (a[0]) m[k] <= {a, b[11:0]};
+    if (b[15]) wide <= {wide[68:0], wide[69]};
+    stage <= {ra, b, (ra != a), wide, 24'hc0ffee, m[k], cyc};
+  end
+endmodule
+|}
+
+(* Both kernels take one path: pokes before every step (inputs, and at
+   cycle 17 the register [ra]), a checkpoint taken at cycle 16 and
+   restored into the same instance at cycle 40, then [Simulator.reset]
+   and a second run. Every signal and memory must agree after every
+   step. The restore writes values without notification: [ra] goes from
+   0x87 back to 0x42 while the first steps after it poke [a] and [b]
+   with the values they already hold, so only [mark_all] makes the
+   runs reading them evaluate again. *)
+let test_memo_concat_runs () =
+  let flat = Elaborate.elaborate (Parser.parse_design memo_src) ~top:"top" in
+  let drive sim c =
+    set sim "a" 8 (if c < 12 then 0x11 else if c < 25 then 0x42 else 0x87);
+    set sim "b" 16 (if c mod 9 < 4 then 0x8001 else 0x0300 + (c / 9));
+    set sim "k" 2 (c / 7);
+    if c = 17 then set sim "ra" 8 0x5a
+  in
+  let run kernel =
+    let sim = Simulator.create ~kernel flat in
+    let states = ref [] in
+    let steps lo hi =
+      for c = lo to hi do
+        drive sim c;
+        Simulator.step sim;
+        states := signal_state flat sim :: !states
+      done
+    in
+    steps 0 15;
+    let ck = Simulator.save_checkpoint sim in
+    steps 16 39;
+    Simulator.restore_checkpoint sim ck;
+    steps 16 39;
+    Simulator.reset sim;
+    steps 0 29;
+    List.rev !states
+  in
+  let lt = run Simulator.Lowered_dirty and bt = run Simulator.Brute_force in
+  check_int "steps" (16 + 24 + 24 + 30) (List.length lt);
+  List.iteri
+    (fun n (l, b) -> if l <> b then Alcotest.failf "memo: values diverge at step %d" n)
+    (List.combine lt bt)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "memo: wide concat runs through poke, restore and reset"
+        `Quick test_memo_concat_runs;
+    ]
+
 (* A cycle through an always-star block that writes a vector bit by
    index: the block reads the index and the right-hand side, not the
    vector it writes, and the cycle names every signal of the node the

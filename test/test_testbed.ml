@@ -606,11 +606,38 @@ let test_recorder_allocation () =
     (Printf.sprintf "%.0f minor words per cycle <= 263" per_cycle)
     true (per_cycle <= 263.)
 
+(* The recorder's staged concat evaluates through memoised runs, and a
+   checkpoint restore writes values without notification. D2's on-FPGA
+   design, run to the end, restored into the same instance at cycle 20
+   (mid-frame: its monitored registers then differ from their final
+   values) and run to the end again, must still read back the
+   Simulation-mode log. *)
+let test_recorder_restore () =
+  let bug = Option.get (Registry.find "D2") in
+  let r = Fpga_testbed.Recipe.apply ~buffer_depth:1024 bug in
+  let design = Bug.design_of bug ~buggy:true in
+  let sim =
+    Fpga_sim.Testbench.of_design ~kernel:Simulator.Lowered_dirty ~top:bug.Bug.top
+      (substitute design r.Fpga_testbed.Recipe.on_fpga)
+  in
+  let run max_cycles = ignore (Fpga_sim.Testbench.run ~max_cycles sim bug.Bug.stimulus) in
+  run 20;
+  let ck = Simulator.save_checkpoint sim in
+  run bug.Bug.max_cycles;
+  Simulator.restore_checkpoint sim ck;
+  run bug.Bug.max_cycles;
+  Alcotest.(check (list (pair int string)))
+    "on-FPGA log after a restore equals the simulation-mode log"
+    (signalcat_log ~kernel:Simulator.Brute_force ~mode:Fpga_debug.Signalcat.Simulation
+       bug r.Fpga_testbed.Recipe.with_monitors design)
+    (Fpga_debug.Signalcat.reconstruct r.Fpga_testbed.Recipe.signalcat_plan sim)
+
 let suite =
   suite
   @ [
       Alcotest.test_case "recorder allocation ceiling" `Quick
         test_recorder_allocation;
+      Alcotest.test_case "recorder log after a restore" `Quick test_recorder_restore;
     ]
 
 (* --- the process-wide parse memo ------------------------------------------ *)
