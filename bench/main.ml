@@ -25,7 +25,7 @@ module Registry = Fpga_testbed.Registry
 module Bits = Fpga_bits.Bits
 module Simulator = Fpga_sim.Simulator
 module Telemetry = Fpga_telemetry.Telemetry
-module Json = Fpga_telemetry.Trace_export
+module Json = Fpga_telemetry.Json
 
 type bench_design = {
   bd_id : string;
@@ -498,104 +498,87 @@ let campaign_benches () =
 let schema = "fpga-debug-bench/13"
 
 let json_of_results results lowerings bits telem overheads campaigns reuses =
-  let row = Printf.sprintf in
-  let sections =
-    [
+  let open Json in
+  Obj
+    [ ("schema", Str schema);
       (* "speedup" is lowered-dirty, the kernel [Simulator.create]
          builds, over brute force, both best batches of one run *)
       ( "designs",
-        List.map
+        rows
           (fun r ->
-            row
-              "{\"id\": %S, \"top\": %S, \"parse_per_sec\": %.1f, \
-               \"elaborate_per_sec\": %.1f, \"sim_cycles_per_sec_brute\": \
-               %.1f, \"sim_cycles_per_sec_lowered_dirty\": %.1f, \
-               \"speedup\": %.2f}"
-              r.br_id r.br_top r.br_parse_per_sec r.br_elaborate_per_sec
-              r.br_brute_cps r.br_ldirty_cps
-              (r.br_ldirty_cps /. r.br_brute_cps))
+            [ ("id", Str r.br_id); ("top", Str r.br_top);
+              ("parse_per_sec", fixed 1 r.br_parse_per_sec);
+              ("elaborate_per_sec", fixed 1 r.br_elaborate_per_sec);
+              ("sim_cycles_per_sec_brute", fixed 1 r.br_brute_cps);
+              ("sim_cycles_per_sec_lowered_dirty", fixed 1 r.br_ldirty_cps);
+              ("speedup", fixed 2 (r.br_ldirty_cps /. r.br_brute_cps)) ])
           results );
       ( "lowering",
-        List.map
+        rows
           (fun l ->
-            row
-              "{\"design\": %S, \"compile_ms\": %.3f, \"nodes\": %d, \
-               \"closures\": %d, \"fused\": %d, \"imm_signals\": %d, \
-               \"boxed_signals\": %d, \"seq_blocks\": %d}"
-              l.lo_design l.lo_compile_ms l.lo_nodes l.lo_closures l.lo_fused
-              l.lo_imm l.lo_boxed l.lo_seq)
+            [ ("design", Str l.lo_design);
+              ("compile_ms", fixed 3 l.lo_compile_ms);
+              ("nodes", Int l.lo_nodes); ("closures", Int l.lo_closures);
+              ("fused", Int l.lo_fused); ("imm_signals", Int l.lo_imm);
+              ("boxed_signals", Int l.lo_boxed); ("seq_blocks", Int l.lo_seq) ])
           lowerings );
       (* "ratio" is the op's rate over the 32-bit add's, same run *)
       ( "bits_ops",
-        List.map
+        rows
           (fun b ->
-            row "{\"op\": %S, \"width\": %d, \"ops_per_sec\": %.1f, \"ratio\": %.4f}"
-              b.bb_op b.bb_width b.bb_ops_per_sec b.bb_ratio)
+            [ ("op", Str b.bb_op); ("width", Int b.bb_width);
+              ("ops_per_sec", fixed 1 b.bb_ops_per_sec);
+              ("ratio", fixed 4 b.bb_ratio) ])
           bits );
       ( "telemetry",
-        List.map
+        rows
           (fun t ->
-            row
-              "{\"design\": %S, \"settles\": %d, \"node_rounds\": %d, \
-               \"nodes_evaluated\": %d, \"kernel_efficiency\": %.4f}"
-              t.ts_design t.ts_settles t.ts_node_rounds t.ts_nodes_evaluated
-              t.ts_efficiency)
+            [ ("design", Str t.ts_design); ("settles", Int t.ts_settles);
+              ("node_rounds", Int t.ts_node_rounds);
+              ("nodes_evaluated", Int t.ts_nodes_evaluated);
+              ("kernel_efficiency", fixed 4 t.ts_efficiency) ])
           telem );
       ( "telemetry_overhead",
-        List.map
+        rows
           (fun o ->
-            row
-              "{\"design\": %S, \"cps_off\": %.1f, \"cps_on\": %.1f, \
-               \"overhead_pct\": %.1f, \"cps_trace_on\": %.1f, \
-               \"trace_overhead_pct\": %.1f}"
-              o.to_design o.to_cps_off o.to_cps_on o.to_overhead_pct
-              o.to_cps_trace o.to_trace_overhead_pct)
+            [ ("design", Str o.to_design); ("cps_off", fixed 1 o.to_cps_off);
+              ("cps_on", fixed 1 o.to_cps_on);
+              ("overhead_pct", fixed 1 o.to_overhead_pct);
+              ("cps_trace_on", fixed 1 o.to_cps_trace);
+              ("trace_overhead_pct", fixed 1 o.to_trace_overhead_pct) ])
           overheads );
       ( "campaign",
-        List.map
+        rows
           (fun c ->
-            row
-              "{\"domains\": %d, \"wall_seconds\": %.4f, \"jobs_per_sec\": \
-               %.1f, \"cycles_per_sec\": %.1f, \"pool_utilization\": %.3f, \
-               \"speedup\": %.2f}"
-              c.cb_domains c.cb_wall c.cb_jobs_per_sec c.cb_cycles_per_sec
-              c.cb_utilization c.cb_speedup)
+            [ ("domains", Int c.cb_domains);
+              ("wall_seconds", fixed 4 c.cb_wall);
+              ("jobs_per_sec", fixed 1 c.cb_jobs_per_sec);
+              ("cycles_per_sec", fixed 1 c.cb_cycles_per_sec);
+              ("pool_utilization", fixed 3 c.cb_utilization);
+              ("speedup", fixed 2 c.cb_speedup) ])
           campaigns );
       ( "reuse",
-        List.map
+        rows
           (fun r ->
-            row
-              "{\"design\": %S, \"build_us\": %.2f, \"reset_us\": %.2f, \
-               \"build_over_reset\": %.2f}"
-              r.rb_design r.rb_build_us r.rb_reset_us
-              (r.rb_build_us /. r.rb_reset_us))
-          reuses );
-    ]
-  in
-  Printf.sprintf "{\n  \"schema\": %S,\n%s\n}\n" schema
-    (String.concat ",\n"
-       (List.map
-          (fun (name, rows) ->
-            Printf.sprintf "  %S: [\n    %s\n  ]" name
-              (String.concat ",\n    " rows))
-          sections))
+            [ ("design", Str r.rb_design); ("build_us", fixed 2 r.rb_build_us);
+              ("reset_us", fixed 2 r.rb_reset_us);
+              ("build_over_reset", fixed 2 (r.rb_build_us /. r.rb_reset_us)) ])
+          reuses ) ]
 
 (* --------------------------------------------------------------- *)
 (* Baseline comparison (--baseline)                                 *)
 (* --------------------------------------------------------------- *)
-
-let field key = function Json.Obj kvs -> List.assoc_opt key kvs | _ -> None
 
 (* The ratios a bench JSON holds, by label: "D2" for a design's
    speedup, "mul@8" for a Bits op's ratio. An entry without a positive,
    finite ratio is left out, so the check names it as missing. *)
 let labelled_ratios json =
   let ratios section ~label ~ratio =
-    match field section json with
+    match Json.member section json with
     | Some (Json.Arr entries) ->
         List.filter_map
           (fun e ->
-            match (label e, field ratio e) with
+            match (label e, Json.member ratio e) with
             | Some l, Some (Json.Num r) when Float.is_finite r && r > 0.0 ->
                 Some (l, r)
             | _ -> None)
@@ -603,17 +586,17 @@ let labelled_ratios json =
     | _ -> []
   in
   ratios "designs" ~ratio:"speedup" ~label:(fun e ->
-      match field "id" e with Some (Json.Str id) -> Some id | _ -> None)
+      match Json.member "id" e with Some (Json.Str id) -> Some id | _ -> None)
   @ ratios "bits_ops" ~ratio:"ratio" ~label:(fun e ->
-        match (field "op" e, field "width" e) with
-        | Some (Json.Str op), Some (Json.Num w) ->
-            Some (Printf.sprintf "%s@%.0f" op w)
+        match (Json.member "op" e, Json.member "width" e) with
+        | Some (Json.Str op), Some (Json.Int w) ->
+            Some (Printf.sprintf "%s@%d" op w)
         | _ -> None)
 
 (* A ratio below this share of its baseline value draws a warning. *)
 let ratio_tolerance = 0.8
 
-(* Warn-only regression check of this run's JSON text [current]
+(* Warn-only regression check of this run's report [current]
    against the baseline file: every label must be on both sides, and
    no ratio may fall below [ratio_tolerance] of its baseline value.
    Both sides are same-run ratios, so a slower or busier host moves
@@ -624,16 +607,16 @@ let ratio_tolerance = 0.8
 let compare_to_baseline ~current ~baseline_path =
   let warn fmt = Printf.printf ("BENCH WARNING: " ^^ fmt ^^ "\n") in
   match
-    Json.parse_json (In_channel.with_open_bin baseline_path In_channel.input_all)
+    Json.parse (In_channel.with_open_bin baseline_path In_channel.input_all)
   with
   | exception Sys_error msg -> warn "cannot read baseline: %s" msg
   | exception Json.Bad_json msg ->
       warn "baseline %s is not valid JSON: %s" baseline_path msg
   | base -> (
-      match field "schema" base with
+      match Json.member "schema" base with
       | Some (Json.Str s) when s = schema ->
           let base = labelled_ratios base
-          and now = labelled_ratios (Json.parse_json current) in
+          and now = labelled_ratios current in
           let warnings = ref 0 in
           let warn fmt = incr warnings; warn fmt in
           List.iter
@@ -742,14 +725,15 @@ let run_json_bench path baseline =
   in
   let campaigns = campaign_benches () in
   let reuses = List.map reuse_bench_one Registry.all in
-  let json =
+  let report =
     json_of_results results lowerings bits telem overheads campaigns reuses
   in
+  let json = Json.to_string report in
   Out_channel.with_open_bin path (fun oc -> output_string oc json);
   print_string json;
   Printf.printf "\nwrote %s\n" path;
   Option.iter
-    (fun baseline_path -> compare_to_baseline ~current:json ~baseline_path)
+    (fun baseline_path -> compare_to_baseline ~current:report ~baseline_path)
     baseline;
   let kernel_ok = kernel_gate results in
   let campaign_ok = campaign_gate campaigns in

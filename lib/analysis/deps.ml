@@ -54,7 +54,6 @@ let of_module ?(ip_edges = []) (m : Ast.module_def) : graph =
   { edges = seq_edges @ comb_edges @ ip_edges; module_name = m.Ast.mod_name }
 
 let incoming g dst = List.filter (fun e -> e.dst = dst) g.edges
-let outgoing g src = List.filter (fun e -> e.src = src) g.edges
 
 (* Registers that may influence [target] within [cycles] clock cycles,
    following combinational edges freely. Returns the dependency set,

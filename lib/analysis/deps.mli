@@ -24,7 +24,6 @@ val of_module : ?ip_edges:edge list -> Fpga_hdl.Ast.module_def -> graph
     (the Dependency Monitor builds them from {!Ip_models.data_path}). *)
 
 val incoming : graph -> string -> edge list
-val outgoing : graph -> string -> edge list
 
 val backward_closure :
   ?data_only:bool -> graph -> target:string -> cycles:int -> string list

@@ -28,7 +28,7 @@ module Simulator = Fpga_sim.Simulator
 module Taxonomy = Fpga_study.Taxonomy
 module Telemetry = Fpga_telemetry.Telemetry
 module Trace = Fpga_telemetry.Telemetry.Trace
-module Trace_export = Fpga_telemetry.Trace_export
+module Json = Fpga_telemetry.Json
 
 (* ------------------------------------------------------------------ *)
 (* Generic domain pool                                                 *)
@@ -498,68 +498,59 @@ let trace_segments (c : t) =
 (* Reporting                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* A waveform or reproducer source as (length, MD5); none is (0, ""). *)
+let digest_summary = function
+  | Some text -> (String.length text, Digest.to_hex (Digest.string text))
+  | None -> (0, "")
+
 (* Schema-pinned machine-readable report. Waveforms are summarized as
    (length, MD5) rather than inlined: enough for byte-identity checks
    across runs without multi-megabyte reports. *)
 let to_json (c : t) : string =
-  let buf = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "{\n  \"schema\": \"fpga-debug-campaign/1\",\n";
-  add "  \"domains\": %d,\n" c.c_stats.ps_domains;
-  add "  \"jobs\": [\n";
-  let njobs = Array.length c.c_results in
-  Array.iteri
-    (fun i r ->
-      add "    {\"id\": %d, \"label\": %S, \"domain\": %d, \"wall\": %.6f, "
-        r.jr_id r.jr_label r.jr_domain r.jr_wall;
-      (match r.jr_value with
-      | Error e -> add "\"error\": \"%s\"" (Trace_export.escape e)
+  let open Json in
+  let job r =
+    let verdict =
+      match r.jr_value with
+      | Error e -> [ ("error", Str e) ]
       | Ok v ->
-          add "\"bug\": %S, \"kind\": %S, \"ok\": %b, \"cycles\": %d, "
-            v.v_bug v.v_kind v.v_ok v.v_cycles;
-          add "\"symptoms\": [%s], "
-            (String.concat ", "
-               (List.map (fun s -> Printf.sprintf "%S" s) v.v_symptoms));
-          add "\"log_lines\": %d, " (List.length v.v_log);
-          (match v.v_vcd with
-          | Some vcd ->
-              add "\"vcd_bytes\": %d, \"vcd_md5\": %S" (String.length vcd)
-                (Digest.to_hex (Digest.string vcd))
-          | None -> add "\"vcd_bytes\": 0, \"vcd_md5\": \"\"");
-          add ", \"detail\": \"%s\"" (Trace_export.escape v.v_detail));
-      add "}%s\n" (if i = njobs - 1 then "" else ","))
-    c.c_results;
-  add "  ],\n";
+          let vcd_bytes, vcd_md5 = digest_summary v.v_vcd in
+          [ ("bug", Str v.v_bug); ("kind", Str v.v_kind); ("ok", Bool v.v_ok);
+            ("cycles", Int v.v_cycles);
+            ("symptoms", Arr (List.map (fun s -> Str s) v.v_symptoms));
+            ("log_lines", Int (List.length v.v_log));
+            ("vcd_bytes", Int vcd_bytes); ("vcd_md5", Str vcd_md5);
+            ("detail", Str v.v_detail) ]
+    in
+    Obj
+      (("id", Int r.jr_id) :: ("label", Str r.jr_label)
+      :: ("domain", Int r.jr_domain) :: ("wall", fixed 6 r.jr_wall) :: verdict)
+  in
   let failed =
     Array.fold_left
-      (fun acc r ->
-        acc
-        + match r.jr_value with Ok v when v.v_ok -> 0 | _ -> 1)
+      (fun n r -> match r.jr_value with Ok v when v.v_ok -> n | _ -> n + 1)
       0 c.c_results
   in
-  add "  \"aggregate\": {\n";
-  add "    \"jobs\": %d, \"failed\": %d,\n" njobs failed;
-  add "    \"wall_seconds\": %.6f,\n" c.c_stats.ps_wall;
-  add "    \"jobs_per_sec\": %.2f,\n"
-    (if c.c_stats.ps_wall > 0.0 then
-       float_of_int njobs /. c.c_stats.ps_wall
-     else 0.0);
-  add "    \"cycles\": %d,\n" c.c_cycles;
-  add "    \"cycles_per_sec\": %.1f,\n"
-    (if c.c_stats.ps_wall > 0.0 then
-       float_of_int c.c_cycles /. c.c_stats.ps_wall
-     else 0.0);
-  add "    \"busy_seconds\": [%s],\n"
-    (String.concat ", "
-       (Array.to_list
-          (Array.map (Printf.sprintf "%.6f") c.c_stats.ps_busy)));
-  add "    \"pool_utilization\": %.4f\n" c.c_stats.ps_utilization;
-  add "  },\n";
-  let tel = c.c_stats.ps_telemetry in
-  add "  \"telemetry\": {\"counters\": %d}\n"
-    (List.length tel.Telemetry.r_counters);
-  add "}\n";
-  Buffer.contents buf
+  let s = c.c_stats in
+  let per_sec n =
+    if s.ps_wall > 0.0 then float_of_int n /. s.ps_wall else 0.0
+  in
+  let njobs = Array.length c.c_results in
+  let counters = s.ps_telemetry.Telemetry.r_counters in
+  to_string
+    (Obj
+       [ ("schema", Str "fpga-debug-campaign/1"); ("domains", Int s.ps_domains);
+         ("jobs", Arr (Array.to_list (Array.map job c.c_results)));
+         ( "aggregate",
+           Obj
+             [ ("jobs", Int njobs); ("failed", Int failed);
+               ("wall_seconds", fixed 6 s.ps_wall);
+               ("jobs_per_sec", fixed 2 (per_sec njobs));
+               ("cycles", Int c.c_cycles);
+               ("cycles_per_sec", fixed 1 (per_sec c.c_cycles));
+               ( "busy_seconds",
+                 Arr (Array.to_list (Array.map (fixed 6) s.ps_busy)) );
+               ("pool_utilization", fixed 4 s.ps_utilization) ] );
+         ("telemetry", Obj [ ("counters", Int (List.length counters)) ]) ])
 
 let print (c : t) =
   Printf.printf "campaign: %d jobs on %d domain%s\n\n"
@@ -666,61 +657,45 @@ let fuzz_counts (fc : fuzz_campaign) =
    sources are summarized as (bytes, MD5); the full text goes to
    --repro-dir files, not the report. *)
 let fuzz_to_json (fc : fuzz_campaign) : string =
-  let buf = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let str_list ss =
-    String.concat ", "
-      (List.map (fun s -> Printf.sprintf "\"%s\"" (Trace_export.escape s)) ss)
-  in
-  add "{\n  \"schema\": \"fpga-debug-fuzz/2\",\n";
-  add "  \"seed\": %d,\n" fc.f_seed;
-  add "  \"kernel\": %S,\n" (Simulator.kernel_name Simulator.default_kernel);
-  add "  \"mutants\": %d,\n" (Array.length fc.f_results);
-  add "  \"targets\": [%s],\n"
-    (str_list (List.map (fun (b : Bug.t) -> b.Bug.id) Fuzz.targets));
-  let invalid, equivalent, divergent, mismatch, errors = fuzz_counts fc in
-  add
-    "  \"counts\": {\"invalid\": %d, \"equivalent\": %d, \
-     \"symptom_divergent\": %d, \"kernel_mismatch\": %d, \"job_errors\": \
-     %d},\n"
-    invalid equivalent divergent mismatch errors;
-  add "  \"results\": [\n";
-  let n = Array.length fc.f_results in
-  Array.iteri
-    (fun i r ->
-      add "    {\"index\": %d, " i;
+  let open Json in
+  let strs ss = Arr (List.map (fun s -> Str s) ss) in
+  let mutations ms = strs (List.map Mutate.mutation_to_string ms) in
+  let detail (f : Fuzz.result) = Str (Fuzz.outcome_detail f.Fuzz.r_outcome) in
+  let result i r =
+    Obj
+      (("index", Int i)
+      ::
       (match r.jr_value with
-      | Error e -> add "\"error\": \"%s\"" (Trace_export.escape e)
+      | Error e -> [ ("error", Str e) ]
       | Ok f ->
-          add "\"bug\": %S, \"sub_seed\": %d, \"outcome\": %S, " f.Fuzz.r_bug
-            f.Fuzz.r_sub_seed
-            (Fuzz.outcome_name f.Fuzz.r_outcome);
-          add "\"mutations\": [%s], "
-            (str_list (List.map Mutate.mutation_to_string f.Fuzz.r_mutations));
-          add "\"detail\": \"%s\""
-            (Trace_export.escape (Fuzz.outcome_detail f.Fuzz.r_outcome)));
-      add "}%s\n" (if i = n - 1 then "" else ","))
-    fc.f_results;
-  add "  ],\n";
-  let findings = fuzz_findings fc in
-  add "  \"findings\": [\n";
-  let nf = List.length findings in
-  List.iteri
-    (fun i f ->
-      add "    {\"index\": %d, \"bug\": %S, \"mismatch\": \"%s\", "
-        f.Fuzz.r_index f.Fuzz.r_bug
-        (Trace_export.escape (Fuzz.outcome_detail f.Fuzz.r_outcome));
-      add "\"minimized\": [%s], "
-        (str_list (List.map Mutate.mutation_to_string f.Fuzz.r_minimized));
-      (match f.Fuzz.r_repro with
-      | Some src ->
-          add "\"repro_bytes\": %d, \"repro_md5\": %S" (String.length src)
-            (Digest.to_hex (Digest.string src))
-      | None -> add "\"repro_bytes\": 0, \"repro_md5\": \"\"");
-      add "}%s\n" (if i = nf - 1 then "" else ","))
-    findings;
-  add "  ]\n}\n";
-  Buffer.contents buf
+          [ ("bug", Str f.Fuzz.r_bug); ("sub_seed", Int f.Fuzz.r_sub_seed);
+            ("outcome", Str (Fuzz.outcome_name f.Fuzz.r_outcome));
+            ("mutations", mutations f.Fuzz.r_mutations);
+            ("detail", detail f) ]))
+  in
+  let finding (f : Fuzz.result) =
+    let bytes, md5 = digest_summary f.Fuzz.r_repro in
+    Obj
+      [ ("index", Int f.Fuzz.r_index); ("bug", Str f.Fuzz.r_bug);
+        ("mismatch", detail f); ("minimized", mutations f.Fuzz.r_minimized);
+        ("repro_bytes", Int bytes); ("repro_md5", Str md5) ]
+  in
+  let invalid, equivalent, divergent, mismatch, errors = fuzz_counts fc in
+  to_string
+    (Obj
+       [ ("schema", Str "fpga-debug-fuzz/2"); ("seed", Int fc.f_seed);
+         ("kernel", Str (Simulator.kernel_name Simulator.default_kernel));
+         ("mutants", Int (Array.length fc.f_results));
+         ( "targets",
+           strs (List.map (fun (b : Bug.t) -> b.Bug.id) Fuzz.targets) );
+         ( "counts",
+           Obj
+             [ ("invalid", Int invalid); ("equivalent", Int equivalent);
+               ("symptom_divergent", Int divergent);
+               ("kernel_mismatch", Int mismatch);
+               ("job_errors", Int errors) ] );
+         ("results", Arr (Array.to_list (Array.mapi result fc.f_results)));
+         ("findings", Arr (List.map finding (fuzz_findings fc))) ])
 
 let print_fuzz (fc : fuzz_campaign) =
   let invalid, equivalent, divergent, mismatch, errors = fuzz_counts fc in

@@ -4,6 +4,7 @@
 module Bug = Fpga_testbed.Bug
 module L = Fpga_sim.Lowered
 module Simulator = Fpga_sim.Simulator
+module Json = Fpga_telemetry.Json
 module Telemetry = Fpga_telemetry.Telemetry
 
 type t = {
@@ -38,13 +39,8 @@ let run ?kernel ?(cycles = 200) ?(top_k = 10) (bug : Bug.t) : t =
     Telemetry.span "elaborate" (fun () ->
         Fpga_sim.Elaborate.elaborate design ~top:bug.Bug.top)
   in
-  (* [Simulator.create] records the "compile" span itself; an omitted
-     [kernel] keeps its automatic plan-shape selection *)
-  let sim =
-    match kernel with
-    | Some kernel -> Simulator.create ~kernel flat
-    | None -> Simulator.create flat
-  in
+  (* [Simulator.create] records the "compile" span itself *)
+  let sim = Simulator.create ?kernel flat in
   ignore (Fpga_sim.Testbench.run ~max_cycles:cycles sim bug.Bug.stimulus);
   let stats = Simulator.stats sim in
   let report = Telemetry.report () in
@@ -71,94 +67,79 @@ let run ?kernel ?(cycles = 200) ?(top_k = 10) (bug : Bug.t) : t =
 (* JSON                                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Share of sequential statement groups skipped as clean. *)
-let seq_skip_rate (r : L.run_stats) =
-  let total = r.rs_seq_run + r.rs_seq_skipped in
-  if total = 0 then 0.0 else float_of_int r.rs_seq_skipped /. float_of_int total
-
-let settle_mean (r : L.run_stats) =
-  if r.rs_settles = 0 then 0.0
-  else float_of_int r.rs_closures_run /. float_of_int r.rs_settles
+(* [part] over [total], 0 for an empty [total] *)
+let share part total =
+  if total = 0 then 0.0 else float_of_int part /. float_of_int total
 
 let to_json (p : t) : string =
-  let buf = Buffer.create 2048 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  let open Json in
   let r = p.p_stats in
-  add "{\n  \"schema\": \"fpga-debug-profile/5\",\n";
-  add "  \"bug\": %S, \"top\": %S, \"kernel\": %S,\n" p.p_bug_id p.p_top
-    p.p_kernel;
-  add "  \"cycles_requested\": %d, \"cycles_run\": %d, \"finished\": %b,\n"
-    p.p_cycles_requested p.p_cycles_run p.p_finished;
-  add "  \"phases\": [\n";
-  List.iteri
-    (fun i (name, calls, secs) ->
-      add "    {\"name\": %S, \"calls\": %d, \"seconds\": %.6f}%s\n" name calls
-        secs
-        (if i = List.length p.p_spans - 1 then "" else ","))
-    p.p_spans;
-  add "  ],\n";
-  add "  \"kernel_stats\": {\n";
-  add "    \"steps\": %d, \"settles\": %d,\n" r.rs_steps r.rs_settles;
-  add "    \"node_rounds\": %d, \"nodes_evaluated\": %d, \
-       \"nodes_skipped\": %d,\n"
-    (r.rs_closures_run + r.rs_closures_skipped) r.rs_closures_run
-    r.rs_closures_skipped;
-  add "    \"kernel_efficiency\": %.4f,\n" p.p_efficiency;
-  add "    \"dirty_total\": %d, \"dirty_peak\": %d,\n" r.rs_dirty_total
-    r.rs_dirty_peak;
-  add "    \"nba_commits\": %d, \"prim_steps\": %d, \"displays\": %d\n"
-    (r.rs_commit_imm + r.rs_commit_boxed) p.p_prim_steps r.rs_displays;
-  add "  },\n";
+  let rounds = r.rs_closures_run + r.rs_closures_skipped in
+  let commits = r.rs_commit_imm + r.rs_commit_boxed in
   (* the lowered kernel's closure and statement-group skip rates and
      commit-buffer occupancy; absent for brute force *)
-  (match p.p_lowered with
-  | None -> ()
-  | Some lw ->
-      let skip_rate =
-        let total = r.rs_closures_run + r.rs_closures_skipped in
-        if total = 0 then 0.0
-        else float_of_int r.rs_closures_skipped /. float_of_int total
-      in
-      let seq_skip_rate = seq_skip_rate r in
-      let commit_per_edge =
-        if r.rs_edges = 0 then 0.0
-        else
-          float_of_int (r.rs_commit_imm + r.rs_commit_boxed)
-          /. float_of_int r.rs_edges
-      in
-      add "  \"lowered\": {\n";
-      add "    \"closures\": %d, \"fused\": %d,\n" lw.lw_closures lw.lw_fused;
-      add "    \"imm_signals\": %d, \"boxed_signals\": %d, \"seq_blocks\": %d,\n"
-        lw.lw_imm lw.lw_boxed lw.lw_seq;
-      add "    \"settles\": %d, \"closures_run\": %d, \"closures_skipped\": %d,\n"
-        r.rs_settles r.rs_closures_run r.rs_closures_skipped;
-      add "    \"skip_rate\": %.4f,\n" skip_rate;
-      add "    \"seq_groups_run\": %d, \"seq_groups_skipped\": %d,\n"
-        r.rs_seq_run r.rs_seq_skipped;
-      add "    \"seq_skip_rate\": %.4f,\n" seq_skip_rate;
-      add "    \"edge_runs\": %d, \"commit_imm\": %d, \"commit_boxed\": %d,\n"
-        r.rs_edges r.rs_commit_imm r.rs_commit_boxed;
-      add "    \"commit_per_edge\": %.2f\n" commit_per_edge;
-      add "  },\n");
-  add
-    "  \"settle_rounds\": {\"count\": %d, \"min\": %d, \"max\": %d, \
-     \"mean\": %.2f},\n"
-    r.rs_settles r.rs_run_min r.rs_run_max (settle_mean r);
-  add "  \"hottest_signals\": [\n";
-  List.iteri
-    (fun i (name, n) ->
-      add "    {\"signal\": %S, \"toggles\": %d}%s\n" name n
-        (if i = List.length p.p_hottest - 1 then "" else ","))
-    p.p_hottest;
-  add "  ],\n";
-  add "  \"counters\": [\n";
-  List.iteri
-    (fun i (name, v) ->
-      add "    {\"name\": %S, \"value\": %d}%s\n" name v
-        (if i = List.length p.p_counters - 1 then "" else ","))
-    p.p_counters;
-  add "  ]\n}\n";
-  Buffer.contents buf
+  let lowered =
+    match p.p_lowered with
+    | None -> []
+    | Some lw ->
+        let seq_rate =
+          share r.rs_seq_skipped (r.rs_seq_run + r.rs_seq_skipped)
+        in
+        [ ( "lowered",
+            Obj
+              [ ("closures", Int lw.lw_closures); ("fused", Int lw.lw_fused);
+                ("imm_signals", Int lw.lw_imm);
+                ("boxed_signals", Int lw.lw_boxed);
+                ("seq_blocks", Int lw.lw_seq); ("settles", Int r.rs_settles);
+                ("closures_run", Int r.rs_closures_run);
+                ("closures_skipped", Int r.rs_closures_skipped);
+                ("skip_rate", fixed 4 (share r.rs_closures_skipped rounds));
+                ("seq_groups_run", Int r.rs_seq_run);
+                ("seq_groups_skipped", Int r.rs_seq_skipped);
+                ("seq_skip_rate", fixed 4 seq_rate);
+                ("edge_runs", Int r.rs_edges);
+                ("commit_imm", Int r.rs_commit_imm);
+                ("commit_boxed", Int r.rs_commit_boxed);
+                ("commit_per_edge", fixed 2 (share commits r.rs_edges)) ] ) ]
+  in
+  to_string
+    (Obj
+       ([ ("schema", Str "fpga-debug-profile/5"); ("bug", Str p.p_bug_id);
+          ("top", Str p.p_top); ("kernel", Str p.p_kernel);
+          ("cycles_requested", Int p.p_cycles_requested);
+          ("cycles_run", Int p.p_cycles_run); ("finished", Bool p.p_finished);
+          ( "phases",
+            rows
+              (fun (name, calls, secs) ->
+                [ ("name", Str name); ("calls", Int calls);
+                  ("seconds", fixed 6 secs) ])
+              p.p_spans );
+          ( "kernel_stats",
+            Obj
+              [ ("steps", Int r.rs_steps); ("settles", Int r.rs_settles);
+                ("node_rounds", Int rounds);
+                ("nodes_evaluated", Int r.rs_closures_run);
+                ("nodes_skipped", Int r.rs_closures_skipped);
+                ("kernel_efficiency", fixed 4 p.p_efficiency);
+                ("dirty_total", Int r.rs_dirty_total);
+                ("dirty_peak", Int r.rs_dirty_peak);
+                ("nba_commits", Int commits);
+                ("prim_steps", Int p.p_prim_steps);
+                ("displays", Int r.rs_displays) ] ) ]
+       @ lowered
+       @ [ ( "settle_rounds",
+             Obj
+               [ ("count", Int r.rs_settles); ("min", Int r.rs_run_min);
+                 ("max", Int r.rs_run_max);
+                 ("mean", fixed 2 (share r.rs_closures_run r.rs_settles)) ] );
+           ( "hottest_signals",
+             rows
+               (fun (name, n) -> [ ("signal", Str name); ("toggles", Int n) ])
+               p.p_hottest );
+           ( "counters",
+             rows
+               (fun (name, v) -> [ ("name", Str name); ("value", Int v) ])
+               p.p_counters ) ]))
 
 (* ------------------------------------------------------------------ *)
 (* Human output                                                        *)
@@ -192,7 +173,7 @@ let print (p : t) =
   Printf.printf "  displays           %8d\n" r.rs_displays;
   if r.rs_settles > 0 then
     Printf.printf "  nodes/settle       min %d, mean %.1f, max %d\n" r.rs_run_min
-      (settle_mean r) r.rs_run_max;
+      (share r.rs_closures_run r.rs_settles) r.rs_run_max;
   (match p.p_lowered with
   | None -> ()
   | Some lw ->
@@ -208,14 +189,15 @@ let print (p : t) =
           (100.0 *. float_of_int r.rs_closures_skipped /. float_of_int total);
       Printf.printf "  seq groups run     %8d\n" r.rs_seq_run;
       Printf.printf "  seq groups skipped %8d\n" r.rs_seq_skipped;
-      if r.rs_seq_run + r.rs_seq_skipped > 0 then
-        Printf.printf "  seq skip rate      %8.1f%%\n" (100.0 *. seq_skip_rate r);
+      let seq_total = r.rs_seq_run + r.rs_seq_skipped in
+      if seq_total > 0 then
+        Printf.printf "  seq skip rate      %8.1f%%\n"
+          (100.0 *. share r.rs_seq_skipped seq_total);
       Printf.printf "  commits (imm/box)  %8d / %d\n" r.rs_commit_imm
         r.rs_commit_boxed;
       if r.rs_edges > 0 then
         Printf.printf "  commits per edge   %8.2f\n"
-          (float_of_int (r.rs_commit_imm + r.rs_commit_boxed)
-          /. float_of_int r.rs_edges));
+          (share (r.rs_commit_imm + r.rs_commit_boxed) r.rs_edges));
   match p.p_hottest with
   | [] -> ()
   | hottest ->

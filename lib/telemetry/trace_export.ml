@@ -2,15 +2,14 @@
    (Telemetry.Trace), plus the reader-side validator the trace-smoke CI
    gate and `fpga-debug trace-check` run over the emitted files.
 
-   The writer is deliberately a plain line-per-event printer over
-   integer timestamps: byte-identity of the output is part of the
-   contract (same seed + virtual clock => same file, at any pool
-   width), so nothing in the formatting may depend on floats, hash
-   order, or locale. The reader is a minimal hand-rolled JSON parser —
-   the repository carries no JSON dependency, and the validator needs
-   only objects/arrays/strings/ints. *)
+   The writer builds a {!Json} value over integer timestamps and prints
+   it with [Json.to_string], one event per line: byte-identity of the
+   output is part of the contract (same seed + virtual clock => same
+   file, at any pool width), so nothing in it may depend on floats,
+   hash order, or locale. The validator reads through [Json.parse]. *)
 
 module Trace = Telemetry.Trace
+open Json
 
 let schema = "fpga-debug-trace/1"
 
@@ -18,45 +17,26 @@ let schema = "fpga-debug-trace/1"
 (* Writer                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-(* One event, one line. [tid]/[ts]/span ids arrive already laid out. *)
-let emit_event buf ~tid ~ts ~id_base (e : Trace.event) ~last =
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  (match e.Trace.te_ph with
-  | 'B' ->
-      add
-        "    {\"ph\": \"B\", \"pid\": 1, \"tid\": %d, \"ts\": %d, \"name\": \
-         \"%s\", \"cat\": \"%s\", \"args\": {\"id\": %d, \"parent\": %d}}"
-        tid ts (escape e.Trace.te_name) (escape e.Trace.te_cat)
-        (e.Trace.te_id + id_base)
-        (if e.Trace.te_parent < 0 then -1 else e.Trace.te_parent + id_base)
-  | 'E' -> add "    {\"ph\": \"E\", \"pid\": 1, \"tid\": %d, \"ts\": %d}" tid ts
-  | 'i' ->
-      add
-        "    {\"ph\": \"i\", \"pid\": 1, \"tid\": %d, \"ts\": %d, \"name\": \
-         \"%s\", \"cat\": \"%s\", \"s\": \"t\"}"
-        tid ts (escape e.Trace.te_name) (escape e.Trace.te_cat)
-  | 'C' ->
-      add
-        "    {\"ph\": \"C\", \"pid\": 1, \"tid\": %d, \"ts\": %d, \"name\": \
-         \"%s\", \"args\": {\"value\": %d}}"
-        tid ts (escape e.Trace.te_name) e.Trace.te_value
-  | ph -> add "    {\"ph\": \"%c\", \"pid\": 1, \"tid\": %d, \"ts\": %d}" ph tid ts);
-  add "%s\n" (if last then "" else ",")
+(* One event. [tid]/[ts]/span ids arrive already laid out. *)
+let event_json ~tid ~ts ~id_base (e : Trace.event) =
+  let head ph =
+    [ ("ph", Str ph); ("pid", Int 1); ("tid", Int tid); ("ts", Int ts) ]
+  in
+  let name = ("name", Str e.Trace.te_name) in
+  let cat = ("cat", Str e.Trace.te_cat) in
+  let id = Int (e.Trace.te_id + id_base) in
+  let parent =
+    Int (if e.Trace.te_parent < 0 then -1 else e.Trace.te_parent + id_base)
+  in
+  Obj
+    (match e.Trace.te_ph with
+    | 'B' ->
+        head "B"
+        @ [ name; cat; ("args", Obj [ ("id", id); ("parent", parent) ]) ]
+    | 'i' -> head "i" @ [ name; cat; ("s", Str "t") ]
+    | 'C' ->
+        head "C" @ [ name; ("args", Obj [ ("value", Int e.Trace.te_value) ]) ]
+    | ph -> head (String.make 1 ph))
 
 let seg_duration (seg : Trace.segment) =
   List.fold_left (fun acc e -> max acc e.Trace.te_ts) 0 seg.Trace.sg_events
@@ -144,200 +124,31 @@ let to_json ?(process = "fpga-debug") ~clock ~(main : Trace.segment)
           ~at:(seg.Trace.sg_start - wall_base)
           seg)
     jobs;
-  let placed = List.rev !placed in
-  let nevents =
-    List.fold_left
-      (fun acc (_, _, _, s) -> acc + List.length s.Trace.sg_events)
-      0 placed
+  let metadata tid name value =
+    Obj
+      [ ("ph", Str "M"); ("pid", Int 1); ("tid", Int tid); ("name", Str name);
+        ("args", Obj [ ("name", Str value) ]) ]
   in
-  let buf = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "{\n  \"schema\": \"%s\",\n" schema;
-  add "  \"clock\": \"%s\",\n" (if virtual_ then "virtual" else "wall");
-  add "  \"displayTimeUnit\": \"ms\",\n";
-  add "  \"traceEvents\": [\n";
+  let events =
+    List.concat_map
+      (fun (tid, at, id_base, (seg : Trace.segment)) ->
+        List.map
+          (fun (e : Trace.event) ->
+            event_json ~tid ~ts:(at + e.Trace.te_ts) ~id_base e)
+          seg.Trace.sg_events)
+      (List.rev !placed)
+  in
   (* metadata first: process name, then one thread_name per track *)
-  add
-    "    {\"ph\": \"M\", \"pid\": 1, \"tid\": 0, \"name\": \"process_name\", \
-     \"args\": {\"name\": \"%s\"}},\n"
-    (escape process);
-  List.iter
-    (fun (tid, name) ->
-      add
-        "    {\"ph\": \"M\", \"pid\": 1, \"tid\": %d, \"name\": \
-         \"thread_name\", \"args\": {\"name\": \"%s\"}}%s\n"
-        tid (escape name)
-        (if nevents = 0 && tid = fst (List.nth !tracks (List.length !tracks - 1))
-         then ""
-         else ","))
-    !tracks;
-  let remaining = ref nevents in
-  List.iter
-    (fun (tid, at, idb, (seg : Trace.segment)) ->
-      List.iter
-        (fun (e : Trace.event) ->
-          decr remaining;
-          emit_event buf ~tid ~ts:(at + e.Trace.te_ts) ~id_base:idb e
-            ~last:(!remaining = 0))
-        seg.Trace.sg_events)
-    placed;
-  add "  ]\n}\n";
-  Buffer.contents buf
-
-(* ------------------------------------------------------------------ *)
-(* Minimal JSON reader                                                 *)
-(* ------------------------------------------------------------------ *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Bad_json of string
-
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Bad_json (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
+  let metadata =
+    metadata 0 "process_name" process
+    :: List.map (fun (tid, name) -> metadata tid "thread_name" name) !tracks
   in
-  let expect c =
-    match peek () with
-    | Some d when d = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
-  in
-  let literal word v =
-    let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then (
-      pos := !pos + l;
-      v)
-    else fail (Printf.sprintf "expected %s" word)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string"
-      else
-        match s.[!pos] with
-        | '"' -> advance ()
-        | '\\' ->
-            advance ();
-            (if !pos >= n then fail "unterminated escape"
-             else
-               match s.[!pos] with
-               | '"' -> Buffer.add_char buf '"'; advance ()
-               | '\\' -> Buffer.add_char buf '\\'; advance ()
-               | '/' -> Buffer.add_char buf '/'; advance ()
-               | 'b' -> Buffer.add_char buf '\b'; advance ()
-               | 'f' -> Buffer.add_char buf '\012'; advance ()
-               | 'n' -> Buffer.add_char buf '\n'; advance ()
-               | 'r' -> Buffer.add_char buf '\r'; advance ()
-               | 't' -> Buffer.add_char buf '\t'; advance ()
-               | 'u' ->
-                   if !pos + 4 >= n then fail "truncated \\u escape";
-                   let hex = String.sub s (!pos + 1) 4 in
-                   let code =
-                     try int_of_string ("0x" ^ hex)
-                     with _ -> fail "bad \\u escape"
-                   in
-                   (* validator-only decoding: non-ASCII collapses *)
-                   Buffer.add_char buf
-                     (if code < 0x80 then Char.chr code else '?');
-                   pos := !pos + 5
-               | _ -> fail "bad escape");
-            go ()
-        | c when Char.code c < 0x20 -> fail "control character in string"
-        | c ->
-            Buffer.add_char buf c;
-            advance ();
-            go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char c =
-      (c >= '0' && c <= '9')
-      || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-    in
-    while !pos < n && is_num_char s.[!pos] do
-      advance ()
-    done;
-    let text = String.sub s start (!pos - start) in
-    match float_of_string_opt text with
-    | Some f -> Num f
-    | None -> fail (Printf.sprintf "bad number %S" text)
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then (
-          advance ();
-          Obj [])
-        else (
-          let rec members acc =
-            skip_ws ();
-            let key = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((key, v) :: acc)
-            | Some '}' ->
-                advance ();
-                Obj (List.rev ((key, v) :: acc))
-            | _ -> fail "expected ',' or '}'"
-          in
-          members [])
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then (
-          advance ();
-          Arr [])
-        else (
-          let rec elements acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elements (v :: acc)
-            | Some ']' ->
-                advance ();
-                Arr (List.rev (v :: acc))
-            | _ -> fail "expected ',' or ']'"
-          in
-          elements [])
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> parse_number ()
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
+  to_string
+    (Obj
+       [ ("schema", Str schema);
+         ("clock", Str (if virtual_ then "virtual" else "wall"));
+         ("displayTimeUnit", Str "ms");
+         ("traceEvents", Arr (metadata @ events)) ])
 
 (* ------------------------------------------------------------------ *)
 (* Validator                                                           *)
@@ -351,147 +162,112 @@ type stats = {
   v_tracks : int;  (* distinct (pid, tid) pairs *)
 }
 
-let field name = function
-  | Obj kvs -> List.assoc_opt name kvs
-  | _ -> None
-
 let as_int name v =
   match v with
+  | Some (Int i) -> Ok i
   | Some (Num f) when Float.is_integer f -> Ok (int_of_float f)
   | Some _ -> Error (Printf.sprintf "%S must be an integer" name)
   | None -> Error (Printf.sprintf "missing %S" name)
 
 let validate (text : string) : (stats, string) result =
-  match parse_json text with
-  | exception Bad_json msg -> Error ("not valid JSON: " ^ msg)
-  | Obj _ as root -> (
-      match field "schema" root with
-      | Some (Str s) when s = schema -> (
-          match field "traceEvents" root with
-          | Some (Arr events) -> (
-              (* per-(pid,tid) open-span stacks for B/E balance *)
-              let stacks : (int * int, int list ref) Hashtbl.t =
-                Hashtbl.create 8
-              in
-              let spans = ref 0 and counters = ref 0 and instants = ref 0 in
-              let check i ev =
-                let where msg = Error (Printf.sprintf "event %d: %s" i msg) in
-                match ev with
-                | Obj _ -> (
-                    let ( let* ) r f =
-                      match r with Ok v -> f v | Error e -> where e
-                    in
-                    let* ph =
-                      match field "ph" ev with
-                      | Some (Str p) when String.length p = 1 -> Ok p.[0]
-                      | Some (Str p) ->
-                          Error (Printf.sprintf "bad ph %S" p)
-                      | Some _ -> Error "ph must be a string"
-                      | None -> Error "missing ph"
-                    in
-                    let* pid = as_int "pid" (field "pid" ev) in
-                    let* tid = as_int "tid" (field "tid" ev) in
-                    let key = (pid, tid) in
-                    let stack =
-                      match Hashtbl.find_opt stacks key with
-                      | Some r -> r
-                      | None ->
-                          let r = ref [] in
-                          Hashtbl.replace stacks key r;
-                          r
-                    in
-                    match ph with
-                    | 'M' -> Ok ()
-                    | 'B' ->
-                        let* ts = as_int "ts" (field "ts" ev) in
-                        let* _ =
-                          match field "name" ev with
-                          | Some (Str _) -> Ok ()
-                          | _ -> Error "B event needs a string name"
-                        in
-                        if ts < 0 then where "negative ts"
-                        else (
-                          stack := ts :: !stack;
-                          Ok ())
-                    | 'E' -> (
-                        let* ts = as_int "ts" (field "ts" ev) in
-                        match !stack with
-                        | [] ->
-                            where
-                              (Printf.sprintf
-                                 "E without open B on track %d" tid)
-                        | t0 :: rest ->
-                            if ts < t0 then
-                              where "E timestamp precedes its B"
-                            else (
-                              stack := rest;
-                              incr spans;
-                              Ok ()))
-                    | 'i' ->
-                        let* ts = as_int "ts" (field "ts" ev) in
-                        let* _ =
-                          match field "name" ev with
-                          | Some (Str _) -> Ok ()
-                          | _ -> Error "i event needs a string name"
-                        in
-                        if ts < 0 then where "negative ts"
-                        else (
-                          incr instants;
-                          Ok ())
-                    | 'C' ->
-                        let* ts = as_int "ts" (field "ts" ev) in
-                        let* _ =
-                          match field "name" ev with
-                          | Some (Str _) -> Ok ()
-                          | _ -> Error "C event needs a string name"
-                        in
-                        if ts < 0 then where "negative ts"
-                        else (
-                          incr counters;
-                          Ok ())
-                    | ph ->
-                        where (Printf.sprintf "unsupported ph %C" ph))
-                | _ -> where "not an object"
-              in
-              let rec walk i = function
-                | [] -> Ok ()
-                | ev :: rest -> (
-                    match check i ev with
-                    | Ok () -> walk (i + 1) rest
-                    | Error _ as e -> e)
-              in
-              match walk 0 events with
-              | Error e -> Error e
-              | Ok () ->
-                  let unbalanced =
-                    Hashtbl.fold
-                      (fun (_, tid) stack acc ->
-                        if !stack <> [] then tid :: acc else acc)
-                      stacks []
-                  in
-                  if unbalanced <> [] then
-                    Error
-                      (Printf.sprintf
-                         "unbalanced B/E: %d span(s) never closed on track(s) %s"
-                         (Hashtbl.fold
-                            (fun _ stack acc -> acc + List.length !stack)
-                            stacks 0)
-                         (String.concat ", "
-                            (List.map string_of_int
-                               (List.sort_uniq compare unbalanced))))
-                  else
-                    Ok
-                      {
-                        v_events = List.length events;
-                        v_spans = !spans;
-                        v_counters = !counters;
-                        v_instants = !instants;
-                        v_tracks = Hashtbl.length stacks;
-                      })
-          | Some _ -> Error "\"traceEvents\" must be an array"
-          | None -> Error "missing \"traceEvents\"")
-      | Some (Str s) ->
-          Error (Printf.sprintf "schema mismatch: %S, expected %S" s schema)
-      | Some _ -> Error "\"schema\" must be a string"
-      | None -> Error "missing \"schema\" envelope")
-  | _ -> Error "top level must be an object"
+  let ( let* ) = Result.bind in
+  let* root =
+    match parse text with
+    | exception Bad_json msg -> Error ("not valid JSON: " ^ msg)
+    | Obj _ as root -> Ok root
+    | _ -> Error "top level must be an object"
+  in
+  let* () =
+    match member "schema" root with
+    | Some (Str s) when s = schema -> Ok ()
+    | Some (Str s) ->
+        Error (Printf.sprintf "schema mismatch: %S, expected %S" s schema)
+    | Some _ -> Error "\"schema\" must be a string"
+    | None -> Error "missing \"schema\" envelope"
+  in
+  let* events =
+    match member "traceEvents" root with
+    | Some (Arr events) -> Ok events
+    | Some _ -> Error "\"traceEvents\" must be an array"
+    | None -> Error "missing \"traceEvents\""
+  in
+  (* per-(pid,tid) open-span stacks for B/E balance *)
+  let stacks : (int * int, int list ref) Hashtbl.t = Hashtbl.create 8 in
+  let spans = ref 0 and counters = ref 0 and instants = ref 0 in
+  let check ev =
+    let* () = match ev with Obj _ -> Ok () | _ -> Error "not an object" in
+    let* ph =
+      match member "ph" ev with
+      | Some (Str p) when String.length p = 1 -> Ok p.[0]
+      | Some (Str p) -> Error (Printf.sprintf "bad ph %S" p)
+      | Some _ -> Error "ph must be a string"
+      | None -> Error "missing ph"
+    in
+    let* pid = as_int "pid" (member "pid" ev) in
+    let* tid = as_int "tid" (member "tid" ev) in
+    let stack =
+      match Hashtbl.find_opt stacks (pid, tid) with
+      | Some r -> r
+      | None ->
+          let r = ref [] in
+          Hashtbl.replace stacks (pid, tid) r;
+          r
+    in
+    match ph with
+    | 'M' -> Ok ()
+    | 'B' | 'i' | 'C' ->
+        let* ts = as_int "ts" (member "ts" ev) in
+        let* () =
+          match member "name" ev with
+          | Some (Str _) -> Ok ()
+          | _ -> Error (Printf.sprintf "%c event needs a string name" ph)
+        in
+        if ts < 0 then Error "negative ts"
+        else (
+          (match ph with
+          | 'B' -> stack := ts :: !stack
+          | 'i' -> incr instants
+          | _ -> incr counters);
+          Ok ())
+    | 'E' -> (
+        let* ts = as_int "ts" (member "ts" ev) in
+        match !stack with
+        | [] -> Error (Printf.sprintf "E without open B on track %d" tid)
+        | t0 :: _ when ts < t0 -> Error "E timestamp precedes its B"
+        | _ :: rest ->
+            stack := rest;
+            incr spans;
+            Ok ())
+    | ph -> Error (Printf.sprintf "unsupported ph %C" ph)
+  in
+  let rec walk i = function
+    | [] -> Ok ()
+    | ev :: rest ->
+        let* () =
+          Result.map_error (Printf.sprintf "event %d: %s" i) (check ev)
+        in
+        walk (i + 1) rest
+  in
+  let* () = walk 0 events in
+  let open_spans, open_tracks =
+    Hashtbl.fold
+      (fun (_, tid) stack (n, tids) ->
+        if !stack = [] then (n, tids)
+        else (n + List.length !stack, tid :: tids))
+      stacks (0, [])
+  in
+  if open_spans > 0 then
+    Error
+      (Printf.sprintf "unbalanced B/E: %d span(s) never closed on track(s) %s"
+         open_spans
+         (String.concat ", "
+            (List.map string_of_int (List.sort_uniq compare open_tracks))))
+  else
+    Ok
+      {
+        v_events = List.length events;
+        v_spans = !spans;
+        v_counters = !counters;
+        v_instants = !instants;
+        v_tracks = Hashtbl.length stacks;
+      }

@@ -11,11 +11,6 @@
 val schema : string
 (** ["fpga-debug-trace/1"]. *)
 
-val escape : string -> string
-(** Escape a string for a JSON string literal (without the quotes):
-    quote, backslash and control characters. The campaign and fuzz
-    reports use it too. *)
-
 val to_json :
   ?process:string ->
   clock:Telemetry.Trace.clock ->
@@ -34,20 +29,6 @@ val to_json :
     byte-identical across pool widths. *)
 
 (** {1 Reader} *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Bad_json of string
-
-val parse_json : string -> json
-(** Minimal strict JSON parser (no dependency). Raises {!Bad_json}
-    with a byte offset on malformed input. *)
 
 type stats = {
   v_events : int;  (** all events, metadata included *)

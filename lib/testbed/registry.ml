@@ -48,10 +48,12 @@ let ids = List.map (fun (b : Bug.t) -> b.Bug.id) all
 (* Bugs whose loss_spec makes them LossCheck targets. *)
 let loss_bugs = List.filter (fun (b : Bug.t) -> b.Bug.loss_spec <> None) all
 
-(* The designs the fuzz campaign mutates: cheap cycle budgets so four
-   differential runs per mutant stay fast, and between them every
-   structural feature a mutation template targets (IP instances in D4
-   and C4, case statements, concatenations, memories, reset logic). *)
+(* The designs the fuzz campaign mutates: cheap cycle budgets so the
+   three runs of a valid mutant (primary, brute force, telemetry on;
+   the unmutated base run is memoised per target) stay fast, and
+   between them every structural feature a mutation template targets
+   (IP instances in D4 and C4, case statements, concatenations,
+   memories, reset logic). *)
 let fuzz_targets =
   List.filter
     (fun (b : Bug.t) ->

@@ -14,7 +14,9 @@
 #   - `vcd --from` below zero, `campaign --sweep` off a list of
 #     positive integers and `instrument --buffer` off the powers of two
 #     (usage errors), and `vcd --from` past the end of the run (a
-#     header-only waveform and a note, exit 0).
+#     header-only waveform and a note, exit 0);
+#   - `trace-check` on a trace whose numbers and \u escape are not
+#     JSON (`+1`, `01`, `1.`, `\u00_4`), which must exit 1.
 # Failures go to stderr and make the script exit 1.
 #
 #   bash test/cli/cli_errors.sh path/to/main.exe [dir-of-sources]
@@ -130,4 +132,6 @@ if [ "$(tail -n 1 "$tmp/late.vcd")" != '$enddefinitions $end' ]; then
   echo "FAIL vcd --from past the end: $tmp/late.vcd is not header-only" >&2
   fail=1
 fi
+expect "trace-check non-JSON" 1 "not valid JSON" \
+  trace-check "$dir/not_json.trace.json"
 exit $fail

@@ -15,4 +15,5 @@ let () =
       ("checkpoint", Test_checkpoint.suite);
       ("fuzz", Test_fuzz.suite);
       ("trace", Test_trace.suite);
+      ("json", Test_json.suite);
     ]

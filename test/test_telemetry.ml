@@ -288,27 +288,30 @@ let test_profile_json () =
     (p.Fpga_report.Profile.p_hottest <> [])
 
 (* The counter sections of D2's profile under each kernel, pinned byte
-   for byte: a change to how either kernel counts its work shows here. *)
+   for byte: a change to how either kernel counts its work shows here.
+   Each depth-1 object is one line of the report, split here only to
+   keep the source readable. *)
 let golden_d2_lowered =
-  {|  "kernel_stats": {
-    "steps": 200, "settles": 400,
-    "node_rounds": 1200, "nodes_evaluated": 30, "nodes_skipped": 1170,
-    "kernel_efficiency": 0.0250,
-    "dirty_total": 30, "dirty_peak": 3,
-    "nba_commits": 162, "prim_steps": 0, "displays": 0
-  },
-  "lowered": {
-    "closures": 3, "fused": 0,
-    "imm_signals": 18, "boxed_signals": 1, "seq_blocks": 1,
-    "settles": 400, "closures_run": 30, "closures_skipped": 1170,
-    "skip_rate": 0.9750,
-    "seq_groups_run": 38, "seq_groups_skipped": 162,
-    "seq_skip_rate": 0.8100,
-    "edge_runs": 200, "commit_imm": 138, "commit_boxed": 24,
-    "commit_per_edge": 0.81
-  },
-  "settle_rounds": {"count": 400, "min": 0, "max": 3, "mean": 0.07},
-  "hottest_signals": [
+  String.concat ""
+    [
+      {|  "kernel_stats": {"steps": 200, "settles": 400, |};
+      {|"node_rounds": 1200, "nodes_evaluated": 30, "nodes_skipped": 1170, |};
+      {|"kernel_efficiency": 0.025, |};
+      {|"dirty_total": 30, "dirty_peak": 3, |};
+      {|"nba_commits": 162, "prim_steps": 0, "displays": 0},
+|};
+      {|  "lowered": {"closures": 3, "fused": 0, |};
+      {|"imm_signals": 18, "boxed_signals": 1, "seq_blocks": 1, |};
+      {|"settles": 400, "closures_run": 30, "closures_skipped": 1170, |};
+      {|"skip_rate": 0.975, |};
+      {|"seq_groups_run": 38, "seq_groups_skipped": 162, |};
+      {|"seq_skip_rate": 0.81, |};
+      {|"edge_runs": 200, "commit_imm": 138, "commit_boxed": 24, |};
+      {|"commit_per_edge": 0.81},
+|};
+      {|  "settle_rounds": {"count": 400, "min": 0, "max": 3, "mean": 0.07},
+|};
+      {|  "hottest_signals": [
     {"signal": "gray", "toggles": 24},
     {"signal": "in_rgb", "toggles": 24},
     {"signal": "linebuf", "toggles": 24},
@@ -320,18 +323,21 @@ let golden_d2_lowered =
     {"signal": "wr_count", "toggles": 8},
     {"signal": "in_valid", "toggles": 2}
   ],
-|}
+|};
+    ]
 
 let golden_d2_brute =
-  {|  "kernel_stats": {
-    "steps": 200, "settles": 400,
-    "node_rounds": 1200, "nodes_evaluated": 1200, "nodes_skipped": 0,
-    "kernel_efficiency": 1.0000,
-    "dirty_total": 1200, "dirty_peak": 3,
-    "nba_commits": 486, "prim_steps": 0, "displays": 0
-  },
-  "settle_rounds": {"count": 400, "min": 3, "max": 3, "mean": 3.00},
-  "hottest_signals": [
+  String.concat ""
+    [
+      {|  "kernel_stats": {"steps": 200, "settles": 400, |};
+      {|"node_rounds": 1200, "nodes_evaluated": 1200, "nodes_skipped": 0, |};
+      {|"kernel_efficiency": 1.0, |};
+      {|"dirty_total": 1200, "dirty_peak": 3, |};
+      {|"nba_commits": 486, "prim_steps": 0, "displays": 0},
+|};
+      {|  "settle_rounds": {"count": 400, "min": 3, "max": 3, "mean": 3.0},
+|};
+      {|  "hottest_signals": [
     {"signal": "gray", "toggles": 24},
     {"signal": "in_rgb", "toggles": 24},
     {"signal": "linebuf", "toggles": 24},
@@ -343,7 +349,8 @@ let golden_d2_brute =
     {"signal": "wr_count", "toggles": 8},
     {"signal": "in_valid", "toggles": 2}
   ],
-|}
+|};
+    ]
 
 let test_profile_golden () =
   let bug = Option.get (Registry.find "D2") in
