@@ -2,7 +2,8 @@
    SignalCat in both execution modes, and confirm that the unified logs
    agree.
 
-   Run with:  dune exec examples/quickstart.exe *)
+   Run with:  dune exec examples/quickstart.exe
+   It exits with status 1 when the two logs differ. *)
 
 module Bits = Fpga_bits.Bits
 module Parser = Fpga_hdl.Parser
@@ -57,4 +58,6 @@ let () =
   List.iter (fun (c, t) -> Printf.printf "  [cycle %2d] %s\n" c t) sim_log;
   print_endline "on-FPGA-mode log (reconstructed from the recording buffer):";
   List.iter (fun (c, t) -> Printf.printf "  [cycle %2d] %s\n" c t) fpga_log;
-  Printf.printf "logs identical: %b\n" (sim_log = fpga_log)
+  Printf.printf "logs identical: %b\n" (sim_log = fpga_log);
+  (* the two logs agreeing is SignalCat's headline property *)
+  if sim_log <> fpga_log then exit 1

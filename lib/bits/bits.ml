@@ -112,6 +112,26 @@ let to_int_trunc t =
   done;
   !acc land ((1 lsl 62) - 1)
 
+(* Bits [lo .. lo + w - 1] span at most three limbs for [w <= 62]:
+   the third only when [lo mod 32 > 2], which keeps its shift below
+   62. *)
+let field_int t ~lo ~w =
+  if w < 1 || w > 62 || lo < 0 || lo + w > t.width then
+    invalid_arg
+      (Printf.sprintf "Bits.field_int: %d bits at %d out of range for width %d"
+         w lo t.width);
+  let l = t.limbs and j = lo / limb_bits and b = lo mod limb_bits in
+  let acc = l.(j) lsr b in
+  let acc =
+    if w > limb_bits - b then acc lor (l.(j + 1) lsl (limb_bits - b)) else acc
+  in
+  let acc =
+    if w > (2 * limb_bits) - b then
+      acc lor (l.(j + 2) lsl ((2 * limb_bits) - b))
+    else acc
+  in
+  acc land ((1 lsl w) - 1)
+
 let to_signed_int t =
   if t.width = 1 then if bit t 0 then -1 else 0
   else if bit t (t.width - 1) then (
@@ -502,16 +522,32 @@ let reduce_xor t =
   let v = v lxor (v lsr 4) in
   (0x6996 lsr (v land 0xF)) land 1 = 1
 
+(* Both strings are written straight from the limbs: bit [i] is
+   character [width - 1 - i], and a hex digit never straddles a limb
+   because 4 divides [limb_bits]. *)
 let to_binary_string t =
-  String.init t.width (fun i -> if bit t (t.width - 1 - i) then '1' else '0')
+  let w = t.width in
+  let s = Bytes.create w in
+  for j = 0 to Array.length t.limbs - 1 do
+    let l = t.limbs.(j) and base = j * limb_bits in
+    for k = 0 to min limb_bits (w - base) - 1 do
+      Bytes.unsafe_set s (w - 1 - base - k)
+        (if (l lsr k) land 1 = 1 then '1' else '0')
+    done
+  done;
+  Bytes.unsafe_to_string s
+
+let hex_chars = "0123456789abcdef"
 
 let to_hex_string t =
-  let ndigits = (t.width + 3) / 4 in
-  String.init ndigits (fun i ->
-      let lo = (ndigits - 1 - i) * 4 in
-      let hi = min (lo + 3) (t.width - 1) in
-      let v = to_int_trunc (slice t ~hi ~lo) in
-      "0123456789abcdef".[v])
+  let n = (t.width + 3) / 4 and per_limb = limb_bits / 4 in
+  let s = Bytes.create n in
+  for k = 0 to n - 1 do
+    let l = t.limbs.(k / per_limb) in
+    Bytes.unsafe_set s (n - 1 - k)
+      (String.unsafe_get hex_chars ((l lsr (k mod per_limb * 4)) land 15))
+  done;
+  Bytes.unsafe_to_string s
 
 let hex_digit c =
   match c with

@@ -50,8 +50,18 @@ val to_int : t -> int
 val to_int_trunc : t -> int
 (** Low 62 bits of the value, always succeeds. *)
 
+val field_int : t -> lo:int -> w:int -> int
+(** [field_int v ~lo ~w] is bits [lo + w - 1 .. lo] as a non-negative
+    int, read straight from the limbs without allocating: the value of
+    [to_int (slice v ~hi:(lo + w - 1) ~lo)]. Raises [Invalid_argument]
+    unless [1 <= w <= 62] and the field lies within the vector. *)
+
 val to_binary_string : t -> string
+(** [width] characters, most significant bit first. *)
+
 val to_hex_string : t -> string
+(** [(width + 3) / 4] lowercase digits, most significant first, zero
+    padded. *)
 
 val to_signed_int : t -> int
 (** Two's-complement interpretation. Raises [Failure] if it does not fit. *)

@@ -16,7 +16,14 @@
      up to the buffer capacity.
 
    The equivalence of the two logs is the tool's headline property and
-   is checked by the test suite. *)
+   is checked by the test suite. It holds by construction as far as
+   rendering goes: both modes render through the one compiled
+   [Display] format. [analyze] fixes each statement's place in the
+   entry once per plan (its [layout]), and [reconstruct] decodes the
+   ring in place: it reads each entry from the simulator's memory
+   without copying the ring, takes arguments of at most 62 bits
+   straight from the entry's limbs ([Bits.field_int]) and slices only
+   wider ones. *)
 
 module Ast = Fpga_hdl.Ast
 module Bits = Fpga_bits.Bits
@@ -44,12 +51,21 @@ type trigger = {
   post : int;  (* extra entries recorded after the stop event *)
 }
 
+(* Where one statement sits in a buffer entry, and its format. *)
+type layout = {
+  cbit : int;  (* its constraint bit *)
+  offsets : int array;  (* each argument's lowest bit *)
+  widths : int array;
+  format : Fpga_sim.Display.t;
+}
+
 type plan = {
   module_name : string;
   statements : statement_info list;
   buffer_depth : int;
   entry_width : int;  (* 32-bit cycle + constraint bits + argument bits *)
   trigger : trigger;
+  layout : layout array;  (* per statement, in order *)
 }
 
 let no_trigger = { start = None; stop = None; post = 0 }
@@ -105,13 +121,30 @@ let analyze ?(buffer_depth = 8192) ?(trigger = no_trigger)
              cond;
            })
   in
-  let args_bits =
-    List.fold_left
-      (fun acc s -> acc + List.fold_left ( + ) 0 s.arg_widths)
-      0 statements
+  (* the entry [entry_expr] builds: after the 32-bit cycle, per
+     statement its constraint bit, then its arguments *)
+  let entry_width, layout =
+    List.fold_left_map
+      (fun cbit s ->
+        let widths = Array.of_list s.arg_widths in
+        let offsets = Array.make (Array.length widths) 0 in
+        let pos = ref (cbit + 1) in
+        Array.iteri
+          (fun i w ->
+            offsets.(i) <- !pos;
+            pos := !pos + w)
+          widths;
+        (!pos, { cbit; offsets; widths; format = Fpga_sim.Display.compile s.fmt }))
+      32 statements
   in
-  let entry_width = 32 + List.length statements + args_bits in
-  { module_name = m.Ast.mod_name; statements; buffer_depth; entry_width; trigger }
+  {
+    module_name = m.Ast.mod_name;
+    statements;
+    buffer_depth;
+    entry_width;
+    trigger;
+    layout = Array.of_list layout;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Instrumentation (On_fpga mode)                                      *)
@@ -314,48 +347,53 @@ let apply ?(buffer_depth = 8192) ?trigger mode (m : Ast.module_def) :
 (* Log reconstruction (On_fpga mode)                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Cons the log lines of one buffer entry onto [acc], last statement
-   first: the entry's low 32 bits hold its cycle, then each statement
-   has its constraint bit followed by its arguments. *)
-let decode_entry (plan : plan) (entry : Bits.t) acc =
-  let cycle = Bits.to_int_trunc entry land 0xffff_ffff in
-  let rec args pos = function
-    | [] -> []
-    | w :: ws -> Bits.slice entry ~hi:(pos + w - 1) ~lo:pos :: args (pos + w) ws
-  in
-  let rec statements pos acc = function
-    | [] -> acc
-    | s :: rest ->
-        let next = List.fold_left ( + ) (pos + 1) s.arg_widths in
-        (* a disabled statement's arguments are never rendered *)
-        if not (Bits.bit entry pos) then statements next acc rest
-        else
-          let text = Fpga_sim.Display.render s.fmt (args (pos + 1) s.arg_widths) in
-          statements next ((cycle, text) :: acc) rest
-  in
-  statements 32 acc plan.statements
-
 (* Walk the ring buffer oldest entry first (from [ptr] once it has
    wrapped), then any entry still sitting in the capture pipeline when
-   the run ends. *)
+   the run ends. Each entry's lines are consed onto [acc], last
+   statement first, and the whole log reversed once at the end. *)
 let reconstruct (plan : plan) (sim : Simulator.t) : (int * string) list =
   if plan.statements = [] then []
   else (
-    let buf = Simulator.read_memory sim buf_name in
+    let word = Simulator.memory_reader sim buf_name in
     let total = Simulator.read_int sim total_name in
     let depth = plan.buffer_depth in
     let first, count =
       if total <= depth then (0, total)
       else (Simulator.read_int sim ptr_name, depth)
     in
+    let text = Buffer.create 64 in
+    let entry = ref (Bits.zero 1) in
+    (* each statement's argument reader, over the entry being decoded *)
+    let arg l buf d i =
+      let lo = l.offsets.(i) and w = l.widths.(i) in
+      if w <= 62 then
+        Fpga_sim.Display.add_int buf d ~width:w (Bits.field_int !entry ~lo ~w)
+      else Fpga_sim.Display.add_bits buf d (Bits.slice !entry ~hi:(lo + w - 1) ~lo)
+    in
+    let args = Array.map arg plan.layout in
+    let decode e acc =
+      entry := e;
+      let cycle = Bits.field_int e ~lo:0 ~w:32 in
+      let acc = ref acc in
+      for s = 0 to Array.length plan.layout - 1 do
+        let l = plan.layout.(s) in
+        (* a disabled statement's arguments are never rendered *)
+        if Bits.bit e l.cbit then (
+          Buffer.clear text;
+          Fpga_sim.Display.render_to text l.format
+            ~nargs:(Array.length l.widths) args.(s);
+          acc := (cycle, Buffer.contents text) :: !acc)
+      done;
+      !acc
+    in
     let acc = ref [] in
     for i = 0 to count - 1 do
-      acc := decode_entry plan buf.((first + i) mod depth) !acc
+      acc := decode (word ((first + i) mod depth)) !acc
     done;
     if
       Simulator.read_int sim stage_vld_name = 1
       && Simulator.read_int sim gate_name = 1
-    then acc := decode_entry plan (Simulator.read sim stage_name) !acc;
+    then acc := decode (Simulator.read sim stage_name) !acc;
     List.rev !acc)
 
 (* Run a design+stimulus in the given mode and return the unified log.

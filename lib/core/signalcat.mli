@@ -46,6 +46,11 @@ type trigger = {
 
 val no_trigger : trigger
 
+type layout
+(** Where one statement sits in a buffer entry (its constraint bit and
+    each argument's offset and width) and its compiled format: what
+    {!reconstruct} decodes the entry with. *)
+
 (** The static recording plan for a module. *)
 type plan = {
   module_name : string;
@@ -53,6 +58,7 @@ type plan = {
   buffer_depth : int;
   entry_width : int;  (** 32-bit cycle + constraint bits + argument bits *)
   trigger : trigger;
+  layout : layout array;  (** per statement, built once by {!analyze} *)
 }
 
 val analyze :

@@ -134,7 +134,7 @@ type cstmt =
   | CSnonblocking of clvalue * cexpr * int
   | CSif of cexpr * cstmt list * cstmt list
   | CScase of cexpr * (cexpr list * cstmt list) list * cstmt list option
-  | CSdisplay of string * cexpr list
+  | CSdisplay of Display.t * cexpr list  (* format compiled once *)
   | CSfinish
 
 (* A combinational node: a continuous assign with its context width, or
@@ -238,7 +238,7 @@ let rec compile_stmt tab (s : Ast.stmt) : cstmt =
             items,
           Option.map (List.map (compile_stmt tab)) default )
   | Ast.Display (fmt, args) ->
-      CSdisplay (fmt, List.map (compile_expr tab) args)
+      CSdisplay (Display.compile fmt, List.map (compile_expr tab) args)
   | Ast.Finish -> CSfinish
 
 (* ------------------------------------------------------------------ *)

@@ -86,7 +86,7 @@ type cstmt =
   | CSnonblocking of clvalue * cexpr * int
   | CSif of cexpr * cstmt list * cstmt list
   | CScase of cexpr * (cexpr list * cstmt list) list * cstmt list option
-  | CSdisplay of string * cexpr list
+  | CSdisplay of Display.t * cexpr list  (** format compiled once *)
   | CSfinish
 
 (** A combinational node: a continuous assign, with the context width

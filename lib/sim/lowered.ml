@@ -924,8 +924,31 @@ let rec lstmt st ~in_comb (s : Compiled.cstmt) : unit -> unit =
           | Some (_, body) -> body ()
           | None -> def' ())
   | Compiled.CSdisplay (fmt, args) ->
-      let afs = List.map (fun a -> bits_fn (lex st ~ctx:0 a)) args in
-      let render () = Display.render fmt (List.map (fun f -> f ()) afs) in
+      let exs = Array.of_list (List.map (lex st ~ctx:0) args) in
+      let n = Array.length exs in
+      (* every argument is evaluated, in order, before any is rendered,
+         as the brute-force kernel does; immediates render from their
+         pattern, with no vector built *)
+      let ints = Array.make n 0 and vecs = Array.make n (Bits.zero 1) in
+      let load =
+        chain
+          (List.init n (fun i ->
+               match exs.(i) with
+               | Eint (_, f) -> fun () -> ints.(i) <- f ()
+               | Ebits (_, f) -> fun () -> vecs.(i) <- f ()))
+      in
+      let arg buf d i =
+        match exs.(i) with
+        | Eint (w, _) -> Display.add_int buf d ~width:w ints.(i)
+        | Ebits _ -> Display.add_bits buf d vecs.(i)
+      in
+      let buf = Buffer.create 64 in
+      let render () =
+        load ();
+        Buffer.clear buf;
+        Display.render_to buf fmt ~nargs:n arg;
+        Buffer.contents buf
+      in
       if in_comb then
         guard (fun () -> if st.displays then st.emit (render ()))
       else guard (fun () -> st.emit (render ()))

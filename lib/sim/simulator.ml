@@ -182,7 +182,7 @@ let emit_text sim text =
 let emit_display ctx fmt args =
   if ctx.displays_enabled then (
     let vals = List.map (Compiled.eval ctx.sim.env) args in
-    emit_text ctx.sim (Display.render fmt vals))
+    emit_text ctx.sim (Display.render_bits fmt vals))
 
 let rec exec_stmt ctx (s : Compiled.cstmt) =
   if not !(ctx.sim.finished) then
@@ -602,6 +602,19 @@ let read_memory sim name =
   match sim.env.(i) with
   | Compiled.Mem a -> Array.copy a
   | Compiled.Vec _ -> bad_name "Simulator.read_memory: %s" name
+
+(* The slot is read at every call, not once: a checkpoint restore
+   replaces a memory's array. *)
+let memory_reader sim name =
+  let i = id_of sim name in
+  (match if i < 0 then None else Some sim.env.(i) with
+  | Some (Compiled.Mem _) -> ()
+  | Some (Compiled.Vec _) | None ->
+      bad_name "Simulator.memory_reader: %s" name);
+  fun k ->
+    match sim.env.(i) with
+    | Compiled.Mem a -> a.(k)
+    | Compiled.Vec _ -> assert false
 
 (* Run the sequential blocks firing on one clock edge and commit their
    non-blocking writes. *)

@@ -138,8 +138,15 @@ val read_int : t -> string -> int
 (** Low 62 bits of {!read}, as an int. *)
 
 val read_memory : t -> string -> Fpga_bits.Bits.t array
-(** Snapshot of a memory's words — the JTAG-readback analog used by
-    SignalCat's log reconstruction. *)
+(** Snapshot of a memory's words. *)
+
+val memory_reader : t -> string -> int -> Fpga_bits.Bits.t
+(** [memory_reader sim name] resolves the memory [name] once and
+    returns a reader of its live words: [memory_reader sim name k] is
+    [(read_memory sim name).(k)] at the time of the read, without
+    copying the memory — the JTAG-readback analog used by SignalCat's
+    log reconstruction. Raises [Invalid_argument] if [name] is not a
+    memory (at once) or [k] is out of range (at the read). *)
 
 val log : t -> (int * string) list
 (** All $display output so far, oldest first, as (cycle, text). *)

@@ -718,3 +718,63 @@ let prop_equal_bitwise =
       && Bits.equal a (Bits.of_binary_string (Bits.to_binary_string a)))
 
 let suite = suite @ [ QCheck_alcotest.to_alcotest prop_equal_bitwise ]
+
+(* --- strings and fields straight from the limbs --------------------------- *)
+
+(* References built one digit at a time from [Bits.Naive.slice]. *)
+let naive_hex a =
+  let w = Bits.width a in
+  let n = (w + 3) / 4 in
+  String.init n (fun i ->
+      let lo = (n - 1 - i) * 4 in
+      "0123456789abcdef".[Bits.to_int (Bits.Naive.slice a ~hi:(min (lo + 3) (w - 1)) ~lo)])
+
+let naive_binary a =
+  let w = Bits.width a in
+  String.init w (fun i ->
+      let k = w - 1 - i in
+      if Bits.is_zero (Bits.Naive.slice a ~hi:k ~lo:k) then '0' else '1')
+
+let gen_wide_bits =
+  QCheck2.Gen.(
+    oneof [ oneofl [ 1; 4; 31; 32; 33; 62; 63; 64; 65; 128; 300 ]; int_range 1 300 ]
+    >>= gen_bits_of_width)
+
+let gen_field =
+  QCheck2.Gen.(
+    gen_wide_bits >>= fun a ->
+    let w = Bits.width a in
+    int_range 1 (min 62 w) >>= fun fw ->
+    int_range 0 (w - fw) >|= fun lo -> (a, lo, fw))
+
+let string_properties =
+  [
+    QCheck2.Test.make ~count:500 ~name:"to_hex_string vs naive"
+      ~print:Bits.to_string gen_wide_bits (fun a ->
+        Bits.to_hex_string a = naive_hex a);
+    QCheck2.Test.make ~count:500 ~name:"to_binary_string vs naive"
+      ~print:Bits.to_string gen_wide_bits (fun a ->
+        Bits.to_binary_string a = naive_binary a);
+    QCheck2.Test.make ~count:500 ~name:"field_int vs naive slice"
+      ~print:(fun (a, lo, w) -> Printf.sprintf "%s lo=%d w=%d" (Bits.to_string a) lo w)
+      gen_field (fun (a, lo, w) ->
+        Bits.field_int a ~lo ~w = Bits.to_int (Bits.Naive.slice a ~hi:(lo + w - 1) ~lo));
+  ]
+
+let test_field_int_bounds () =
+  let v = Bits.ones 100 in
+  List.iter
+    (fun (lo, w) ->
+      check_bool
+        (Printf.sprintf "lo=%d w=%d rejected" lo w)
+        true
+        (match Bits.field_int v ~lo ~w with
+        | exception Invalid_argument _ -> true
+        | _ -> false))
+    [ (0, 0); (0, 63); (-1, 4); (97, 4); (100, 1) ];
+  check_int "top 62 bits" ((1 lsl 62) - 1) (Bits.field_int v ~lo:38 ~w:62)
+
+let suite =
+  suite
+  @ List.map QCheck_alcotest.to_alcotest string_properties
+  @ [ Alcotest.test_case "field_int rejects out-of-range fields" `Quick test_field_int_bounds ]

@@ -850,3 +850,85 @@ let suite =
       Alcotest.test_case "losscheck and deps through altsyncram" `Quick
         (check_ip_analyses ~ip:altsyncram_inst ~gate:"in_valid");
     ]
+
+(* --- SignalCat readback across argument widths ----------------------------- *)
+
+(* Arguments on both sides of the widths the readback treats apart:
+   at most 62 bits are read from the entry as an int, wider ones are
+   sliced, and 63 and 64 bits straddle both that line and a limb. *)
+let sc_inputs = [ ("a1", 1); ("a8", 8); ("a62", 62); ("a63", 63); ("a64", 64); ("a100", 100) ]
+
+let sc_source displays =
+  let decl (n, w) =
+    if w = 1 then Printf.sprintf "input %s" n
+    else Printf.sprintf "input [%d:0] %s" (w - 1) n
+  in
+  Printf.sprintf
+    "module top (input clk, input [2:0] sel, %s, output reg [7:0] n);\n\
+    \  always @(posedge clk) begin\n\
+    \    n <= n + 8'd1;\n\
+     %s\n\
+    \  end\n\
+     endmodule\n"
+    (String.concat ", " (List.map decl sc_inputs))
+    (String.concat "\n"
+       (List.mapi
+          (fun i (fmt, args) ->
+            Printf.sprintf "    if (sel[%d]) $display(\"%s\"%s);" i fmt
+              (String.concat "" (List.map (fun a -> ", " ^ a) args)))
+          displays))
+
+let gen_sc_case =
+  QCheck2.Gen.(
+    let display =
+      pair
+        (list_size (int_range 1 5)
+           (oneofl [ "%d"; "%h"; "%x"; "%b"; "%c"; "%%"; " "; "v=" ])
+        >|= String.concat "")
+        (list_size (int_bound 4) (oneofl (List.map fst sc_inputs)))
+    in
+    let value w =
+      list_size (return ((w + 3) / 4)) (int_bound 15) >|= fun ds ->
+      Bits.of_hex_string ~width:w (String.concat "" (List.map (Printf.sprintf "%x") ds))
+    in
+    let row =
+      int_bound 7 >>= fun sel ->
+      flatten_l (List.map (fun (n, w) -> value w >|= fun v -> (n, v)) sc_inputs)
+      >|= fun vs -> ("sel", b ~width:3 sel) :: vs
+    in
+    pair (list_size (return 3) display) (list_size (return 20) row))
+
+(* One run of [design] in [mode] under [kernel], as [run_and_log]. *)
+let sc_log ~kernel ~mode ~buffer_depth ~cycles design stim =
+  let m = Option.get (Ast.find_module design "top") in
+  let m', plan = Signalcat.apply ~buffer_depth mode m in
+  let sim = Testbench.of_design ~kernel ~top:"top" (Ast.replace_module design m m') in
+  let outcome = Testbench.run ~max_cycles:cycles sim stim in
+  match mode with
+  | Signalcat.Simulation -> outcome.Testbench.log
+  | Signalcat.On_fpga -> Signalcat.reconstruct plan sim
+
+let prop_signalcat_widths =
+  QCheck2.Test.make ~count:40
+    ~name:"signalcat readback of 1- to 100-bit arguments, ring wrapped"
+    ~print:(fun (displays, _) -> sc_source displays)
+    gen_sc_case
+    (fun (displays, rows) ->
+      let design = Parser.parse_design (sc_source displays) in
+      let rows = Array.of_list rows in
+      let stim c = if c < Array.length rows then rows.(c) else [] in
+      let log kernel mode =
+        sc_log ~kernel ~mode ~buffer_depth:8 ~cycles:(Array.length rows) design
+          stim
+      in
+      let reference = log Simulator.Brute_force Signalcat.Simulation in
+      List.for_all
+        (fun kernel ->
+          let fpga = log kernel Signalcat.On_fpga in
+          let skip = List.length reference - List.length fpga in
+          log kernel Signalcat.Simulation = reference
+          && skip >= 0
+          && List.filteri (fun i _ -> i >= skip) reference = fpga)
+        [ Simulator.Brute_force; Simulator.Lowered_dirty ])
+
+let suite = suite @ [ QCheck_alcotest.to_alcotest prop_signalcat_widths ]

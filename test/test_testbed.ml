@@ -640,6 +640,69 @@ let suite =
       Alcotest.test_case "recorder log after a restore" `Quick test_recorder_restore;
     ]
 
+(* --- the debug window: readback over a wrapped ring ------------------------ *)
+
+let window = 2000
+let window_depth = 256
+
+(* [bug]'s debug recipe at the window's ring depth, and one run of
+   [m] (a top module of it) for the window, from reset. *)
+let window_run (bug : Bug.t) m =
+  let sim =
+    Fpga_sim.Testbench.of_design ~top:bug.Bug.top
+      (substitute (Bug.design_of bug ~buggy:true) m)
+  in
+  let outcome =
+    Fpga_sim.Testbench.run ~max_cycles:window sim bug.Bug.stimulus
+  in
+  (sim, outcome.Fpga_sim.Testbench.log)
+
+let suffix n l = List.filteri (fun i _ -> i >= List.length l - n) l
+
+(* Every Table 2 bug's on-FPGA design run for a debug session's 2000
+   cycles into a 256-entry ring (S2 and D3 wrap it): the readback is
+   the newest part of the Simulation-mode log of the same run. *)
+let test_debug_window () =
+  List.iter
+    (fun (bug : Bug.t) ->
+      let r = Recipe.apply ~buffer_depth:window_depth bug in
+      let _, sim_log = window_run bug r.Recipe.with_monitors in
+      let sim, _ = window_run bug r.Recipe.on_fpga in
+      let fpga_log = Fpga_debug.Signalcat.reconstruct r.Recipe.signalcat_plan sim in
+      Alcotest.(check (list (pair int string)))
+        (bug.Bug.id ^ ": readback is the log's newest lines")
+        (suffix (List.length fpga_log) sim_log)
+        fpga_log)
+    all
+
+(* S2's readback decodes a wrapped 256-entry ring into 616 lines.
+   Reading narrow arguments straight from each entry costs 13.5 minor
+   words per line, the line's string and list cells included; slicing
+   every argument into a vector first costs 18.5, and the renderer
+   before formats were compiled about 50. *)
+let test_readback_allocation () =
+  let bug = Option.get (Registry.find "S2") in
+  let r = Recipe.apply ~buffer_depth:window_depth bug in
+  let sim, _ = window_run bug r.Recipe.on_fpga in
+  let before = Gc.minor_words () in
+  let log = Fpga_debug.Signalcat.reconstruct r.Recipe.signalcat_plan sim in
+  let words = Gc.minor_words () -. before in
+  let lines = List.length log in
+  let per_line = words /. float_of_int lines in
+  check_bool "the ring wrapped" true (lines >= window_depth);
+  check_bool
+    (Printf.sprintf "%.1f minor words per log line <= 16" per_line)
+    true (per_line <= 16.)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "debug window: readback is the log's suffix" `Quick
+        test_debug_window;
+      Alcotest.test_case "readback allocation ceiling" `Quick
+        test_readback_allocation;
+    ]
+
 (* --- the process-wide parse memo ------------------------------------------ *)
 
 let test_design_of_shared () =
