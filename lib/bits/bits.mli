@@ -63,6 +63,10 @@ val to_hex_string : t -> string
 (** [(width + 3) / 4] lowercase digits, most significant first, zero
     padded. *)
 
+val to_dec_string : t -> string
+(** The unsigned value in decimal, without leading zeros (["0"] for
+    zero), at any width. *)
+
 val to_signed_int : t -> int
 (** Two's-complement interpretation. Raises [Failure] if it does not fit. *)
 

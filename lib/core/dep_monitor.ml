@@ -17,7 +17,7 @@ type plan = {
   monitored : string list;  (* chain members that are registers *)
 }
 
-type update = { cycle : int; signal : string; value : int }
+type update = { cycle : int; signal : string; value : string }
 
 let tag = "DEP"
 
@@ -170,14 +170,17 @@ let instrument (p : plan) (m : Ast.module_def) : Ast.module_def =
    change is observed. [decode_updates] is the pure parser; the public
    {!updates} also counts the updates (once per call — {!backtrace}
    decodes without counting again). *)
+let is_digit = function '0' .. '9' -> true | _ -> false
+
 let decode_updates (log : (int * string) list) : update list =
   Instrument.tagged_lines tag log
   |> List.filter_map (fun (cycle, payload) ->
          match String.split_on_char '=' payload with
-         | [ name; value ] -> (
-             match int_of_string_opt (String.trim value) with
-             | Some v -> Some { cycle; signal = String.trim name; value = v }
-             | None -> None)
+         | [ name; value ] ->
+             let value = String.trim value in
+             if value <> "" && String.for_all is_digit value then
+               Some { cycle; signal = String.trim name; value }
+             else None
          | _ -> None)
 
 let updates_counter = Telemetry.Counter.make "dep_monitor.updates"
@@ -197,4 +200,4 @@ let backtrace (p : plan) (log : (int * string) list) ~at_cycle : update list =
   |> List.sort (fun a b -> compare b.cycle a.cycle)
 
 let update_to_string u =
-  Printf.sprintf "cycle %d: %s = %d" u.cycle u.signal u.value
+  Printf.sprintf "cycle %d: %s = %s" u.cycle u.signal u.value

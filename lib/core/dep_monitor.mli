@@ -14,7 +14,13 @@ type plan = {
   monitored : string list;  (** chain members instrumented for logging *)
 }
 
-type update = { cycle : int; signal : string; value : int }
+type update = {
+  cycle : int;
+  signal : string;
+  value : string;
+      (** the new value in decimal, as [%d] logged it: every digit of
+          it, at any width *)
+}
 
 val child_instance_edges :
   Fpga_hdl.Ast.design option -> Fpga_hdl.Ast.instance -> Fpga_analysis.Deps.edge list

@@ -56,11 +56,19 @@ let rec add_dec buf v =
   if v >= 10 then add_dec buf (v / 10);
   Buffer.add_char buf (Char.unsafe_chr (48 + (v mod 10)))
 
-let low62 = (1 lsl 62) - 1
+(* A 63-bit pattern with its top bit set is a negative int: its unsigned
+   value over ten is [(v lsr 1) / 5], and the last digit what the
+   wrapped subtraction leaves. *)
+let add_unsigned buf v =
+  if v >= 0 then add_dec buf v
+  else
+    let q = (v lsr 1) / 5 in
+    add_dec buf q;
+    Buffer.add_char buf (Char.unsafe_chr (48 + (v - (q * 10))))
 
 let add_int buf d ~width v =
   match d with
-  | Dec -> add_dec buf (v land low62)
+  | Dec -> add_unsigned buf v
   | Chr -> Buffer.add_char buf (Char.unsafe_chr (v land 0xFF))
   | Hex ->
       for k = ((width + 3) / 4) - 1 downto 0 do
@@ -77,7 +85,8 @@ let add_bits buf d v =
   if Bits.Imm.fits width then add_int buf d ~width (Bits.Imm.of_bits v)
   else
     match d with
-    | Dec | Chr -> add_int buf d ~width:62 (Bits.to_int_trunc v)
+    | Dec -> Buffer.add_string buf (Bits.to_dec_string v)
+    | Chr -> add_int buf Chr ~width:62 (Bits.to_int_trunc v)
     | Hex -> Buffer.add_string buf (Bits.to_hex_string v)
     | Bin -> Buffer.add_string buf (Bits.to_binary_string v)
 

@@ -8,8 +8,9 @@
     so malformed format strings stay visible in the log.
 
     A format is parsed once by {!compile}; {!render_to} renders the
-    compiled form as often as the statement fires. [%d] prints the low
-    62 bits of its argument in decimal, [%c] the low 8 bits as a
+    compiled form as often as the statement fires. [%d] prints its
+    argument's full unsigned value in decimal, at any width, [%c] the
+    low 8 bits as a
     character, [%h]/[%x] one zero-padded hex digit per 4 bits of the
     argument's width, [%b] one digit per bit. *)
 

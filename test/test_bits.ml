@@ -735,6 +735,23 @@ let naive_binary a =
       let k = w - 1 - i in
       if Bits.is_zero (Bits.Naive.slice a ~hi:k ~lo:k) then '0' else '1')
 
+(* Decimal by doubling: one bit at a time from the top, each read with
+   [Bits.Naive.slice], into little-endian decimal digits. *)
+let naive_dec a =
+  let digits = ref [ 0 ] in
+  for k = Bits.width a - 1 downto 0 do
+    let carry = ref (if Bits.is_zero (Bits.Naive.slice a ~hi:k ~lo:k) then 0 else 1) in
+    digits :=
+      List.map
+        (fun d ->
+          let v = (2 * d) + !carry in
+          carry := v / 10;
+          v mod 10)
+        !digits;
+    if !carry > 0 then digits := !digits @ [ !carry ]
+  done;
+  String.concat "" (List.rev_map string_of_int !digits)
+
 let gen_wide_bits =
   QCheck2.Gen.(
     oneof [ oneofl [ 1; 4; 31; 32; 33; 62; 63; 64; 65; 128; 300 ]; int_range 1 300 ]
@@ -752,6 +769,9 @@ let string_properties =
     QCheck2.Test.make ~count:500 ~name:"to_hex_string vs naive"
       ~print:Bits.to_string gen_wide_bits (fun a ->
         Bits.to_hex_string a = naive_hex a);
+    QCheck2.Test.make ~count:500 ~name:"to_dec_string vs naive"
+      ~print:Bits.to_string gen_wide_bits (fun a ->
+        Bits.to_dec_string a = naive_dec a);
     QCheck2.Test.make ~count:500 ~name:"to_binary_string vs naive"
       ~print:Bits.to_string gen_wide_bits (fun a ->
         Bits.to_binary_string a = naive_binary a);

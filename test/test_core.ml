@@ -226,11 +226,11 @@ endmodule
   let updates = Dep_monitor.updates plan outcome.Testbench.log in
   check_bool "s1 update observed" true
     (List.exists
-       (fun u -> u.Dep_monitor.signal = "s1" && u.Dep_monitor.value = 0x7E)
+       (fun u -> u.Dep_monitor.signal = "s1" && u.Dep_monitor.value = "126")
        updates);
   check_bool "s2 update observed" true
     (List.exists
-       (fun u -> u.Dep_monitor.signal = "s2" && u.Dep_monitor.value = 0x7E)
+       (fun u -> u.Dep_monitor.signal = "s2" && u.Dep_monitor.value = "126")
        updates);
   (* backtrace returns newest first *)
   let bt = Dep_monitor.backtrace plan outcome.Testbench.log ~at_cycle:6 in

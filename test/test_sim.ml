@@ -2723,10 +2723,29 @@ let test_display_verbatim () =
       ("%0d %0h %0b %0c", "65 <missing> <missing> <missing>");
     ]
 
-(* The renderer before formats were compiled, copied as it was: the
-   oracle for the compiled one. Its hex and binary strings come from
-   [Bits], whose own property (test_bits) checks them against
-   [Bits.Naive]. *)
+(* [%d] prints every bit of its argument, also past an int's 62 value
+   bits: a 63-bit value with its top bit set, 64 bits and wider. *)
+let test_display_wide_dec () =
+  List.iter
+    (fun (arg, expected) ->
+      Alcotest.(check string) (Bits.to_string arg) expected
+        (Display.render "%d" [ arg ]))
+    [
+      (Bits.ones 64, "18446744073709551615");
+      (Bits.shift_left (Bits.one 64) 62, "4611686018427387904");
+      (Bits.ones 63, "9223372036854775807");
+      (Bits.shift_left (Bits.one 63) 62, "4611686018427387904");
+      (Bits.of_hex_string ~width:63 "6a09e667f3bcc908", "7640891576956012808");
+      (Bits.of_hex_string ~width:100 "fedcba9876543210fedcba987",
+       "1262016597560548382007796410759");
+      (Bits.zero 100, "0");
+    ]
+
+(* The renderer before formats were compiled, copied as it was but for
+   [%d]: the oracle for the compiled one. Its hex and binary strings
+   come from [Bits], whose own property (test_bits) checks them against
+   [Bits.Naive]; its decimal is built from [Bits.Naive] directly, the
+   full unsigned value at every width. *)
 let reference_render (fmt : string) (args : Bits.t list) : string =
   let buf = Buffer.create (String.length fmt + 16) in
   let args = ref args in
@@ -2752,7 +2771,7 @@ let reference_render (fmt : string) (args : Bits.t list) : string =
       | '%' -> Buffer.add_char buf '%'
       | 'd' -> (
           match next_arg () with
-          | Some a -> Buffer.add_string buf (string_of_int (Bits.to_int_trunc a))
+          | Some a -> Buffer.add_string buf (Test_bits.naive_dec a)
           | None -> Buffer.add_string buf "<missing>")
       | 'h' | 'x' -> (
           match next_arg () with
@@ -2822,5 +2841,7 @@ let suite =
   @ [
       Alcotest.test_case "display: unknown directives verbatim" `Quick
         test_display_verbatim;
+      Alcotest.test_case "display: %d at wide widths" `Quick
+        test_display_wide_dec;
       QCheck_alcotest.to_alcotest prop_display_compiled;
     ]
