@@ -236,12 +236,18 @@ let harness_of_meta meta =
 
 (* Resuming from a checkpoint restores both halves of the state: the
    simulator itself, which continues from the checkpoint's cycle, and
-   the harness observations accumulated up to it. *)
-let resume sim (from_checkpoint : Fpga_sim.Checkpoint.t option) =
+   the harness observations accumulated up to it. An external monitor
+   may keep state of its own between calls (S2's stability checker
+   keeps the beat offered last cycle), which the checkpoint does not
+   carry. So the monitor is called once on the restored simulator, as
+   the straight run called it after that cycle, and its verdict is
+   dropped: the checkpoint's [h_ext] already holds it. *)
+let resume (bug : t) sim (from_checkpoint : Fpga_sim.Checkpoint.t option) =
   match from_checkpoint with
   | None -> { h_rows = []; h_ext = false; h_satisfied = false }
   | Some ck ->
       Simulator.restore_checkpoint sim ck;
+      Option.iter (fun f -> ignore (f sim)) bug.ext_monitor;
       harness_of_meta ck.Fpga_sim.Checkpoint.ck_meta
 
 (* Step [sim] through the bug's stimulus, recording after each cycle
@@ -265,11 +271,23 @@ let drive (bug : t) sim (h : harness) ~max_cycles after =
   let max_cycles = if h.h_satisfied then 0 else max_cycles in
   ignore (Testbench.run ~max_cycles ~until:observe sim bug.stimulus)
 
+(* What a run of [bug] on [sim] showed, once [drive] has returned. *)
+let report_of ?vcd (bug : t) sim (h : harness) : report =
+  {
+    stuck = (match bug.done_when with Some _ -> not h.h_satisfied | None -> false);
+    finished = Simulator.finished sim;
+    rows = List.rev h.h_rows;
+    ext_error = h.h_ext;
+    log = Simulator.log sim;
+    cycles = Simulator.cycle sim;
+    vcd;
+  }
+
 let run_design ?(vcd = false) ?(vcd_from = 0) ?kernel ?max_cycles
     ?checkpoint_every ?on_checkpoint ?from_checkpoint (bug : t)
     (design : Ast.design) : report =
   with_simulator ?kernel bug design @@ fun sim ->
-  let h = resume sim from_checkpoint in
+  let h = resume bug sim from_checkpoint in
   let dump =
     if vcd then Some (Fpga_sim.Vcd.create (Simulator.flat sim)) else None
   in
@@ -284,15 +302,7 @@ let run_design ?(vcd = false) ?(vcd_from = 0) ?kernel ?max_cycles
           f (Simulator.save_checkpoint ~tag:bug.id ~meta:(meta_of_harness h) sim)
       | _ -> ());
       false);
-  {
-    stuck = (match bug.done_when with Some _ -> not h.h_satisfied | None -> false);
-    finished = Simulator.finished sim;
-    rows = List.rev h.h_rows;
-    ext_error = h.h_ext;
-    log = Simulator.log sim;
-    cycles = Simulator.cycle sim;
-    vcd = Option.map Fpga_sim.Vcd.contents dump;
-  }
+  report_of ?vcd:(Option.map Fpga_sim.Vcd.contents dump) bug sim h
 
 let run (bug : t) ~buggy : report = run_design bug (design_of bug ~buggy)
 

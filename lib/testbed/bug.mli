@@ -153,11 +153,21 @@ val harness_of_meta : (string * string) list -> harness
     {!Fpga_sim.Checkpoint.Checkpoint_error} when the metadata is
     malformed. *)
 
-val resume : Fpga_sim.Simulator.t -> Fpga_sim.Checkpoint.t option -> harness
-(** [resume sim ck] restores [ck], when given, into [sim], which then
-    continues from the checkpoint's cycle, and returns the harness
-    observations it carries; without a checkpoint, empty
-    observations. *)
+val resume : t -> Fpga_sim.Simulator.t -> Fpga_sim.Checkpoint.t option -> harness
+(** [resume bug sim ck] restores [ck], when given, into [sim], which
+    then continues from the checkpoint's cycle, and returns the harness
+    observations it carries; without a checkpoint, empty observations.
+
+    The contract for a stateful external monitor: after the restore,
+    [resume] calls [bug.ext_monitor] once on [sim] and drops its
+    verdict (the checkpoint's [h_ext] already holds the verdict the
+    straight run reached at that cycle). A monitor whose state is a
+    function of the simulator as it saw it on its last call (S2's
+    stability checker keeps the beat offered last cycle) thereby holds,
+    on the resumed run's first cycle, the state it held at that cycle
+    of the straight run, whatever ran before on the domain. A monitor
+    whose state depends on more than its last call cannot be resumed
+    this way; none of the testbed's does. *)
 
 val drive :
   t -> Fpga_sim.Simulator.t -> harness -> max_cycles:int ->
@@ -168,6 +178,11 @@ val drive :
     the external monitor, the completion condition), then calls [after
     c]; it stops once the completion condition has held or [after]
     returns true. With [h.h_satisfied] already set it runs no cycle. *)
+
+val report_of : ?vcd:string -> t -> Fpga_sim.Simulator.t -> harness -> report
+(** [report_of bug sim h] is the report of a run of [bug] that {!drive}
+    took to where [sim] and [h] are now, with [vcd] as its waveform.
+    {!run_design} builds its report with it. *)
 
 val run : t -> buggy:bool -> report
 

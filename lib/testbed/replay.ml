@@ -116,7 +116,7 @@ let bisect ?kernel ?(every = 50) (bug : Bug.t) : bisect_result =
        stopped) as only reference time advances *)
     Bug.with_simulator ?kernel bug (Bug.design_of bug ~buggy:true)
     @@ fun sim ->
-    let h = Bug.resume sim from in
+    let h = Bug.resume bug sim from in
     let start = Simulator.cycle sim in
     let first = ref None in
     let check cycle =

@@ -266,11 +266,24 @@ let test_checkpoint_crosses_kernels () =
 
 (* --- bisection ------------------------------------------------------- *)
 
+(* The completed-cycle count at which the external monitor first trips
+   in the straight buggy run, stepped from cycle 0 without a
+   checkpoint. *)
+let ext_trip_linear ?kernel (b : Bug.t) =
+  Bug.with_simulator ?kernel b (Bug.design_of b ~buggy:true) @@ fun sim ->
+  let h = Bug.resume b sim None in
+  let trip = ref None in
+  Bug.drive b sim h ~max_cycles:b.Bug.max_cycles (fun cycle ->
+      if h.Bug.h_ext && !trip = None then trip := Some (cycle + 1);
+      false);
+  !trip
+
 (* Linear-scan reference for the first failing cycle, computed from the
-   two full straight-run reports alone. *)
-let first_failing_linear (b : Bug.t) =
-  let fixed = Bug.run_design b (Bug.design_of b ~buggy:false) in
-  let buggy = Bug.run_design b (Bug.design_of b ~buggy:true) in
+   two full straight-run reports and the monitor's trip cycle. *)
+let first_failing_linear ?kernel (b : Bug.t) =
+  let fixed = Bug.run_design ?kernel b (Bug.design_of b ~buggy:false) in
+  let buggy = Bug.run_design ?kernel b (Bug.design_of b ~buggy:true) in
+  let ext_trip = ext_trip_linear ?kernel b in
   let fixed_done = b.Bug.done_when <> None && not fixed.Bug.stuck in
   let buggy_done = b.Bug.done_when <> None && not buggy.Bug.stuck in
   let pre limit rows = List.filter (fun (c, _) -> c < limit) rows in
@@ -280,7 +293,8 @@ let first_failing_linear (b : Bug.t) =
     else
       let limit = min c fixed.Bug.cycles in
       if
-        pre limit buggy.Bug.rows <> pre limit fixed.Bug.rows
+        (match ext_trip with Some t -> c >= t | None -> false)
+        || pre limit buggy.Bug.rows <> pre limit fixed.Bug.rows
         || (fixed_done && (not buggy_done) && c >= fixed.Bug.cycles)
       then Some c
       else scan (c + 1)
@@ -298,6 +312,24 @@ let test_bisect_matches_linear_reference () =
         true
         (r.Replay.bi_first_failing = expected))
     property_bugs
+
+(* The answer does not depend on the checkpoint grid, also for a bug
+   whose external monitor keeps state between cycles (S2): every
+   interval from 1 to the bug's budget gives the linear scan's cycle,
+   under both kernels. *)
+let test_bisect_every_interval () =
+  List.iter
+    (fun kernel ->
+      List.iter
+        (fun (b : Bug.t) ->
+          let expected = first_failing_linear ~kernel b in
+          for every = 1 to b.Bug.max_cycles do
+            let r = Replay.bisect ~kernel ~every b in
+            if r.Replay.bi_first_failing <> expected then
+              Alcotest.failf "%s every %d: %s" b.Bug.id every r.Replay.bi_detail
+          done)
+        Registry.all)
+    [ Simulator.Brute_force; Simulator.Lowered_dirty ]
 
 let test_bisect_interval_invariance () =
   (* the answer is a property of the bug, not of the checkpoint grid *)
@@ -336,4 +368,6 @@ let suite =
       test_bisect_matches_linear_reference;
     Alcotest.test_case "bisect is interval-invariant" `Quick
       test_bisect_interval_invariance;
+    Alcotest.test_case "bisect gives one answer at every interval" `Quick
+      test_bisect_every_interval;
   ]
