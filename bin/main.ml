@@ -20,6 +20,7 @@ open Cmdliner
 module Ast = Fpga_hdl.Ast
 module Bug = Fpga_testbed.Bug
 module Registry = Fpga_testbed.Registry
+module Session = Fpga_testbed.Session
 module Taxonomy = Fpga_study.Taxonomy
 module Testbench = Fpga_sim.Testbench
 
@@ -273,22 +274,22 @@ let fsm_cmd =
   in
   let run id extra exclude =
     let bug = find_bug id in
-    let design = Bug.design_of bug ~buggy:true in
-    let m = Option.get (Ast.find_module design bug.Bug.top) in
-    let plan = Fpga_debug.Fsm_monitor.plan ~extra ~exclude m in
+    let v =
+      Session.run
+        { Session.none with fsm = Some { extra; exclude } }
+        bug (Bug.design_of bug ~buggy:true)
+    in
+    let plan = Option.get v.Session.session.Session.fsm_plan in
     if plan.Fpga_debug.Fsm_monitor.fsms = [] then
       print_endline "no FSMs detected in this design"
     else (
-      let instrumented = Fpga_debug.Fsm_monitor.instrument plan m in
-      let design' = Ast.replace_module design m instrumented in
-      let report = Bug.run_design bug design' in
       List.iter
         (fun tr ->
           print_endline (Fpga_debug.Fsm_monitor.transition_to_string tr))
-        (Fpga_debug.Fsm_monitor.transitions plan report.Bug.log);
+        v.Session.transitions;
       List.iter
         (fun (v, s) -> Printf.printf "final state of %s: %s\n" v s)
-        (Fpga_debug.Fsm_monitor.final_states plan report.Bug.log))
+        v.Session.final_states)
   in
   Cmd.v (Cmd.info "fsm" ~doc) Term.(const run $ bug_arg $ extra_arg $ exclude_arg)
 
@@ -298,22 +299,13 @@ let stats_cmd =
   let doc = "Run Statistics Monitor with the bug's event set." in
   let run id =
     let bug = find_bug id in
-    let design = Bug.design_of bug ~buggy:true in
-    let m = Option.get (Ast.find_module design bug.Bug.top) in
-    let events =
-      List.map
-        (fun (name, signal) ->
-          { Fpga_debug.Stat_monitor.event_name = name; trigger = Ast.Ident signal })
-        bug.Bug.stat_events
+    let v =
+      Session.run
+        { Session.none with
+          stat = Some { events = bug.Bug.stat_events; log_changes = false } }
+        bug (Bug.design_of bug ~buggy:true)
     in
-    let plan = Fpga_debug.Stat_monitor.plan m events in
-    let instrumented = Fpga_debug.Stat_monitor.instrument plan m in
-    let design' = Ast.replace_module design m instrumented in
-    let sim = Testbench.of_design ~top:bug.Bug.top design' in
-    let _ = Testbench.run ~max_cycles:bug.Bug.max_cycles sim bug.Bug.stimulus in
-    List.iter
-      (fun (name, n) -> Printf.printf "%-20s %d\n" name n)
-      (Fpga_debug.Stat_monitor.counts plan sim)
+    List.iter (fun (name, n) -> Printf.printf "%-20s %d\n" name n) v.Session.counts
   in
   Cmd.v (Cmd.info "stats" ~doc) Term.(const run $ bug_arg)
 
@@ -334,10 +326,8 @@ let deps_cmd =
     Arg.(value & flag
          & info [ "slices" ] ~doc:"Split partially-assigned variables (section 4.3)")
   in
-  let run id target cycles data_only slice_precise =
+  let run id target cycles data_only slices =
     let bug = find_bug id in
-    let design = Bug.design_of bug ~buggy:true in
-    let m = Option.get (Ast.find_module design bug.Bug.top) in
     let target =
       match (target, bug.Bug.dep_target) with
       | Some t, _ -> t
@@ -346,20 +336,18 @@ let deps_cmd =
           prerr_endline "no dependency target; pass --target";
           exit 1
     in
-    let plan =
-      Fpga_debug.Dep_monitor.analyze ~design ~data_only ~slice_precise ~target
-        ~cycles m
+    let v =
+      Session.run
+        { Session.none with dep = Some { target; cycles; data_only; slices } }
+        bug (Bug.design_of bug ~buggy:true)
     in
+    let plan = Option.get v.Session.session.Session.dep_plan in
     Printf.printf "dependency chain of %s within %d cycles:\n" target cycles;
     List.iter (fun s -> Printf.printf "  %s\n" s) plan.Fpga_debug.Dep_monitor.chain;
-    (* run with monitoring and show the update trace *)
-    let instrumented = Fpga_debug.Dep_monitor.instrument plan m in
-    let design' = Ast.replace_module design m instrumented in
-    let report = Bug.run_design bug design' in
     print_endline "update trace:";
     List.iter
       (fun u -> Printf.printf "  %s\n" (Fpga_debug.Dep_monitor.update_to_string u))
-      (Fpga_debug.Dep_monitor.updates plan report.Bug.log)
+      v.Session.updates
   in
   Cmd.v (Cmd.info "deps" ~doc)
     Term.(const run $ bug_arg $ target_arg $ cycles_arg $ data_only_arg $ slices_arg)
@@ -434,11 +422,11 @@ let losscheck_cmd =
           Printf.eprintf "%s is not a data-loss bug\n" bug.Bug.id;
           exit 1
       | Some spec ->
-          let design = Bug.design_of bug ~buggy:true in
-          print_result
-            (Fpga_debug.Losscheck.localize ~ground_truth:bug.Bug.ground_truth
-               ~max_cycles:bug.Bug.max_cycles ~top:bug.Bug.top ~spec
-               ~stimulus:bug.Bug.stimulus design)
+          let v =
+            Session.run { Session.none with loss = Some spec } bug
+              (Bug.design_of bug ~buggy:true)
+          in
+          print_result (Option.get v.Session.loss)
   in
   Cmd.v (Cmd.info "losscheck" ~doc ~exits:sim_exits)
     Term.(
@@ -721,8 +709,7 @@ let wavediff_cmd =
     let bug = find_bug id in
     let signals =
       (* observe the design's output ports *)
-      let design = Bug.design_of bug ~buggy:true in
-      let m = Option.get (Ast.find_module design bug.Bug.top) in
+      let m = Session.top bug (Bug.design_of bug ~buggy:true) in
       List.filter_map
         (fun (p : Ast.port) ->
           if p.Ast.dir = Ast.Output then Some p.Ast.port_name else None)

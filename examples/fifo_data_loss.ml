@@ -10,13 +10,14 @@
 module Ast = Fpga_hdl.Ast
 module Pp = Fpga_hdl.Pp_verilog
 module Bug = Fpga_testbed.Bug
+module Session = Fpga_testbed.Session
 module Losscheck = Fpga_debug.Losscheck
 
 let bug = Fpga_testbed.App_axis_fifo.bug
 
 let () =
   let design = Bug.design_of bug ~buggy:true in
-  let m = Option.get (Ast.find_module design bug.Bug.top) in
+  let m = Session.top bug design in
   let spec = Option.get bug.Bug.loss_spec in
 
   print_endline "== The design under suspicion ==";
@@ -43,9 +44,9 @@ let () =
 
   print_endline "\n== Dynamic analysis ==";
   let result =
-    Losscheck.localize ~ground_truth:bug.Bug.ground_truth
-      ~max_cycles:bug.Bug.max_cycles ~top:bug.Bug.top ~spec
-      ~stimulus:bug.Bug.stimulus design
+    Option.get
+      (Session.run { Session.none with loss = Some spec } bug design)
+        .Session.loss
   in
   List.iter
     (fun (cycle, reg) ->

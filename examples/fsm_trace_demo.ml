@@ -5,8 +5,8 @@
 
    Run with:  dune exec examples/fsm_trace_demo.exe *)
 
-module Ast = Fpga_hdl.Ast
 module Bug = Fpga_testbed.Bug
+module Session = Fpga_testbed.Session
 module Fsm_monitor = Fpga_debug.Fsm_monitor
 module Deps = Fpga_analysis.Deps
 
@@ -19,12 +19,13 @@ let () =
     bug.Bug.max_cycles report.Bug.stuck;
 
   print_endline "\n== FSM Monitor ==";
-  let design = Bug.design_of bug ~buggy:true in
-  let m = Option.get (Ast.find_module design bug.Bug.top) in
-  let plan = Fsm_monitor.plan m in
-  let monitored = Fsm_monitor.instrument plan m in
-  let report = Bug.run_design bug { Ast.modules = [ monitored ] } in
-  let transitions = Fsm_monitor.transitions plan report.Bug.log in
+  let v =
+    Session.run
+      { Session.none with fsm = Some { extra = []; exclude = [] } }
+      bug (Bug.design_of bug ~buggy:true)
+  in
+  let plan = Option.get v.Session.session.Session.fsm_plan in
+  let transitions = v.Session.transitions in
   if transitions = [] then
     print_endline "no state transitions at all - both FSMs are parked:";
   List.iter
@@ -37,7 +38,7 @@ let () =
     plan.Fsm_monitor.fsms;
 
   print_endline "\n== Dependency analysis: the circular wait ==";
-  let g = Deps.of_module m in
+  let g = Deps.of_module v.Session.session.Session.baseline in
   let cycles = Deps.control_cycles g in
   List.iter
     (fun cycle ->

@@ -9,8 +9,8 @@
 
    Run with:  dune exec examples/grayscale_case_study.exe *)
 
-module Ast = Fpga_hdl.Ast
 module Bug = Fpga_testbed.Bug
+module Session = Fpga_testbed.Session
 module Fsm_monitor = Fpga_debug.Fsm_monitor
 module Stat_monitor = Fpga_debug.Stat_monitor
 module Losscheck = Fpga_debug.Losscheck
@@ -26,51 +26,41 @@ let () =
     bug.Bug.max_cycles report.Bug.stuck
     (List.length report.Bug.rows);
 
+  (* one session: use case 1's monitors (FSM, Statistics on the pixel
+     valids, Dependency) built into one design and run once, plus
+     LossCheck *)
+  let v =
+    Session.run
+      { (Session.recipe bug) with loss = bug.Bug.loss_spec }
+      bug (Bug.design_of bug ~buggy:true)
+  in
+
   print_endline "\n== Step 1: FSM Monitor ==";
-  let design = Bug.design_of bug ~buggy:true in
-  let m = Option.get (Ast.find_module design bug.Bug.top) in
-  let fsm_plan = Fsm_monitor.plan m in
+  let fsm_plan = Option.get v.Session.session.Session.fsm_plan in
   Printf.printf "detected FSMs: %s\n"
     (String.concat ", "
        (List.map
           (fun f -> f.Fpga_analysis.Fsm_detect.state_var)
           fsm_plan.Fsm_monitor.fsms));
-  let monitored = Fsm_monitor.instrument fsm_plan m in
-  let report1 = Bug.run_design bug { Ast.modules = [ monitored ] } in
   List.iter
     (fun tr -> print_endline ("  " ^ Fsm_monitor.transition_to_string tr))
-    (Fsm_monitor.transitions fsm_plan report1.Bug.log);
+    v.Session.transitions;
   List.iter
     (fun (var, state) -> Printf.printf "final state of %s: %s\n" var state)
-    (Fsm_monitor.final_states fsm_plan report1.Bug.log);
+    v.Session.final_states;
   print_endline
     "-> the read FSM reached RD_FINISH but the write FSM never left \
      WR_DATA: the hang is in write-related logic";
 
   print_endline "\n== Step 2: Statistics Monitor ==";
-  let events =
-    [
-      { Stat_monitor.event_name = "pixels_in"; trigger = Ast.Ident "in_valid" };
-      { Stat_monitor.event_name = "pixels_out"; trigger = Ast.Ident "out_valid" };
-    ]
-  in
-  let stat_plan = Stat_monitor.plan m events in
-  let counted = Stat_monitor.instrument stat_plan m in
-  let sim = Fpga_sim.Testbench.of_design ~top:bug.Bug.top { Ast.modules = [ counted ] } in
-  let _ = Fpga_sim.Testbench.run ~max_cycles:bug.Bug.max_cycles sim bug.Bug.stimulus in
-  let counts = Stat_monitor.counts stat_plan sim in
+  let counts = v.Session.counts in
   List.iter (fun (name, n) -> Printf.printf "  %s = %d\n" name n) counts;
   (match Stat_monitor.check_balance counts ~producer:"pixels_in" ~consumer:"pixels_out" with
   | Some a -> print_endline ("-> " ^ Stat_monitor.anomaly_to_string a)
   | None -> print_endline "-> no anomaly (unexpected)");
 
   print_endline "\n== Step 3: LossCheck ==";
-  let spec = Option.get bug.Bug.loss_spec in
-  let result =
-    Losscheck.localize ~ground_truth:bug.Bug.ground_truth
-      ~max_cycles:bug.Bug.max_cycles ~top:bug.Bug.top ~spec
-      ~stimulus:bug.Bug.stimulus design
-  in
+  let result = Option.get v.Session.loss in
   Printf.printf "LossCheck generated %d lines of checking logic\n"
     (Losscheck.generated_loc result);
   List.iter

@@ -549,45 +549,32 @@ let to_hex_string t =
   done;
   Bytes.unsafe_to_string s
 
-(* Unsigned decimal: divide a copy of the limbs by 10^9 in place, most
-   significant limb first, keeping each remainder (a 9-digit chunk);
-   then write the chunks' digits from the right. A remainder below 10^9
-   shifted over one 32-bit limb stays below 2^62, so every step is
-   plain int arithmetic. Each call allocates the copy, the chunks and
-   the digits once, nothing per digit. *)
+(* Unsigned decimal, nine digits at a time from the right: divide a
+   copy of the limbs by 10^9 in place, most significant limb first (a
+   remainder below 10^9 shifted over one 32-bit limb stays below 2^62),
+   and write the remainder's digits. Nine digits hold more than 29 bits.
+   Each call allocates the copy and the digits once, nothing per digit. *)
 let to_dec_string t =
   let l = Array.copy t.limbs in
-  let top = ref (Array.length l - 1) in
-  let skip_zeros () = while !top >= 0 && l.(!top) = 0 do decr top done in
-  skip_zeros ();
-  (* a chunk holds more than 29 bits of the value *)
-  let chunks = Array.make ((t.width / 29) + 1) 0 in
-  let nc = ref 0 in
-  while !top >= 0 do
+  let s = Bytes.make (9 * ((t.width / 29) + 1)) '0' in
+  let n = Bytes.length s in
+  let pos = ref n in
+  while Array.exists (fun x -> x <> 0) l do
     let r = ref 0 in
-    for i = !top downto 0 do
+    for i = Array.length l - 1 downto 0 do
       let cur = (!r lsl limb_bits) lor l.(i) in
       l.(i) <- cur / 1_000_000_000;
       r := cur mod 1_000_000_000
     done;
-    chunks.(!nc) <- !r;
-    incr nc;
-    skip_zeros ()
+    for _ = 1 to 9 do
+      decr pos;
+      Bytes.unsafe_set s !pos (Char.unsafe_chr (48 + (!r mod 10)));
+      r := !r / 10
+    done
   done;
-  if !nc = 0 then "0"
-  else
-    let s = Bytes.create (9 * !nc) in
-    for c = 0 to !nc - 1 do
-      let v = ref chunks.(c) in
-      for k = 1 to 9 do
-        Bytes.unsafe_set s ((9 * (!nc - c)) - k)
-          (Char.unsafe_chr (48 + (!v mod 10)));
-        v := !v / 10
-      done
-    done;
-    let lead = ref 0 in
-    while Bytes.get s !lead = '0' do incr lead done;
-    Bytes.sub_string s !lead ((9 * !nc) - !lead)
+  let first = ref (min !pos (n - 1)) in
+  while !first < n - 1 && Bytes.get s !first = '0' do incr first done;
+  Bytes.sub_string s !first (n - !first)
 
 let hex_digit c =
   match c with

@@ -5,6 +5,7 @@
 module Bug = Fpga_testbed.Bug
 module Registry = Fpga_testbed.Registry
 module Recipe = Fpga_testbed.Recipe
+module Session = Fpga_testbed.Session
 module Taxonomy = Fpga_study.Taxonomy
 module Bug_db = Fpga_study.Bug_db
 module Model = Fpga_resources.Model
@@ -177,6 +178,39 @@ let figure3 () =
 (* Effectiveness (6.3)                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* FSM detection over every bug against its manually identified FSMs,
+   with the given heuristics: (detected, false positives, false
+   negatives). Effectiveness reports it at full heuristics; ablation A3
+   switches each rule off. *)
+let fsm_census ~require_no_arith ~require_self_condition =
+  let fp = ref 0 and fn = ref 0 and detected = ref 0 in
+  List.iter
+    (fun (bug : Bug.t) ->
+      let m = Session.top bug (Bug.design_of bug ~buggy:true) in
+      let det =
+        List.map
+          (fun f -> f.Fpga_analysis.Fsm_detect.state_var)
+          (Fpga_analysis.Fsm_detect.detect ~require_no_arith
+             ~require_self_condition m)
+      in
+      detected := !detected + List.length det;
+      List.iter
+        (fun v -> if not (List.mem v bug.Bug.manual_fsms) then incr fp)
+        det;
+      List.iter
+        (fun v -> if not (List.mem v det) then incr fn)
+        bug.Bug.manual_fsms)
+    Registry.all;
+  (!detected, !fp, !fn)
+
+(* LossCheck's verdict on a loss bug's buggy design. *)
+let losscheck (bug : Bug.t) =
+  Option.get
+    (Session.run
+       { Session.none with loss = bug.Bug.loss_spec }
+       bug (Bug.design_of bug ~buggy:true))
+      .Session.loss
+
 let effectiveness () =
   header "Effectiveness (section 6.3)";
   (* generated code for the monitor use case *)
@@ -200,13 +234,7 @@ let effectiveness () =
   let fp_total = ref 0 in
   List.iter
     (fun (bug : Bug.t) ->
-      let design = Bug.design_of bug ~buggy:true in
-      let spec = Option.get bug.Bug.loss_spec in
-      let r =
-        Fpga_debug.Losscheck.localize ~ground_truth:bug.Bug.ground_truth
-          ~max_cycles:bug.Bug.max_cycles ~top:bug.Bug.top ~spec
-          ~stimulus:bug.Bug.stimulus design
-      in
+      let r = losscheck bug in
       lc_locs := Fpga_debug.Losscheck.generated_loc r :: !lc_locs;
       let root = bug.Bug.loss_root in
       let found =
@@ -242,27 +270,18 @@ let effectiveness () =
     (List.fold_left min max_int !lc_locs)
     (List.fold_left max 0 !lc_locs);
   (* FSM detection accuracy *)
-  let detected = ref 0 and manual = ref 0 and fn = ref 0 and fp = ref 0 in
-  List.iter
-    (fun (bug : Bug.t) ->
-      let design = Bug.design_of bug ~buggy:true in
-      let m = Option.get (Fpga_hdl.Ast.find_module design bug.Bug.top) in
-      let det =
-        List.map
-          (fun f -> f.Fpga_analysis.Fsm_detect.state_var)
-          (Fpga_analysis.Fsm_detect.detect m)
-      in
-      detected := !detected + List.length det;
-      manual := !manual + List.length bug.Bug.manual_fsms;
-      List.iter
-        (fun v -> if not (List.mem v bug.Bug.manual_fsms) then incr fp)
-        det;
-      List.iter (fun v -> if not (List.mem v det) then incr fn) bug.Bug.manual_fsms)
-    Registry.all;
+  let manual =
+    List.fold_left
+      (fun n (bug : Bug.t) -> n + List.length bug.Bug.manual_fsms)
+      0 Registry.all
+  in
+  let detected, fp, fn =
+    fsm_census ~require_no_arith:true ~require_self_condition:true
+  in
   Printf.printf
     "FSM detection: %d manually-identified FSMs, %d detected, %d false \
      positives, %d false negatives (paper: 32 manual, 0 FP, 5 FN)\n"
-    !manual !detected !fp !fn
+    manual detected fp fn
 
 (* ------------------------------------------------------------------ *)
 (* Frequency (6.4)                                                     *)
@@ -292,39 +311,37 @@ let frequency () =
 (* Ablations (design-choice studies called out in DESIGN.md)           *)
 (* ------------------------------------------------------------------ *)
 
+(* D2 under a chatty instrumentation, for A1 and A4: the Statistics
+   Monitor on the bug's events, displaying every counter change. Returns
+   the bug, its instrumented top module, and the number of log events a
+   run keeps at a buffer depth in a SignalCat mode. *)
+let chatty_d2 () =
+  let bug = Option.get (Registry.find "D2") in
+  let s =
+    Session.instrument
+      { Session.none with
+        stat = Some { events = bug.Bug.stat_events; log_changes = true } }
+      bug (Bug.design_of bug ~buggy:true)
+  in
+  let events ~buffer_depth mode =
+    List.length
+      (Fpga_debug.Signalcat.run_and_log ~buffer_depth
+         ~max_cycles:bug.Bug.max_cycles ~mode ~top:bug.Bug.top
+         s.Session.design bug.Bug.stimulus)
+  in
+  (bug, s.Session.with_monitors, events)
+
 (* A1: SignalCat recording-buffer sizing - how much of the unified log
    survives at each depth (the capacity/completeness tradeoff that
    distinguishes SignalCat from pause-the-circuit loggers like
    Cascade/Synergy, section 7). *)
 let ablation_buffer_sizing () =
   header "Ablation A1: SignalCat buffer depth vs. log completeness";
-  let bug = Option.get (Registry.find "D2") in
-  let design = Bug.design_of bug ~buggy:true in
-  let m = Option.get (Fpga_hdl.Ast.find_module design bug.Bug.top) in
-  (* a chatty instrumentation: per-event display via Statistics Monitor *)
-  let events =
-    List.map
-      (fun (name, signal) ->
-        { Fpga_debug.Stat_monitor.event_name = name;
-          trigger = Fpga_hdl.Ast.Ident signal })
-      bug.Bug.stat_events
-  in
-  let plan = Fpga_debug.Stat_monitor.plan m events in
-  let chatty = Fpga_debug.Stat_monitor.instrument ~log_changes:true plan m in
-  let design' = { Fpga_hdl.Ast.modules = [ chatty ] } in
-  let full =
-    Fpga_debug.Signalcat.run_and_log ~buffer_depth:1024
-      ~max_cycles:bug.Bug.max_cycles ~mode:Fpga_debug.Signalcat.Simulation
-      ~top:bug.Bug.top design' bug.Bug.stimulus
-  in
-  let total = List.length full in
+  let bug, _, events = chatty_d2 () in
+  let total = events ~buffer_depth:1024 Fpga_debug.Signalcat.Simulation in
   List.iter
     (fun depth ->
-      let got =
-        Fpga_debug.Signalcat.run_and_log ~buffer_depth:depth
-          ~max_cycles:bug.Bug.max_cycles ~mode:Fpga_debug.Signalcat.On_fpga
-          ~top:bug.Bug.top design' bug.Bug.stimulus
-      in
+      let got = events ~buffer_depth:depth Fpga_debug.Signalcat.On_fpga in
       let r = Fpga_testbed.Recipe.apply ~buffer_depth:depth bug in
       let u =
         Model.overhead ~baseline:r.Fpga_testbed.Recipe.baseline
@@ -332,8 +349,8 @@ let ablation_buffer_sizing () =
       in
       Printf.printf
         "depth %5d: %2d/%2d events captured (%3.0f%%), %7.1f Kbit BRAM\n"
-        depth (List.length got) total
-        (100.0 *. float_of_int (List.length got) /. float_of_int (max 1 total))
+        depth got total
+        (100.0 *. float_of_int got /. float_of_int (max 1 total))
         (float_of_int u.Model.bram_bits /. 1024.))
     [ 2; 4; 8; 16; 1024 ]
 
@@ -343,18 +360,12 @@ let ablation_losscheck_filtering () =
   Printf.printf "%-4s %-28s %-28s\n" "bug" "without filtering" "with filtering";
   List.iter
     (fun (bug : Bug.t) ->
-      let design = Bug.design_of bug ~buggy:true in
-      let spec = Option.get bug.Bug.loss_spec in
-      let run ~filtered =
-        Fpga_debug.Losscheck.localize
-          ~ground_truth:(if filtered then bug.Bug.ground_truth else [])
-          ~max_cycles:bug.Bug.max_cycles ~top:bug.Bug.top ~spec
-          ~stimulus:bug.Bug.stimulus design
+      let reported bug =
+        String.concat "," (losscheck bug).Fpga_debug.Losscheck.reported
       in
-      let raw = run ~filtered:false and flt = run ~filtered:true in
       Printf.printf "%-4s %-28s %-28s\n" bug.Bug.id
-        (String.concat "," raw.Fpga_debug.Losscheck.reported)
-        (String.concat "," flt.Fpga_debug.Losscheck.reported))
+        (reported { bug with Bug.ground_truth = [] })
+        (reported bug))
     Registry.loss_bugs;
   print_endline
     "filtering trades false positives (C2's replay register) for one \
@@ -363,31 +374,11 @@ let ablation_losscheck_filtering () =
 (* A3: contribution of each FSM-detection heuristic. *)
 let ablation_fsm_heuristics () =
   header "Ablation A3: FSM detection heuristics";
-  let census ~require_no_arith ~require_self_condition =
-    let fp = ref 0 and fn = ref 0 and detected = ref 0 in
-    List.iter
-      (fun (bug : Bug.t) ->
-        let design = Bug.design_of bug ~buggy:true in
-        let m = Option.get (Fpga_hdl.Ast.find_module design bug.Bug.top) in
-        let det =
-          List.map
-            (fun f -> f.Fpga_analysis.Fsm_detect.state_var)
-            (Fpga_analysis.Fsm_detect.detect ~require_no_arith
-               ~require_self_condition m)
-        in
-        detected := !detected + List.length det;
-        List.iter
-          (fun v -> if not (List.mem v bug.Bug.manual_fsms) then incr fp)
-          det;
-        List.iter
-          (fun v -> if not (List.mem v det) then incr fn)
-          bug.Bug.manual_fsms)
-      Registry.all;
-    (!detected, !fp, !fn)
-  in
   List.iter
     (fun (label, na, sc) ->
-      let d, fp, fn = census ~require_no_arith:na ~require_self_condition:sc in
+      let d, fp, fn =
+        fsm_census ~require_no_arith:na ~require_self_condition:sc
+      in
       Printf.printf "%-34s detected=%2d  FP=%2d  FN=%2d\n" label d fp fn)
     [
       ("full heuristics (paper)", true, true);
@@ -408,25 +399,8 @@ let ablation_fsm_heuristics () =
 let ablation_pause_logging () =
   header "Ablation A4: on-chip recording vs. pause-the-circuit logging";
   let drain_cycles = 300 in  (* host round-trip per printf, Cascade-style *)
-  let bug = Option.get (Registry.find "D2") in
-  let design = Bug.design_of bug ~buggy:true in
-  let m = Option.get (Fpga_hdl.Ast.find_module design bug.Bug.top) in
-  let events =
-    List.map
-      (fun (name, signal) ->
-        { Fpga_debug.Stat_monitor.event_name = name;
-          trigger = Fpga_hdl.Ast.Ident signal })
-      bug.Bug.stat_events
-  in
-  let plan = Fpga_debug.Stat_monitor.plan m events in
-  let chatty = Fpga_debug.Stat_monitor.instrument ~log_changes:true plan m in
-  let design' = { Fpga_hdl.Ast.modules = [ chatty ] } in
-  let full =
-    Fpga_debug.Signalcat.run_and_log ~buffer_depth:1024
-      ~max_cycles:bug.Bug.max_cycles ~mode:Fpga_debug.Signalcat.Simulation
-      ~top:bug.Bug.top design' bug.Bug.stimulus
-  in
-  let total_events = List.length full in
+  let bug, chatty, events = chatty_d2 () in
+  let total_events = events ~buffer_depth:1024 Fpga_debug.Signalcat.Simulation in
   let run_cycles = bug.Bug.max_cycles in
   let sc_plan = Fpga_debug.Signalcat.analyze ~buffer_depth:16 chatty in
   Printf.printf

@@ -158,16 +158,14 @@ val resume : t -> Fpga_sim.Simulator.t -> Fpga_sim.Checkpoint.t option -> harnes
     then continues from the checkpoint's cycle, and returns the harness
     observations it carries; without a checkpoint, empty observations.
 
-    The contract for a stateful external monitor: after the restore,
-    [resume] calls [bug.ext_monitor] once on [sim] and drops its
-    verdict (the checkpoint's [h_ext] already holds the verdict the
-    straight run reached at that cycle). A monitor whose state is a
-    function of the simulator as it saw it on its last call (S2's
-    stability checker keeps the beat offered last cycle) thereby holds,
-    on the resumed run's first cycle, the state it held at that cycle
-    of the straight run, whatever ran before on the domain. A monitor
-    whose state depends on more than its last call cannot be resumed
-    this way; none of the testbed's does. *)
+    Stateful external monitors: after the restore, [resume] calls
+    [bug.ext_monitor] once on [sim] and drops its verdict, which the
+    checkpoint's [h_ext] already holds. A monitor whose state is what
+    it saw on its last call (S2's stability checker keeps last cycle's
+    beat) then holds, on the resumed run's first cycle, the state it
+    held there in the straight run, whatever ran before on the domain.
+    State that depends on more than the last call cannot be resumed
+    this way; no testbed monitor keeps any. *)
 
 val drive :
   t -> Fpga_sim.Simulator.t -> harness -> max_cycles:int ->

@@ -1,7 +1,7 @@
 (* The per-bug debugging recipe of Table 2: instrument the buggy design
-   with the monitors marked helpful for it, then compile the resulting
-   $display statements into recording logic with SignalCat (the
-   "on-FPGA" use case measured in Figure 2). *)
+   with use case 1's monitors (Session.recipe), then compile the
+   resulting $display statements into recording logic with SignalCat
+   (the "on-FPGA" use case measured in Figure 2). *)
 
 module Ast = Fpga_hdl.Ast
 
@@ -13,35 +13,9 @@ type instrumented = {
 }
 
 let apply ?(buffer_depth = 8192) (bug : Bug.t) : instrumented =
-  let design = Bug.design_of bug ~buggy:true in
-  let baseline =
-    match Ast.find_module design bug.Bug.top with
-    | Some m -> m
-    | None -> invalid_arg ("Recipe.apply: no module " ^ bug.Bug.top)
+  let { Session.baseline; with_monitors; _ } =
+    Session.instrument (Session.recipe bug) bug (Bug.design_of bug ~buggy:true)
   in
-  (* Use case 1 of section 6.2: SignalCat plus all three monitors are
-     applied to every bug. *)
-  let m = ref baseline in
-  let fsm_plan = Fpga_debug.Fsm_monitor.plan !m in
-  m := Fpga_debug.Fsm_monitor.instrument fsm_plan !m;
-  if bug.Bug.stat_events <> [] then (
-    let events =
-      List.map
-        (fun (name, signal) ->
-          { Fpga_debug.Stat_monitor.event_name = name;
-            trigger = Ast.Ident signal })
-        bug.Bug.stat_events
-    in
-    let plan = Fpga_debug.Stat_monitor.plan !m events in
-    m := Fpga_debug.Stat_monitor.instrument ~log_changes:true plan !m);
-  (match bug.Bug.dep_target with
-  | Some target ->
-      let plan =
-        Fpga_debug.Dep_monitor.analyze ~design ~target ~cycles:8 !m
-      in
-      m := Fpga_debug.Dep_monitor.instrument plan !m
-  | None -> ());
-  let with_monitors = !m in
   let on_fpga, signalcat_plan =
     Fpga_debug.Signalcat.apply ~buffer_depth Fpga_debug.Signalcat.On_fpga
       with_monitors
@@ -84,8 +58,7 @@ let losscheck_overhead (bug : Bug.t) : Fpga_resources.Model.usage option =
   match bug.Bug.loss_spec with
   | None -> None
   | Some spec ->
-      let design = Bug.design_of bug ~buggy:true in
-      let m = Option.get (Ast.find_module design bug.Bug.top) in
+      let m = Session.top bug (Bug.design_of bug ~buggy:true) in
       let plan = Fpga_debug.Losscheck.analyze spec m in
       let instrumented = Fpga_debug.Losscheck.instrument plan m in
       Some (Fpga_resources.Model.overhead ~baseline:m ~instrumented)

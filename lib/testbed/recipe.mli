@@ -13,6 +13,8 @@ type instrumented = {
 }
 
 val apply : ?buffer_depth:int -> Bug.t -> instrumented
+(** {!Session.instrument} of {!Session.recipe} on the buggy design, then
+    SignalCat's on-FPGA recording logic at [buffer_depth] entries. *)
 
 val loc : instrumented -> int * int
 (** The Verilog lines the monitors inserted, and the gross lines of the

@@ -1478,3 +1478,66 @@ let suite =
       Alcotest.test_case "registry stimuli bind only input ports" `Quick
         test_stimuli_bind_inputs;
     ]
+
+(* --- one debugging session -------------------------------------------- *)
+
+(* Use case 1's monitors built into one design report what each reports
+   built in alone: no monitor's logic or log lines disturb another's
+   verdict. *)
+let test_session_monitors_independent () =
+  List.iter
+    (fun (bug : Bug.t) ->
+      let design = Bug.design_of bug ~buggy:true in
+      let full = Session.recipe bug in
+      let together = Session.run full bug design in
+      let alone tools = Session.run tools bug design in
+      let fsm = alone { Session.none with fsm = full.Session.fsm } in
+      let stat = alone { Session.none with stat = full.Session.stat } in
+      let dep = alone { Session.none with dep = full.Session.dep } in
+      let same what a b =
+        if a <> b then Alcotest.failf "%s: %s differ with all monitors" bug.Bug.id what
+      in
+      same "FSM transitions" together.Session.transitions fsm.Session.transitions;
+      same "FSM final states" together.Session.final_states fsm.Session.final_states;
+      same "Stat counts" together.Session.counts stat.Session.counts;
+      same "Dep updates" together.Session.updates dep.Session.updates;
+      check_bool
+        (bug.Bug.id ^ " every monitor planned")
+        true
+        (together.Session.session.Session.fsm_plan <> None
+        && (together.Session.session.Session.stat_plan <> None)
+           = (bug.Bug.stat_events <> [])
+        && (together.Session.session.Session.dep_plan <> None)
+           = (bug.Bug.dep_target <> None)))
+    Registry.all_with_extended
+
+let test_session_recipe () =
+  List.iter
+    (fun (bug : Bug.t) ->
+      let r = Recipe.apply ~buffer_depth:1024 bug in
+      let s =
+        Session.instrument (Session.recipe bug) bug (Bug.design_of bug ~buggy:true)
+      in
+      Alcotest.(check string)
+        (bug.Bug.id ^ " Recipe.apply's monitors = Session.instrument")
+        (Fpga_hdl.Pp_verilog.module_to_string s.Session.with_monitors)
+        (Fpga_hdl.Pp_verilog.module_to_string r.Recipe.with_monitors))
+    Registry.all_with_extended
+
+let test_session_missing_top () =
+  let bug = List.hd Registry.all in
+  let design = Bug.design_of bug ~buggy:true in
+  match Session.instrument (Session.recipe bug) { bug with Bug.top = "nowhere" } design with
+  | exception Fpga_debug.Instrument.Instrument_error _ -> ()
+  | _ -> Alcotest.fail "a missing top module instrumented"
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "session: monitors together = each alone" `Quick
+        test_session_monitors_independent;
+      Alcotest.test_case "session: Recipe.apply instruments through it" `Quick
+        test_session_recipe;
+      Alcotest.test_case "session: a missing top is an instrument error" `Quick
+        test_session_missing_top;
+    ]
