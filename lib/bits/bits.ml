@@ -558,19 +558,21 @@ let to_dec_string t =
   let l = Array.copy t.limbs in
   let s = Bytes.make (9 * ((t.width / 29) + 1)) '0' in
   let n = Bytes.length s in
-  let pos = ref n in
-  while Array.exists (fun x -> x <> 0) l do
-    let r = ref 0 in
-    for i = Array.length l - 1 downto 0 do
-      let cur = (!r lsl limb_bits) lor l.(i) in
-      l.(i) <- cur / 1_000_000_000;
-      r := cur mod 1_000_000_000
-    done;
-    for _ = 1 to 9 do
-      decr pos;
-      Bytes.unsafe_set s !pos (Char.unsafe_chr (48 + (!r mod 10)));
-      r := !r / 10
-    done
+  let pos = ref n and top = ref (Array.length l - 1) in
+  while !top >= 0 do
+    if l.(!top) = 0 then decr top
+    else (
+      let r = ref 0 in
+      for i = !top downto 0 do
+        let cur = (!r lsl limb_bits) lor l.(i) in
+        l.(i) <- cur / 1_000_000_000;
+        r := cur mod 1_000_000_000
+      done;
+      for _ = 1 to 9 do
+        decr pos;
+        Bytes.unsafe_set s !pos (Char.unsafe_chr (48 + (!r mod 10)));
+        r := !r / 10
+      done)
   done;
   let first = ref (min !pos (n - 1)) in
   while !first < n - 1 && Bytes.get s !first = '0' do incr first done;
