@@ -21,7 +21,8 @@ type tools = {
 
 let none = { fsm = None; stat = None; dep = None; loss = None }
 
-(* Use case 1 of section 6.2: all three monitors on every bug. *)
+(* Use case 1 of section 6.2: all three monitors, Stat and Dep where the
+   bug names events and a target. *)
 let recipe (bug : Bug.t) =
   {
     none with
@@ -79,6 +80,8 @@ let instrument tools (bug : Bug.t) design =
         in
         (Some p, Dep_monitor.instrument p m)
   in
+  (* an untouched design stays the shared value that
+     [Bug.with_simulator] keeps idle simulators for *)
   let design =
     if with_monitors == baseline then design
     else Ast.replace_module design baseline with_monitors
