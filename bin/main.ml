@@ -38,12 +38,23 @@ let bug_arg =
 let out_arg =
   Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Output file")
 
+(* The converter of every count option: an integer >= [n]. Any other
+   value is a usage error (exit 124). *)
+let int_at_least n =
+  let parse s =
+    match int_of_string_opt (String.trim s) with
+    | Some v when v >= n -> Ok v
+    | _ -> Error (`Msg (Printf.sprintf "%S is not an integer >= %d" s n))
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
 let buffer_arg =
   let depth =
     let parse s =
-      match int_of_string_opt s with
-      | Some n when n >= 1 && n land (n - 1) = 0 -> Ok n
-      | _ -> Error (`Msg (Printf.sprintf "%S is not a buffer depth (a power of two >= 1)" s))
+      match Arg.conv_parser (int_at_least 1) s with
+      | Ok n when n land (n - 1) <> 0 ->
+          Error (`Msg (Printf.sprintf "%S is not a power of two" s))
+      | r -> r
     in
     Arg.conv ~docv:"DEPTH" (parse, Format.pp_print_int)
   in
@@ -168,10 +179,18 @@ let sim_exits =
              undeclared signal."
   :: Cmd.Exit.info exit_input
        ~doc:"when a file cannot be read or written, a stimulus line \
-             is malformed (reported as STIM:LINE: message), or a \
+             is malformed (reported as STIM:LINE: message), a \
              stimulus, $(b,--watch), $(b,--source), $(b,--valid) or \
-             $(b,--sink) name is not a signal of the design."
+             $(b,--sink) name is not a signal of the design, or a \
+             debugging tool cannot instrument the design."
   :: Cmd.Exit.defaults
+
+(* The exits of the commands that instrument a testbed bug's design. *)
+let instrument_exits =
+  io_exit
+    ~doc:"when a debugging tool cannot instrument the design, e.g. a \
+          $(b,--target) that is not a signal of it (reported as BUG: \
+          message)."
 
 let read_design path = Fpga_hdl.Parser.parse_design (read_input path)
 
@@ -218,6 +237,8 @@ let design_errors file f =
       fail exit_comb_cycle "%s: combinational cycle through %s" file
         (String.concat ", " sigs)
   | Fpga_sim.Compiled.Eval_error msg -> fail exit_eval "%s: %s" file msg
+  | Fpga_debug.Instrument.Instrument_error msg ->
+      fail exit_input "%s: %s" file msg
   | Bad_input msg | Sys_error msg -> fail exit_input "%s" msg
 
 (* --- list ----------------------------------------------------------- *)
@@ -274,6 +295,7 @@ let fsm_cmd =
   in
   let run id extra exclude =
     let bug = find_bug id in
+    design_errors bug.Bug.id @@ fun () ->
     let v =
       Session.run
         { Session.none with fsm = Some { extra; exclude } }
@@ -291,7 +313,8 @@ let fsm_cmd =
         (fun (v, s) -> Printf.printf "final state of %s: %s\n" v s)
         v.Session.final_states)
   in
-  Cmd.v (Cmd.info "fsm" ~doc) Term.(const run $ bug_arg $ extra_arg $ exclude_arg)
+  Cmd.v (Cmd.info "fsm" ~doc ~exits:instrument_exits)
+    Term.(const run $ bug_arg $ extra_arg $ exclude_arg)
 
 (* --- stats ---------------------------------------------------------- *)
 
@@ -299,6 +322,7 @@ let stats_cmd =
   let doc = "Run Statistics Monitor with the bug's event set." in
   let run id =
     let bug = find_bug id in
+    design_errors bug.Bug.id @@ fun () ->
     let v =
       Session.run
         { Session.none with
@@ -307,7 +331,7 @@ let stats_cmd =
     in
     List.iter (fun (name, n) -> Printf.printf "%-20s %d\n" name n) v.Session.counts
   in
-  Cmd.v (Cmd.info "stats" ~doc) Term.(const run $ bug_arg)
+  Cmd.v (Cmd.info "stats" ~doc ~exits:instrument_exits) Term.(const run $ bug_arg)
 
 (* --- deps ----------------------------------------------------------- *)
 
@@ -317,7 +341,8 @@ let deps_cmd =
     Arg.(value & opt (some string) None & info [ "target" ] ~docv:"SIGNAL" ~doc:"Target signal (defaults to the bug's)")
   in
   let cycles_arg =
-    Arg.(value & opt int 8 & info [ "cycles" ] ~docv:"K" ~doc:"Backward cycle budget")
+    Arg.(value & opt (int_at_least 0) 8
+         & info [ "cycles" ] ~docv:"K" ~doc:"Backward cycle budget")
   in
   let data_only_arg =
     Arg.(value & flag & info [ "data-only" ] ~doc:"Ignore control dependencies")
@@ -336,6 +361,7 @@ let deps_cmd =
           prerr_endline "no dependency target; pass --target";
           exit 1
     in
+    design_errors bug.Bug.id @@ fun () ->
     let v =
       Session.run
         { Session.none with dep = Some { target; cycles; data_only; slices } }
@@ -349,7 +375,7 @@ let deps_cmd =
       (fun u -> Printf.printf "  %s\n" (Fpga_debug.Dep_monitor.update_to_string u))
       v.Session.updates
   in
-  Cmd.v (Cmd.info "deps" ~doc)
+  Cmd.v (Cmd.info "deps" ~doc ~exits:instrument_exits)
     Term.(const run $ bug_arg $ target_arg $ cycles_arg $ data_only_arg $ slices_arg)
 
 (* --- losscheck ------------------------------------------------------ *)
@@ -377,7 +403,8 @@ let losscheck_cmd =
     Arg.(value & opt (some file) None & info [ "stim" ] ~docv:"FILE" ~doc:"Stimulus file (file mode)")
   in
   let cycles_arg =
-    Arg.(value & opt int 200 & info [ "cycles" ] ~docv:"N" ~doc:"Cycles to run (file mode)")
+    Arg.(value & opt (int_at_least 0) 200
+         & info [ "cycles" ] ~docv:"N" ~doc:"Cycles to run (file mode)")
   in
   let print_result (r : Fpga_debug.Losscheck.result) =
     Printf.printf "generated checking logic: %d lines\n"
@@ -422,6 +449,7 @@ let losscheck_cmd =
           Printf.eprintf "%s is not a data-loss bug\n" bug.Bug.id;
           exit 1
       | Some spec ->
+          design_errors bug.Bug.id @@ fun () ->
           let v =
             Session.run { Session.none with loss = Some spec } bug
               (Bug.design_of bug ~buggy:true)
@@ -468,16 +496,8 @@ let vcd_cmd =
      straight-run reference that `fpga-debug replay` output is diffed \
      against."
   in
-  let cycle =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n >= 0 -> Ok n
-      | _ -> Error (`Msg (Printf.sprintf "%S is not a cycle (an integer >= 0)" s))
-    in
-    Arg.conv ~docv:"CYCLE" (parse, Format.pp_print_int)
-  in
   let from_arg =
-    Arg.(value & opt cycle 0
+    Arg.(value & opt (int_at_least 0) 0
          & info [ "from" ] ~docv:"CYCLE"
              ~doc:"Start sampling at this cycle. Past the end of the run, \
                    the file holds only the header (with a note on \
@@ -512,7 +532,7 @@ let checkpoint_cmd =
      `fpga-debug replay` can restore bit-identically."
   in
   let every_arg =
-    Arg.(value & opt int 50
+    Arg.(value & opt (int_at_least 1) 50
          & info [ "every" ] ~docv:"K" ~doc:"Checkpoint every K cycles")
   in
   let dir_arg =
@@ -521,9 +541,6 @@ let checkpoint_cmd =
   in
   let run id every dir =
     let bug = find_bug id in
-    if every <= 0 then (
-      prerr_endline "--every must be positive";
-      exit 1);
     let module Replay = Fpga_testbed.Replay in
     let module Checkpoint = Fpga_sim.Checkpoint in
     let rc = Replay.record ~every bug in
@@ -567,7 +584,7 @@ let replay_cmd =
              ~doc:"Checkpoint file to restore (from `fpga-debug checkpoint`)")
   in
   let window_arg =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some (int_at_least 0)) None
          & info [ "window" ] ~docv:"N"
              ~doc:"Replay at most N cycles past the snapshot (default: the \
                    bug's own cycle budget)")
@@ -580,7 +597,7 @@ let replay_cmd =
                    reference")
   in
   let every_arg =
-    Arg.(value & opt int 50
+    Arg.(value & opt (int_at_least 1) 50
          & info [ "every" ] ~docv:"K"
              ~doc:"Checkpoint interval for --bisect")
   in
@@ -643,14 +660,16 @@ let profile_cmd =
      skipped, and the hottest signals by toggle count."
   in
   let cycles_arg =
-    Arg.(value & opt int 200 & info [ "cycles" ] ~docv:"N" ~doc:"Cycles to run")
+    Arg.(value & opt (int_at_least 0) 200
+         & info [ "cycles" ] ~docv:"N" ~doc:"Cycles to run")
   in
   let json_arg =
     Arg.(value & opt (some string) None
          & info [ "json" ] ~docv:"FILE" ~doc:"Also write the JSON report")
   in
   let top_arg =
-    Arg.(value & opt int 10 & info [ "top" ] ~docv:"K" ~doc:"Hottest signals to show")
+    Arg.(value & opt (int_at_least 0) 10
+         & info [ "top" ] ~docv:"K" ~doc:"Hottest signals to show")
   in
   let run id cycles json top_k trace trace_clock kernel =
     let bug = find_bug id in
@@ -795,7 +814,8 @@ let sim_cmd =
     Arg.(value & opt string "top" & info [ "top" ] ~docv:"MODULE" ~doc:"Top module")
   in
   let cycles_arg =
-    Arg.(value & opt int 100 & info [ "cycles" ] ~docv:"N" ~doc:"Cycles to run")
+    Arg.(value & opt (int_at_least 0) 100
+         & info [ "cycles" ] ~docv:"N" ~doc:"Cycles to run")
   in
   let stim_arg =
     Arg.(value & opt (some file) None & info [ "stim" ] ~docv:"FILE" ~doc:"Stimulus file")
@@ -932,16 +952,7 @@ let campaign_cmd =
              ~doc:"Also run default-vs-brute kernel differential jobs")
   in
   let sweep_arg =
-    let budget =
-      let parse s =
-        match int_of_string_opt (String.trim s) with
-        | Some n when n > 0 -> Ok n
-        | _ ->
-            Error (`Msg (Printf.sprintf "%S is not a cycle budget (an integer > 0)" s))
-      in
-      Arg.conv ~docv:"CYCLES" (parse, Format.pp_print_int)
-    in
-    Arg.(value & opt (list budget) []
+    Arg.(value & opt (list (int_at_least 1)) []
          & info [ "sweep" ] ~docv:"LIST"
              ~doc:"Comma-separated cycle budgets; one sweep job per \
                    (bug, budget)")
@@ -952,7 +963,7 @@ let campaign_cmd =
              ~doc:"Also write the fpga-debug-campaign/1 JSON report")
   in
   let replay_arg =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some (int_at_least 1)) None
          & info [ "replay" ] ~docv:"K"
              ~doc:"Also run a checkpoint/replay determinism job per bug \
                    (checkpoint every K cycles)")
@@ -1010,7 +1021,7 @@ let fuzz_cmd =
                                            uses sub-seed derive(N, i))")
   in
   let mutants_arg =
-    Arg.(value & opt int 200
+    Arg.(value & opt (int_at_least 1) 200
          & info [ "mutants" ] ~docv:"K" ~doc:"Number of mutants to generate")
   in
   let json_arg =
@@ -1024,9 +1035,6 @@ let fuzz_cmd =
              ~doc:"Write a .v reproducer per kernel mismatch into DIR")
   in
   let run seed mutants jobs json repro_dir trace trace_clock =
-    if mutants <= 0 then (
-      Printf.eprintf "--mutants must be positive\n";
-      exit 1);
     let fc =
       traced ~trace ~clock:trace_clock
         ~jobs_of:Fpga_campaign.Campaign.fuzz_trace_segments (fun () ->

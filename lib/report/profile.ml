@@ -6,6 +6,7 @@ module L = Fpga_sim.Lowered
 module Simulator = Fpga_sim.Simulator
 module Json = Fpga_telemetry.Json
 module Telemetry = Fpga_telemetry.Telemetry
+module Trace = Telemetry.Trace
 
 type t = {
   p_bug_id : string;
@@ -25,12 +26,49 @@ type t = {
 
 let kernel_name = Simulator.kernel_name
 
+(* The category-"span" spans of a captured trace as (name, calls,
+   seconds), sorted by name. Each 'E' closes the innermost open 'B',
+   whatever its category. *)
+let phases (sg : Trace.segment) =
+  let totals = Hashtbl.create 8 in
+  let close (is_span, name, t0) (e : Trace.event) =
+    if is_span then
+      let calls, us =
+        Option.value (Hashtbl.find_opt totals name) ~default:(0, 0)
+      in
+      Hashtbl.replace totals name (calls + 1, us + e.te_ts - t0)
+  in
+  ignore
+    (List.fold_left
+       (fun open_ (e : Trace.event) ->
+         match (e.te_ph, open_) with
+         | 'B', _ -> (e.te_cat = "span", e.te_name, e.te_ts) :: open_
+         | 'E', b :: outer ->
+             close b e;
+             outer
+         | _ -> open_)
+       [] sg.Trace.sg_events);
+  Hashtbl.fold
+    (fun name (calls, us) acc -> (name, calls, float_of_int us /. 1e6) :: acc)
+    totals []
+  |> List.sort compare
+
 let run ?kernel ?(cycles = 200) ?(top_k = 10) (bug : Bug.t) : t =
-  let was_enabled = Telemetry.enabled () in
+  let was_enabled = Telemetry.enabled () and was_tracing = Trace.enabled () in
   Telemetry.enable ();
   Telemetry.reset ();
-  (* restore only the switch: the collected run stays readable afterwards *)
-  Fun.protect ~finally:(fun () -> if not was_enabled then Telemetry.disable ())
+  (* the phases are read from the run's trace: trace it unless the
+     caller already does *)
+  if not was_tracing then Trace.enable ();
+  let mark = Trace.mark () in
+  (* restore only the switches: the counters stay readable afterwards,
+     and a tracing caller keeps the run's events for its export *)
+  Fun.protect
+    ~finally:(fun () ->
+      if not was_tracing then (
+        Trace.reset ();
+        Trace.disable ());
+      if not was_enabled then Telemetry.disable ())
   @@ fun () ->
   let design =
     Telemetry.span "parse" (fun () -> Bug.design_of bug ~buggy:true)
@@ -43,7 +81,6 @@ let run ?kernel ?(cycles = 200) ?(top_k = 10) (bug : Bug.t) : t =
   let sim = Simulator.create ?kernel flat in
   ignore (Fpga_sim.Testbench.run ~max_cycles:cycles sim bug.Bug.stimulus);
   let stats = Simulator.stats sim in
-  let report = Telemetry.report () in
   {
     p_bug_id = bug.Bug.id;
     p_top = bug.Bug.top;
@@ -59,8 +96,8 @@ let run ?kernel ?(cycles = 200) ?(top_k = 10) (bug : Bug.t) : t =
     p_efficiency = Option.value (Simulator.kernel_efficiency sim) ~default:1.0;
     p_lowered = Simulator.lowering_stats sim;
     p_hottest = Simulator.hottest_signals ~k:top_k sim;
-    p_spans = report.Telemetry.r_spans;
-    p_counters = report.Telemetry.r_counters;
+    p_spans = phases (Trace.capture_since mark);
+    p_counters = (Telemetry.report ()).Telemetry.r_counters;
   }
 
 (* ------------------------------------------------------------------ *)

@@ -23,7 +23,10 @@ type t = {
       (** the lowering shape (closures, fusion, banks); present only
           when the run used {!Fpga_sim.Simulator.Lowered_dirty} *)
   p_hottest : (string * int) list;  (** top-K signals by toggle count *)
-  p_spans : (string * int * float) list;  (** (phase, calls, seconds) *)
+  p_spans : (string * int * float) list;
+      (** (phase, calls, seconds), folded from the run's category
+          ["span"] trace spans; under the virtual trace clock the
+          seconds count virtual ticks of 1 µs *)
   p_counters : (string * int) list;
 }
 
@@ -34,10 +37,13 @@ val run :
   Fpga_testbed.Bug.t ->
   t
 (** Profile [cycles] (default 200) cycles of the bug's buggy design
-    under its own stimulus. Telemetry is enabled and reset for the run;
-    the previous enabled/disabled state is restored on exit (the
-    counters and spans keep the run's values so callers can inspect
-    them).
+    under its own stimulus. Telemetry is enabled and its counters reset
+    for the run; the previous enabled/disabled state is restored on
+    exit (the counters keep the run's values so callers can inspect
+    them). The phases come from the structured trace: when the caller
+    is not tracing, the run is traced on the [Wall] clock and the trace
+    is switched off and {!Fpga_telemetry.Telemetry.Trace.reset} on
+    exit; when it is, the run's events stay in the caller's buffer.
     Omitting [kernel] keeps {!Fpga_sim.Simulator.create}'s default
     kernel; [p_kernel] records the kernel actually used. *)
 

@@ -1,31 +1,30 @@
-(* Telemetry core: counters / timing spans.
+(* Telemetry core: counters and the structured trace, whose
+   category-"span" tree spans are the only record [span] makes.
 
    All mutable state lives in a per-domain [sink] held in domain-local
    storage. Nothing here is shared between domains, so a pool of
    simulation workers (lib/campaign) can run fully instrumented without
    locks or races: each domain records into its own sink and the pool
    merges the per-domain reports when a batch ends. Each share of a
-   pool batch runs in a child sink ([child]): empty counters, spans and
-   trace buffer, with the calling domain's enabled flags. A freshly
-   spawned domain likewise starts from a child of its parent's sink.
+   pool batch runs in a child sink ([child]): empty counters and trace
+   buffer, with the calling domain's enabled flags. A freshly spawned
+   domain likewise starts from a child of its parent's sink.
 
-   Recording is gated on the sink's enabled flag so that a disabled run
-   pays a single predictable branch per recording call and nothing
-   else: no allocation, no hashing, no clock reads. *)
+   Counters are gated on the sink's telemetry flag, spans and other
+   trace events on its tracing flag, so that a disabled run pays a
+   single predictable branch per recording call and nothing else: no
+   allocation, no hashing, no clock reads. *)
 
-(* Wall-time source of the structured tracing layer (below); the flat
-   [span] aggregates always read [Sys.time], which keeps the library
-   free of even the unix dependency, so installing a wall clock for
-   traces never changes what they measure. Installed from the main
-   domain while no pool batch runs; the pool's mutex handoff publishes
-   it to the workers, so the plain ref is safe. *)
+(* Time source of the structured tracing layer (below). The default,
+   [Sys.time], keeps the library free of even the unix dependency.
+   Installed from the main domain while no pool batch runs; the pool's
+   mutex handoff publishes it to the workers, so the plain ref is
+   safe. *)
 let trace_clock = ref Sys.time
 
 (* ------------------------------------------------------------------ *)
 (* The per-domain sink                                                 *)
 (* ------------------------------------------------------------------ *)
-
-type span_rec = { mutable sp_count : int; mutable sp_total : float }
 
 (* One record per Chrome-trace-shaped occurrence in the structured
    trace buffer: 'B'/'E' bracket a tree span (parent/ids only on 'B'),
@@ -44,11 +43,7 @@ type trace_event = {
 
 type sink = {
   mutable sk_on : bool;
-  mutable sk_live : bool;
-      (* sk_on || sk_tr_on: the single branch [span]'s disabled fast
-         path tests, maintained by every switch flip *)
   sk_counters : (string, int ref) Hashtbl.t;
-  sk_spans : (string, span_rec) Hashtbl.t;
   (* structured tracing state (the span-tree layer) *)
   mutable sk_tr_on : bool;
   mutable sk_tr_virtual : bool;  (* deterministic tick clock vs wall *)
@@ -72,9 +67,7 @@ let dummy_trace_event =
 let fresh_sink () =
   {
     sk_on = false;
-    sk_live = false;
     sk_counters = Hashtbl.create 32;
-    sk_spans = Hashtbl.create 16;
     sk_tr_on = false;
     sk_tr_virtual = false;
     sk_tr_vnow = 0;
@@ -99,7 +92,6 @@ let child_of parent =
   s.sk_tr_on <- parent.sk_tr_on;
   s.sk_tr_virtual <- parent.sk_tr_virtual;
   s.sk_tr_cap <- parent.sk_tr_cap;
-  s.sk_live <- s.sk_on || s.sk_tr_on;
   s
 
 let sink_key : sink Domain.DLS.key =
@@ -118,32 +110,23 @@ let child () =
 
 let enabled () = (sink ()).sk_on
 
-let enable () =
-  let sk = sink () in
-  sk.sk_on <- true;
-  sk.sk_live <- true
-
-let disable () =
-  let sk = sink () in
-  sk.sk_on <- false;
-  sk.sk_live <- sk.sk_tr_on
+let enable () = (sink ()).sk_on <- true
+let disable () = (sink ()).sk_on <- false
 
 (* Both switches off around [f], then back to where they were: nothing
-   [f] does reaches the counters, spans or trace buffer, and the
-   virtual trace clock does not advance. *)
+   [f] does reaches the counters or trace buffer, and the virtual trace
+   clock does not advance. *)
 let quietly f =
   let sk = sink () in
-  if not sk.sk_live then f ()
+  if not (sk.sk_on || sk.sk_tr_on) then f ()
   else
     let on = sk.sk_on and tr_on = sk.sk_tr_on in
     sk.sk_on <- false;
     sk.sk_tr_on <- false;
-    sk.sk_live <- false;
     Fun.protect
       ~finally:(fun () ->
         sk.sk_on <- on;
-        sk.sk_tr_on <- tr_on;
-        sk.sk_live <- on || tr_on)
+        sk.sk_tr_on <- tr_on)
       f
 
 (* ------------------------------------------------------------------ *)
@@ -274,16 +257,12 @@ module Trace = struct
   let enable ?(clock = Wall) ?cap () =
     let sk = sink () in
     sk.sk_tr_on <- true;
-    sk.sk_live <- true;
     sk.sk_tr_virtual <- (clock = Virtual);
     match cap with
     | Some c -> sk.sk_tr_cap <- max 16 c
     | None -> sk.sk_tr_cap <- default_trace_cap
 
-  let disable () =
-    let sk = sink () in
-    sk.sk_tr_on <- false;
-    sk.sk_live <- sk.sk_on
+  let disable () = (sink ()).sk_tr_on <- false
 
   let track () = (sink ()).sk_tr_track
   let set_track t = (sink ()).sk_tr_track <- t
@@ -370,86 +349,27 @@ module Trace = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Timing spans                                                        *)
+(* Timing spans and reporting                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* One branch on [sk_live] keeps the fully-disabled path as cheap as it
-   was before tracing existed; the flat aggregate and the trace tree
-   each engage only behind their own switch. *)
-let span name f =
-  let sk = sink () in
-  if not sk.sk_live then f ()
-  else (
-    let r =
-      if not sk.sk_on then None
-      else
-        match Hashtbl.find_opt sk.sk_spans name with
-        | Some r -> Some r
-        | None ->
-            let r = { sp_count = 0; sp_total = 0.0 } in
-            Hashtbl.replace sk.sk_spans name r;
-            Some r
-    in
-    let tracing = sk.sk_tr_on in
-    if tracing then trace_begin sk name "span";
-    let t0 = if r = None then 0.0 else Sys.time () in
-    Fun.protect
-      ~finally:(fun () ->
-        (match r with
-        | Some r ->
-            r.sp_count <- r.sp_count + 1;
-            r.sp_total <- r.sp_total +. (Sys.time () -. t0)
-        | None -> ());
-        if tracing then trace_end sk)
-      f)
+let span name f = Trace.with_span ~cat:"span" name f
 
-let all_spans () =
-  Hashtbl.fold
-    (fun n r acc -> (n, r.sp_count, r.sp_total) :: acc)
-    (sink ()).sk_spans []
-  |> List.sort compare
+type report = { r_counters : (string * int) list }
 
-(* ------------------------------------------------------------------ *)
-(* Reporting                                                           *)
-(* ------------------------------------------------------------------ *)
+let report () = { r_counters = Counter.all () }
 
-type report = {
-  r_counters : (string * int) list;
-  r_spans : (string * int * float) list;
-}
-
-let report () = { r_counters = Counter.all (); r_spans = all_spans () }
-
-let empty_report = { r_counters = []; r_spans = [] }
+let empty_report = { r_counters = [] }
 
 (* Merge the reports of two sinks (e.g. two worker domains): counters
-   and spans are summed by name. *)
+   are summed by name. *)
 let merge a b =
-  let sum_assoc xs ys combine =
-    let tbl = Hashtbl.create 32 in
-    let add (k, v) =
-      match Hashtbl.find_opt tbl k with
-      | Some prev -> Hashtbl.replace tbl k (combine prev v)
-      | None -> Hashtbl.replace tbl k v
-    in
-    List.iter add xs;
-    List.iter add ys;
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare
+  let tbl = Hashtbl.create 32 in
+  let add (k, v) =
+    Hashtbl.replace tbl k (v + Option.value (Hashtbl.find_opt tbl k) ~default:0)
   in
-  let counters =
-    sum_assoc a.r_counters b.r_counters (fun x y -> x + y)
-  in
-  let spans =
-    sum_assoc
-      (List.map (fun (n, c, t) -> (n, (c, t))) a.r_spans)
-      (List.map (fun (n, c, t) -> (n, (c, t))) b.r_spans)
-      (fun (c1, t1) (c2, t2) -> (c1 + c2, t1 +. t2))
-    |> List.map (fun (n, (c, t)) -> (n, c, t))
-  in
-  { r_counters = counters; r_spans = spans }
+  List.iter add a.r_counters;
+  List.iter add b.r_counters;
+  let counters = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] in
+  { r_counters = List.sort compare counters }
 
-let reset () =
-  let sk = sink () in
-  Hashtbl.reset sk.sk_counters;
-  Hashtbl.reset sk.sk_spans;
-  Trace.reset ()
+let reset () = Hashtbl.reset (sink ()).sk_counters

@@ -1,22 +1,29 @@
-(** Simulation telemetry: counters and timing spans — the
+(** Simulation telemetry: counters and one structured trace — the
     software analog of the paper's always-on observability stack
     (Statistics Monitor counters). The recording IPs' fixed-depth trace
     buffers are modelled in hardware by SignalCat, not here.
+
+    Timing has a single record: a {!span} is a tree span of the trace
+    ({!Trace}), and every view of the phases (the [--trace] export,
+    [profile]'s phase table, perfbench's layer split) reads it from
+    there.
 
     All state lives in a per-domain {e sink} held in domain-local
     storage, so independent simulations running on a pool of OCaml
     domains (lib/campaign) record concurrently without locks: each
     share of a pool batch runs in its own {!child} sink, which inherits
-    the calling domain's enabled flags but starts with empty counters,
-    spans and trace buffer, and the pool {!merge}s the shares'
-    {!report}s when the batch ends. A freshly spawned domain likewise
-    starts from a child of its parent's sink.
+    the calling domain's enabled flags but starts with empty counters
+    and trace buffer, and the pool {!merge}s the shares' {!report}s
+    when the batch ends. A freshly spawned domain likewise starts from
+    a child of its parent's sink.
 
-    Everything is gated on the current sink's switch, off by default.
-    Every recording entry point checks the switch with a single branch
-    and returns immediately when disabled, so an uninstrumented run
-    pays ~nothing. Producers therefore never need their own guards;
-    they just call {!Counter.bump} and {!span} unconditionally. *)
+    Counters (and the simulator's toggle counts) are gated on the
+    telemetry switch, spans and other trace events on the tracing
+    switch; both are off by default. Every recording entry point checks
+    its switch with a single branch and returns immediately when it is
+    off, so an uninstrumented run pays ~nothing. Producers therefore
+    never need their own guards; they just call {!Counter.bump} and
+    {!span} unconditionally. *)
 
 val enabled : unit -> bool
 val enable : unit -> unit
@@ -26,7 +33,7 @@ val quietly : (unit -> 'a) -> 'a
 (** [quietly f] runs [f] with the current domain's telemetry and
     structured tracing both off, then restores both switches (also on
     an exception). Nothing [f] does is recorded: no counter, span or
-    trace event, and the virtual trace clock does not advance.
+    other trace event, and the virtual trace clock does not advance.
     For work whose result is cached, so that computing it and reusing
     it leave the same record. *)
 
@@ -34,7 +41,7 @@ val child : unit -> (unit -> 'a) -> 'a
 (** [child ()] copies the calling domain's switches (telemetry and
     tracing on/off, trace clock mode and cap) and returns a runner.
     [run f], on any domain, runs [f] in a fresh sink with those
-    switches, empty counters, spans and trace buffer, and track 0; then
+    switches, empty counters and trace buffer, and track 0; then
     it puts that domain's own sink back (also on an exception), so
     nothing [f] records reaches it. Take {!report} inside [f] to keep
     what it recorded. The campaign pool gives each worker's share of a
@@ -65,18 +72,16 @@ end
 (** {1 Timing spans} *)
 
 val span : string -> (unit -> 'a) -> 'a
-(** [span name f] runs [f], accumulating its duration (CPU seconds,
-    [Sys.time]) and call count under [name] in the current domain's
-    sink when telemetry is enabled (exceptions still record). While structured tracing
-    ({!Trace}) is on, the same call also opens/closes a tree span named
-    [name] (category ["span"]) — one instrumentation point feeds both
-    the flat aggregate and the timeline. When both layers are off it is
-    a tail call to [f] behind a single branch. *)
+(** [span name f] runs [f] inside a tree span named [name], category
+    ["span"], of the structured trace ({!Trace}); it closes on an
+    exception too. While tracing is off it records nothing and is a
+    tail call to [f] behind a single branch, whether telemetry is on
+    or off. Phase timings and call counts are read back from the
+    captured trace (see [Fpga_report.Profile]). *)
 
 (** {1 Structured tracing}
 
-    The timeline-grade layer on top of the flat {!span} aggregates:
-    spans form a proper tree (parent/child via a per-domain open-span
+    The timeline of the run: spans form a proper tree (parent/child via a per-domain open-span
     stack, stable per-sink span ids), each domain records onto its own
     {e track}, and the result serializes to Chrome Trace Event Format
     via {!Trace_export}. Like everything else in this module the state
@@ -130,11 +135,10 @@ module Trace : sig
   val enabled : unit -> bool
 
   val set_clock : (unit -> float) -> unit
-  (** Wall-time source in seconds, default [Sys.time]; a harness that
-      wants real timelines installs [Unix.gettimeofday]. The flat
-      {!Telemetry.span} aggregates always read [Sys.time], whatever is
-      installed here. Shared by all domains — install from the main
-      domain while no pool batch runs. *)
+  (** Time source of the [Wall] clock in seconds, default [Sys.time]
+      (CPU time); a harness that wants real timelines installs
+      [Unix.gettimeofday]. Shared by all domains — install from the
+      main domain while no pool batch runs. *)
 
   val set_track : int -> unit
   (** Track (Chrome-trace [tid]) new events record on. Track 0 is the
@@ -181,11 +185,7 @@ end
 
 (** {1 Reporting} *)
 
-type report = {
-  r_counters : (string * int) list;  (** sorted by name *)
-  r_spans : (string * int * float) list;
-      (** (name, calls, total seconds), sorted by name *)
-}
+type report = { r_counters : (string * int) list  (** sorted by name *) }
 
 val report : unit -> report
 (** Snapshot of the current domain's sink. *)
@@ -194,9 +194,8 @@ val empty_report : report
 
 val merge : report -> report -> report
 (** Combine two sinks' reports (e.g. two shares of a pool batch):
-    counters and spans are summed by name. *)
+    counters are summed by name. *)
 
 val reset : unit -> unit
-(** Zero the current domain's counters and spans and {!Trace.reset}
-    its trace buffer. Does not change the enabled flags or the
-    clocks. *)
+(** Zero the current domain's counters. The trace buffer is left as it
+    is ({!Trace.reset} clears it); neither switch changes. *)

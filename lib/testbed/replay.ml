@@ -19,11 +19,11 @@ type recording = {
   rec_report : Bug.report;
 }
 
-let record ?kernel ?(every = 50) ?max_cycles (bug : Bug.t) : recording =
+let record ?kernel ?(every = 50) (bug : Bug.t) : recording =
   Telemetry.span "replay.record" @@ fun () ->
   let cps = ref [] in
   let report =
-    Bug.run_design ?kernel ?max_cycles ~checkpoint_every:every
+    Bug.run_design ?kernel ~checkpoint_every:every
       ~on_checkpoint:(fun c ->
         Telemetry.Counter.incr recorded_counter;
         cps := c :: !cps)
@@ -32,11 +32,10 @@ let record ?kernel ?(every = 50) ?max_cycles (bug : Bug.t) : recording =
   in
   { rec_checkpoints = List.rev !cps; rec_report = report }
 
-let replay ?kernel ?(vcd = true) ?window ~(from : Checkpoint.t) (bug : Bug.t) :
-    Bug.report =
+let replay ?kernel ?window ~(from : Checkpoint.t) (bug : Bug.t) : Bug.report =
   Telemetry.span "replay.replay" @@ fun () ->
   let max_cycles = Option.map (( + ) from.Checkpoint.ck_cycle) window in
-  Bug.run_design ?kernel ~vcd ~from_checkpoint:from ?max_cycles bug
+  Bug.run_design ?kernel ~vcd:true ~from_checkpoint:from ?max_cycles bug
     (Bug.design_of bug ~buggy:true)
 
 type bisect_result = {

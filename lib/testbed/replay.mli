@@ -21,27 +21,22 @@ type recording = {
 }
 
 val record :
-  ?kernel:Fpga_sim.Simulator.kernel ->
-  ?every:int ->
-  ?max_cycles:int ->
-  Bug.t ->
-  recording
-(** Run the buggy design, capturing a checkpoint every [every] cycles
-    (default 50). A run shorter than [every] produces an empty
-    stream. *)
+  ?kernel:Fpga_sim.Simulator.kernel -> ?every:int -> Bug.t -> recording
+(** Run the buggy design for the bug's own cycle budget, capturing a
+    checkpoint every [every] cycles (default 50). A run shorter than
+    [every] produces an empty stream. *)
 
 val replay :
   ?kernel:Fpga_sim.Simulator.kernel ->
-  ?vcd:bool ->
   ?window:int ->
   from:Fpga_sim.Checkpoint.t ->
   Bug.t ->
   Bug.report
-(** Restore [from] and re-simulate. [window] bounds the number of
-    cycles replayed past the snapshot; by default the run continues to
-    the bug's own cycle budget, stopping early on [$finish] or the
-    completion condition exactly as the straight run does. [vcd]
-    (default true) captures the full waveform of the window. *)
+(** Restore [from] and re-simulate, capturing the full waveform of the
+    window. [window] bounds the number of cycles replayed past the
+    snapshot; by default the run continues to the bug's own cycle
+    budget, stopping early on [$finish] or the completion condition
+    exactly as the straight run does. *)
 
 (** Outcome of a checkpoint-stream bisection. *)
 type bisect_result = {

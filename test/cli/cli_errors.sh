@@ -11,10 +11,13 @@
 #     `instrument -o`, `export -o`, `profile --json`, and the `--json`
 #     and `--trace` files of `campaign` and `fuzz`) writing into a
 #     missing directory;
-#   - `vcd --from` below zero, `campaign --sweep` off a list of
-#     positive integers and `instrument --buffer` off the powers of two
-#     (usage errors), and `vcd --from` past the end of the run (a
-#     header-only waveform and a note, exit 0);
+#   - count options out of range: `vcd --from` below zero, `campaign
+#     --sweep` off a list of positive integers, `instrument --buffer`
+#     off the powers of two, negative `--cycles` of `profile` and
+#     `deps`, and a non-positive `--every` of `replay` and `checkpoint`
+#     or `fuzz --mutants` (usage errors), and `vcd --from` past the end
+#     of the run (a header-only waveform and a note, exit 0);
+#   - `deps` on a `--target` that is not a signal of the design;
 #   - `trace-check` on a trace whose numbers and \u escape are not
 #     JSON (`+1`, `01`, `1.`, `\u00_4`), which must exit 1.
 # Failures go to stderr and make the script exit 1.
@@ -126,6 +129,14 @@ fi
 expect "campaign --sweep abc" 124 "option '--sweep'" campaign --sweep abc
 expect "instrument --buffer 3" 124 "option '--buffer'" instrument D2 --buffer 3
 expect "instrument --buffer 0" 124 "option '--buffer'" instrument D2 --buffer 0
+expect "replay --every=-3" 124 "option '--every'" replay D2 --bisect --every=-3
+expect "profile --cycles=-5" 124 "option '--cycles'" profile D2 --cycles=-5
+expect "deps --cycles=-1" 124 "option '--cycles'" deps D1 --cycles=-1
+expect "checkpoint --every 0" 124 "option '--every'" \
+  checkpoint D2 --every 0 -o "$tmp/ck0"
+expect "fuzz --mutants 0" 124 "option '--mutants'" fuzz --mutants 0
+expect "deps --target nosuch" 7 "^D1: Dependency Monitor: unknown target nosuch" \
+  deps D1 --target nosuch
 expect "vcd --from past the end" 0 "past the last simulated cycle" \
   vcd D2 --from 100000 -o "$tmp/late.vcd"
 if [ "$(tail -n 1 "$tmp/late.vcd")" != '$enddefinitions $end' ]; then

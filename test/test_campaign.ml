@@ -226,7 +226,7 @@ let test_pool_batches_reuse_workers () =
   done
 
 (* Every batch's shares record into fresh sinks: batch 2's merged
-   telemetry holds batch 2's counters and spans only, what the caller
+   telemetry holds batch 2's counters only, what the caller
    recorded before the calls is intact, and nothing from the jobs
    reaches the caller's sink. *)
 let test_pool_telemetry_per_batch () =
@@ -243,10 +243,7 @@ let test_pool_telemetry_per_batch () =
     Array.init 6 (fun i ->
         {
           Campaign.label = Printf.sprintf "b%d.%d" k i;
-          work =
-            (fun () ->
-              Telemetry.span "campaign.test_span" (fun () ->
-                  Telemetry.Counter.bump bumps k));
+          work = (fun () -> Telemetry.Counter.bump bumps k);
         })
   in
   let counter (st : Campaign.pool_stats) name =
@@ -258,13 +255,6 @@ let test_pool_telemetry_per_batch () =
     (Option.value (counter first "campaign.test_batch") ~default:0);
   check_int "batch 2 holds only batch 2's bumps" 60
     (Option.value (counter second "campaign.test_batch") ~default:0);
-  (match
-     List.find_opt
-       (fun (name, _, _) -> name = "campaign.test_span")
-       second.Campaign.ps_telemetry.Telemetry.r_spans
-   with
-  | Some (_, calls, _) -> check_int "batch 2's spans only" 6 calls
-  | None -> Alcotest.fail "batch 2 lost its spans");
   check_bool "caller's counters stay out of the batch" true
     (counter second "campaign.test_caller" = None);
   check_int "caller's counter intact" 3 (Telemetry.Counter.value mine);

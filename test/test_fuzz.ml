@@ -510,21 +510,29 @@ let test_fuzz_json_schema () =
 
 module Telemetry = Fpga_telemetry.Telemetry
 
-(* Span calls recorded in this domain while [f] runs with telemetry on. *)
+module Trace = Telemetry.Trace
+
+(* Span calls traced in this domain while [f] runs with telemetry and
+   tracing on: the category-"span" 'B' events of each name. *)
 let span_calls f =
   Telemetry.reset ();
   Telemetry.enable ();
+  Trace.enable ~clock:Trace.Virtual ();
   Fun.protect
     ~finally:(fun () ->
+      Trace.reset ();
+      Trace.disable ();
       Telemetry.disable ();
       Telemetry.reset ())
     (fun () ->
       f ();
-      let spans = (Telemetry.report ()).Telemetry.r_spans in
+      let events = (Trace.capture_all ()).Trace.sg_events in
       fun name ->
-        List.fold_left
-          (fun acc (n, calls, _) -> if n = name then acc + calls else acc)
-          0 spans)
+        List.length
+          (List.filter
+             (fun (e : Trace.event) ->
+               e.te_ph = 'B' && e.te_cat = "span" && e.te_name = name)
+             events))
 
 (* A valid mutant on which the kernels agree costs primary, brute-force
    and telemetry-on simulations and nothing more; the validity gate's

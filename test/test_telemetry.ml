@@ -5,6 +5,7 @@
 open Fpga_sim
 module Bits = Fpga_bits.Bits
 module Telemetry = Fpga_telemetry.Telemetry
+module Trace = Telemetry.Trace
 module Bug = Fpga_testbed.Bug
 module Registry = Fpga_testbed.Registry
 
@@ -52,23 +53,33 @@ let test_counter_gating () =
       check_int "same name writes the same cell" 7 (Telemetry.Counter.value c));
   check_int "reset zeroes the counter" 0 (Telemetry.Counter.value c)
 
+(* The category-"span" 'B' events named [name] in [sg]. *)
+let span_begins (sg : Trace.segment) name =
+  List.length
+    (List.filter
+       (fun (e : Trace.event) ->
+         e.te_ph = 'B' && e.te_cat = "span" && e.te_name = name)
+       sg.Trace.sg_events)
+
 let test_span () =
   with_telemetry (fun () ->
-      let r = Telemetry.span "test.span" (fun () -> 41 + 1) in
-      check_int "span returns the result" 42 r;
-      ignore (Telemetry.span "test.span" Fun.id);
-      (try
-         Telemetry.span "test.span" (fun () -> failwith "boom")
-       with Failure _ -> ());
-      match
-        List.find_opt
-          (fun (n, _, _) -> n = "test.span")
-          (Telemetry.report ()).Telemetry.r_spans
-      with
-      | Some (_, calls, secs) ->
-          check_int "three calls recorded (exception included)" 3 calls;
-          check_bool "non-negative total" true (secs >= 0.0)
-      | None -> Alcotest.fail "span not recorded")
+      check_int "span returns the result" 42
+        (Telemetry.span "test.span" (fun () -> 41 + 1));
+      check_int "nothing recorded while tracing is off" 0 (Trace.length ()));
+  Trace.enable ~clock:Trace.Virtual ();
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.reset ();
+      Trace.disable ())
+  @@ fun () ->
+  let r = Telemetry.span "test.span" (fun () -> 41 + 1) in
+  check_int "span returns the result" 42 r;
+  ignore (Telemetry.span "test.span" Fun.id);
+  (try Telemetry.span "test.span" (fun () -> failwith "boom")
+   with Failure _ -> ());
+  check_int "three calls traced (exception included)" 3
+    (span_begins (Trace.capture_all ()) "test.span");
+  check_int "every span closed" 0 (Trace.depth ())
 
 (* --- simulator integration ----------------------------------------- *)
 
@@ -287,6 +298,50 @@ let test_profile_json () =
   check_bool "hottest signals present" true
     (p.Fpga_report.Profile.p_hottest <> [])
 
+(* Profile's phases are read from the trace: with the caller tracing on
+   the virtual clock, the table's names and call counts are the
+   category-"span" 'B' events the run leaves in the caller's buffer. *)
+let test_profile_reads_trace () =
+  let bug = Option.get (Registry.find "D2") in
+  Trace.enable ~clock:Trace.Virtual ();
+  Fun.protect
+    ~finally:(fun () ->
+      Telemetry.reset ();
+      Trace.reset ();
+      Trace.disable ())
+  @@ fun () ->
+  let p = Fpga_report.Profile.run ~cycles:200 bug in
+  check_bool "tracing still on" true (Trace.enabled ());
+  let sg = Trace.capture_all () in
+  let names =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun (e : Trace.event) ->
+           if e.te_ph = 'B' && e.te_cat = "span" then Some e.te_name else None)
+         sg.Trace.sg_events)
+  in
+  check_bool "the run's spans stay buffered" true (names <> []);
+  Alcotest.(check (list (pair string int)))
+    "phases are the traced spans"
+    (List.map (fun n -> (n, span_begins sg n)) names)
+    (List.map (fun (n, calls, _) -> (n, calls)) p.Fpga_report.Profile.p_spans);
+  check_bool "virtual seconds count whole ticks" true
+    (List.for_all
+       (fun (_, _, secs) ->
+         secs > 0.0 && Float.is_integer (Float.round (secs *. 1e6)))
+       p.Fpga_report.Profile.p_spans)
+
+(* Untraced, the profile traces its own run and leaves both switches
+   off and the trace buffer empty. *)
+let test_profile_untraced () =
+  let bug = Option.get (Registry.find "D2") in
+  let p = Fpga_report.Profile.run ~cycles:20 bug in
+  Telemetry.reset ();
+  check_bool "phases recorded" true (p.Fpga_report.Profile.p_spans <> []);
+  check_bool "telemetry off" false (Telemetry.enabled ());
+  check_bool "tracing off" false (Trace.enabled ());
+  check_int "trace buffer empty" 0 (Trace.length ())
+
 (* The counter sections of D2's profile under each kernel, pinned byte
    for byte: a change to how either kernel counts its work shows here.
    Each depth-1 object is one line of the report, split here only to
@@ -396,6 +451,10 @@ let suite =
       test_dep_monitor_publishes;
     Alcotest.test_case "profile JSON schema and drop accounting" `Quick
       test_profile_json;
+    Alcotest.test_case "profile phases equal the traced spans" `Quick
+      test_profile_reads_trace;
+    Alcotest.test_case "untraced profile leaves tracing off and empty" `Quick
+      test_profile_untraced;
     Alcotest.test_case "golden profile counters for D2" `Quick
       test_profile_golden;
   ]

@@ -988,6 +988,7 @@ let traced_pass (bug : Bug.t) =
     ~finally:(fun () ->
       Telemetry.reset ();
       Telemetry.disable ();
+      Trace.reset ();
       Trace.disable ())
     (fun () ->
       let buggy = Bug.design_of bug ~buggy:true in
@@ -999,12 +1000,18 @@ let traced_pass (bug : Bug.t) =
         (fun from -> ignore (Replay.replay ~from bug))
         rc.Replay.rec_checkpoints;
       ignore (Replay.bisect ~every:16 bug);
-      let r = Telemetry.report () in
-      let calls = List.map (fun (name, n, _) -> (name, n)) r.Telemetry.r_spans in
       let main = Trace.capture_all () in
+      (* the category-"span" 'B' events per name *)
+      let calls = Hashtbl.create 16 in
+      List.iter
+        (fun (e : Trace.event) ->
+          if e.te_ph = 'B' && e.te_cat = "span" then
+            Hashtbl.replace calls e.te_name
+              (1 + Option.value (Hashtbl.find_opt calls e.te_name) ~default:0))
+        main.Trace.sg_events;
       ( Fpga_telemetry.Trace_export.to_json ~clock:Trace.Virtual ~main ~jobs:[] (),
-        calls,
-        r.Telemetry.r_counters ))
+        List.sort compare (List.of_seq (Hashtbl.to_seq calls)),
+        (Telemetry.report ()).Telemetry.r_counters ))
 
 let test_trace_invisible () =
   List.iter

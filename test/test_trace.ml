@@ -126,9 +126,9 @@ let test_soft_cap () =
       | Ok _ -> ()
       | Error e -> Alcotest.fail ("capped trace rejected: " ^ e))
 
-(* One Telemetry.span call feeds both the flat aggregate and the tree;
-   with both layers off it records nothing. *)
-let test_span_feeds_both_layers () =
+(* A Telemetry.span call is a tree span of the trace; with tracing off
+   it records nothing. *)
+let test_span_feeds_trace () =
   Telemetry.disable ();
   Trace.disable ();
   Telemetry.span "cold" (fun () -> ());
@@ -144,7 +144,7 @@ let test_span_feeds_both_layers () =
     ((Trace.capture_all ()).Trace.sg_events = [])
 
 (* The simulator samples its counter series into the trace even when
-   flat telemetry is off — tracing alone allocates the kernel stats. *)
+   telemetry is off — tracing alone allocates the kernel stats. *)
 let test_simulator_counter_series () =
   Telemetry.disable ();
   with_trace (fun () ->
@@ -412,7 +412,7 @@ let suite =
     Alcotest.test_case "soft cap drops but never unbalances" `Quick
       test_soft_cap;
     Alcotest.test_case "Telemetry.span feeds the trace tree" `Quick
-      test_span_feeds_both_layers;
+      test_span_feeds_trace;
     Alcotest.test_case "simulator samples counter series while tracing" `Quick
       test_simulator_counter_series;
     Alcotest.test_case "worker spans land on their domain's track, ids \
